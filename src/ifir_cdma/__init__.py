@@ -7,91 +7,4 @@ minimum-variance (SG/RLS) modes.  Batch designs, convergence analysis
 tools and a Monte-Carlo harness round out the package.
 """
 
-from .adaptive import (
-    BlindRlsState,
-    BlindSgState,
-    SgChannelTracker,
-    TrainedRlsState,
-    TrainedSgState,
-    cmv_rls_step,
-    cmv_sg_step,
-    lms_step,
-    make_blind_rls,
-    make_blind_sg,
-    make_trained_rls,
-    make_trained_sg,
-    rls_step,
-    sg_channel_track,
-)
-from .analysis import (
-    ExcessMseReport,
-    StabilityBound,
-    TrajectoryModel,
-    build_blind_trajectory,
-    build_trained_trajectory,
-    complexity_count,
-    excess_mse_blind,
-    excess_mse_trained,
-    fourth_moment,
-    initial_error_powers,
-    mean_trajectory,
-    rls_learning_curve,
-    sg_stability_bound,
-    sg_transient,
-)
-from .cmv import (
-    ConstraintSet,
-    blind_channel_estimate,
-    build_constraints,
-    cmv_interpolator,
-    cmv_receiver,
-    min_output_variance,
-    shift_iteration_min_eigvec,
-    shifted_signatures,
-)
-from .harness import (
-    ConfigError,
-    MetricSeries,
-    ScenarioConfig,
-    export,
-    iter_symbols,
-    pd_baseline,
-    pd_projection,
-    rake_baseline,
-    run_campaign,
-    run_trial,
-)
-from .interpolation import (
-    DecimationOperator,
-    ReceiverState,
-    build_re_matrix,
-    detect,
-    interpolate_then_decimate,
-    make_decimation,
-    receiver_output,
-)
-from .mmse import (
-    MmseStatistics,
-    alternate_mmse,
-    estimate_statistics,
-    mse_value,
-    segment_stack,
-    wiener_interpolator,
-    wiener_receiver,
-)
-from .signal_model import (
-    ChannelRealization,
-    SpreadingSet,
-    SymbolFrame,
-    build_block_matrix,
-    build_channel_matrix,
-    effective_signature,
-    fading_step,
-    gen_gold_set,
-    isi_span,
-    make_channel,
-    random_frame,
-    synthesize_received,
-)
-
 __version__ = "0.1.0"

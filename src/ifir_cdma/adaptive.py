@@ -11,12 +11,15 @@ Within a step the output and error are computed with the pre-update
 filters, and both filters are updated from those same pre-update
 quantities (Jacobi ordering).  State objects are single-owner and
 mutated in place; every step returns the scalar the caller needs
-(error for trained, output for blind).
+(error for trained, output for blind).  Every step takes `adapt_v`;
+with it false the interpolator v stays where it is and only w adapts.
+Every exponentially weighted inverse-covariance update goes through
+`rls_update`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +62,8 @@ def make_trained_sg(dec: DecimationOperator, n_i: int, mu0: float, eta0: float,
                           dec=dec, mu0=mu0, eta0=eta0, normalized=normalized)
 
 
-def lms_step(s: TrainedSgState, r: np.ndarray, b: float) -> complex:
+def lms_step(s: TrainedSgState, r: np.ndarray, b: float,
+             adapt_v: bool = True) -> complex:
     """One gradient update of both filters; returns the a-priori error.
 
     e = b - w^H rbar, then v <- v + eta conj(e) u and
@@ -75,12 +79,13 @@ def lms_step(s: TrainedSgState, r: np.ndarray, b: float) -> complex:
     nr = np.real(np.vdot(rbar, rbar))
     nu = np.real(np.vdot(u, u))
     if s.normalized:
-        if nu > _TINY:
+        if adapt_v and nu > _TINY:
             st.v = st.v + (s.eta0 / nu) * ce * u
         if nr > _TINY:
             st.w = st.w + (s.mu0 / nr) * ce * rbar
     else:
-        st.v = st.v + s.eta0 * ce * u
+        if adapt_v:
+            st.v = st.v + s.eta0 * ce * u
         st.w = st.w + s.mu0 * ce * rbar
     return complex(e)
 
@@ -109,15 +114,30 @@ def make_trained_rls(dec: DecimationOperator, n_i: int, alpha: float = 0.998,
                            alpha=alpha, delta=delta)
 
 
+def rls_update(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
+    """Exponentially weighted RLS update of an inverse covariance p.
+
+    With px = p x and denom = alpha + x^H p x, the gain is
+    k = px / denom and p <- (p - k px^H) / alpha, re-symmetrised.  A
+    non-positive denominator is a breakdown: p restarts at delta*I and
+    k is None.  Returns (p, k, px, denom).
+    """
+    px = p @ x
+    denom = alpha + np.real(np.vdot(x, px))
+    if denom <= 0:
+        return delta * np.eye(p.shape[0], dtype=complex), None, px, denom
+    gain = px / denom
+    p = (p - np.outer(gain, px.conj())) / alpha
+    return 0.5 * (p + p.conj().T), gain, px, denom
+
+
 def rls_step(s: TrainedRlsState, r: np.ndarray, b: float,
              adapt_v: bool = True) -> complex:
     """One exponentially weighted RLS update of both filters.
 
-    Gain G = P rbar / (alpha + rbar^H P rbar), inverse update
-    P <- (P - G rbar^H P)/alpha (re-symmetrised), filter update
-    w <- w + G conj(xi) with the a-priori error xi; the interpolator
-    follows the mirrored recursion on u.  A non-positive gain
-    denominator reinitialises that inverse to delta*I and is counted in
+    `rls_update` advances P with rbar, then w <- w + k conj(xi) with the
+    a-priori error xi; the interpolator follows the mirrored recursion
+    on u (skipped while u is zero).  Breakdowns are counted in
     `breakdowns`.
     """
     st = s.state
@@ -127,27 +147,17 @@ def rls_step(s: TrainedRlsState, r: np.ndarray, b: float,
     xi = b - np.vdot(st.w, rbar)
     cxi = np.conj(xi)
 
-    pr = s.p @ rbar
-    denom = s.alpha + np.real(np.vdot(rbar, pr))
-    if denom <= 0:
-        s.p = s.delta * np.eye(s.dec.m_red, dtype=complex)
+    s.p, gain, _, _ = rls_update(s.p, rbar, s.alpha, s.delta)
+    if gain is None:
         s.breakdowns += 1
     else:
-        gain = pr / denom
-        s.p = (s.p - np.outer(gain, pr.conj())) / s.alpha
-        s.p = 0.5 * (s.p + s.p.conj().T)
         st.w = st.w + gain * cxi
 
-    if adapt_v:
-        pu = s.p_u @ u
-        denom_u = s.alpha + np.real(np.vdot(u, pu))
-        if denom_u <= 0:
-            s.p_u = s.delta * np.eye(st.n_i, dtype=complex)
+    if adapt_v and np.real(np.vdot(u, u)) > _TINY:
+        s.p_u, gain_u, _, _ = rls_update(s.p_u, u, s.alpha, s.delta)
+        if gain_u is None:
             s.breakdowns += 1
-        elif np.real(np.vdot(u, u)) > _TINY:
-            gain_u = pu / denom_u
-            s.p_u = (s.p_u - np.outer(gain_u, pu.conj())) / s.alpha
-            s.p_u = 0.5 * (s.p_u + s.p_u.conj().T)
+        else:
             st.v = st.v + gain_u * cxi
     return complex(xi)
 
@@ -191,11 +201,6 @@ class SgChannelTracker:
         return self.g_hat
 
 
-def sg_channel_track(tracker: SgChannelTracker, r: np.ndarray) -> np.ndarray:
-    """Advance the tracker by one received vector; returns the unit-norm estimate."""
-    return tracker.update(r)
-
-
 # ---------------------------------------------------------------------------
 # blind algorithms
 # ---------------------------------------------------------------------------
@@ -223,7 +228,7 @@ def make_blind_sg(cons: ConstraintSet, n_i: int, mu0: float, eta0: float,
                         mu0=mu0, eta0=eta0, normalized=normalized, tracker=tracker)
 
 
-def cmv_sg_step(s: BlindSgState, r: np.ndarray) -> complex:
+def cmv_sg_step(s: BlindSgState, r: np.ndarray, adapt_v: bool = True) -> complex:
     """One constrained-gradient update; returns the pre-update output x.
 
     v <- (v - eta conj(x) u) / ||.|| and
@@ -242,15 +247,16 @@ def cmv_sg_step(s: BlindSgState, r: np.ndarray) -> complex:
     x = np.vdot(st.w, rbar)
     cx = np.conj(x)
 
-    nu = np.real(np.vdot(u, u))
-    if s.normalized:
-        eta = s.eta0 / nu if nu > _TINY else 0.0
-    else:
-        eta = s.eta0
-    v_new = st.v - eta * cx * u
-    nrm = np.linalg.norm(v_new)
-    if nrm > _TINY:
-        st.v = v_new / nrm
+    if adapt_v:
+        nu = np.real(np.vdot(u, u))
+        if s.normalized:
+            eta = s.eta0 / nu if nu > _TINY else 0.0
+        else:
+            eta = s.eta0
+        v_new = st.v - eta * cx * u
+        nrm = np.linalg.norm(v_new)
+        if nrm > _TINY:
+            st.v = v_new / nrm
 
     pr = cons.pi @ rbar
     npr = np.real(np.vdot(rbar, pr))
@@ -315,13 +321,14 @@ def _reinit_gamma(s: BlindRlsState) -> None:
     s.breakdowns += 1
 
 
-def cmv_rls_step(s: BlindRlsState, r: np.ndarray) -> complex:
+def cmv_rls_step(s: BlindRlsState, r: np.ndarray, adapt_v: bool = True) -> complex:
     """One blind RLS update; returns the output of the refreshed filter.
 
     Order per symbol: advance the channel estimate (when tracking);
     accumulate the u covariance and advance the interpolator one shift
-    iteration (then renormalise); project with the new interpolator;
-    rank-one update p, gamma and gamma_inv; rebuild
+    iteration (then renormalise; both skipped without `adapt_v`);
+    project with the new interpolator; rank-one update p (`rls_update`),
+    gamma and gamma_inv; rebuild
     w = p DC gamma_inv g.
     """
     st = s.state
@@ -331,37 +338,31 @@ def cmv_rls_step(s: BlindRlsState, r: np.ndarray) -> complex:
     re = build_re_matrix(r, st.n_i, cons.dec)
     u = re @ st.w.conj()
 
-    s.ru_acc = s.alpha * s.ru_acc + np.outer(u, u.conj())
-    tr_u = np.trace(s.ru_acc).real
-    if tr_u <= 0:
-        raise np.linalg.LinAlgError("u covariance estimate lost positivity")
-    v_new = st.v - (1.0 / tr_u) * (s.ru_acc @ st.v)
-    nrm = np.linalg.norm(v_new)
-    if nrm > _TINY:
-        st.v = v_new / nrm
+    if adapt_v:
+        s.ru_acc = s.alpha * s.ru_acc + np.outer(u, u.conj())
+        tr_u = np.trace(s.ru_acc).real
+        if tr_u <= 0:
+            raise np.linalg.LinAlgError("u covariance estimate lost positivity")
+        v_new = st.v - (1.0 / tr_u) * (s.ru_acc @ st.v)
+        nrm = np.linalg.norm(v_new)
+        if nrm > _TINY:
+            st.v = v_new / nrm
 
     rbar = re.T @ st.v.conj()
-    pr = s.p @ rbar
-    denom = s.alpha + np.real(np.vdot(rbar, pr))
-    if denom <= 0:
-        s.p = s.delta * np.eye(cons.dec.m_red, dtype=complex)
+    s.p, gain, pr, denom = rls_update(s.p, rbar, s.alpha, s.delta)
+    if gain is None:
         s.gamma = s.delta * cons.gram.copy()
         s.gamma_inv = cons.gram_inv / s.delta
         s.breakdowns += 1
     else:
-        gain = pr / denom
         z = cons.dc.conj().T @ pr
         giz = s.gamma_inv @ z
         down = denom - np.real(np.vdot(z, giz))
         if down <= 0:
-            s.p = (s.p - np.outer(gain, pr.conj())) / s.alpha
-            s.p = 0.5 * (s.p + s.p.conj().T)
             _reinit_gamma(s)
         else:
             s.gamma_inv = s.alpha * (s.gamma_inv + np.outer(giz, giz.conj()) / down)
             s.gamma = (s.gamma - np.outer(z, z.conj()) / denom) / s.alpha
-            s.p = (s.p - np.outer(gain, pr.conj())) / s.alpha
-            s.p = 0.5 * (s.p + s.p.conj().T)
 
     st.w = s.p @ (cons.dc @ (s.gamma_inv @ s.g_hat))
     return complex(np.vdot(st.w, rbar))

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .interpolation import DecimationOperator
+from .interpolation import DecimationOperator, make_decimation
 from .mmse import segment_stack
 
 MAX_KRON_DIM = 40  # fourth-moment matrices hold dim^4 scalars
@@ -292,12 +292,6 @@ def sg_transient(r_bar: np.ndarray, mu: float, eps_min: float,
                            gammas=gammas, eigenvalues=lam)
 
 
-def initial_error_powers(r_bar: np.ndarray, e_w0: np.ndarray) -> np.ndarray:
-    """Rotated initial weight-error powers |Q^H e_w(0)|^2 for `sg_transient`."""
-    _, q = np.linalg.eigh(np.asarray(r_bar))
-    return np.abs(q.conj().T @ np.asarray(e_w0)) ** 2
-
-
 def rls_learning_curve(sigma2: float, m_red: int, i: int) -> float:
     """Expected RLS excess MSE sigma2 * m_red / (i - m_red - 1), i > m_red + 1."""
     if i <= m_red + 1:
@@ -308,12 +302,6 @@ def rls_learning_curve(sigma2: float, m_red: int, i: int) -> float:
 # ---------------------------------------------------------------------------
 # complexity counts
 # ---------------------------------------------------------------------------
-
-def _ratio(m: int, l: int) -> int:
-    """Reduced length used in the operation-count formulas."""
-    q = int(np.floor(m / l + 0.5))
-    return max(q, 1)
-
 
 _COMPLEXITY: dict[str, Callable] = {
     "lms-full-rank": lambda M, R, NI, D, LP, MB: (2 * M, 2 * M + 1),
@@ -367,13 +355,12 @@ def complexity_count(algorithm: str, m: int, l: int = 1, n_i: int = 0,
     """Per-symbol (additions, multiplications) for the named structure.
 
     Eigendecomposition costs are counted as M^3.  Multistage rows use
-    the fixed stage length M - d evaluated at d = D.  M/L is rounded to
-    the nearest integer as in the receiver itself.
+    the fixed stage length M - d evaluated at d = D.  M/L is the
+    receiver's own reduced length, `make_decimation(m, l).m_red`, which
+    raises ValueError unless m >= l >= 1.
     """
     key = algorithm.lower()
     if key not in _COMPLEXITY:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {sorted(_COMPLEXITY)}")
-    if m < 1 or l < 1:
-        raise ValueError("m and l must be positive")
-    adds, mults = _COMPLEXITY[key](m, _ratio(m, l), n_i, d, l_p, m - d)
+    adds, mults = _COMPLEXITY[key](m, make_decimation(m, l).m_red, n_i, d, l_p, m - d)
     return int(adds), int(mults)

@@ -58,11 +58,6 @@ class ConstraintSet:
     def l_p(self) -> int:
         return self.c.shape[1]
 
-    def with_g(self, g: np.ndarray) -> "ConstraintSet":
-        return ConstraintSet(c=self.c, g=np.asarray(g, dtype=complex), dec=self.dec,
-                             dc=self.dc, gram=self.gram, gram_inv=self.gram_inv,
-                             anchor=self.anchor, pi=self.pi)
-
 
 def shifted_signatures(code: np.ndarray, l_p: int) -> np.ndarray:
     """M x L_p matrix whose column j is the code delayed by j chips."""

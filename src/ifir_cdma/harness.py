@@ -6,6 +6,15 @@ noise), the receiver (structure, algorithm, mode) and the experiment
 symbol and records MSE, windowed SINR and cumulative BER;
 `run_campaign` averages independent runs with spawned sub-seeds.
 
+Every algorithm, the RAKE and partial-despreading baselines included,
+is a linear receiver driven by the same symbol loop through two calls:
+`output(r)` applies the current receiver and `adapt(r, d)` updates it.
+Per symbol the loop takes the decision output first, adapts with the
+reference symbol (training symbol, or the decision in
+decision-directed mode past `n_tr`; blind receivers ignore it), then
+meters SINR with the updated receiver.  MSE and BER are therefore
+a-priori and SINR a-posteriori for every algorithm.
+
 Everything is deterministic for a fixed (config, seed): one Generator
 per trial drives channel, symbols and noise in a fixed order, and the
 campaign reduction is ordered by run index regardless of worker count.
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import adaptive, cmv, signal_model
-from .interpolation import DecimationOperator, detect, make_decimation
+from .interpolation import detect, make_decimation, receiver_output
 
 CSV_COLUMNS = ["iteration", "mse", "sinr_db", "ber", "algorithm", "L", "N_I", "seed"]
 SINR_WINDOW = 0.98
@@ -106,8 +115,7 @@ class ScenarioConfig:
             raise ConfigError(f"{self.algorithm} needs training or decision-directed mode")
         if not 0 < self.alpha <= 1:
             raise ConfigError("forgetting factor must lie in (0, 1]")
-        if self.n_tr < 0 or (self.mode != "blind" and self.n_tr > self.symbols
-                             and self.mode == "decision-directed"):
+        if self.n_tr < 0 or (self.mode == "decision-directed" and self.n_tr > self.symbols):
             raise ConfigError("training length must fit in the symbol budget")
         if self.channel_profile not in ("fixed", "random-delays"):
             raise ConfigError("channel_profile must be 'fixed' or 'random-delays'")
@@ -264,20 +272,6 @@ class _SinrMeter:
         return 10.0 * np.log10(max(self.num, 1e-300) / max(self.den, 1e-300))
 
 
-def rake_baseline(r: np.ndarray, channel_estimate: np.ndarray,
-                  code: np.ndarray) -> complex:
-    """Matched filter to the estimated effective signature.
-
-    Output is scaled by the signature energy so a clean single-user
-    vector reproduces the symbol amplitude.
-    """
-    sig = signal_model.effective_signature(code, channel_estimate)
-    energy = np.real(np.vdot(sig, sig))
-    if energy <= 0:
-        raise ValueError("channel estimate has no energy")
-    return complex(np.vdot(sig, r[:sig.size]) / energy)
-
-
 def pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
     """Partial-despreading projection: columns hold disjoint signature segments.
 
@@ -302,31 +296,29 @@ def pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# trial loops
+# receivers and the trial loop
 # ---------------------------------------------------------------------------
 
-def _series_metadata(cfg: ScenarioConfig, seed: int) -> dict:
-    meta = cfg.to_dict()
-    meta["run_seed"] = int(seed)
-    return meta
+def _interpolated_receiver(cfg: ScenarioConfig, link: _Link):
+    """(output, adapt, state) of an interpolated receiver.
 
-
-def _run_int_trial(cfg: ScenarioConfig, link: _Link, seed) -> MetricSeries:
+    `output(r)` applies the current (v, w) to a received vector and
+    `adapt(r, d)` runs one adaptive step with reference symbol d (the
+    blind steps ignore it); `state` is read by the blind phase alignment.
+    """
     dec = make_decimation(cfg.m, cfg.l)
     v0 = _interpolator_init(cfg)
-    eta0 = 0.0 if cfg.freeze_interpolator else cfg.eta0
+    adapt_v = not cfg.freeze_interpolator
     if cfg.algorithm == "lms":
-        st = adaptive.make_trained_sg(dec, cfg.n_i, cfg.mu0, eta0,
+        st = adaptive.make_trained_sg(dec, cfg.n_i, cfg.mu0, cfg.eta0,
                                       normalized=cfg.normalized_steps, v0=v0)
-        step = lambda r, b: adaptive.lms_step(st, r, b)
+        adapt = lambda r, d: adaptive.lms_step(st, r, d, adapt_v=adapt_v)
     elif cfg.algorithm == "rls":
         st = adaptive.make_trained_rls(dec, cfg.n_i, alpha=cfg.alpha,
                                        delta=cfg.delta, v0=v0)
-        step = lambda r, b: adaptive.rls_step(st, r, b,
-                                              adapt_v=not cfg.freeze_interpolator)
+        adapt = lambda r, d: adaptive.rls_step(st, r, d, adapt_v=adapt_v)
     else:
-        g_true = link.channel.gains
-        cons = cmv.build_constraints(link.codes[0], cfg.l_p, dec, g=g_true)
+        cons = cmv.build_constraints(link.codes[0], cfg.l_p, dec, g=link.channel.gains)
         tracker = None
         if not cfg.known_channel:
             tracker = adaptive.SgChannelTracker(cons.c, alpha=cfg.alpha)
@@ -334,49 +326,67 @@ def _run_int_trial(cfg: ScenarioConfig, link: _Link, seed) -> MetricSeries:
             st = adaptive.make_blind_sg(cons, cfg.n_i, cfg.mu0, cfg.eta0,
                                         normalized=cfg.normalized_steps,
                                         tracker=tracker, v0=v0)
-            step = lambda r, b: adaptive.cmv_sg_step(st, r)
+            adapt = lambda r, d: adaptive.cmv_sg_step(st, r, adapt_v=adapt_v)
         else:
             st = adaptive.make_blind_rls(cons, cfg.n_i, alpha=cfg.alpha,
                                          delta=cfg.delta, tracker=tracker, v0=v0)
-            step = lambda r, b: adaptive.cmv_rls_step(st, r)
+            adapt = lambda r, d: adaptive.cmv_rls_step(st, r, adapt_v=adapt_v)
+    return (lambda r: receiver_output(st.state, r, dec)), adapt, st
 
-    meter = _SinrMeter()
-    t = cfg.symbols
-    mse = np.zeros(t)
-    sinr = np.zeros(t)
-    ber = np.zeros(t)
-    errors = 0
-    decided = 0
-    blind = cfg.mode == "blind"
-    for i in range(t):
-        r, b, r_des = link.step(i)
-        rec = st.state
-        rbar = _project(rec.v, r, dec)
-        x = complex(np.vdot(rec.w, rbar))
-        if blind:
-            x = _align_phase(x, st, link)
-        bhat = detect(x)
-        mse[i] = abs(b - x) ** 2
-        if blind or i >= cfg.n_tr:
-            decided += 1
-            errors += bhat != b
-        ber[i] = errors / max(decided, 1)
-        if blind:
-            step(r, b)
+
+class _Projected:
+    """RAKE and partial-despreading baselines: a combiner w on y = proj^H r.
+
+    RAKE's combiner is the least-squares channel estimate from the first
+    n_tr symbols, scaled to unit gain; pd-lms and pd-rls adapt w by NLMS
+    and RLS.  `output` and `adapt` behave as in `_interpolated_receiver`.
+    The regressor of the last r is kept, so the loop's output, adapt,
+    output sequence on one r projects it once.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, link: _Link):
+        self.cfg = cfg
+        if cfg.algorithm == "rake":
+            self.proj = cmv.shifted_signatures(link.codes[0], cfg.l_p)
         else:
-            step(r, b if (cfg.mode == "training" or i < cfg.n_tr) else bhat)
-        rec = st.state
-        rbar_des = _project(rec.v, r_des, dec)
-        rbar_all = _project(rec.v, r, dec)
-        out_des = np.vdot(rec.w, rbar_des)
-        sinr[i] = meter.update(out_des, np.vdot(rec.w, rbar_all) - out_des)
-    return MetricSeries(mse=mse, sinr_db=sinr, ber=ber,
-                        metadata=_series_metadata(cfg, seed))
+            self.proj = pd_projection(link.codes[0], cfg.m, cfg.pd_rank)
+        self.proj_h = self.proj.conj().T
+        dim = self.proj.shape[1]
+        self.w = np.zeros(dim, dtype=complex)
+        self.gram = self.proj_h @ self.proj            # rake: least-squares normal matrix
+        self.acc = np.zeros(dim, dtype=complex)        # rake: sum of conj(b) y so far
+        self.trained = 0
+        self.p_inv = cfg.delta * np.eye(dim, dtype=complex)   # pd-rls inverse covariance
+        self._r = self._y = None
 
+    def _regressor(self, r: np.ndarray) -> np.ndarray:
+        if r is not self._r:
+            self._r, self._y = r, self.proj_h @ r
+        return self._y
 
-def _project(v, r, dec):
-    from .interpolation import build_re_matrix
-    return build_re_matrix(r, v.size, dec).T @ v.conj()
+    def output(self, r: np.ndarray) -> complex:
+        return complex(np.vdot(self.w, self._regressor(r)))
+
+    def adapt(self, r: np.ndarray, d: float) -> None:
+        cfg = self.cfg
+        y = self._regressor(r)
+        if cfg.algorithm == "rake":
+            if self.trained < cfg.n_tr:
+                self.trained += 1
+                self.acc += np.conj(d) * y
+                g_hat = np.linalg.solve(self.gram, self.acc / self.trained)
+                self.w = g_hat / max(
+                    np.real(np.vdot(g_hat, self.proj_h @ (self.proj @ g_hat))), 1e-12)
+            return
+        xi = d - complex(np.vdot(self.w, y))
+        if cfg.algorithm == "pd-rls":
+            self.p_inv, gain, _, _ = adaptive.rls_update(self.p_inv, y, cfg.alpha, cfg.delta)
+            if gain is not None:
+                self.w = self.w + gain * np.conj(xi)
+        else:
+            ny = np.real(np.vdot(y, y))
+            if ny > 1e-30:
+                self.w = self.w + (cfg.mu0 / ny) * np.conj(xi) * y
 
 
 def _align_phase(x: complex, st, link: _Link) -> complex:
@@ -399,17 +409,16 @@ def _align_phase(x: complex, st, link: _Link) -> complex:
     return x * np.conj(rot)
 
 
-def _run_projected_trial(cfg: ScenarioConfig, link: _Link, seed) -> MetricSeries:
-    """RAKE and partial-despreading baselines: adapt in a projected space."""
-    if cfg.algorithm == "rake":
-        proj = cmv.shifted_signatures(link.codes[0], cfg.l_p)
-        fixed_combiner = True
+def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
+    """Simulate one seeded run of the configured scenario."""
+    cfg.validate()
+    rng = np.random.default_rng(run_seed)
+    link = _Link(cfg, rng)
+    if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
+        rx = _Projected(cfg, link)
+        output, adapt, st = rx.output, rx.adapt, None
     else:
-        proj = pd_projection(link.codes[0], cfg.m, cfg.pd_rank)
-        fixed_combiner = False
-    dim = proj.shape[1]
-    w = np.zeros(dim, dtype=complex)
-    p_inv = cfg.delta * np.eye(dim, dtype=complex)
+        output, adapt, st = _interpolated_receiver(cfg, link)
     meter = _SinrMeter()
     t = cfg.symbols
     mse = np.zeros(t)
@@ -417,52 +426,24 @@ def _run_projected_trial(cfg: ScenarioConfig, link: _Link, seed) -> MetricSeries
     ber = np.zeros(t)
     errors = 0
     decided = 0
-    g_hat = None
-    acc = np.zeros(cfg.l_p, dtype=complex)
+    blind = cfg.mode == "blind"
     for i in range(t):
         r, b, r_des = link.step(i)
-        y = proj.conj().T @ r
-        if fixed_combiner and i < cfg.n_tr:
-            # combiner = least-squares channel estimate from training symbols
-            acc += np.conj(b) * y
-            g_hat = np.linalg.solve(proj.conj().T @ proj, acc / (i + 1))
-            w = g_hat / max(np.real(np.vdot(g_hat, proj.conj().T @ (proj @ g_hat))), 1e-12)
-        x = complex(np.vdot(w, y))
+        x = output(r)
+        if blind:
+            x = _align_phase(x, st, link)
         bhat = detect(x)
         mse[i] = abs(b - x) ** 2
-        if i >= cfg.n_tr:
+        if blind or i >= cfg.n_tr:
             decided += 1
             errors += bhat != b
         ber[i] = errors / max(decided, 1)
-        if not fixed_combiner:
-            target = b if (cfg.mode == "training" or i < cfg.n_tr) else bhat
-            xi = target - x
-            if cfg.algorithm == "pd-rls":
-                py = p_inv @ y
-                denom = cfg.alpha + np.real(np.vdot(y, py))
-                gain = py / denom
-                p_inv = (p_inv - np.outer(gain, py.conj())) / cfg.alpha
-                p_inv = 0.5 * (p_inv + p_inv.conj().T)
-                w = w + gain * np.conj(xi)
-            else:
-                ny = np.real(np.vdot(y, y))
-                if ny > 1e-30:
-                    w = w + (cfg.mu0 / ny) * np.conj(xi) * y
-        y_des = proj.conj().T @ r_des
-        out_des = np.vdot(w, y_des)
-        sinr[i] = meter.update(out_des, np.vdot(w, y) - out_des)
+        adapt(r, bhat if cfg.mode == "decision-directed" and i >= cfg.n_tr else b)
+        out = output(r)
+        out_des = output(r_des)
+        sinr[i] = meter.update(out_des, out - out_des)
     return MetricSeries(mse=mse, sinr_db=sinr, ber=ber,
-                        metadata=_series_metadata(cfg, seed))
-
-
-def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
-    """Simulate one seeded run of the configured scenario."""
-    cfg.validate()
-    rng = np.random.default_rng(run_seed)
-    link = _Link(cfg, rng)
-    if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
-        return _run_projected_trial(cfg, link, run_seed)
-    return _run_int_trial(cfg, link, run_seed)
+                        metadata={**cfg.to_dict(), "run_seed": int(run_seed)})
 
 
 def iter_symbols(cfg: ScenarioConfig, run_seed):
@@ -478,13 +459,6 @@ def iter_symbols(cfg: ScenarioConfig, run_seed):
     for i in range(cfg.symbols):
         r, b, r_des = link.step(i)
         yield r, b, r_des, link
-
-
-def pd_baseline(cfg: ScenarioConfig, run_seed) -> MetricSeries:
-    """Partial-despreading baseline trial (cfg.algorithm must be pd-*)."""
-    if cfg.algorithm not in ("pd-lms", "pd-rls"):
-        raise ConfigError("pd_baseline expects a pd-lms or pd-rls scenario")
-    return run_trial(cfg, run_seed)
 
 
 def _trial_for_campaign(args):

@@ -24,9 +24,8 @@ class DecimationOperator:
     """Keep-one-in-L sample selector for length-M vectors.
 
     Row m of the (conceptual) selection matrix picks sample m*L.  The
-    reduced dimension is round(M/L), capped so the last kept index stays
-    inside the vector; rows are orthonormal unit selectors, hence
-    D D^H = I.
+    reduced dimension is round(M/L); rows are orthonormal unit selectors,
+    hence D D^H = I.
     """
 
     m: int
@@ -40,12 +39,6 @@ class DecimationOperator:
     def decimate(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[..., self.indices]
 
-    def expand(self, y: np.ndarray) -> np.ndarray:
-        """Adjoint D^H: place reduced samples back on the coarse grid."""
-        out = np.zeros(self.m, dtype=np.asarray(y).dtype)
-        out[self.indices] = y
-        return out
-
     def matrix(self) -> np.ndarray:
         d = np.zeros((self.m_red, self.m))
         d[np.arange(self.m_red), self.indices] = 1.0
@@ -56,14 +49,12 @@ def make_decimation(m: int, l: int) -> DecimationOperator:
     """Decimation operator for length-m vectors, factor l.
 
     Non-integer m/l is rounded to the nearest integer (half away from
-    zero) and then clipped so every selected index is in range.
+    zero).  Every selected index is in range: (round(m/l) - 1) * l is at
+    most m - l/2.
     """
     if l < 1 or m < l:
         raise ValueError(f"need m >= l >= 1, got m={m}, l={l}")
     m_red = int(np.floor(m / l + 0.5))
-    m_red = max(m_red, 1)
-    while (m_red - 1) * l >= m:
-        m_red -= 1
     return DecimationOperator(m=m, l=l, indices=np.arange(m_red) * l)
 
 
@@ -91,19 +82,23 @@ def interpolate_then_decimate(v: np.ndarray, r: np.ndarray,
     keeping every L-th output; with a unit impulse interpolator it is
     plain decimation.
     """
-    v = np.asarray(v)
-    if not np.any(v):
-        raise ValueError("interpolator must be nonzero")
-    re = build_re_matrix(r, v.size, dec)
-    return re.T @ v.conj()
+    return build_re_matrix(r, v.size, dec).T @ v.conj()
 
 
 @dataclass
 class ReceiverState:
-    """Interpolator v (length N_I) and reduced-rank filter w (length M_red)."""
+    """Interpolator v (length N_I) and reduced-rank filter w (length M_red).
+
+    A zero interpolator passes nothing, so it is rejected here, once,
+    rather than on every projection.
+    """
 
     v: np.ndarray
     w: np.ndarray
+
+    def __post_init__(self):
+        if not np.any(self.v):
+            raise ValueError("interpolator must be nonzero")
 
     @property
     def n_i(self) -> int:

@@ -57,10 +57,9 @@ def _lfsr_sequence(taps, degree: int) -> np.ndarray:
 
 @dataclass
 class SpreadingSet:
-    """Per-user unit-norm signatures and their shifted-block matrices."""
+    """Per-user unit-norm signatures."""
 
     codes: np.ndarray                 # K x N, entries +-1/sqrt(N)
-    block_matrices: list = field(default_factory=list)
 
     @property
     def n_chips(self) -> int:
@@ -99,51 +98,6 @@ def gen_gold_set(degree: int, count: int) -> SpreadingSet:
     bits = np.array(family[:count])
     codes = (1.0 - 2.0 * bits.astype(float)) / np.sqrt(n)
     return SpreadingSet(codes=codes)
-
-
-def build_block_matrix(code: np.ndarray, l_s: int) -> np.ndarray:
-    """Stack `2*l_s - 1` non-overlapping shifted copies of the signature.
-
-    Column j holds the code at row offset j*N; columns have disjoint
-    support and are therefore mutually orthogonal.
-    """
-    code = np.asarray(code)
-    if code.ndim != 1 or code.size < 1:
-        raise ValueError("code must be a non-empty vector")
-    if l_s < 1:
-        raise ValueError("l_s must be >= 1")
-    n = code.size
-    nblk = 2 * l_s - 1
-    s = np.zeros((nblk * n, nblk), dtype=code.dtype)
-    for j in range(nblk):
-        s[j * n:(j + 1) * n, j] = code
-    return s
-
-
-def build_channel_matrix(gains: np.ndarray, n: int, l_s: int) -> np.ndarray:
-    """Multipath convolution matrix acting on the stacked chip window.
-
-    Output r has M = n + L_p - 1 rows.  Entry (r, c) is h_{d} with
-    d = (l_s - 1)*n + r - c, i.e. the causal convolution of the
-    time-ordered chip stream with the path gains, windowed to the
-    current symbol: row r of the product picks up chip (l_s-1)*n + r - d
-    through path d.  The centre symbol block therefore contributes the
-    plain linear convolution of the signature with the gains.
-    """
-    gains = np.asarray(gains, dtype=complex)
-    l_p = gains.size
-    if l_p < 1:
-        raise ValueError("need at least one path gain")
-    m = n + l_p - 1
-    ncols = (2 * l_s - 1) * n
-    h = np.zeros((m, ncols), dtype=complex)
-    off = (l_s - 1) * n
-    for r in range(m):
-        for d in range(l_p):
-            c = off + r - d
-            if 0 <= c < ncols:
-                h[r, c] = gains[d]
-    return h
 
 
 @dataclass
@@ -205,9 +159,6 @@ class ChannelRealization:
     def l_p(self) -> int:
         return self.gains.size
 
-    def conv_matrix(self, n: int, l_s: int) -> np.ndarray:
-        return build_channel_matrix(self.gains, n, l_s)
-
 
 def make_channel(path_powers, path_delays, l_p: int, doppler: float = 0.0,
                  rng: np.random.Generator | None = None,
@@ -266,11 +217,6 @@ class SymbolFrame:
     @property
     def current(self) -> np.ndarray:
         return self.bits[:, self.bits.shape[1] // 2]
-
-
-def random_frame(n_users: int, l_s: int, amplitudes, rng: np.random.Generator) -> SymbolFrame:
-    bits = np.where(rng.random((n_users, 2 * l_s - 1)) < 0.5, -1.0, 1.0)
-    return SymbolFrame(bits=bits, amplitudes=np.asarray(amplitudes, dtype=float))
 
 
 def synthesize_received(spreading: SpreadingSet, channel: ChannelRealization,

@@ -126,3 +126,51 @@ def interp_map(v, m, l, m_red):
             if idx < m:
                 phi[s, idx] = np.conj(v[n])
     return phi
+
+
+# Spec matrices of the signal model: the matrix form r = H sum_k A_k S_k b_k
+# that `signal_model.synthesize_received` evaluates by convolution.
+
+def build_block_matrix(code: np.ndarray, l_s: int) -> np.ndarray:
+    """Stack `2*l_s - 1` non-overlapping shifted copies of the signature.
+
+    Column j holds the code at row offset j*N; columns have disjoint
+    support and are therefore mutually orthogonal.
+    """
+    code = np.asarray(code)
+    if code.ndim != 1 or code.size < 1:
+        raise ValueError("code must be a non-empty vector")
+    if l_s < 1:
+        raise ValueError("l_s must be >= 1")
+    n = code.size
+    nblk = 2 * l_s - 1
+    s = np.zeros((nblk * n, nblk), dtype=code.dtype)
+    for j in range(nblk):
+        s[j * n:(j + 1) * n, j] = code
+    return s
+
+
+def build_channel_matrix(gains: np.ndarray, n: int, l_s: int) -> np.ndarray:
+    """Multipath convolution matrix acting on the stacked chip window.
+
+    Output r has M = n + L_p - 1 rows.  Entry (r, c) is h_{d} with
+    d = (l_s - 1)*n + r - c, i.e. the causal convolution of the
+    time-ordered chip stream with the path gains, windowed to the
+    current symbol: row r of the product picks up chip (l_s-1)*n + r - d
+    through path d.  The centre symbol block therefore contributes the
+    plain linear convolution of the signature with the gains.
+    """
+    gains = np.asarray(gains, dtype=complex)
+    l_p = gains.size
+    if l_p < 1:
+        raise ValueError("need at least one path gain")
+    m = n + l_p - 1
+    ncols = (2 * l_s - 1) * n
+    h = np.zeros((m, ncols), dtype=complex)
+    off = (l_s - 1) * n
+    for r in range(m):
+        for d in range(l_p):
+            c = off + r - d
+            if 0 <= c < ncols:
+                h[r, c] = gains[d]
+    return h

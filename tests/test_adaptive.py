@@ -216,7 +216,7 @@ class TestBlindSg:
         code = gen_gold_set(5, 2).codes[0]
         tracker = adaptive.SgChannelTracker(cmv.shifted_signatures(code, 6), alpha=0.995)
         for r in rs:
-            adaptive.sg_channel_track(tracker, r)
+            tracker.update(r)
             assert abs(np.linalg.norm(tracker.g_hat) - 1.0) < 1e-10
         g_unit = g / np.linalg.norm(g)
         assert abs(np.vdot(tracker.g_hat, g_unit)) > 0.99
@@ -226,7 +226,7 @@ class TestBlindSg:
         tracker = adaptive.SgChannelTracker(cmv.shifted_signatures(code, 1))
         rng = np.random.default_rng(10)
         for _ in range(5):
-            adaptive.sg_channel_track(tracker, crandn(rng, 31))
+            tracker.update(crandn(rng, 31))
             assert np.allclose(np.abs(tracker.g_hat), [1.0])
 
 

