@@ -24,15 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmv import ConstraintSet
-from .interpolation import DecimationOperator, ReceiverState, build_re_matrix
+from .interpolation import DecimationOperator, ReceiverState, build_re_matrix, impulse
 
 _TINY = 1e-30
 
 
-def _impulse(n_i: int) -> np.ndarray:
-    v = np.zeros(n_i, dtype=complex)
-    v[0] = 1.0
-    return v
+def _start(n_i: int, v0: np.ndarray | None, w: np.ndarray,
+           unit_norm: bool = False) -> ReceiverState:
+    """Initial (v, w): a copy of v0 (the impulse by default), rescaled to
+    unit norm for the blind receivers."""
+    st = ReceiverState(v=impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy(),
+                       w=w)
+    if unit_norm:
+        st.v = st.v / np.linalg.norm(st.v)
+    return st
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +62,7 @@ class TrainedSgState:
 
 def make_trained_sg(dec: DecimationOperator, n_i: int, mu0: float, eta0: float,
                     normalized: bool = True, v0: np.ndarray | None = None) -> TrainedSgState:
-    v = _impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy()
-    return TrainedSgState(state=ReceiverState(v=v, w=np.zeros(dec.m_red, dtype=complex)),
+    return TrainedSgState(state=_start(n_i, v0, np.zeros(dec.m_red, dtype=complex)),
                           dec=dec, mu0=mu0, eta0=eta0, normalized=normalized)
 
 
@@ -107,8 +111,7 @@ def make_trained_rls(dec: DecimationOperator, n_i: int, alpha: float = 0.998,
                      delta: float = 100.0, v0: np.ndarray | None = None) -> TrainedRlsState:
     if not 0 < alpha <= 1:
         raise ValueError("forgetting factor must be in (0, 1]")
-    v = _impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy()
-    return TrainedRlsState(state=ReceiverState(v=v, w=np.zeros(dec.m_red, dtype=complex)),
+    return TrainedRlsState(state=_start(n_i, v0, np.zeros(dec.m_red, dtype=complex)),
                            dec=dec, p=delta * np.eye(dec.m_red, dtype=complex),
                            p_u=delta * np.eye(n_i, dtype=complex),
                            alpha=alpha, delta=delta)
@@ -187,8 +190,7 @@ class SgChannelTracker:
         self.alpha = alpha
         self.v_acc = np.zeros((l_p, l_p), dtype=complex)
         if g0 is None:
-            g0 = np.zeros(l_p, dtype=complex)
-            g0[0] = 1.0
+            g0 = impulse(l_p)
         self.g_hat = np.asarray(g0, dtype=complex) / np.linalg.norm(g0)
 
     def update(self, r: np.ndarray) -> np.ndarray:
@@ -220,11 +222,9 @@ class BlindSgState:
 def make_blind_sg(cons: ConstraintSet, n_i: int, mu0: float, eta0: float,
                   normalized: bool = True, tracker: SgChannelTracker | None = None,
                   v0: np.ndarray | None = None) -> BlindSgState:
-    v = _impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy()
-    v = v / np.linalg.norm(v)
     g = tracker.g_hat if tracker is not None else cons.g
     w0 = cons.anchor @ g  # minimum-norm feasible start
-    return BlindSgState(state=ReceiverState(v=v, w=w0), cons=cons,
+    return BlindSgState(state=_start(n_i, v0, w0, unit_norm=True), cons=cons,
                         mu0=mu0, eta0=eta0, normalized=normalized, tracker=tracker)
 
 
@@ -272,10 +272,10 @@ def cmv_sg_step(s: BlindSgState, r: np.ndarray, adapt_v: bool = True) -> complex
 class BlindRlsState:
     """Blind RLS state.
 
-    p tracks the inverse weighted covariance of rbar; gamma and
-    gamma_inv track DC^H p DC and its inverse through exact rank-one
-    updates, so the filter built from them coincides with the batch
-    constrained solution on the same weighted sample covariance.
+    p tracks the inverse weighted covariance of rbar; gamma_inv tracks
+    (DC^H p DC)^-1 through exact rank-one updates, so the filter
+    w = p DC gamma_inv g coincides with the batch constrained solution on
+    the same weighted sample covariance.
     ru_acc accumulates the u covariance for the interpolator shift
     iteration.  With a tracker attached the constraint values g follow
     its running channel estimate; otherwise they stay at cons.g.
@@ -284,7 +284,6 @@ class BlindRlsState:
     state: ReceiverState
     cons: ConstraintSet
     p: np.ndarray
-    gamma: np.ndarray
     gamma_inv: np.ndarray
     ru_acc: np.ndarray
     alpha: float = 0.998
@@ -299,14 +298,11 @@ def make_blind_rls(cons: ConstraintSet, n_i: int, alpha: float = 0.998,
                    v0: np.ndarray | None = None) -> BlindRlsState:
     if not 0 < alpha < 1:
         raise ValueError("blind RLS needs a forgetting factor in (0, 1)")
-    v = _impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy()
-    v = v / np.linalg.norm(v)
     m_red = cons.dec.m_red
     g0 = np.asarray(cons.g if tracker is None else tracker.g_hat, dtype=complex)
     w0 = cons.anchor @ g0
-    return BlindRlsState(state=ReceiverState(v=v, w=w0), cons=cons,
+    return BlindRlsState(state=_start(n_i, v0, w0, unit_norm=True), cons=cons,
                          p=delta * np.eye(m_red, dtype=complex),
-                         gamma=delta * cons.gram.copy(),
                          gamma_inv=cons.gram_inv / delta,
                          ru_acc=(1.0 / delta) * np.eye(n_i, dtype=complex),
                          alpha=alpha, delta=delta,
@@ -314,10 +310,9 @@ def make_blind_rls(cons: ConstraintSet, n_i: int, alpha: float = 0.998,
 
 
 def _reinit_gamma(s: BlindRlsState) -> None:
-    """Recompute the constraint Gram pair directly from p (rare fallback)."""
-    s.gamma = s.cons.dc.conj().T @ (s.p @ s.cons.dc)
-    s.gamma = 0.5 * (s.gamma + s.gamma.conj().T)
-    s.gamma_inv = np.linalg.inv(s.gamma)
+    """Breakdown recovery: recompute gamma_inv = (DC^H p DC)^-1 from p."""
+    gamma = s.cons.dc.conj().T @ (s.p @ s.cons.dc)
+    s.gamma_inv = np.linalg.inv(0.5 * (gamma + gamma.conj().T))
     s.breakdowns += 1
 
 
@@ -327,9 +322,10 @@ def cmv_rls_step(s: BlindRlsState, r: np.ndarray, adapt_v: bool = True) -> compl
     Order per symbol: advance the channel estimate (when tracking);
     accumulate the u covariance and advance the interpolator one shift
     iteration (then renormalise; both skipped without `adapt_v`);
-    project with the new interpolator; rank-one update p (`rls_update`),
-    gamma and gamma_inv; rebuild
-    w = p DC gamma_inv g.
+    project with the new interpolator; rank-one update p (`rls_update`)
+    and gamma_inv; rebuild w = p DC gamma_inv g.  A breakdown of either
+    update (non-positive denominator; p then restarts at delta*I)
+    recomputes gamma_inv from p.
     """
     st = s.state
     cons = s.cons
@@ -350,19 +346,13 @@ def cmv_rls_step(s: BlindRlsState, r: np.ndarray, adapt_v: bool = True) -> compl
 
     rbar = re.T @ st.v.conj()
     s.p, gain, pr, denom = rls_update(s.p, rbar, s.alpha, s.delta)
-    if gain is None:
-        s.gamma = s.delta * cons.gram.copy()
-        s.gamma_inv = cons.gram_inv / s.delta
-        s.breakdowns += 1
+    z = cons.dc.conj().T @ pr
+    giz = s.gamma_inv @ z
+    down = denom - np.real(np.vdot(z, giz))
+    if gain is None or down <= 0:
+        _reinit_gamma(s)
     else:
-        z = cons.dc.conj().T @ pr
-        giz = s.gamma_inv @ z
-        down = denom - np.real(np.vdot(z, giz))
-        if down <= 0:
-            _reinit_gamma(s)
-        else:
-            s.gamma_inv = s.alpha * (s.gamma_inv + np.outer(giz, giz.conj()) / down)
-            s.gamma = (s.gamma - np.outer(z, z.conj()) / denom) / s.alpha
+        s.gamma_inv = s.alpha * (s.gamma_inv + np.outer(giz, giz.conj()) / down)
 
     st.w = s.p @ (cons.dc @ (s.gamma_inv @ s.g_hat))
     return complex(np.vdot(st.w, rbar))

@@ -115,21 +115,13 @@ class TrajectoryModel:
     line fixed by e0's neutral component,
     fixed_point() + n l^H (e0 - fixed_point()) / (l^H n) with l the left
     eigenvector of A for eigenvalue one; in general that is not
-    `fixed_point()` itself.  `spectral_radius` reports the largest
-    eigenvalue of A^H A (a sufficient-only contraction test that this
-    neutral mode pushes to one); the convergence verdict in `stable`
-    uses the eigenvalue magnitudes of A itself, tolerating the neutral
-    mode.
+    `fixed_point()` itself.  The convergence verdict in `stable` uses
+    the eigenvalue magnitudes of A, tolerating the neutral mode.
     """
 
     a: np.ndarray
     b: np.ndarray
     mode: str  # "trained" or "blind"
-
-    @property
-    def spectral_radius(self) -> float:
-        """Largest eigenvalue of A^H A (one-step energy growth bound)."""
-        return float(np.linalg.eigvalsh(self.a.conj().T @ self.a)[-1].real)
 
     @property
     def stable(self) -> bool:
@@ -162,18 +154,22 @@ def _cross_expectations(res, bits, v_opt, w_opt):
     e_r_w = np.einsum("tm,tn->mn", rbar, row_w) / t        # E[rbar (w^T Re^H)]
     e_u_v = np.einsum("tm,tn->mn", u, row_v) / t           # E[u (v^T Re^*)]
     if bits is not None:
-        bits = np.asarray(bits)
-        e_opt = bits - x_opt
-        p_bar = np.einsum("t,tm->m", bits.conj(), rbar) / t
-        p_u = np.einsum("t,tm->m", bits.conj(), u) / t
+        e_opt = np.asarray(bits) - x_opt
         drive_r = np.einsum("tm,t->m", rbar, e_opt.conj()) / t
         drive_u = np.einsum("tm,t->m", u, e_opt.conj()) / t
     else:
-        p_bar = p_u = drive_r = drive_u = None
+        drive_r = drive_u = None
     drive_x_u = np.einsum("tm,t->m", u, x_opt.conj()) / t
     return dict(r_bar=r_bar, r_u=r_u, e_r_w=e_r_w, e_u_v=e_u_v,
-                p_bar=p_bar, p_u=p_u, drive_r=drive_r,
-                drive_u=drive_u, drive_x_u=drive_x_u)
+                drive_r=drive_r, drive_u=drive_u, drive_x_u=drive_x_u)
+
+
+def _trajectory(ex, a12, b, mu: float, eta: float, mode: str) -> TrajectoryModel:
+    """Assemble A = [[I - mu R_bar, a12], [-eta E_uv, I - eta R_u]] with drive b."""
+    a11 = np.eye(ex["r_bar"].shape[0]) - mu * ex["r_bar"]
+    a22 = np.eye(ex["r_u"].shape[0]) - eta * ex["r_u"]
+    a = np.block([[a11, a12], [-eta * ex["e_u_v"], a22]])
+    return TrajectoryModel(a=a, b=b, mode=mode)
 
 
 def build_trained_trajectory(received, bits, v_opt, w_opt, mu: float, eta: float,
@@ -191,30 +187,22 @@ def build_trained_trajectory(received, bits, v_opt, w_opt, mu: float, eta: float
     """
     res = segment_stack(received, len(v_opt), dec)
     ex = _cross_expectations(res, bits, np.asarray(v_opt), np.asarray(w_opt))
-    m_red, n_i = dec.m_red, len(v_opt)
-    a11 = np.eye(m_red) - mu * ex["r_bar"]
-    a12 = -mu * ex["e_r_w"]
-    a21 = -eta * ex["e_u_v"]
-    a22 = np.eye(n_i) - eta * ex["r_u"]
-    a = np.block([[a11, a12], [a21, a22]])
     b = np.concatenate([mu * ex["drive_r"], eta * ex["drive_u"]])
-    return TrajectoryModel(a=a, b=b, mode="trained")
+    return _trajectory(ex, -mu * ex["e_r_w"], b, mu, eta, "trained")
 
 
 def build_blind_trajectory(received, v_opt, w_opt, mu: float, eta: float,
                            cons, g_mean: np.ndarray) -> TrajectoryModel:
-    """Transition matrix and drive for the blind constrained gradient."""
-    dec = cons.dec
-    res = segment_stack(received, len(v_opt), dec)
+    """Transition matrix and drive for the blind constrained gradient.
+
+    The same blocks as `build_trained_trajectory`, except that the
+    filter's cross block is projected onto the constraint null space
+    and the drive holds the constraint anchor and the output term.
+    """
+    res = segment_stack(received, len(v_opt), cons.dec)
     ex = _cross_expectations(res, None, np.asarray(v_opt), np.asarray(w_opt))
-    m_red, n_i = dec.m_red, len(v_opt)
-    a11 = np.eye(m_red) - mu * ex["r_bar"]
-    a12 = -mu * (cons.pi @ ex["e_r_w"])
-    a21 = -eta * ex["e_u_v"]
-    a22 = np.eye(n_i) - eta * ex["r_u"]
-    a = np.block([[a11, a12], [a21, a22]])
     b = np.concatenate([cons.anchor @ g_mean, -eta * ex["drive_x_u"]])
-    return TrajectoryModel(a=a, b=b, mode="blind")
+    return _trajectory(ex, -mu * (cons.pi @ ex["e_r_w"]), b, mu, eta, "blind")
 
 
 def mean_trajectory(model: TrajectoryModel, e0: np.ndarray, steps: int) -> np.ndarray:
@@ -268,10 +256,9 @@ def sg_transient(r_bar: np.ndarray, mu: float, eps_min: float,
 
     Builds the power recursion matrix with entries (1 - mu lam_n)^2 on
     the diagonal and mu^2 lam_n lam_j off it, eigendecomposes it, and
-    projects the initial rotated weight-error powers x0 (default: unit
-    initial error energy spread as |q_n|^2 of the all-ones direction is
-    not assumed; x0 defaults to zero start, i.e. w(0) = w_opt gives a
-    pure steady-state curve).  The steady-state term equals
+    projects the initial rotated weight-error powers x0.  The default
+    x0 = 0 is the start w(0) = w_opt: the excess MSE then starts at 0
+    and rises to the steady-state term `xi_inf`, which equals
     `excess_mse_trained` by construction.
     """
     lam = np.linalg.eigvalsh(np.asarray(r_bar)).real

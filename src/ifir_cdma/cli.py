@@ -54,9 +54,14 @@ def main(argv=None) -> int:
         print(f"ifir-cdma: cannot write output: {exc}", file=sys.stderr)
         return 2
     summary = series.summary()
+    ber = f"{summary['final_ber']:.3g}"
+    if cfg.mode != "blind" and cfg.n_tr >= cfg.symbols:
+        ber = "n/a"
+        print(f"ifir-cdma: warning: no symbol was decided (n_tr={cfg.n_tr} >= "
+              f"symbols={cfg.symbols}); the BER is undefined", file=sys.stderr)
     print(f"{cfg.algorithm} L={cfg.l} N_I={cfg.n_i} runs={series.metadata['runs_averaged']}: "
           f"final MSE {summary['final_mse']:.4g}, SINR {summary['final_sinr_db']:.2f} dB, "
-          f"BER {summary['final_ber']:.3g} -> {args.out}")
+          f"BER {ber} -> {args.out}")
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolation import DecimationOperator
+from .interpolation import DecimationOperator, impulse
 from .mmse import RIDGE
 
 
@@ -53,10 +53,6 @@ class ConstraintSet:
     gram_inv: np.ndarray
     anchor: np.ndarray       # dc @ gram_inv
     pi: np.ndarray           # M_red x M_red projector
-
-    @property
-    def l_p(self) -> int:
-        return self.c.shape[1]
 
 
 def shifted_signatures(code: np.ndarray, l_p: int) -> np.ndarray:
@@ -98,8 +94,7 @@ def build_constraints(code: np.ndarray, l_p: int, dec: DecimationOperator,
     anchor = dc @ gram_inv
     pi = np.eye(dec.m_red) - anchor @ dc.conj().T
     if g is None:
-        g = np.zeros(l_p, dtype=complex)
-        g[0] = 1.0
+        g = impulse(l_p)
     return ConstraintSet(c=c, g=np.asarray(g, dtype=complex), dec=dec, dc=dc,
                          gram=gram, gram_inv=gram_inv, anchor=anchor, pi=pi)
 
@@ -159,25 +154,20 @@ def shift_iteration_min_eigvec(r: np.ndarray, v0: np.ndarray, iters: int) -> np.
     return v
 
 
-def blind_channel_estimate(r: np.ndarray, c: np.ndarray, m: int = 1) -> np.ndarray:
-    """Channel parameters as the minimum eigenvector of C^H R^-m C.
+def blind_channel_estimate(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Channel parameters as the minimum eigenvector of C^H R^-1 C.
 
     A small trace-scaled diagonal load keeps R invertible for noiseless
     sample covariances.  The estimate has unit norm and the phase of its
     first entry is used as the reference (rotated to be real positive).
-    Powers m > 1 sharpen the weighting but only m = 1 is exercised here.
     """
-    if m < 1:
-        raise ValueError("power m must be >= 1")
     r = np.asarray(r)
     dim = r.shape[0]
     tr = np.trace(r).real
     if tr <= 0:
         raise np.linalg.LinAlgError("covariance has non-positive trace")
     r_loaded = r + (RIDGE * tr / dim) * np.eye(dim)
-    x = np.asarray(c, dtype=complex)
-    for _ in range(m):
-        x = np.linalg.solve(r_loaded, x)
+    x = np.linalg.solve(r_loaded, np.asarray(c, dtype=complex))
     omega = c.conj().T @ x
     omega = 0.5 * (omega + omega.conj().T)
     _, vecs = np.linalg.eigh(omega)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import adaptive, cmv, signal_model
-from .interpolation import detect, make_decimation, receiver_output
+from .interpolation import detect, impulse, make_decimation, receiver_output
 
 CSV_COLUMNS = ["iteration", "mse", "sinr_db", "ber", "algorithm", "L", "N_I", "seed"]
 SINR_WINDOW = 0.98
@@ -198,15 +198,13 @@ def _draw_amplitudes(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarra
 
 def _interpolator_init(cfg: ScenarioConfig) -> np.ndarray:
     if cfg.interpolator_init == "impulse":
-        v = np.zeros(cfg.n_i, dtype=complex)
-        v[0] = 1.0
-    elif cfg.interpolator_init == "linear":
-        # triangular kernel, the classic fixed interpolator
-        half = (cfg.n_i - 1) / 2.0
-        v = np.array([1.0 - abs(i - half) / (half + 1.0) for i in range(cfg.n_i)],
-                     dtype=complex)
-    else:
+        return impulse(cfg.n_i)
+    if cfg.interpolator_init != "linear":
         raise ConfigError("interpolator_init must be 'impulse' or 'linear'")
+    # triangular kernel, the classic fixed interpolator
+    half = (cfg.n_i - 1) / 2.0
+    v = np.array([1.0 - abs(i - half) / (half + 1.0) for i in range(cfg.n_i)],
+                 dtype=complex)
     return v / np.linalg.norm(v)
 
 
@@ -508,35 +506,27 @@ def _rows(series: MetricSeries):
                float(series.ber[i]), alg, l, n_i, seed]
 
 
-def export_csv(series: MetricSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(_rows(series))
-
-
-def export_json(series: MetricSeries, path) -> None:
-    doc = {
-        "metadata": series.metadata,
-        "columns": CSV_COLUMNS,
-        "series": {
-            "iteration": list(range(len(series.mse))),
-            "mse": [float(x) for x in series.mse],
-            "sinr_db": [float(x) for x in series.sinr_db],
-            "ber": [float(x) for x in series.ber],
-        },
-        "summary": series.summary(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
 def export(series: MetricSeries, path, fmt: str = "csv") -> None:
     """Write a metric series to disk as CSV or JSON (stable column order)."""
     fmt = fmt.lower()
     if fmt == "csv":
-        export_csv(series, path)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(_rows(series))
     elif fmt == "json":
-        export_json(series, path)
+        doc = {
+            "metadata": series.metadata,
+            "columns": CSV_COLUMNS,
+            "series": {
+                "iteration": list(range(len(series.mse))),
+                "mse": [float(x) for x in series.mse],
+                "sinr_db": [float(x) for x in series.sinr_db],
+                "ber": [float(x) for x in series.ber],
+            },
+            "summary": series.summary(),
+        }
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2)
     else:
         raise ValueError("format must be 'csv' or 'json'")

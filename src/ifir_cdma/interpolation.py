@@ -58,6 +58,14 @@ def make_decimation(m: int, l: int) -> DecimationOperator:
     return DecimationOperator(m=m, l=l, indices=np.arange(m_red) * l)
 
 
+def impulse(n: int) -> np.ndarray:
+    """Length-n unit impulse [1, 0, ..., 0] (complex): the pure-decimation
+    interpolator and the single-path constraint values."""
+    v = np.zeros(n, dtype=complex)
+    v[0] = 1.0
+    return v
+
+
 def build_re_matrix(r: np.ndarray, n_i: int, dec: DecimationOperator) -> np.ndarray:
     """Segment matrix: column s is the length-n_i slice of r starting at s*L.
 

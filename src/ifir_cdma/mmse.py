@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolation import DecimationOperator, ReceiverState, build_re_matrix
+from .interpolation import DecimationOperator, ReceiverState, build_re_matrix, impulse
 
 RIDGE = 1e-8
 
@@ -115,13 +115,9 @@ def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperat
     """
     res = segment_stack(received, n_i, dec)
     bits = np.asarray(bits)
-    if v0 is None:
-        v = np.zeros(n_i, dtype=complex)
-        v[0] = 1.0
-    else:
-        v = np.asarray(v0, dtype=complex).copy()
-        if not np.any(v):
-            raise ValueError("v0 must be nonzero")
+    v = impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy()
+    if not np.any(v):
+        raise ValueError("v0 must be nonzero")
     w = np.zeros(dec.m_red, dtype=complex)
     history = []
     sweeps = []

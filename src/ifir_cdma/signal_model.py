@@ -61,14 +61,6 @@ class SpreadingSet:
 
     codes: np.ndarray                 # K x N, entries +-1/sqrt(N)
 
-    @property
-    def n_chips(self) -> int:
-        return self.codes.shape[1]
-
-    @property
-    def n_users(self) -> int:
-        return self.codes.shape[0]
-
 
 def gen_gold_set(degree: int, count: int) -> SpreadingSet:
     """Generate `count` Gold signatures of length 2**degree - 1.
@@ -213,10 +205,6 @@ class SymbolFrame:
 
     bits: np.ndarray                  # K x (2*l_s - 1)
     amplitudes: np.ndarray            # K
-
-    @property
-    def current(self) -> np.ndarray:
-        return self.bits[:, self.bits.shape[1] // 2]
 
 
 def synthesize_received(spreading: SpreadingSet, channel: ChannelRealization,

@@ -88,6 +88,17 @@ class TestTrainedRls:
         adaptive.rls_step(st, r, 1.0)
         assert np.abs(st.p - expect).max() < 1e-8 * np.abs(expect).max()
 
+    def test_breakdown_restarts_inverse(self):
+        # p = -I drives the denominator alpha - ||rbar||^2 below zero
+        rng = np.random.default_rng(3)
+        dec = make_decimation(12, 2)
+        st = adaptive.make_trained_rls(dec, 3, delta=50.0)
+        st.p = -np.eye(dec.m_red, dtype=complex)
+        adaptive.rls_step(st, 10.0 * crandn(rng, 12), 1.0)
+        assert st.breakdowns == 1
+        assert np.array_equal(st.p, 50.0 * np.eye(dec.m_red))
+        assert not np.any(st.state.w)
+
     def test_inverse_tracks_accumulated_covariance(self):
         cfg = scenario(200)
         rs, bs = collect(cfg, 4)
@@ -264,8 +275,21 @@ class TestBlindRls:
     def test_gamma_pair_consistency(self):
         st, cons, rbars, g = self.run_blind_rls(symbols=400)
         direct = cons.dc.conj().T @ (st.p @ cons.dc)
-        assert np.abs(st.gamma - direct).max() < 1e-6 * max(np.abs(direct).max(), 1.0)
-        assert np.abs(st.gamma @ st.gamma_inv - np.eye(6)).max() < 1e-6
+        assert np.abs(direct @ st.gamma_inv - np.eye(6)).max() < 1e-6
+
+    def test_breakdown_restarts_and_keeps_constraint(self):
+        # p = -I drives the denominator alpha - ||rbar||^2 below zero
+        code = gen_gold_set(5, 1).codes[0]
+        dec = make_decimation(36, 2)
+        rng = np.random.default_rng(12)
+        cons = cmv.build_constraints(code, 6, dec, g=crandn(rng, 6))
+        st = adaptive.make_blind_rls(cons, 3)
+        st.p = -np.eye(dec.m_red, dtype=complex)
+        adaptive.cmv_rls_step(st, 10.0 * crandn(rng, 36))
+        assert st.breakdowns == 1
+        gamma = cons.dc.conj().T @ (st.p @ cons.dc)
+        assert np.abs(st.gamma_inv @ gamma - np.eye(6)).max() < 1e-10
+        assert np.abs(cons.dc.conj().T @ st.state.w - st.g_hat).max() < 1e-10
 
     def test_interpolator_tracks_min_eigenvector(self):
         # with stationary inputs the interpolator aligns with the smallest

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ifir_cdma import adaptive, analysis, harness, mmse
+from ifir_cdma import adaptive, analysis, cmv, harness, mmse
 from ifir_cdma.interpolation import build_re_matrix, make_decimation
+from ifir_cdma.signal_model import gen_gold_set
 
 
 def crandn(rng, *shape):
@@ -187,6 +188,25 @@ class TestMeanTrajectory:
         d0 = dist_to_line(traj[0])
         d_end = dist_to_line(traj[-1])
         assert d_end < 0.2 * d0  # contracting toward the stationary line
+
+    def test_blind_model_shares_trained_blocks(self):
+        # built from the same samples, the blind model differs from the
+        # trained one only in the projected (1,2) block and its drive
+        cfg, rs, bs = build_trained_setup(symbols=300)
+        dec = make_decimation(cfg.m, cfg.l)
+        rng = np.random.default_rng(4)
+        cons = cmv.build_constraints(gen_gold_set(5, cfg.k).codes[0], cfg.l_p, dec)
+        v, w, g_mean = crandn(rng, cfg.n_i), crandn(rng, dec.m_red), crandn(rng, cfg.l_p)
+        mu, eta = 0.02, 0.002
+        tr = analysis.build_trained_trajectory(rs, bs, v, w, mu=mu, eta=eta, dec=dec)
+        bl = analysis.build_blind_trajectory(rs, v, w, mu=mu, eta=eta, cons=cons,
+                                             g_mean=g_mean)
+        q = dec.m_red
+        assert bl.mode == "blind"
+        for rows, cols in ((slice(None, q), slice(None, q)), (slice(q, None), slice(None))):
+            np.testing.assert_array_equal(bl.a[rows, cols], tr.a[rows, cols])
+        np.testing.assert_allclose(bl.a[:q, q:], cons.pi @ tr.a[:q, q:], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(bl.b[:q], cons.anchor @ g_mean, rtol=1e-12, atol=1e-14)
 
     def test_predicted_decay_matches_ensemble(self):
         # ensemble-averaged tap error of the raw-step gradient algorithm

@@ -50,3 +50,33 @@ def test_numerical_failure_exits_three(tmp_path, monkeypatch):
     code, out = run(tmp_path, write_config(tmp_path, {"algorithm": "lms", "runs": 1}))
     assert code == 3
     assert not out.exists()
+
+
+def test_seed_and_runs_overrides_reach_export(tmp_path):
+    cfg = write_config(tmp_path, {"algorithm": "rls", "runs": 1, "symbols": 40,
+                                  "n_tr": 10, "seed": 1})
+    out = tmp_path / "out.json"
+    code = cli.main(["--config", str(cfg), "--out", str(out), "--format", "json",
+                     "--seed", "11", "--runs", "2"])
+    assert code == 0
+    meta = json.loads(out.read_text())["metadata"]
+    assert (meta["seed"], meta["run_seed"]) == (11, 11)
+    assert (meta["runs"], meta["runs_averaged"]) == (2, 2)
+
+
+def test_zero_decision_run_reports_no_ber(tmp_path, capsys):
+    code, _ = run(tmp_path, write_config(tmp_path, {"algorithm": "lms", "runs": 1,
+                                                    "symbols": 100}))
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "BER n/a" in captured.out
+    assert "n_tr=200" in captured.err and "symbols=100" in captured.err
+
+
+def test_blind_run_reports_ber(tmp_path, capsys):
+    code, _ = run(tmp_path, write_config(tmp_path, {"algorithm": "cmv-sg", "mode": "blind",
+                                                    "runs": 1, "symbols": 100}))
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "BER n/a" not in captured.out and "BER " in captured.out
+    assert captured.err == ""

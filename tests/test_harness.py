@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from ifir_cdma import adaptive, harness
+from ifir_cdma import adaptive, harness, signal_model
 
 # Recorded on a small seeded scenario (runs=2, symbols=400, seed=5, default
 # n_tr=200): summary() as (final_mse, final_sinr_db, final_ber), then
@@ -95,3 +96,48 @@ def test_freeze_interpolator_changes_blind_outputs(alg):
     runs = [harness.run_trial(scenario(alg, runs=1, symbols=150, freeze_interpolator=f), 17)
             for f in (True, False)]
     assert not np.array_equal(runs[0].sinr_db, runs[1].sinr_db)
+
+
+def test_static_link_matches_synthesis():
+    cfg = scenario("rls", runs=1, symbols=60)
+    link = harness._Link(cfg, np.random.default_rng(3))
+    link.sigma2 = 0.0
+    span = 2 * link.l_s - 1
+    for i in range(cfg.symbols):
+        r, _, _ = link.step(i)
+        frame = signal_model.SymbolFrame(bits=link.bits[:, i:i + span], amplitudes=link.amps)
+        expect = signal_model.synthesize_received(
+            link.spreading, link.channel, frame, 0.0, np.random.default_rng(0))
+        assert np.abs(r - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("alg, change", [(alg, {"f_dt": 1e-3}) for alg in harness.ALGORITHMS]
+                         + [(alg, {"known_channel": False}) for alg in ("cmv-sg", "cmv-rls")])
+def test_fading_and_tracked_trials_differ(alg, change):
+    base = harness.run_trial(scenario(alg, runs=1, symbols=150), 23)
+    other = harness.run_trial(scenario(alg, runs=1, symbols=150, **change), 23)
+    for name in ("mse", "sinr_db", "ber"):
+        assert np.all(np.isfinite(getattr(other, name)))
+    assert not np.array_equal(base.mse, other.mse)
+    assert not np.array_equal(base.sinr_db, other.sinr_db)
+
+
+def test_csv_export_round_trip(tmp_path):
+    s = harness.run_campaign(scenario("lms", runs=2, symbols=90, seed=4))
+    path = tmp_path / "series.csv"
+    harness.export(s, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == harness.CSV_COLUMNS
+    body = rows[1:]
+    assert len(body) == 90
+    assert [int(row[0]) for row in body] == list(range(90))
+    for col, name in ((1, "mse"), (2, "sinr_db"), (3, "ber")):
+        assert np.array_equal(np.array([float(row[col]) for row in body]), getattr(s, name))
+    assert {tuple(row[4:]) for row in body} == {("lms", "2", "3", "4")}
+
+
+def test_unknown_export_format(tmp_path):
+    s = harness.run_campaign(scenario("lms", runs=1, symbols=10))
+    with pytest.raises(ValueError):
+        harness.export(s, tmp_path / "series.xml", "xml")
