@@ -180,8 +180,7 @@ class SgChannelTracker:
     is O(L_p^2).
     """
 
-    def __init__(self, c: np.ndarray, alpha: float = 0.998,
-                 g0: np.ndarray | None = None):
+    def __init__(self, c: np.ndarray, alpha: float = 0.998):
         self.c = np.asarray(c, dtype=complex)
         l_p = self.c.shape[1]
         gram = self.c.conj().T @ self.c
@@ -189,9 +188,7 @@ class SgChannelTracker:
         self.gram_inv = np.linalg.inv(gram + 1e-10 * (tr / l_p) * np.eye(l_p))
         self.alpha = alpha
         self.v_acc = np.zeros((l_p, l_p), dtype=complex)
-        if g0 is None:
-            g0 = impulse(l_p)
-        self.g_hat = np.asarray(g0, dtype=complex) / np.linalg.norm(g0)
+        self.g_hat = impulse(l_p)
 
     def update(self, r: np.ndarray) -> np.ndarray:
         y = self.c.conj().T @ r
@@ -209,7 +206,8 @@ class SgChannelTracker:
 
 @dataclass
 class BlindSgState:
-    """Constrained gradient state; the constraint is re-anchored every step."""
+    """Constrained gradient state; the constraint DC^H w = g_hat is
+    re-anchored every step.  g_hat is set as in `BlindRlsState`."""
 
     state: ReceiverState
     cons: ConstraintSet
@@ -217,30 +215,32 @@ class BlindSgState:
     eta0: float
     normalized: bool = True
     tracker: SgChannelTracker | None = None
+    g_hat: np.ndarray = None
 
 
 def make_blind_sg(cons: ConstraintSet, n_i: int, mu0: float, eta0: float,
                   normalized: bool = True, tracker: SgChannelTracker | None = None,
                   v0: np.ndarray | None = None) -> BlindSgState:
-    g = tracker.g_hat if tracker is not None else cons.g
-    w0 = cons.anchor @ g  # minimum-norm feasible start
+    g0 = np.array(cons.g if tracker is None else tracker.g_hat, dtype=complex)
+    w0 = cons.anchor @ g0  # minimum-norm feasible start
     return BlindSgState(state=_start(n_i, v0, w0, unit_norm=True), cons=cons,
-                        mu0=mu0, eta0=eta0, normalized=normalized, tracker=tracker)
+                        mu0=mu0, eta0=eta0, normalized=normalized, tracker=tracker, g_hat=g0)
 
 
 def cmv_sg_step(s: BlindSgState, r: np.ndarray, adapt_v: bool = True) -> complex:
     """One constrained-gradient update; returns the pre-update output x.
 
     v <- (v - eta conj(x) u) / ||.|| and
-    w <- Pi (w - mu conj(x) rbar) + DC (DC^H DC)^-1 g, so the constraint
-    DC^H w = g holds exactly after every step.  Normalised steps use
-    mu0 / (rbar^H Pi rbar) and eta0 / ||u||^2; a vanishing denominator
-    skips that filter's gradient (the constraint re-anchoring still
-    runs).
+    w <- Pi (w - mu conj(x) rbar) + DC (DC^H DC)^-1 g_hat, so the
+    constraint DC^H w = g_hat holds exactly after every step.  Normalised
+    steps use mu0 / (rbar^H Pi rbar) and eta0 / ||u||^2; a vanishing
+    denominator skips that filter's gradient (the constraint re-anchoring
+    still runs).
     """
     st = s.state
     cons = s.cons
-    g = s.tracker.update(r) if s.tracker is not None else cons.g
+    if s.tracker is not None:
+        s.g_hat = s.tracker.update(r).copy()
     re = build_re_matrix(r, st.n_i, cons.dec)
     u = re @ st.w.conj()
     rbar = re.T @ st.v.conj()
@@ -264,7 +264,7 @@ def cmv_sg_step(s: BlindSgState, r: np.ndarray, adapt_v: bool = True) -> complex
         mu = s.mu0 / npr if npr > _TINY else 0.0
     else:
         mu = s.mu0
-    st.w = cons.pi @ (st.w - mu * cx * rbar) + cons.anchor @ g
+    st.w = cons.pi @ (st.w - mu * cx * rbar) + cons.anchor @ s.g_hat
     return complex(x)
 
 
@@ -274,11 +274,11 @@ class BlindRlsState:
 
     p tracks the inverse weighted covariance of rbar; gamma_inv tracks
     (DC^H p DC)^-1 through exact rank-one updates, so the filter
-    w = p DC gamma_inv g coincides with the batch constrained solution on
-    the same weighted sample covariance.
-    ru_acc accumulates the u covariance for the interpolator shift
-    iteration.  With a tracker attached the constraint values g follow
-    its running channel estimate; otherwise they stay at cons.g.
+    w = p DC gamma_inv g_hat coincides with the batch constrained solution
+    on the same weighted sample covariance.  ru_acc accumulates the u
+    covariance for the interpolator shift iteration.  g_hat holds the
+    constraint values: the tracker's estimate (refreshed every step) with
+    a tracker, else a copy of cons.g that the caller may replace.
     """
 
     state: ReceiverState
@@ -299,14 +299,14 @@ def make_blind_rls(cons: ConstraintSet, n_i: int, alpha: float = 0.998,
     if not 0 < alpha < 1:
         raise ValueError("blind RLS needs a forgetting factor in (0, 1)")
     m_red = cons.dec.m_red
-    g0 = np.asarray(cons.g if tracker is None else tracker.g_hat, dtype=complex)
+    g0 = np.array(cons.g if tracker is None else tracker.g_hat, dtype=complex)
     w0 = cons.anchor @ g0
     return BlindRlsState(state=_start(n_i, v0, w0, unit_norm=True), cons=cons,
                          p=delta * np.eye(m_red, dtype=complex),
                          gamma_inv=cons.gram_inv / delta,
                          ru_acc=(1.0 / delta) * np.eye(n_i, dtype=complex),
                          alpha=alpha, delta=delta,
-                         tracker=tracker, g_hat=g0.copy())
+                         tracker=tracker, g_hat=g0)
 
 
 def _reinit_gamma(s: BlindRlsState) -> None:
@@ -323,7 +323,7 @@ def cmv_rls_step(s: BlindRlsState, r: np.ndarray, adapt_v: bool = True) -> compl
     accumulate the u covariance and advance the interpolator one shift
     iteration (then renormalise; both skipped without `adapt_v`);
     project with the new interpolator; rank-one update p (`rls_update`)
-    and gamma_inv; rebuild w = p DC gamma_inv g.  A breakdown of either
+    and gamma_inv; rebuild w = p DC gamma_inv g_hat.  A breakdown of either
     update (non-positive denominator; p then restarts at delta*I)
     recomputes gamma_inv from p.
     """

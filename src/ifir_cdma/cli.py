@@ -54,9 +54,8 @@ def main(argv=None) -> int:
         print(f"ifir-cdma: cannot write output: {exc}", file=sys.stderr)
         return 2
     summary = series.summary()
-    ber = f"{summary['final_ber']:.3g}"
-    if cfg.mode != "blind" and cfg.n_tr >= cfg.symbols:
-        ber = "n/a"
+    ber = "n/a" if summary["final_ber"] is None else f"{summary['final_ber']:.3g}"
+    if summary["final_ber"] is None:
         print(f"ifir-cdma: warning: no symbol was decided (n_tr={cfg.n_tr} >= "
               f"symbols={cfg.symbols}); the BER is undefined", file=sys.stderr)
     print(f"{cfg.algorithm} L={cfg.l} N_I={cfg.n_i} runs={series.metadata['runs_averaged']}: "

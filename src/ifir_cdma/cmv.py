@@ -95,7 +95,7 @@ def build_constraints(code: np.ndarray, l_p: int, dec: DecimationOperator,
     pi = np.eye(dec.m_red) - anchor @ dc.conj().T
     if g is None:
         g = impulse(l_p)
-    return ConstraintSet(c=c, g=np.asarray(g, dtype=complex), dec=dec, dc=dc,
+    return ConstraintSet(c=c, g=np.array(g, dtype=complex), dec=dec, dc=dc,
                          gram=gram, gram_inv=gram_inv, anchor=anchor, pi=pi)
 
 

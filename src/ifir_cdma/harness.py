@@ -47,10 +47,11 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     """Full description of one simulated scenario.
 
-    channel_profile: "fixed" uses path_powers/path_delays as given;
-    "random-delays" keeps the powers but draws the delays per run (first
-    path at zero, second uniform on 1..4 chips, third uniform up to
-    delay 5), the layout used for the randomised multipath experiments.
+    channel_profile: "fixed" uses path_powers/path_delays as given (one
+    delay in [0, l_p) per power); "random-delays" keeps 1 to 3 powers and
+    draws the delays per run (first path at zero, second uniform on 1..4
+    chips, third uniform up to delay 5, so l_p must exceed 4 for two paths
+    and 5 for three), the layout of the randomised multipath experiments.
     Interferer powers are dB offsets against the desired user, either
     fixed per user or log-normal with `interferer_sigma_db`.
     """
@@ -80,9 +81,8 @@ class ScenarioConfig:
     delta: float = 100.0              # RLS inverse initialisation scale
     freeze_interpolator: bool = False
     interpolator_init: str = "impulse"   # or "linear"
-    known_channel: bool = True        # blind modes: use true g instead of a tracker
+    known_channel: bool = True        # blind modes: use the true current channel, not a tracker
     pd_rank: int = 8                  # projected dimension for the pd baselines
-    normalize_channel: bool = True    # scale path powers to unit total power
 
     def __post_init__(self):
         self.validate()
@@ -90,6 +90,11 @@ class ScenarioConfig:
     @property
     def m(self) -> int:
         return self.n + self.l_p - 1
+
+    @property
+    def first_decided(self) -> int:
+        """Index of the first symbol that counts toward the BER (0 when blind)."""
+        return 0 if self.mode == "blind" else self.n_tr
 
     def validate(self) -> None:
         if self.n not in (31, 63):
@@ -115,12 +120,23 @@ class ScenarioConfig:
             raise ConfigError(f"{self.algorithm} needs training or decision-directed mode")
         if not 0 < self.alpha <= 1:
             raise ConfigError("forgetting factor must lie in (0, 1]")
+        if self.algorithm == "cmv-rls" and self.alpha == 1:
+            raise ConfigError("cmv-rls needs a forgetting factor below 1")
+        if self.interpolator_init not in ("impulse", "linear"):
+            raise ConfigError("interpolator_init must be 'impulse' or 'linear'")
         if self.n_tr < 0 or (self.mode == "decision-directed" and self.n_tr > self.symbols):
             raise ConfigError("training length must fit in the symbol budget")
         if self.channel_profile not in ("fixed", "random-delays"):
             raise ConfigError("channel_profile must be 'fixed' or 'random-delays'")
-        if self.channel_profile == "fixed" and self.path_delays is None:
-            raise ConfigError("fixed channel profile needs path_delays")
+        n_paths = len(self.path_powers)
+        if self.channel_profile == "fixed":
+            if self.path_delays is None or len(self.path_delays) != n_paths:
+                raise ConfigError("fixed channel profile needs one path delay per path power")
+            if any(not 0 <= d < self.l_p for d in self.path_delays):
+                raise ConfigError("path delays must lie in [0, l_p)")
+        elif not 1 <= n_paths <= 3 or self.l_p <= (0, 4, 5)[n_paths - 1]:
+            raise ConfigError("random-delays profile takes 1 to 3 path powers and l_p above "
+                              "its largest delay (4 for two paths, 5 for three)")
         if self.interferer_db is not None and len(self.interferer_db) != self.k - 1:
             raise ConfigError("interferer_db must list k - 1 offsets")
         if not 1 <= self.pd_rank <= self.m:
@@ -152,11 +168,12 @@ class MetricSeries:
             raise ValueError("metric series lengths differ")
 
     def summary(self, tail: int = 200) -> dict:
+        """Tail means of MSE and SINR; final_ber is None if no symbol was decided."""
         tail = min(tail, len(self.mse))
         return {
             "final_mse": float(np.mean(self.mse[-tail:])),
             "final_sinr_db": float(np.mean(self.sinr_db[-tail:])),
-            "final_ber": float(self.ber[-1]),
+            "final_ber": float(self.ber[-1]) if self.metadata["decided"] else None,
         }
 
 
@@ -165,22 +182,16 @@ class MetricSeries:
 # ---------------------------------------------------------------------------
 
 def _draw_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> signal_model.ChannelRealization:
-    powers = np.asarray(cfg.path_powers, dtype=float)
+    delays = cfg.path_delays
     if cfg.channel_profile == "random-delays":
         delays = [0]
-        if powers.size > 1:
+        if len(cfg.path_powers) > 1:
             tau2 = int(rng.integers(1, 5))
             delays.append(tau2)
-            if powers.size > 2:
+            if len(cfg.path_powers) > 2:
                 delays.append(tau2 + int(rng.integers(1, 6 - tau2)))
-            delays = delays[:powers.size]
-        delays = np.asarray(delays)
-    else:
-        delays = np.asarray(cfg.path_delays, dtype=int)
-    if delays.max(initial=0) >= cfg.l_p:
-        raise ConfigError("path delays exceed the modelled spread l_p")
-    return signal_model.make_channel(powers, delays, cfg.l_p, doppler=cfg.f_dt, rng=rng,
-                                     normalize=cfg.normalize_channel or cfg.f_dt > 0)
+    return signal_model.make_channel(cfg.path_powers, delays, cfg.l_p, doppler=cfg.f_dt,
+                                     rng=rng, normalize=True)
 
 
 def _draw_amplitudes(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -199,8 +210,6 @@ def _draw_amplitudes(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarra
 def _interpolator_init(cfg: ScenarioConfig) -> np.ndarray:
     if cfg.interpolator_init == "impulse":
         return impulse(cfg.n_i)
-    if cfg.interpolator_init != "linear":
-        raise ConfigError("interpolator_init must be 'impulse' or 'linear'")
     # triangular kernel, the classic fixed interpolator
     half = (cfg.n_i - 1) / 2.0
     v = np.array([1.0 - abs(i - half) / (half + 1.0) for i in range(cfg.n_i)],
@@ -302,7 +311,8 @@ def _interpolated_receiver(cfg: ScenarioConfig, link: _Link):
 
     `output(r)` applies the current (v, w) to a received vector and
     `adapt(r, d)` runs one adaptive step with reference symbol d (the
-    blind steps ignore it); `state` is read by the blind phase alignment.
+    blind steps ignore it; with a known channel they take the link's
+    current gains as `state.g_hat`).  `state` serves the phase alignment.
     """
     dec = make_decimation(cfg.m, cfg.l)
     v0 = _interpolator_init(cfg)
@@ -324,11 +334,16 @@ def _interpolated_receiver(cfg: ScenarioConfig, link: _Link):
             st = adaptive.make_blind_sg(cons, cfg.n_i, cfg.mu0, cfg.eta0,
                                         normalized=cfg.normalized_steps,
                                         tracker=tracker, v0=v0)
-            adapt = lambda r, d: adaptive.cmv_sg_step(st, r, adapt_v=adapt_v)
+            step = adaptive.cmv_sg_step
         else:
             st = adaptive.make_blind_rls(cons, cfg.n_i, alpha=cfg.alpha,
                                          delta=cfg.delta, tracker=tracker, v0=v0)
-            adapt = lambda r, d: adaptive.cmv_rls_step(st, r, adapt_v=adapt_v)
+            step = adaptive.cmv_rls_step
+
+        def adapt(r, d):
+            if cfg.known_channel:
+                st.g_hat = link.channel.gains.copy()
+            step(st, r, adapt_v=adapt_v)
     return (lambda r: receiver_output(st.state, r, dec)), adapt, st
 
 
@@ -387,19 +402,13 @@ class _Projected:
                 self.w = self.w + (cfg.mu0 / ny) * np.conj(xi) * y
 
 
-def _align_phase(x: complex, st, link: _Link) -> complex:
-    """Remove the blind estimate's phase ambiguity using the true channel.
+def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:
+    """Remove the channel tracker's phase ambiguity using the true channel.
 
     Simulation stand-in for ideal phase tracking: rotate the decision
-    statistic by the phase the channel tracker introduced relative to
-    the first true path.
+    statistic by the phase the tracker's estimate g_hat carries relative
+    to the strongest true path.
     """
-    g_hat = getattr(st, "g_hat", None)
-    if g_hat is None and getattr(st, "tracker", None) is not None:
-        g_hat = st.tracker.g_hat
-    if g_hat is None:
-        return x
-    g_true = link.channel.gains
     ref = int(np.argmax(np.abs(g_true)))
     if abs(g_hat[ref]) < 1e-12 or abs(g_true[ref]) < 1e-12:
         return x
@@ -423,25 +432,25 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     sinr = np.zeros(t)
     ber = np.zeros(t)
     errors = 0
-    decided = 0
-    blind = cfg.mode == "blind"
+    first = cfg.first_decided
+    tracking = cfg.mode == "blind" and not cfg.known_channel
     for i in range(t):
         r, b, r_des = link.step(i)
         x = output(r)
-        if blind:
-            x = _align_phase(x, st, link)
+        if tracking:
+            x = _align_phase(x, st.g_hat, link.channel.gains)
         bhat = detect(x)
         mse[i] = abs(b - x) ** 2
-        if blind or i >= cfg.n_tr:
-            decided += 1
+        if i >= first:
             errors += bhat != b
-        ber[i] = errors / max(decided, 1)
+        ber[i] = errors / max(i - first + 1, 1)
         adapt(r, bhat if cfg.mode == "decision-directed" and i >= cfg.n_tr else b)
         out = output(r)
         out_des = output(r_des)
         sinr[i] = meter.update(out_des, out - out_des)
     return MetricSeries(mse=mse, sinr_db=sinr, ber=ber,
-                        metadata={**cfg.to_dict(), "run_seed": int(run_seed)})
+                        metadata={**cfg.to_dict(), "run_seed": int(run_seed),
+                                  "decided": max(t - first, 0)})
 
 
 def iter_symbols(cfg: ScenarioConfig, run_seed):
@@ -459,12 +468,6 @@ def iter_symbols(cfg: ScenarioConfig, run_seed):
         yield r, b, r_des, link
 
 
-def _trial_for_campaign(args):
-    cfg_dict, seed = args
-    series = run_trial(ScenarioConfig.from_dict(cfg_dict), seed)
-    return series.mse, series.sinr_db, series.ber
-
-
 def run_campaign(cfg: ScenarioConfig, runs: int | None = None,
                  workers: int = 1) -> MetricSeries:
     """Average `runs` independent trials (spawned sub-seeds of cfg.seed).
@@ -474,19 +477,16 @@ def run_campaign(cfg: ScenarioConfig, runs: int | None = None,
     result is independent of `workers`.
     """
     runs = cfg.runs if runs is None else runs
-    seeds = [s.generate_state(1)[0] for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
-    jobs = [(cfg.to_dict(), int(seed)) for seed in seeds]
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_for_campaign, jobs))
+            results = list(pool.map(run_trial, [cfg] * runs, seeds))
     else:
-        results = [_trial_for_campaign(j) for j in jobs]
-    mse = np.mean([res[0] for res in results], axis=0)
-    sinr_lin = np.mean([10.0 ** (res[1] / 10.0) for res in results], axis=0)
-    ber = np.mean([res[2] for res in results], axis=0)
-    meta = cfg.to_dict()
-    meta["runs_averaged"] = runs
-    meta["run_seed"] = cfg.seed
+        results = [run_trial(cfg, seed) for seed in seeds]
+    mse = np.mean([res.mse for res in results], axis=0)
+    sinr_lin = np.mean([10.0 ** (res.sinr_db / 10.0) for res in results], axis=0)
+    ber = np.mean([res.ber for res in results], axis=0)
+    meta = {**results[0].metadata, "runs_averaged": runs, "run_seed": cfg.seed}
     return MetricSeries(mse=mse, sinr_db=10.0 * np.log10(np.maximum(sinr_lin, 1e-300)),
                         ber=ber, metadata=meta)
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ifir_cdma import cli
 
@@ -80,3 +81,31 @@ def test_blind_run_reports_ber(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "BER n/a" not in captured.out and "BER " in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("doc", [
+    {"algorithm": "lms", "interpolator_init": "bogus"},
+    {"algorithm": "rake", "interpolator_init": "bogus"},
+    {"algorithm": "cmv-rls", "mode": "blind", "alpha": 1.0},
+    {"algorithm": "lms", "channel_profile": "fixed", "path_delays": [0, 3, 9]},
+    {"algorithm": "lms", "channel_profile": "fixed", "path_delays": [0, 2]},
+    {"algorithm": "lms", "path_powers": [1.0, 0.5, 0.3, 0.2]},
+    {"algorithm": "lms", "l_p": 5, "runs": 10, "seed": 1},
+])
+def test_invalid_scenario_exits_two(tmp_path, doc):
+    code, out = run(tmp_path, write_config(tmp_path, {"runs": 1, "symbols": 60, **doc}))
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, decided", [
+    ({"algorithm": "lms", "runs": 1, "symbols": 100}, 0),
+    ({"algorithm": "lms", "runs": 1, "symbols": 100, "n_tr": 30}, 70),
+    ({"algorithm": "cmv-sg", "mode": "blind", "runs": 1, "symbols": 100}, 100),
+])
+def test_export_counts_decided_symbols(tmp_path, doc, decided):
+    code, out = run(tmp_path, write_config(tmp_path, doc))
+    assert code == 0
+    exported = json.loads(out.read_text())
+    assert exported["metadata"]["decided"] == decided
+    assert (exported["summary"]["final_ber"] is None) == (decided == 0)

@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,3 +143,30 @@ def test_unknown_export_format(tmp_path):
     s = harness.run_campaign(scenario("lms", runs=1, symbols=10))
     with pytest.raises(ValueError):
         harness.export(s, tmp_path / "series.xml", "xml")
+
+
+@pytest.mark.parametrize("alg", ("cmv-sg", "cmv-rls"))
+def test_known_channel_constraint_follows_fading(alg):
+    # with a known channel both blind receivers constrain DC^H w to the
+    # link's current gains, symbol by symbol, under fading
+    cfg = scenario(alg, runs=1, symbols=300, f_dt=1e-3)
+    link = harness._Link(cfg, np.random.default_rng(23))
+    _, adapt, st = harness._interpolated_receiver(cfg, link)
+    dc_h = st.cons.dc.conj().T
+    for i in range(cfg.symbols):
+        r, b, _ = link.step(i)
+        adapt(r, b)
+        assert np.abs(dc_h @ st.state.w - link.channel.gains).max() <= 1e-9
+
+
+def test_benchmark_scenarios_validate():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for smoke in (False, True):
+            docs = workloads.scenarios(name, harness.ALGORITHMS, 101, smoke=smoke)
+            assert set(docs) == set(harness.ALGORITHMS)
+            for doc in docs.values():
+                harness.ScenarioConfig.from_dict(doc)
