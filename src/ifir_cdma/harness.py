@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -126,6 +127,16 @@ class ScenarioConfig:
             raise ConfigError("interpolator_init must be 'impulse' or 'linear'")
         if self.n_tr < 0 or (self.mode == "decision-directed" and self.n_tr > self.symbols):
             raise ConfigError("training length must fit in the symbol budget")
+        if not math.isfinite(self.ebn0_db):
+            raise ConfigError("ebn0_db must be finite")
+        if not 0 <= self.f_dt < 0.5:
+            raise ConfigError("f_dt must lie in [0, 0.5) cycles per symbol")
+        try:
+            powers = [float(p) for p in self.path_powers]
+        except (TypeError, ValueError):
+            raise ConfigError("path powers must be numbers") from None
+        if not (all(0 <= p < math.inf for p in powers) and sum(powers) > 0):
+            raise ConfigError("path powers must be finite, non-negative and not all zero")
         if self.channel_profile not in ("fixed", "random-delays"):
             raise ConfigError("channel_profile must be 'fixed' or 'random-delays'")
         n_paths = len(self.path_powers)
@@ -234,13 +245,20 @@ class _Link:
         span = 2 * self.l_s - 1
         self.bits = np.where(rng.random((cfg.k, cfg.symbols + span - 1)) < 0.5, -1.0, 1.0)
         self._static = cfg.f_dt <= 0
+        stream = (self.amps[:, None, None] * self.bits[:, :, None]
+                  * self.codes[:, None, :]).sum(axis=0).ravel()
         if self._static:
-            stream = (self.amps[:, None, None] * self.bits[:, :, None]
-                      * self.codes[:, None, :]).sum(axis=0).ravel()
             self._clean = np.convolve(stream, self.channel.gains)
-        self._refresh_signature()
-
-    def _refresh_signature(self):
+        else:
+            # windows[i] @ gains is the noiseless r of symbol i, and
+            # code_matrix @ gains its desired signature: windows[i][m, l]
+            # is the chip stream at (i + l_s - 1) N + m - l.
+            first = (self.l_s - 1) * cfg.n - (cfg.l_p - 1)
+            item = stream.itemsize
+            self._windows = np.lib.stride_tricks.as_strided(
+                stream[first:], shape=(cfg.symbols, self.m, cfg.l_p),
+                strides=(cfg.n * item, item, item), writeable=False)[:, :, ::-1]
+            self._code_matrix = cmv.shifted_signatures(self.codes[0], cfg.l_p)
         self.signature = signal_model.effective_signature(self.codes[0], self.channel.gains)
 
     def step(self, i: int):
@@ -251,12 +269,9 @@ class _Link:
         if self._static:
             clean = self._clean[(i + off) * cfg.n:(i + off) * cfg.n + self.m]
         else:
-            signal_model.fading_step(self.channel, self.rng)
-            self._refresh_signature()
-            frame = signal_model.SymbolFrame(
-                bits=self.bits[:, i:i + 2 * self.l_s - 1], amplitudes=self.amps)
-            clean = signal_model.synthesize_received(
-                self.spreading, self.channel, frame, 0.0, self.rng)
+            gains = signal_model.fading_step(self.channel, self.rng).gains
+            clean = self._windows[i] @ gains
+            self.signature = self._code_matrix @ gains
         noise = np.sqrt(self.sigma2 / 2.0) * (
             self.rng.standard_normal(self.m) + 1j * self.rng.standard_normal(self.m))
         r = clean + noise

@@ -17,6 +17,7 @@ symbol first, so the centre column of a frame is the current symbol.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,44 +93,99 @@ def gen_gold_set(degree: int, count: int) -> SpreadingSet:
     return SpreadingSet(codes=codes)
 
 
+# Largest phasor matrix (samples x in-band bins) a fading chunk is
+# evaluated with; bounds memory for any Doppler below 0.5.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _period(doppler: float) -> int:
+    """Samples N per fading period: a power of two in [2^16, 2^22], N f_d >= 64 if it fits."""
+    size = 1 << 16
+    while size * doppler < 64 and size < (1 << 22):
+        size *= 2
+    return size
+
+
+@functools.lru_cache(maxsize=4)
+def _inband(period: int, doppler: float, clip: float):
+    """In-band bins, shaping mask and chunk phasor matrix of one Doppler spectrum.
+
+    The bins are the indices k (signed, in np.fft.fftfreq order) with
+    |fftfreq(period)[k]| < doppler, found without building the length-
+    `period` frequency axis.  The phasor matrix holds exp(2 pi i k j /
+    period) for the chunk offsets j.  All three depend only on the
+    arguments, so every path of a scenario shares one read-only copy.
+    """
+    step = 1.0 / period                       # fftfreq's spacing, exact for powers of 2
+    reach = int(doppler * period) + 1
+    k = np.arange(-reach, reach + 1)
+    k = k[(k >= -(period // 2)) & (k <= (period - 1) // 2) & (np.abs(k * step) < doppler)]
+    k = np.concatenate((k[k >= 0], k[k < 0]))
+    mask = 1.0 / np.sqrt(np.maximum(1.0 - (k * step / doppler) ** 2, clip))
+    chunk = max(1, _CHUNK_ELEMENTS // k.size)
+    phasors = np.exp((2j * np.pi / period) * np.outer(np.arange(chunk), k))
+    for a in (k, mask, phasors):
+        a.flags.writeable = False
+    return k, mask, phasors
+
+
 @dataclass
 class FadingProcess:
     """Doppler-shaped complex Gaussian gain track for one path.
 
-    Samples are produced in blocks: a long white complex Gaussian block
-    is shaped in the frequency domain by the Doppler transfer mask
-    1/sqrt(1 - (f/f_d)^2), clipped near the band edge singularity, and
-    empirically renormalised to unit average power.
+    The process is periodic with period N (a power of two, at least 2^16,
+    large enough that ~128 bins fall inside the Doppler band).  At the
+    start of a period a white circular complex Gaussian spectrum is drawn
+    on the in-band bins |k/N| < f_d only, shaped by the Doppler transfer
+    mask 1/sqrt(1 - (k/(N f_d))^2) (clipped near the band-edge
+    singularity) and scaled by Parseval so the period has unit average
+    power exactly.  Samples are the inverse DFT of that spectrum,
+
+        g[n] = sum_k S_k exp(2 pi i k n / N),
+
+    evaluated on demand (Young & Beaulieu, IEEE TCOM 2000): a chunk of
+    consecutive samples is one matrix-vector product of the shared
+    (chunk x bins) phasor matrix with the spectrum turned by the chunk's
+    start phase.  `_block` holds the current chunk and `_pos` indexes it.
+    A run that uses T samples costs O(T * 2 f_d N) work and at most
+    _CHUNK_ELEMENTS phasors of memory, instead of an N-point FFT.
+
+    The law is that of filtering a white time-domain block in the
+    frequency domain: the DFT of white circular Gaussian noise is white
+    circular Gaussian, and out-of-band bins are masked to zero, so
+    drawing only the in-band bins gives the same Gaussian process.  Only
+    the seeded draws differ.
     """
 
     doppler: float                    # f_d * T, cycles per symbol
     clip: float = 0.01                # floor on 1 - (f/f_d)^2 inside the band
     _block: np.ndarray = field(default=None, repr=False)
     _pos: int = 0
-
-    def _block_size(self) -> int:
-        size = 1 << 16
-        while size * self.doppler < 64 and size < (1 << 22):
-            size *= 2
-        return size
+    _start: int = 0                   # position of _block[0] in the period
+    _spectrum: np.ndarray = field(default=None, repr=False)
 
     def next_gain(self, rng: np.random.Generator) -> complex:
         if self.doppler <= 0:
             raise ValueError("static channel has no fading process")
         if self._block is None or self._pos >= self._block.size:
-            nblk = self._block_size()
-            f = np.fft.fftfreq(nblk)
-            mask = np.zeros(nblk)
-            inband = np.abs(f) < self.doppler
-            mask[inband] = 1.0 / np.sqrt(np.maximum(1.0 - (f[inband] / self.doppler) ** 2, self.clip))
-            white = (rng.standard_normal(nblk) + 1j * rng.standard_normal(nblk)) / np.sqrt(2.0)
-            shaped = np.fft.ifft(np.fft.fft(white) * mask)
-            shaped /= np.sqrt(np.mean(np.abs(shaped) ** 2))
-            self._block = shaped
-            self._pos = 0
+            self._next_chunk(rng)
         g = self._block[self._pos]
         self._pos += 1
         return g
+
+    def _next_chunk(self, rng: np.random.Generator) -> None:
+        period = _period(self.doppler)
+        k, mask, phasors = _inband(period, self.doppler, self.clip)
+        start = 0 if self._block is None else (self._start + self._block.size) % period
+        if start == 0:
+            white = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+            shaped = mask * white
+            self._spectrum = shaped / np.sqrt(np.vdot(shaped, shaped).real)
+        size = min(phasors.shape[0], period - start)
+        turn = np.exp((2j * np.pi / period) * ((k * start) % period))
+        self._block = phasors[:size] @ (turn * self._spectrum)
+        self._start = start
+        self._pos = 0
 
 
 @dataclass

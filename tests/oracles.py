@@ -174,3 +174,19 @@ def build_channel_matrix(gains: np.ndarray, n: int, l_s: int) -> np.ndarray:
             if 0 <= c < ncols:
                 h[r, c] = gains[d]
     return h
+
+
+def fading_fft_block(white: np.ndarray, n: int, doppler: float, clip: float) -> np.ndarray:
+    """One period of Doppler fading by a full-length inverse FFT.
+
+    `white` holds the spectrum's values on the bins |fftfreq(n)| < doppler,
+    in fftfreq order.  They are shaped by the clipped mask
+    1/sqrt(max(1 - (f/doppler)^2, clip)), zero-filled to n bins, inverse
+    transformed and scaled to unit mean power over the block.
+    """
+    f = np.fft.fftfreq(n)
+    inband = np.abs(f) < doppler
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[inband] = white / np.sqrt(np.maximum(1.0 - (f[inband] / doppler) ** 2, clip))
+    block = np.fft.ifft(spectrum)
+    return block / np.sqrt(np.mean(np.abs(block) ** 2))

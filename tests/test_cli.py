@@ -91,6 +91,17 @@ def test_blind_run_reports_ber(tmp_path, capsys):
     {"algorithm": "lms", "channel_profile": "fixed", "path_delays": [0, 2]},
     {"algorithm": "lms", "path_powers": [1.0, 0.5, 0.3, 0.2]},
     {"algorithm": "lms", "l_p": 5, "runs": 10, "seed": 1},
+    {"algorithm": "lms", "path_powers": [0, 0, 0]},
+    {"algorithm": "lms", "path_powers": [1.0, -0.5, 0.3]},
+    {"algorithm": "lms", "path_powers": [1.0, float("inf"), 0.3]},
+    {"algorithm": "lms", "path_powers": [1.0, float("nan"), 0.3]},
+    {"algorithm": "lms", "path_powers": [1.0, "strong", 0.3]},
+    {"algorithm": "lms", "f_dt": -0.01},
+    {"algorithm": "lms", "f_dt": float("nan")},
+    {"algorithm": "lms", "f_dt": 0.5},
+    {"algorithm": "lms", "f_dt": 0.7},
+    {"algorithm": "lms", "ebn0_db": float("nan")},
+    {"algorithm": "lms", "ebn0_db": float("inf")},
 ])
 def test_invalid_scenario_exits_two(tmp_path, doc):
     code, out = run(tmp_path, write_config(tmp_path, {"runs": 1, "symbols": 60, **doc}))

@@ -47,8 +47,9 @@ def test_seeded_campaign_pins(alg):
     np.testing.assert_allclose(got, PINS[alg], rtol=1e-12, atol=0)
 
 
-def test_worker_count_does_not_change_results():
-    cfg = scenario("rls", runs=3, symbols=150, seed=9)
+@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
+def test_worker_count_does_not_change_results(f_dt):
+    cfg = scenario("rls", runs=3, symbols=150, seed=9, f_dt=f_dt)
     one = harness.run_campaign(cfg, workers=1)
     two = harness.run_campaign(cfg, workers=2)
     for name in ("mse", "sinr_db", "ber"):
@@ -100,8 +101,11 @@ def test_freeze_interpolator_changes_blind_outputs(alg):
     assert not np.array_equal(runs[0].sinr_db, runs[1].sinr_db)
 
 
-def test_static_link_matches_synthesis():
-    cfg = scenario("rls", runs=1, symbols=60)
+@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
+def test_link_matches_synthesis(f_dt):
+    # the link's received vector and desired signature against the signal
+    # model on the channel's current gains, symbol by symbol
+    cfg = scenario("rls", runs=1, symbols=60, f_dt=f_dt)
     link = harness._Link(cfg, np.random.default_rng(3))
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
@@ -111,6 +115,8 @@ def test_static_link_matches_synthesis():
         expect = signal_model.synthesize_received(
             link.spreading, link.channel, frame, 0.0, np.random.default_rng(0))
         assert np.abs(r - expect).max() <= 1e-12
+        signature = signal_model.effective_signature(link.codes[0], link.channel.gains)
+        assert np.abs(link.signature - signature).max() <= 1e-12
 
 
 @pytest.mark.parametrize("alg, change", [(alg, {"f_dt": 1e-3}) for alg in harness.ALGORITHMS]

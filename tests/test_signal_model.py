@@ -3,7 +3,8 @@ import pytest
 
 from ifir_cdma import signal_model as sm
 
-from oracles import build_block_matrix, build_channel_matrix, lfsr_bits, periodic_crosscorr
+from oracles import (build_block_matrix, build_channel_matrix, fading_fft_block, lfsr_bits,
+                     periodic_crosscorr)
 
 
 def frame_for(bits, amps):
@@ -210,6 +211,28 @@ class TestFading:
                         for lag in lags])
         emp /= emp[0]
         assert np.all(np.abs(emp - theory) <= 0.10 * np.abs(theory))
+
+    def test_on_demand_samples_match_fft_block(self):
+        # a whole period of next_gain (many chunk boundaries, a short last
+        # chunk) and the wrap into a second period, against inverse FFTs of
+        # the same in-band draws: white values, real parts first, per period
+        fd, n, extra = 1e-3, 1 << 16, 1500
+        proc = sm.FadingProcess(fd)
+        rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+        got = np.array([proc.next_gain(rng) for _ in range(n + extra)])
+        assert 2 * proc._block.size < extra
+        nb = int(np.sum(np.abs(np.fft.fftfreq(n)) < fd))
+        periods = [fading_fft_block(twin.standard_normal(nb) + 1j * twin.standard_normal(nb),
+                                    n, fd, proc.clip) for _ in range(2)]
+        expect = np.concatenate((periods[0], periods[1][:extra]))
+        assert np.abs(got - expect).max() <= 1e-12
+        assert abs(np.mean(np.abs(got[:n]) ** 2) - 1.0) <= 1e-9
+
+    def test_chunk_memory_bounded_near_nyquist(self):
+        proc = sm.FadingProcess(0.45)
+        proc.next_gain(np.random.default_rng(13))
+        nb = int(np.sum(np.abs(np.fft.fftfreq(1 << 16)) < 0.45))
+        assert proc._block.size * nb <= sm._CHUNK_ELEMENTS
 
     def test_fading_profile_normalized(self):
         rng = np.random.default_rng(9)
