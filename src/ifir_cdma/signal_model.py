@@ -121,7 +121,7 @@ def _inband(period: int, doppler: float, clip: float):
     k = np.arange(-reach, reach + 1)
     k = k[(k >= -(period // 2)) & (k <= (period - 1) // 2) & (np.abs(k * step) < doppler)]
     k = np.concatenate((k[k >= 0], k[k < 0]))
-    mask = 1.0 / np.sqrt(np.maximum(1.0 - (k * step / doppler) ** 2, clip))
+    mask = np.maximum(1.0 - (k * step / doppler) ** 2, clip) ** -0.25
     chunk = max(1, _CHUNK_ELEMENTS // k.size)
     phasors = np.exp((2j * np.pi / period) * np.outer(np.arange(chunk), k))
     for a in (k, mask, phasors):
@@ -136,10 +136,12 @@ class FadingProcess:
     The process is periodic with period N (a power of two, at least 2^16,
     large enough that ~128 bins fall inside the Doppler band).  At the
     start of a period a white circular complex Gaussian spectrum is drawn
-    on the in-band bins |k/N| < f_d only, shaped by the Doppler transfer
-    mask 1/sqrt(1 - (k/(N f_d))^2) (clipped near the band-edge
+    on the in-band bins |k/N| < f_d only, shaped by the amplitude mask
+    (1 - (k/(N f_d))^2)^(-1/4) (the square root of the Clarke/Jakes power
+    spectrum 1/sqrt(1 - (f/f_d)^2), clipped near the band-edge
     singularity) and scaled by Parseval so the period has unit average
-    power exactly.  Samples are the inverse DFT of that spectrum,
+    power exactly.  The gain autocorrelation is then close to
+    J0(2 pi f_d tau).  Samples are the inverse DFT of that spectrum,
 
         g[n] = sum_k S_k exp(2 pi i k n / N),
 

@@ -180,13 +180,14 @@ def fading_fft_block(white: np.ndarray, n: int, doppler: float, clip: float) -> 
     """One period of Doppler fading by a full-length inverse FFT.
 
     `white` holds the spectrum's values on the bins |fftfreq(n)| < doppler,
-    in fftfreq order.  They are shaped by the clipped mask
-    1/sqrt(max(1 - (f/doppler)^2, clip)), zero-filled to n bins, inverse
+    in fftfreq order.  They are shaped by the clipped amplitude mask
+    max(1 - (f/doppler)^2, clip)^(-1/4), the square root of the clipped
+    Jakes power spectrum, zero-filled to n bins, inverse
     transformed and scaled to unit mean power over the block.
     """
     f = np.fft.fftfreq(n)
     inband = np.abs(f) < doppler
     spectrum = np.zeros(n, dtype=complex)
-    spectrum[inband] = white / np.sqrt(np.maximum(1.0 - (f[inband] / doppler) ** 2, clip))
+    spectrum[inband] = white / np.maximum(1.0 - (f[inband] / doppler) ** 2, clip) ** 0.25
     block = np.fft.ifft(spectrum)
     return block / np.sqrt(np.mean(np.abs(block) ** 2))
