@@ -130,8 +130,13 @@ def rls_update(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     if denom <= 0:
         return delta * np.eye(p.shape[0], dtype=complex), None, px, denom
     gain = px / denom
-    p = (p - np.outer(gain, px.conj())) / alpha
-    return 0.5 * (p + p.conj().T), gain, px, denom
+    # in place on one fresh C-ordered array: the bits of
+    # 0.5 * (q + q^H) with q = (p - outer(gain, px^*)) / alpha
+    p = p - gain[:, None] * px.conj()
+    p /= alpha
+    p += p.conj().T
+    p *= 0.5
+    return p, gain, px, denom
 
 
 def rls_step(s: TrainedRlsState, r: np.ndarray, b: float,

@@ -32,6 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be at least 1")
         with open(args.config) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):

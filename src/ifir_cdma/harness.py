@@ -12,8 +12,10 @@ is a linear receiver driven by the same symbol loop through two calls:
 Per symbol the loop takes the decision output first, adapts with the
 reference symbol (training symbol, or the decision in
 decision-directed mode past `n_tr`; blind receivers ignore it), then
-meters SINR with the updated receiver.  MSE and BER are therefore
-a-priori and SINR a-posteriori for every algorithm.
+applies the updated receiver to r and to its desired-only component.
+The loop only records those outputs; MSE, BER and SINR are metered from
+them after it.  MSE and BER are a-priori and SINR a-posteriori for
+every algorithm.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per trial drives channel, symbols and noise in a fixed order, and the
@@ -35,6 +37,8 @@ from .interpolation import detect, impulse, make_decimation, receiver_output
 
 CSV_COLUMNS = ["iteration", "mse", "sinr_db", "ber", "algorithm", "L", "N_I", "seed"]
 SINR_WINDOW = 0.98
+# Symbols of noise drawn per generator call: 256 x 2 x M doubles, ~150 kB at M=36.
+NOISE_CHUNK = 256
 
 ALGORITHMS = ("lms", "rls", "cmv-sg", "cmv-rls", "rake", "pd-lms", "pd-rls")
 MODES = ("training", "decision-directed", "blind")
@@ -148,8 +152,20 @@ class ScenarioConfig:
         elif not 1 <= n_paths <= 3 or self.l_p <= (0, 4, 5)[n_paths - 1]:
             raise ConfigError("random-delays profile takes 1 to 3 path powers and l_p above "
                               "its largest delay (4 for two paths, 5 for three)")
-        if self.interferer_db is not None and len(self.interferer_db) != self.k - 1:
-            raise ConfigError("interferer_db must list k - 1 offsets")
+        if self.interferer_db is not None:
+            if len(self.interferer_db) != self.k - 1:
+                raise ConfigError("interferer_db must list k - 1 offsets")
+            try:
+                offsets = [float(o) for o in self.interferer_db]
+            except (TypeError, ValueError):
+                raise ConfigError("interferer offsets must be numbers") from None
+            if not all(math.isfinite(o) for o in offsets):
+                raise ConfigError("interferer offsets must be finite")
+        if not 0 <= self.interferer_sigma_db < math.inf:
+            raise ConfigError("interferer_sigma_db must be finite and non-negative")
+        for name in ("mu0", "eta0", "delta"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive")
         if not 1 <= self.pd_rank <= self.m:
             raise ConfigError("pd_rank must be in [1, M]")
 
@@ -229,7 +245,13 @@ def _interpolator_init(cfg: ScenarioConfig) -> np.ndarray:
 
 
 class _Link:
-    """One run's synthesized downlink, stepped symbol by symbol."""
+    """One run's synthesized downlink, stepped symbol by symbol from 0.
+
+    Noise comes in chunks of NOISE_CHUNK symbols, each drawn at its first
+    symbol (after that symbol's fading step) and scaled by the `sigma2`
+    in force then.  One (chunk, 2, M) draw holds the values that per-
+    symbol real and imaginary draws of M would, in the same order.
+    """
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -244,6 +266,7 @@ class _Link:
         self.m = cfg.m
         span = 2 * self.l_s - 1
         self.bits = np.where(rng.random((cfg.k, cfg.symbols + span - 1)) < 0.5, -1.0, 1.0)
+        self.desired = self.bits[0, self.l_s - 1:self.l_s - 1 + cfg.symbols]   # b of symbol i
         self._static = cfg.f_dt <= 0
         stream = (self.amps[:, None, None] * self.bits[:, :, None]
                   * self.codes[:, None, :]).sum(axis=0).ravel()
@@ -260,38 +283,43 @@ class _Link:
                 strides=(cfg.n * item, item, item), writeable=False)[:, :, ::-1]
             self._code_matrix = cmv.shifted_signatures(self.codes[0], cfg.l_p)
         self.signature = signal_model.effective_signature(self.codes[0], self.channel.gains)
+        self._noise = None
 
     def step(self, i: int):
         """Received vector, desired symbol, and desired-only component for symbol i."""
         cfg = self.cfg
         off = self.l_s - 1
-        b = self.bits[0, i + off]
+        b = self.desired[i]
         if self._static:
             clean = self._clean[(i + off) * cfg.n:(i + off) * cfg.n + self.m]
         else:
             gains = signal_model.fading_step(self.channel, self.rng).gains
             clean = self._windows[i] @ gains
             self.signature = self._code_matrix @ gains
-        noise = np.sqrt(self.sigma2 / 2.0) * (
-            self.rng.standard_normal(self.m) + 1j * self.rng.standard_normal(self.m))
-        r = clean + noise
+        k = i % NOISE_CHUNK
+        if k == 0:
+            z = self.rng.standard_normal((min(NOISE_CHUNK, cfg.symbols - i), 2, self.m))
+            self._noise = np.sqrt(self.sigma2 / 2.0) * (z[:, 0] + 1j * z[:, 1])
+        r = clean + self._noise[k]
         r_des = (self.amps[0] * b) * self.signature
         return r, b, r_des
 
 
-class _SinrMeter:
-    """Exponentially windowed ground-truth SINR of a linear receiver."""
+def _sinr_db(out: list, out_des: list) -> np.ndarray:
+    """Exponentially windowed ground-truth SINR of a linear receiver, per symbol.
 
-    def __init__(self, window: float = SINR_WINDOW):
-        self.window = window
-        self.num = 0.0
-        self.den = 0.0
-
-    def update(self, out_des: complex, out_rest: complex) -> float:
-        w = self.window
-        self.num = w * self.num + (1 - w) * abs(out_des) ** 2
-        self.den = w * self.den + (1 - w) * abs(out_rest) ** 2
-        return 10.0 * np.log10(max(self.num, 1e-300) / max(self.den, 1e-300))
+    `out` and `out_des` hold the receiver's outputs for r and for its
+    desired-only component; the rest is interference and noise.  The
+    window recursion runs on Python floats and complex numbers.
+    """
+    w = SINR_WINDOW
+    num = den = 0.0
+    ratio = []
+    for o, d in zip(out, out_des):
+        num = w * num + (1 - w) * abs(d) ** 2
+        den = w * den + (1 - w) * abs(o - d) ** 2
+        ratio.append(max(num, 1e-300) / max(den, 1e-300))
+    return 10.0 * np.log10(ratio)
 
 
 def pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
@@ -367,7 +395,8 @@ class _Projected:
 
     RAKE's combiner is the least-squares channel estimate from the first
     n_tr symbols, scaled to unit gain; pd-lms and pd-rls adapt w by NLMS
-    and RLS.  `output` and `adapt` behave as in `_interpolated_receiver`.
+    and RLS (counting breakdowns in `breakdowns`).  `output` and `adapt`
+    behave as in `_interpolated_receiver`.
     The regressor of the last r is kept, so the loop's output, adapt,
     output sequence on one r projects it once.
     """
@@ -385,6 +414,7 @@ class _Projected:
         self.acc = np.zeros(dim, dtype=complex)        # rake: sum of conj(b) y so far
         self.trained = 0
         self.p_inv = cfg.delta * np.eye(dim, dtype=complex)   # pd-rls inverse covariance
+        self.breakdowns = 0
         self._r = self._y = None
 
     def _regressor(self, r: np.ndarray) -> np.ndarray:
@@ -409,7 +439,9 @@ class _Projected:
         xi = d - complex(np.vdot(self.w, y))
         if cfg.algorithm == "pd-rls":
             self.p_inv, gain, _, _ = adaptive.rls_update(self.p_inv, y, cfg.alpha, cfg.delta)
-            if gain is not None:
+            if gain is None:
+                self.breakdowns += 1
+            else:
                 self.w = self.w + gain * np.conj(xi)
         else:
             ny = np.real(np.vdot(y, y))
@@ -432,40 +464,45 @@ def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:
 
 
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
-    """Simulate one seeded run of the configured scenario."""
+    """Simulate one seeded run of the configured scenario.
+
+    The symbol loop records the decision output and decision (a-priori)
+    and the updated receiver's outputs for r and its desired-only part
+    (a-posteriori).  MSE, BER and the windowed SINR are metered from those
+    records after the loop.  The metadata counts decided symbols and the
+    RLS breakdowns (0 for receivers without RLS).
+    """
     cfg.validate()
     rng = np.random.default_rng(run_seed)
     link = _Link(cfg, rng)
     if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
         rx = _Projected(cfg, link)
-        output, adapt, st = rx.output, rx.adapt, None
+        output, adapt, st = rx.output, rx.adapt, rx
     else:
         output, adapt, st = _interpolated_receiver(cfg, link)
-    meter = _SinrMeter()
     t = cfg.symbols
-    mse = np.zeros(t)
-    sinr = np.zeros(t)
-    ber = np.zeros(t)
-    errors = 0
-    first = cfg.first_decided
+    x, bhat, out, out_des = [0j] * t, [0.0] * t, [0j] * t, [0j] * t
     tracking = cfg.mode == "blind" and not cfg.known_channel
+    directed_from = cfg.n_tr if cfg.mode == "decision-directed" else t
     for i in range(t):
         r, b, r_des = link.step(i)
-        x = output(r)
+        xi = output(r)
         if tracking:
-            x = _align_phase(x, st.g_hat, link.channel.gains)
-        bhat = detect(x)
-        mse[i] = abs(b - x) ** 2
-        if i >= first:
-            errors += bhat != b
-        ber[i] = errors / max(i - first + 1, 1)
-        adapt(r, bhat if cfg.mode == "decision-directed" and i >= cfg.n_tr else b)
-        out = output(r)
-        out_des = output(r_des)
-        sinr[i] = meter.update(out_des, out - out_des)
-    return MetricSeries(mse=mse, sinr_db=sinr, ber=ber,
+            xi = _align_phase(xi, st.g_hat, link.channel.gains)
+        d = detect(xi)
+        adapt(r, d if i >= directed_from else b)
+        x[i], bhat[i] = xi, d
+        out[i] = output(r)
+        out_des[i] = output(r_des)
+    mse = np.array([abs(b - xi) ** 2 for b, xi in zip(link.desired.tolist(), x)])
+    first = cfg.first_decided
+    wrong = np.asarray(bhat) != link.desired
+    wrong[:first] = False
+    ber = np.cumsum(wrong) / np.maximum(np.arange(t) - first + 1, 1)
+    return MetricSeries(mse=mse, sinr_db=_sinr_db(out, out_des), ber=ber,
                         metadata={**cfg.to_dict(), "run_seed": int(run_seed),
-                                  "decided": max(t - first, 0)})
+                                  "decided": max(t - first, 0),
+                                  "breakdowns": getattr(st, "breakdowns", 0)})
 
 
 def iter_symbols(cfg: ScenarioConfig, run_seed):
@@ -488,8 +525,8 @@ def run_campaign(cfg: ScenarioConfig, runs: int | None = None,
     """Average `runs` independent trials (spawned sub-seeds of cfg.seed).
 
     MSE and the SINR's power ratio average linearly across runs; BER
-    averages directly.  The reduction is ordered by run index, so the
-    result is independent of `workers`.
+    averages directly and the RLS breakdowns add up.  The reduction is
+    ordered by run index, so the result is independent of `workers`.
     """
     runs = cfg.runs if runs is None else runs
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
@@ -501,7 +538,8 @@ def run_campaign(cfg: ScenarioConfig, runs: int | None = None,
     mse = np.mean([res.mse for res in results], axis=0)
     sinr_lin = np.mean([10.0 ** (res.sinr_db / 10.0) for res in results], axis=0)
     ber = np.mean([res.ber for res in results], axis=0)
-    meta = {**results[0].metadata, "runs_averaged": runs, "run_seed": cfg.seed}
+    meta = {**results[0].metadata, "runs_averaged": runs, "run_seed": cfg.seed,
+            "breakdowns": sum(res.metadata["breakdowns"] for res in results)}
     return MetricSeries(mse=mse, sinr_db=10.0 * np.log10(np.maximum(sinr_lin, 1e-300)),
                         ber=ber, metadata=meta)
 

@@ -31,10 +31,21 @@ class DecimationOperator:
     m: int
     l: int
     indices: np.ndarray = field(compare=False)
+    _segments: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m_red(self) -> int:
         return self.indices.size
+
+    def segment_index(self, n_i: int) -> np.ndarray:
+        """Read-only n_i x M_red gather index of `build_re_matrix`,
+        entry [n, s] = indices[s] + n, built once per n_i."""
+        idx = self._segments.get(n_i)
+        if idx is None:
+            idx = self.indices[None, :] + np.arange(n_i)[:, None]
+            idx.flags.writeable = False
+            self._segments[n_i] = idx
+        return idx
 
     def decimate(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[..., self.indices]
@@ -73,13 +84,14 @@ def build_re_matrix(r: np.ndarray, n_i: int, dec: DecimationOperator) -> np.ndar
     bilinear receiver output defined for every (L, n_i) combination.
     """
     r = np.asarray(r)
-    need = int(dec.indices[-1]) + n_i
+    idx = dec.segment_index(n_i)
+    need = idx.item(-1) + 1
     if need > r.size:
         rp = np.zeros(need, dtype=complex)
         rp[:r.size] = r
     else:
         rp = r
-    return rp[dec.indices[None, :] + np.arange(n_i)[:, None]]
+    return rp[idx]
 
 
 def interpolate_then_decimate(v: np.ndarray, r: np.ndarray,

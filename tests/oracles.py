@@ -2,10 +2,15 @@
 
 Everything here is written from first principles against the math, not
 by calling into the package, so each check runs through two separate
-code paths.
+code paths.  The exception is `per_symbol_trial`: it drives the
+package's link and receivers through the trial loop as it ran before
+noise was drawn in chunks and metering moved after the loop.
 """
 
 import numpy as np
+
+from ifir_cdma import harness
+from ifir_cdma.interpolation import detect
 
 
 def lfsr_bits(poly_mask: int, degree: int) -> np.ndarray:
@@ -191,3 +196,74 @@ def fading_fft_block(white: np.ndarray, n: int, doppler: float, clip: float) -> 
     spectrum[inband] = white / np.maximum(1.0 - (f[inband] / doppler) ** 2, clip) ** 0.25
     block = np.fft.ifft(spectrum)
     return block / np.sqrt(np.mean(np.abs(block) ** 2))
+
+
+# The per-symbol trial loop: noise drawn for each symbol on its own and
+# the SINR meter updated inside the loop.
+
+def link_step_per_symbol(link, i: int):
+    """Received vector, desired symbol, and desired-only component for symbol i."""
+    cfg = link.cfg
+    off = link.l_s - 1
+    b = link.bits[0, i + off]
+    if link._static:
+        clean = link._clean[(i + off) * cfg.n:(i + off) * cfg.n + link.m]
+    else:
+        gains = harness.signal_model.fading_step(link.channel, link.rng).gains
+        clean = link._windows[i] @ gains
+        link.signature = link._code_matrix @ gains
+    noise = np.sqrt(link.sigma2 / 2.0) * (
+        link.rng.standard_normal(link.m) + 1j * link.rng.standard_normal(link.m))
+    r = clean + noise
+    r_des = (link.amps[0] * b) * link.signature
+    return r, b, r_des
+
+
+class SinrMeter:
+    """Exponentially windowed ground-truth SINR of a linear receiver."""
+
+    def __init__(self, window: float = harness.SINR_WINDOW):
+        self.window = window
+        self.num = 0.0
+        self.den = 0.0
+
+    def update(self, out_des: complex, out_rest: complex) -> float:
+        w = self.window
+        self.num = w * self.num + (1 - w) * abs(out_des) ** 2
+        self.den = w * self.den + (1 - w) * abs(out_rest) ** 2
+        return 10.0 * np.log10(max(self.num, 1e-300) / max(self.den, 1e-300))
+
+
+def per_symbol_trial(cfg, run_seed):
+    """(mse, sinr_db, ber) of one seeded run, metered symbol by symbol."""
+    cfg.validate()
+    rng = np.random.default_rng(run_seed)
+    link = harness._Link(cfg, rng)
+    if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
+        rx = harness._Projected(cfg, link)
+        output, adapt, st = rx.output, rx.adapt, None
+    else:
+        output, adapt, st = harness._interpolated_receiver(cfg, link)
+    meter = SinrMeter()
+    t = cfg.symbols
+    mse = np.zeros(t)
+    sinr = np.zeros(t)
+    ber = np.zeros(t)
+    errors = 0
+    first = cfg.first_decided
+    tracking = cfg.mode == "blind" and not cfg.known_channel
+    for i in range(t):
+        r, b, r_des = link_step_per_symbol(link, i)
+        x = output(r)
+        if tracking:
+            x = harness._align_phase(x, st.g_hat, link.channel.gains)
+        bhat = detect(x)
+        mse[i] = abs(b - x) ** 2
+        if i >= first:
+            errors += bhat != b
+        ber[i] = errors / max(i - first + 1, 1)
+        adapt(r, bhat if cfg.mode == "decision-directed" and i >= cfg.n_tr else b)
+        out = output(r)
+        out_des = output(r_des)
+        sinr[i] = meter.update(out_des, out - out_des)
+    return mse, sinr, ber

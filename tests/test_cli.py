@@ -102,10 +102,29 @@ def test_blind_run_reports_ber(tmp_path, capsys):
     {"algorithm": "lms", "f_dt": 0.7},
     {"algorithm": "lms", "ebn0_db": float("nan")},
     {"algorithm": "lms", "ebn0_db": float("inf")},
+    {"algorithm": "lms", "interferer_db": [0.0] * 6 + [float("nan")]},
+    {"algorithm": "lms", "interferer_db": [0.0] * 6 + [float("inf")]},
+    {"algorithm": "lms", "interferer_db": [0.0] * 6 + ["loud"]},
+    {"algorithm": "lms", "interferer_sigma_db": float("nan")},
+    {"algorithm": "lms", "interferer_sigma_db": -1.0},
+    {"algorithm": "lms", "mu0": float("nan")},
+    {"algorithm": "lms", "mu0": -0.5},
+    {"algorithm": "lms", "eta0": 0.0},
+    {"algorithm": "lms", "eta0": float("inf")},
+    {"algorithm": "rls", "delta": -1},
+    {"algorithm": "rls", "delta": 0},
 ])
 def test_invalid_scenario_exits_two(tmp_path, doc):
     code, out = run(tmp_path, write_config(tmp_path, {"runs": 1, "symbols": 60, **doc}))
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ("0", "-2"))
+def test_workers_below_one_exits_two(tmp_path, workers):
+    cfg = write_config(tmp_path, {"algorithm": "lms", "runs": 1, "symbols": 60})
+    out = tmp_path / "out.json"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "--workers", workers]) == 2
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ifir_cdma import adaptive, harness, signal_model
+from oracles import per_symbol_trial
 
 # Recorded on a small seeded scenario (runs=2, symbols=400, seed=5, default
 # n_tr=200): summary() as (final_mse, final_sinr_db, final_ber), then
@@ -33,8 +34,8 @@ FACTORIES = ("make_trained_sg", "make_trained_rls", "make_blind_sg", "make_blind
 
 
 def scenario(alg, **kw):
-    mode = "blind" if alg.startswith("cmv") else "training"
-    return harness.ScenarioConfig(algorithm=alg, mode=mode, **kw)
+    kw.setdefault("mode", "blind" if alg.startswith("cmv") else "training")
+    return harness.ScenarioConfig(algorithm=alg, **kw)
 
 
 @pytest.mark.parametrize("alg", harness.ALGORITHMS)
@@ -45,6 +46,43 @@ def test_seeded_campaign_pins(alg):
     got = (sm["final_mse"], sm["final_sinr_db"], sm["final_ber"],
            s.sinr_db[cfg.n_tr], s.sinr_db[-1], s.ber[-1])
     np.testing.assert_allclose(got, PINS[alg], rtol=1e-12, atol=0)
+
+
+ORACLE_CASES = (
+    [pytest.param(alg, {}, id=f"{alg}-static") for alg in harness.ALGORITHMS]
+    + [pytest.param(alg, {"f_dt": 1e-3}, id=f"{alg}-fading") for alg in harness.ALGORITHMS]
+    + [pytest.param(alg, {"mode": "decision-directed", "n_tr": 100}, id=f"{alg}-directed")
+       for alg in harness.ALGORITHMS if not alg.startswith("cmv")]
+    + [pytest.param(alg, {"known_channel": False}, id=f"{alg}-tracked")
+       for alg in ("cmv-sg", "cmv-rls")])
+
+
+@pytest.mark.parametrize("alg, change", ORACLE_CASES)
+def test_trial_matches_per_symbol_loop(alg, change):
+    # two full noise chunks and a short last one
+    cfg = scenario(alg, runs=1, symbols=2 * harness.NOISE_CHUNK + 88, **change)
+    got = harness.run_trial(cfg, 31)
+    for name, expect in zip(("mse", "sinr_db", "ber"), per_symbol_trial(cfg, 31)):
+        assert getattr(got, name).tobytes() == expect.tobytes(), name
+
+
+@pytest.mark.parametrize("alg, breakdowns", (("rls", 1), ("cmv-rls", 1), ("pd-rls", 1),
+                                             ("lms", 0), ("rake", 0)))
+def test_rls_breakdowns_reach_export(monkeypatch, tmp_path, alg, breakdowns):
+    # the 10th rls_update of the campaign breaks down; the second run has none
+    calls = []
+
+    def breaking(p, x, alpha, delta, _update=adaptive.rls_update):
+        calls.append(None)
+        if len(calls) == 10:
+            return delta * np.eye(p.shape[0], dtype=complex), None, p @ x, 0.0
+        return _update(p, x, alpha, delta)
+
+    monkeypatch.setattr(adaptive, "rls_update", breaking)
+    s = harness.run_campaign(scenario(alg, runs=2, symbols=40, n_tr=20))
+    path = tmp_path / "series.json"
+    harness.export(s, path, "json")
+    assert json.loads(path.read_text())["metadata"]["breakdowns"] == breakdowns
 
 
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
