@@ -130,8 +130,9 @@ def rls_update(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     if denom <= 0:
         return delta * np.eye(p.shape[0], dtype=complex), None, px, denom
     gain = px / denom
-    # in place on one fresh C-ordered array: the bits of
-    # 0.5 * (q + q^H) with q = (p - outer(gain, px^*)) / alpha
+    # 0.5 * (q + q^H) with q = (p - outer(gain, px^*)) / alpha, bit for
+    # bit, in place on one fresh array.  It stays C-ordered: an F-ordered
+    # p would change BLAS's summation order in the next p @ x.
     p = p - gain[:, None] * px.conj()
     p /= alpha
     p += p.conj().T
