@@ -49,8 +49,7 @@ class ConstraintSet:
     g: np.ndarray            # L_p constraint values (channel parameters)
     dec: DecimationOperator
     dc: np.ndarray           # M_red x L_p
-    gram: np.ndarray         # dc^H dc
-    gram_inv: np.ndarray
+    gram_inv: np.ndarray     # (dc^H dc)^-1, ridge-loaded if ill-conditioned
     anchor: np.ndarray       # dc @ gram_inv
     pi: np.ndarray           # M_red x M_red projector
 
@@ -96,7 +95,7 @@ def build_constraints(code: np.ndarray, l_p: int, dec: DecimationOperator,
     if g is None:
         g = impulse(l_p)
     return ConstraintSet(c=c, g=np.array(g, dtype=complex), dec=dec, dc=dc,
-                         gram=gram, gram_inv=gram_inv, anchor=anchor, pi=pi)
+                         gram_inv=gram_inv, anchor=anchor, pi=pi)
 
 
 def cmv_receiver(r_bar: np.ndarray, cons: ConstraintSet,

@@ -37,6 +37,7 @@ from .interpolation import detect, impulse, make_decimation, receiver_output
 
 CSV_COLUMNS = ["iteration", "mse", "sinr_db", "ber", "algorithm", "L", "N_I", "seed"]
 SINR_WINDOW = 0.98
+SUMMARY_TAIL = 200                    # last symbols the summary's MSE and SINR average
 # Symbols of noise drawn per generator call: 256 x 2 x M doubles, ~150 kB at M=36.
 NOISE_CHUNK = 256
 
@@ -194,9 +195,9 @@ class MetricSeries:
         if not (len(self.mse) == len(self.sinr_db) == len(self.ber)):
             raise ValueError("metric series lengths differ")
 
-    def summary(self, tail: int = 200) -> dict:
+    def summary(self) -> dict:
         """Tail means of MSE and SINR; final_ber is None if no symbol was decided."""
-        tail = min(tail, len(self.mse))
+        tail = min(SUMMARY_TAIL, len(self.mse))
         return {
             "final_mse": float(np.mean(self.mse[-tail:])),
             "final_sinr_db": float(np.mean(self.sinr_db[-tail:])),
@@ -257,8 +258,7 @@ class _Link:
         self.cfg = cfg
         self.rng = rng
         degree = 5 if cfg.n == 31 else 6
-        self.spreading = signal_model.gen_gold_set(degree, cfg.k)
-        self.codes = self.spreading.codes
+        self.codes = signal_model.gen_gold_set(degree, cfg.k)
         self.channel = _draw_channel(cfg, rng)
         self.amps = _draw_amplitudes(cfg, rng)
         self.sigma2 = 10.0 ** (-cfg.ebn0_db / 10.0)
@@ -322,7 +322,7 @@ def _sinr_db(out: list, out_des: list) -> np.ndarray:
     return 10.0 * np.log10(ratio)
 
 
-def pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
+def _pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
     """Partial-despreading projection: columns hold disjoint signature segments.
 
     The M samples are split into `rank` contiguous segments; column j is
@@ -406,7 +406,7 @@ class _Projected:
         if cfg.algorithm == "rake":
             self.proj = cmv.shifted_signatures(link.codes[0], cfg.l_p)
         else:
-            self.proj = pd_projection(link.codes[0], cfg.m, cfg.pd_rank)
+            self.proj = _pd_projection(link.codes[0], cfg.m, cfg.pd_rank)
         self.proj_h = self.proj.conj().T
         dim = self.proj.shape[1]
         self.w = np.zeros(dim, dtype=complex)
@@ -520,15 +520,14 @@ def iter_symbols(cfg: ScenarioConfig, run_seed):
         yield r, b, r_des, link
 
 
-def run_campaign(cfg: ScenarioConfig, runs: int | None = None,
-                 workers: int = 1) -> MetricSeries:
-    """Average `runs` independent trials (spawned sub-seeds of cfg.seed).
+def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
+    """Average cfg.runs independent trials (spawned sub-seeds of cfg.seed).
 
     MSE and the SINR's power ratio average linearly across runs; BER
     averages directly and the RLS breakdowns add up.  The reduction is
     ordered by run index, so the result is independent of `workers`.
     """
-    runs = cfg.runs if runs is None else runs
+    runs = cfg.runs
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

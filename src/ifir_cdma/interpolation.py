@@ -4,7 +4,9 @@ Conventions used throughout the package (all modules share them):
 
 * the segment matrix ``Re`` is N_I x M_red with ``Re[n, s] = r[s*L + n]``
   (zero for indices past the end of r),
-* the projected vector is ``rbar = Re.T @ conj(v)``,
+* the projected vector is ``rbar = Re.T @ conj(v)``: the anticausal FIR
+  ``y[t] = sum_n conj(v[n]) r[t+n]`` with every L-th output kept, so a
+  unit impulse interpolator gives plain decimation ``r[dec.indices]``,
 * the interpolator image of the filter is ``u = Re @ conj(w)``,
 * the receiver output is ``x = v^H Re conj(w) = w^H rbar = v^H u``.
 
@@ -47,14 +49,6 @@ class DecimationOperator:
             self._segments[n_i] = idx
         return idx
 
-    def decimate(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x)[..., self.indices]
-
-    def matrix(self) -> np.ndarray:
-        d = np.zeros((self.m_red, self.m))
-        d[np.arange(self.m_red), self.indices] = 1.0
-        return d
-
 
 def make_decimation(m: int, l: int) -> DecimationOperator:
     """Decimation operator for length-m vectors, factor l.
@@ -94,17 +88,6 @@ def build_re_matrix(r: np.ndarray, n_i: int, dec: DecimationOperator) -> np.ndar
     return rp[idx]
 
 
-def interpolate_then_decimate(v: np.ndarray, r: np.ndarray,
-                              dec: DecimationOperator) -> np.ndarray:
-    """Projected interpolated vector rbar = Re^T conj(v).
-
-    Equals running the anticausal FIR y[t] = sum_n conj(v[n]) r[t+n] and
-    keeping every L-th output; with a unit impulse interpolator it is
-    plain decimation.
-    """
-    return build_re_matrix(r, v.size, dec).T @ v.conj()
-
-
 @dataclass
 class ReceiverState:
     """Interpolator v (length N_I) and reduced-rank filter w (length M_red).
@@ -127,8 +110,9 @@ class ReceiverState:
 
 def receiver_output(state: ReceiverState, r: np.ndarray,
                     dec: DecimationOperator) -> complex:
-    """Bilinear receiver output x = w^H (Re^T conj(v))."""
-    rbar = interpolate_then_decimate(state.v, r, dec)
+    """Bilinear receiver output x = w^H rbar, where rbar = Re^T conj(v) is r
+    through the anticausal FIR conj(v) with every L-th output kept."""
+    rbar = build_re_matrix(r, state.n_i, dec).T @ state.v.conj()
     return complex(np.vdot(state.w, rbar))
 
 

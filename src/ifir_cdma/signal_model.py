@@ -11,8 +11,9 @@ window of symbols whose energy reaches the current observation window
 with covariance sigma2 * I.
 
 Received vectors have length M = N + L_p - 1 (N chips per symbol,
-L_p channel paths).  Symbol windows are stored in time order, oldest
-symbol first, so the centre column of a frame is the current symbol.
+L_p channel paths).  Symbol windows are K x (2 l_s - 1) arrays of +-1
+symbols in time order, oldest first, so the centre column is the
+current symbol.
 """
 
 from __future__ import annotations
@@ -56,19 +57,13 @@ def _lfsr_sequence(taps, degree: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class SpreadingSet:
-    """Per-user unit-norm signatures."""
+def gen_gold_set(degree: int, count: int) -> np.ndarray:
+    """Generate `count` unit-norm Gold signatures of length N = 2**degree - 1.
 
-    codes: np.ndarray                 # K x N, entries +-1/sqrt(N)
-
-
-def gen_gold_set(degree: int, count: int) -> SpreadingSet:
-    """Generate `count` Gold signatures of length 2**degree - 1.
-
-    The family is [u, v, u + T^k v] for the fixed preferred pair of
-    m-sequences, in that order, so the set is reproducible.  Chips are
-    mapped 0 -> +1/sqrt(N), 1 -> -1/sqrt(N).
+    Returns the K x N code array, one user per row.  The family is
+    [u, v, u + T^k v] for the fixed preferred pair of m-sequences, in
+    that order, so the set is reproducible.  Chips are mapped
+    0 -> +1/sqrt(N), 1 -> -1/sqrt(N).
 
     Raises
     ------
@@ -89,13 +84,16 @@ def gen_gold_set(degree: int, count: int) -> SpreadingSet:
             break
         family.append(u ^ np.roll(v, k))
     bits = np.array(family[:count])
-    codes = (1.0 - 2.0 * bits.astype(float)) / np.sqrt(n)
-    return SpreadingSet(codes=codes)
+    return (1.0 - 2.0 * bits.astype(float)) / np.sqrt(n)
 
 
 # Largest phasor matrix (samples x in-band bins) a fading chunk is
 # evaluated with; bounds memory for any Doppler below 0.5.
 _CHUNK_ELEMENTS = 1 << 16
+# Floor on 1 - (f/f_d)^2 inside the Doppler band.  The Jakes spectrum is
+# singular at the band edge f = f_d, so the bins nearest it would take
+# almost all of the power; the floor caps their mask at 0.01^(-1/4).
+_CLIP = 0.01
 
 
 def _period(doppler: float) -> int:
@@ -107,7 +105,7 @@ def _period(doppler: float) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def _inband(period: int, doppler: float, clip: float):
+def _inband(period: int, doppler: float):
     """In-band bins, shaping mask and chunk phasor matrix of one Doppler spectrum.
 
     The bins are the indices k (signed, in np.fft.fftfreq order) with
@@ -121,7 +119,7 @@ def _inband(period: int, doppler: float, clip: float):
     k = np.arange(-reach, reach + 1)
     k = k[(k >= -(period // 2)) & (k <= (period - 1) // 2) & (np.abs(k * step) < doppler)]
     k = np.concatenate((k[k >= 0], k[k < 0]))
-    mask = np.maximum(1.0 - (k * step / doppler) ** 2, clip) ** -0.25
+    mask = np.maximum(1.0 - (k * step / doppler) ** 2, _CLIP) ** -0.25
     chunk = max(1, _CHUNK_ELEMENTS // k.size)
     phasors = np.exp((2j * np.pi / period) * np.outer(np.arange(chunk), k))
     for a in (k, mask, phasors):
@@ -139,8 +137,8 @@ class FadingProcess:
     on the in-band bins |k/N| < f_d only, shaped by the amplitude mask
     (1 - (k/(N f_d))^2)^(-1/4) (the square root of the Clarke/Jakes power
     spectrum 1/sqrt(1 - (f/f_d)^2), clipped near the band-edge
-    singularity) and scaled by Parseval so the period has unit average
-    power exactly.  The gain autocorrelation is then close to
+    singularity at _CLIP) and scaled by Parseval so the period has unit
+    average power exactly.  The gain autocorrelation is then close to
     J0(2 pi f_d tau).  Samples are the inverse DFT of that spectrum,
 
         g[n] = sum_k S_k exp(2 pi i k n / N),
@@ -160,7 +158,6 @@ class FadingProcess:
     """
 
     doppler: float                    # f_d * T, cycles per symbol
-    clip: float = 0.01                # floor on 1 - (f/f_d)^2 inside the band
     _block: np.ndarray = field(default=None, repr=False)
     _pos: int = 0
     _start: int = 0                   # position of _block[0] in the period
@@ -177,7 +174,7 @@ class FadingProcess:
 
     def _next_chunk(self, rng: np.random.Generator) -> None:
         period = _period(self.doppler)
-        k, mask, phasors = _inband(period, self.doppler, self.clip)
+        k, mask, phasors = _inband(period, self.doppler)
         start = 0 if self._block is None else (self._start + self._block.size) % period
         if start == 0:
             white = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
@@ -200,10 +197,9 @@ class ChannelRealization:
     """
 
     gains: np.ndarray                 # length l_p, complex
-    doppler: float = 0.0
     path_powers: np.ndarray = None    # amplitude profile p_l at active delays
     path_delays: np.ndarray = None
-    fading: list = None               # FadingProcess per active path
+    fading: list = None               # FadingProcess per active path, None if static
 
     @property
     def l_p(self) -> int:
@@ -240,50 +236,42 @@ def make_channel(path_powers, path_delays, l_p: int, doppler: float = 0.0,
             gains[d] = p * proc.next_gain(rng)
     else:
         gains[delays] = powers
-    return ChannelRealization(gains=gains, doppler=doppler, path_powers=powers,
-                              path_delays=delays, fading=fading)
+    return ChannelRealization(gains=gains, path_powers=powers, path_delays=delays,
+                              fading=fading)
 
 
 def fading_step(channel: ChannelRealization, rng: np.random.Generator) -> ChannelRealization:
     """Advance every path gain by one symbol interval.
 
-    Zero Doppler leaves the channel untouched.  The channel object is
-    updated in place and returned.
+    A static channel (no fading processes) is left untouched.  The
+    channel object is updated in place and returned.
     """
-    if channel.doppler <= 0 or channel.fading is None:
+    if channel.fading is None:
         return channel
     for p, d, proc in zip(channel.path_powers, channel.path_delays, channel.fading):
         channel.gains[d] = p * proc.next_gain(rng)
     return channel
 
 
-@dataclass
-class SymbolFrame:
-    """Window of +-1 symbols per user, time ordered, centre = current."""
-
-    bits: np.ndarray                  # K x (2*l_s - 1)
-    amplitudes: np.ndarray            # K
-
-
-def synthesize_received(spreading: SpreadingSet, channel: ChannelRealization,
-                        frame: SymbolFrame, sigma2: float,
+def synthesize_received(codes: np.ndarray, channel: ChannelRealization,
+                        bits: np.ndarray, amplitudes: np.ndarray, sigma2: float,
                         rng: np.random.Generator) -> np.ndarray:
     """One received vector r = H sum_k A_k S_k b_k + n, length N + L_p - 1.
 
-    Noise is circular complex Gaussian with E[n n^H] = sigma2 * I.
+    `codes` is K x N, `bits` the K-user symbol window, `amplitudes` the
+    A_k.  Noise is circular complex Gaussian with E[n n^H] = sigma2 * I.
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
-    codes = spreading.codes
     k_users, n = codes.shape
-    if frame.bits.shape[0] != k_users:
-        raise ValueError("frame/user count mismatch")
-    l_s = (frame.bits.shape[1] + 1) // 2
-    if frame.bits.shape[1] != 2 * l_s - 1:
-        raise ValueError("frame must hold an odd number of symbols")
+    if bits.shape[0] != k_users:
+        raise ValueError("symbol window/user count mismatch")
+    l_s = (bits.shape[1] + 1) // 2
+    if bits.shape[1] != 2 * l_s - 1:
+        raise ValueError("symbol window must hold an odd number of symbols")
     # Superpose chip streams, then convolve with the path gains; this is
     # the windowed product H @ (sum_k A_k S_k b_k) without forming H.
-    stream = (frame.amplitudes[:, None, None] * frame.bits[:, :, None]
+    stream = (amplitudes[:, None, None] * bits[:, :, None]
               * codes[:, None, :]).sum(axis=0).ravel()
     full = np.convolve(stream, channel.gains)
     off = (l_s - 1) * n

@@ -182,7 +182,7 @@ class TestBlindSg:
         cfg = blind_cfg(200)
         rs, bs, g = collect(cfg, 8, want_channel=True)
         dec = make_decimation(36, 2)
-        cons = cmv.build_constraints(gen_gold_set(5, 4).codes[0], 6, dec, g=g)
+        cons = cmv.build_constraints(gen_gold_set(5, 4)[0], 6, dec, g=g)
         st = adaptive.make_blind_sg(cons, 3, 0.05, 0.05)
         for r in rs:
             adaptive.cmv_sg_step(st, r)
@@ -192,7 +192,7 @@ class TestBlindSg:
 
     def test_feasible_zero_output_keeps_w(self):
         rng = np.random.default_rng(9)
-        code = gen_gold_set(5, 1).codes[0]
+        code = gen_gold_set(5, 1)[0]
         dec = make_decimation(36, 2)
         cons = cmv.build_constraints(code, 6, dec, g=crandn(rng, 6))
         st = adaptive.make_blind_sg(cons, 3, 0.1, 0.1)
@@ -208,7 +208,7 @@ class TestBlindSg:
         cfg = blind_cfg(3000, k=3, seed=31)
         rs, bs, g = collect(cfg, 32, want_channel=True)
         dec = make_decimation(36, 2)
-        cons = cmv.build_constraints(gen_gold_set(5, 3).codes[0], 6, dec, g=g)
+        cons = cmv.build_constraints(gen_gold_set(5, 3)[0], 6, dec, g=g)
         st = adaptive.make_blind_sg(cons, 3, 0.05, 0.01)
         for r in rs[:1500]:
             adaptive.cmv_sg_step(st, r)
@@ -224,7 +224,7 @@ class TestBlindSg:
     def test_tracker_aligns_with_planted_channel(self):
         cfg = blind_cfg(4000, k=2, seed=41, ebn0=12.0)
         rs, bs, g = collect(cfg, 42, want_channel=True)
-        code = gen_gold_set(5, 2).codes[0]
+        code = gen_gold_set(5, 2)[0]
         tracker = adaptive.SgChannelTracker(cmv.shifted_signatures(code, 6), alpha=0.995)
         for r in rs:
             tracker.update(r)
@@ -233,7 +233,7 @@ class TestBlindSg:
         assert abs(np.vdot(tracker.g_hat, g_unit)) > 0.99
 
     def test_tracker_single_path(self):
-        code = gen_gold_set(5, 1).codes[0]
+        code = gen_gold_set(5, 1)[0]
         tracker = adaptive.SgChannelTracker(cmv.shifted_signatures(code, 1))
         rng = np.random.default_rng(10)
         for _ in range(5):
@@ -246,7 +246,7 @@ class TestBlindRls:
         cfg = blind_cfg(symbols, k=k, seed=seed)
         rs, bs, g = collect(cfg, seed + 1, want_channel=True)
         dec = make_decimation(36, 2)
-        code = gen_gold_set(5, k).codes[0]
+        code = gen_gold_set(5, k)[0]
         cons = cmv.build_constraints(code, 6, dec, g=g)
         tracker = None
         if track:
@@ -279,7 +279,7 @@ class TestBlindRls:
 
     def test_breakdown_restarts_and_keeps_constraint(self):
         # p = -I drives the denominator alpha - ||rbar||^2 below zero
-        code = gen_gold_set(5, 1).codes[0]
+        code = gen_gold_set(5, 1)[0]
         dec = make_decimation(36, 2)
         rng = np.random.default_rng(12)
         cons = cmv.build_constraints(code, 6, dec, g=crandn(rng, 6))
@@ -314,7 +314,7 @@ class TestStabilityBoundary:
         from oracles import analytic_covariance, interp_map
         cfg = scenario(5000, seed=81)
         rs, bs = collect(cfg, 82)
-        codes = gen_gold_set(5, 4).codes
+        codes = gen_gold_set(5, 4)
         gains = np.zeros(6, dtype=complex)
         powers = np.asarray(cfg.path_powers) / np.linalg.norm(cfg.path_powers)
         gains[[0, 2, 4]] = powers

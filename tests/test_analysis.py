@@ -195,7 +195,7 @@ class TestMeanTrajectory:
         cfg, rs, bs = build_trained_setup(symbols=300)
         dec = make_decimation(cfg.m, cfg.l)
         rng = np.random.default_rng(4)
-        cons = cmv.build_constraints(gen_gold_set(5, cfg.k).codes[0], cfg.l_p, dec)
+        cons = cmv.build_constraints(gen_gold_set(5, cfg.k)[0], cfg.l_p, dec)
         v, w, g_mean = crandn(rng, cfg.n_i), crandn(rng, dec.m_red), crandn(rng, cfg.l_p)
         mu, eta = 0.02, 0.002
         tr = analysis.build_trained_trajectory(rs, bs, v, w, mu=mu, eta=eta, dec=dec)
@@ -316,7 +316,7 @@ class TestEigenvalueSpread:
         from ifir_cdma.signal_model import gen_gold_set
 
         rng = np.random.default_rng(11)
-        codes_all = gen_gold_set(5, 10).codes
+        codes_all = gen_gold_set(5, 10)
         wins = 0
         trials = 40
         for _ in range(trials):

@@ -16,14 +16,14 @@ def random_psd(rng, n, floor=0.05):
 
 
 def default_cons(l=2, l_p=6, g=None):
-    code = gen_gold_set(5, 1).codes[0]
+    code = gen_gold_set(5, 1)[0]
     dec = make_decimation(31 + l_p - 1, l)
     return cmv.build_constraints(code, l_p, dec, g=g)
 
 
 class TestConstraints:
     def test_single_path_is_code(self):
-        code = gen_gold_set(5, 1).codes[0]
+        code = gen_gold_set(5, 1)[0]
         dec = make_decimation(31, 1)
         cons = cmv.build_constraints(code, 1, dec)
         assert cons.c.shape == (31, 1)
@@ -32,7 +32,7 @@ class TestConstraints:
 
     def test_shift_structure(self):
         cons = default_cons()
-        code = gen_gold_set(5, 1).codes[0]
+        code = gen_gold_set(5, 1)[0]
         for j in range(6):
             expect = np.zeros(36, dtype=complex)
             expect[j:j + 31] = code
@@ -158,7 +158,7 @@ class TestShiftIteration:
 class TestBlindChannelEstimate:
     def test_single_path(self):
         rng = np.random.default_rng(7)
-        code = gen_gold_set(5, 1).codes[0]
+        code = gen_gold_set(5, 1)[0]
         c = cmv.shifted_signatures(code, 1)
         r = random_psd(rng, 31)
         g = cmv.blind_channel_estimate(r, c)
@@ -166,7 +166,7 @@ class TestBlindChannelEstimate:
 
     def test_unit_norm_and_phase(self):
         rng = np.random.default_rng(8)
-        code = gen_gold_set(5, 1).codes[0]
+        code = gen_gold_set(5, 1)[0]
         c = cmv.shifted_signatures(code, 4)
         r = random_psd(rng, 34)
         g = cmv.blind_channel_estimate(r, c)
@@ -178,7 +178,7 @@ class TestBlindChannelEstimate:
         # clean single user: the weighted despread matrix has its smallest
         # eigenvector exactly along the planted channel
         rng = np.random.default_rng(9)
-        code = gen_gold_set(5, 1).codes[0]
+        code = gen_gold_set(5, 1)[0]
         l_p = 3
         g_true = np.array([1.0, 0.6 * np.exp(0.9j), 0.3 * np.exp(-2.1j)])
         g_true /= np.linalg.norm(g_true)
@@ -199,7 +199,7 @@ class TestBlindChannelEstimate:
     def test_noiseless_sample_covariance(self):
         # rank-one covariance exercises the internal diagonal loading
         rng = np.random.default_rng(10)
-        code = gen_gold_set(5, 1).codes[0]
+        code = gen_gold_set(5, 1)[0]
         l_p = 2
         g_true = np.array([0.8, 0.6j])
         c = cmv.shifted_signatures(code, l_p)
@@ -224,7 +224,7 @@ class TestAgainstSimulatedLink:
         rs = np.array(rs)
         bs = np.array(bs)
         dec = make_decimation(36, 2)
-        cons = cmv.build_constraints(gen_gold_set(5, 4).codes[0], 6, dec, g=g_true)
+        cons = cmv.build_constraints(gen_gold_set(5, 4)[0], 6, dec, g=g_true)
         rbar = rs[:, dec.indices]  # impulse interpolator
         r_cov = np.einsum("tm,tn->mn", rbar, rbar.conj()) / len(rs)
         w = cmv.cmv_receiver(r_cov, cons)

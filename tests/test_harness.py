@@ -139,19 +139,21 @@ def test_freeze_interpolator_changes_blind_outputs(alg):
     assert not np.array_equal(runs[0].sinr_db, runs[1].sinr_db)
 
 
-@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
-def test_link_matches_synthesis(f_dt):
+@pytest.mark.parametrize("change", (pytest.param({"f_dt": 0.0}, id="0.0"),
+                                    pytest.param({"f_dt": 1e-3}, id="0.001"),
+                                    pytest.param({"n": 63, "k": 4, "l_p": 8}, id="n63")))
+def test_link_matches_synthesis(change):
     # the link's received vector and desired signature against the signal
     # model on the channel's current gains, symbol by symbol
-    cfg = scenario("rls", runs=1, symbols=60, f_dt=f_dt)
+    cfg = scenario("rls", runs=1, symbols=60, **change)
     link = harness._Link(cfg, np.random.default_rng(3))
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
     for i in range(cfg.symbols):
         r, _, _ = link.step(i)
-        frame = signal_model.SymbolFrame(bits=link.bits[:, i:i + span], amplitudes=link.amps)
-        expect = signal_model.synthesize_received(
-            link.spreading, link.channel, frame, 0.0, np.random.default_rng(0))
+        expect = signal_model.synthesize_received(link.codes, link.channel,
+                                                  link.bits[:, i:i + span], link.amps, 0.0,
+                                                  np.random.default_rng(0))
         assert np.abs(r - expect).max() <= 1e-12
         signature = signal_model.effective_signature(link.codes[0], link.channel.gains)
         assert np.abs(link.signature - signature).max() <= 1e-12

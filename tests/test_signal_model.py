@@ -7,22 +7,22 @@ from oracles import (build_block_matrix, build_channel_matrix, fading_fft_block,
                      periodic_crosscorr)
 
 
-def frame_for(bits, amps):
-    return sm.SymbolFrame(bits=np.atleast_2d(np.asarray(bits, dtype=float)),
-                          amplitudes=np.asarray(amps, dtype=float))
+def window(bits, amps):
+    """(bits, amplitudes) arguments of `synthesize_received`."""
+    return np.atleast_2d(np.asarray(bits, dtype=float)), np.asarray(amps, dtype=float)
 
 
 class TestGoldSet:
     def test_single_code_unit_norm(self):
         s = sm.gen_gold_set(5, 1)
-        assert s.codes.shape == (1, 31)
-        assert abs(np.linalg.norm(s.codes[0]) - 1.0) < 1e-12
+        assert s.shape == (1, 31)
+        assert abs(np.linalg.norm(s[0]) - 1.0) < 1e-12
 
     def test_three_valued_crosscorrelation(self):
         # brute-force check of the whole generated family against the
         # admissible integer correlation values for degree 5
         s = sm.gen_gold_set(5, 8)
-        pm = np.sign(s.codes) * 1  # back to +-1 integers
+        pm = np.sign(s) * 1  # back to +-1 integers
         allowed = {-1, -9, 7}
         for i in range(8):
             for j in range(i + 1, 8):
@@ -34,7 +34,7 @@ class TestGoldSet:
         # be a cyclic shift of an m-sequence produced by an independent
         # Galois-form generator for the same polynomial
         s = sm.gen_gold_set(5, 2)
-        pm = (1 - np.sign(s.codes)) / 2  # back to bits
+        pm = (1 - np.sign(s)) / 2  # back to bits
         # x^5 + x^2 + 1 and x^5 + x^4 + x^3 + x^2 + 1
         for row, mask in [(0, 0b10010), (1, 0b11110)]:
             ref = lfsr_bits(mask, 5)
@@ -44,8 +44,8 @@ class TestGoldSet:
 
     def test_degree6_family_distinct(self):
         s = sm.gen_gold_set(6, 10)
-        assert s.codes.shape == (10, 63)
-        rows = {tuple(np.sign(r).astype(int)) for r in s.codes}
+        assert s.shape == (10, 63)
+        rows = {tuple(np.sign(r).astype(int)) for r in s}
         assert len(rows) == 10
 
     def test_errors(self):
@@ -115,8 +115,8 @@ class TestSynthesize:
         s = sm.gen_gold_set(5, 1)
         ch = sm.make_channel([1.0], [0], 1)
         rng = np.random.default_rng(0)
-        r = sm.synthesize_received(s, ch, frame_for([[1.0]], [1.0]), 0.0, rng)
-        assert np.allclose(r, s.codes[0])
+        r = sm.synthesize_received(s, ch, *window([[1.0]], [1.0]), 0.0, rng)
+        assert np.allclose(r, s[0])
 
     def test_matches_matrix_route(self):
         # dual route: stream convolution vs explicit H @ sum_k A_k S_k b_k
@@ -127,9 +127,9 @@ class TestSynthesize:
         l_s = sm.isi_span(6, 31)
         bits = np.where(rng.random((3, 2 * l_s - 1)) < 0.5, -1.0, 1.0)
         amps = np.array([1.0, 0.8, 1.3])
-        r = sm.synthesize_received(s, ch, sm.SymbolFrame(bits=bits, amplitudes=amps), 0.0, rng)
+        r = sm.synthesize_received(s, ch, bits, amps, 0.0, rng)
         h = build_channel_matrix(gains, 31, l_s)
-        z = sum(amps[k] * (build_block_matrix(s.codes[k], l_s) @ bits[k]) for k in range(3))
+        z = sum(amps[k] * (build_block_matrix(s[k], l_s) @ bits[k]) for k in range(3))
         assert np.allclose(r, h @ z, atol=1e-12)
         assert r.size == 31 + 6 - 1
 
@@ -140,14 +140,11 @@ class TestSynthesize:
         l_s = 2
         bits = np.where(rng.random((4, 3)) < 0.5, -1.0, 1.0)
         amps = np.array([1.0, 0.5, 2.0, 1.1])
-        whole = sm.synthesize_received(s, ch, sm.SymbolFrame(bits=bits, amplitudes=amps),
-                                       0.0, rng)
+        whole = sm.synthesize_received(s, ch, bits, amps, 0.0, rng)
         parts = np.zeros_like(whole)
         for k in range(4):
-            solo = sm.SpreadingSet(codes=s.codes[k:k + 1])
-            parts += sm.synthesize_received(
-                solo, ch, sm.SymbolFrame(bits=bits[k:k + 1], amplitudes=amps[k:k + 1]),
-                0.0, rng)
+            parts += sm.synthesize_received(s[k:k + 1], ch, bits[k:k + 1], amps[k:k + 1],
+                                            0.0, rng)
         assert np.allclose(whole, parts, atol=1e-12)
 
     def test_matched_filter_flat_channel(self):
@@ -155,19 +152,18 @@ class TestSynthesize:
         s = sm.gen_gold_set(5, 1)
         ch = sm.make_channel([1.0], [0], 1)
         rng = np.random.default_rng(4)
-        r = sm.synthesize_received(s, ch, frame_for([[-1.0]], [1.7]), 0.0, rng)
-        assert abs(np.vdot(s.codes[0], r) - (-1.7)) < 1e-12
+        r = sm.synthesize_received(s, ch, *window([[-1.0]], [1.7]), 0.0, rng)
+        assert abs(np.vdot(s[0], r) - (-1.7)) < 1e-12
 
     def test_noise_covariance(self):
         rng = np.random.default_rng(5)
-        code = np.array([[1.0, -1.0]]) / np.sqrt(2)
-        s = sm.SpreadingSet(codes=code)
+        s = np.array([[1.0, -1.0]]) / np.sqrt(2)
         ch = sm.make_channel([1.0], [0], 1)
         sigma2 = 0.7
         draws = 100_000
-        clean = sm.synthesize_received(s, ch, frame_for([[1.0]], [1.0]), 0.0, rng)
+        clean = sm.synthesize_received(s, ch, *window([[1.0]], [1.0]), 0.0, rng)
         noise = np.array([
-            sm.synthesize_received(s, ch, frame_for([[1.0]], [1.0]), sigma2, rng) - clean
+            sm.synthesize_received(s, ch, *window([[1.0]], [1.0]), sigma2, rng) - clean
             for _ in range(draws)])
         cov = noise.T.conj() @ noise / draws
         assert np.allclose(np.diag(cov).real, sigma2, rtol=0.05)
@@ -206,7 +202,7 @@ class TestFading:
         n = 400_000
         samples = np.array([proc.next_gain(rng) for _ in range(n)])
         f = np.linspace(-fd, fd, 200_001)
-        psd = 1.0 / np.sqrt(np.maximum(1.0 - (f / fd) ** 2, proc.clip))
+        psd = 1.0 / np.sqrt(np.maximum(1.0 - (f / fd) ** 2, sm._CLIP))
         lags = np.arange(0, 401, 50)
         theory = np.array([np.trapezoid(psd * np.cos(2 * np.pi * f * lag), f) for lag in lags])
         theory /= theory[0]
@@ -233,7 +229,7 @@ class TestFading:
         assert 2 * proc._block.size < extra
         nb = int(np.sum(np.abs(np.fft.fftfreq(n)) < fd))
         periods = [fading_fft_block(twin.standard_normal(nb) + 1j * twin.standard_normal(nb),
-                                    n, fd, proc.clip) for _ in range(2)]
+                                    n, fd, sm._CLIP) for _ in range(2)]
         expect = np.concatenate((periods[0], periods[1][:extra]))
         assert np.abs(got - expect).max() <= 1e-12
         assert abs(np.mean(np.abs(got[:n]) ** 2) - 1.0) <= 1e-9
@@ -264,6 +260,5 @@ def test_dimension_contract():
         ch = sm.make_channel([1.0], [0], l_p, normalize=False)
         l_s = sm.isi_span(l_p, 31)
         bits = np.ones((2, 2 * l_s - 1))
-        r = sm.synthesize_received(s, ch, sm.SymbolFrame(bits=bits, amplitudes=np.ones(2)),
-                                   0.1, rng)
+        r = sm.synthesize_received(s, ch, bits, np.ones(2), 0.1, rng)
         assert r.size == 31 + l_p - 1
