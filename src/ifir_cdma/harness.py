@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -49,6 +50,11 @@ class ConfigError(ValueError):
     """Scenario configuration violates an invariant."""
 
 
+def _is_int(x) -> bool:
+    """Integral (numpy integers included) and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass
 class ScenarioConfig:
     """Full description of one simulated scenario.
@@ -59,7 +65,8 @@ class ScenarioConfig:
     chips, third uniform up to delay 5, so l_p must exceed 4 for two paths
     and 5 for three), the layout of the randomised multipath experiments.
     Interferer powers are dB offsets against the desired user, either
-    fixed per user or log-normal with `interferer_sigma_db`.
+    fixed per user (`interferer_db`) or log-normal with
+    `interferer_sigma_db`, not both.
     """
 
     n: int = 31                       # processing gain (31 or 63)
@@ -103,6 +110,14 @@ class ScenarioConfig:
         return 0 if self.mode == "blind" else self.n_tr
 
     def validate(self) -> None:
+        for name in ("n", "k", "l_p", "l", "n_i", "n_tr", "symbols", "runs", "pd_rank", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        for name in ("normalized_steps", "freeze_interpolator", "known_channel"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false")
         if self.n not in (31, 63):
             raise ConfigError("processing gain must be 31 or 63")
         gold_family = self.n + 2
@@ -148,8 +163,8 @@ class ScenarioConfig:
         if self.channel_profile == "fixed":
             if self.path_delays is None or len(self.path_delays) != n_paths:
                 raise ConfigError("fixed channel profile needs one path delay per path power")
-            if any(not 0 <= d < self.l_p for d in self.path_delays):
-                raise ConfigError("path delays must lie in [0, l_p)")
+            if any(not (_is_int(d) and 0 <= d < self.l_p) for d in self.path_delays):
+                raise ConfigError("path delays must be integers in [0, l_p)")
         elif not 1 <= n_paths <= 3 or self.l_p <= (0, 4, 5)[n_paths - 1]:
             raise ConfigError("random-delays profile takes 1 to 3 path powers and l_p above "
                               "its largest delay (4 for two paths, 5 for three)")
@@ -164,6 +179,8 @@ class ScenarioConfig:
                 raise ConfigError("interferer offsets must be finite")
         if not 0 <= self.interferer_sigma_db < math.inf:
             raise ConfigError("interferer_sigma_db must be finite and non-negative")
+        if self.interferer_db is not None and self.interferer_sigma_db > 0:
+            raise ConfigError("give interferer_db or interferer_sigma_db, not both")
         for name in ("mu0", "eta0", "delta"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and positive")
@@ -394,8 +411,9 @@ class _Projected:
     """RAKE and partial-despreading baselines: a combiner w on y = proj^H r.
 
     RAKE's combiner is the least-squares channel estimate from the first
-    n_tr symbols, scaled to unit gain; pd-lms and pd-rls adapt w by NLMS
-    and RLS (counting breakdowns in `breakdowns`).  `output` and `adapt`
+    n_tr symbols, scaled to unit gain; pd-lms adapts w by LMS, normalised
+    by ||y||^2 under `normalized_steps` as `lms` is, and pd-rls by RLS
+    (counting breakdowns in `breakdowns`).  `output` and `adapt`
     behave as in `_interpolated_receiver`.
     The regressor of the last r is kept, so the loop's output, adapt,
     output sequence on one r projects it once.
@@ -443,10 +461,12 @@ class _Projected:
                 self.breakdowns += 1
             else:
                 self.w = self.w + gain * np.conj(xi)
-        else:
+        elif cfg.normalized_steps:
             ny = np.real(np.vdot(y, y))
             if ny > 1e-30:
                 self.w = self.w + (cfg.mu0 / ny) * np.conj(xi) * y
+        else:
+            self.w = self.w + cfg.mu0 * np.conj(xi) * y
 
 
 def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:

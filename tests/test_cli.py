@@ -113,6 +113,21 @@ def test_blind_run_reports_ber(tmp_path, capsys):
     {"algorithm": "lms", "eta0": float("inf")},
     {"algorithm": "rls", "delta": -1},
     {"algorithm": "rls", "delta": 0},
+    {"algorithm": "lms", "runs": 1.0, "n_tr": 10},
+    {"algorithm": "lms", "symbols": 50.5, "n_tr": 10},
+    {"algorithm": "lms", "n_i": 2.0},
+    {"algorithm": "lms", "k": 2.0},
+    {"algorithm": "lms", "n_tr": 10.5},
+    {"algorithm": "pd-lms", "pd_rank": 4.0},
+    {"algorithm": "lms", "seed": 1.5},
+    {"algorithm": "lms", "seed": -1},
+    {"algorithm": "lms", "runs": True},
+    {"algorithm": "lms", "freeze_interpolator": "false"},
+    {"algorithm": "lms", "normalized_steps": "no"},
+    {"algorithm": "cmv-sg", "mode": "blind", "known_channel": "false"},
+    {"algorithm": "lms", "channel_profile": "fixed", "path_delays": [0, 1.5, 3]},
+    {"algorithm": "lms", "channel_profile": "fixed", "path_delays": [0, True, 3]},
+    {"algorithm": "lms", "interferer_db": [0.0] * 7, "interferer_sigma_db": 3.0},
 ])
 def test_invalid_scenario_exits_two(tmp_path, doc):
     code, out = run(tmp_path, write_config(tmp_path, {"runs": 1, "symbols": 60, **doc}))
