@@ -235,8 +235,7 @@ def _draw_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> signal_model
             delays.append(tau2)
             if len(cfg.path_powers) > 2:
                 delays.append(tau2 + int(rng.integers(1, 6 - tau2)))
-    return signal_model.make_channel(cfg.path_powers, delays, cfg.l_p, doppler=cfg.f_dt,
-                                     rng=rng, normalize=True)
+    return signal_model.make_channel(cfg.path_powers, delays, cfg.l_p, doppler=cfg.f_dt, rng=rng)
 
 
 def _draw_amplitudes(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -483,6 +482,14 @@ def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:
     return x * np.conj(rot)
 
 
+def _squared_error(b: float, x: complex) -> float:
+    """|b - x|^2 in Python arithmetic; inf where it overflows."""
+    try:
+        return abs(b - x) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     """Simulate one seeded run of the configured scenario.
 
@@ -490,7 +497,8 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     and the updated receiver's outputs for r and its desired-only part
     (a-posteriori).  MSE, BER and the windowed SINR are metered from those
     records after the loop.  The metadata counts decided symbols and the
-    RLS breakdowns (0 for receivers without RLS).
+    RLS breakdowns (0 for receivers without RLS).  A diverged run, one
+    whose squared error overflows or is not finite, raises LinAlgError.
     """
     cfg.validate()
     rng = np.random.default_rng(run_seed)
@@ -514,7 +522,10 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
         x[i], bhat[i] = xi, d
         out[i] = output(r)
         out_des[i] = output(r_des)
-    mse = np.array([abs(b - xi) ** 2 for b, xi in zip(link.desired.tolist(), x)])
+    mse = np.array([_squared_error(b, xi) for b, xi in zip(link.desired.tolist(), x)])
+    if not np.isfinite(mse).all():
+        raise np.linalg.LinAlgError(f"run seed {run_seed} diverged: the squared error of "
+                                    f"symbol {np.argmin(np.isfinite(mse))} is not finite")
     first = cfg.first_decided
     wrong = np.asarray(bhat) != link.desired
     wrong[:first] = False

@@ -1,6 +1,6 @@
-"""Synchronous DS-CDMA downlink signal synthesis.
+"""Pieces of the synchronous DS-CDMA downlink signal model.
 
-Generates the chip-rate received vector for one symbol interval,
+The chip-rate received vector for one symbol interval is
 
     r(i) = H(i) * sum_k A_k S_k b_k(i) + n(i),
 
@@ -8,12 +8,10 @@ where H(i) is the banded multipath convolution matrix, S_k stacks
 non-overlapping shifted copies of user k's signature, b_k(i) is the
 window of symbols whose energy reaches the current observation window
 (past, current, future), and n(i) is circular complex Gaussian noise
-with covariance sigma2 * I.
-
-Received vectors have length M = N + L_p - 1 (N chips per symbol,
-L_p channel paths).  Symbol windows are K x (2 l_s - 1) arrays of +-1
-symbols in time order, oldest first, so the centre column is the
-current symbol.
+with covariance sigma2 * I; r(i) has length M = N + L_p - 1 (N chips
+per symbol, L_p channel paths).  This module provides the Gold
+signatures, the multipath channel and its Doppler fading, the ISI span
+and the effective signature; `harness._Link` synthesises r(i) from them.
 """
 
 from __future__ import annotations
@@ -192,8 +190,7 @@ class ChannelRealization:
     """Multipath channel: per-path amplitudes, delays, and fading state.
 
     `gains` always has length l_p (the modelled delay spread); inactive
-    delays hold zeros.  With fading enabled the amplitude profile is
-    normalised so the average total path power is one.
+    delays hold zeros.  The amplitude profile has unit norm.
     """
 
     gains: np.ndarray                 # length l_p, complex
@@ -201,20 +198,14 @@ class ChannelRealization:
     path_delays: np.ndarray = None
     fading: list = None               # FadingProcess per active path, None if static
 
-    @property
-    def l_p(self) -> int:
-        return self.gains.size
-
 
 def make_channel(path_powers, path_delays, l_p: int, doppler: float = 0.0,
-                 rng: np.random.Generator | None = None,
-                 normalize: bool | None = None) -> ChannelRealization:
+                 rng: np.random.Generator | None = None) -> ChannelRealization:
     """Assemble a ChannelRealization from an amplitude/delay profile.
 
-    With `doppler > 0` each active path gets an independent fading
-    process and the profile is normalised to unit total power (override
-    with `normalize`).  Initial fading gains are drawn immediately so a
-    fresh channel is already a valid realization.
+    The profile is normalised to unit total power.  With `doppler > 0`
+    each active path gets an independent fading process whose first gain
+    is drawn at once, so a fresh channel is already a valid realization.
     """
     powers = np.asarray(path_powers, dtype=float)
     delays = np.asarray(path_delays, dtype=int)
@@ -222,10 +213,7 @@ def make_channel(path_powers, path_delays, l_p: int, doppler: float = 0.0,
         raise ValueError("path_powers and path_delays must have the same length")
     if np.any(delays < 0) or np.any(delays >= l_p):
         raise ValueError("path delays must lie in [0, l_p)")
-    if normalize is None:
-        normalize = doppler > 0
-    if normalize:
-        powers = powers / np.linalg.norm(powers)
+    powers = powers / np.linalg.norm(powers)
     gains = np.zeros(l_p, dtype=complex)
     fading = None
     if doppler > 0:
@@ -251,35 +239,6 @@ def fading_step(channel: ChannelRealization, rng: np.random.Generator) -> Channe
     for p, d, proc in zip(channel.path_powers, channel.path_delays, channel.fading):
         channel.gains[d] = p * proc.next_gain(rng)
     return channel
-
-
-def synthesize_received(codes: np.ndarray, channel: ChannelRealization,
-                        bits: np.ndarray, amplitudes: np.ndarray, sigma2: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """One received vector r = H sum_k A_k S_k b_k + n, length N + L_p - 1.
-
-    `codes` is K x N, `bits` the K-user symbol window, `amplitudes` the
-    A_k.  Noise is circular complex Gaussian with E[n n^H] = sigma2 * I.
-    """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
-    k_users, n = codes.shape
-    if bits.shape[0] != k_users:
-        raise ValueError("symbol window/user count mismatch")
-    l_s = (bits.shape[1] + 1) // 2
-    if bits.shape[1] != 2 * l_s - 1:
-        raise ValueError("symbol window must hold an odd number of symbols")
-    # Superpose chip streams, then convolve with the path gains; this is
-    # the windowed product H @ (sum_k A_k S_k b_k) without forming H.
-    stream = (amplitudes[:, None, None] * bits[:, :, None]
-              * codes[:, None, :]).sum(axis=0).ravel()
-    full = np.convolve(stream, channel.gains)
-    off = (l_s - 1) * n
-    m = n + channel.l_p - 1
-    r = full[off:off + m].astype(complex)
-    if sigma2 > 0:
-        r = r + np.sqrt(sigma2 / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return r
 
 
 def effective_signature(code: np.ndarray, gains: np.ndarray) -> np.ndarray:

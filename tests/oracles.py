@@ -134,7 +134,8 @@ def interp_map(v, m, l, m_red):
 
 
 # Spec matrices of the signal model: the matrix form r = H sum_k A_k S_k b_k
-# that `signal_model.synthesize_received` evaluates by convolution.
+# that `harness._Link` evaluates by convolving the superposed chip stream
+# with the path gains (static) or by strided chip windows (faded).
 
 def build_block_matrix(code: np.ndarray, l_s: int) -> np.ndarray:
     """Stack `2*l_s - 1` non-overlapping shifted copies of the signature.

@@ -53,6 +53,19 @@ def test_numerical_failure_exits_three(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's overflow warnings come first
+@pytest.mark.parametrize("doc", [
+    {"algorithm": "lms", "normalized_steps": False, "mu0": 1.5, "eta0": 0.5},
+    {"algorithm": "pd-lms", "normalized_steps": False, "mu0": 0.5},
+])
+def test_diverging_run_exits_three(tmp_path, capsys, doc):
+    code, out = run(tmp_path, write_config(tmp_path, {"runs": 1, "symbols": 2000, "n_tr": 200,
+                                                      **doc}))
+    assert code == 3
+    assert not out.exists()
+    assert "diverged" in capsys.readouterr().err
+
+
 def test_seed_and_runs_overrides_reach_export(tmp_path):
     cfg = write_config(tmp_path, {"algorithm": "rls", "runs": 1, "symbols": 40,
                                   "n_tr": 10, "seed": 1})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ifir_cdma import adaptive, harness, signal_model
-from oracles import per_symbol_trial
+from oracles import build_block_matrix, build_channel_matrix, per_symbol_trial
 
 # Recorded on a small seeded scenario (runs=2, symbols=400, seed=5, default
 # n_tr=200): summary() as (final_mse, final_sinr_db, final_ber), then
@@ -85,6 +85,36 @@ def test_rls_breakdowns_reach_export(monkeypatch, tmp_path, alg, breakdowns):
     assert json.loads(path.read_text())["metadata"]["breakdowns"] == breakdowns
 
 
+def test_campaign_reduction_rule():
+    # MSE and BER are run means, SINR the dB of the mean linear ratio (in
+    # dB the mean would be off by up to 7.3 dB here), breakdowns add up
+    cfg = scenario("pd-rls", runs=3, symbols=150, seed=11)
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(11).spawn(3)]
+    trials = [harness.run_trial(cfg, seed) for seed in seeds]
+    s = harness.run_campaign(cfg)
+    for name in ("mse", "ber"):
+        expect = np.mean([getattr(t, name) for t in trials], axis=0)
+        assert getattr(s, name).tobytes() == expect.tobytes(), name
+    sinr_lin = np.mean([10.0 ** (t.sinr_db / 10.0) for t in trials], axis=0)
+    assert s.sinr_db.tobytes() == (10.0 * np.log10(sinr_lin)).tobytes()
+    assert s.metadata["breakdowns"] == sum(t.metadata["breakdowns"] for t in trials)
+    assert (s.metadata["runs_averaged"], s.metadata["run_seed"]) == (3, 11)
+
+
+def test_non_finite_error_raises(monkeypatch):
+    # a run whose output turns NaN without overflowing names its first bad
+    # symbol; the output is taken three times per symbol, decision first
+    calls = []
+
+    def nan_from_symbol_5(state, r, dec, _output=harness.receiver_output):
+        calls.append(None)
+        return complex("nan") if len(calls) > 15 else _output(state, r, dec)
+
+    monkeypatch.setattr(harness, "receiver_output", nan_from_symbol_5)
+    with pytest.raises(np.linalg.LinAlgError, match="run seed 7 .* symbol 5 "):
+        harness.run_trial(scenario("lms", runs=1, symbols=20), 7)
+
+
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
 def test_worker_count_does_not_change_results(f_dt):
     cfg = scenario("rls", runs=3, symbols=150, seed=9, f_dt=f_dt)
@@ -139,21 +169,26 @@ def test_freeze_interpolator_changes_blind_outputs(alg):
     assert not np.array_equal(runs[0].sinr_db, runs[1].sinr_db)
 
 
-@pytest.mark.parametrize("change", (pytest.param({"f_dt": 0.0}, id="0.0"),
-                                    pytest.param({"f_dt": 1e-3}, id="0.001"),
-                                    pytest.param({"n": 63, "k": 4, "l_p": 8}, id="n63")))
+@pytest.mark.parametrize("change", (
+    pytest.param({"f_dt": 0.0}, id="0.0"),
+    pytest.param({"f_dt": 1e-3}, id="0.001"),
+    pytest.param({"n": 63, "k": 4, "l_p": 8}, id="n63"),
+    pytest.param({"channel_profile": "fixed", "path_delays": [0, 2, 4],
+                  "interferer_db": [-6.0, -3.0, 0.0, 2.0, 4.0, 6.0, 9.0]}, id="fixed")))
 def test_link_matches_synthesis(change):
-    # the link's received vector and desired signature against the signal
-    # model on the channel's current gains, symbol by symbol
+    # the link's received vector against the spec matrices,
+    # H sum_k A_k S_k b_k on the channel's current gains, and its desired
+    # signature against the signal model, symbol by symbol
     cfg = scenario("rls", runs=1, symbols=60, **change)
     link = harness._Link(cfg, np.random.default_rng(3))
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
+    blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
     for i in range(cfg.symbols):
         r, _, _ = link.step(i)
-        expect = signal_model.synthesize_received(link.codes, link.channel,
-                                                  link.bits[:, i:i + span], link.amps, 0.0,
-                                                  np.random.default_rng(0))
+        chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps, blocks,
+                                                          link.bits[:, i:i + span]))
+        expect = build_channel_matrix(link.channel.gains, cfg.n, link.l_s) @ chips
         assert np.abs(r - expect).max() <= 1e-12
         signature = signal_model.effective_signature(link.codes[0], link.channel.gains)
         assert np.abs(link.signature - signature).max() <= 1e-12

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 
-from ifir_cdma import signal_model as sm
+from ifir_cdma import harness, signal_model as sm
 
 from oracles import (build_block_matrix, build_channel_matrix, fading_fft_block, lfsr_bits,
                      periodic_crosscorr)
 
 
-def window(bits, amps):
-    """(bits, amplitudes) arguments of `synthesize_received`."""
-    return np.atleast_2d(np.asarray(bits, dtype=float)), np.asarray(amps, dtype=float)
+def trapezoid(y, x):
+    """Trapezoid-rule integral of samples y over the grid x (numpy 1.24 has no np.trapezoid)."""
+    return np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2
+
+
+def single_path_link(seed, **kw):
+    """The harness's link for one user over a one-path channel (l_p = 1 unless given)."""
+    kw.setdefault("l_p", 1)
+    cfg = harness.ScenarioConfig(k=1, path_powers=[1.0], runs=1, **kw)
+    return harness._Link(cfg, np.random.default_rng(seed))
 
 
 class TestGoldSet:
@@ -111,70 +118,44 @@ class TestChannelMatrix:
 
 
 class TestSynthesize:
+    # the link synthesises r(i); its match with the spec matrices for
+    # many users, unequal amplitudes and faded gains is
+    # test_harness.test_link_matches_synthesis
+
     def test_clean_single_user_is_code(self):
-        s = sm.gen_gold_set(5, 1)
-        ch = sm.make_channel([1.0], [0], 1)
-        rng = np.random.default_rng(0)
-        r = sm.synthesize_received(s, ch, *window([[1.0]], [1.0]), 0.0, rng)
-        assert np.allclose(r, s[0])
-
-    def test_matches_matrix_route(self):
-        # dual route: stream convolution vs explicit H @ sum_k A_k S_k b_k
-        rng = np.random.default_rng(2)
-        s = sm.gen_gold_set(5, 3)
-        gains = np.array([1.0, 0.0, 0.5j, 0.0, 0.3, 0.0])
-        ch = sm.ChannelRealization(gains=gains)
-        l_s = sm.isi_span(6, 31)
-        bits = np.where(rng.random((3, 2 * l_s - 1)) < 0.5, -1.0, 1.0)
-        amps = np.array([1.0, 0.8, 1.3])
-        r = sm.synthesize_received(s, ch, bits, amps, 0.0, rng)
-        h = build_channel_matrix(gains, 31, l_s)
-        z = sum(amps[k] * (build_block_matrix(s[k], l_s) @ bits[k]) for k in range(3))
-        assert np.allclose(r, h @ z, atol=1e-12)
-        assert r.size == 31 + 6 - 1
-
-    def test_superposition(self):
-        rng = np.random.default_rng(3)
-        s = sm.gen_gold_set(5, 4)
-        ch = sm.make_channel([1.0, 0.4], [0, 2], 4, normalize=False)
-        l_s = 2
-        bits = np.where(rng.random((4, 3)) < 0.5, -1.0, 1.0)
-        amps = np.array([1.0, 0.5, 2.0, 1.1])
-        whole = sm.synthesize_received(s, ch, bits, amps, 0.0, rng)
-        parts = np.zeros_like(whole)
-        for k in range(4):
-            parts += sm.synthesize_received(s[k:k + 1], ch, bits[k:k + 1], amps[k:k + 1],
-                                            0.0, rng)
-        assert np.allclose(whole, parts, atol=1e-12)
+        link = single_path_link(0, symbols=20)
+        link.sigma2 = 0.0
+        for i in range(20):
+            r, b, _ = link.step(i)
+            assert np.allclose(r, b * link.codes[0])
 
     def test_matched_filter_flat_channel(self):
-        # orthogonal-ish check via a flat channel and the user's own code
-        s = sm.gen_gold_set(5, 1)
-        ch = sm.make_channel([1.0], [0], 1)
-        rng = np.random.default_rng(4)
-        r = sm.synthesize_received(s, ch, *window([[-1.0]], [1.7]), 0.0, rng)
-        assert abs(np.vdot(s[0], r) - (-1.7)) < 1e-12
+        link = single_path_link(4, symbols=20)
+        link.sigma2 = 0.0
+        for i in range(20):
+            r, b, _ = link.step(i)
+            assert abs(np.vdot(link.codes[0], r) - b) < 1e-12
 
     def test_noise_covariance(self):
-        rng = np.random.default_rng(5)
-        s = np.array([[1.0, -1.0]]) / np.sqrt(2)
-        ch = sm.make_channel([1.0], [0], 1)
-        sigma2 = 0.7
-        draws = 100_000
-        clean = sm.synthesize_received(s, ch, *window([[1.0]], [1.0]), 0.0, rng)
-        noise = np.array([
-            sm.synthesize_received(s, ch, *window([[1.0]], [1.0]), sigma2, rng) - clean
-            for _ in range(draws)])
-        cov = noise.T.conj() @ noise / draws
+        # two links on one seed draw the same noise chunks; one is made
+        # noiseless after construction, so their difference is the noise
+        draws = 20_000
+        noisy = single_path_link(5, symbols=draws, ebn0_db=3.0)
+        clean = single_path_link(5, symbols=draws, ebn0_db=3.0)
+        clean.sigma2 = 0.0
+        sigma2 = noisy.sigma2
+        noise = np.array([noisy.step(i)[0] - clean.step(i)[0] for i in range(draws)])
+        cov = noise.T @ noise.conj() / draws
+        off = cov - np.diag(np.diag(cov))
         assert np.allclose(np.diag(cov).real, sigma2, rtol=0.05)
-        assert abs(cov[0, 1]) < 0.05 * sigma2
-        assert abs(np.mean(noise ** 2)) < 0.05 * sigma2  # circularity
+        assert np.abs(off).max() < 0.05 * sigma2
+        assert np.abs(noise.T @ noise / draws).max() < 0.05 * sigma2  # circularity
 
 
 class TestFading:
     def test_zero_doppler_constant(self):
         rng = np.random.default_rng(6)
-        ch = sm.make_channel([1.0, 0.5], [0, 1], 2, doppler=0.0, normalize=False)
+        ch = sm.make_channel([1.0, 0.5], [0, 1], 2, doppler=0.0)
         before = ch.gains.copy()
         for _ in range(10):
             sm.fading_step(ch, rng)
@@ -204,13 +185,13 @@ class TestFading:
         f = np.linspace(-fd, fd, 200_001)
         psd = 1.0 / np.sqrt(np.maximum(1.0 - (f / fd) ** 2, sm._CLIP))
         lags = np.arange(0, 401, 50)
-        theory = np.array([np.trapezoid(psd * np.cos(2 * np.pi * f * lag), f) for lag in lags])
+        theory = np.array([trapezoid(psd * np.cos(2 * np.pi * f * lag), f) for lag in lags])
         theory /= theory[0]
         # the reference is Clarke's J0(2 pi f_d tau) = (1/pi) int_0^pi
         # cos(2 pi f_d tau sin t) dt, up to the clip's flattening of the
         # band-edge peaks (0.025 at lag 400)
         t = np.linspace(0.0, np.pi, 20_001)
-        j0 = np.array([np.trapezoid(np.cos(2 * np.pi * fd * lag * np.sin(t)), t) / np.pi
+        j0 = np.array([trapezoid(np.cos(2 * np.pi * fd * lag * np.sin(t)), t) / np.pi
                        for lag in lags])
         assert np.abs(theory - j0).max() <= 0.03
         emp = np.array([np.mean(samples[:n - lag] * np.conj(samples[lag:])).real
@@ -254,11 +235,7 @@ def test_isi_span_rule():
 
 
 def test_dimension_contract():
-    rng = np.random.default_rng(10)
-    s = sm.gen_gold_set(5, 2)
     for l_p in (1, 3, 6):
-        ch = sm.make_channel([1.0], [0], l_p, normalize=False)
-        l_s = sm.isi_span(l_p, 31)
-        bits = np.ones((2, 2 * l_s - 1))
-        r = sm.synthesize_received(s, ch, bits, np.ones(2), 0.1, rng)
-        assert r.size == 31 + l_p - 1
+        link = single_path_link(10, symbols=3, l_p=l_p)
+        for i in range(3):
+            assert link.step(i)[0].size == 31 + l_p - 1
