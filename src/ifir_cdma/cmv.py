@@ -4,8 +4,7 @@ The receiver minimises the output variance w^H R_bar w subject to
 C^H D^H w = g, where the columns of C are one-chip shifted copies of
 the desired signature and g carries the channel parameters.  The
 interpolator solution is the unit-norm eigenvector of R_u with the
-smallest eigenvalue; `shift_iteration_min_eigvec` extracts it without
-an eigendecomposition by powering I - R/tr(R).
+smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -128,29 +127,6 @@ def cmv_interpolator(r_u: np.ndarray) -> np.ndarray:
     _, vecs = np.linalg.eigh(r_u)
     v = vecs[:, 0]
     return _fix_phase(v / np.linalg.norm(v))
-
-
-def shift_iteration_min_eigvec(r: np.ndarray, v0: np.ndarray, iters: int) -> np.ndarray:
-    """Power the matrix I - R/tr(R) to expose the minimum eigenvector.
-
-    The map sends eigenvalue lam to 1 - lam/tr(R), a value in [0, 1]
-    that is largest for lam = lam_min, so repeated application with
-    renormalisation converges geometrically whenever v0 is not
-    orthogonal to the target and lam_min is simple.
-    """
-    r = np.asarray(r)
-    tr = np.trace(r).real
-    if tr <= 0:
-        raise np.linalg.LinAlgError("shift iteration needs a positive trace")
-    nu = 1.0 / tr
-    v = np.asarray(v0, dtype=complex).copy()
-    for _ in range(iters):
-        v = v - nu * (r @ v)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise np.linalg.LinAlgError("iterate vanished; v0 orthogonal to target?")
-        v = v / nrm
-    return v
 
 
 def blind_channel_estimate(r: np.ndarray, c: np.ndarray) -> np.ndarray:

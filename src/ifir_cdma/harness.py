@@ -28,6 +28,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -59,11 +60,11 @@ def _is_int(x) -> bool:
 class ScenarioConfig:
     """Full description of one simulated scenario.
 
-    channel_profile: "fixed" uses path_powers/path_delays as given (one
-    delay in [0, l_p) per power); "random-delays" keeps 1 to 3 powers and
-    draws the delays per run (first path at zero, second uniform on 1..4
-    chips, third uniform up to delay 5, so l_p must exceed 4 for two paths
-    and 5 for three), the layout of the randomised multipath experiments.
+    A `path_delays` list fixes one delay per path power (distinct integers
+    in [0, l_p)).  Without one, 1 to 3 powers are kept and the delays are
+    drawn per run (first path at zero, second uniform on 1..4 chips, third
+    uniform up to delay 5, so l_p must exceed 4 for two paths and 5 for
+    three), the layout of the randomised multipath experiments.
     Interferer powers are dB offsets against the desired user, either
     fixed per user (`interferer_db`) or log-normal with
     `interferer_sigma_db`, not both.
@@ -81,9 +82,8 @@ class ScenarioConfig:
     interferer_db: list = None        # fixed per-interferer offsets (len k-1)
     interferer_sigma_db: float = 0.0  # log-normal power spread, 0 = equal power
     f_dt: float = 0.0                 # normalized Doppler, cycles/symbol
-    channel_profile: str = "random-delays"
     path_powers: list = field(default_factory=lambda: [1.0, 0.5012, 0.3162])
-    path_delays: list = None          # used by the "fixed" profile
+    path_delays: list = None          # fixed delays; None draws them per run
     symbols: int = 2000
     runs: int = 50
     seed: int = 1
@@ -147,27 +147,33 @@ class ScenarioConfig:
             raise ConfigError("interpolator_init must be 'impulse' or 'linear'")
         if self.n_tr < 0 or (self.mode == "decision-directed" and self.n_tr > self.symbols):
             raise ConfigError("training length must fit in the symbol budget")
-        if not math.isfinite(self.ebn0_db):
-            raise ConfigError("ebn0_db must be finite")
+        # the noise variance 10^(-ebn0_db/10) must be a finite double
+        if not -10 * sys.float_info.max_10_exp <= self.ebn0_db < math.inf:
+            raise ConfigError(f"ebn0_db must be finite and at least "
+                              f"{-10 * sys.float_info.max_10_exp} dB")
         if not 0 <= self.f_dt < 0.5:
             raise ConfigError("f_dt must lie in [0, 0.5) cycles per symbol")
         try:
             powers = [float(p) for p in self.path_powers]
         except (TypeError, ValueError):
             raise ConfigError("path powers must be numbers") from None
-        if not (all(0 <= p < math.inf for p in powers) and sum(powers) > 0):
-            raise ConfigError("path powers must be finite, non-negative and not all zero")
-        if self.channel_profile not in ("fixed", "random-delays"):
-            raise ConfigError("channel_profile must be 'fixed' or 'random-delays'")
+        # the profile is scaled to unit norm, so its squared norm must be
+        # a positive finite double
+        if not (all(0 <= p < math.inf for p in powers)
+                and 0 < math.fsum(p * p for p in powers) < math.inf):
+            raise ConfigError("path powers must be finite and non-negative, with a "
+                              "positive finite sum of squares")
         n_paths = len(self.path_powers)
-        if self.channel_profile == "fixed":
-            if self.path_delays is None or len(self.path_delays) != n_paths:
-                raise ConfigError("fixed channel profile needs one path delay per path power")
+        if self.path_delays is not None:
+            if len(self.path_delays) != n_paths:
+                raise ConfigError("path_delays needs one delay per path power")
             if any(not (_is_int(d) and 0 <= d < self.l_p) for d in self.path_delays):
                 raise ConfigError("path delays must be integers in [0, l_p)")
+            if len(set(self.path_delays)) != n_paths:
+                raise ConfigError("path delays must be distinct")
         elif not 1 <= n_paths <= 3 or self.l_p <= (0, 4, 5)[n_paths - 1]:
-            raise ConfigError("random-delays profile takes 1 to 3 path powers and l_p above "
-                              "its largest delay (4 for two paths, 5 for three)")
+            raise ConfigError("drawn delays take 1 to 3 path powers and l_p above the "
+                              "largest delay (4 for two paths, 5 for three)")
         if self.interferer_db is not None:
             if len(self.interferer_db) != self.k - 1:
                 raise ConfigError("interferer_db must list k - 1 offsets")
@@ -228,7 +234,7 @@ class MetricSeries:
 
 def _draw_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> signal_model.ChannelRealization:
     delays = cfg.path_delays
-    if cfg.channel_profile == "random-delays":
+    if delays is None:
         delays = [0]
         if len(cfg.path_powers) > 1:
             tau2 = int(rng.integers(1, 5))

@@ -39,15 +39,18 @@ class DecimationOperator:
     def m_red(self) -> int:
         return self.indices.size
 
-    def segment_index(self, n_i: int) -> np.ndarray:
-        """Read-only n_i x M_red gather index of `build_re_matrix`,
-        entry [n, s] = indices[s] + n, built once per n_i."""
-        idx = self._segments.get(n_i)
-        if idx is None:
+    def segment_index(self, n_i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(idx, buf) of `build_re_matrix`, built once per n_i: the read-only
+        n_i x M_red gather index, entry [n, s] = indices[s] + n, and a complex
+        buffer of max(M, idx.max() + 1) samples whose tail past M stays zero.
+        Every call shares the buffer, so one operator serves one thread."""
+        seg = self._segments.get(n_i)
+        if seg is None:
             idx = self.indices[None, :] + np.arange(n_i)[:, None]
             idx.flags.writeable = False
-            self._segments[n_i] = idx
-        return idx
+            buf = np.zeros(max(self.m, idx.item(-1) + 1), dtype=complex)
+            seg = self._segments[n_i] = idx, buf
+        return seg
 
 
 def make_decimation(m: int, l: int) -> DecimationOperator:
@@ -72,20 +75,15 @@ def impulse(n: int) -> np.ndarray:
 
 
 def build_re_matrix(r: np.ndarray, n_i: int, dec: DecimationOperator) -> np.ndarray:
-    """Segment matrix: column s is the length-n_i slice of r starting at s*L.
+    """Segment matrix (a fresh array): column s is the length-n_i slice of
+    r, which has length M, starting at s*L.
 
     Slices reaching past the end of r are zero padded, which keeps the
     bilinear receiver output defined for every (L, n_i) combination.
     """
-    r = np.asarray(r)
-    idx = dec.segment_index(n_i)
-    need = idx.item(-1) + 1
-    if need > r.size:
-        rp = np.zeros(need, dtype=complex)
-        rp[:r.size] = r
-    else:
-        rp = r
-    return rp[idx]
+    idx, buf = dec.segment_index(n_i)
+    buf[:dec.m] = r
+    return buf[idx]
 
 
 @dataclass

@@ -213,6 +213,8 @@ def make_channel(path_powers, path_delays, l_p: int, doppler: float = 0.0,
         raise ValueError("path_powers and path_delays must have the same length")
     if np.any(delays < 0) or np.any(delays >= l_p):
         raise ValueError("path delays must lie in [0, l_p)")
+    if len(set(delays.tolist())) != delays.size:
+        raise ValueError("path delays must be distinct")
     powers = powers / np.linalg.norm(powers)
     gains = np.zeros(l_p, dtype=complex)
     fading = None

@@ -28,7 +28,7 @@ def scenario(symbols, k=4, l_p=6, ebn0=15.0, seed=3, **kw):
     return harness.ScenarioConfig(
         n=31, k=k, l_p=l_p, l=kw.pop("l", 2), n_i=kw.pop("n_i", 3),
         algorithm="lms", mode="training", ebn0_db=ebn0, symbols=symbols,
-        seed=seed, channel_profile="fixed", **kw)
+        seed=seed, **kw)
 
 
 class TestTrainedSg:
@@ -173,8 +173,7 @@ def blind_cfg(symbols, seed=5, **kw):
     return harness.ScenarioConfig(
         n=31, k=kw.pop("k", 4), l_p=6, l=kw.pop("l", 2), n_i=kw.pop("n_i", 3),
         algorithm="cmv-sg", mode="blind", ebn0_db=kw.pop("ebn0", 15.0),
-        symbols=symbols, seed=seed, channel_profile="fixed",
-        path_delays=[0, 2, 4], **kw)
+        symbols=symbols, seed=seed, path_delays=[0, 2, 4], **kw)
 
 
 class TestBlindSg:

@@ -142,8 +142,7 @@ class TestExcessMseBlind:
 def build_trained_setup(seed=9, symbols=2500, l=2, n_i=3):
     cfg = harness.ScenarioConfig(
         n=31, k=4, l_p=6, l=l, n_i=n_i, algorithm="lms", mode="training",
-        ebn0_db=12.0, symbols=symbols, seed=seed, channel_profile="fixed",
-        path_delays=[0, 2, 4])
+        ebn0_db=12.0, symbols=symbols, seed=seed, path_delays=[0, 2, 4])
     rs, bs = [], []
     for r, b, _, _ in harness.iter_symbols(cfg, seed * 7 + 1):
         rs.append(r)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,19 @@ def run(tmp_path, config_path):
     out = tmp_path / "out.json"
     code = cli.main(["--config", str(config_path), "--out", str(out), "--format", "json"])
     return code, out
+
+
+def run_module(tmp_path, doc):
+    """`python -m ifir_cdma` on a scenario, in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ifir_cdma", "--config", str(write_config(tmp_path, doc)),
+         "--out", str(out), "--format", "json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    return proc, out
 
 
 def test_small_scenario_exits_zero(tmp_path):
@@ -100,8 +117,8 @@ def test_blind_run_reports_ber(tmp_path, capsys):
     {"algorithm": "lms", "interpolator_init": "bogus"},
     {"algorithm": "rake", "interpolator_init": "bogus"},
     {"algorithm": "cmv-rls", "mode": "blind", "alpha": 1.0},
-    {"algorithm": "lms", "channel_profile": "fixed", "path_delays": [0, 3, 9]},
-    {"algorithm": "lms", "channel_profile": "fixed", "path_delays": [0, 2]},
+    {"algorithm": "lms", "path_delays": [0, 3, 9]},
+    {"algorithm": "lms", "path_delays": [0, 2]},
     {"algorithm": "lms", "path_powers": [1.0, 0.5, 0.3, 0.2]},
     {"algorithm": "lms", "l_p": 5, "runs": 10, "seed": 1},
     {"algorithm": "lms", "path_powers": [0, 0, 0]},
@@ -138,9 +155,13 @@ def test_blind_run_reports_ber(tmp_path, capsys):
     {"algorithm": "lms", "freeze_interpolator": "false"},
     {"algorithm": "lms", "normalized_steps": "no"},
     {"algorithm": "cmv-sg", "mode": "blind", "known_channel": "false"},
-    {"algorithm": "lms", "channel_profile": "fixed", "path_delays": [0, 1.5, 3]},
-    {"algorithm": "lms", "channel_profile": "fixed", "path_delays": [0, True, 3]},
+    {"algorithm": "lms", "path_delays": [0, 1.5, 3]},
+    {"algorithm": "lms", "path_delays": [0, True, 3]},
     {"algorithm": "lms", "interferer_db": [0.0] * 7, "interferer_sigma_db": 3.0},
+    {"algorithm": "lms", "path_delays": [0, 0, 2]},
+    {"algorithm": "lms", "ebn0_db": -1e308},
+    {"algorithm": "lms", "path_powers": [1e200, 1, 1]},
+    {"algorithm": "lms", "path_powers": [1e-200, 0, 0]},
 ])
 def test_invalid_scenario_exits_two(tmp_path, doc):
     code, out = run(tmp_path, write_config(tmp_path, {"runs": 1, "symbols": 60, **doc}))
@@ -167,3 +188,32 @@ def test_export_counts_decided_symbols(tmp_path, doc, decided):
     exported = json.loads(out.read_text())
     assert exported["metadata"]["decided"] == decided
     assert (exported["summary"]["final_ber"] is None) == (decided == 0)
+
+
+def test_module_runs_a_scenario(tmp_path):
+    proc, out = run_module(tmp_path, {"algorithm": "lms", "runs": 1, "symbols": 60, "n_tr": 20})
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(out.read_text())["series"]["ber"]) == 60
+
+
+@pytest.mark.parametrize("doc", [
+    {"algorithm": "lms", "bogus": 1},
+    {"algorithm": "lms", "path_delays": [0, 0, 2]},
+    {"algorithm": "lms", "ebn0_db": -1e308},
+    {"algorithm": "lms", "path_powers": [1e200, 1, 1]},
+], ids=("unknown-field", "repeated-delays", "ebn0-overflow", "power-overflow"))
+def test_module_config_error_exits_two(tmp_path, doc):
+    proc, out = run_module(tmp_path, {"runs": 1, "symbols": 60, **doc})
+    assert proc.returncode == 2
+    assert not out.exists()
+    assert proc.stderr.startswith("ifir-cdma: configuration error:")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_module_diverging_run_exits_three(tmp_path):
+    proc, out = run_module(tmp_path, {"algorithm": "lms", "normalized_steps": False,
+                                      "mu0": 1.5, "eta0": 0.5, "runs": 1, "symbols": 2000,
+                                      "n_tr": 200})
+    assert proc.returncode == 3
+    assert not out.exists()
+    assert "diverged" in proc.stderr and "Traceback" not in proc.stderr

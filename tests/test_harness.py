@@ -173,7 +173,7 @@ def test_freeze_interpolator_changes_blind_outputs(alg):
     pytest.param({"f_dt": 0.0}, id="0.0"),
     pytest.param({"f_dt": 1e-3}, id="0.001"),
     pytest.param({"n": 63, "k": 4, "l_p": 8}, id="n63"),
-    pytest.param({"channel_profile": "fixed", "path_delays": [0, 2, 4],
+    pytest.param({"path_delays": [0, 2, 4],
                   "interferer_db": [-6.0, -3.0, 0.0, 2.0, 4.0, 6.0, 9.0]}, id="fixed")))
 def test_link_matches_synthesis(change):
     # the link's received vector against the spec matrices,
@@ -192,6 +192,16 @@ def test_link_matches_synthesis(change):
         assert np.abs(r - expect).max() <= 1e-12
         signature = signal_model.effective_signature(link.codes[0], link.channel.gains)
         assert np.abs(link.signature - signature).max() <= 1e-12
+
+
+@pytest.mark.parametrize("delays", ([0, 3, 5], [4, 1, 0]))
+def test_path_delays_fix_the_channel(delays):
+    # a path_delays list fixes the delays of every run
+    cfg = scenario("lms", runs=1, symbols=40, n_tr=10, path_delays=delays)
+    for seed in range(5):
+        link = harness._Link(cfg, np.random.default_rng(seed))
+        assert list(link.channel.path_delays) == delays
+        assert np.flatnonzero(link.channel.gains).tolist() == sorted(delays)
 
 
 @pytest.mark.parametrize("alg, change", [(alg, {"f_dt": 1e-3}) for alg in harness.ALGORITHMS]
@@ -301,6 +311,5 @@ def test_pd_lms_step_follows_normalized_steps(normalized):
 
 def test_numpy_integers_configure_a_run():
     cfg = scenario("lms", runs=np.int64(1), symbols=np.int32(40), n_tr=np.int64(10),
-                   seed=np.uint32(3), channel_profile="fixed",
-                   path_delays=list(np.array([0, 2, 4])))
+                   seed=np.uint32(3), path_delays=list(np.array([0, 2, 4])))
     assert harness.run_campaign(cfg).mse.shape == (40,)

@@ -57,16 +57,32 @@ class TestSegmentMatrix:
         assert np.array_equal(re[0], r)
 
     def test_index_oracle_with_padding(self):
+        # a build on another r first: the second must not see its samples
         rng = np.random.default_rng(0)
         for m, l, n_i in [(10, 3, 4), (7, 2, 5), (12, 4, 3)]:
             r = crandn(rng, m)
             dec = ip.make_decimation(m, l)
+            ip.build_re_matrix(crandn(rng, m), n_i, dec)
             re = ip.build_re_matrix(r, n_i, dec)
             for n in range(n_i):
                 for s in range(dec.m_red):
                     idx = s * l + n
                     expect = r[idx] if idx < m else 0.0
                     assert re[n, s] == expect
+
+    def test_short_r_rejected(self):
+        dec = ip.make_decimation(10, 3)
+        with pytest.raises(ValueError):
+            ip.build_re_matrix(np.ones(9, dtype=complex), 4, dec)
+
+    def test_result_is_not_shared(self):
+        rng = np.random.default_rng(8)
+        dec = ip.make_decimation(10, 3)
+        r = crandn(rng, 10)
+        first = ip.build_re_matrix(r, 4, dec)
+        expect = first.copy()
+        first[:] = 99.0
+        assert np.array_equal(ip.build_re_matrix(r, 4, dec), expect)
 
 
 def projected(v, r, dec):

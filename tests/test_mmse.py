@@ -77,14 +77,14 @@ class TestAlternateMmse:
         cfg = harness.ScenarioConfig(
             n=31, k=k, l_p=6, l=l, n_i=n_i, algorithm="lms", mode="training",
             ebn0_db=noise_db, symbols=symbols, seed=9,
-            channel_profile="fixed", path_delays=[0, 2, 4])
+            path_delays=[0, 2, 4])
         return collect_batch(cfg, 1234)
 
     def test_noiseless_single_user_reaches_zero(self):
         cfg = harness.ScenarioConfig(
             n=31, k=1, l_p=1, l=1, n_i=1, algorithm="lms", mode="training",
-            ebn0_db=200.0, symbols=300, seed=9, channel_profile="fixed",
-            path_delays=[0], path_powers=[1.0])
+            ebn0_db=200.0, symbols=300, seed=9, path_delays=[0],
+            path_powers=[1.0])
         rs, bs = collect_batch(cfg, 7)
         dec = make_decimation(31, 1)
         state, j, hist = mmse.alternate_mmse(rs, bs, dec, 1)

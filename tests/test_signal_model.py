@@ -153,6 +153,11 @@ class TestSynthesize:
 
 
 class TestFading:
+    def test_repeated_delays_rejected(self):
+        # two powers at one delay would overwrite each other
+        with pytest.raises(ValueError):
+            sm.make_channel([1.0, 0.5, 0.3], [0, 0, 2], 6)
+
     def test_zero_doppler_constant(self):
         rng = np.random.default_rng(6)
         ch = sm.make_channel([1.0, 0.5], [0, 1], 2, doppler=0.0)
