@@ -1,10 +1,11 @@
 """Convergence analysis machinery for the adaptive receivers.
 
-Covers gradient step-size stability bounds, steady-state excess MSE for
-the trained and blind gradient algorithms, mean tap-error trajectories
-of the joint interpolator/receiver adaptation, the gradient transient
-decomposition, the RLS learning curve, and per-symbol arithmetic
-operation counts for all analysed structures.
+Covers the steady-state excess MSE of the trained and blind gradient
+algorithms (the trained formula also flags a diverging step size),
+mean tap-error trajectories of the joint interpolator/receiver
+adaptation, the gradient transient decomposition, the RLS learning
+curve, and per-symbol arithmetic operation counts for all analysed
+structures.
 
 Expectations that the theory treats as known statistics are estimated
 here by sample averages over a caller-supplied window; the optimal
@@ -14,7 +15,7 @@ filter pair is expected to come from the batch designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -22,24 +23,6 @@ from .interpolation import DecimationOperator, make_decimation
 from .mmse import segment_stack
 
 MAX_KRON_DIM = 40  # fourth-moment matrices hold dim^4 scalars
-
-
-class StabilityBound(NamedTuple):
-    """Largest stable gradient step: exact (2/lam_max) and the
-    conservative trace-based estimate (2/tr)."""
-
-    step_max: float
-    step_max_trace: float
-
-
-def sg_stability_bound(r_bar: np.ndarray) -> StabilityBound:
-    """Step-size stability limit 2/lam_max for a gradient recursion on r_bar."""
-    lam = np.linalg.eigvalsh(np.asarray(r_bar))
-    lam_max = float(lam[-1].real)
-    tr = float(np.trace(r_bar).real)
-    if lam_max <= 0 or tr <= 0:
-        raise np.linalg.LinAlgError("covariance must have positive spectrum")
-    return StabilityBound(step_max=2.0 / lam_max, step_max_trace=2.0 / tr)
 
 
 def excess_mse_trained(mu: float, r_bar: np.ndarray, eps_min: float) -> float:

@@ -1,4 +1,4 @@
-"""Batch constrained-minimum-variance design and blind channel estimation.
+"""Batch constrained-minimum-variance design.
 
 The receiver minimises the output variance w^H R_bar w subject to
 C^H D^H w = g, where the columns of C are one-chip shifted copies of
@@ -14,24 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interpolation import DecimationOperator, impulse
-from .mmse import RIDGE
-
-
-def _fix_phase(vec: np.ndarray, prefer_first: bool = False) -> np.ndarray:
-    """Rotate a vector's global phase so a reference entry is real positive.
-
-    The reference is the first entry when `prefer_first` and it is not
-    negligible, otherwise the largest-magnitude entry.
-    """
-    vec = np.asarray(vec, dtype=complex)
-    mags = np.abs(vec)
-    idx = int(np.argmax(mags))
-    if prefer_first and mags[0] > 1e-8 * mags[idx]:
-        idx = 0
-    ref = vec[idx]
-    if abs(ref) == 0:
-        return vec
-    return vec * (abs(ref) / ref)
 
 
 @dataclass
@@ -48,7 +30,7 @@ class ConstraintSet:
     g: np.ndarray            # L_p constraint values (channel parameters)
     dec: DecimationOperator
     dc: np.ndarray           # M_red x L_p
-    gram_inv: np.ndarray     # (dc^H dc)^-1, ridge-loaded if ill-conditioned
+    gram_inv: np.ndarray     # (dc^H dc)^-1
     anchor: np.ndarray       # dc @ gram_inv
     pi: np.ndarray           # M_red x M_red projector
 
@@ -68,27 +50,18 @@ def build_constraints(code: np.ndarray, l_p: int, dec: DecimationOperator,
                       g: np.ndarray | None = None) -> ConstraintSet:
     """Constraint set for the desired user's code and delay spread l_p.
 
-    Raises if the decimated constraint matrix loses column rank even
-    after a small diagonal load (then the constraints cannot all be
-    enforced in the reduced space).
+    Raises LinAlgError if the decimated constraint matrix loses column
+    rank (cond(DC^H DC) >= 1e12): then the constraints cannot all be
+    enforced in the reduced space.
     """
     c = shifted_signatures(code, l_p)
     if c.shape[0] != dec.m:
         raise ValueError(f"decimation built for M={dec.m}, constraints for M={c.shape[0]}")
     dc = c[dec.indices, :]
     gram = dc.conj().T @ dc
-    tr = np.trace(gram).real
-    if tr <= 0:
-        raise np.linalg.LinAlgError("constraint matrix is zero after decimation")
-    cond = np.linalg.cond(gram)
-    if np.isfinite(cond) and cond < 1e12:
-        gram_inv = np.linalg.inv(gram)
-    else:
-        gram_r = gram + (RIDGE * tr / l_p) * np.eye(l_p)
-        cond = np.linalg.cond(gram_r)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise np.linalg.LinAlgError("decimated constraints are rank deficient")
-        gram_inv = np.linalg.inv(gram_r)
+    if not np.linalg.cond(gram) < 1e12:      # a zero matrix reads inf
+        raise np.linalg.LinAlgError("decimated constraints are rank deficient")
+    gram_inv = np.linalg.inv(gram)
     anchor = dc @ gram_inv
     pi = np.eye(dec.m_red) - anchor @ dc.conj().T
     if g is None:
@@ -125,26 +98,7 @@ def cmv_interpolator(r_u: np.ndarray) -> np.ndarray:
     a valid answer; the eigensolver's choice is returned.
     """
     _, vecs = np.linalg.eigh(r_u)
-    v = vecs[:, 0]
-    return _fix_phase(v / np.linalg.norm(v))
+    v = np.asarray(vecs[:, 0] / np.linalg.norm(vecs[:, 0]), dtype=complex)
+    ref = v[int(np.argmax(np.abs(v)))]       # rotated to be real positive
+    return v * (abs(ref) / ref)
 
-
-def blind_channel_estimate(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Channel parameters as the minimum eigenvector of C^H R^-1 C.
-
-    A small trace-scaled diagonal load keeps R invertible for noiseless
-    sample covariances.  The estimate has unit norm and the phase of its
-    first entry is used as the reference (rotated to be real positive).
-    """
-    r = np.asarray(r)
-    dim = r.shape[0]
-    tr = np.trace(r).real
-    if tr <= 0:
-        raise np.linalg.LinAlgError("covariance has non-positive trace")
-    r_loaded = r + (RIDGE * tr / dim) * np.eye(dim)
-    x = np.linalg.solve(r_loaded, np.asarray(c, dtype=complex))
-    omega = c.conj().T @ x
-    omega = 0.5 * (omega + omega.conj().T)
-    _, vecs = np.linalg.eigh(omega)
-    ghat = vecs[:, 0]
-    return _fix_phase(ghat / np.linalg.norm(ghat), prefer_first=True)

@@ -56,6 +56,18 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """Real (numpy floats and integers included) and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _reals(name: str, values) -> list:
+    """A list or tuple of real numbers as floats; ConfigError for anything else."""
+    if not (isinstance(values, (list, tuple)) and all(_is_real(x) for x in values)):
+        raise ConfigError(f"{name} must be a list of numbers")
+    return [float(x) for x in values]
+
+
 @dataclass
 class ScenarioConfig:
     """Full description of one simulated scenario.
@@ -67,7 +79,9 @@ class ScenarioConfig:
     three), the layout of the randomised multipath experiments.
     Interferer powers are dB offsets against the desired user, either
     fixed per user (`interferer_db`) or log-normal with
-    `interferer_sigma_db`, not both.
+    `interferer_sigma_db`, not both.  The blind receivers pin all l_p
+    one-chip shifts of the desired code after decimation, so they need
+    those shifts to keep full column rank (l <= 5 at n=31, l_p=6).
     """
 
     n: int = 31                       # processing gain (31 or 63)
@@ -105,6 +119,11 @@ class ScenarioConfig:
         return self.n + self.l_p - 1
 
     @property
+    def gold_degree(self) -> int:
+        """Degree of the Gold family whose codes have length n."""
+        return 5 if self.n == 31 else 6
+
+    @property
     def first_decided(self) -> int:
         """Index of the first symbol that counts toward the BER (0 when blind)."""
         return 0 if self.mode == "blind" else self.n_tr
@@ -118,6 +137,9 @@ class ScenarioConfig:
         for name in ("normalized_steps", "freeze_interpolator", "known_channel"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false")
+        for name in ("ebn0_db", "interferer_sigma_db", "f_dt", "mu0", "eta0", "alpha", "delta"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number")
         if self.n not in (31, 63):
             raise ConfigError("processing gain must be 31 or 63")
         gold_family = self.n + 2
@@ -153,10 +175,7 @@ class ScenarioConfig:
                               f"{-10 * sys.float_info.max_10_exp} dB")
         if not 0 <= self.f_dt < 0.5:
             raise ConfigError("f_dt must lie in [0, 0.5) cycles per symbol")
-        try:
-            powers = [float(p) for p in self.path_powers]
-        except (TypeError, ValueError):
-            raise ConfigError("path powers must be numbers") from None
+        powers = _reals("path_powers", self.path_powers)
         # the profile is scaled to unit norm, so its squared norm must be
         # a positive finite double
         if not (all(0 <= p < math.inf for p in powers)
@@ -175,14 +194,13 @@ class ScenarioConfig:
             raise ConfigError("drawn delays take 1 to 3 path powers and l_p above the "
                               "largest delay (4 for two paths, 5 for three)")
         if self.interferer_db is not None:
-            if len(self.interferer_db) != self.k - 1:
+            offsets = _reals("interferer_db", self.interferer_db)
+            if len(offsets) != self.k - 1:
                 raise ConfigError("interferer_db must list k - 1 offsets")
-            try:
-                offsets = [float(o) for o in self.interferer_db]
-            except (TypeError, ValueError):
-                raise ConfigError("interferer offsets must be numbers") from None
-            if not all(math.isfinite(o) for o in offsets):
-                raise ConfigError("interferer offsets must be finite")
+            # the interferer power 10^(o/10) must be a finite double
+            if not all(-math.inf < o <= 10 * sys.float_info.max_10_exp for o in offsets):
+                raise ConfigError(f"interferer offsets must be finite and at most "
+                                  f"{10 * sys.float_info.max_10_exp} dB")
         if not 0 <= self.interferer_sigma_db < math.inf:
             raise ConfigError("interferer_sigma_db must be finite and non-negative")
         if self.interferer_db is not None and self.interferer_sigma_db > 0:
@@ -192,6 +210,13 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite and positive")
         if not 1 <= self.pd_rank <= self.m:
             raise ConfigError("pd_rank must be in [1, M]")
+        if self.algorithm in ("cmv-sg", "cmv-rls"):
+            code = signal_model.gen_gold_set(self.gold_degree, 1)[0]
+            try:
+                cmv.build_constraints(code, self.l_p, make_decimation(self.m, self.l))
+            except np.linalg.LinAlgError:
+                raise ConfigError(f"decimation by L={self.l} leaves the desired code's "
+                                  f"{self.l_p} constraints rank deficient") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -279,8 +304,7 @@ class _Link:
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
-        degree = 5 if cfg.n == 31 else 6
-        self.codes = signal_model.gen_gold_set(degree, cfg.k)
+        self.codes = signal_model.gen_gold_set(cfg.gold_degree, cfg.k)
         self.channel = _draw_channel(cfg, rng)
         self.amps = _draw_amplitudes(cfg, rng)
         self.sigma2 = 10.0 ** (-cfg.ebn0_db / 10.0)
@@ -563,9 +587,12 @@ def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
     MSE and the SINR's power ratio average linearly across runs; BER
     averages directly and the RLS breakdowns add up.  The reduction is
     ordered by run index, so the result is independent of `workers`.
+    The pool holds at most one process per run, since it may start all
+    of them at once.
     """
     runs = cfg.runs
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
+    workers = min(workers, runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, [cfg] * runs, seeds))

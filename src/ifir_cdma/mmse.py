@@ -75,27 +75,6 @@ def estimate_statistics(res: np.ndarray, bits: np.ndarray, v: np.ndarray,
                           sigma_b2=float(np.mean(np.abs(bits) ** 2)))
 
 
-def wiener_receiver(stats: MmseStatistics) -> np.ndarray:
-    """Reduced-rank Wiener filter w = R_bar^-1 p_bar."""
-    return solve_regularized(stats.r_bar, stats.p_bar)
-
-
-def wiener_interpolator(stats: MmseStatistics) -> np.ndarray:
-    """Interpolator Wiener solution v = R_u^-1 p_u."""
-    return solve_regularized(stats.r_u, stats.p_u)
-
-
-def mse_value(stats: MmseStatistics, which: str = "receiver") -> float:
-    """Minimum sample MSE sigma_b^2 - p^H R^-1 p for the chosen filter pair."""
-    if which == "receiver":
-        r, p = stats.r_bar, stats.p_bar
-    elif which == "interpolator":
-        r, p = stats.r_u, stats.p_u
-    else:
-        raise ValueError("which must be 'receiver' or 'interpolator'")
-    return stats.sigma_b2 - float(np.real(np.vdot(p, solve_regularized(r, p))))
-
-
 def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperator,
                    n_i: int, v0: np.ndarray | None = None, max_iter: int = 1000,
                    tol: float = 1e-8):
@@ -123,10 +102,10 @@ def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperat
     sweeps = []
     for _ in range(max_iter):
         stats = estimate_statistics(res, bits, v, w)
-        w = wiener_receiver(stats)
+        w = solve_regularized(stats.r_bar, stats.p_bar)
         history.append(stats.sigma_b2 - float(np.real(np.vdot(stats.p_bar, w))))
         stats = estimate_statistics(res, bits, v, w)
-        v_new = wiener_interpolator(stats)
+        v_new = solve_regularized(stats.r_u, stats.p_u)
         j_v = stats.sigma_b2 - float(np.real(np.vdot(stats.p_u, v_new)))
         scale = np.linalg.norm(v_new)
         v = v_new / scale

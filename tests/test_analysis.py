@@ -15,26 +15,6 @@ def random_psd(rng, n, floor=0.05):
     return a @ a.conj().T + floor * np.eye(n)
 
 
-class TestStabilityBound:
-    def test_diagonal(self):
-        bound = analysis.sg_stability_bound(np.diag([2.0, 1.0]))
-        assert bound.step_max == pytest.approx(1.0)
-        assert bound.step_max_trace == pytest.approx(2.0 / 3.0)
-
-    def test_scaled_identity(self):
-        bound = analysis.sg_stability_bound(3.0 * np.eye(5))
-        assert bound.step_max == pytest.approx(2.0 / 3.0)
-
-    def test_trace_is_conservative(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            r = random_psd(rng, 6)
-            bound = analysis.sg_stability_bound(r)
-            assert bound.step_max_trace <= bound.step_max + 1e-12
-            dim = r.shape[0]
-            assert bound.step_max <= 2.0 / (np.trace(r).real / dim) + 1e-12
-
-
 class TestExcessMseTrained:
     def test_closed_form_value(self):
         r = np.diag([0.6, 0.4])  # trace 1

@@ -162,11 +162,62 @@ def test_blind_run_reports_ber(tmp_path, capsys):
     {"algorithm": "lms", "ebn0_db": -1e308},
     {"algorithm": "lms", "path_powers": [1e200, 1, 1]},
     {"algorithm": "lms", "path_powers": [1e-200, 0, 0]},
+    # blind geometries whose decimated constraints lose rank
+    {"algorithm": "cmv-sg", "mode": "blind", "l": 6},
+    {"algorithm": "cmv-rls", "mode": "blind", "l": 8},
+    # wrongly typed or overflowing values
+    {"algorithm": "lms", "path_powers": "123"},
+    {"algorithm": "lms", "interferer_db": "1234567"},
+    {"algorithm": "lms", "interferer_db": [7000, 0, 0, 0, 0, 0, 0]},
+    {"algorithm": "lms", "mu0": True},
+    {"algorithm": "rls", "alpha": True},
+    {"algorithm": "lms", "path_powers": [1.0, True, 0.3]},
+    {"algorithm": "lms", "interferer_db": [0.0] * 6 + [False]},
+    # one input per remaining `validate` branch
+    {"algorithm": "lms", "n": 15},
+    {"algorithm": "lms", "k": 0},
+    {"algorithm": "lms", "k": 34},
+    {"algorithm": "lms", "l_p": 0},
+    {"algorithm": "lms", "l": 0},
+    {"algorithm": "lms", "n_i": 0},
+    {"algorithm": "lms", "symbols": 0},
+    {"algorithm": "lms", "runs": 0},
+    {"algorithm": "lms", "l": 37},
+    {"algorithm": "lms", "l": 4, "n_i": 10},
+    {"algorithm": "mmse"},
+    {"algorithm": "lms", "mode": "supervised"},
+    {"algorithm": "cmv-sg", "mode": "training"},
+    {"algorithm": "lms", "mode": "blind"},
+    {"algorithm": "rls", "alpha": 0.0},
+    {"algorithm": "rls", "alpha": 1.5},
+    {"algorithm": "lms", "n_tr": -1},
+    {"algorithm": "lms", "mode": "decision-directed", "n_tr": 61},
+    {"algorithm": "lms", "interferer_db": [0.0] * 3},
+    {"algorithm": "pd-lms", "pd_rank": 0},
+    {"algorithm": "pd-rls", "pd_rank": 37},
 ])
-def test_invalid_scenario_exits_two(tmp_path, doc):
+def test_invalid_scenario_exits_two(tmp_path, capsys, doc):
     code, out = run(tmp_path, write_config(tmp_path, {"runs": 1, "symbols": 60, **doc}))
     assert code == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("ifir-cdma: configuration error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("l", (2, 3, 4, 5))
+@pytest.mark.parametrize("alg", ("cmv-sg", "cmv-rls"))
+def test_blind_geometries_with_full_rank_constraints_run(tmp_path, alg, l):
+    code, _ = run(tmp_path, write_config(tmp_path, {"algorithm": alg, "mode": "blind",
+                                                    "l": l, "runs": 1, "symbols": 20}))
+    assert code == 0
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"algorithm": "lms", "runs": 1, "symbols": 20, "n_tr": 10})
+    out = tmp_path / "missing" / "out.json"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ifir-cdma: cannot write output:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("workers", ("0", "-2"))
@@ -201,13 +252,32 @@ def test_module_runs_a_scenario(tmp_path):
     {"algorithm": "lms", "path_delays": [0, 0, 2]},
     {"algorithm": "lms", "ebn0_db": -1e308},
     {"algorithm": "lms", "path_powers": [1e200, 1, 1]},
-], ids=("unknown-field", "repeated-delays", "ebn0-overflow", "power-overflow"))
+    {"algorithm": "cmv-sg", "mode": "blind", "l": 6},
+    {"algorithm": "lms", "path_powers": "123"},
+    {"algorithm": "lms", "interferer_db": [7000, 0, 0, 0, 0, 0, 0]},
+], ids=("unknown-field", "repeated-delays", "ebn0-overflow", "power-overflow",
+        "blind-rank-lost", "powers-string", "interferer-overflow"))
 def test_module_config_error_exits_two(tmp_path, doc):
     proc, out = run_module(tmp_path, {"runs": 1, "symbols": 60, **doc})
     assert proc.returncode == 2
     assert not out.exists()
     assert proc.stderr.startswith("ifir-cdma: configuration error:")
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_cli_import_loads_no_theory_module():
+    # the program path (cli -> harness -> adaptive/cmv) needs neither the
+    # batch MMSE design nor the convergence analysis
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ifir_cdma.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('ifir_cdma')))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout
+    assert "ifir_cdma.cli" in loaded
+    assert "ifir_cdma.mmse" not in loaded and "ifir_cdma.analysis" not in loaded
 
 
 def test_module_diverging_run_exits_three(tmp_path):

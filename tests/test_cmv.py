@@ -44,6 +44,13 @@ class TestConstraints:
             assert np.abs(cons.pi @ cons.pi - cons.pi).max() < 1e-10
             assert np.abs(cons.pi @ cons.dc).max() < 1e-10
 
+    @pytest.mark.parametrize("l", (6, 7, 8))
+    def test_rank_deficient_decimation_raises(self, l):
+        # M = 36, L_p = 6: L = 6 keeps M/L = 6 rows and still has rank 5,
+        # L = 7 and 8 keep 5 rows; no constraint set is built for them
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            default_cons(l=l)
+
     def test_projector_rank(self):
         cons = default_cons(l=2)
         rank = int(np.round(np.trace(cons.pi).real))
@@ -115,60 +122,6 @@ class TestShiftIteration:
             mapped = 1.0 - lam / np.trace(r).real
             assert np.all(mapped >= -1e-12)
             assert np.all(mapped <= 1.0 + 1e-12)
-
-
-class TestBlindChannelEstimate:
-    def test_single_path(self):
-        rng = np.random.default_rng(7)
-        code = gen_gold_set(5, 1)[0]
-        c = cmv.shifted_signatures(code, 1)
-        r = random_psd(rng, 31)
-        g = cmv.blind_channel_estimate(r, c)
-        assert np.allclose(g, [1.0])
-
-    def test_unit_norm_and_phase(self):
-        rng = np.random.default_rng(8)
-        code = gen_gold_set(5, 1)[0]
-        c = cmv.shifted_signatures(code, 4)
-        r = random_psd(rng, 34)
-        g = cmv.blind_channel_estimate(r, c)
-        assert abs(np.linalg.norm(g) - 1.0) < 1e-12
-        assert abs(g[0].imag) < 1e-10
-        assert g[0].real >= 0
-
-    def test_recovers_planted_channel(self):
-        # clean single user: the weighted despread matrix has its smallest
-        # eigenvector exactly along the planted channel
-        rng = np.random.default_rng(9)
-        code = gen_gold_set(5, 1)[0]
-        l_p = 3
-        g_true = np.array([1.0, 0.6 * np.exp(0.9j), 0.3 * np.exp(-2.1j)])
-        g_true /= np.linalg.norm(g_true)
-        c = cmv.shifted_signatures(code, l_p)
-        sig = c @ g_true
-        m = sig.size
-        samples = []
-        for _ in range(4000):
-            b = 1.0 if rng.random() < 0.5 else -1.0
-            n = 0.05 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            samples.append(b * sig + n)
-        samples = np.array(samples)
-        r = samples.T @ samples.conj() / len(samples)
-        r = 0.5 * (r + r.conj().T)
-        g_hat = cmv.blind_channel_estimate(r, c)
-        assert abs(np.vdot(g_hat, g_true)) > 0.999
-
-    def test_noiseless_sample_covariance(self):
-        # rank-one covariance exercises the internal diagonal loading
-        rng = np.random.default_rng(10)
-        code = gen_gold_set(5, 1)[0]
-        l_p = 2
-        g_true = np.array([0.8, 0.6j])
-        c = cmv.shifted_signatures(code, l_p)
-        sig = c @ g_true
-        r = np.outer(sig, sig.conj())
-        g_hat = cmv.blind_channel_estimate(r, c)
-        assert abs(np.vdot(g_hat, g_true / np.linalg.norm(g_true))) > 0.999
 
 
 class TestAgainstSimulatedLink:

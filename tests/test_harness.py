@@ -124,6 +124,36 @@ def test_worker_count_does_not_change_results(f_dt):
         assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
 
 
+def test_campaign_pool_capped_at_run_count(monkeypatch):
+    # the pool may fork all max_workers processes at its first submit, so
+    # it must not be sized by the worker count alone; a stand-in executor
+    # records the size it is given and maps in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = scenario("lms", runs=3, symbols=40, n_tr=10, seed=4)
+    pooled = harness.run_campaign(cfg, workers=10_000)
+    assert sizes == [3]
+    serial = harness.run_campaign(cfg, workers=1)
+    for name in ("mse", "sinr_db", "ber"):
+        assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes()
+    harness.run_campaign(scenario("lms", runs=1, symbols=40, n_tr=10), workers=10_000)
+    assert sizes == [3], "a one-run campaign needs no pool"
+
+
 def test_json_export_round_trip(tmp_path):
     s = harness.run_campaign(scenario("pd-rls", runs=2, symbols=120, seed=3))
     path = tmp_path / "series.json"

@@ -220,6 +220,24 @@ class TestFading:
         assert np.abs(got - expect).max() <= 1e-12
         assert abs(np.mean(np.abs(got[:n]) ** 2) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("fd, period", [(1e-3, 1 << 16), (1e-4, 1 << 20), (1e-5, 1 << 22)])
+    def test_period_doubles_to_the_cap(self, fd, period):
+        # doubled from 2^16 until N f_d >= 64, but never past 2^22
+        assert sm._period(fd) == period
+
+    def test_on_demand_samples_match_fft_block_slow_fading(self):
+        # the bench's fading regime, f_dt = 1e-4 with period 2^20: the first
+        # ~10 chunks against one inverse FFT of the same in-band draws
+        fd, n, used = 1e-4, 1 << 20, 3000
+        proc = sm.FadingProcess(fd)
+        rng, twin = np.random.default_rng(14), np.random.default_rng(14)
+        got = np.array([proc.next_gain(rng) for _ in range(used)])
+        assert 8 * proc._block.size < used
+        nb = int(np.sum(np.abs(np.fft.fftfreq(n)) < fd))
+        block = fading_fft_block(twin.standard_normal(nb) + 1j * twin.standard_normal(nb),
+                                 n, fd, sm._CLIP)
+        assert np.abs(got - block[:used]).max() <= 1e-12
+
     def test_chunk_memory_bounded_near_nyquist(self):
         proc = sm.FadingProcess(0.45)
         proc.next_gain(np.random.default_rng(13))
