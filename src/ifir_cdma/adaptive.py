@@ -8,13 +8,15 @@ Four algorithms operate on one received vector at a time:
 * blind CMV recursive least squares (`cmv_rls_step`).
 
 Within a step the output and error are computed with the pre-update
-filters, and both filters are updated from those same pre-update
-quantities (Jacobi ordering).  State objects are single-owner and
-mutated in place; every step returns the scalar the caller needs
-(error for trained, output for blind).  Every step takes `adapt_v`;
-with it false the interpolator v stays where it is and only w adapts.
-Every exponentially weighted inverse-covariance update goes through
-`rls_update`.
+filters.  The trained steps update both filters from those same
+pre-update quantities (Jacobi ordering).  The blind steps update v and
+then w, each onto its own hyperplane of the one constraint on the
+channel-combined signature (see `cmv`), so the constraint holds after
+every step.  State objects are single-owner and mutated in place; every
+step returns the scalar the caller needs (error for trained, output for
+blind).  Every step takes `adapt_v`; with it false the interpolator v
+stays where it is and only w adapts.  Every exponentially weighted
+inverse-covariance update goes through `rls_update`.
 """
 
 from __future__ import annotations
@@ -29,15 +31,10 @@ from .interpolation import DecimationOperator, ReceiverState, build_re_matrix, i
 _TINY = 1e-30
 
 
-def _start(n_i: int, v0: np.ndarray | None, w: np.ndarray,
-           unit_norm: bool = False) -> ReceiverState:
-    """Initial (v, w): a copy of v0 (the impulse by default), rescaled to
-    unit norm for the blind receivers."""
-    st = ReceiverState(v=impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy(),
-                       w=w)
-    if unit_norm:
-        st.v = st.v / np.linalg.norm(st.v)
-    return st
+def _start(n_i: int, v0: np.ndarray | None, w: np.ndarray) -> ReceiverState:
+    """Initial (v, w): a copy of v0 (the impulse by default) and w."""
+    return ReceiverState(v=impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy(),
+                         w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,7 @@ class SgChannelTracker:
         l_p = self.c.shape[1]
         gram = self.c.conj().T @ self.c
         tr = np.trace(gram).real
-        self.gram_inv = np.linalg.inv(gram + 1e-10 * (tr / l_p) * np.eye(l_p))
+        self.inv_gram = np.linalg.inv(gram + 1e-10 * (tr / l_p) * np.eye(l_p))
         self.alpha = alpha
         self.v_acc = np.zeros((l_p, l_p), dtype=complex)
         self.g_hat = impulse(l_p)
@@ -199,7 +196,7 @@ class SgChannelTracker:
     def update(self, r: np.ndarray) -> np.ndarray:
         y = self.c.conj().T @ r
         self.v_acc = self.alpha * self.v_acc + np.outer(y, y.conj())
-        cand = self.gram_inv @ (self.v_acc @ self.g_hat)
+        cand = self.inv_gram @ (self.v_acc @ self.g_hat)
         nrm = np.linalg.norm(cand)
         if nrm > _TINY:
             self.g_hat = cand / nrm
@@ -211,91 +208,96 @@ class SgChannelTracker:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BlindSgState:
-    """Constrained gradient state; the constraint DC^H w = g_hat is
-    re-anchored every step.  g_hat is set as in `BlindRlsState`."""
+class BlindState:
+    """What both blind receivers share: the one constraint on p = C g_hat.
+
+    g_hat starts at cons.g, or at the tracker's estimate, and re_p, the
+    segment matrix of p, is recomputed from the once-per-run gather
+    `segs = cons.segments(n_i)` only when g_hat changes.  w starts at the
+    minimum-norm filter meeting the constraint.
+    """
 
     state: ReceiverState
     cons: ConstraintSet
+    tracker: SgChannelTracker | None
+
+    def __post_init__(self):
+        self.segs = self.cons.segments(self.state.n_i)
+        self._constrain(self.cons.g if self.tracker is None else self.tracker.g_hat)
+        a_w = self.re_p.T @ self.state.v.conj()
+        self.state.w = a_w / np.vdot(a_w, a_w).real
+
+    def _constrain(self, g: np.ndarray | None) -> None:
+        """Hold the constraint at new values g; None keeps the current ones."""
+        if g is not None:
+            self.g_hat = np.array(g, dtype=complex)
+            self.re_p = (self.segs @ self.g_hat).reshape(self.state.n_i, -1)
+
+
+@dataclass
+class BlindSgState(BlindState):
+    """Constrained gradient state; mu0/eta0 as in `TrainedSgState`."""
+
     mu0: float
     eta0: float
     normalized: bool = True
-    tracker: SgChannelTracker | None = None
-    g_hat: np.ndarray = None
 
 
 def make_blind_sg(cons: ConstraintSet, n_i: int, mu0: float, eta0: float,
                   normalized: bool = True, tracker: SgChannelTracker | None = None,
                   v0: np.ndarray | None = None) -> BlindSgState:
-    g0 = np.array(cons.g if tracker is None else tracker.g_hat, dtype=complex)
-    w0 = cons.anchor @ g0  # minimum-norm feasible start
-    return BlindSgState(state=_start(n_i, v0, w0, unit_norm=True), cons=cons,
-                        mu0=mu0, eta0=eta0, normalized=normalized, tracker=tracker, g_hat=g0)
+    return BlindSgState(state=_start(n_i, v0, None), cons=cons, tracker=tracker,
+                        mu0=mu0, eta0=eta0, normalized=normalized)
 
 
-def cmv_sg_step(s: BlindSgState, r: np.ndarray, adapt_v: bool = True) -> complex:
+def _projected_descent(f: np.ndarray, grad: np.ndarray, cx: complex, a: np.ndarray,
+                       step0: float, normalized: bool) -> np.ndarray:
+    """f - step conj(x) grad, projected onto a^H f = 1.  The normalised step
+    is step0 / (grad^H Pi grad) with Pi = I - a a^H / ||a||^2; a vanishing
+    denominator skips the gradient (the projection still runs)."""
+    aa = np.vdot(a, a).real
+    ag = np.vdot(a, grad)
+    if normalized:
+        den = np.vdot(grad, grad).real - abs(ag) ** 2 / aa
+        step0 = step0 / den if den > _TINY else 0.0
+    step = step0 * cx
+    # the projection adds the multiple of a that restores a^H f = 1
+    return f - step * grad + ((1.0 - np.vdot(a, f) + step * ag) / aa) * a
+
+
+def cmv_sg_step(s: BlindSgState, r: np.ndarray, adapt_v: bool = True,
+                g: np.ndarray | None = None) -> complex:
     """One constrained-gradient update; returns the pre-update output x.
 
-    v <- (v - eta conj(x) u) / ||.|| and
-    w <- Pi (w - mu conj(x) rbar) + DC (DC^H DC)^-1 g_hat, so the
-    constraint DC^H w = g_hat holds exactly after every step.  Normalised
-    steps use mu0 / (rbar^H Pi rbar) and eta0 / ||u||^2; a vanishing
-    denominator skips that filter's gradient (the constraint re-anchoring
-    still runs).
+    `g`, when given, replaces the constraint values first (a tracker's
+    estimate does so every step).  Then v takes a gradient step on
+    |x|^2 projected onto v^H a_v = 1, a_v = Re_p conj(w), and w one
+    projected onto w^H a_w = 1, a_w = Re_p^T conj(v) with the new v, so
+    the constraint holds exactly after every step.  Both gradients use
+    the pre-update output.
     """
+    s._constrain(g if s.tracker is None else s.tracker.update(r))
     st = s.state
-    cons = s.cons
-    if s.tracker is not None:
-        s.g_hat = s.tracker.update(r).copy()
-    re = build_re_matrix(r, st.n_i, cons.dec)
-    u = re @ st.w.conj()
+    re = build_re_matrix(r, st.n_i, s.cons.dec)
     rbar = re.T @ st.v.conj()
     x = np.vdot(st.w, rbar)
     cx = np.conj(x)
-
     if adapt_v:
-        nu = np.real(np.vdot(u, u))
-        if s.normalized:
-            eta = s.eta0 / nu if nu > _TINY else 0.0
-        else:
-            eta = s.eta0
-        v_new = st.v - eta * cx * u
-        nrm = np.linalg.norm(v_new)
-        if nrm > _TINY:
-            st.v = v_new / nrm
-
-    pr = cons.pi @ rbar
-    npr = np.real(np.vdot(rbar, pr))
-    if s.normalized:
-        mu = s.mu0 / npr if npr > _TINY else 0.0
-    else:
-        mu = s.mu0
-    st.w = cons.pi @ (st.w - mu * cx * rbar) + cons.anchor @ s.g_hat
+        wc = st.w.conj()
+        st.v = _projected_descent(st.v, re @ wc, cx, s.re_p @ wc, s.eta0, s.normalized)
+    st.w = _projected_descent(st.w, rbar, cx, s.re_p.T @ st.v.conj(), s.mu0, s.normalized)
     return complex(x)
 
 
 @dataclass
-class BlindRlsState:
-    """Blind RLS state.
+class BlindRlsState(BlindState):
+    """Blind RLS state: p and p_u track the inverse weighted covariances of
+    rbar and u, as in `TrainedRlsState`."""
 
-    p tracks the inverse weighted covariance of rbar; gamma_inv tracks
-    (DC^H p DC)^-1 through exact rank-one updates, so the filter
-    w = p DC gamma_inv g_hat coincides with the batch constrained solution
-    on the same weighted sample covariance.  ru_acc accumulates the u
-    covariance for the interpolator shift iteration.  g_hat holds the
-    constraint values: the tracker's estimate (refreshed every step) with
-    a tracker, else a copy of cons.g that the caller may replace.
-    """
-
-    state: ReceiverState
-    cons: ConstraintSet
     p: np.ndarray
-    gamma_inv: np.ndarray
-    ru_acc: np.ndarray
+    p_u: np.ndarray
     alpha: float = 0.998
     delta: float = 100.0
-    tracker: SgChannelTracker | None = None
-    g_hat: np.ndarray = None
     breakdowns: int = 0
 
 
@@ -304,61 +306,38 @@ def make_blind_rls(cons: ConstraintSet, n_i: int, alpha: float = 0.998,
                    v0: np.ndarray | None = None) -> BlindRlsState:
     if not 0 < alpha < 1:
         raise ValueError("blind RLS needs a forgetting factor in (0, 1)")
-    m_red = cons.dec.m_red
-    g0 = np.array(cons.g if tracker is None else tracker.g_hat, dtype=complex)
-    w0 = cons.anchor @ g0
-    return BlindRlsState(state=_start(n_i, v0, w0, unit_norm=True), cons=cons,
-                         p=delta * np.eye(m_red, dtype=complex),
-                         gamma_inv=cons.gram_inv / delta,
-                         ru_acc=(1.0 / delta) * np.eye(n_i, dtype=complex),
-                         alpha=alpha, delta=delta,
-                         tracker=tracker, g_hat=g0)
+    return BlindRlsState(state=_start(n_i, v0, None), cons=cons, tracker=tracker,
+                         p=delta * np.eye(cons.dec.m_red, dtype=complex),
+                         p_u=delta * np.eye(n_i, dtype=complex), alpha=alpha, delta=delta)
 
 
-def _reinit_gamma(s: BlindRlsState) -> None:
-    """Breakdown recovery: recompute gamma_inv = (DC^H p DC)^-1 from p."""
-    gamma = s.cons.dc.conj().T @ (s.p @ s.cons.dc)
-    s.gamma_inv = np.linalg.inv(0.5 * (gamma + gamma.conj().T))
-    s.breakdowns += 1
+def _min_variance(p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """p a / (a^H p a): the filter meeting a^H f = 1 with the least
+    variance on the covariance whose inverse is p."""
+    pa = p @ a
+    return pa / np.vdot(a, pa).real
 
 
-def cmv_rls_step(s: BlindRlsState, r: np.ndarray, adapt_v: bool = True) -> complex:
+def cmv_rls_step(s: BlindRlsState, r: np.ndarray, adapt_v: bool = True,
+                 g: np.ndarray | None = None) -> complex:
     """One blind RLS update; returns the output of the refreshed filter.
 
-    Order per symbol: advance the channel estimate (when tracking);
-    accumulate the u covariance and advance the interpolator one shift
-    iteration (then renormalise; both skipped without `adapt_v`);
-    project with the new interpolator; rank-one update p (`rls_update`)
-    and gamma_inv; rebuild w = p DC gamma_inv g_hat.  A breakdown of either
-    update (non-positive denominator; p then restarts at delta*I)
-    recomputes gamma_inv from p.
+    After `g` (as in `cmv_sg_step`): `rls_update` advances p_u with u and
+    v <- p_u a_v / (a_v^H p_u a_v) (both skipped without `adapt_v`);
+    then it advances p with rbar of the new v, and
+    w <- p a_w / (a_w^H p a_w).  A breakdown (non-positive denominator;
+    that inverse restarts at delta*I) is counted in `breakdowns`.
     """
+    s._constrain(g if s.tracker is None else s.tracker.update(r))
     st = s.state
-    cons = s.cons
-    if s.tracker is not None:
-        s.g_hat = s.tracker.update(r).copy()
-    re = build_re_matrix(r, st.n_i, cons.dec)
-    u = re @ st.w.conj()
-
+    re = build_re_matrix(r, st.n_i, s.cons.dec)
     if adapt_v:
-        s.ru_acc = s.alpha * s.ru_acc + np.outer(u, u.conj())
-        tr_u = np.trace(s.ru_acc).real
-        if tr_u <= 0:
-            raise np.linalg.LinAlgError("u covariance estimate lost positivity")
-        v_new = st.v - (1.0 / tr_u) * (s.ru_acc @ st.v)
-        nrm = np.linalg.norm(v_new)
-        if nrm > _TINY:
-            st.v = v_new / nrm
-
+        wc = st.w.conj()
+        s.p_u, gain_u, _, _ = rls_update(s.p_u, re @ wc, s.alpha, s.delta)
+        s.breakdowns += gain_u is None
+        st.v = _min_variance(s.p_u, s.re_p @ wc)
     rbar = re.T @ st.v.conj()
-    s.p, gain, pr, denom = rls_update(s.p, rbar, s.alpha, s.delta)
-    z = cons.dc.conj().T @ pr
-    giz = s.gamma_inv @ z
-    down = denom - np.real(np.vdot(z, giz))
-    if gain is None or down <= 0:
-        _reinit_gamma(s)
-    else:
-        s.gamma_inv = s.alpha * (s.gamma_inv + np.outer(giz, giz.conj()) / down)
-
-    st.w = s.p @ (cons.dc @ (s.gamma_inv @ s.g_hat))
+    s.p, gain, _, _ = rls_update(s.p, rbar, s.alpha, s.delta)
+    s.breakdowns += gain is None
+    st.w = _min_variance(s.p, s.re_p.T @ st.v.conj())
     return complex(np.vdot(st.w, rbar))

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .interpolation import DecimationOperator, make_decimation
+from .interpolation import DecimationOperator, build_re_matrix, make_decimation
 from .mmse import segment_stack
 
 MAX_KRON_DIM = 40  # fourth-moment matrices hold dim^4 scalars
@@ -63,7 +63,9 @@ def excess_mse_blind(mu: float, r_bar: np.ndarray, pi: np.ndarray,
     xi = mu vec(R)^H T^-1 a with
     T = (R Pi)^T kron I + I kron (Pi R) - mu (Pi^T kron Pi) E4 and
     a = (Pi^T kron Pi) E4 vec(w_opt w_opt^H), where E4 is the sample
-    fourth moment of the projected vectors.
+    fourth moment of the projected vectors and Pi = Pi_w, the projector
+    I - a_w a_w^H / ||a_w||^2 onto the filter's constraint hyperplane
+    (see `build_blind_trajectory`).
     """
     r_bar = np.asarray(r_bar)
     dim = r_bar.shape[0]
@@ -83,7 +85,7 @@ def excess_mse_blind(mu: float, r_bar: np.ndarray, pi: np.ndarray,
 @dataclass
 class TrajectoryModel:
     """Linear recursion e(i+1) = A e(i) + B for the stacked mean tap
-    errors [e_w; e_v].
+    errors [e_w; e_v] (for the blind model, the stacked taps [w; v]).
 
     The recursion is a small-error linearisation: it describes the mean
     errors only for starts near the optimal pair (w_opt, v_opt), not
@@ -123,12 +125,12 @@ class TrajectoryModel:
         return sol
 
 
-def _cross_expectations(res, bits, v_opt, w_opt):
-    """Sample averages of the mixed segment-matrix moments."""
+def _cross_expectations(res, v_opt, w_opt):
+    """Per-sample rbar and u, and sample averages of the mixed
+    segment-matrix moments."""
     t = res.shape[0]
     rbar = np.einsum("tnm,n->tm", res, np.conj(v_opt))
     u = np.einsum("tnm,m->tn", res, np.conj(w_opt))
-    x_opt = np.einsum("tm,m->t", rbar, np.conj(w_opt))
     r_bar = np.einsum("tm,tn->mn", rbar, rbar.conj()) / t
     r_u = np.einsum("tm,tn->mn", u, u.conj()) / t
     # rows v^T Re^* and w^T Re^H applied sample-wise
@@ -136,23 +138,14 @@ def _cross_expectations(res, bits, v_opt, w_opt):
     row_w = np.einsum("m,tnm->tn", w_opt, res.conj())      # w^T Re^H  (= u^H)
     e_r_w = np.einsum("tm,tn->mn", rbar, row_w) / t        # E[rbar (w^T Re^H)]
     e_u_v = np.einsum("tm,tn->mn", u, row_v) / t           # E[u (v^T Re^*)]
-    if bits is not None:
-        e_opt = np.asarray(bits) - x_opt
-        drive_r = np.einsum("tm,t->m", rbar, e_opt.conj()) / t
-        drive_u = np.einsum("tm,t->m", u, e_opt.conj()) / t
-    else:
-        drive_r = drive_u = None
-    drive_x_u = np.einsum("tm,t->m", u, x_opt.conj()) / t
-    return dict(r_bar=r_bar, r_u=r_u, e_r_w=e_r_w, e_u_v=e_u_v,
-                drive_r=drive_r, drive_u=drive_u, drive_x_u=drive_x_u)
+    return dict(rbar=rbar, u=u, r_bar=r_bar, r_u=r_u, e_r_w=e_r_w, e_u_v=e_u_v)
 
 
-def _trajectory(ex, a12, b, mu: float, eta: float, mode: str) -> TrajectoryModel:
-    """Assemble A = [[I - mu R_bar, a12], [-eta E_uv, I - eta R_u]] with drive b."""
+def _transition(ex, mu: float, eta: float) -> np.ndarray:
+    """A = [[I - mu R_bar, -mu E_rw], [-eta E_uv, I - eta R_u]]."""
     a11 = np.eye(ex["r_bar"].shape[0]) - mu * ex["r_bar"]
     a22 = np.eye(ex["r_u"].shape[0]) - eta * ex["r_u"]
-    a = np.block([[a11, a12], [-eta * ex["e_u_v"], a22]])
-    return TrajectoryModel(a=a, b=b, mode=mode)
+    return np.block([[a11, -mu * ex["e_r_w"]], [-eta * ex["e_u_v"], a22]])
 
 
 def build_trained_trajectory(received, bits, v_opt, w_opt, mu: float, eta: float,
@@ -169,30 +162,44 @@ def build_trained_trajectory(received, bits, v_opt, w_opt, mu: float, eta: float
     different rate.
     """
     res = segment_stack(received, len(v_opt), dec)
-    ex = _cross_expectations(res, bits, np.asarray(v_opt), np.asarray(w_opt))
-    b = np.concatenate([mu * ex["drive_r"], eta * ex["drive_u"]])
-    return _trajectory(ex, -mu * ex["e_r_w"], b, mu, eta, "trained")
+    ex = _cross_expectations(res, np.asarray(v_opt), np.asarray(w_opt))
+    e_opt = np.asarray(bits) - np.einsum("tm,m->t", ex["rbar"], np.conj(w_opt))
+    drive_r, drive_u = (np.einsum("tm,t->m", z, e_opt.conj()) / len(e_opt)
+                        for z in (ex["rbar"], ex["u"]))
+    b = np.concatenate([mu * drive_r, eta * drive_u])
+    return TrajectoryModel(a=_transition(ex, mu, eta), b=b, mode="trained")
 
 
 def build_blind_trajectory(received, v_opt, w_opt, mu: float, eta: float,
                            cons, g_mean: np.ndarray) -> TrajectoryModel:
     """Transition matrix and drive for the blind constrained gradient.
 
-    The same blocks as `build_trained_trajectory`, except that the
-    filter's cross block is projected onto the constraint null space
-    and the drive holds the constraint anchor and the output term.
+    The blind gradient's linear part is the trained one's, so the model
+    takes the blocks of `build_trained_trajectory` and projects each
+    filter's row of them by its own constraint hyperplane: Pi_w for
+    a_w = Re_p^T conj(v_opt) and Pi_v for a_v = Re_p conj(w_opt), with
+    Re_p the segment matrix of p = C g_mean.  The drive is each filter's
+    minimum-norm feasible point a / ||a||^2, so the recursion runs on the
+    stacked taps [w; v] and every iterate meets both hyperplanes.
     """
+    v_opt, w_opt = np.asarray(v_opt), np.asarray(w_opt)
     res = segment_stack(received, len(v_opt), cons.dec)
-    ex = _cross_expectations(res, None, np.asarray(v_opt), np.asarray(w_opt))
-    b = np.concatenate([cons.anchor @ g_mean, -eta * ex["drive_x_u"]])
-    return _trajectory(ex, -mu * (cons.pi @ ex["e_r_w"]), b, mu, eta, "blind")
+    ex = _cross_expectations(res, v_opt, w_opt)
+    re_p = build_re_matrix(cons.c @ g_mean, len(v_opt), cons.dec)
+    a_w, a_v = re_p.T @ v_opt.conj(), re_p @ w_opt.conj()
+    a = _transition(ex, mu, eta)
+    q = len(w_opt)
+    for rows, f in ((slice(None, q), a_w), (slice(q, None), a_v)):
+        a[rows] -= np.outer(f, f.conj() @ a[rows]) / np.vdot(f, f).real   # Pi a[rows]
+    b = np.concatenate([f / np.vdot(f, f).real for f in (a_w, a_v)])
+    return TrajectoryModel(a=a, b=b, mode="blind")
 
 
 def mean_trajectory(model: TrajectoryModel, e0: np.ndarray, steps: int) -> np.ndarray:
     """Iterate the mean tap-error recursion; row i is the error after i steps.
 
     Meaningful for e0 near zero, where the linearisation holds.  The
-    iterates converge (for a stable model) to the point of the
+    iterates of a stable trained model converge to the point of the
     stationary line fixed_point() + span{[-w_opt; v_opt]} that e0's
     neutral component fixes, not to `fixed_point()` itself.
     """

@@ -79,9 +79,7 @@ class ScenarioConfig:
     three), the layout of the randomised multipath experiments.
     Interferer powers are dB offsets against the desired user, either
     fixed per user (`interferer_db`) or log-normal with
-    `interferer_sigma_db`, not both.  The blind receivers pin all l_p
-    one-chip shifts of the desired code after decimation, so they need
-    those shifts to keep full column rank (l <= 5 at n=31, l_p=6).
+    `interferer_sigma_db`, not both.
     """
 
     n: int = 31                       # processing gain (31 or 63)
@@ -201,8 +199,10 @@ class ScenarioConfig:
             if not all(-math.inf < o <= 10 * sys.float_info.max_10_exp for o in offsets):
                 raise ConfigError(f"interferer offsets must be finite and at most "
                                   f"{10 * sys.float_info.max_10_exp} dB")
-        if not 0 <= self.interferer_sigma_db < math.inf:
-            raise ConfigError("interferer_sigma_db must be finite and non-negative")
+        # a draw must pass 38 sigma to reach the offset cap above at 80 dB,
+        # a chance below 1e-300; wider spreads overflow the amplitudes
+        if not 0 <= self.interferer_sigma_db <= 80:
+            raise ConfigError("interferer_sigma_db must lie in [0, 80] dB")
         if self.interferer_db is not None and self.interferer_sigma_db > 0:
             raise ConfigError("give interferer_db or interferer_sigma_db, not both")
         for name in ("mu0", "eta0", "delta"):
@@ -210,13 +210,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite and positive")
         if not 1 <= self.pd_rank <= self.m:
             raise ConfigError("pd_rank must be in [1, M]")
-        if self.algorithm in ("cmv-sg", "cmv-rls"):
-            code = signal_model.gen_gold_set(self.gold_degree, 1)[0]
-            try:
-                cmv.build_constraints(code, self.l_p, make_decimation(self.m, self.l))
-            except np.linalg.LinAlgError:
-                raise ConfigError(f"decimation by L={self.l} leaves the desired code's "
-                                  f"{self.l_p} constraints rank deficient") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -400,8 +393,9 @@ def _interpolated_receiver(cfg: ScenarioConfig, link: _Link):
 
     `output(r)` applies the current (v, w) to a received vector and
     `adapt(r, d)` runs one adaptive step with reference symbol d (the
-    blind steps ignore it; with a known channel they take the link's
-    current gains as `state.g_hat`).  `state` serves the phase alignment.
+    blind steps ignore it; with a known channel their constraint holds
+    the link's gains, handed to the step every symbol only when the
+    channel fades).  `state` serves the phase alignment.
     """
     dec = make_decimation(cfg.m, cfg.l)
     v0 = _interpolator_init(cfg)
@@ -428,11 +422,10 @@ def _interpolated_receiver(cfg: ScenarioConfig, link: _Link):
             st = adaptive.make_blind_rls(cons, cfg.n_i, alpha=cfg.alpha,
                                          delta=cfg.delta, tracker=tracker, v0=v0)
             step = adaptive.cmv_rls_step
-
-        def adapt(r, d):
-            if cfg.known_channel:
-                st.g_hat = link.channel.gains.copy()
-            step(st, r, adapt_v=adapt_v)
+        if cfg.known_channel and cfg.f_dt > 0:
+            adapt = lambda r, d: step(st, r, adapt_v=adapt_v, g=link.channel.gains)
+        else:
+            adapt = lambda r, d: step(st, r, adapt_v=adapt_v)
     return (lambda r: receiver_output(st.state, r, dec)), adapt, st
 
 
@@ -527,8 +520,10 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     and the updated receiver's outputs for r and its desired-only part
     (a-posteriori).  MSE, BER and the windowed SINR are metered from those
     records after the loop.  The metadata counts decided symbols and the
-    RLS breakdowns (0 for receivers without RLS).  A diverged run, one
-    whose squared error overflows or is not finite, raises LinAlgError.
+    RLS breakdowns (0 for receivers without RLS); `phase_reference` is
+    "genie" where `_align_phase` rotated the decisions by the true
+    channel (tracked blind runs), else None.  A diverged run, one whose
+    squared error overflows or is not finite, raises LinAlgError.
     """
     cfg.validate()
     rng = np.random.default_rng(run_seed)
@@ -563,7 +558,8 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     return MetricSeries(mse=mse, sinr_db=_sinr_db(out, out_des), ber=ber,
                         metadata={**cfg.to_dict(), "run_seed": int(run_seed),
                                   "decided": max(t - first, 0),
-                                  "breakdowns": getattr(st, "breakdowns", 0)})
+                                  "breakdowns": getattr(st, "breakdowns", 0),
+                                  "phase_reference": "genie" if tracking else None})
 
 
 def iter_symbols(cfg: ScenarioConfig, run_seed):

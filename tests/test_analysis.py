@@ -169,8 +169,9 @@ class TestMeanTrajectory:
         assert d_end < 0.2 * d0  # contracting toward the stationary line
 
     def test_blind_model_shares_trained_blocks(self):
-        # built from the same samples, the blind model differs from the
-        # trained one only in the projected (1,2) block and its drive
+        # built from the same samples, the blind model is the trained one
+        # with each filter's rows projected onto its constraint hyperplane,
+        # driven by that hyperplane's minimum-norm point
         cfg, rs, bs = build_trained_setup(symbols=300)
         dec = make_decimation(cfg.m, cfg.l)
         rng = np.random.default_rng(4)
@@ -182,10 +183,12 @@ class TestMeanTrajectory:
                                              g_mean=g_mean)
         q = dec.m_red
         assert bl.mode == "blind"
-        for rows, cols in ((slice(None, q), slice(None, q)), (slice(q, None), slice(None))):
-            np.testing.assert_array_equal(bl.a[rows, cols], tr.a[rows, cols])
-        np.testing.assert_allclose(bl.a[:q, q:], cons.pi @ tr.a[:q, q:], rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(bl.b[:q], cons.anchor @ g_mean, rtol=1e-12, atol=1e-14)
+        re_p = build_re_matrix(cons.c @ g_mean, cfg.n_i, dec)
+        for rows, a in ((slice(None, q), re_p.T @ v.conj()), (slice(q, None), re_p @ w.conj())):
+            pi = np.eye(a.size) - np.outer(a, a.conj()) / np.vdot(a, a).real
+            np.testing.assert_allclose(bl.a[rows], pi @ tr.a[rows], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(bl.b[rows], a / np.vdot(a, a).real,
+                                       rtol=1e-12, atol=1e-14)
 
     def test_predicted_decay_matches_ensemble(self):
         # ensemble-averaged tap error of the raw-step gradient algorithm

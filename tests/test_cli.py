@@ -162,9 +162,9 @@ def test_blind_run_reports_ber(tmp_path, capsys):
     {"algorithm": "lms", "ebn0_db": -1e308},
     {"algorithm": "lms", "path_powers": [1e200, 1, 1]},
     {"algorithm": "lms", "path_powers": [1e-200, 0, 0]},
-    # blind geometries whose decimated constraints lose rank
-    {"algorithm": "cmv-sg", "mode": "blind", "l": 6},
-    {"algorithm": "cmv-rls", "mode": "blind", "l": 8},
+    # log-normal spreads whose amplitudes overflow
+    {"algorithm": "lms", "interferer_sigma_db": 1e10},
+    {"algorithm": "lms", "interferer_sigma_db": 1e300},
     # wrongly typed or overflowing values
     {"algorithm": "lms", "path_powers": "123"},
     {"algorithm": "lms", "interferer_db": "1234567"},
@@ -204,12 +204,21 @@ def test_invalid_scenario_exits_two(tmp_path, capsys, doc):
     assert err.startswith("ifir-cdma: configuration error:") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("l", (2, 3, 4, 5))
+@pytest.mark.parametrize("l", (2, 3, 4, 5, 6, 7, 8))
 @pytest.mark.parametrize("alg", ("cmv-sg", "cmv-rls"))
 def test_blind_geometries_with_full_rank_constraints_run(tmp_path, alg, l):
+    # one constraint on p = C g needs no rank from the l_p decimated
+    # shifts, so L = 6..8 (rank 5 at N=31, l_p=6) run as well
     code, _ = run(tmp_path, write_config(tmp_path, {"algorithm": alg, "mode": "blind",
                                                     "l": l, "runs": 1, "symbols": 20}))
     assert code == 0
+
+
+def test_widest_interferer_spread_runs(tmp_path):
+    code, out = run(tmp_path, write_config(tmp_path, {"algorithm": "lms", "runs": 1,
+                                                      "symbols": 60, "n_tr": 20,
+                                                      "interferer_sigma_db": 80.0}))
+    assert code == 0 and out.exists()
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):
@@ -252,11 +261,11 @@ def test_module_runs_a_scenario(tmp_path):
     {"algorithm": "lms", "path_delays": [0, 0, 2]},
     {"algorithm": "lms", "ebn0_db": -1e308},
     {"algorithm": "lms", "path_powers": [1e200, 1, 1]},
-    {"algorithm": "cmv-sg", "mode": "blind", "l": 6},
     {"algorithm": "lms", "path_powers": "123"},
     {"algorithm": "lms", "interferer_db": [7000, 0, 0, 0, 0, 0, 0]},
+    {"algorithm": "lms", "interferer_sigma_db": 1e300},
 ], ids=("unknown-field", "repeated-delays", "ebn0-overflow", "power-overflow",
-        "blind-rank-lost", "powers-string", "interferer-overflow"))
+        "powers-string", "interferer-overflow", "sigma-overflow"))
 def test_module_config_error_exits_two(tmp_path, doc):
     proc, out = run_module(tmp_path, {"runs": 1, "symbols": 60, **doc})
     assert proc.returncode == 2

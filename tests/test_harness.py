@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ifir_cdma import adaptive, harness, signal_model
+from ifir_cdma.interpolation import build_re_matrix
 from oracles import build_block_matrix, build_channel_matrix, per_symbol_trial
 
 # Recorded on a small seeded scenario (runs=2, symbols=400, seed=5, default
@@ -18,10 +19,10 @@ PINS = {
             6.617509275387561, 7.641191153610264, 0.005),
     "rls": (0.18482705952773365, 6.988950662841649, 0.0,
             6.336237681592217, 7.883187664946503, 0.0),
-    "cmv-sg": (1.147697739236009, -8.450538410055541, 0.29875,
-               -3.8896340443971074, -10.541807446183922, 0.29875),
-    "cmv-rls": (1.1122283591341349, -15.44376246141061, 0.39875,
-                -13.742905642432266, -16.63292015624333, 0.39875),
+    "cmv-sg": (0.34287352433171475, 5.468309982965554, 0.02375,
+               5.15387610108892, 5.832697156632625, 0.02375),
+    "cmv-rls": (0.4846030038483885, 3.8378018719363616, 0.05375,
+                4.0272459499797115, 3.4810322560598665, 0.05375),
     "rake": (0.2705643277599483, 5.998613142664314, 0.0275,
              6.121696457835379, 6.497350063043127, 0.0275),
     "pd-lms": (0.20083010270562915, 7.206395236312943, 0.0075,
@@ -36,6 +37,15 @@ FACTORIES = ("make_trained_sg", "make_trained_rls", "make_blind_sg", "make_blind
 def scenario(alg, **kw):
     kw.setdefault("mode", "blind" if alg.startswith("cmv") else "training")
     return harness.ScenarioConfig(algorithm=alg, **kw)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("alg", harness.ALGORITHMS)
+def test_every_algorithm_clears_the_floor(alg, seed):
+    # the default scenario, as the paper's receivers must detect it
+    s = harness.run_campaign(scenario(alg, runs=2, symbols=1000, seed=seed))
+    sm = s.summary()
+    assert sm["final_sinr_db"] >= 3.0 and sm["final_ber"] <= 0.05, sm
 
 
 @pytest.mark.parametrize("alg", harness.ALGORITHMS)
@@ -154,6 +164,21 @@ def test_campaign_pool_capped_at_run_count(monkeypatch):
     assert sizes == [3], "a one-run campaign needs no pool"
 
 
+@pytest.mark.parametrize("alg, change, reference", (
+    ("cmv-sg", {"known_channel": False}, "genie"),
+    ("cmv-rls", {"known_channel": False}, "genie"),
+    ("cmv-sg", {}, None),
+    ("cmv-rls", {"f_dt": 1e-3}, None),
+    ("lms", {}, None),
+    ("rake", {}, None)))
+def test_export_names_a_genie_phase_reference(tmp_path, alg, change, reference):
+    # tracked blind runs rotate their decisions by the true channel
+    s = harness.run_campaign(scenario(alg, runs=2, symbols=40, n_tr=20, **change))
+    path = tmp_path / "series.json"
+    harness.export(s, path, "json")
+    assert json.loads(path.read_text())["metadata"]["phase_reference"] == reference
+
+
 def test_json_export_round_trip(tmp_path):
     s = harness.run_campaign(scenario("pd-rls", runs=2, symbols=120, seed=3))
     path = tmp_path / "series.json"
@@ -268,16 +293,18 @@ def test_unknown_export_format(tmp_path):
 
 @pytest.mark.parametrize("alg", ("cmv-sg", "cmv-rls"))
 def test_known_channel_constraint_follows_fading(alg):
-    # with a known channel both blind receivers constrain DC^H w to the
-    # link's current gains, symbol by symbol, under fading
+    # with a known channel both blind receivers hold their response to
+    # p = C g at 1 for the link's current gains, symbol by symbol, under fading
     cfg = scenario(alg, runs=1, symbols=300, f_dt=1e-3)
     link = harness._Link(cfg, np.random.default_rng(23))
     _, adapt, st = harness._interpolated_receiver(cfg, link)
-    dc_h = st.cons.dc.conj().T
     for i in range(cfg.symbols):
         r, b, _ = link.step(i)
         adapt(r, b)
-        assert np.abs(dc_h @ st.state.w - link.channel.gains).max() <= 1e-9
+        re_p = build_re_matrix(st.cons.c @ link.channel.gains, cfg.n_i, st.cons.dec)
+        v, w = st.state.v, st.state.w
+        assert abs(np.vdot(w, re_p.T @ v.conj()) - 1) <= 1e-9
+        assert abs(np.vdot(v, re_p @ w.conj()) - 1) <= 1e-9
 
 
 def test_benchmark_scenarios_validate():
