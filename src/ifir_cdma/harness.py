@@ -29,7 +29,6 @@ import json
 import math
 import numbers
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -165,6 +164,8 @@ class ScenarioConfig:
             raise ConfigError("cmv-rls needs a forgetting factor below 1")
         if self.interpolator_init not in ("impulse", "linear"):
             raise ConfigError("interpolator_init must be 'impulse' or 'linear'")
+        if self.algorithm == "rake" and self.n_tr < 1:
+            raise ConfigError("rake needs at least one training symbol")
         if self.n_tr < 0 or (self.mode == "decision-directed" and self.n_tr > self.symbols):
             raise ConfigError("training length must fit in the symbol budget")
         # the noise variance 10^(-ebn0_db/10) must be a finite double
@@ -433,10 +434,11 @@ class _Projected:
     """RAKE and partial-despreading baselines: a combiner w on y = proj^H r.
 
     RAKE's combiner is the least-squares channel estimate from the first
-    n_tr symbols, scaled to unit gain; pd-lms adapts w by LMS, normalised
-    by ||y||^2 under `normalized_steps` as `lms` is, and pd-rls by RLS
-    (counting breakdowns in `breakdowns`).  `output` and `adapt`
-    behave as in `_interpolated_receiver`.
+    n_tr symbols, scaled to unit gain; the normal matrix G = C^H C of its
+    shifted signatures C is inverted once per run.  pd-lms adapts w by
+    LMS, normalised by ||y||^2 under `normalized_steps` as `lms` is, and
+    pd-rls by RLS (counting breakdowns in `breakdowns`).  `output` and
+    `adapt` behave as in `_interpolated_receiver`.
     The regressor of the last r is kept, so the loop's output, adapt,
     output sequence on one r projects it once.
     """
@@ -450,7 +452,8 @@ class _Projected:
         self.proj_h = self.proj.conj().T
         dim = self.proj.shape[1]
         self.w = np.zeros(dim, dtype=complex)
-        self.gram = self.proj_h @ self.proj            # rake: least-squares normal matrix
+        if cfg.algorithm == "rake":
+            self.gram_inv = np.linalg.inv(self.proj_h @ self.proj)
         self.acc = np.zeros(dim, dtype=complex)        # rake: sum of conj(b) y so far
         self.trained = 0
         self.p_inv = cfg.delta * np.eye(dim, dtype=complex)   # pd-rls inverse covariance
@@ -472,9 +475,10 @@ class _Projected:
             if self.trained < cfg.n_tr:
                 self.trained += 1
                 self.acc += np.conj(d) * y
-                g_hat = np.linalg.solve(self.gram, self.acc / self.trained)
-                self.w = g_hat / max(
-                    np.real(np.vdot(g_hat, self.proj_h @ (self.proj @ g_hat))), 1e-12)
+                a = self.acc / self.trained
+                g_hat = self.gram_inv @ a
+                # G g_hat = a, so the unit-gain scale g_hat^H G g_hat is g_hat^H a
+                self.w = g_hat / max(np.real(np.vdot(g_hat, a)), 1e-12)
             return
         xi = d - complex(np.vdot(self.w, y))
         if cfg.algorithm == "pd-rls":
@@ -590,6 +594,8 @@ def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
     workers = min(workers, runs)
     if workers > 1:
+        # imported here, so a start that needs no pool loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, [cfg] * runs, seeds))
     else:
@@ -632,13 +638,16 @@ def export(series: MetricSeries, path, fmt: str = "csv") -> None:
             "columns": CSV_COLUMNS,
             "series": {
                 "iteration": list(range(len(series.mse))),
-                "mse": [float(x) for x in series.mse],
-                "sinr_db": [float(x) for x in series.sinr_db],
-                "ber": [float(x) for x in series.ber],
+                "mse": series.mse.tolist(),
+                "sinr_db": series.sinr_db.tolist(),
+                "ber": series.ber.tolist(),
             },
             "summary": series.summary(),
         }
+        # compact json.dumps runs the C encoder (json.dump never does); it
+        # encodes before the file opens, so a value it cannot encode leaves none
+        text = json.dumps(doc)
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(text)
     else:
         raise ValueError("format must be 'csv' or 'json'")

@@ -182,6 +182,27 @@ def build_channel_matrix(gains: np.ndarray, n: int, l_s: int) -> np.ndarray:
     return h
 
 
+def rake_combiners(code, l_p: int, rs, bs) -> np.ndarray:
+    """RAKE combiner after each training symbol, one linear solve per symbol.
+
+    C holds the code delayed by 0..l_p-1 chips in M = N + l_p - 1 samples.
+    After symbol i, g solves (C^H C) g = a, a the mean of conj(b) C^H r so
+    far, and w = g / Re(g^H C^H C g) (at least 1e-12).
+    """
+    n = len(code)
+    c = np.zeros((n + l_p - 1, l_p), dtype=complex)
+    for j in range(l_p):
+        c[j:j + n, j] = code
+    gram = c.conj().T @ c
+    acc = np.zeros(l_p, dtype=complex)
+    ws = []
+    for i, (r, b) in enumerate(zip(rs, bs)):
+        acc = acc + np.conj(b) * (c.conj().T @ r)
+        g = np.linalg.solve(gram, acc / (i + 1))
+        ws.append(g / max(np.real(np.vdot(g, c.conj().T @ (c @ g))), 1e-12))
+    return np.array(ws)
+
+
 def fading_fft_block(white: np.ndarray, n: int, doppler: float, clip: float) -> np.ndarray:
     """One period of Doppler fading by a full-length inverse FFT.
 

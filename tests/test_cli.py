@@ -195,6 +195,8 @@ def test_blind_run_reports_ber(tmp_path, capsys):
     {"algorithm": "lms", "interferer_db": [0.0] * 3},
     {"algorithm": "pd-lms", "pd_rank": 0},
     {"algorithm": "pd-rls", "pd_rank": 37},
+    # a RAKE without training symbols has no combiner
+    {"algorithm": "rake", "runs": 1, "symbols": 300, "n_tr": 0},
 ])
 def test_invalid_scenario_exits_two(tmp_path, capsys, doc):
     code, out = run(tmp_path, write_config(tmp_path, {"runs": 1, "symbols": 60, **doc}))
@@ -276,17 +278,20 @@ def test_module_config_error_exits_two(tmp_path, doc):
 
 def test_cli_import_loads_no_theory_module():
     # the program path (cli -> harness -> adaptive/cmv) needs neither the
-    # batch MMSE design nor the convergence analysis
+    # batch MMSE design nor the convergence analysis, nor the process
+    # pool that only a campaign with workers > 1 starts
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, ifir_cdma.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('ifir_cdma')))"],
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith(('ifir_cdma', 'concurrent.futures'))))"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout
     assert "ifir_cdma.cli" in loaded
     assert "ifir_cdma.mmse" not in loaded and "ifir_cdma.analysis" not in loaded
+    assert "concurrent.futures.process" not in loaded
 
 
 def test_module_diverging_run_exits_three(tmp_path):

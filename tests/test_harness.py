@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib.util
 import json
@@ -8,7 +9,8 @@ import pytest
 
 from ifir_cdma import adaptive, harness, signal_model
 from ifir_cdma.interpolation import build_re_matrix
-from oracles import build_block_matrix, build_channel_matrix, per_symbol_trial
+from oracles import (build_block_matrix, build_channel_matrix, per_symbol_trial,
+                     rake_combiners)
 
 # Recorded on a small seeded scenario (runs=2, symbols=400, seed=5, default
 # n_tr=200): summary() as (final_mse, final_sinr_db, final_ber), then
@@ -153,7 +155,7 @@ def test_campaign_pool_capped_at_run_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = scenario("lms", runs=3, symbols=40, n_tr=10, seed=4)
     pooled = harness.run_campaign(cfg, workers=10_000)
     assert sizes == [3]
@@ -291,6 +293,15 @@ def test_unknown_export_format(tmp_path):
         harness.export(s, tmp_path / "series.xml", "xml")
 
 
+def test_unencodable_metadata_leaves_no_json(tmp_path):
+    s = harness.run_campaign(scenario("lms", runs=1, symbols=10))
+    s.metadata["note"] = object()
+    path = tmp_path / "series.json"
+    with pytest.raises(TypeError):
+        harness.export(s, path, "json")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("alg", ("cmv-sg", "cmv-rls"))
 def test_known_channel_constraint_follows_fading(alg):
     # with a known channel both blind receivers hold their response to
@@ -347,6 +358,28 @@ def test_n63_campaign_is_finite(alg):
     for name in ("mse", "sinr_db", "ber"):
         series = getattr(s, name)
         assert series.shape == (300,) and np.all(np.isfinite(series)), name
+
+
+@pytest.mark.parametrize("change", (
+    pytest.param({}, id="default"),
+    pytest.param({"n": 63, "k": 4, "l_p": 8}, id="n63")))
+def test_rake_combiner_matches_per_symbol_solve(change):
+    # w after every training symbol against a fresh solve of the normal
+    # equations scaled by g^H C^H C g; past n_tr, w stays frozen
+    cfg = scenario("rake", runs=1, symbols=260, **change)
+    link = harness._Link(cfg, np.random.default_rng(29))
+    rx = harness._Projected(cfg, link)
+    rs, bs, ws = [], [], []
+    for i in range(cfg.symbols):
+        r, b, _ = link.step(i)
+        rx.adapt(r, b)
+        rs.append(r)
+        bs.append(b)
+        ws.append(rx.w.copy())
+    expect = rake_combiners(link.codes[0], cfg.l_p, rs[:cfg.n_tr], bs[:cfg.n_tr])
+    for got, ref in zip(ws, expect):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert all(np.array_equal(w, ws[cfg.n_tr - 1]) for w in ws[cfg.n_tr:])
 
 
 @pytest.mark.parametrize("normalized", (True, False))
