@@ -40,6 +40,8 @@ CSV_COLUMNS = ["iteration", "mse", "sinr_db", "ber", "algorithm", "L", "N_I", "s
 SINR_WINDOW = 0.98
 SUMMARY_TAIL = 200                    # last symbols the summary's MSE and SINR average
 # Symbols of noise drawn per generator call: 256 x 2 x M doubles, ~150 kB at M=36.
+# It divides every fading period (powers of two from 2^16), which `_Link`
+# relies on to draw a faded chunk's noise before its gains.
 NOISE_CHUNK = 256
 
 ALGORITHMS = ("lms", "rls", "cmv-sg", "cmv-rls", "rake", "pd-lms", "pd-rls")
@@ -126,9 +128,11 @@ class ScenarioConfig:
         return 0 if self.mode == "blind" else self.n_tr
 
     def validate(self) -> None:
+        # integers are stored as Python ints, which the JSON export encodes
         for name in ("n", "k", "l_p", "l", "n_i", "n_tr", "symbols", "runs", "pd_rank", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
+            setattr(self, name, int(getattr(self, name)))
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         for name in ("normalized_steps", "freeze_interpolator", "known_channel"):
@@ -189,6 +193,7 @@ class ScenarioConfig:
                 raise ConfigError("path delays must be integers in [0, l_p)")
             if len(set(self.path_delays)) != n_paths:
                 raise ConfigError("path delays must be distinct")
+            self.path_delays = [int(d) for d in self.path_delays]
         elif not 1 <= n_paths <= 3 or self.l_p <= (0, 4, 5)[n_paths - 1]:
             raise ConfigError("drawn delays take 1 to 3 path powers and l_p above the "
                               "largest delay (4 for two paths, 5 for three)")
@@ -290,9 +295,20 @@ class _Link:
     """One run's synthesized downlink, stepped symbol by symbol from 0.
 
     Noise comes in chunks of NOISE_CHUNK symbols, each drawn at its first
-    symbol (after that symbol's fading step) and scaled by the `sigma2`
-    in force then.  One (chunk, 2, M) draw holds the values that per-
-    symbol real and imaginary draws of M would, in the same order.
+    symbol and scaled by the `sigma2` in force then.  A faded link then
+    draws the chunk's path gains and forms its noiseless vectors and
+    desired signatures at once; each symbol copies its gain row into
+    `channel.gains`.  Drawing the noise first keeps the generator order
+    of stepping the gains symbol by symbol: gains draw from it only at a
+    fading period's first sample (its spectrum), which belongs to symbol
+    period - 1, the last of a chunk, since NOISE_CHUNK divides the period.
+
+    A (chunk, 2, M) noise draw holds the values that per-symbol real and
+    imaginary draws of M would, in the same order, only until a fading
+    period wraps: per-symbol draws take the noise of symbol period - 1
+    after the new spectrum, the chunk took it before.  From that symbol
+    on, a faded link's draws part from per-symbol ones; a static link's
+    never do.
     """
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
@@ -324,22 +340,31 @@ class _Link:
             self._code_matrix = cmv.shifted_signatures(self.codes[0], cfg.l_p)
         self.signature = signal_model.effective_signature(self.codes[0], self.channel.gains)
         self._noise = None
+        self._gains = self._faded = self._signatures = None   # a faded link's chunk
 
     def step(self, i: int):
         """Received vector, desired symbol, and desired-only component for symbol i."""
         cfg = self.cfg
         off = self.l_s - 1
         b = self.desired[i]
+        k = i % NOISE_CHUNK
+        if k == 0:
+            size = min(NOISE_CHUNK, cfg.symbols - i)
+            z = self.rng.standard_normal((size, 2, self.m))
+            self._noise = np.sqrt(self.sigma2 / 2.0) * (z[:, 0] + 1j * z[:, 1])
+            if not self._static:
+                self._gains = signal_model.fading_gains(self.channel, size, self.rng)
+                # batched as a @ g[..., None], each product equals the
+                # per-symbol a @ g bit for bit; g @ a.T sums in another order
+                g = self._gains[:, :, None]
+                self._faded = (self._windows[i:i + size] @ g)[..., 0]
+                self._signatures = (self._code_matrix @ g)[..., 0]
         if self._static:
             clean = self._clean[(i + off) * cfg.n:(i + off) * cfg.n + self.m]
         else:
-            gains = signal_model.fading_step(self.channel, self.rng).gains
-            clean = self._windows[i] @ gains
-            self.signature = self._code_matrix @ gains
-        k = i % NOISE_CHUNK
-        if k == 0:
-            z = self.rng.standard_normal((min(NOISE_CHUNK, cfg.symbols - i), 2, self.m))
-            self._noise = np.sqrt(self.sigma2 / 2.0) * (z[:, 0] + 1j * z[:, 1])
+            clean = self._faded[k]
+            self.channel.gains[:] = self._gains[k]
+            self.signature = self._signatures[k]
         r = clean + self._noise[k]
         r_des = (self.amps[0] * b) * self.signature
         return r, b, r_des

@@ -161,14 +161,28 @@ class FadingProcess:
     _start: int = 0                   # position of _block[0] in the period
     _spectrum: np.ndarray = field(default=None, repr=False)
 
-    def next_gain(self, rng: np.random.Generator) -> complex:
+    def next_gains(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """The next `count` samples, copied slice by slice out of the chunks.
+
+        A chunk is made, and a new period's spectrum drawn from `rng`,
+        only when its first sample is taken, so any split of the same
+        samples into calls draws the same values in the same order.
+        """
         if self.doppler <= 0:
             raise ValueError("static channel has no fading process")
-        if self._block is None or self._pos >= self._block.size:
-            self._next_chunk(rng)
-        g = self._block[self._pos]
-        self._pos += 1
-        return g
+        out = np.empty(count, dtype=complex)
+        done = 0
+        while done < count:
+            if self._block is None or self._pos >= self._block.size:
+                self._next_chunk(rng)
+            take = min(count - done, self._block.size - self._pos)
+            out[done:done + take] = self._block[self._pos:self._pos + take]
+            self._pos += take
+            done += take
+        return out
+
+    def next_gain(self, rng: np.random.Generator) -> complex:
+        return self.next_gains(1, rng)[0]
 
     def _next_chunk(self, rng: np.random.Generator) -> None:
         period = _period(self.doppler)
@@ -230,17 +244,18 @@ def make_channel(path_powers, path_delays, l_p: int, doppler: float = 0.0,
                               fading=fading)
 
 
-def fading_step(channel: ChannelRealization, rng: np.random.Generator) -> ChannelRealization:
-    """Advance every path gain by one symbol interval.
+def fading_gains(channel: ChannelRealization, count: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The next `count` gain vectors of a fading channel, as count x l_p rows.
 
-    A static channel (no fading processes) is left untouched.  The
-    channel object is updated in place and returned.
+    Rows are consecutive symbol intervals, each path's process going on
+    where it stopped; inactive delays hold zeros.  The processes advance
+    path by path, and `channel.gains` itself is left unchanged.
     """
-    if channel.fading is None:
-        return channel
+    gains = np.zeros((count, channel.gains.size), dtype=complex)
     for p, d, proc in zip(channel.path_powers, channel.path_delays, channel.fading):
-        channel.gains[d] = p * proc.next_gain(rng)
-    return channel
+        gains[:, d] = p * proc.next_gains(count, rng)
+    return gains
 
 
 def effective_signature(code: np.ndarray, gains: np.ndarray) -> np.ndarray:

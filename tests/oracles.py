@@ -4,7 +4,8 @@ Everything here is written from first principles against the math, not
 by calling into the package, so each check runs through two separate
 code paths.  The exception is `per_symbol_trial`: it drives the
 package's link and receivers through the trial loop as it ran before
-noise was drawn in chunks and metering moved after the loop.
+noise and fading gains were drawn in chunks and metering moved after
+the loop.
 """
 
 import numpy as np
@@ -220,8 +221,8 @@ def fading_fft_block(white: np.ndarray, n: int, doppler: float, clip: float) -> 
     return block / np.sqrt(np.mean(np.abs(block) ** 2))
 
 
-# The per-symbol trial loop: noise drawn for each symbol on its own and
-# the SINR meter updated inside the loop.
+# The per-symbol trial loop: each path's gain stepped and noise drawn for
+# each symbol on its own, and the SINR meter updated inside the loop.
 
 def link_step_per_symbol(link, i: int):
     """Received vector, desired symbol, and desired-only component for symbol i."""
@@ -231,7 +232,10 @@ def link_step_per_symbol(link, i: int):
     if link._static:
         clean = link._clean[(i + off) * cfg.n:(i + off) * cfg.n + link.m]
     else:
-        gains = harness.signal_model.fading_step(link.channel, link.rng).gains
+        ch = link.channel
+        for p, d, proc in zip(ch.path_powers, ch.path_delays, ch.fading):
+            ch.gains[d] = p * proc.next_gain(link.rng)
+        gains = ch.gains
         clean = link._windows[i] @ gains
         link.signature = link._code_matrix @ gains
     noise = np.sqrt(link.sigma2 / 2.0) * (

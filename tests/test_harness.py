@@ -63,6 +63,8 @@ def test_seeded_campaign_pins(alg):
 ORACLE_CASES = (
     [pytest.param(alg, {}, id=f"{alg}-static") for alg in harness.ALGORITHMS]
     + [pytest.param(alg, {"f_dt": 1e-3}, id=f"{alg}-fading") for alg in harness.ALGORITHMS]
+    # 10-sample fading chunks, many of them inside one noise chunk
+    + [pytest.param(alg, {"f_dt": 0.05}, id=f"{alg}-fast-fading") for alg in ("lms", "cmv-sg")]
     + [pytest.param(alg, {"mode": "decision-directed", "n_tr": 100}, id=f"{alg}-directed")
        for alg in harness.ALGORITHMS if not alg.startswith("cmv")]
     + [pytest.param(alg, {"known_channel": False}, id=f"{alg}-tracked")
@@ -251,6 +253,25 @@ def test_link_matches_synthesis(change):
         assert np.abs(link.signature - signature).max() <= 1e-12
 
 
+def test_link_matches_synthesis_across_a_fading_period_wrap():
+    # the first fading period (2^16 samples at f_dt = 1e-3) ends at symbol
+    # 65535, the last of a noise chunk; the link against the spec matrices
+    # on the channel's current gains, around that symbol
+    cfg = scenario("rls", runs=1, symbols=65_601, f_dt=1e-3)
+    link = harness._Link(cfg, np.random.default_rng(3))
+    link.sigma2 = 0.0
+    span = 2 * link.l_s - 1
+    blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
+    for i in range(65_500):
+        link.step(i)
+    for i in range(65_500, cfg.symbols):
+        r, _, _ = link.step(i)
+        chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps, blocks,
+                                                          link.bits[:, i:i + span]))
+        expect = build_channel_matrix(link.channel.gains, cfg.n, link.l_s) @ chips
+        assert np.abs(r - expect).max() <= 1e-12
+
+
 @pytest.mark.parametrize("delays", ([0, 3, 5], [4, 1, 0]))
 def test_path_delays_fix_the_channel(delays):
     # a path_delays list fixes the delays of every run
@@ -399,7 +420,14 @@ def test_pd_lms_step_follows_normalized_steps(normalized):
     np.testing.assert_allclose(rx.w - w0, step * np.conj(xi) * y, rtol=1e-12, atol=1e-15)
 
 
-def test_numpy_integers_configure_a_run():
+def test_numpy_integers_configure_a_run(tmp_path):
     cfg = scenario("lms", runs=np.int64(1), symbols=np.int32(40), n_tr=np.int64(10),
                    seed=np.uint32(3), path_delays=list(np.array([0, 2, 4])))
-    assert harness.run_campaign(cfg).mse.shape == (40,)
+    s = harness.run_campaign(cfg)
+    assert s.mse.shape == (40,)
+    # validate stores them as Python ints, so the metadata encodes as JSON
+    path = tmp_path / "series.json"
+    harness.export(s, path, "json")
+    meta = json.loads(path.read_text())["metadata"]
+    assert (meta["runs"], meta["symbols"], meta["n_tr"], meta["seed"]) == (1, 40, 10, 3)
+    assert meta["path_delays"] == [0, 2, 4]

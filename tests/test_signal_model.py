@@ -159,22 +159,36 @@ class TestFading:
             sm.make_channel([1.0, 0.5, 0.3], [0, 0, 2], 6)
 
     def test_zero_doppler_constant(self):
-        rng = np.random.default_rng(6)
-        ch = sm.make_channel([1.0, 0.5], [0, 1], 2, doppler=0.0)
-        before = ch.gains.copy()
-        for _ in range(10):
-            sm.fading_step(ch, rng)
-        assert np.array_equal(ch.gains, before)
+        # a static link keeps its channel's gains through every noise chunk
+        cfg = harness.ScenarioConfig(k=1, l_p=2, path_powers=[1.0, 0.5], path_delays=[0, 1],
+                                     runs=1, symbols=2 * harness.NOISE_CHUNK + 10)
+        link = harness._Link(cfg, np.random.default_rng(6))
+        before = link.channel.gains.copy()
+        for i in range(cfg.symbols):
+            link.step(i)
+        assert link.channel.fading is None
+        assert np.array_equal(link.channel.gains, before)
 
     def test_unit_average_power(self):
         rng = np.random.default_rng(7)
         ch = sm.make_channel([1.0], [0], 1, doppler=0.01, rng=rng)
-        n = 120_000
-        acc = 0.0
-        for _ in range(n):
-            sm.fading_step(ch, rng)
-            acc += abs(ch.gains[0]) ** 2
-        assert abs(acc / n - 1.0) < 0.03
+        gains = sm.fading_gains(ch, 120_000, rng)
+        assert abs(np.mean(np.abs(gains[:, 0]) ** 2) - 1.0) < 0.03
+
+    @pytest.mark.parametrize("count", (256, 7))
+    def test_next_gains_match_next_gain(self, count):
+        # slices of `count` samples, which split the 500-sample chunks and
+        # cross the period wrap at 2^16, against one next_gain per sample
+        # on a twin: same samples, same generator state after
+        fd, total = 1e-3, (1 << 16) + 1500
+        proc, twin = sm.FadingProcess(fd), sm.FadingProcess(fd)
+        rng, twin_rng = np.random.default_rng(15), np.random.default_rng(15)
+        got = np.concatenate([proc.next_gains(min(count, total - start), rng)
+                              for start in range(0, total, count)])
+        expect = np.array([twin.next_gain(twin_rng) for _ in range(total)])
+        assert proc._block.size == 500
+        assert got.tobytes() == expect.tobytes()
+        assert rng.bit_generator.state == twin_rng.bit_generator.state
 
     def test_autocorrelation_matches_spectrum(self):
         # empirical lag correlation vs numerical integration of the clipped
