@@ -2,20 +2,20 @@
 
 A scenario fixes the system (processing gain, users, channel profile,
 noise), the receiver (structure, algorithm, mode) and the experiment
-(symbols, runs, seed).  `run_trial` simulates one seeded run symbol by
-symbol and records MSE, windowed SINR and cumulative BER;
-`run_campaign` averages independent runs with spawned sub-seeds.
+(symbols, runs, seed).  `run_trial` simulates one seeded run and records
+MSE, windowed SINR and cumulative BER; `run_campaign` averages
+independent runs with spawned sub-seeds.
 
-Every algorithm, the RAKE and partial-despreading baselines included,
-is a linear receiver driven by the same symbol loop through two calls:
+A trial takes the link a noise chunk at a time, as arrays of received
+vectors and of their desired-only components; the RAKE and
+partial-despreading baselines despread each array in one product.  One
+symbol loop then drives every algorithm through two calls on a row:
 `output(r)` applies the current receiver and `adapt(r, d)` updates it.
-Per symbol the loop takes the decision output first, adapts with the
-reference symbol (training symbol, or the decision in
-decision-directed mode past `n_tr`; blind receivers ignore it), then
-applies the updated receiver to r and to its desired-only component.
-The loop only records those outputs; MSE, BER and SINR are metered from
-them after it.  MSE and BER are a-priori and SINR a-posteriori for
-every algorithm.
+Per symbol it takes the decision output, adapts with the reference
+symbol (training symbol, or the decision in decision-directed mode past
+`n_tr`; blind receivers ignore it), then applies the updated receiver
+to r and to its desired-only component.  MSE, BER and SINR are metered
+after the loop; MSE and BER are a-priori and SINR a-posteriori.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per trial drives channel, symbols and noise in a fixed order, and the
@@ -39,7 +39,7 @@ from .interpolation import detect, impulse, make_decimation, receiver_output
 CSV_COLUMNS = ["iteration", "mse", "sinr_db", "ber", "algorithm", "L", "N_I", "seed"]
 SINR_WINDOW = 0.98
 SUMMARY_TAIL = 200                    # last symbols the summary's MSE and SINR average
-# Symbols of noise drawn per generator call: 256 x 2 x M doubles, ~150 kB at M=36.
+# Symbols per link chunk; its noise draw is 256 x 2 x M doubles, ~150 kB at M=36.
 # It divides every fading period (powers of two from 2^16), which `_Link`
 # relies on to draw a faded chunk's noise before its gains.
 NOISE_CHUNK = 256
@@ -57,16 +57,19 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
-    """Real (numpy floats and integers included) and not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def _real(name: str, x):
+    """x as a Python number (numpy scalars included); ConfigError unless real and not a bool."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ConfigError(f"{name} must be a number")
+    # a numpy scalar becomes its Python value, which the JSON export encodes
+    return x.item() if isinstance(x, np.generic) else x
 
 
 def _reals(name: str, values) -> list:
-    """A list or tuple of real numbers as floats; ConfigError for anything else."""
-    if not (isinstance(values, (list, tuple)) and all(_is_real(x) for x in values)):
+    """A list or tuple of real numbers as Python numbers; ConfigError for anything else."""
+    if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{name} must be a list of numbers")
-    return [float(x) for x in values]
+    return [_real(f"each {name} entry", x) for x in values]
 
 
 @dataclass
@@ -139,8 +142,7 @@ class ScenarioConfig:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false")
         for name in ("ebn0_db", "interferer_sigma_db", "f_dt", "mu0", "eta0", "alpha", "delta"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number")
+            setattr(self, name, _real(name, getattr(self, name)))
         if self.n not in (31, 63):
             raise ConfigError("processing gain must be 31 or 63")
         gold_family = self.n + 2
@@ -178,7 +180,7 @@ class ScenarioConfig:
                               f"{-10 * sys.float_info.max_10_exp} dB")
         if not 0 <= self.f_dt < 0.5:
             raise ConfigError("f_dt must lie in [0, 0.5) cycles per symbol")
-        powers = _reals("path_powers", self.path_powers)
+        powers = self.path_powers = _reals("path_powers", self.path_powers)
         # the profile is scaled to unit norm, so its squared norm must be
         # a positive finite double
         if not (all(0 <= p < math.inf for p in powers)
@@ -198,7 +200,7 @@ class ScenarioConfig:
             raise ConfigError("drawn delays take 1 to 3 path powers and l_p above the "
                               "largest delay (4 for two paths, 5 for three)")
         if self.interferer_db is not None:
-            offsets = _reals("interferer_db", self.interferer_db)
+            offsets = self.interferer_db = _reals("interferer_db", self.interferer_db)
             if len(offsets) != self.k - 1:
                 raise ConfigError("interferer_db must list k - 1 offsets")
             # the interferer power 10^(o/10) must be a finite double
@@ -292,23 +294,22 @@ def _interpolator_init(cfg: ScenarioConfig) -> np.ndarray:
 
 
 class _Link:
-    """One run's synthesized downlink, stepped symbol by symbol from 0.
+    """One run's synthesized downlink, handed out a noise chunk at a time.
 
-    Noise comes in chunks of NOISE_CHUNK symbols, each drawn at its first
-    symbol and scaled by the `sigma2` in force then.  A faded link then
-    draws the chunk's path gains and forms its noiseless vectors and
-    desired signatures at once; each symbol copies its gain row into
-    `channel.gains`.  Drawing the noise first keeps the generator order
-    of stepping the gains symbol by symbol: gains draw from it only at a
-    fading period's first sample (its spectrum), which belongs to symbol
-    period - 1, the last of a chunk, since NOISE_CHUNK divides the period.
+    `chunks()` yields a chunk's received vectors R = clean + noise
+    (chunk x M), desired symbols b and desired-only components
+    R_des = (A_0 b)[:, None] * signature.  Static clean rows are views of
+    one convolved chip stream.  A faded link draws the chunk's path gains
+    after its noise, forms its clean rows and signatures in batched
+    products, and `select(k)` makes symbol k's gains `channel.gains` (in
+    place) and its signature `signature`.
 
-    A (chunk, 2, M) noise draw holds the values that per-symbol real and
-    imaginary draws of M would, in the same order, only until a fading
-    period wraps: per-symbol draws take the noise of symbol period - 1
-    after the new spectrum, the chunk took it before.  From that symbol
-    on, a faded link's draws part from per-symbol ones; a static link's
-    never do.
+    Noise before gains keeps the generator order of per-symbol gain
+    steps: gains draw only at a fading period's first sample (its
+    spectrum), symbol period - 1, the last of a chunk, as NOISE_CHUNK
+    divides the period.  Per-symbol draws would take that symbol's noise
+    after the spectrum, so from there on a faded link's noise parts from
+    them; a static link's never does.
     """
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
@@ -324,50 +325,51 @@ class _Link:
         self.bits = np.where(rng.random((cfg.k, cfg.symbols + span - 1)) < 0.5, -1.0, 1.0)
         self.desired = self.bits[0, self.l_s - 1:self.l_s - 1 + cfg.symbols]   # b of symbol i
         self._static = cfg.f_dt <= 0
-        stream = (self.amps[:, None, None] * self.bits[:, :, None]
-                  * self.codes[:, None, :]).sum(axis=0).ravel()
+        # superposed user by user: a K x symbols x N temporary costs ~4 MB
+        stream = np.zeros(self.bits.shape[1] * cfg.n)
+        for amp, bits, code in zip(self.amps, self.bits, self.codes):
+            stream += np.outer(amp * bits, code).ravel()
+        view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
         if self._static:
-            self._clean = np.convolve(stream, self.channel.gains)
+            # row i of _clean is the convolved stream from chip (i + l_s - 1) N on
+            conv = np.convolve(stream, self.channel.gains)
+            self._clean = view(conv, self.m)[(self.l_s - 1) * cfg.n::cfg.n]
         else:
             # windows[i] @ gains is the noiseless r of symbol i, and
             # code_matrix @ gains its desired signature: windows[i][m, l]
             # is the chip stream at (i + l_s - 1) N + m - l.
             first = (self.l_s - 1) * cfg.n - (cfg.l_p - 1)
-            item = stream.itemsize
-            self._windows = np.lib.stride_tricks.as_strided(
-                stream[first:], shape=(cfg.symbols, self.m, cfg.l_p),
-                strides=(cfg.n * item, item, item), writeable=False)[:, :, ::-1]
+            rows = view(stream[first:], self.m + cfg.l_p - 1)[::cfg.n]
+            self._windows = view(rows, cfg.l_p, axis=1)[:, :, ::-1]
             self._code_matrix = cmv.shifted_signatures(self.codes[0], cfg.l_p)
         self.signature = signal_model.effective_signature(self.codes[0], self.channel.gains)
-        self._noise = None
-        self._gains = self._faded = self._signatures = None   # a faded link's chunk
 
-    def step(self, i: int):
-        """Received vector, desired symbol, and desired-only component for symbol i."""
-        cfg = self.cfg
-        off = self.l_s - 1
-        b = self.desired[i]
-        k = i % NOISE_CHUNK
-        if k == 0:
-            size = min(NOISE_CHUNK, cfg.symbols - i)
+    def chunks(self):
+        """Yield (R, b, R_des) for each noise chunk, in symbol order."""
+        for i in range(0, self.cfg.symbols, NOISE_CHUNK):
+            size = min(NOISE_CHUNK, self.cfg.symbols - i)
             z = self.rng.standard_normal((size, 2, self.m))
-            self._noise = np.sqrt(self.sigma2 / 2.0) * (z[:, 0] + 1j * z[:, 1])
-            if not self._static:
+            # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
+            rs = 1j * z[:, 1]
+            rs += z[:, 0]
+            rs *= np.sqrt(self.sigma2 / 2.0)
+            b = self.desired[i:i + size]
+            if self._static:
+                clean, signature = self._clean[i:i + size], self.signature
+            else:
                 self._gains = signal_model.fading_gains(self.channel, size, self.rng)
                 # batched as a @ g[..., None], each product equals the
                 # per-symbol a @ g bit for bit; g @ a.T sums in another order
                 g = self._gains[:, :, None]
-                self._faded = (self._windows[i:i + size] @ g)[..., 0]
-                self._signatures = (self._code_matrix @ g)[..., 0]
-        if self._static:
-            clean = self._clean[(i + off) * cfg.n:(i + off) * cfg.n + self.m]
-        else:
-            clean = self._faded[k]
-            self.channel.gains[:] = self._gains[k]
-            self.signature = self._signatures[k]
-        r = clean + self._noise[k]
-        r_des = (self.amps[0] * b) * self.signature
-        return r, b, r_des
+                clean = (self._windows[i:i + size] @ g)[..., 0]
+                signature = self._signatures = (self._code_matrix @ g)[..., 0]
+            rs += clean
+            yield rs, b, (self.amps[0] * b)[:, None] * signature
+
+    def select(self, k: int) -> None:
+        """Make symbol k of the current chunk the faded link's channel state."""
+        self.channel.gains[:] = self._gains[k]
+        self.signature = self._signatures[k]
 
 
 def _sinr_db(out: list, out_des: list) -> np.ndarray:
@@ -402,11 +404,7 @@ def _pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
     t = np.zeros((m, rank), dtype=complex)
     for j in range(rank):
         seg = slice(bounds[j], bounds[j + 1])
-        col = padded[seg]
-        if np.any(col):
-            t[seg, j] = col
-        else:
-            t[seg, j] = 1.0
+        t[seg, j] = padded[seg] if np.any(padded[seg]) else 1.0
     return t
 
 
@@ -462,10 +460,9 @@ class _Projected:
     n_tr symbols, scaled to unit gain; the normal matrix G = C^H C of its
     shifted signatures C is inverted once per run.  pd-lms adapts w by
     LMS, normalised by ||y||^2 under `normalized_steps` as `lms` is, and
-    pd-rls by RLS (counting breakdowns in `breakdowns`).  `output` and
-    `adapt` behave as in `_interpolated_receiver`.
-    The regressor of the last r is kept, so the loop's output, adapt,
-    output sequence on one r projects it once.
+    pd-rls by RLS (counting breakdowns in `breakdowns`).  `despread`
+    projects a chunk's received vectors at once; `output` and `adapt`
+    then take one row y of it, as `_interpolated_receiver`'s take r.
     """
 
     def __init__(self, cfg: ScenarioConfig, link: _Link):
@@ -483,19 +480,16 @@ class _Projected:
         self.trained = 0
         self.p_inv = cfg.delta * np.eye(dim, dtype=complex)   # pd-rls inverse covariance
         self.breakdowns = 0
-        self._r = self._y = None
 
-    def _regressor(self, r: np.ndarray) -> np.ndarray:
-        if r is not self._r:
-            self._r, self._y = r, self.proj_h @ r
-        return self._y
+    def despread(self, rs: np.ndarray) -> np.ndarray:
+        """proj^H r for every row r of rs; each row equals proj_h @ r bit for bit."""
+        return (self.proj_h[None] @ rs[:, :, None])[..., 0]
 
-    def output(self, r: np.ndarray) -> complex:
-        return complex(np.vdot(self.w, self._regressor(r)))
+    def output(self, y: np.ndarray) -> complex:
+        return complex(np.vdot(self.w, y))
 
-    def adapt(self, r: np.ndarray, d: float) -> None:
+    def adapt(self, y: np.ndarray, d: float) -> None:
         cfg = self.cfg
-        y = self._regressor(r)
         if cfg.algorithm == "rake":
             if self.trained < cfg.n_tr:
                 self.trained += 1
@@ -555,27 +549,32 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     squared error overflows or is not finite, raises LinAlgError.
     """
     cfg.validate()
-    rng = np.random.default_rng(run_seed)
-    link = _Link(cfg, rng)
+    link = _Link(cfg, np.random.default_rng(run_seed))
     if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
         rx = _Projected(cfg, link)
-        output, adapt, st = rx.output, rx.adapt, rx
+        despread, output, adapt, st = rx.despread, rx.output, rx.adapt, rx
     else:
-        output, adapt, st = _interpolated_receiver(cfg, link)
+        despread, (output, adapt, st) = None, _interpolated_receiver(cfg, link)
     t = cfg.symbols
     x, bhat, out, out_des = [0j] * t, [0.0] * t, [0j] * t, [0j] * t
     tracking = cfg.mode == "blind" and not cfg.known_channel
     directed_from = cfg.n_tr if cfg.mode == "decision-directed" else t
-    for i in range(t):
-        r, b, r_des = link.step(i)
-        xi = output(r)
-        if tracking:
-            xi = _align_phase(xi, st.g_hat, link.channel.gains)
-        d = detect(xi)
-        adapt(r, d if i >= directed_from else b)
-        x[i], bhat[i] = xi, d
-        out[i] = output(r)
-        out_des[i] = output(r_des)
+    i = 0
+    for rs, bs, rs_des in link.chunks():
+        if despread is not None:
+            rs, rs_des = despread(rs), despread(rs_des)
+        for k, (r, b, r_des) in enumerate(zip(rs, bs, rs_des)):
+            if not link._static:
+                link.select(k)
+            xi = output(r)
+            if tracking:
+                xi = _align_phase(xi, st.g_hat, link.channel.gains)
+            d = detect(xi)
+            adapt(r, d if i >= directed_from else b)
+            x[i], bhat[i] = xi, d
+            out[i] = output(r)
+            out_des[i] = output(r_des)
+            i += 1
     mse = np.array([_squared_error(b, xi) for b, xi in zip(link.desired.tolist(), x)])
     if not np.isfinite(mse).all():
         raise np.linalg.LinAlgError(f"run seed {run_seed} diverged: the squared error of "
@@ -599,11 +598,12 @@ def iter_symbols(cfg: ScenarioConfig, run_seed):
     validating analysis predictions against simulation.
     """
     cfg.validate()
-    rng = np.random.default_rng(run_seed)
-    link = _Link(cfg, rng)
-    for i in range(cfg.symbols):
-        r, b, r_des = link.step(i)
-        yield r, b, r_des, link
+    link = _Link(cfg, np.random.default_rng(run_seed))
+    for rs, bs, rs_des in link.chunks():
+        for k, (r, b, r_des) in enumerate(zip(rs, bs, rs_des)):
+            if not link._static:
+                link.select(k)
+            yield r, b, r_des, link
 
 
 def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:

@@ -4,9 +4,11 @@ Everything here is written from first principles against the math, not
 by calling into the package, so each check runs through two separate
 code paths.  The exception is `per_symbol_trial`: it drives the
 package's link and receivers through the trial loop as it ran before
-noise and fading gains were drawn in chunks and metering moved after
-the loop.
+noise, fading gains, received vectors and the baselines' despreading
+were taken a chunk at a time and metering moved after the loop.
 """
+
+import functools
 
 import numpy as np
 
@@ -224,13 +226,21 @@ def fading_fft_block(white: np.ndarray, n: int, doppler: float, clip: float) -> 
 # The per-symbol trial loop: each path's gain stepped and noise drawn for
 # each symbol on its own, and the SINR meter updated inside the loop.
 
+@functools.lru_cache(maxsize=1)
+def _convolved_stream(link):
+    """A static link's chip stream, superposed in one K x T x N product, convolved with its gains."""
+    stream = (link.amps[:, None, None] * link.bits[:, :, None]
+              * link.codes[:, None, :]).sum(axis=0).ravel()
+    return np.convolve(stream, link.channel.gains)
+
+
 def link_step_per_symbol(link, i: int):
     """Received vector, desired symbol, and desired-only component for symbol i."""
     cfg = link.cfg
     off = link.l_s - 1
     b = link.bits[0, i + off]
     if link._static:
-        clean = link._clean[(i + off) * cfg.n:(i + off) * cfg.n + link.m]
+        clean = _convolved_stream(link)[(i + off) * cfg.n:(i + off) * cfg.n + link.m]
     else:
         ch = link.channel
         for p, d, proc in zip(ch.path_powers, ch.path_delays, ch.fading):
@@ -268,8 +278,10 @@ def per_symbol_trial(cfg, run_seed):
     if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
         rx = harness._Projected(cfg, link)
         output, adapt, st = rx.output, rx.adapt, None
+        despread = lambda r: rx.proj_h @ r
     else:
         output, adapt, st = harness._interpolated_receiver(cfg, link)
+        despread = lambda r: r
     meter = SinrMeter()
     t = cfg.symbols
     mse = np.zeros(t)
@@ -280,6 +292,7 @@ def per_symbol_trial(cfg, run_seed):
     tracking = cfg.mode == "blind" and not cfg.known_channel
     for i in range(t):
         r, b, r_des = link_step_per_symbol(link, i)
+        r, r_des = despread(r), despread(r_des)
         x = output(r)
         if tracking:
             x = harness._align_phase(x, st.g_hat, link.channel.gains)

@@ -9,8 +9,8 @@ import pytest
 
 from ifir_cdma import adaptive, harness, signal_model
 from ifir_cdma.interpolation import build_re_matrix
-from oracles import (build_block_matrix, build_channel_matrix, per_symbol_trial,
-                     rake_combiners)
+from oracles import (build_block_matrix, build_channel_matrix, link_step_per_symbol,
+                     per_symbol_trial, rake_combiners)
 
 # Recorded on a small seeded scenario (runs=2, symbols=400, seed=5, default
 # n_tr=200): summary() as (final_mse, final_sinr_db, final_ber), then
@@ -41,6 +41,15 @@ def scenario(alg, **kw):
     return harness.ScenarioConfig(algorithm=alg, **kw)
 
 
+def link_symbols(link):
+    """(r, b, r_des) per symbol of a link's chunks, its channel state set as the trial sets it."""
+    for rs, bs, rs_des in link.chunks():
+        for k in range(len(bs)):
+            if not link._static:
+                link.select(k)
+            yield rs[k], bs[k], rs_des[k]
+
+
 @pytest.mark.parametrize("seed", (1, 2, 3))
 @pytest.mark.parametrize("alg", harness.ALGORITHMS)
 def test_every_algorithm_clears_the_floor(alg, seed):
@@ -68,13 +77,17 @@ ORACLE_CASES = (
     + [pytest.param(alg, {"mode": "decision-directed", "n_tr": 100}, id=f"{alg}-directed")
        for alg in harness.ALGORITHMS if not alg.startswith("cmv")]
     + [pytest.param(alg, {"known_channel": False}, id=f"{alg}-tracked")
-       for alg in ("cmv-sg", "cmv-rls")])
+       for alg in ("cmv-sg", "cmv-rls")]
+    # one chunk, short or exactly full
+    + [pytest.param(alg, {"symbols": 100}, id=f"{alg}-short") for alg in harness.ALGORITHMS]
+    + [pytest.param(alg, {"symbols": harness.NOISE_CHUNK}, id=f"{alg}-one-chunk")
+       for alg in harness.ALGORITHMS])
 
 
 @pytest.mark.parametrize("alg, change", ORACLE_CASES)
 def test_trial_matches_per_symbol_loop(alg, change):
-    # two full noise chunks and a short last one
-    cfg = scenario(alg, runs=1, symbols=2 * harness.NOISE_CHUNK + 88, **change)
+    # by default two full noise chunks and a short last one
+    cfg = scenario(alg, runs=1, **{"symbols": 2 * harness.NOISE_CHUNK + 88, **change})
     got = harness.run_trial(cfg, 31)
     for name, expect in zip(("mse", "sinr_db", "ber"), per_symbol_trial(cfg, 31)):
         assert getattr(got, name).tobytes() == expect.tobytes(), name
@@ -243,8 +256,7 @@ def test_link_matches_synthesis(change):
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
     blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
-    for i in range(cfg.symbols):
-        r, _, _ = link.step(i)
+    for i, (r, _, _) in enumerate(link_symbols(link)):
         chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps, blocks,
                                                           link.bits[:, i:i + span]))
         expect = build_channel_matrix(link.channel.gains, cfg.n, link.l_s) @ chips
@@ -262,14 +274,28 @@ def test_link_matches_synthesis_across_a_fading_period_wrap():
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
     blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
-    for i in range(65_500):
-        link.step(i)
-    for i in range(65_500, cfg.symbols):
-        r, _, _ = link.step(i)
+    for i, (r, _, _) in enumerate(link_symbols(link)):
+        if i < 65_500:
+            continue
         chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps, blocks,
                                                           link.bits[:, i:i + span]))
         expect = build_channel_matrix(link.channel.gains, cfg.n, link.l_s) @ chips
         assert np.abs(r - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
+def test_iter_symbols_matches_per_symbol_link(f_dt):
+    # the chunked link seen a symbol at a time, across a noise-chunk
+    # boundary, against a twin link stepped symbol by symbol
+    cfg = scenario("lms", runs=1, symbols=harness.NOISE_CHUNK + 40, f_dt=f_dt)
+    twin = harness._Link(cfg, np.random.default_rng(13))
+    for i, (r, b, r_des, link) in enumerate(harness.iter_symbols(cfg, 13)):
+        expect = link_step_per_symbol(twin, i)
+        for got, ref in zip((r, b, r_des), expect):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), i
+        assert link.channel.gains.tobytes() == twin.channel.gains.tobytes(), i
+        assert link.signature.tobytes() == twin.signature.tobytes(), i
+    assert i == cfg.symbols - 1
 
 
 @pytest.mark.parametrize("delays", ([0, 3, 5], [4, 1, 0]))
@@ -330,8 +356,7 @@ def test_known_channel_constraint_follows_fading(alg):
     cfg = scenario(alg, runs=1, symbols=300, f_dt=1e-3)
     link = harness._Link(cfg, np.random.default_rng(23))
     _, adapt, st = harness._interpolated_receiver(cfg, link)
-    for i in range(cfg.symbols):
-        r, b, _ = link.step(i)
+    for r, b, _ in link_symbols(link):
         adapt(r, b)
         re_p = build_re_matrix(st.cons.c @ link.channel.gains, cfg.n_i, st.cons.dec)
         v, w = st.state.v, st.state.w
@@ -391,9 +416,8 @@ def test_rake_combiner_matches_per_symbol_solve(change):
     link = harness._Link(cfg, np.random.default_rng(29))
     rx = harness._Projected(cfg, link)
     rs, bs, ws = [], [], []
-    for i in range(cfg.symbols):
-        r, b, _ = link.step(i)
-        rx.adapt(r, b)
+    for r, b, _ in link_symbols(link):
+        rx.adapt(rx.proj_h @ r, b)
         rs.append(r)
         bs.append(b)
         ws.append(rx.w.copy())
@@ -412,10 +436,10 @@ def test_pd_lms_step_follows_normalized_steps(normalized):
     rng = np.random.default_rng(5)
     rx.w = rng.standard_normal(rx.w.size) + 1j * rng.standard_normal(rx.w.size)
     w0 = rx.w.copy()
-    r, b, _ = link.step(0)
+    r, b, _ = next(link_symbols(link))
     y = rx.proj_h @ r
     xi = b - np.vdot(w0, y)
-    rx.adapt(r, b)
+    rx.adapt(y, b)
     step = cfg.mu0 / np.real(np.vdot(y, y)) if normalized else cfg.mu0
     np.testing.assert_allclose(rx.w - w0, step * np.conj(xi) * y, rtol=1e-12, atol=1e-15)
 
@@ -431,3 +455,17 @@ def test_numpy_integers_configure_a_run(tmp_path):
     meta = json.loads(path.read_text())["metadata"]
     assert (meta["runs"], meta["symbols"], meta["n_tr"], meta["seed"]) == (1, 40, 10, 3)
     assert meta["path_delays"] == [0, 2, 4]
+
+
+def test_numpy_reals_configure_a_run(tmp_path):
+    cfg = scenario("lms", runs=1, symbols=40, n_tr=10, ebn0_db=np.float32(10.0),
+                   mu0=np.float64(0.05), delta=100, path_powers=[1, np.float32(0.5), 0.25],
+                   k=3, interferer_db=[np.float32(-3.0), 2])
+    # validate stores them as Python numbers, so the metadata encodes as
+    # JSON; Python ints stay ints
+    path = tmp_path / "series.json"
+    harness.export(harness.run_campaign(cfg), path, "json")
+    meta = json.loads(path.read_text())["metadata"]
+    got = [meta["ebn0_db"], meta["mu0"], meta["delta"], *meta["path_powers"], *meta["interferer_db"]]
+    assert got == [10.0, 0.05, 100, 1, 0.5, 0.25, -3.0, 2]
+    assert [type(x) for x in got] == [float, float, int, int, float, float, float, int]

@@ -125,15 +125,15 @@ class TestSynthesize:
     def test_clean_single_user_is_code(self):
         link = single_path_link(0, symbols=20)
         link.sigma2 = 0.0
-        for i in range(20):
-            r, b, _ = link.step(i)
+        (rs, bs, _), = link.chunks()
+        for r, b in zip(rs, bs):
             assert np.allclose(r, b * link.codes[0])
 
     def test_matched_filter_flat_channel(self):
         link = single_path_link(4, symbols=20)
         link.sigma2 = 0.0
-        for i in range(20):
-            r, b, _ = link.step(i)
+        (rs, bs, _), = link.chunks()
+        for r, b in zip(rs, bs):
             assert abs(np.vdot(link.codes[0], r) - b) < 1e-12
 
     def test_noise_covariance(self):
@@ -144,7 +144,8 @@ class TestSynthesize:
         clean = single_path_link(5, symbols=draws, ebn0_db=3.0)
         clean.sigma2 = 0.0
         sigma2 = noisy.sigma2
-        noise = np.array([noisy.step(i)[0] - clean.step(i)[0] for i in range(draws)])
+        noise = np.concatenate([r - c for (r, _, _), (c, _, _)
+                                in zip(noisy.chunks(), clean.chunks())])
         cov = noise.T @ noise.conj() / draws
         off = cov - np.diag(np.diag(cov))
         assert np.allclose(np.diag(cov).real, sigma2, rtol=0.05)
@@ -164,8 +165,7 @@ class TestFading:
                                      runs=1, symbols=2 * harness.NOISE_CHUNK + 10)
         link = harness._Link(cfg, np.random.default_rng(6))
         before = link.channel.gains.copy()
-        for i in range(cfg.symbols):
-            link.step(i)
+        assert sum(len(bs) for _, bs, _ in link.chunks()) == cfg.symbols
         assert link.channel.fading is None
         assert np.array_equal(link.channel.gains, before)
 
@@ -274,5 +274,5 @@ def test_isi_span_rule():
 def test_dimension_contract():
     for l_p in (1, 3, 6):
         link = single_path_link(10, symbols=3, l_p=l_p)
-        for i in range(3):
-            assert link.step(i)[0].size == 31 + l_p - 1
+        (rs, _, rs_des), = link.chunks()
+        assert rs.shape == rs_des.shape == (3, 31 + l_p - 1)
