@@ -120,12 +120,12 @@ def rls_update(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     With px = p x and denom = alpha + x^H p x, the gain is
     k = px / denom and p <- (p - k px^H) / alpha, re-symmetrised.  A
     non-positive denominator is a breakdown: p restarts at delta*I and
-    k is None.  Returns (p, k, px, denom).
+    k is None.  Returns (p, k).
     """
     px = p @ x
     denom = alpha + np.real(np.vdot(x, px))
     if denom <= 0:
-        return delta * np.eye(p.shape[0], dtype=complex), None, px, denom
+        return delta * np.eye(p.shape[0], dtype=complex), None
     gain = px / denom
     # 0.5 * (q + q^H) with q = (p - outer(gain, px^*)) / alpha, bit for
     # bit, in place on one fresh array.  It stays C-ordered: an F-ordered
@@ -134,7 +134,7 @@ def rls_update(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     p /= alpha
     p += p.conj().T
     p *= 0.5
-    return p, gain, px, denom
+    return p, gain
 
 
 def rls_step(s: TrainedRlsState, r: np.ndarray, b: float,
@@ -153,14 +153,14 @@ def rls_step(s: TrainedRlsState, r: np.ndarray, b: float,
     xi = b - np.vdot(st.w, rbar)
     cxi = np.conj(xi)
 
-    s.p, gain, _, _ = rls_update(s.p, rbar, s.alpha, s.delta)
+    s.p, gain = rls_update(s.p, rbar, s.alpha, s.delta)
     if gain is None:
         s.breakdowns += 1
     else:
         st.w = st.w + gain * cxi
 
     if adapt_v and np.real(np.vdot(u, u)) > _TINY:
-        s.p_u, gain_u, _, _ = rls_update(s.p_u, u, s.alpha, s.delta)
+        s.p_u, gain_u = rls_update(s.p_u, u, s.alpha, s.delta)
         if gain_u is None:
             s.breakdowns += 1
         else:
@@ -333,11 +333,11 @@ def cmv_rls_step(s: BlindRlsState, r: np.ndarray, adapt_v: bool = True,
     re = build_re_matrix(r, st.n_i, s.cons.dec)
     if adapt_v:
         wc = st.w.conj()
-        s.p_u, gain_u, _, _ = rls_update(s.p_u, re @ wc, s.alpha, s.delta)
+        s.p_u, gain_u = rls_update(s.p_u, re @ wc, s.alpha, s.delta)
         s.breakdowns += gain_u is None
         st.v = _min_variance(s.p_u, s.re_p @ wc)
     rbar = re.T @ st.v.conj()
-    s.p, gain, _, _ = rls_update(s.p, rbar, s.alpha, s.delta)
+    s.p, gain = rls_update(s.p, rbar, s.alpha, s.delta)
     s.breakdowns += gain is None
     st.w = _min_variance(s.p, s.re_p.T @ st.v.conj())
     return complex(np.vdot(st.w, rbar))

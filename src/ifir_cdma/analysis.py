@@ -8,7 +8,9 @@ curve, and per-symbol arithmetic operation counts for all analysed
 structures.
 
 Expectations that the theory treats as known statistics are estimated
-here by sample averages over a caller-supplied window; the optimal
+here by sample averages over a caller-supplied window: the sample
+covariance of r (and its cross-correlation with the symbols) read
+through the filter maps of `interpolation.filter_maps`.  The optimal
 filter pair is expected to come from the batch designs.
 """
 
@@ -19,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .interpolation import DecimationOperator, build_re_matrix, make_decimation
-from .mmse import segment_stack
+from .interpolation import DecimationOperator, build_re_matrix, filter_maps, make_decimation
 
 MAX_KRON_DIM = 40  # fourth-moment matrices hold dim^4 scalars
 
@@ -125,27 +126,18 @@ class TrajectoryModel:
         return sol
 
 
-def _cross_expectations(res, v_opt, w_opt):
-    """Per-sample rbar and u, and sample averages of the mixed
-    segment-matrix moments."""
-    t = res.shape[0]
-    rbar = np.einsum("tnm,n->tm", res, np.conj(v_opt))
-    u = np.einsum("tnm,m->tn", res, np.conj(w_opt))
-    r_bar = np.einsum("tm,tn->mn", rbar, rbar.conj()) / t
-    r_u = np.einsum("tm,tn->mn", u, u.conj()) / t
-    # rows v^T Re^* and w^T Re^H applied sample-wise
-    row_v = np.einsum("n,tnm->tm", v_opt, res.conj())      # v^T Re^*  (= rbar^H)
-    row_w = np.einsum("m,tnm->tn", w_opt, res.conj())      # w^T Re^H  (= u^H)
-    e_r_w = np.einsum("tm,tn->mn", rbar, row_w) / t        # E[rbar (w^T Re^H)]
-    e_u_v = np.einsum("tm,tn->mn", u, row_v) / t           # E[u (v^T Re^*)]
-    return dict(rbar=rbar, u=u, r_bar=r_bar, r_u=r_u, e_r_w=e_r_w, e_u_v=e_u_v)
-
-
-def _transition(ex, mu: float, eta: float) -> np.ndarray:
-    """A = [[I - mu R_bar, -mu E_rw], [-eta E_uv, I - eta R_u]]."""
-    a11 = np.eye(ex["r_bar"].shape[0]) - mu * ex["r_bar"]
-    a22 = np.eye(ex["r_u"].shape[0]) - eta * ex["r_u"]
-    return np.block([[a11, -mu * ex["e_r_w"]], [-eta * ex["e_u_v"], a22]])
+def _coupled_statistics(received, v_opt, w_opt, mu: float, eta: float,
+                        dec: DecimationOperator):
+    """(g, steps, s): the stacked filter maps g = [D_v; E_w] of the pair,
+    the step of each row (mu for w's, eta for v's), and s = g R g^H for
+    the window's sample covariance R = E[r r^H].  The blocks of s are
+    [[R_bar, E[rbar u^H]], [E[u rbar^H], R_u]], so the transition matrix
+    is A = I - diag(steps) s."""
+    received = np.asarray(received)
+    g = np.vstack(filter_maps(v_opt, w_opt, dec))
+    s = g @ (received.T @ received.conj() / len(received)) @ g.conj().T
+    steps = np.repeat([mu, eta], [len(w_opt), len(v_opt)])
+    return g, steps, s
 
 
 def build_trained_trajectory(received, bits, v_opt, w_opt, mu: float, eta: float,
@@ -155,19 +147,18 @@ def build_trained_trajectory(received, bits, v_opt, w_opt, mu: float, eta: float
     First-order expansion of the error around (w_opt, v_opt): each
     filter's own block contracts with I - step * covariance, the error's
     dependence on the other filter appears in the cross blocks, and the
-    drive is the gradient evaluated at the optimal pair.  All
+    drive is the gradient evaluated at the optimal pair,
+    [mu (p_bar - R_bar w_opt); eta (p_u - E[u rbar^H] w_opt)].  All
     expectations are sample averages over the supplied window.  The
     model holds only for small errors; an ensemble started far from the
     optimum (say w = 0) follows the nonlinear recursion and decays at a
     different rate.
     """
-    res = segment_stack(received, len(v_opt), dec)
-    ex = _cross_expectations(res, np.asarray(v_opt), np.asarray(w_opt))
-    e_opt = np.asarray(bits) - np.einsum("tm,m->t", ex["rbar"], np.conj(w_opt))
-    drive_r, drive_u = (np.einsum("tm,t->m", z, e_opt.conj()) / len(e_opt)
-                        for z in (ex["rbar"], ex["u"]))
-    b = np.concatenate([mu * drive_r, eta * drive_u])
-    return TrajectoryModel(a=_transition(ex, mu, eta), b=b, mode="trained")
+    received, bits, w_opt = np.asarray(received), np.asarray(bits), np.asarray(w_opt)
+    g, steps, s = _coupled_statistics(received, np.asarray(v_opt), w_opt, mu, eta, dec)
+    p = received.T @ bits.conj() / len(bits)
+    b = steps * (g @ p - s[:, :len(w_opt)] @ w_opt)
+    return TrajectoryModel(a=np.eye(len(s)) - steps[:, None] * s, b=b, mode="trained")
 
 
 def build_blind_trajectory(received, v_opt, w_opt, mu: float, eta: float,
@@ -183,11 +174,10 @@ def build_blind_trajectory(received, v_opt, w_opt, mu: float, eta: float,
     stacked taps [w; v] and every iterate meets both hyperplanes.
     """
     v_opt, w_opt = np.asarray(v_opt), np.asarray(w_opt)
-    res = segment_stack(received, len(v_opt), cons.dec)
-    ex = _cross_expectations(res, v_opt, w_opt)
+    _, steps, s = _coupled_statistics(received, v_opt, w_opt, mu, eta, cons.dec)
     re_p = build_re_matrix(cons.c @ g_mean, len(v_opt), cons.dec)
     a_w, a_v = re_p.T @ v_opt.conj(), re_p @ w_opt.conj()
-    a = _transition(ex, mu, eta)
+    a = np.eye(len(s)) - steps[:, None] * s
     q = len(w_opt)
     for rows, f in ((slice(None, q), a_w), (slice(q, None), a_v)):
         a[rows] -= np.outer(f, f.conj() @ a[rows]) / np.vdot(f, f).real   # Pi a[rows]

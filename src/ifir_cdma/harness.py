@@ -58,9 +58,14 @@ def _is_int(x) -> bool:
 
 
 def _real(name: str, x):
-    """x as a Python number (numpy scalars included); ConfigError unless real and not a bool."""
+    """x as a Python number (numpy scalars included); ConfigError unless real, not a
+    bool, and within the range of a double (an int stays an int)."""
     if not isinstance(x, numbers.Real) or isinstance(x, bool):
         raise ConfigError(f"{name} must be a number")
+    try:
+        float(x)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a double") from None
     # a numpy scalar becomes its Python value, which the JSON export encodes
     return x.item() if isinstance(x, np.generic) else x
 
@@ -184,7 +189,7 @@ class ScenarioConfig:
         # the profile is scaled to unit norm, so its squared norm must be
         # a positive finite double
         if not (all(0 <= p < math.inf for p in powers)
-                and 0 < math.fsum(p * p for p in powers) < math.inf):
+                and 0 < math.fsum(p * p for p in map(float, powers)) < math.inf):
             raise ConfigError("path powers must be finite and non-negative, with a "
                               "positive finite sum of squares")
         n_paths = len(self.path_powers)
@@ -501,7 +506,7 @@ class _Projected:
             return
         xi = d - complex(np.vdot(self.w, y))
         if cfg.algorithm == "pd-rls":
-            self.p_inv, gain, _, _ = adaptive.rls_update(self.p_inv, y, cfg.alpha, cfg.delta)
+            self.p_inv, gain = adaptive.rls_update(self.p_inv, y, cfg.alpha, cfg.delta)
             if gain is None:
                 self.breakdowns += 1
             else:

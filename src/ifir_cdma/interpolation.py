@@ -12,6 +12,14 @@ Conventions used throughout the package (all modules share them):
 
 The bilinear identity ``v^H Re conj(w) == w^H (Re^T conj(v))`` is exact,
 so either evaluation order may be used.
+
+``Re`` is a linear gather of r, so for fixed filters both projections are
+matrices acting on r: ``rbar = D_v r`` (M_red x M) and ``u = E_w r``
+(N_I x M), built by `filter_maps`.  Every second-order statistic of the
+two filters is then a sandwich of the covariance ``R = E[r r^H]`` and
+cross-correlation ``p = E[conj(b) r]`` of r: ``E[rbar rbar^H] = D_v R D_v^H``,
+``E[u u^H] = E_w R E_w^H``, ``E[rbar u^H] = D_v R E_w^H``,
+``E[conj(b) rbar] = D_v p`` and ``E[conj(b) u] = E_w p``.
 """
 
 from __future__ import annotations
@@ -84,6 +92,26 @@ def build_re_matrix(r: np.ndarray, n_i: int, dec: DecimationOperator) -> np.ndar
     idx, buf = dec.segment_index(n_i)
     buf[:dec.m] = r
     return buf[idx]
+
+
+def filter_maps(v: np.ndarray, w: np.ndarray,
+                dec: DecimationOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(d_v, e_w): the M_red x M and N_I x M matrices with
+    ``d_v @ r == build_re_matrix(r).T @ conj(v)`` and
+    ``e_w @ r == build_re_matrix(r) @ conj(w)`` for every r.
+
+    Entry [n, s] of the gather index reads r[idx[n, s]], so it places
+    conj(v[n]) in row s of d_v and conj(w[s]) in row n of e_w; within a
+    row the indices are distinct.  Columns past M would only meet the
+    zero tail of the gather buffer, so they are dropped.
+    """
+    n_i = len(v)
+    idx, buf = dec.segment_index(n_i)
+    d_v = np.zeros((dec.m_red, buf.size), dtype=complex)
+    d_v[np.arange(dec.m_red), idx] = np.conj(v)[:, None]
+    e_w = np.zeros((n_i, buf.size), dtype=complex)
+    e_w[np.arange(n_i)[:, None], idx] = np.conj(w)
+    return d_v[:, :dec.m], e_w[:, :dec.m]
 
 
 @dataclass

@@ -4,29 +4,18 @@ The receiver and interpolator Wiener solutions are coupled: each one is
 the minimiser of the sample mean squared error with the other filter
 held fixed.  `alternate_mmse` iterates the two closed forms on a fixed
 sample batch, which can only decrease the sample MSE at every half
-sweep.
+sweep.  Every statistic comes from the sample covariance of r and its
+cross-correlation with the symbols, formed once and read through the
+filter maps of `interpolation.filter_maps`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .interpolation import DecimationOperator, ReceiverState, build_re_matrix, impulse
+from .interpolation import DecimationOperator, ReceiverState, filter_maps, impulse
 
 RIDGE = 1e-8
-
-
-@dataclass
-class MmseStatistics:
-    """Second-order sample statistics for one (v, w) operating point."""
-
-    r_bar: np.ndarray        # M_red x M_red, E[rbar rbar^H]
-    p_bar: np.ndarray        # M_red, E[conj(b) rbar]
-    r_u: np.ndarray          # N_I x N_I, E[u u^H]
-    p_u: np.ndarray          # N_I, E[conj(b) u]
-    sigma_b2: float
 
 
 def solve_regularized(r: np.ndarray, p: np.ndarray, ridge: float = RIDGE) -> np.ndarray:
@@ -50,31 +39,6 @@ def solve_regularized(r: np.ndarray, p: np.ndarray, ridge: float = RIDGE) -> np.
     return np.linalg.solve(r + (ridge * tr / dim) * np.eye(dim), p)
 
 
-def segment_stack(received: np.ndarray, n_i: int, dec: DecimationOperator) -> np.ndarray:
-    """Segment matrices for a batch of received vectors, shape T x N_I x M_red."""
-    received = np.asarray(received)
-    return np.stack([build_re_matrix(r, n_i, dec) for r in received])
-
-
-def estimate_statistics(res: np.ndarray, bits: np.ndarray, v: np.ndarray,
-                        w: np.ndarray) -> MmseStatistics:
-    """Sample-average statistics from stacked segment matrices.
-
-    `res` is the T x N_I x M_red output of `segment_stack`; all four
-    moments are built from the same samples.
-    """
-    bits = np.asarray(bits)
-    t = len(bits)
-    rbar = np.einsum("tnm,n->tm", res, np.conj(v))
-    u = np.einsum("tnm,m->tn", res, np.conj(w))
-    r_bar = np.einsum("tm,tn->mn", rbar, rbar.conj()) / t
-    p_bar = np.einsum("t,tm->m", bits.conj(), rbar) / t
-    r_u = np.einsum("tm,tn->mn", u, u.conj()) / t
-    p_u = np.einsum("t,tm->m", bits.conj(), u) / t
-    return MmseStatistics(r_bar=r_bar, p_bar=p_bar, r_u=r_u, p_u=p_u,
-                          sigma_b2=float(np.mean(np.abs(bits) ** 2)))
-
-
 def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperator,
                    n_i: int, v0: np.ndarray | None = None, max_iter: int = 1000,
                    tol: float = 1e-8):
@@ -92,8 +56,12 @@ def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperat
 
     Returns (ReceiverState, final MSE, list of per-half-sweep MSEs).
     """
-    res = segment_stack(received, n_i, dec)
+    received = np.asarray(received)
     bits = np.asarray(bits)
+    t = len(bits)
+    r_cov = received.T @ received.conj() / t
+    p = received.T @ bits.conj() / t
+    sigma_b2 = float(np.mean(np.abs(bits) ** 2))
     v = impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy()
     if not np.any(v):
         raise ValueError("v0 must be nonzero")
@@ -101,12 +69,14 @@ def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperat
     history = []
     sweeps = []
     for _ in range(max_iter):
-        stats = estimate_statistics(res, bits, v, w)
-        w = solve_regularized(stats.r_bar, stats.p_bar)
-        history.append(stats.sigma_b2 - float(np.real(np.vdot(stats.p_bar, w))))
-        stats = estimate_statistics(res, bits, v, w)
-        v_new = solve_regularized(stats.r_u, stats.p_u)
-        j_v = stats.sigma_b2 - float(np.real(np.vdot(stats.p_u, v_new)))
+        d_v, _ = filter_maps(v, w, dec)
+        p_bar = d_v @ p
+        w = solve_regularized(d_v @ r_cov @ d_v.conj().T, p_bar)
+        history.append(sigma_b2 - float(np.real(np.vdot(p_bar, w))))
+        _, e_w = filter_maps(v, w, dec)
+        p_u = e_w @ p
+        v_new = solve_regularized(e_w @ r_cov @ e_w.conj().T, p_u)
+        j_v = sigma_b2 - float(np.real(np.vdot(p_u, v_new)))
         scale = np.linalg.norm(v_new)
         v = v_new / scale
         w = w * scale

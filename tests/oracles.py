@@ -86,6 +86,31 @@ def accumulate_and_invert(rbars, alpha, delta):
     return np.linalg.inv(acc)
 
 
+def stacked_statistics(rs, bs, v, w, l, m_red):
+    """Sample statistics of both filters from a T x N_I x M_red stack of
+    segment matrices, each sample projected on its own.
+
+    Row t of the stack holds Re[n, s] = r_t[s*l + n] (zero past the end),
+    and rbar_t = Re_t^T conj(v), u_t = Re_t conj(w).  Returns the sample
+    averages E[rbar rbar^H], E[conj(b) rbar], E[u u^H], E[conj(b) u],
+    E[rbar u^H] and E[u rbar^H], keyed r_bar, p_bar, r_u, p_u, e_r_w, e_u_v.
+    """
+    rs, bs = np.asarray(rs), np.asarray(bs)
+    t, m = rs.shape
+    n_i = len(v)
+    idx = np.arange(m_red)[None, :] * l + np.arange(n_i)[:, None]
+    res = np.concatenate([rs, np.zeros((t, n_i), dtype=rs.dtype)], axis=1)[:, idx]
+    rbar = np.einsum("tnm,n->tm", res, np.conj(v))
+    u = np.einsum("tnm,m->tn", res, np.conj(w))
+    return dict(
+        r_bar=np.einsum("tm,tn->mn", rbar, rbar.conj()) / t,
+        p_bar=np.einsum("t,tm->m", bs.conj(), rbar) / t,
+        r_u=np.einsum("tm,tn->mn", u, u.conj()) / t,
+        p_u=np.einsum("t,tm->m", bs.conj(), u) / t,
+        e_r_w=np.einsum("tm,tn->mn", rbar, u.conj()) / t,
+        e_u_v=np.einsum("tm,tn->mn", u, rbar.conj()) / t)
+
+
 def filter_downsample(v, r, l):
     """Anticausal FIR with conjugate taps, then keep-one-in-l (direct loops)."""
     n_i = len(v)

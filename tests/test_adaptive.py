@@ -1,7 +1,7 @@
 import numpy as np
 
-from ifir_cdma import adaptive, cmv, harness, mmse
-from ifir_cdma.interpolation import build_re_matrix, make_decimation
+from ifir_cdma import adaptive, cmv, harness
+from ifir_cdma.interpolation import build_re_matrix, filter_maps, make_decimation
 from ifir_cdma.signal_model import gen_gold_set
 
 from oracles import accumulate_and_invert, fullrank_nlms, fullrank_rls
@@ -129,9 +129,9 @@ class TestTrainedRls:
             st = adaptive.make_trained_rls(dec, 3, alpha=1.0, delta=1000.0)
             curves.append([abs(adaptive.rls_step(st, r, b, adapt_v=False)) ** 2
                            for r, b in zip(rs[:horizon], bs[:horizon])])
-            rbars = np.array([build_re_matrix(r, 3, dec).T @ v.conj() for r in rs])
-            r_cov = np.einsum("tm,tn->mn", rbars, rbars.conj()) / len(rs)
-            p = np.einsum("t,tm->m", bs.conj(), rbars) / len(rs)
+            d_v, _ = filter_maps(v, np.zeros(dec.m_red), dec)
+            r_cov = d_v @ (rs.T @ rs.conj() / len(rs)) @ d_v.conj().T
+            p = d_v @ (rs.T @ bs.conj() / len(rs))
             floors.append(1.0 - float(np.real(np.vdot(p, np.linalg.solve(r_cov, p)))))
         mean_curve = np.mean(curves, axis=0)
         floor = np.mean(floors)
@@ -224,8 +224,9 @@ class TestBlindSg:
         # freeze the interpolator reached by the algorithm, compare w against
         # the batch solution for the matching projected statistics
         v = st.state.v.copy()
-        rbars = np.array([build_re_matrix(r, 3, dec).T @ v.conj() for r in rs[1500:]])
-        r_cov = np.einsum("tm,tn->mn", rbars, rbars.conj()) / len(rbars)
+        d_v, _ = filter_maps(v, st.state.w, dec)
+        late = rs[1500:]
+        r_cov = d_v @ (late.T @ late.conj() / len(late)) @ d_v.conj().T
         var_online = float(np.real(np.vdot(st.state.w, r_cov @ st.state.w)))
         a_w, _ = constraint_vectors(cons, g, v, st.state.w)
         var_batch = cmv.min_output_variance(r_cov, a_w)

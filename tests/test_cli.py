@@ -266,8 +266,13 @@ def test_module_runs_a_scenario(tmp_path):
     {"algorithm": "lms", "path_powers": "123"},
     {"algorithm": "lms", "interferer_db": [7000, 0, 0, 0, 0, 0, 0]},
     {"algorithm": "lms", "interferer_sigma_db": 1e300},
+    {"algorithm": "lms", "ebn0_db": 10 ** 400},
+    {"algorithm": "lms", "mu0": 10 ** 400},
+    {"algorithm": "lms", "path_powers": [10 ** 400, 1, 1]},
+    {"algorithm": "lms", "path_powers": [10 ** 300, 1, 1]},
 ], ids=("unknown-field", "repeated-delays", "ebn0-overflow", "power-overflow",
-        "powers-string", "interferer-overflow", "sigma-overflow"))
+        "powers-string", "interferer-overflow", "sigma-overflow", "ebn0-huge-int",
+        "mu0-huge-int", "power-huge-int", "power-square-huge-int"))
 def test_module_config_error_exits_two(tmp_path, doc):
     proc, out = run_module(tmp_path, {"runs": 1, "symbols": 60, **doc})
     assert proc.returncode == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ifir_cdma import cmv, harness
-from ifir_cdma.interpolation import build_re_matrix, make_decimation
+from ifir_cdma.interpolation import build_re_matrix, filter_maps, impulse, make_decimation
 from ifir_cdma.signal_model import gen_gold_set
 
 
@@ -94,9 +94,9 @@ class TestAgainstSimulatedLink:
         bs = np.array(bs)
         dec = make_decimation(36, 2)
         cons = cmv.build_constraints(gen_gold_set(5, 4)[0], 6, dec, g=g_true)
-        rbar = rs[:, dec.indices]  # impulse interpolator
-        r_cov = np.einsum("tm,tn->mn", rbar, rbar.conj()) / len(rs)
-        a_w = (cons.c @ g_true)[dec.indices]   # Re_p^T conj(v) for the impulse
+        d_v, _ = filter_maps(impulse(3), np.zeros(dec.m_red), dec)
+        r_cov = d_v @ (rs.T @ rs.conj() / len(rs)) @ d_v.conj().T
+        a_w = d_v @ (cons.c @ g_true)   # Re_p^T conj(v)
         w = cmv.cmv_receiver(r_cov, a_w)
-        outs = rbar @ w.conj()
+        outs = rs @ d_v.T @ w.conj()
         assert np.mean(np.sign(outs.real) != bs) < 0.01

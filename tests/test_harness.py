@@ -102,7 +102,7 @@ def test_rls_breakdowns_reach_export(monkeypatch, tmp_path, alg, breakdowns):
     def breaking(p, x, alpha, delta, _update=adaptive.rls_update):
         calls.append(None)
         if len(calls) == 10:
-            return delta * np.eye(p.shape[0], dtype=complex), None, p @ x, 0.0
+            return delta * np.eye(p.shape[0], dtype=complex), None
         return _update(p, x, alpha, delta)
 
     monkeypatch.setattr(adaptive, "rls_update", breaking)

@@ -3,7 +3,7 @@ import pytest
 
 from ifir_cdma import interpolation as ip
 
-from oracles import filter_downsample
+from oracles import filter_downsample, stacked_statistics
 
 
 def crandn(rng, n):
@@ -120,6 +120,47 @@ class TestInterpolateThenDecimate:
     def test_rejects_zero_interpolator(self):
         with pytest.raises(ValueError):
             ip.ReceiverState(v=np.zeros(2), w=np.ones(2))
+
+
+# (M, L, N_I): the default geometry and N=63/l_p=8 have a zero tail past M
+FILTER_MAP_GEOMETRIES = [(36, 2, 3), (36, 4, 4), (36, 1, 1), (36, 3, 2), (70, 2, 3)]
+
+
+class TestFilterMaps:
+    @pytest.mark.parametrize("m,l,n_i", FILTER_MAP_GEOMETRIES)
+    def test_maps_match_segment_matrix(self, m, l, n_i):
+        rng = np.random.default_rng(m + 10 * l + n_i)
+        dec = ip.make_decimation(m, l)
+        v, w = crandn(rng, n_i), crandn(rng, dec.m_red)
+        d_v, e_w = ip.filter_maps(v, w, dec)
+        assert d_v.shape == (dec.m_red, m) and e_w.shape == (n_i, m)
+        for _ in range(5):
+            r = crandn(rng, m)
+            re = ip.build_re_matrix(r, n_i, dec)
+            np.testing.assert_allclose(d_v @ r, re.T @ v.conj(), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(e_w @ r, re @ w.conj(), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m,l,n_i", FILTER_MAP_GEOMETRIES)
+    def test_gathered_statistics_match_stacked_samples(self, m, l, n_i):
+        # every filter statistic is a sandwich of one sample covariance of r
+        rng = np.random.default_rng(7 * m + l + n_i)
+        dec = ip.make_decimation(m, l)
+        t = 300
+        rs = np.array([crandn(rng, m) for _ in range(t)])
+        bs = np.sign(rng.standard_normal(t))
+        v, w = crandn(rng, n_i), crandn(rng, dec.m_red)
+        d_v, e_w = ip.filter_maps(v, w, dec)
+        r_cov = rs.T @ rs.conj() / t
+        p = rs.T @ bs.conj() / t
+        gathered = dict(
+            r_bar=d_v @ r_cov @ d_v.conj().T, p_bar=d_v @ p,
+            r_u=e_w @ r_cov @ e_w.conj().T, p_u=e_w @ p,
+            e_r_w=d_v @ r_cov @ e_w.conj().T, e_u_v=e_w @ r_cov @ d_v.conj().T)
+        expect = stacked_statistics(rs, bs, v, w, l, dec.m_red)
+        for name, value in gathered.items():
+            np.testing.assert_allclose(value, expect[name], rtol=1e-12,
+                                       atol=1e-12 * np.abs(expect[name]).max(),
+                                       err_msg=name)
 
 
 class TestReceiverOutput:

@@ -1,7 +1,7 @@
 import numpy as np
 
 from ifir_cdma import harness, mmse
-from ifir_cdma.interpolation import make_decimation
+from ifir_cdma.interpolation import filter_maps, make_decimation
 
 
 def crandn(rng, *shape):
@@ -14,9 +14,8 @@ def random_spd(rng, n):
 
 
 def make_stats(rng, m_red=5, n_i=3):
-    return mmse.MmseStatistics(
-        r_bar=random_spd(rng, m_red), p_bar=crandn(rng, m_red),
-        r_u=random_spd(rng, n_i), p_u=crandn(rng, n_i), sigma_b2=1.0)
+    """Random (R_bar, p_bar, R_u, p_u)."""
+    return random_spd(rng, m_red), crandn(rng, m_red), random_spd(rng, n_i), crandn(rng, n_i)
 
 
 def min_mse(sigma_b2, r, p):
@@ -26,30 +25,26 @@ def min_mse(sigma_b2, r, p):
 
 class TestWienerSolutions:
     def test_identity_covariance(self):
-        stats = mmse.MmseStatistics(
-            r_bar=np.eye(4, dtype=complex), p_bar=np.eye(4)[0].astype(complex),
-            r_u=np.eye(2, dtype=complex), p_u=np.eye(2)[1].astype(complex),
-            sigma_b2=1.0)
-        assert np.allclose(mmse.solve_regularized(stats.r_bar, stats.p_bar), np.eye(4)[0],
-                           atol=1e-7)
-        assert np.allclose(mmse.solve_regularized(stats.r_u, stats.p_u), np.eye(2)[1],
-                           atol=1e-7)
+        assert np.allclose(mmse.solve_regularized(np.eye(4, dtype=complex),
+                                                  np.eye(4)[0].astype(complex)),
+                           np.eye(4)[0], atol=1e-7)
+        assert np.allclose(mmse.solve_regularized(np.eye(2, dtype=complex),
+                                                  np.eye(2)[1].astype(complex)),
+                           np.eye(2)[1], atol=1e-7)
 
     def test_defining_equations(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            stats = make_stats(rng)
-            w = mmse.solve_regularized(stats.r_bar, stats.p_bar)
-            v = mmse.solve_regularized(stats.r_u, stats.p_u)
-            assert np.abs(stats.r_bar @ w - stats.p_bar).max() < 1e-7
-            assert np.abs(stats.r_u @ v - stats.p_u).max() < 1e-7
+            r_bar, p_bar, r_u, p_u = make_stats(rng)
+            w = mmse.solve_regularized(r_bar, p_bar)
+            v = mmse.solve_regularized(r_u, p_u)
+            assert np.abs(r_bar @ w - p_bar).max() < 1e-7
+            assert np.abs(r_u @ v - p_u).max() < 1e-7
 
     def test_scalar_interpolator(self):
-        stats = mmse.MmseStatistics(
-            r_bar=np.eye(2, dtype=complex), p_bar=np.zeros(2, dtype=complex),
-            r_u=np.array([[2.0 + 0j]]), p_u=np.array([0.5 + 0.5j]), sigma_b2=1.0)
-        assert np.allclose(mmse.solve_regularized(stats.r_u, stats.p_u), [(0.5 + 0.5j) / 2.0],
-                           atol=1e-8)
+        assert np.allclose(mmse.solve_regularized(np.array([[2.0 + 0j]]),
+                                                  np.array([0.5 + 0.5j])),
+                           [(0.5 + 0.5j) / 2.0], atol=1e-8)
 
     def test_rank_one_closed_form(self):
         # single signature in noise: best MSE is sigma2/(1 + sigma2) for a
@@ -63,8 +58,18 @@ class TestWienerSolutions:
 
     def test_mse_zero_crosscorrelation(self):
         rng = np.random.default_rng(2)
-        stats = make_stats(rng)
-        assert abs(min_mse(1.7, stats.r_bar, np.zeros(5, dtype=complex)) - 1.7) < 1e-12
+        r_bar, _, _, _ = make_stats(rng)
+        assert abs(min_mse(1.7, r_bar, np.zeros(5, dtype=complex)) - 1.7) < 1e-12
+
+
+def filter_statistics(rs, bs, v, w, dec):
+    """(sigma_b^2, R_bar, p_bar, R_u, p_u) of a batch: the sample covariance
+    of r and its correlation with the symbols, read through the filter maps."""
+    d_v, e_w = filter_maps(v, w, dec)
+    r_cov = rs.T @ rs.conj() / len(rs)
+    p = rs.T @ bs.conj() / len(rs)
+    return (float(np.mean(np.abs(bs) ** 2)), d_v @ r_cov @ d_v.conj().T, d_v @ p,
+            e_w @ r_cov @ e_w.conj().T, e_w @ p)
 
 
 def collect_batch(cfg, seed):
@@ -102,10 +107,9 @@ class TestAlternateMmse:
         diffs = np.diff(np.array(hist))
         assert np.all(diffs <= 1e-9), "sample MSE increased during a half-sweep"
         # at convergence the two closed-form MSE values agree
-        res = mmse.segment_stack(rs, 3, dec)
-        stats = mmse.estimate_statistics(res, bs, state.v, state.w)
-        j_r = min_mse(stats.sigma_b2, stats.r_bar, stats.p_bar)
-        j_u = min_mse(stats.sigma_b2, stats.r_u, stats.p_u)
+        sigma_b2, r_bar, p_bar, r_u, p_u = filter_statistics(rs, bs, state.v, state.w, dec)
+        j_r = min_mse(sigma_b2, r_bar, p_bar)
+        j_u = min_mse(sigma_b2, r_u, p_u)
         assert abs(j_r - j_u) < 1e-6
 
     def test_initialization_independent(self):
@@ -120,15 +124,14 @@ class TestAlternateMmse:
     def test_scale_invariance_of_statistics(self):
         rs, bs = self.scenario(l=2, n_i=3, symbols=400)
         dec = make_decimation(36, 2)
-        res = mmse.segment_stack(rs, 3, dec)
         rng = np.random.default_rng(3)
         v = crandn(rng, 3)
         w = crandn(rng, dec.m_red)
         for t in (2.0, 0.3 - 1.1j):
-            s1 = mmse.estimate_statistics(res, bs, v, w)
-            s2 = mmse.estimate_statistics(res, bs, t * v, w / t)
-            j1 = min_mse(s1.sigma_b2, s1.r_bar, s1.p_bar)
-            j2 = min_mse(s2.sigma_b2, s2.r_bar, s2.p_bar)
+            sigma_b2, r_bar, p_bar, _, _ = filter_statistics(rs, bs, v, w, dec)
+            j1 = min_mse(sigma_b2, r_bar, p_bar)
+            sigma_b2, r_bar, p_bar, _, _ = filter_statistics(rs, bs, t * v, w / t, dec)
+            j2 = min_mse(sigma_b2, r_bar, p_bar)
             assert abs(j1 - j2) < 1e-9
 
     def test_full_rank_equivalence(self):
