@@ -54,7 +54,7 @@ class TrainedSgState:
     dec: DecimationOperator
     mu0: float
     eta0: float
-    normalized: bool = True
+    normalized: bool
 
 
 def make_trained_sg(dec: DecimationOperator, n_i: int, mu0: float, eta0: float,
@@ -99,8 +99,8 @@ class TrainedRlsState:
     dec: DecimationOperator
     p: np.ndarray
     p_u: np.ndarray
-    alpha: float = 0.998
-    delta: float = 100.0
+    alpha: float
+    delta: float
     breakdowns: int = 0
 
 
@@ -240,7 +240,7 @@ class BlindSgState(BlindState):
 
     mu0: float
     eta0: float
-    normalized: bool = True
+    normalized: bool
 
 
 def make_blind_sg(cons: ConstraintSet, n_i: int, mu0: float, eta0: float,
@@ -296,8 +296,8 @@ class BlindRlsState(BlindState):
 
     p: np.ndarray
     p_u: np.ndarray
-    alpha: float = 0.998
-    delta: float = 100.0
+    alpha: float
+    delta: float
     breakdowns: int = 0
 
 

@@ -1,6 +1,6 @@
 """Command-line entry point for Monte-Carlo scenario runs.
 
-Reads a JSON scenario file, applies flag overrides, runs the campaign
+Reads a UTF-8 JSON scenario file, applies flag overrides, runs the campaign
 and writes the averaged metric series as CSV or JSON.  Exit codes:
 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -34,7 +34,7 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ConfigError("scenario file must hold a JSON object")
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
         if args.runs is not None:
             doc["runs"] = args.runs
         cfg = ScenarioConfig.from_dict(doc)
-    except (OSError, json.JSONDecodeError, ConfigError, TypeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError, TypeError) as exc:
         print(f"ifir-cdma: configuration error: {exc}", file=sys.stderr)
         return 2
     try:

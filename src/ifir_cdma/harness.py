@@ -7,10 +7,11 @@ MSE, windowed SINR and cumulative BER; `run_campaign` averages
 independent runs with spawned sub-seeds.
 
 A trial takes the link a noise chunk at a time, as arrays of received
-vectors and of their desired-only components; the RAKE and
-partial-despreading baselines despread each array in one product.  One
-symbol loop then drives every algorithm through two calls on a row:
-`output(r)` applies the current receiver and `adapt(r, d)` updates it.
+vectors, of their desired-only components and of the channel gains; the
+RAKE and partial-despreading baselines despread each array in one
+product.  One symbol loop then drives every algorithm through two calls
+on a row: `output(r)` applies the current receiver and `adapt(r, d, g)`
+updates it, g being the symbol's gains.
 Per symbol it takes the decision output, adapts with the reference
 symbol (training symbol, or the decision in decision-directed mode past
 `n_tr`; blind receivers ignore it), then applies the updated receiver
@@ -302,12 +303,13 @@ class _Link:
     """One run's synthesized downlink, handed out a noise chunk at a time.
 
     `chunks()` yields a chunk's received vectors R = clean + noise
-    (chunk x M), desired symbols b and desired-only components
-    R_des = (A_0 b)[:, None] * signature.  Static clean rows are views of
-    one convolved chip stream.  A faded link draws the chunk's path gains
-    after its noise, forms its clean rows and signatures in batched
-    products, and `select(k)` makes symbol k's gains `channel.gains` (in
-    place) and its signature `signature`.
+    (chunk x M), desired symbols b, desired-only components
+    R_des = (A_0 b)[:, None] * signature and path gains G (chunk x l_p).
+    Static clean rows are views of one convolved chip stream, and G a
+    read-only view repeating `channel.gains`.  A faded link draws the
+    chunk's path gains after its noise and forms its clean rows and
+    signatures in batched products; `channel.gains` keeps the gains the
+    channel was made with.
 
     Noise before gains keeps the generator order of per-symbol gain
     steps: gains draw only at a fading period's first sample (its
@@ -339,6 +341,7 @@ class _Link:
             # row i of _clean is the convolved stream from chip (i + l_s - 1) N on
             conv = np.convolve(stream, self.channel.gains)
             self._clean = view(conv, self.m)[(self.l_s - 1) * cfg.n::cfg.n]
+            self.signature = signal_model.effective_signature(self.codes[0], self.channel.gains)
         else:
             # windows[i] @ gains is the noiseless r of symbol i, and
             # code_matrix @ gains its desired signature: windows[i][m, l]
@@ -347,10 +350,9 @@ class _Link:
             rows = view(stream[first:], self.m + cfg.l_p - 1)[::cfg.n]
             self._windows = view(rows, cfg.l_p, axis=1)[:, :, ::-1]
             self._code_matrix = cmv.shifted_signatures(self.codes[0], cfg.l_p)
-        self.signature = signal_model.effective_signature(self.codes[0], self.channel.gains)
 
     def chunks(self):
-        """Yield (R, b, R_des) for each noise chunk, in symbol order."""
+        """Yield (R, b, R_des, G) for each noise chunk, in symbol order."""
         for i in range(0, self.cfg.symbols, NOISE_CHUNK):
             size = min(NOISE_CHUNK, self.cfg.symbols - i)
             z = self.rng.standard_normal((size, 2, self.m))
@@ -361,20 +363,15 @@ class _Link:
             b = self.desired[i:i + size]
             if self._static:
                 clean, signature = self._clean[i:i + size], self.signature
+                gains = np.broadcast_to(self.channel.gains, (size, self.cfg.l_p))
             else:
-                self._gains = signal_model.fading_gains(self.channel, size, self.rng)
+                gains = signal_model.fading_gains(self.channel, size, self.rng)
                 # batched as a @ g[..., None], each product equals the
                 # per-symbol a @ g bit for bit; g @ a.T sums in another order
-                g = self._gains[:, :, None]
-                clean = (self._windows[i:i + size] @ g)[..., 0]
-                signature = self._signatures = (self._code_matrix @ g)[..., 0]
+                clean = (self._windows[i:i + size] @ gains[:, :, None])[..., 0]
+                signature = (self._code_matrix @ gains[:, :, None])[..., 0]
             rs += clean
-            yield rs, b, (self.amps[0] * b)[:, None] * signature
-
-    def select(self, k: int) -> None:
-        """Make symbol k of the current chunk the faded link's channel state."""
-        self.channel.gains[:] = self._gains[k]
-        self.signature = self._signatures[k]
+            yield rs, b, (self.amps[0] * b)[:, None] * signature, gains
 
 
 def _sinr_db(out: list, out_des: list) -> np.ndarray:
@@ -421,10 +418,12 @@ def _interpolated_receiver(cfg: ScenarioConfig, link: _Link):
     """(output, adapt, state) of an interpolated receiver.
 
     `output(r)` applies the current (v, w) to a received vector and
-    `adapt(r, d)` runs one adaptive step with reference symbol d (the
-    blind steps ignore it; with a known channel their constraint holds
-    the link's gains, handed to the step every symbol only when the
-    channel fades).  `state` serves the phase alignment.
+    `adapt(r, d, g)` runs one adaptive step with reference symbol d (the
+    blind steps ignore it) on a symbol with channel gains g (the trained
+    steps ignore them; with a known channel the blind constraint holds
+    them, handed to the step every symbol only when the channel fades).
+    The link is read here only, for its code and initial gains.  `state`
+    serves the phase alignment.
     """
     dec = make_decimation(cfg.m, cfg.l)
     v0 = _interpolator_init(cfg)
@@ -432,11 +431,11 @@ def _interpolated_receiver(cfg: ScenarioConfig, link: _Link):
     if cfg.algorithm == "lms":
         st = adaptive.make_trained_sg(dec, cfg.n_i, cfg.mu0, cfg.eta0,
                                       normalized=cfg.normalized_steps, v0=v0)
-        adapt = lambda r, d: adaptive.lms_step(st, r, d, adapt_v=adapt_v)
+        adapt = lambda r, d, g: adaptive.lms_step(st, r, d, adapt_v=adapt_v)
     elif cfg.algorithm == "rls":
         st = adaptive.make_trained_rls(dec, cfg.n_i, alpha=cfg.alpha,
                                        delta=cfg.delta, v0=v0)
-        adapt = lambda r, d: adaptive.rls_step(st, r, d, adapt_v=adapt_v)
+        adapt = lambda r, d, g: adaptive.rls_step(st, r, d, adapt_v=adapt_v)
     else:
         cons = cmv.build_constraints(link.codes[0], cfg.l_p, dec, g=link.channel.gains)
         tracker = None
@@ -452,9 +451,9 @@ def _interpolated_receiver(cfg: ScenarioConfig, link: _Link):
                                          delta=cfg.delta, tracker=tracker, v0=v0)
             step = adaptive.cmv_rls_step
         if cfg.known_channel and cfg.f_dt > 0:
-            adapt = lambda r, d: step(st, r, adapt_v=adapt_v, g=link.channel.gains)
+            adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=g)
         else:
-            adapt = lambda r, d: step(st, r, adapt_v=adapt_v)
+            adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v)
     return (lambda r: receiver_output(st.state, r, dec)), adapt, st
 
 
@@ -467,7 +466,8 @@ class _Projected:
     LMS, normalised by ||y||^2 under `normalized_steps` as `lms` is, and
     pd-rls by RLS (counting breakdowns in `breakdowns`).  `despread`
     projects a chunk's received vectors at once; `output` and `adapt`
-    then take one row y of it, as `_interpolated_receiver`'s take r.
+    then take one row y of it, as `_interpolated_receiver`'s take r
+    (`adapt` ignores the gains).
     """
 
     def __init__(self, cfg: ScenarioConfig, link: _Link):
@@ -493,7 +493,7 @@ class _Projected:
     def output(self, y: np.ndarray) -> complex:
         return complex(np.vdot(self.w, y))
 
-    def adapt(self, y: np.ndarray, d: float) -> None:
+    def adapt(self, y: np.ndarray, d: float, g: np.ndarray) -> None:
         cfg = self.cfg
         if cfg.algorithm == "rake":
             if self.trained < cfg.n_tr:
@@ -565,17 +565,15 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     tracking = cfg.mode == "blind" and not cfg.known_channel
     directed_from = cfg.n_tr if cfg.mode == "decision-directed" else t
     i = 0
-    for rs, bs, rs_des in link.chunks():
+    for rs, bs, rs_des, gs in link.chunks():
         if despread is not None:
             rs, rs_des = despread(rs), despread(rs_des)
-        for k, (r, b, r_des) in enumerate(zip(rs, bs, rs_des)):
-            if not link._static:
-                link.select(k)
+        for r, b, r_des, g in zip(rs, bs, rs_des, gs):
             xi = output(r)
             if tracking:
-                xi = _align_phase(xi, st.g_hat, link.channel.gains)
+                xi = _align_phase(xi, st.g_hat, g)
             d = detect(xi)
-            adapt(r, d if i >= directed_from else b)
+            adapt(r, d if i >= directed_from else b, g)
             x[i], bhat[i] = xi, d
             out[i] = output(r)
             out_des[i] = output(r_des)
@@ -596,19 +594,16 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
 
 
 def iter_symbols(cfg: ScenarioConfig, run_seed):
-    """Yield (r, b, r_desired, link) per symbol of one seeded scenario run.
+    """Yield (r, b, r_desired, g) per symbol of one seeded scenario run,
+    g being the symbol's channel gains (length l_p).
 
     Drives the same synthesized downlink as `run_trial` without any
     receiver attached; useful for custom adaptation protocols and for
     validating analysis predictions against simulation.
     """
     cfg.validate()
-    link = _Link(cfg, np.random.default_rng(run_seed))
-    for rs, bs, rs_des in link.chunks():
-        for k, (r, b, r_des) in enumerate(zip(rs, bs, rs_des)):
-            if not link._static:
-                link.select(k)
-            yield r, b, r_des, link
+    for chunk in _Link(cfg, np.random.default_rng(run_seed)).chunks():
+        yield from zip(*chunk)
 
 
 def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:

@@ -18,11 +18,11 @@ from .interpolation import DecimationOperator, ReceiverState, filter_maps, impul
 RIDGE = 1e-8
 
 
-def solve_regularized(r: np.ndarray, p: np.ndarray, ridge: float = RIDGE) -> np.ndarray:
+def solve_regularized(r: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Solve r x = p, falling back to a trace-scaled diagonal load.
 
     The plain solve keeps well-posed systems exact; singular or
-    numerically hopeless covariances get ridge * tr(r)/dim added once,
+    numerically hopeless covariances get RIDGE * tr(r)/dim added once,
     and failure after that propagates.
     """
     r = np.asarray(r)
@@ -36,7 +36,7 @@ def solve_regularized(r: np.ndarray, p: np.ndarray, ridge: float = RIDGE) -> np.
             return x
     except np.linalg.LinAlgError:
         pass
-    return np.linalg.solve(r + (ridge * tr / dim) * np.eye(dim), p)
+    return np.linalg.solve(r + (RIDGE * tr / dim) * np.eye(dim), p)
 
 
 def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperator,

@@ -203,11 +203,13 @@ class FadingProcess:
 class ChannelRealization:
     """Multipath channel: per-path amplitudes, delays, and fading state.
 
-    `gains` always has length l_p (the modelled delay spread); inactive
-    delays hold zeros.  The amplitude profile has unit norm.
+    `gains` holds the gains the channel was made with (a fading
+    channel's first sample; `fading_gains` draws the ones after it).  It
+    always has length l_p (the modelled delay spread); inactive delays
+    hold zeros.  The amplitude profile has unit norm.
     """
 
-    gains: np.ndarray                 # length l_p, complex
+    gains: np.ndarray                 # length l_p, complex, as made
     path_powers: np.ndarray = None    # amplitude profile p_l at active delays
     path_delays: np.ndarray = None
     fading: list = None               # FadingProcess per active path, None if static

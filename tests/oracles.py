@@ -326,7 +326,8 @@ def per_symbol_trial(cfg, run_seed):
         if i >= first:
             errors += bhat != b
         ber[i] = errors / max(i - first + 1, 1)
-        adapt(r, bhat if cfg.mode == "decision-directed" and i >= cfg.n_tr else b)
+        adapt(r, bhat if cfg.mode == "decision-directed" and i >= cfg.n_tr else b,
+              link.channel.gains)
         out = output(r)
         out_des = output(r_des)
         sinr[i] = meter.update(out_des, out - out_des)

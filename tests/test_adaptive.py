@@ -13,13 +13,13 @@ def crandn(rng, *shape):
 
 def collect(cfg, seed, want_channel=False):
     rs, bs = [], []
-    link = None
-    for r, b, _, link in harness.iter_symbols(cfg, seed):
+    g = None
+    for r, b, _, g in harness.iter_symbols(cfg, seed):
         rs.append(r)
         bs.append(b)
     rs, bs = np.array(rs), np.array(bs)
     if want_channel:
-        return rs, bs, link.channel.gains
+        return rs, bs, g
     return rs, bs
 
 

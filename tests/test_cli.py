@@ -60,6 +60,19 @@ def test_non_object_json_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", [
+    pytest.param('{"algorithm": "lms", "caf\xe9": 1}'.encode("latin-1"), id="latin-1-key"),
+    pytest.param(b"\xff\xfe" + '{"algorithm": "lms"}'.encode("utf-16-le"), id="utf-16-bom"),
+])
+def test_config_not_utf8_exits_two(tmp_path, capsys, raw):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(raw)
+    code, out = run(tmp_path, path)
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_three(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("singular")

@@ -42,12 +42,9 @@ def scenario(alg, **kw):
 
 
 def link_symbols(link):
-    """(r, b, r_des) per symbol of a link's chunks, its channel state set as the trial sets it."""
-    for rs, bs, rs_des in link.chunks():
-        for k in range(len(bs)):
-            if not link._static:
-                link.select(k)
-            yield rs[k], bs[k], rs_des[k]
+    """(r, b, r_des, g) per symbol of a link's chunks, as the trial takes them."""
+    for chunk in link.chunks():
+        yield from zip(*chunk)
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -249,37 +246,37 @@ def test_freeze_interpolator_changes_blind_outputs(alg):
                   "interferer_db": [-6.0, -3.0, 0.0, 2.0, 4.0, 6.0, 9.0]}, id="fixed")))
 def test_link_matches_synthesis(change):
     # the link's received vector against the spec matrices,
-    # H sum_k A_k S_k b_k on the channel's current gains, and its desired
-    # signature against the signal model, symbol by symbol
+    # H sum_k A_k S_k b_k on the symbol's gains, and its desired-only
+    # component against A_0 b times the signal model's signature, symbol by symbol
     cfg = scenario("rls", runs=1, symbols=60, **change)
     link = harness._Link(cfg, np.random.default_rng(3))
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
     blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
-    for i, (r, _, _) in enumerate(link_symbols(link)):
+    for i, (r, b, r_des, g) in enumerate(link_symbols(link)):
         chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps, blocks,
                                                           link.bits[:, i:i + span]))
-        expect = build_channel_matrix(link.channel.gains, cfg.n, link.l_s) @ chips
+        expect = build_channel_matrix(g, cfg.n, link.l_s) @ chips
         assert np.abs(r - expect).max() <= 1e-12
-        signature = signal_model.effective_signature(link.codes[0], link.channel.gains)
-        assert np.abs(link.signature - signature).max() <= 1e-12
+        signature = signal_model.effective_signature(link.codes[0], g)
+        assert np.abs(r_des - link.amps[0] * b * signature).max() <= 1e-12
 
 
 def test_link_matches_synthesis_across_a_fading_period_wrap():
     # the first fading period (2^16 samples at f_dt = 1e-3) ends at symbol
     # 65535, the last of a noise chunk; the link against the spec matrices
-    # on the channel's current gains, around that symbol
+    # on the symbol's gains, around that symbol
     cfg = scenario("rls", runs=1, symbols=65_601, f_dt=1e-3)
     link = harness._Link(cfg, np.random.default_rng(3))
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
     blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
-    for i, (r, _, _) in enumerate(link_symbols(link)):
+    for i, (r, _, _, g) in enumerate(link_symbols(link)):
         if i < 65_500:
             continue
         chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps, blocks,
                                                           link.bits[:, i:i + span]))
-        expect = build_channel_matrix(link.channel.gains, cfg.n, link.l_s) @ chips
+        expect = build_channel_matrix(g, cfg.n, link.l_s) @ chips
         assert np.abs(r - expect).max() <= 1e-12
 
 
@@ -289,12 +286,11 @@ def test_iter_symbols_matches_per_symbol_link(f_dt):
     # boundary, against a twin link stepped symbol by symbol
     cfg = scenario("lms", runs=1, symbols=harness.NOISE_CHUNK + 40, f_dt=f_dt)
     twin = harness._Link(cfg, np.random.default_rng(13))
-    for i, (r, b, r_des, link) in enumerate(harness.iter_symbols(cfg, 13)):
+    for i, (r, b, r_des, g) in enumerate(harness.iter_symbols(cfg, 13)):
         expect = link_step_per_symbol(twin, i)
         for got, ref in zip((r, b, r_des), expect):
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), i
-        assert link.channel.gains.tobytes() == twin.channel.gains.tobytes(), i
-        assert link.signature.tobytes() == twin.signature.tobytes(), i
+        assert g.tobytes() == twin.channel.gains.tobytes(), i
     assert i == cfg.symbols - 1
 
 
@@ -352,13 +348,13 @@ def test_unencodable_metadata_leaves_no_json(tmp_path):
 @pytest.mark.parametrize("alg", ("cmv-sg", "cmv-rls"))
 def test_known_channel_constraint_follows_fading(alg):
     # with a known channel both blind receivers hold their response to
-    # p = C g at 1 for the link's current gains, symbol by symbol, under fading
+    # p = C g at 1 for each symbol's gains g, symbol by symbol, under fading
     cfg = scenario(alg, runs=1, symbols=300, f_dt=1e-3)
     link = harness._Link(cfg, np.random.default_rng(23))
     _, adapt, st = harness._interpolated_receiver(cfg, link)
-    for r, b, _ in link_symbols(link):
-        adapt(r, b)
-        re_p = build_re_matrix(st.cons.c @ link.channel.gains, cfg.n_i, st.cons.dec)
+    for r, b, _, g in link_symbols(link):
+        adapt(r, b, g)
+        re_p = build_re_matrix(st.cons.c @ g, cfg.n_i, st.cons.dec)
         v, w = st.state.v, st.state.w
         assert abs(np.vdot(w, re_p.T @ v.conj()) - 1) <= 1e-9
         assert abs(np.vdot(v, re_p @ w.conj()) - 1) <= 1e-9
@@ -416,8 +412,8 @@ def test_rake_combiner_matches_per_symbol_solve(change):
     link = harness._Link(cfg, np.random.default_rng(29))
     rx = harness._Projected(cfg, link)
     rs, bs, ws = [], [], []
-    for r, b, _ in link_symbols(link):
-        rx.adapt(rx.proj_h @ r, b)
+    for r, b, _, g in link_symbols(link):
+        rx.adapt(rx.proj_h @ r, b, g)
         rs.append(r)
         bs.append(b)
         ws.append(rx.w.copy())
@@ -436,10 +432,10 @@ def test_pd_lms_step_follows_normalized_steps(normalized):
     rng = np.random.default_rng(5)
     rx.w = rng.standard_normal(rx.w.size) + 1j * rng.standard_normal(rx.w.size)
     w0 = rx.w.copy()
-    r, b, _ = next(link_symbols(link))
+    r, b, _, g = next(link_symbols(link))
     y = rx.proj_h @ r
     xi = b - np.vdot(w0, y)
-    rx.adapt(y, b)
+    rx.adapt(y, b, g)
     step = cfg.mu0 / np.real(np.vdot(y, y)) if normalized else cfg.mu0
     np.testing.assert_allclose(rx.w - w0, step * np.conj(xi) * y, rtol=1e-12, atol=1e-15)
 

@@ -125,14 +125,14 @@ class TestSynthesize:
     def test_clean_single_user_is_code(self):
         link = single_path_link(0, symbols=20)
         link.sigma2 = 0.0
-        (rs, bs, _), = link.chunks()
+        (rs, bs, _, _), = link.chunks()
         for r, b in zip(rs, bs):
             assert np.allclose(r, b * link.codes[0])
 
     def test_matched_filter_flat_channel(self):
         link = single_path_link(4, symbols=20)
         link.sigma2 = 0.0
-        (rs, bs, _), = link.chunks()
+        (rs, bs, _, _), = link.chunks()
         for r, b in zip(rs, bs):
             assert abs(np.vdot(link.codes[0], r) - b) < 1e-12
 
@@ -144,7 +144,7 @@ class TestSynthesize:
         clean = single_path_link(5, symbols=draws, ebn0_db=3.0)
         clean.sigma2 = 0.0
         sigma2 = noisy.sigma2
-        noise = np.concatenate([r - c for (r, _, _), (c, _, _)
+        noise = np.concatenate([r - c for (r, _, _, _), (c, _, _, _)
                                 in zip(noisy.chunks(), clean.chunks())])
         cov = noise.T @ noise.conj() / draws
         off = cov - np.diag(np.diag(cov))
@@ -165,7 +165,9 @@ class TestFading:
                                      runs=1, symbols=2 * harness.NOISE_CHUNK + 10)
         link = harness._Link(cfg, np.random.default_rng(6))
         before = link.channel.gains.copy()
-        assert sum(len(bs) for _, bs, _ in link.chunks()) == cfg.symbols
+        gains = np.concatenate([gs for _, _, _, gs in link.chunks()])
+        assert gains.shape == (cfg.symbols, cfg.l_p)
+        assert np.array_equal(gains, np.broadcast_to(before, gains.shape))
         assert link.channel.fading is None
         assert np.array_equal(link.channel.gains, before)
 
@@ -274,5 +276,5 @@ def test_isi_span_rule():
 def test_dimension_contract():
     for l_p in (1, 3, 6):
         link = single_path_link(10, symbols=3, l_p=l_p)
-        (rs, _, rs_des), = link.chunks()
+        (rs, _, rs_des, _), = link.chunks()
         assert rs.shape == rs_des.shape == (3, 31 + l_p - 1)
