@@ -7,16 +7,20 @@ Four algorithms operate on one received vector at a time:
 * blind constrained-minimum-variance gradient (`cmv_sg_step`),
 * blind CMV recursive least squares (`cmv_rls_step`).
 
-Within a step the output and error are computed with the pre-update
-filters.  The trained steps update both filters from those same
-pre-update quantities (Jacobi ordering).  The blind steps update v and
-then w, each onto its own hyperplane of the one constraint on the
-channel-combined signature (see `cmv`), so the constraint holds after
-every step.  State objects are single-owner and mutated in place; every
-step returns the scalar the caller needs (error for trained, output for
-blind).  Every step takes `adapt_v`; with it false the interpolator v
-stays where it is and only w adapts.  Every exponentially weighted
-inverse-covariance update goes through `rls_update`.
+Each rule has one state type, `SgState` or `RlsState`; a blind state is
+the trained one plus the one constraint on the channel-combined
+signature (see `cmv`).  `_gradient` is the one gradient update (blind, it
+takes reference 0 and projects back onto the constraint), `_rls_filter`
+the one trained RLS filter update and `rls_update` the one
+inverse-covariance update.  Within a step the output and error are
+computed with the pre-update filters.  The trained steps update both
+filters from those same pre-update quantities (Jacobi ordering).  The
+blind steps update v and then w, each onto its own hyperplane of the
+constraint, so the constraint holds after every step.  States are
+single-owner and mutated in place; every step returns the scalar the
+caller needs (error for trained, output for blind).  Every step takes
+`adapt_v`; with it false the interpolator v stays where it is and only
+w adapts.
 """
 
 from __future__ import annotations
@@ -31,87 +35,33 @@ from .interpolation import DecimationOperator, ReceiverState, build_re_matrix, i
 _TINY = 1e-30
 
 
-def _start(n_i: int, v0: np.ndarray | None, w: np.ndarray) -> ReceiverState:
-    """Initial (v, w): a copy of v0 (the impulse by default) and w."""
-    return ReceiverState(v=impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy(),
-                         w=w)
-
-
 # ---------------------------------------------------------------------------
-# trained algorithms
+# update kernels and states
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TrainedSgState:
-    """Gradient-descent state; mu0/eta0 are convergence factors.
+def _gradient(f: np.ndarray, x: np.ndarray, ce: complex, step0: float, normalized: bool,
+              a: np.ndarray | None = None) -> np.ndarray:
+    """f + step conj(e) x, given ce = conj(e).
 
-    With `normalized` the effective steps are mu0/||rbar||^2 and
-    eta0/||u||^2 (values in (0, 2) keep the normalised recursion
-    stable); otherwise mu0/eta0 are used as raw step sizes.
+    The step is step0, or step0 / (x^H Pi x) when normalised, Pi being
+    the projector off the constraint vector a (I without one); a
+    vanishing denominator skips the gradient.  With a, the multiple of a
+    that restores a^H f = 1 is added, also when the gradient is skipped.
     """
-
-    state: ReceiverState
-    dec: DecimationOperator
-    mu0: float
-    eta0: float
-    normalized: bool
-
-
-def make_trained_sg(dec: DecimationOperator, n_i: int, mu0: float, eta0: float,
-                    normalized: bool = True, v0: np.ndarray | None = None) -> TrainedSgState:
-    return TrainedSgState(state=_start(n_i, v0, np.zeros(dec.m_red, dtype=complex)),
-                          dec=dec, mu0=mu0, eta0=eta0, normalized=normalized)
-
-
-def lms_step(s: TrainedSgState, r: np.ndarray, b: float,
-             adapt_v: bool = True) -> complex:
-    """One gradient update of both filters; returns the a-priori error.
-
-    e = b - w^H rbar, then v <- v + eta conj(e) u and
-    w <- w + mu conj(e) rbar.  A zero-norm regressor skips that filter's
-    update (the error is still reported).
-    """
-    st = s.state
-    re = build_re_matrix(r, st.n_i, s.dec)
-    u = re @ st.w.conj()
-    rbar = re.T @ st.v.conj()
-    e = b - np.vdot(st.w, rbar)
-    ce = np.conj(e)
-    nr = np.real(np.vdot(rbar, rbar))
-    nu = np.real(np.vdot(u, u))
-    if s.normalized:
-        if adapt_v and nu > _TINY:
-            st.v = st.v + (s.eta0 / nu) * ce * u
-        if nr > _TINY:
-            st.w = st.w + (s.mu0 / nr) * ce * rbar
-    else:
-        if adapt_v:
-            st.v = st.v + s.eta0 * ce * u
-        st.w = st.w + s.mu0 * ce * rbar
-    return complex(e)
-
-
-@dataclass
-class TrainedRlsState:
-    """RLS state: p/p_u track the inverse of the weighted sample covariances."""
-
-    state: ReceiverState
-    dec: DecimationOperator
-    p: np.ndarray
-    p_u: np.ndarray
-    alpha: float
-    delta: float
-    breakdowns: int = 0
-
-
-def make_trained_rls(dec: DecimationOperator, n_i: int, alpha: float = 0.998,
-                     delta: float = 100.0, v0: np.ndarray | None = None) -> TrainedRlsState:
-    if not 0 < alpha <= 1:
-        raise ValueError("forgetting factor must be in (0, 1]")
-    return TrainedRlsState(state=_start(n_i, v0, np.zeros(dec.m_red, dtype=complex)),
-                           dec=dec, p=delta * np.eye(dec.m_red, dtype=complex),
-                           p_u=delta * np.eye(n_i, dtype=complex),
-                           alpha=alpha, delta=delta)
+    if a is None:
+        if normalized:
+            den = np.vdot(x, x).real
+            if den <= _TINY:
+                return f
+            step0 = step0 / den
+        return f + (step0 * ce) * x
+    aa = np.vdot(a, a).real
+    ax = np.vdot(a, x)
+    if normalized:
+        den = np.vdot(x, x).real - abs(ax) ** 2 / aa
+        step0 = step0 / den if den > _TINY else 0.0
+    step = step0 * ce
+    return f + step * x + ((1.0 - np.vdot(a, f) - step * ax) / aa) * a
 
 
 def rls_update(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
@@ -137,35 +87,71 @@ def rls_update(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     return p, gain
 
 
-def rls_step(s: TrainedRlsState, r: np.ndarray, b: float,
-             adapt_v: bool = True) -> complex:
-    """One exponentially weighted RLS update of both filters.
+def _rls_filter(p: np.ndarray, f: np.ndarray, x: np.ndarray, ce: complex,
+                alpha: float, delta: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Trained RLS update of a filter f with regressor x and ce = conj(e).
 
-    `rls_update` advances P with rbar, then w <- w + k conj(xi) with the
-    a-priori error xi; the interpolator follows the mirrored recursion
-    on u (skipped while u is zero).  Breakdowns are counted in
-    `breakdowns`.
+    `rls_update` advances p with x, then f <- f + k conj(e).  Returns the
+    new p, the new f and whether p broke down (f then stays).
     """
-    st = s.state
-    re = build_re_matrix(r, st.n_i, s.dec)
-    u = re @ st.w.conj()
-    rbar = re.T @ st.v.conj()
-    xi = b - np.vdot(st.w, rbar)
-    cxi = np.conj(xi)
-
-    s.p, gain = rls_update(s.p, rbar, s.alpha, s.delta)
+    p, gain = rls_update(p, x, alpha, delta)
     if gain is None:
-        s.breakdowns += 1
-    else:
-        st.w = st.w + gain * cxi
+        return p, f, True
+    return p, f + gain * ce, False
 
-    if adapt_v and np.real(np.vdot(u, u)) > _TINY:
-        s.p_u, gain_u = rls_update(s.p_u, u, s.alpha, s.delta)
-        if gain_u is None:
-            s.breakdowns += 1
-        else:
-            st.v = st.v + gain_u * cxi
-    return complex(xi)
+
+@dataclass
+class SgState(ReceiverState):
+    """Gradient state on the decimation `dec`; mu0/eta0 are convergence factors.
+
+    With `normalized` the effective steps are mu0/||rbar||^2 and
+    eta0/||u||^2, the norms taken off the constraint vectors when blind
+    (values in (0, 2) keep the normalised recursion stable); otherwise
+    mu0/eta0 are used as raw step sizes.
+    """
+
+    dec: DecimationOperator
+    mu0: float
+    eta0: float
+    normalized: bool
+
+
+@dataclass
+class RlsState(ReceiverState):
+    """RLS state on the decimation `dec`: p/p_u track the inverse of the
+    weighted sample covariances of rbar and u."""
+
+    dec: DecimationOperator
+    p: np.ndarray
+    p_u: np.ndarray
+    alpha: float
+    delta: float
+    breakdowns: int = 0
+
+
+def _v0(n_i: int, v0: np.ndarray | None) -> np.ndarray:
+    """A copy of v0, the impulse by default."""
+    return impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy()
+
+
+def _blind(s: SgState | RlsState, cons: ConstraintSet, tracker: SgChannelTracker | None):
+    """s with a blind receiver's constraint part: `cons`, `tracker`, the
+    once-per-run gather `segs = cons.segments(n_i)`, and `g_hat` and
+    `re_p` (see `_constrain`), g_hat starting at cons.g or at the
+    tracker's estimate.  w restarts at the minimum-norm filter meeting it."""
+    s.cons, s.tracker, s.segs = cons, tracker, cons.segments(s.n_i)
+    _constrain(s, cons.g if tracker is None else tracker.g_hat)
+    a_w = s.re_p.T @ s.v.conj()
+    s.w = a_w / np.vdot(a_w, a_w).real
+    return s
+
+
+def _constrain(s: SgState | RlsState, g: np.ndarray | None) -> None:
+    """Hold the constraint at new values g_hat = g, re_p being the segment
+    matrix of p = C g_hat; None keeps the current ones."""
+    if g is not None:
+        s.g_hat = np.array(g, dtype=complex)
+        s.re_p = (s.segs @ s.g_hat).reshape(s.n_i, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +159,7 @@ def rls_step(s: TrainedRlsState, r: np.ndarray, b: float,
 # ---------------------------------------------------------------------------
 
 class SgChannelTracker:
-    """Running channel estimate for the gradient-based blind receiver.
+    """Running channel estimate for the blind receivers.
 
     Keeps an exponentially weighted estimate of the despread covariance
     C^H E[r r^H] C and applies one whitened power step per symbol,
@@ -204,68 +190,53 @@ class SgChannelTracker:
 
 
 # ---------------------------------------------------------------------------
-# blind algorithms
+# gradient algorithms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BlindState:
-    """What both blind receivers share: the one constraint on p = C g_hat.
-
-    g_hat starts at cons.g, or at the tracker's estimate, and re_p, the
-    segment matrix of p, is recomputed from the once-per-run gather
-    `segs = cons.segments(n_i)` only when g_hat changes.  w starts at the
-    minimum-norm filter meeting the constraint.
-    """
-
-    state: ReceiverState
-    cons: ConstraintSet
-    tracker: SgChannelTracker | None
-
-    def __post_init__(self):
-        self.segs = self.cons.segments(self.state.n_i)
-        self._constrain(self.cons.g if self.tracker is None else self.tracker.g_hat)
-        a_w = self.re_p.T @ self.state.v.conj()
-        self.state.w = a_w / np.vdot(a_w, a_w).real
-
-    def _constrain(self, g: np.ndarray | None) -> None:
-        """Hold the constraint at new values g; None keeps the current ones."""
-        if g is not None:
-            self.g_hat = np.array(g, dtype=complex)
-            self.re_p = (self.segs @ self.g_hat).reshape(self.state.n_i, -1)
-
-
-@dataclass
-class BlindSgState(BlindState):
-    """Constrained gradient state; mu0/eta0 as in `TrainedSgState`."""
-
-    mu0: float
-    eta0: float
-    normalized: bool
+def make_trained_sg(dec: DecimationOperator, n_i: int, mu0: float, eta0: float,
+                    normalized: bool = True, v0: np.ndarray | None = None) -> SgState:
+    return SgState(v=_v0(n_i, v0), w=np.zeros(dec.m_red, dtype=complex), dec=dec,
+                   mu0=mu0, eta0=eta0, normalized=normalized)
 
 
 def make_blind_sg(cons: ConstraintSet, n_i: int, mu0: float, eta0: float,
                   normalized: bool = True, tracker: SgChannelTracker | None = None,
-                  v0: np.ndarray | None = None) -> BlindSgState:
-    return BlindSgState(state=_start(n_i, v0, None), cons=cons, tracker=tracker,
-                        mu0=mu0, eta0=eta0, normalized=normalized)
+                  v0: np.ndarray | None = None) -> SgState:
+    return _blind(SgState(v=_v0(n_i, v0), w=None, dec=cons.dec, mu0=mu0, eta0=eta0,
+                          normalized=normalized), cons, tracker)
 
 
-def _projected_descent(f: np.ndarray, grad: np.ndarray, cx: complex, a: np.ndarray,
-                       step0: float, normalized: bool) -> np.ndarray:
-    """f - step conj(x) grad, projected onto a^H f = 1.  The normalised step
-    is step0 / (grad^H Pi grad) with Pi = I - a a^H / ||a||^2; a vanishing
-    denominator skips the gradient (the projection still runs)."""
-    aa = np.vdot(a, a).real
-    ag = np.vdot(a, grad)
-    if normalized:
-        den = np.vdot(grad, grad).real - abs(ag) ** 2 / aa
-        step0 = step0 / den if den > _TINY else 0.0
-    step = step0 * cx
-    # the projection adds the multiple of a that restores a^H f = 1
-    return f - step * grad + ((1.0 - np.vdot(a, f) + step * ag) / aa) * a
+def _sg_step(s: SgState, r: np.ndarray, b: float | None, adapt_v: bool) -> complex:
+    """The body of `lms_step` and, with b None, of `cmv_sg_step`: the error
+    e = b - x (e = -x when blind: reference 0) moves v along u and w along
+    rbar through `_gradient`, blind onto the hyperplanes of
+    a_v = Re_p conj(w) and of a_w = Re_p^T conj(v) with the new v.
+    Returns e, or x when blind."""
+    re = build_re_matrix(r, s.n_i, s.dec)
+    wc = s.w.conj()
+    rbar = re.T @ s.v.conj()
+    x = np.vdot(s.w, rbar)
+    blind = b is None
+    e = -x if blind else b - x
+    ce = np.conj(e)
+    if adapt_v:
+        s.v = _gradient(s.v, re @ wc, ce, s.eta0, s.normalized, s.re_p @ wc if blind else None)
+    s.w = _gradient(s.w, rbar, ce, s.mu0, s.normalized,
+                    s.re_p.T @ s.v.conj() if blind else None)
+    return complex(x if blind else e)
 
 
-def cmv_sg_step(s: BlindSgState, r: np.ndarray, adapt_v: bool = True,
+def lms_step(s: SgState, r: np.ndarray, b: float, adapt_v: bool = True) -> complex:
+    """One gradient update of both filters; returns the a-priori error.
+
+    e = b - w^H rbar, then v <- v + eta conj(e) u and
+    w <- w + mu conj(e) rbar.  Normalised, a zero-norm regressor skips
+    that filter's update (the error is still reported).
+    """
+    return _sg_step(s, r, b, adapt_v)
+
+
+def cmv_sg_step(s: SgState, r: np.ndarray, adapt_v: bool = True,
                 g: np.ndarray | None = None) -> complex:
     """One constrained-gradient update; returns the pre-update output x.
 
@@ -276,39 +247,54 @@ def cmv_sg_step(s: BlindSgState, r: np.ndarray, adapt_v: bool = True,
     the constraint holds exactly after every step.  Both gradients use
     the pre-update output.
     """
-    s._constrain(g if s.tracker is None else s.tracker.update(r))
-    st = s.state
-    re = build_re_matrix(r, st.n_i, s.cons.dec)
-    rbar = re.T @ st.v.conj()
-    x = np.vdot(st.w, rbar)
-    cx = np.conj(x)
-    if adapt_v:
-        wc = st.w.conj()
-        st.v = _projected_descent(st.v, re @ wc, cx, s.re_p @ wc, s.eta0, s.normalized)
-    st.w = _projected_descent(st.w, rbar, cx, s.re_p.T @ st.v.conj(), s.mu0, s.normalized)
-    return complex(x)
+    _constrain(s, g if s.tracker is None else s.tracker.update(r))
+    return _sg_step(s, r, None, adapt_v)
 
 
-@dataclass
-class BlindRlsState(BlindState):
-    """Blind RLS state: p and p_u track the inverse weighted covariances of
-    rbar and u, as in `TrainedRlsState`."""
+# ---------------------------------------------------------------------------
+# RLS algorithms
+# ---------------------------------------------------------------------------
 
-    p: np.ndarray
-    p_u: np.ndarray
-    alpha: float
-    delta: float
-    breakdowns: int = 0
+def make_trained_rls(dec: DecimationOperator, n_i: int, alpha: float = 0.998,
+                     delta: float = 100.0, v0: np.ndarray | None = None) -> RlsState:
+    if not 0 < alpha <= 1:
+        raise ValueError("forgetting factor must be in (0, 1]")
+    return _rls_state(dec, n_i, alpha, delta, v0)
 
 
 def make_blind_rls(cons: ConstraintSet, n_i: int, alpha: float = 0.998,
                    delta: float = 100.0, tracker: SgChannelTracker | None = None,
-                   v0: np.ndarray | None = None) -> BlindRlsState:
+                   v0: np.ndarray | None = None) -> RlsState:
     if not 0 < alpha < 1:
         raise ValueError("blind RLS needs a forgetting factor in (0, 1)")
-    return BlindRlsState(state=_start(n_i, v0, None), cons=cons, tracker=tracker,
-                         p=delta * np.eye(cons.dec.m_red, dtype=complex),
-                         p_u=delta * np.eye(n_i, dtype=complex), alpha=alpha, delta=delta)
+    return _blind(_rls_state(cons.dec, n_i, alpha, delta, v0), cons, tracker)
+
+
+def _rls_state(dec: DecimationOperator, n_i: int, alpha: float, delta: float,
+               v0: np.ndarray | None) -> RlsState:
+    return RlsState(v=_v0(n_i, v0), w=np.zeros(dec.m_red, dtype=complex), dec=dec,
+                    p=delta * np.eye(dec.m_red, dtype=complex),
+                    p_u=delta * np.eye(n_i, dtype=complex), alpha=alpha, delta=delta)
+
+
+def rls_step(s: RlsState, r: np.ndarray, b: float, adapt_v: bool = True) -> complex:
+    """One exponentially weighted RLS update of both filters.
+
+    `_rls_filter` updates w with rbar and the a-priori error xi; the
+    interpolator follows the mirrored update on u (skipped while u is
+    zero).  Breakdowns are counted in `breakdowns`.
+    """
+    re = build_re_matrix(r, s.n_i, s.dec)
+    u = re @ s.w.conj()
+    rbar = re.T @ s.v.conj()
+    xi = b - np.vdot(s.w, rbar)
+    cxi = np.conj(xi)
+    s.p, s.w, broke = _rls_filter(s.p, s.w, rbar, cxi, s.alpha, s.delta)
+    s.breakdowns += broke
+    if adapt_v and np.real(np.vdot(u, u)) > _TINY:
+        s.p_u, s.v, broke = _rls_filter(s.p_u, s.v, u, cxi, s.alpha, s.delta)
+        s.breakdowns += broke
+    return complex(xi)
 
 
 def _min_variance(p: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -318,26 +304,26 @@ def _min_variance(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return pa / np.vdot(a, pa).real
 
 
-def cmv_rls_step(s: BlindRlsState, r: np.ndarray, adapt_v: bool = True,
+def cmv_rls_step(s: RlsState, r: np.ndarray, adapt_v: bool = True,
                  g: np.ndarray | None = None) -> complex:
     """One blind RLS update; returns the output of the refreshed filter.
 
     After `g` (as in `cmv_sg_step`): `rls_update` advances p_u with u and
     v <- p_u a_v / (a_v^H p_u a_v) (both skipped without `adapt_v`);
     then it advances p with rbar of the new v, and
-    w <- p a_w / (a_w^H p a_w).  A breakdown (non-positive denominator;
-    that inverse restarts at delta*I) is counted in `breakdowns`.
+    w <- p a_w / (a_w^H p a_w) (Gauss-Seidel ordering).  A breakdown
+    (non-positive denominator; that inverse restarts at delta*I) is
+    counted in `breakdowns`.
     """
-    s._constrain(g if s.tracker is None else s.tracker.update(r))
-    st = s.state
-    re = build_re_matrix(r, st.n_i, s.cons.dec)
+    _constrain(s, g if s.tracker is None else s.tracker.update(r))
+    re = build_re_matrix(r, s.n_i, s.dec)
     if adapt_v:
-        wc = st.w.conj()
+        wc = s.w.conj()
         s.p_u, gain_u = rls_update(s.p_u, re @ wc, s.alpha, s.delta)
         s.breakdowns += gain_u is None
-        st.v = _min_variance(s.p_u, s.re_p @ wc)
-    rbar = re.T @ st.v.conj()
+        s.v = _min_variance(s.p_u, s.re_p @ wc)
+    rbar = re.T @ s.v.conj()
     s.p, gain = rls_update(s.p, rbar, s.alpha, s.delta)
     s.breakdowns += gain is None
-    st.w = _min_variance(s.p, s.re_p.T @ st.v.conj())
-    return complex(np.vdot(st.w, rbar))
+    s.w = _min_variance(s.p, s.re_p.T @ s.v.conj())
+    return complex(np.vdot(s.w, rbar))

@@ -7,11 +7,13 @@ MSE, windowed SINR and cumulative BER; `run_campaign` averages
 independent runs with spawned sub-seeds.
 
 A trial takes the link a noise chunk at a time, as arrays of received
-vectors, of their desired-only components and of the channel gains; the
-RAKE and partial-despreading baselines despread each array in one
-product.  One symbol loop then drives every algorithm through two calls
-on a row: `output(r)` applies the current receiver and `adapt(r, d, g)`
-updates it, g being the symbol's gains.
+vectors, of their desired-only components and of the channel gains.
+Every receiver has one shape (`_receiver`): it first despreads a chunk's
+arrays, in one product for the RAKE and partial-despreading baselines
+and as the identity for the interpolated receivers.  One symbol loop
+then drives every algorithm through two calls on a row: `output(r)`
+applies the current receiver and `adapt(r, d, g)` updates it, g being
+the symbol's gains.
 Per symbol it takes the decision output, adapts with the reference
 symbol (training symbol, or the decision in decision-directed mode past
 `n_tr`; blind receivers ignore it), then applies the updated receiver
@@ -157,6 +159,10 @@ class ScenarioConfig:
         for name in ("l_p", "l", "n_i", "symbols", "runs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        # numpy sizes and SeedSequence.spawn take at most intp's maximum
+        for name in ("symbols", "runs"):
+            if getattr(self, name) > np.iinfo(np.intp).max:
+                raise ConfigError(f"{name} must be at most {np.iinfo(np.intp).max}")
         if self.l > self.m:
             raise ConfigError("decimation factor exceeds the received length")
         m_red = make_decimation(self.m, self.l).m_red
@@ -414,17 +420,79 @@ def _pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
 # receivers and the trial loop
 # ---------------------------------------------------------------------------
 
-def _interpolated_receiver(cfg: ScenarioConfig, link: _Link):
-    """(output, adapt, state) of an interpolated receiver.
+class _Projected:
+    """RAKE and partial-despreading baselines: a combiner w on y = proj^H r.
 
-    `output(r)` applies the current (v, w) to a received vector and
-    `adapt(r, d, g)` runs one adaptive step with reference symbol d (the
-    blind steps ignore it) on a symbol with channel gains g (the trained
-    steps ignore them; with a known channel the blind constraint holds
-    them, handed to the step every symbol only when the channel fades).
-    The link is read here only, for its code and initial gains.  `state`
-    serves the phase alignment.
+    RAKE's combiner is the least-squares channel estimate from the first
+    n_tr symbols, scaled to unit gain; the normal matrix G = C^H C of its
+    shifted signatures C is inverted once per run.  pd-lms and pd-rls
+    adapt w with the kernels of `lms` and `rls` on the filter alone:
+    `adaptive._gradient` (normalised by ||y||^2 under `normalized_steps`)
+    and `adaptive._rls_filter` on the inverse covariance `p_inv`,
+    counting breakdowns in `breakdowns`.  `despread` projects a chunk's
+    received vectors at once; `output` and `adapt` then take one row y of
+    it (`adapt` ignores the gains).
     """
+
+    def __init__(self, cfg: ScenarioConfig, link: _Link):
+        self.cfg = cfg
+        code = link.codes[0]
+        if cfg.algorithm == "rake":
+            proj = cmv.shifted_signatures(code, cfg.l_p)
+            self.gram_inv = np.linalg.inv(proj.conj().T @ proj)
+            self.acc = np.zeros(cfg.l_p, dtype=complex)   # sum of conj(b) y so far
+            self.trained = 0
+        else:
+            proj = _pd_projection(code, cfg.m, cfg.pd_rank)
+            self.p_inv = cfg.delta * np.eye(cfg.pd_rank, dtype=complex)
+        self.proj_h = proj.conj().T
+        self.w = np.zeros(proj.shape[1], dtype=complex)
+        self.breakdowns = 0
+
+    def despread(self, rs: np.ndarray) -> np.ndarray:
+        """proj^H r for every row r of rs; each row equals proj_h @ r bit for bit."""
+        return (self.proj_h[None] @ rs[:, :, None])[..., 0]
+
+    def output(self, y: np.ndarray) -> complex:
+        return complex(np.vdot(self.w, y))
+
+    def adapt(self, y: np.ndarray, d: float, g: np.ndarray) -> None:
+        cfg = self.cfg
+        if cfg.algorithm == "rake":
+            if self.trained < cfg.n_tr:
+                self.trained += 1
+                self.acc += np.conj(d) * y
+                a = self.acc / self.trained
+                g_hat = self.gram_inv @ a
+                # G g_hat = a, so the unit-gain scale g_hat^H G g_hat is g_hat^H a
+                self.w = g_hat / max(np.real(np.vdot(g_hat, a)), 1e-12)
+            return
+        ce = np.conj(d - complex(np.vdot(self.w, y)))
+        if cfg.algorithm == "pd-rls":
+            self.p_inv, self.w, broke = adaptive._rls_filter(self.p_inv, self.w, y, ce,
+                                                             cfg.alpha, cfg.delta)
+            self.breakdowns += broke
+        else:
+            self.w = adaptive._gradient(self.w, y, ce, cfg.mu0, cfg.normalized_steps)
+
+
+def _receiver(cfg: ScenarioConfig, link: _Link):
+    """(despread, output, adapt, state) of the configured receiver.
+
+    `despread(rs)` maps a chunk's received vectors to the rows the
+    receiver takes: proj^H r for the baselines (`_Projected`), r itself
+    for the interpolated receivers.  `output(r)` applies the current
+    receiver to a row and `adapt(r, d, g)` runs one adaptive step with
+    reference symbol d (the blind steps ignore it) on a symbol with
+    channel gains g (only the blind steps read them: with a known channel
+    the constraint holds them, handed to the step every symbol only when
+    the channel fades).  The link is read here only, for its code and
+    initial gains.  `state` serves the phase alignment and carries the
+    RLS breakdowns.
+    """
+    if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
+        rx = _Projected(cfg, link)
+        return rx.despread, rx.output, rx.adapt, rx
     dec = make_decimation(cfg.m, cfg.l)
     v0 = _interpolator_init(cfg)
     adapt_v = not cfg.freeze_interpolator
@@ -454,69 +522,7 @@ def _interpolated_receiver(cfg: ScenarioConfig, link: _Link):
             adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=g)
         else:
             adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v)
-    return (lambda r: receiver_output(st.state, r, dec)), adapt, st
-
-
-class _Projected:
-    """RAKE and partial-despreading baselines: a combiner w on y = proj^H r.
-
-    RAKE's combiner is the least-squares channel estimate from the first
-    n_tr symbols, scaled to unit gain; the normal matrix G = C^H C of its
-    shifted signatures C is inverted once per run.  pd-lms adapts w by
-    LMS, normalised by ||y||^2 under `normalized_steps` as `lms` is, and
-    pd-rls by RLS (counting breakdowns in `breakdowns`).  `despread`
-    projects a chunk's received vectors at once; `output` and `adapt`
-    then take one row y of it, as `_interpolated_receiver`'s take r
-    (`adapt` ignores the gains).
-    """
-
-    def __init__(self, cfg: ScenarioConfig, link: _Link):
-        self.cfg = cfg
-        if cfg.algorithm == "rake":
-            self.proj = cmv.shifted_signatures(link.codes[0], cfg.l_p)
-        else:
-            self.proj = _pd_projection(link.codes[0], cfg.m, cfg.pd_rank)
-        self.proj_h = self.proj.conj().T
-        dim = self.proj.shape[1]
-        self.w = np.zeros(dim, dtype=complex)
-        if cfg.algorithm == "rake":
-            self.gram_inv = np.linalg.inv(self.proj_h @ self.proj)
-        self.acc = np.zeros(dim, dtype=complex)        # rake: sum of conj(b) y so far
-        self.trained = 0
-        self.p_inv = cfg.delta * np.eye(dim, dtype=complex)   # pd-rls inverse covariance
-        self.breakdowns = 0
-
-    def despread(self, rs: np.ndarray) -> np.ndarray:
-        """proj^H r for every row r of rs; each row equals proj_h @ r bit for bit."""
-        return (self.proj_h[None] @ rs[:, :, None])[..., 0]
-
-    def output(self, y: np.ndarray) -> complex:
-        return complex(np.vdot(self.w, y))
-
-    def adapt(self, y: np.ndarray, d: float, g: np.ndarray) -> None:
-        cfg = self.cfg
-        if cfg.algorithm == "rake":
-            if self.trained < cfg.n_tr:
-                self.trained += 1
-                self.acc += np.conj(d) * y
-                a = self.acc / self.trained
-                g_hat = self.gram_inv @ a
-                # G g_hat = a, so the unit-gain scale g_hat^H G g_hat is g_hat^H a
-                self.w = g_hat / max(np.real(np.vdot(g_hat, a)), 1e-12)
-            return
-        xi = d - complex(np.vdot(self.w, y))
-        if cfg.algorithm == "pd-rls":
-            self.p_inv, gain = adaptive.rls_update(self.p_inv, y, cfg.alpha, cfg.delta)
-            if gain is None:
-                self.breakdowns += 1
-            else:
-                self.w = self.w + gain * np.conj(xi)
-        elif cfg.normalized_steps:
-            ny = np.real(np.vdot(y, y))
-            if ny > 1e-30:
-                self.w = self.w + (cfg.mu0 / ny) * np.conj(xi) * y
-        else:
-            self.w = self.w + cfg.mu0 * np.conj(xi) * y
+    return (lambda rs: rs), (lambda r: receiver_output(st, r, dec)), adapt, st
 
 
 def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:
@@ -555,19 +561,14 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     """
     cfg.validate()
     link = _Link(cfg, np.random.default_rng(run_seed))
-    if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
-        rx = _Projected(cfg, link)
-        despread, output, adapt, st = rx.despread, rx.output, rx.adapt, rx
-    else:
-        despread, (output, adapt, st) = None, _interpolated_receiver(cfg, link)
+    despread, output, adapt, st = _receiver(cfg, link)
     t = cfg.symbols
     x, bhat, out, out_des = [0j] * t, [0.0] * t, [0j] * t, [0j] * t
     tracking = cfg.mode == "blind" and not cfg.known_channel
     directed_from = cfg.n_tr if cfg.mode == "decision-directed" else t
     i = 0
     for rs, bs, rs_des, gs in link.chunks():
-        if despread is not None:
-            rs, rs_des = despread(rs), despread(rs_des)
+        rs, rs_des = despread(rs), despread(rs_des)
         for r, b, r_des, g in zip(rs, bs, rs_des, gs):
             xi = output(r)
             if tracking:

@@ -4,8 +4,9 @@ Everything here is written from first principles against the math, not
 by calling into the package, so each check runs through two separate
 code paths.  The exception is `per_symbol_trial`: it drives the
 package's link and receivers through the trial loop as it ran before
-noise, fading gains, received vectors and the baselines' despreading
-were taken a chunk at a time and metering moved after the loop.
+noise, fading gains and received vectors were taken a chunk at a time
+and metering moved after the loop; each symbol's vectors pass through
+the receiver's despreading as one-row chunks.
 """
 
 import functools
@@ -300,13 +301,7 @@ def per_symbol_trial(cfg, run_seed):
     cfg.validate()
     rng = np.random.default_rng(run_seed)
     link = harness._Link(cfg, rng)
-    if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
-        rx = harness._Projected(cfg, link)
-        output, adapt, st = rx.output, rx.adapt, None
-        despread = lambda r: rx.proj_h @ r
-    else:
-        output, adapt, st = harness._interpolated_receiver(cfg, link)
-        despread = lambda r: r
+    despread, output, adapt, st = harness._receiver(cfg, link)
     meter = SinrMeter()
     t = cfg.symbols
     mse = np.zeros(t)
@@ -317,7 +312,7 @@ def per_symbol_trial(cfg, run_seed):
     tracking = cfg.mode == "blind" and not cfg.known_channel
     for i in range(t):
         r, b, r_des = link_step_per_symbol(link, i)
-        r, r_des = despread(r), despread(r_des)
+        r, r_des = despread(r[None])[0], despread(r_des[None])[0]
         x = output(r)
         if tracking:
             x = harness._align_phase(x, st.g_hat, link.channel.gains)

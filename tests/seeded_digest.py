@@ -1,0 +1,87 @@
+"""One SHA-256 over a matrix of seeded campaigns, to show that a change
+keeps every algorithm's outputs byte for byte.
+
+Run it as ``python tests/seeded_digest.py`` on two trees and compare the
+printed lines.  It is not a pytest module: the digest has no expected
+value of its own, only the other tree's.
+
+The matrix is every algorithm in `harness.ALGORITHMS` under 11 variants
+of the default scenario:
+
+* default,
+* L=4, N_I=4,
+* L=1, N_I=1,
+* L=3, N_I=2,
+* N=63, K=4, l_p=8,
+* f_dt=1e-3,
+* f_dt=0.05,
+* fixed delays [0, 2, 4] with the linear interpolator start,
+* log-normal interferers with an 8 dB spread,
+* frozen interpolator,
+* unnormalised steps, mu0=0.01 and eta0=0.005,
+
+each run plainly and once more in decision-directed mode (trained
+receivers) or with a tracked channel (blind receivers), at 300 and 256
+symbols, with runs=2 and seed=5: 7 x 11 x 2 x 2 = 308 campaigns.  Each
+campaign adds the bytes of its `mse`, `sinr_db` and `ber` series and its
+breakdown count to the digest, or the name of the error it raised.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from ifir_cdma import harness  # noqa: E402
+
+VARIANTS = (
+    {},
+    {"l": 4, "n_i": 4},
+    {"l": 1, "n_i": 1},
+    {"l": 3, "n_i": 2},
+    {"n": 63, "k": 4, "l_p": 8},
+    {"f_dt": 1e-3},
+    {"f_dt": 0.05},
+    {"path_delays": [0, 2, 4], "interpolator_init": "linear"},
+    {"interferer_sigma_db": 8.0},
+    {"freeze_interpolator": True},
+    {"normalized_steps": False, "mu0": 0.01, "eta0": 0.005},
+)
+SYMBOLS = (300, 256)
+
+
+def campaigns():
+    """Every (algorithm, scenario document) of the matrix, in a fixed order."""
+    for alg in harness.ALGORITHMS:
+        blind = alg.startswith("cmv")
+        plain = {"mode": "blind" if blind else "training"}
+        other = {**plain, "known_channel": False} if blind else {"mode": "decision-directed"}
+        for variant in VARIANTS:
+            for mode in (plain, other):
+                for symbols in SYMBOLS:
+                    yield alg, {"algorithm": alg, "runs": 2, "seed": 5, "symbols": symbols,
+                                **mode, **variant}
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    for alg, doc in campaigns():
+        digest.update(repr(sorted(doc.items())).encode())
+        try:
+            s = harness.run_campaign(harness.ScenarioConfig.from_dict(doc))
+        except np.linalg.LinAlgError as exc:
+            digest.update(type(exc).__name__.encode())
+        else:
+            for series in (s.mse, s.sinr_db, s.ber):
+                digest.update(series.tobytes())
+            digest.update(int(s.metadata["breakdowns"]).to_bytes(8, "little"))
+        count += 1
+    print(f"{count} campaigns sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -37,24 +37,24 @@ class TestTrainedSg:
         st = adaptive.make_trained_sg(dec, 2, 0.5, 0.5)
         rng = np.random.default_rng(0)
         r = crandn(rng, 8)
-        rbar = build_re_matrix(r, 2, dec).T @ st.state.v.conj()
+        rbar = build_re_matrix(r, 2, dec).T @ st.v.conj()
         # choose w so that the a-priori error vanishes
-        st.state.w[0] = np.conj(1.0 / rbar[0])
-        b = float(np.real(np.vdot(st.state.w, rbar)))
-        v_before, w_before = st.state.v.copy(), st.state.w.copy()
+        st.w[0] = np.conj(1.0 / rbar[0])
+        b = float(np.real(np.vdot(st.w, rbar)))
+        v_before, w_before = st.v.copy(), st.w.copy()
         e = adaptive.lms_step(st, r, b)
         assert abs(e) < 1e-12
-        assert np.allclose(st.state.v, v_before, atol=1e-12)
-        assert np.allclose(st.state.w, w_before, atol=1e-12)
+        assert np.allclose(st.v, v_before, atol=1e-12)
+        assert np.allclose(st.w, w_before, atol=1e-12)
 
     def test_frozen_filter_when_mu_zero(self):
         dec = make_decimation(8, 2)
         st = adaptive.make_trained_sg(dec, 2, 0.0, 0.2)
         rng = np.random.default_rng(1)
-        w0 = st.state.w.copy()
+        w0 = st.w.copy()
         for _ in range(10):
             adaptive.lms_step(st, crandn(rng, 8), 1.0)
-        assert np.array_equal(st.state.w, w0)
+        assert np.array_equal(st.w, w0)
 
     def test_noiseless_single_user_converges(self):
         cfg = scenario(500, k=1, l_p=1, ebn0=200.0, l=1, n_i=1,
@@ -73,7 +73,7 @@ class TestTrainedSg:
         mse = np.array([abs(adaptive.lms_step(st, r, b)) ** 2 for r, b in zip(rs, bs)])
         assert np.isfinite(mse).all()
         assert mse[-500:].mean() < 4 * mse[:50].mean()
-        assert np.isfinite(st.state.w).all() and np.isfinite(st.state.v).all()
+        assert np.isfinite(st.w).all() and np.isfinite(st.v).all()
 
 
 class TestTrainedRls:
@@ -82,7 +82,7 @@ class TestTrainedRls:
         dec = make_decimation(12, 2)
         st = adaptive.make_trained_rls(dec, 3, alpha=0.99, delta=50.0)
         r = crandn(rng, 12)
-        rbar = build_re_matrix(r, 3, dec).T @ st.state.v.conj()
+        rbar = build_re_matrix(r, 3, dec).T @ st.v.conj()
         p0 = 50.0 * np.eye(dec.m_red, dtype=complex)
         expect = np.linalg.inv(np.linalg.inv(p0) * 0.99 + np.outer(rbar, rbar.conj()))
         adaptive.rls_step(st, r, 1.0)
@@ -97,7 +97,7 @@ class TestTrainedRls:
         adaptive.rls_step(st, 10.0 * crandn(rng, 12), 1.0)
         assert st.breakdowns == 1
         assert np.array_equal(st.p, 50.0 * np.eye(dec.m_red))
-        assert not np.any(st.state.w)
+        assert not np.any(st.w)
 
     def test_inverse_tracks_accumulated_covariance(self):
         cfg = scenario(200)
@@ -107,7 +107,7 @@ class TestTrainedRls:
         st = adaptive.make_trained_rls(dec, 3, alpha=alpha, delta=delta)
         rbars = []
         for r, b in zip(rs, bs):
-            rbars.append(build_re_matrix(r, 3, dec).T @ st.state.v.conj())
+            rbars.append(build_re_matrix(r, 3, dec).T @ st.v.conj())
             adaptive.rls_step(st, r, b)
         expect = accumulate_and_invert(np.array(rbars), alpha, delta)
         err = np.abs(st.p - expect).max() / np.abs(expect).max()
@@ -151,7 +151,7 @@ class TestFullRankEquivalence:
         ws, es = [], []
         for r, b in zip(rs, bs):
             es.append(adaptive.lms_step(st, r, b))
-            ws.append(st.state.w.copy())
+            ws.append(st.w.copy())
         ws_ref, es_ref = fullrank_nlms(rs, bs, 0.4)
         assert np.array_equal(np.array(ws), ws_ref)
         assert np.array_equal(np.array(es), es_ref)
@@ -163,10 +163,41 @@ class TestFullRankEquivalence:
         ws, es = [], []
         for r, b in zip(rs, bs):
             es.append(adaptive.rls_step(st, r, b, adapt_v=False))
-            ws.append(st.state.w.copy())
+            ws.append(st.w.copy())
         ws_ref, es_ref = fullrank_rls(rs, bs, 0.998, 100.0)
         assert np.array_equal(np.array(ws), ws_ref)
         assert np.array_equal(np.array(es), es_ref)
+
+    @staticmethod
+    def run_baseline(alg):
+        """(despread rows, symbols, w history, errors) of a 300-symbol
+        training run of a partial-despreading baseline."""
+        cfg = harness.ScenarioConfig(algorithm=alg, symbols=300, path_delays=[0, 2, 4])
+        link = harness._Link(cfg, np.random.default_rng(77))
+        despread, output, adapt, rx = harness._receiver(cfg, link)
+        ys, bs, ws, es = [], [], [], []
+        for rs, chunk_bs, _, gs in link.chunks():
+            for r, y, b, g in zip(rs, despread(rs), chunk_bs, gs):
+                assert np.array_equal(y, rx.proj_h @ r)
+                es.append(b - output(y))
+                adapt(y, b, g)
+                ys.append(y)
+                bs.append(b)
+                ws.append(rx.w.copy())
+        return cfg, np.array(ys), np.array(bs), np.array(ws), np.array(es)
+
+    def test_pd_lms_bit_for_bit(self):
+        # the baseline's update is the lms kernel on the filter alone
+        cfg, ys, bs, ws, es = self.run_baseline("pd-lms")
+        ws_ref, es_ref = fullrank_nlms(ys, bs, cfg.mu0)
+        assert np.array_equal(ws, ws_ref)
+        assert np.array_equal(es, es_ref)
+
+    def test_pd_rls_bit_for_bit(self):
+        cfg, ys, bs, ws, es = self.run_baseline("pd-rls")
+        ws_ref, es_ref = fullrank_rls(ys, bs, cfg.alpha, cfg.delta)
+        assert np.array_equal(ws, ws_ref)
+        assert np.array_equal(es, es_ref)
 
 
 def blind_cfg(symbols, seed=5, **kw):
@@ -197,7 +228,7 @@ class TestBlindSg:
         st = adaptive.make_blind_sg(cons, 3, 0.05, 0.05)
         for r in rs:
             adaptive.cmv_sg_step(st, r)
-            assert max(constraint_residuals(cons, g, st.state.v, st.state.w)) < 1e-8
+            assert max(constraint_residuals(cons, g, st.v, st.w)) < 1e-8
 
     def test_feasible_zero_output_keeps_w(self):
         rng = np.random.default_rng(9)
@@ -205,11 +236,11 @@ class TestBlindSg:
         dec = make_decimation(36, 2)
         cons = cmv.build_constraints(code, 6, dec, g=crandn(rng, 6))
         st = adaptive.make_blind_sg(cons, 3, 0.1, 0.1)
-        w0 = st.state.w.copy()
+        w0 = st.w.copy()
         # a vector orthogonal to rbar's image of w gives x = 0
         r = np.zeros(36, dtype=complex)
         adaptive.cmv_sg_step(st, r)
-        assert np.abs(st.state.w - w0).max() < 1e-12
+        assert np.abs(st.w - w0).max() < 1e-12
 
     def test_variance_approaches_batch_optimum(self):
         # three-user layout: output variance of the adapted filter comes
@@ -223,12 +254,12 @@ class TestBlindSg:
             adaptive.cmv_sg_step(st, r)
         # freeze the interpolator reached by the algorithm, compare w against
         # the batch solution for the matching projected statistics
-        v = st.state.v.copy()
-        d_v, _ = filter_maps(v, st.state.w, dec)
+        v = st.v.copy()
+        d_v, _ = filter_maps(v, st.w, dec)
         late = rs[1500:]
         r_cov = d_v @ (late.T @ late.conj() / len(late)) @ d_v.conj().T
-        var_online = float(np.real(np.vdot(st.state.w, r_cov @ st.state.w)))
-        a_w, _ = constraint_vectors(cons, g, v, st.state.w)
+        var_online = float(np.real(np.vdot(st.w, r_cov @ st.w)))
+        a_w, _ = constraint_vectors(cons, g, v, st.w)
         var_batch = cmv.min_output_variance(r_cov, a_w)
         assert var_online <= 1.10 * var_batch
 
@@ -268,7 +299,7 @@ class TestBlindRls:
         rbars = []
         for r in rs:
             adaptive.cmv_rls_step(st, r)
-            rbars.append(build_re_matrix(r, 3, dec).T @ st.state.v.conj())
+            rbars.append(build_re_matrix(r, 3, dec).T @ st.v.conj())
         return st, cons, np.array(rbars), g
 
     def test_matches_batch_on_same_weighted_covariance(self):
@@ -277,11 +308,11 @@ class TestBlindRls:
         acc = (1.0 / delta) * np.eye(cons.dec.m_red, dtype=complex)
         for rb in rbars:
             acc = alpha * acc + np.outer(rb, rb.conj())
-        a_w, _ = constraint_vectors(cons, st.g_hat, st.state.v, st.state.w)
+        a_w, _ = constraint_vectors(cons, st.g_hat, st.v, st.w)
         w_batch = cmv.cmv_receiver(acc, a_w)
-        rel = np.linalg.norm(st.state.w - w_batch) / np.linalg.norm(w_batch)
+        rel = np.linalg.norm(st.w - w_batch) / np.linalg.norm(w_batch)
         assert rel < 1e-3
-        resid = constraint_residuals(cons, st.g_hat, st.state.v, st.state.w)
+        resid = constraint_residuals(cons, st.g_hat, st.v, st.w)
         assert max(resid) < 1e-6
 
     def test_breakdown_restarts_and_keeps_constraint(self):
@@ -295,7 +326,7 @@ class TestBlindRls:
         adaptive.cmv_rls_step(st, 10.0 * crandn(rng, 36))
         assert st.breakdowns == 1
         assert np.array_equal(st.p, st.delta * np.eye(dec.m_red))
-        resid = constraint_residuals(cons, st.g_hat, st.state.v, st.state.w)
+        resid = constraint_residuals(cons, st.g_hat, st.v, st.w)
         assert max(resid) < 1e-10
 
     def test_channel_tracking_mode(self):

@@ -210,10 +210,10 @@ class TestMeanTrajectory:
             cfg_r, rs_r, bs_r = build_trained_setup(seed=50 + run, symbols=steps)
             st = adaptive.make_trained_sg(dec, cfg.n_i, mu, eta, normalized=False,
                                           v0=state.v)
-            st.state.w = state.w + d
+            st.w = state.w + d
             for i, (r, b) in enumerate(zip(rs_r, bs_r)):
                 adaptive.lms_step(st, r, b)
-                acc[i] += st.state.w - state.w
+                acc[i] += st.w - state.w
         emp = np.linalg.norm(acc, axis=1) / runs
         e0 = np.concatenate([d, np.zeros(cfg.n_i)])
         traj = analysis.mean_trajectory(model, e0, steps)

@@ -283,9 +283,12 @@ def test_module_runs_a_scenario(tmp_path):
     {"algorithm": "lms", "mu0": 10 ** 400},
     {"algorithm": "lms", "path_powers": [10 ** 400, 1, 1]},
     {"algorithm": "lms", "path_powers": [10 ** 300, 1, 1]},
+    {"algorithm": "lms", "runs": 10 ** 20},
+    {"algorithm": "lms", "symbols": 10 ** 20},
 ], ids=("unknown-field", "repeated-delays", "ebn0-overflow", "power-overflow",
         "powers-string", "interferer-overflow", "sigma-overflow", "ebn0-huge-int",
-        "mu0-huge-int", "power-huge-int", "power-square-huge-int"))
+        "mu0-huge-int", "power-huge-int", "power-square-huge-int", "runs-huge-int",
+        "symbols-huge-int"))
 def test_module_config_error_exits_two(tmp_path, doc):
     proc, out = run_module(tmp_path, {"runs": 1, "symbols": 60, **doc})
     assert proc.returncode == 2

@@ -212,7 +212,7 @@ def run_capturing_state(monkeypatch, cfg):
     for name in FACTORIES:
         def capture(*args, _make=getattr(adaptive, name), **kwargs):
             st = _make(*args, **kwargs)
-            built.append((st, st.state.v.copy()))
+            built.append((st, st.v.copy()))
             return st
 
         monkeypatch.setattr(adaptive, name, capture)
@@ -227,7 +227,7 @@ def test_freeze_interpolator_keeps_v(monkeypatch, alg, frozen):
     cfg = scenario(alg, runs=1, symbols=150, interpolator_init="linear",
                    freeze_interpolator=frozen)
     st, v0 = run_capturing_state(monkeypatch, cfg)
-    moved = np.abs(st.state.v - v0).max()
+    moved = np.abs(st.v - v0).max()
     assert moved <= 1e-12 if frozen else moved > 1e-6
 
 
@@ -351,11 +351,11 @@ def test_known_channel_constraint_follows_fading(alg):
     # p = C g at 1 for each symbol's gains g, symbol by symbol, under fading
     cfg = scenario(alg, runs=1, symbols=300, f_dt=1e-3)
     link = harness._Link(cfg, np.random.default_rng(23))
-    _, adapt, st = harness._interpolated_receiver(cfg, link)
+    _, _, adapt, st = harness._receiver(cfg, link)
     for r, b, _, g in link_symbols(link):
         adapt(r, b, g)
         re_p = build_re_matrix(st.cons.c @ g, cfg.n_i, st.cons.dec)
-        v, w = st.state.v, st.state.w
+        v, w = st.v, st.w
         assert abs(np.vdot(w, re_p.T @ v.conj()) - 1) <= 1e-9
         assert abs(np.vdot(v, re_p @ w.conj()) - 1) <= 1e-9
 
