@@ -15,12 +15,13 @@ the one trained RLS filter update and `rls_update` the one
 inverse-covariance update.  Within a step the output and error are
 computed with the pre-update filters.  The trained steps update both
 filters from those same pre-update quantities (Jacobi ordering).  The
-blind steps update v and then w, each onto its own hyperplane of the
-constraint, so the constraint holds after every step.  States are
-single-owner and mutated in place; every step returns the scalar the
-caller needs (error for trained, output for blind).  Every step takes
-`adapt_v`; with it false the interpolator v stays where it is and only
-w adapts.
+blind steps take their constraint values g from the caller, as the
+trained steps take their reference symbol, and update v and then w, each
+onto its own hyperplane of the constraint, so the constraint holds after
+every step.  States are single-owner and mutated in place; the trained
+steps return the a-priori error, the blind steps nothing.  Every step
+takes `adapt_v`; with it false the interpolator v stays where it is and
+only w adapts.
 """
 
 from __future__ import annotations
@@ -134,13 +135,13 @@ def _v0(n_i: int, v0: np.ndarray | None) -> np.ndarray:
     return impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy()
 
 
-def _blind(s: SgState | RlsState, cons: ConstraintSet, tracker: SgChannelTracker | None):
-    """s with a blind receiver's constraint part: `cons`, `tracker`, the
-    once-per-run gather `segs = cons.segments(n_i)`, and `g_hat` and
-    `re_p` (see `_constrain`), g_hat starting at cons.g or at the
-    tracker's estimate.  w restarts at the minimum-norm filter meeting it."""
-    s.cons, s.tracker, s.segs = cons, tracker, cons.segments(s.n_i)
-    _constrain(s, cons.g if tracker is None else tracker.g_hat)
+def _blind(s: SgState | RlsState, cons: ConstraintSet):
+    """s with a blind receiver's constraint part: the once-per-run gather
+    `segs = cons.segments(n_i)`, and `g_hat` and `re_p` (see `_constrain`),
+    g_hat starting at cons.g.  w restarts at the minimum-norm filter
+    meeting it."""
+    s.segs = cons.segments(s.n_i)
+    _constrain(s, cons.g)
     a_w = s.re_p.T @ s.v.conj()
     s.w = a_w / np.vdot(a_w, a_w).real
     return s
@@ -200,10 +201,9 @@ def make_trained_sg(dec: DecimationOperator, n_i: int, mu0: float, eta0: float,
 
 
 def make_blind_sg(cons: ConstraintSet, n_i: int, mu0: float, eta0: float,
-                  normalized: bool = True, tracker: SgChannelTracker | None = None,
-                  v0: np.ndarray | None = None) -> SgState:
+                  normalized: bool = True, v0: np.ndarray | None = None) -> SgState:
     return _blind(SgState(v=_v0(n_i, v0), w=None, dec=cons.dec, mu0=mu0, eta0=eta0,
-                          normalized=normalized), cons, tracker)
+                          normalized=normalized), cons)
 
 
 def _sg_step(s: SgState, r: np.ndarray, b: float | None, adapt_v: bool) -> complex:
@@ -211,7 +211,7 @@ def _sg_step(s: SgState, r: np.ndarray, b: float | None, adapt_v: bool) -> compl
     e = b - x (e = -x when blind: reference 0) moves v along u and w along
     rbar through `_gradient`, blind onto the hyperplanes of
     a_v = Re_p conj(w) and of a_w = Re_p^T conj(v) with the new v.
-    Returns e, or x when blind."""
+    Returns e."""
     re = build_re_matrix(r, s.n_i, s.dec)
     wc = s.w.conj()
     rbar = re.T @ s.v.conj()
@@ -223,7 +223,7 @@ def _sg_step(s: SgState, r: np.ndarray, b: float | None, adapt_v: bool) -> compl
         s.v = _gradient(s.v, re @ wc, ce, s.eta0, s.normalized, s.re_p @ wc if blind else None)
     s.w = _gradient(s.w, rbar, ce, s.mu0, s.normalized,
                     s.re_p.T @ s.v.conj() if blind else None)
-    return complex(x if blind else e)
+    return complex(e)
 
 
 def lms_step(s: SgState, r: np.ndarray, b: float, adapt_v: bool = True) -> complex:
@@ -237,18 +237,19 @@ def lms_step(s: SgState, r: np.ndarray, b: float, adapt_v: bool = True) -> compl
 
 
 def cmv_sg_step(s: SgState, r: np.ndarray, adapt_v: bool = True,
-                g: np.ndarray | None = None) -> complex:
-    """One constrained-gradient update; returns the pre-update output x.
+                g: np.ndarray | None = None) -> None:
+    """One constrained-gradient update.
 
-    `g`, when given, replaces the constraint values first (a tracker's
-    estimate does so every step).  Then v takes a gradient step on
+    `g`, when given, replaces the constraint values first (the true
+    gains of a faded symbol, or a channel tracker's estimate); None keeps
+    the current ones.  Then v takes a gradient step on
     |x|^2 projected onto v^H a_v = 1, a_v = Re_p conj(w), and w one
     projected onto w^H a_w = 1, a_w = Re_p^T conj(v) with the new v, so
     the constraint holds exactly after every step.  Both gradients use
     the pre-update output.
     """
-    _constrain(s, g if s.tracker is None else s.tracker.update(r))
-    return _sg_step(s, r, None, adapt_v)
+    _constrain(s, g)
+    _sg_step(s, r, None, adapt_v)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +264,10 @@ def make_trained_rls(dec: DecimationOperator, n_i: int, alpha: float = 0.998,
 
 
 def make_blind_rls(cons: ConstraintSet, n_i: int, alpha: float = 0.998,
-                   delta: float = 100.0, tracker: SgChannelTracker | None = None,
-                   v0: np.ndarray | None = None) -> RlsState:
+                   delta: float = 100.0, v0: np.ndarray | None = None) -> RlsState:
     if not 0 < alpha < 1:
         raise ValueError("blind RLS needs a forgetting factor in (0, 1)")
-    return _blind(_rls_state(cons.dec, n_i, alpha, delta, v0), cons, tracker)
+    return _blind(_rls_state(cons.dec, n_i, alpha, delta, v0), cons)
 
 
 def _rls_state(dec: DecimationOperator, n_i: int, alpha: float, delta: float,
@@ -305,8 +305,8 @@ def _min_variance(p: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def cmv_rls_step(s: RlsState, r: np.ndarray, adapt_v: bool = True,
-                 g: np.ndarray | None = None) -> complex:
-    """One blind RLS update; returns the output of the refreshed filter.
+                 g: np.ndarray | None = None) -> None:
+    """One blind RLS update.
 
     After `g` (as in `cmv_sg_step`): `rls_update` advances p_u with u and
     v <- p_u a_v / (a_v^H p_u a_v) (both skipped without `adapt_v`);
@@ -315,7 +315,7 @@ def cmv_rls_step(s: RlsState, r: np.ndarray, adapt_v: bool = True,
     (non-positive denominator; that inverse restarts at delta*I) is
     counted in `breakdowns`.
     """
-    _constrain(s, g if s.tracker is None else s.tracker.update(r))
+    _constrain(s, g)
     re = build_re_matrix(r, s.n_i, s.dec)
     if adapt_v:
         wc = s.w.conj()
@@ -326,4 +326,3 @@ def cmv_rls_step(s: RlsState, r: np.ndarray, adapt_v: bool = True,
     s.p, gain = rls_update(s.p, rbar, s.alpha, s.delta)
     s.breakdowns += gain is None
     s.w = _min_variance(s.p, s.re_p.T @ s.v.conj())
-    return complex(np.vdot(s.w, rbar))

@@ -107,7 +107,6 @@ class TrajectoryModel:
 
     a: np.ndarray
     b: np.ndarray
-    mode: str  # "trained" or "blind"
 
     @property
     def stable(self) -> bool:
@@ -158,7 +157,7 @@ def build_trained_trajectory(received, bits, v_opt, w_opt, mu: float, eta: float
     g, steps, s = _coupled_statistics(received, np.asarray(v_opt), w_opt, mu, eta, dec)
     p = received.T @ bits.conj() / len(bits)
     b = steps * (g @ p - s[:, :len(w_opt)] @ w_opt)
-    return TrajectoryModel(a=np.eye(len(s)) - steps[:, None] * s, b=b, mode="trained")
+    return TrajectoryModel(a=np.eye(len(s)) - steps[:, None] * s, b=b)
 
 
 def build_blind_trajectory(received, v_opt, w_opt, mu: float, eta: float,
@@ -182,7 +181,7 @@ def build_blind_trajectory(received, v_opt, w_opt, mu: float, eta: float,
     for rows, f in ((slice(None, q), a_w), (slice(q, None), a_v)):
         a[rows] -= np.outer(f, f.conj() @ a[rows]) / np.vdot(f, f).real   # Pi a[rows]
     b = np.concatenate([f / np.vdot(f, f).real for f in (a_w, a_v)])
-    return TrajectoryModel(a=a, b=b, mode="blind")
+    return TrajectoryModel(a=a, b=b)
 
 
 def mean_trajectory(model: TrajectoryModel, e0: np.ndarray, steps: int) -> np.ndarray:
@@ -217,11 +216,9 @@ class ExcessMseReport:
     eigenvalues of the coupled weight-error power recursion.
     """
 
-    eps_min: float
     xi_inf: float
     modes: np.ndarray       # eigenvalues of the power recursion matrix
     gammas: np.ndarray
-    eigenvalues: np.ndarray  # spectrum of r_bar
 
     def transient(self, i: int) -> float:
         return float(np.real(np.sum(self.gammas * self.modes ** i)))
@@ -255,8 +252,7 @@ def sg_transient(r_bar: np.ndarray, mu: float, eps_min: float,
     # xi_trans(i) = sum_n lam^H g_n g_n^H diff * mode_n^i via the left/right bases
     coeffs = np.linalg.solve(vecs, diff)
     gammas = (lam @ vecs) * coeffs
-    return ExcessMseReport(eps_min=eps_min, xi_inf=xi_inf, modes=modes,
-                           gammas=gammas, eigenvalues=lam)
+    return ExcessMseReport(xi_inf=xi_inf, modes=modes, gammas=gammas)
 
 
 def rls_learning_curve(sigma2: float, m_red: int, i: int) -> float:

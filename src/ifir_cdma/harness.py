@@ -159,10 +159,15 @@ class ScenarioConfig:
         for name in ("l_p", "l", "n_i", "symbols", "runs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        # numpy sizes and SeedSequence.spawn take at most intp's maximum
-        for name in ("symbols", "runs"):
-            if getattr(self, name) > np.iinfo(np.intp).max:
-                raise ConfigError(f"{name} must be at most {np.iinfo(np.intp).max}")
+        # SeedSequence.spawn takes at most intp's maximum runs, and numpy sizes
+        # arrays of at most intp's maximum bytes: a run's largest, the static
+        # link's chip stream, holds (symbols + 2 l_s - 2) N + l_p - 1 complex doubles
+        intp_max = np.iinfo(np.intp).max
+        l_s = signal_model.isi_span(self.l_p, self.n)
+        max_symbols = (intp_max // 16 - self.l_p + 1) // self.n - 2 * l_s + 2
+        for name, most in (("runs", intp_max), ("symbols", max_symbols)):
+            if getattr(self, name) > most:
+                raise ConfigError(f"{name} must be at most {most}")
         if self.l > self.m:
             raise ConfigError("decimation factor exceeds the received length")
         m_red = make_decimation(self.m, self.l).m_red
@@ -380,19 +385,19 @@ class _Link:
             yield rs, b, (self.amps[0] * b)[:, None] * signature, gains
 
 
-def _sinr_db(out: list, out_des: list) -> np.ndarray:
+def _sinr_db(p_des: list, p_rest: list) -> np.ndarray:
     """Exponentially windowed ground-truth SINR of a linear receiver, per symbol.
 
-    `out` and `out_des` hold the receiver's outputs for r and for its
-    desired-only component; the rest is interference and noise.  The
-    window recursion runs on Python floats and complex numbers.
+    `p_des` and `p_rest` hold the powers of the receiver's output for the
+    desired-only component of r and for the rest, interference and noise.
+    The window recursion runs on Python floats.
     """
     w = SINR_WINDOW
     num = den = 0.0
     ratio = []
-    for o, d in zip(out, out_des):
-        num = w * num + (1 - w) * abs(d) ** 2
-        den = w * den + (1 - w) * abs(o - d) ** 2
+    for des, rest in zip(p_des, p_rest):
+        num = w * num + (1 - w) * des
+        den = w * den + (1 - w) * rest
         ratio.append(max(num, 1e-300) / max(den, 1e-300))
     return 10.0 * np.log10(ratio)
 
@@ -484,11 +489,11 @@ def _receiver(cfg: ScenarioConfig, link: _Link):
     for the interpolated receivers.  `output(r)` applies the current
     receiver to a row and `adapt(r, d, g)` runs one adaptive step with
     reference symbol d (the blind steps ignore it) on a symbol with
-    channel gains g (only the blind steps read them: with a known channel
-    the constraint holds them, handed to the step every symbol only when
-    the channel fades).  The link is read here only, for its code and
-    initial gains.  `state` serves the phase alignment and carries the
-    RLS breakdowns.
+    channel gains g.  A blind step takes g each symbol when the known
+    channel fades, and a tracker's estimate, updated on r, each symbol
+    when the channel is not known (`known_channel` false).  The link is
+    read here only, for its code and initial gains.  `state` serves the
+    phase alignment and carries the RLS breakdowns.
     """
     if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
         rx = _Projected(cfg, link)
@@ -505,20 +510,20 @@ def _receiver(cfg: ScenarioConfig, link: _Link):
                                        delta=cfg.delta, v0=v0)
         adapt = lambda r, d, g: adaptive.rls_step(st, r, d, adapt_v=adapt_v)
     else:
-        cons = cmv.build_constraints(link.codes[0], cfg.l_p, dec, g=link.channel.gains)
-        tracker = None
-        if not cfg.known_channel:
-            tracker = adaptive.SgChannelTracker(cons.c, alpha=cfg.alpha)
+        cons = cmv.build_constraints(link.codes[0], cfg.l_p, dec,
+                                     g=link.channel.gains if cfg.known_channel else None)
         if cfg.algorithm == "cmv-sg":
             st = adaptive.make_blind_sg(cons, cfg.n_i, cfg.mu0, cfg.eta0,
-                                        normalized=cfg.normalized_steps,
-                                        tracker=tracker, v0=v0)
+                                        normalized=cfg.normalized_steps, v0=v0)
             step = adaptive.cmv_sg_step
         else:
             st = adaptive.make_blind_rls(cons, cfg.n_i, alpha=cfg.alpha,
-                                         delta=cfg.delta, tracker=tracker, v0=v0)
+                                         delta=cfg.delta, v0=v0)
             step = adaptive.cmv_rls_step
-        if cfg.known_channel and cfg.f_dt > 0:
+        if not cfg.known_channel:
+            tracker = adaptive.SgChannelTracker(cons.c, alpha=cfg.alpha)
+            adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=tracker.update(r))
+        elif cfg.f_dt > 0:
             adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=g)
         else:
             adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v)
@@ -539,10 +544,10 @@ def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:
     return x * np.conj(rot)
 
 
-def _squared_error(b: float, x: complex) -> float:
-    """|b - x|^2 in Python arithmetic; inf where it overflows."""
+def _power(z: complex) -> float:
+    """|z|^2 in Python arithmetic; inf where it overflows."""
     try:
-        return abs(b - x) ** 2
+        return abs(z) ** 2
     except OverflowError:
         return math.inf
 
@@ -557,7 +562,8 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     RLS breakdowns (0 for receivers without RLS); `phase_reference` is
     "genie" where `_align_phase` rotated the decisions by the true
     channel (tracked blind runs), else None.  A diverged run, one whose
-    squared error overflows or is not finite, raises LinAlgError.
+    squared error or a-posteriori output power overflows or is not
+    finite, raises LinAlgError.
     """
     cfg.validate()
     link = _Link(cfg, np.random.default_rng(run_seed))
@@ -579,15 +585,18 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
             out[i] = output(r)
             out_des[i] = output(r_des)
             i += 1
-    mse = np.array([_squared_error(b, xi) for b, xi in zip(link.desired.tolist(), x)])
-    if not np.isfinite(mse).all():
-        raise np.linalg.LinAlgError(f"run seed {run_seed} diverged: the squared error of "
-                                    f"symbol {np.argmin(np.isfinite(mse))} is not finite")
+    mse = np.array([_power(b - xi) for b, xi in zip(link.desired.tolist(), x)])
+    p_des = [_power(d) for d in out_des]
+    p_rest = [_power(o - d) for o, d in zip(out, out_des)]
+    finite = np.isfinite([mse, p_des, p_rest]).all(axis=0)
+    if not finite.all():
+        raise np.linalg.LinAlgError(f"run seed {run_seed} diverged: the squared error or "
+                                    f"output power of symbol {np.argmin(finite)} is not finite")
     first = cfg.first_decided
     wrong = np.asarray(bhat) != link.desired
     wrong[:first] = False
     ber = np.cumsum(wrong) / np.maximum(np.arange(t) - first + 1, 1)
-    return MetricSeries(mse=mse, sinr_db=_sinr_db(out, out_des), ber=ber,
+    return MetricSeries(mse=mse, sinr_db=_sinr_db(p_des, p_rest), ber=ber,
                         metadata={**cfg.to_dict(), "run_seed": int(run_seed),
                                   "decided": max(t - first, 0),
                                   "breakdowns": getattr(st, "breakdowns", 0),

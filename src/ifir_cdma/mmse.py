@@ -15,28 +15,16 @@ import numpy as np
 
 from .interpolation import DecimationOperator, ReceiverState, filter_maps, impulse
 
-RIDGE = 1e-8
 
+def solve_wiener(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The Wiener solution x of r x = p.
 
-def solve_regularized(r: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Solve r x = p, falling back to a trace-scaled diagonal load.
-
-    The plain solve keeps well-posed systems exact; singular or
-    numerically hopeless covariances get RIDGE * tr(r)/dim added once,
-    and failure after that propagates.
+    Raises LinAlgError when r is singular or the solution is not finite.
     """
-    r = np.asarray(r)
-    dim = r.shape[0]
-    tr = np.trace(r).real
-    if not np.isfinite(tr) or tr <= 0:
-        raise np.linalg.LinAlgError("covariance has non-positive trace")
-    try:
-        x = np.linalg.solve(r, p)
-        if np.all(np.isfinite(x)):
-            return x
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.solve(r + (RIDGE * tr / dim) * np.eye(dim), p)
+    x = np.linalg.solve(r, p)
+    if not np.all(np.isfinite(x)):
+        raise np.linalg.LinAlgError("Wiener solution is not finite")
+    return x
 
 
 def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperator,
@@ -71,11 +59,11 @@ def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperat
     for _ in range(max_iter):
         d_v, _ = filter_maps(v, w, dec)
         p_bar = d_v @ p
-        w = solve_regularized(d_v @ r_cov @ d_v.conj().T, p_bar)
+        w = solve_wiener(d_v @ r_cov @ d_v.conj().T, p_bar)
         history.append(sigma_b2 - float(np.real(np.vdot(p_bar, w))))
         _, e_w = filter_maps(v, w, dec)
         p_u = e_w @ p
-        v_new = solve_regularized(e_w @ r_cov @ e_w.conj().T, p_u)
+        v_new = solve_wiener(e_w @ r_cov @ e_w.conj().T, p_u)
         j_v = sigma_b2 - float(np.real(np.vdot(p_u, v_new)))
         scale = np.linalg.norm(v_new)
         v = v_new / scale

@@ -289,16 +289,15 @@ class TestBlindRls:
         rs, bs, g = collect(cfg, seed + 1, want_channel=True)
         dec = make_decimation(36, 2)
         code = gen_gold_set(5, k)[0]
-        cons = cmv.build_constraints(code, 6, dec, g=g)
+        cons = cmv.build_constraints(code, 6, dec, g=None if track else g)
         tracker = None
         if track:
             tracker = adaptive.SgChannelTracker(cmv.shifted_signatures(code, 6),
                                                 alpha=alpha)
-        st = adaptive.make_blind_rls(cons, 3, alpha=alpha, delta=80.0,
-                                     tracker=tracker)
+        st = adaptive.make_blind_rls(cons, 3, alpha=alpha, delta=80.0)
         rbars = []
         for r in rs:
-            adaptive.cmv_rls_step(st, r)
+            adaptive.cmv_rls_step(st, r, g=None if tracker is None else tracker.update(r))
             rbars.append(build_re_matrix(r, 3, dec).T @ st.v.conj())
         return st, cons, np.array(rbars), g
 

@@ -182,7 +182,6 @@ class TestMeanTrajectory:
         bl = analysis.build_blind_trajectory(rs, v, w, mu=mu, eta=eta, cons=cons,
                                              g_mean=g_mean)
         q = dec.m_red
-        assert bl.mode == "blind"
         re_p = build_re_matrix(cons.c @ g_mean, cfg.n_i, dec)
         for rows, a in ((slice(None, q), re_p.T @ v.conj()), (slice(q, None), re_p @ w.conj())):
             pi = np.eye(a.size) - np.outer(a, a.conj()) / np.vdot(a, a).real

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifir_cdma import cli
+from ifir_cdma import cli, harness
 
 
 def write_config(tmp_path, doc):
@@ -87,6 +88,9 @@ def test_numerical_failure_exits_three(tmp_path, monkeypatch):
 @pytest.mark.parametrize("doc", [
     {"algorithm": "lms", "normalized_steps": False, "mu0": 1.5, "eta0": 0.5},
     {"algorithm": "pd-lms", "normalized_steps": False, "mu0": 0.5},
+    # the a-priori errors stay finite; the last a-posteriori output overflows
+    {"algorithm": "lms", "normalized_steps": False, "mu0": 1.5, "eta0": 0.5, "symbols": 7,
+     "n_tr": 7, "seed": 2},
 ])
 def test_diverging_run_exits_three(tmp_path, capsys, doc):
     code, out = run(tmp_path, write_config(tmp_path, {"runs": 1, "symbols": 2000, "n_tr": 200,
@@ -285,10 +289,14 @@ def test_module_runs_a_scenario(tmp_path):
     {"algorithm": "lms", "path_powers": [10 ** 300, 1, 1]},
     {"algorithm": "lms", "runs": 10 ** 20},
     {"algorithm": "lms", "symbols": 10 ** 20},
+    # a chip stream of these lengths needs more bytes than numpy can size
+    {"algorithm": "lms", "symbols": int(np.iinfo(np.intp).max)},
+    {"algorithm": "lms", "symbols": 2 ** 62},
+    {"algorithm": "lms", "symbols": 2 ** 60},
 ], ids=("unknown-field", "repeated-delays", "ebn0-overflow", "power-overflow",
         "powers-string", "interferer-overflow", "sigma-overflow", "ebn0-huge-int",
         "mu0-huge-int", "power-huge-int", "power-square-huge-int", "runs-huge-int",
-        "symbols-huge-int"))
+        "symbols-huge-int", "symbols-intp-max", "symbols-2^62", "symbols-2^60"))
 def test_module_config_error_exits_two(tmp_path, doc):
     proc, out = run_module(tmp_path, {"runs": 1, "symbols": 60, **doc})
     assert proc.returncode == 2
@@ -322,3 +330,14 @@ def test_module_diverging_run_exits_three(tmp_path):
     assert proc.returncode == 3
     assert not out.exists()
     assert "diverged" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_readme_documents_every_field_and_flag():
+    # each scenario field has a row with its JSON default; each long flag is named
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    defaults = harness.ScenarioConfig().to_dict()
+    missing = [name for name, value in defaults.items()
+               if f"| `{name}` | `{json.dumps(value)}` |" not in readme]
+    flags = set(re.findall(r"--[a-z]+", cli.build_parser().format_help()))
+    missing += [flag for flag in sorted(flags) if f"`{flag}" not in readme]
+    assert not missing

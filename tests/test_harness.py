@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifir_cdma import adaptive, harness, signal_model
+from ifir_cdma import adaptive, cmv, harness, signal_model
 from ifir_cdma.interpolation import build_re_matrix
 from oracles import (build_block_matrix, build_channel_matrix, link_step_per_symbol,
                      per_symbol_trial, rake_combiners)
@@ -16,6 +16,7 @@ from oracles import (build_block_matrix, build_channel_matrix, link_step_per_sym
 # n_tr=200): summary() as (final_mse, final_sinr_db, final_ber), then
 # sinr_db[n_tr], sinr_db[-1] and ber[-1].  RAKE's mse before n_tr is not
 # pinned: its combiner is trained a-priori, like every other receiver.
+# A "-tracked" row runs its blind receiver with known_channel false.
 PINS = {
     "lms": (0.1979243005105247, 7.257656972116679, 0.005,
             6.617509275387561, 7.641191153610264, 0.005),
@@ -31,6 +32,10 @@ PINS = {
                5.982125946208127, 8.08591409766316, 0.0075),
     "pd-rls": (0.1409847478091832, 8.398704816254003, 0.0025,
                8.38667307807169, 8.712196453866216, 0.0025),
+    "cmv-sg-tracked": (0.4596398413584726, 3.9081417001830836, 0.04875,
+                       4.078322886694762, 4.022543100527915, 0.04875),
+    "cmv-rls-tracked": (0.49661054239311947, 3.1250195971315238, 0.10625,
+                        3.0461520594928073, 3.313428970759564, 0.10625),
 }
 INTERPOLATED = ("lms", "rls", "cmv-sg", "cmv-rls")
 FACTORIES = ("make_trained_sg", "make_trained_rls", "make_blind_sg", "make_blind_rls")
@@ -56,14 +61,15 @@ def test_every_algorithm_clears_the_floor(alg, seed):
     assert sm["final_sinr_db"] >= 3.0 and sm["final_ber"] <= 0.05, sm
 
 
-@pytest.mark.parametrize("alg", harness.ALGORITHMS)
-def test_seeded_campaign_pins(alg):
-    cfg = scenario(alg, runs=2, symbols=400, seed=5)
+@pytest.mark.parametrize("name", PINS)
+def test_seeded_campaign_pins(name):
+    alg = name.removesuffix("-tracked")
+    cfg = scenario(alg, runs=2, symbols=400, seed=5, known_channel=not name.endswith("-tracked"))
     s = harness.run_campaign(cfg)
     sm = s.summary()
     got = (sm["final_mse"], sm["final_sinr_db"], sm["final_ber"],
            s.sinr_db[cfg.n_tr], s.sinr_db[-1], s.ber[-1])
-    np.testing.assert_allclose(got, PINS[alg], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got, PINS[name], rtol=1e-12, atol=0)
 
 
 ORACLE_CASES = (
@@ -352,9 +358,10 @@ def test_known_channel_constraint_follows_fading(alg):
     cfg = scenario(alg, runs=1, symbols=300, f_dt=1e-3)
     link = harness._Link(cfg, np.random.default_rng(23))
     _, _, adapt, st = harness._receiver(cfg, link)
+    c = cmv.shifted_signatures(link.codes[0], cfg.l_p)
     for r, b, _, g in link_symbols(link):
         adapt(r, b, g)
-        re_p = build_re_matrix(st.cons.c @ g, cfg.n_i, st.cons.dec)
+        re_p = build_re_matrix(c @ g, cfg.n_i, st.dec)
         v, w = st.v, st.w
         assert abs(np.vdot(w, re_p.T @ v.conj()) - 1) <= 1e-9
         assert abs(np.vdot(v, re_p @ w.conj()) - 1) <= 1e-9

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from ifir_cdma import harness, mmse
 from ifir_cdma.interpolation import filter_maps, make_decimation
@@ -20,31 +21,35 @@ def make_stats(rng, m_red=5, n_i=3):
 
 def min_mse(sigma_b2, r, p):
     """Minimum MSE sigma_b^2 - p^H R^-1 p of one Wiener solution."""
-    return sigma_b2 - float(np.real(np.vdot(p, mmse.solve_regularized(r, p))))
+    return sigma_b2 - float(np.real(np.vdot(p, mmse.solve_wiener(r, p))))
 
 
 class TestWienerSolutions:
     def test_identity_covariance(self):
-        assert np.allclose(mmse.solve_regularized(np.eye(4, dtype=complex),
-                                                  np.eye(4)[0].astype(complex)),
+        assert np.allclose(mmse.solve_wiener(np.eye(4, dtype=complex),
+                                             np.eye(4)[0].astype(complex)),
                            np.eye(4)[0], atol=1e-7)
-        assert np.allclose(mmse.solve_regularized(np.eye(2, dtype=complex),
-                                                  np.eye(2)[1].astype(complex)),
+        assert np.allclose(mmse.solve_wiener(np.eye(2, dtype=complex),
+                                             np.eye(2)[1].astype(complex)),
                            np.eye(2)[1], atol=1e-7)
 
     def test_defining_equations(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             r_bar, p_bar, r_u, p_u = make_stats(rng)
-            w = mmse.solve_regularized(r_bar, p_bar)
-            v = mmse.solve_regularized(r_u, p_u)
+            w = mmse.solve_wiener(r_bar, p_bar)
+            v = mmse.solve_wiener(r_u, p_u)
             assert np.abs(r_bar @ w - p_bar).max() < 1e-7
             assert np.abs(r_u @ v - p_u).max() < 1e-7
 
     def test_scalar_interpolator(self):
-        assert np.allclose(mmse.solve_regularized(np.array([[2.0 + 0j]]),
-                                                  np.array([0.5 + 0.5j])),
+        assert np.allclose(mmse.solve_wiener(np.array([[2.0 + 0j]]),
+                                             np.array([0.5 + 0.5j])),
                            [(0.5 + 0.5j) / 2.0], atol=1e-8)
+
+    def test_singular_covariance_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            mmse.solve_wiener(np.diag([1.0, 0.0]).astype(complex), np.ones(2, dtype=complex))
 
     def test_rank_one_closed_form(self):
         # single signature in noise: best MSE is sigma2/(1 + sigma2) for a
