@@ -103,7 +103,7 @@ def _rls_filter(p: np.ndarray, f: np.ndarray, x: np.ndarray, ce: complex,
 
 @dataclass
 class SgState(ReceiverState):
-    """Gradient state on the decimation `dec`; mu0/eta0 are convergence factors.
+    """Gradient state; mu0/eta0 are convergence factors.
 
     With `normalized` the effective steps are mu0/||rbar||^2 and
     eta0/||u||^2, the norms taken off the constraint vectors when blind
@@ -111,7 +111,6 @@ class SgState(ReceiverState):
     mu0/eta0 are used as raw step sizes.
     """
 
-    dec: DecimationOperator
     mu0: float
     eta0: float
     normalized: bool
@@ -119,20 +118,14 @@ class SgState(ReceiverState):
 
 @dataclass
 class RlsState(ReceiverState):
-    """RLS state on the decimation `dec`: p/p_u track the inverse of the
-    weighted sample covariances of rbar and u."""
+    """RLS state: p/p_u track the inverse of the weighted sample
+    covariances of rbar and u."""
 
-    dec: DecimationOperator
     p: np.ndarray
     p_u: np.ndarray
     alpha: float
     delta: float
     breakdowns: int = 0
-
-
-def _v0(n_i: int, v0: np.ndarray | None) -> np.ndarray:
-    """A copy of v0, the impulse by default."""
-    return impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy()
 
 
 def _blind(s: SgState | RlsState, cons: ConstraintSet):
@@ -194,16 +187,16 @@ class SgChannelTracker:
 # gradient algorithms
 # ---------------------------------------------------------------------------
 
-def make_trained_sg(dec: DecimationOperator, n_i: int, mu0: float, eta0: float,
-                    normalized: bool = True, v0: np.ndarray | None = None) -> SgState:
-    return SgState(v=_v0(n_i, v0), w=np.zeros(dec.m_red, dtype=complex), dec=dec,
-                   mu0=mu0, eta0=eta0, normalized=normalized)
+def make_trained_sg(dec: DecimationOperator, v0: np.ndarray, mu0: float, eta0: float,
+                    normalized: bool = True) -> SgState:
+    return SgState(v=np.array(v0, dtype=complex), w=np.zeros(dec.m_red, dtype=complex),
+                   dec=dec, mu0=mu0, eta0=eta0, normalized=normalized)
 
 
-def make_blind_sg(cons: ConstraintSet, n_i: int, mu0: float, eta0: float,
-                  normalized: bool = True, v0: np.ndarray | None = None) -> SgState:
-    return _blind(SgState(v=_v0(n_i, v0), w=None, dec=cons.dec, mu0=mu0, eta0=eta0,
-                          normalized=normalized), cons)
+def make_blind_sg(cons: ConstraintSet, v0: np.ndarray, mu0: float, eta0: float,
+                  normalized: bool = True) -> SgState:
+    return _blind(SgState(v=np.array(v0, dtype=complex), w=None, dec=cons.dec, mu0=mu0,
+                          eta0=eta0, normalized=normalized), cons)
 
 
 def _sg_step(s: SgState, r: np.ndarray, b: float | None, adapt_v: bool) -> complex:
@@ -256,25 +249,25 @@ def cmv_sg_step(s: SgState, r: np.ndarray, adapt_v: bool = True,
 # RLS algorithms
 # ---------------------------------------------------------------------------
 
-def make_trained_rls(dec: DecimationOperator, n_i: int, alpha: float = 0.998,
-                     delta: float = 100.0, v0: np.ndarray | None = None) -> RlsState:
+def make_trained_rls(dec: DecimationOperator, v0: np.ndarray, alpha: float = 0.998,
+                     delta: float = 100.0) -> RlsState:
     if not 0 < alpha <= 1:
         raise ValueError("forgetting factor must be in (0, 1]")
-    return _rls_state(dec, n_i, alpha, delta, v0)
+    return _rls_state(dec, v0, alpha, delta)
 
 
-def make_blind_rls(cons: ConstraintSet, n_i: int, alpha: float = 0.998,
-                   delta: float = 100.0, v0: np.ndarray | None = None) -> RlsState:
+def make_blind_rls(cons: ConstraintSet, v0: np.ndarray, alpha: float = 0.998,
+                   delta: float = 100.0) -> RlsState:
     if not 0 < alpha < 1:
         raise ValueError("blind RLS needs a forgetting factor in (0, 1)")
-    return _blind(_rls_state(cons.dec, n_i, alpha, delta, v0), cons)
+    return _blind(_rls_state(cons.dec, v0, alpha, delta), cons)
 
 
-def _rls_state(dec: DecimationOperator, n_i: int, alpha: float, delta: float,
-               v0: np.ndarray | None) -> RlsState:
-    return RlsState(v=_v0(n_i, v0), w=np.zeros(dec.m_red, dtype=complex), dec=dec,
-                    p=delta * np.eye(dec.m_red, dtype=complex),
-                    p_u=delta * np.eye(n_i, dtype=complex), alpha=alpha, delta=delta)
+def _rls_state(dec: DecimationOperator, v0: np.ndarray, alpha: float,
+               delta: float) -> RlsState:
+    return RlsState(v=np.array(v0, dtype=complex), w=np.zeros(dec.m_red, dtype=complex),
+                    dec=dec, p=delta * np.eye(dec.m_red, dtype=complex),
+                    p_u=delta * np.eye(len(v0), dtype=complex), alpha=alpha, delta=delta)
 
 
 def rls_step(s: RlsState, r: np.ndarray, b: float, adapt_v: bool = True) -> complex:

@@ -57,20 +57,22 @@ def fourth_moment(rbar_samples: np.ndarray) -> np.ndarray:
     return (z.T @ z.conj()) / t
 
 
-def excess_mse_blind(mu: float, r_bar: np.ndarray, pi: np.ndarray,
-                     w_opt: np.ndarray, rbar_samples: np.ndarray) -> float:
+def excess_mse_blind(mu: float, pi: np.ndarray, w_opt: np.ndarray,
+                     rbar_samples: np.ndarray) -> float:
     """Steady-state excess MSE of the blind constrained gradient algorithm.
 
     xi = mu vec(R)^H T^-1 a with
     T = (R Pi)^T kron I + I kron (Pi R) - mu (Pi^T kron Pi) E4 and
-    a = (Pi^T kron Pi) E4 vec(w_opt w_opt^H), where E4 is the sample
-    fourth moment of the projected vectors and Pi = Pi_w, the projector
+    a = (Pi^T kron Pi) E4 vec(w_opt w_opt^H), where R and E4 are the
+    sample covariance and fourth moment of the projected vectors
+    `rbar_samples` (one per row) and Pi = Pi_w, the projector
     I - a_w a_w^H / ||a_w||^2 onto the filter's constraint hyperplane
     (see `build_blind_trajectory`).
     """
-    r_bar = np.asarray(r_bar)
+    rb = np.asarray(rbar_samples)
+    r_bar = rb.T @ rb.conj() / len(rb)
     dim = r_bar.shape[0]
-    e4 = fourth_moment(rbar_samples)
+    e4 = fourth_moment(rb)
     eye = np.eye(dim)
     kpp = np.kron(pi.T, pi)
     t_mat = np.kron((r_bar @ pi).T, eye) + np.kron(eye, pi @ r_bar) - mu * (kpp @ e4)

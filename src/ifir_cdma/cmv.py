@@ -51,13 +51,15 @@ def shifted_signatures(code: np.ndarray, l_p: int) -> np.ndarray:
     return c
 
 
-def build_constraints(code: np.ndarray, l_p: int, dec: DecimationOperator,
+def build_constraints(code: np.ndarray, dec: DecimationOperator,
                       g: np.ndarray | None = None) -> ConstraintSet:
-    """Constraint set for the desired user's code and delay spread l_p;
+    """Constraint set for an N-chip code on observations of M = dec.m
+    samples, so of delay spread l_p = M - N + 1 (ValueError if N > M);
     g defaults to a single path at delay zero."""
+    l_p = dec.m - len(code) + 1
+    if l_p < 1:
+        raise ValueError(f"a {len(code)}-chip code does not fit observations of M={dec.m}")
     c = shifted_signatures(code, l_p)
-    if c.shape[0] != dec.m:
-        raise ValueError(f"decimation built for M={dec.m}, constraints for M={c.shape[0]}")
     if g is None:
         g = impulse(l_p)
     return ConstraintSet(c=c, g=np.array(g, dtype=complex), dec=dec)

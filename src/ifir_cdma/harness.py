@@ -31,6 +31,7 @@ import csv
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, field, asdict
 
@@ -502,23 +503,21 @@ def _receiver(cfg: ScenarioConfig, link: _Link):
     v0 = _interpolator_init(cfg)
     adapt_v = not cfg.freeze_interpolator
     if cfg.algorithm == "lms":
-        st = adaptive.make_trained_sg(dec, cfg.n_i, cfg.mu0, cfg.eta0,
-                                      normalized=cfg.normalized_steps, v0=v0)
+        st = adaptive.make_trained_sg(dec, v0, cfg.mu0, cfg.eta0,
+                                      normalized=cfg.normalized_steps)
         adapt = lambda r, d, g: adaptive.lms_step(st, r, d, adapt_v=adapt_v)
     elif cfg.algorithm == "rls":
-        st = adaptive.make_trained_rls(dec, cfg.n_i, alpha=cfg.alpha,
-                                       delta=cfg.delta, v0=v0)
+        st = adaptive.make_trained_rls(dec, v0, alpha=cfg.alpha, delta=cfg.delta)
         adapt = lambda r, d, g: adaptive.rls_step(st, r, d, adapt_v=adapt_v)
     else:
-        cons = cmv.build_constraints(link.codes[0], cfg.l_p, dec,
+        cons = cmv.build_constraints(link.codes[0], dec,
                                      g=link.channel.gains if cfg.known_channel else None)
         if cfg.algorithm == "cmv-sg":
-            st = adaptive.make_blind_sg(cons, cfg.n_i, cfg.mu0, cfg.eta0,
-                                        normalized=cfg.normalized_steps, v0=v0)
+            st = adaptive.make_blind_sg(cons, v0, cfg.mu0, cfg.eta0,
+                                        normalized=cfg.normalized_steps)
             step = adaptive.cmv_sg_step
         else:
-            st = adaptive.make_blind_rls(cons, cfg.n_i, alpha=cfg.alpha,
-                                         delta=cfg.delta, v0=v0)
+            st = adaptive.make_blind_rls(cons, v0, alpha=cfg.alpha, delta=cfg.delta)
             step = adaptive.cmv_rls_step
         if not cfg.known_channel:
             tracker = adaptive.SgChannelTracker(cons.c, alpha=cfg.alpha)
@@ -527,7 +526,7 @@ def _receiver(cfg: ScenarioConfig, link: _Link):
             adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=g)
         else:
             adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v)
-    return (lambda rs: rs), (lambda r: receiver_output(st, r, dec)), adapt, st
+    return (lambda rs: rs), (lambda r: receiver_output(st, r)), adapt, st
 
 
 def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:
@@ -622,12 +621,13 @@ def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
     MSE and the SINR's power ratio average linearly across runs; BER
     averages directly and the RLS breakdowns add up.  The reduction is
     ordered by run index, so the result is independent of `workers`.
-    The pool holds at most one process per run, since it may start all
-    of them at once.
+    The pool holds at most one process per run and per CPU this process
+    may use, since it may start all of them at once.
     """
     runs = cfg.runs
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
-    workers = min(workers, runs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, runs, cpus or 1)
     if workers > 1:
         # imported here, so a start that needs no pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -116,7 +116,7 @@ def filter_maps(v: np.ndarray, w: np.ndarray,
 
 @dataclass
 class ReceiverState:
-    """Interpolator v (length N_I) and reduced-rank filter w (length M_red).
+    """Interpolator v (length N_I), decimation `dec` and filter w (length M_red).
 
     A zero interpolator passes nothing, so it is rejected here, once,
     rather than on every projection.
@@ -124,6 +124,7 @@ class ReceiverState:
 
     v: np.ndarray
     w: np.ndarray
+    dec: DecimationOperator
 
     def __post_init__(self):
         if not np.any(self.v):
@@ -134,11 +135,10 @@ class ReceiverState:
         return self.v.size
 
 
-def receiver_output(state: ReceiverState, r: np.ndarray,
-                    dec: DecimationOperator) -> complex:
+def receiver_output(state: ReceiverState, r: np.ndarray) -> complex:
     """Bilinear receiver output x = w^H rbar, where rbar = Re^T conj(v) is r
     through the anticausal FIR conj(v) with every L-th output kept."""
-    rbar = build_re_matrix(r, state.n_i, dec).T @ state.v.conj()
+    rbar = build_re_matrix(r, state.n_i, state.dec).T @ state.v.conj()
     return complex(np.vdot(state.w, rbar))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interpolation import DecimationOperator, ReceiverState, filter_maps, impulse
+from .interpolation import DecimationOperator, ReceiverState, filter_maps
 
 
 def solve_wiener(r: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -28,21 +28,21 @@ def solve_wiener(r: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperator,
-                   n_i: int, v0: np.ndarray | None = None, max_iter: int = 1000,
-                   tol: float = 1e-8):
+                   v0: np.ndarray, max_iter: int = 1000, tol: float = 1e-8):
     """Alternate the two Wiener solutions on a fixed sample batch.
 
-    Starts from a pure-decimation interpolator unless `v0` is given (it
-    must be nonzero).  After every interpolator update v is rescaled to
-    unit norm and w is rescaled by the inverse factor, which leaves the
-    receiver output unchanged.
+    Starts from the nonzero interpolator v0, whose length is N_I.  After
+    every interpolator update v is rescaled to unit norm and w is
+    rescaled by the inverse factor, which leaves the receiver output
+    unchanged.
 
     The per-sweep improvements decay geometrically near the optimum, so
     iteration stops once the projected remaining gap (extrapolated from
-    the last two decrements) falls below `tol` relative to the current
-    MSE, not merely the last decrement itself.
+    the last two decrements of the per-sweep MSEs, `history[1::2]`)
+    falls below `tol` relative to the current MSE, not merely the last
+    decrement itself.
 
-    Returns (ReceiverState, final MSE, list of per-half-sweep MSEs).
+    Returns (ReceiverState on `dec`, final MSE, per-half-sweep MSEs `history`).
     """
     received = np.asarray(received)
     bits = np.asarray(bits)
@@ -50,12 +50,11 @@ def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperat
     r_cov = received.T @ received.conj() / t
     p = received.T @ bits.conj() / t
     sigma_b2 = float(np.mean(np.abs(bits) ** 2))
-    v = impulse(n_i) if v0 is None else np.asarray(v0, dtype=complex).copy()
+    v = np.array(v0, dtype=complex)
     if not np.any(v):
         raise ValueError("v0 must be nonzero")
     w = np.zeros(dec.m_red, dtype=complex)
     history = []
-    sweeps = []
     for _ in range(max_iter):
         d_v, _ = filter_maps(v, w, dec)
         p_bar = d_v @ p
@@ -69,10 +68,9 @@ def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperat
         v = v_new / scale
         w = w * scale
         history.append(j_v)
-        sweeps.append(j_v)
-        if len(sweeps) >= 3:
-            d1 = sweeps[-2] - sweeps[-1]
-            d0 = sweeps[-3] - sweeps[-2]
+        if len(history) >= 6:
+            j0, j1, j2 = history[-5::2]
+            d0, d1 = j0 - j1, j1 - j2
             floor = tol * max(abs(j_v), 1e-30)
             if d1 <= floor:
                 if d1 <= 0 or d0 <= d1:
@@ -80,4 +78,4 @@ def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperat
                 ratio = d1 / d0
                 if d1 * ratio / (1.0 - ratio) <= floor:
                     break
-    return ReceiverState(v=v, w=w), history[-1], history
+    return ReceiverState(v=v, w=w, dec=dec), history[-1], history

@@ -3,7 +3,10 @@ keeps every algorithm's outputs byte for byte.
 
 Run it as ``python tests/seeded_digest.py`` on two trees and compare the
 printed lines.  It is not a pytest module: the digest has no expected
-value of its own, only the other tree's.
+value of its own, only the other tree's.  The first line digests the
+whole matrix; one line per algorithm follows, digesting that
+algorithm's 44 campaigns alone, so a change that moves one algorithm by
+design can show that the others kept their bytes.
 
 The matrix is every algorithm in `harness.ALGORITHMS` under 11 variants
 of the default scenario:
@@ -29,6 +32,7 @@ breakdown count to the digest, or the name of the error it raised.
 
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -68,19 +72,24 @@ def campaigns():
 
 def main() -> None:
     digest = hashlib.sha256()
-    count = 0
+    per_alg = {alg: hashlib.sha256() for alg in harness.ALGORITHMS}
+    count = Counter()
     for alg, doc in campaigns():
-        digest.update(repr(sorted(doc.items())).encode())
+        parts = [repr(sorted(doc.items())).encode()]
         try:
             s = harness.run_campaign(harness.ScenarioConfig.from_dict(doc))
         except np.linalg.LinAlgError as exc:
-            digest.update(type(exc).__name__.encode())
+            parts.append(type(exc).__name__.encode())
         else:
-            for series in (s.mse, s.sinr_db, s.ber):
-                digest.update(series.tobytes())
-            digest.update(int(s.metadata["breakdowns"]).to_bytes(8, "little"))
-        count += 1
-    print(f"{count} campaigns sha256 {digest.hexdigest()}")
+            parts += [series.tobytes() for series in (s.mse, s.sinr_db, s.ber)]
+            parts.append(int(s.metadata["breakdowns"]).to_bytes(8, "little"))
+        for part in parts:
+            digest.update(part)
+            per_alg[alg].update(part)
+        count[alg] += 1
+    print(f"{count.total()} campaigns sha256 {digest.hexdigest()}")
+    for alg, alg_digest in per_alg.items():
+        print(f"{alg}: {count[alg]} campaigns sha256 {alg_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

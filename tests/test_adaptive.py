@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from ifir_cdma import adaptive, cmv, harness
-from ifir_cdma.interpolation import build_re_matrix, filter_maps, make_decimation
+from ifir_cdma.interpolation import build_re_matrix, filter_maps, impulse, make_decimation
 from ifir_cdma.signal_model import gen_gold_set
 
 from oracles import accumulate_and_invert, fullrank_nlms, fullrank_rls
@@ -31,10 +32,34 @@ def scenario(symbols, k=4, l_p=6, ebn0=15.0, seed=3, **kw):
         seed=seed, **kw)
 
 
+@pytest.mark.parametrize("alg", ("lms", "rls", "cmv-sg", "cmv-rls"))
+def test_start_interpolator_fixes_n_i(alg):
+    # N_I is the length of v0, a copy of which the receiver starts from
+    dec = make_decimation(36, 2)
+    cons = cmv.build_constraints(gen_gold_set(5, 1)[0], dec)
+    v0 = np.ones(4)
+    make, step = {
+        "lms": (lambda: adaptive.make_trained_sg(dec, v0, 0.1, 0.05),
+                lambda st, r: adaptive.lms_step(st, r, 1.0)),
+        "rls": (lambda: adaptive.make_trained_rls(dec, v0),
+                lambda st, r: adaptive.rls_step(st, r, 1.0)),
+        "cmv-sg": (lambda: adaptive.make_blind_sg(cons, v0, 0.05, 0.05), adaptive.cmv_sg_step),
+        "cmv-rls": (lambda: adaptive.make_blind_rls(cons, v0), adaptive.cmv_rls_step),
+    }[alg]
+    st = make()
+    assert st.n_i == 4 and not np.shares_memory(st.v, v0)
+    if alg.endswith("rls"):
+        assert st.p_u.shape == (4, 4)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        step(st, crandn(rng, 36))
+    assert st.v.shape == (4,) and np.all(np.isfinite(st.v)) and np.all(np.isfinite(st.w))
+
+
 class TestTrainedSg:
     def test_zero_error_freezes_state(self):
         dec = make_decimation(8, 2)
-        st = adaptive.make_trained_sg(dec, 2, 0.5, 0.5)
+        st = adaptive.make_trained_sg(dec, impulse(2), 0.5, 0.5)
         rng = np.random.default_rng(0)
         r = crandn(rng, 8)
         rbar = build_re_matrix(r, 2, dec).T @ st.v.conj()
@@ -49,7 +74,7 @@ class TestTrainedSg:
 
     def test_frozen_filter_when_mu_zero(self):
         dec = make_decimation(8, 2)
-        st = adaptive.make_trained_sg(dec, 2, 0.0, 0.2)
+        st = adaptive.make_trained_sg(dec, impulse(2), 0.0, 0.2)
         rng = np.random.default_rng(1)
         w0 = st.w.copy()
         for _ in range(10):
@@ -61,7 +86,7 @@ class TestTrainedSg:
                        path_delays=[0], path_powers=[1.0])
         rs, bs = collect(cfg, 11)
         dec = make_decimation(31, 1)
-        st = adaptive.make_trained_sg(dec, 1, 0.1, 0.0)
+        st = adaptive.make_trained_sg(dec, impulse(1), 0.1, 0.0)
         errs = [abs(adaptive.lms_step(st, r, b)) ** 2 for r, b in zip(rs, bs)]
         assert np.mean(errs[-50:]) < 1e-3
 
@@ -69,7 +94,7 @@ class TestTrainedSg:
         cfg = scenario(4000, seed=21)
         rs, bs = collect(cfg, 22)
         dec = make_decimation(36, 2)
-        st = adaptive.make_trained_sg(dec, 3, 1.0, 1.0)
+        st = adaptive.make_trained_sg(dec, impulse(3), 1.0, 1.0)
         mse = np.array([abs(adaptive.lms_step(st, r, b)) ** 2 for r, b in zip(rs, bs)])
         assert np.isfinite(mse).all()
         assert mse[-500:].mean() < 4 * mse[:50].mean()
@@ -80,7 +105,7 @@ class TestTrainedRls:
     def test_first_step_matches_inversion_lemma(self):
         rng = np.random.default_rng(2)
         dec = make_decimation(12, 2)
-        st = adaptive.make_trained_rls(dec, 3, alpha=0.99, delta=50.0)
+        st = adaptive.make_trained_rls(dec, impulse(3), alpha=0.99, delta=50.0)
         r = crandn(rng, 12)
         rbar = build_re_matrix(r, 3, dec).T @ st.v.conj()
         p0 = 50.0 * np.eye(dec.m_red, dtype=complex)
@@ -92,7 +117,7 @@ class TestTrainedRls:
         # p = -I drives the denominator alpha - ||rbar||^2 below zero
         rng = np.random.default_rng(3)
         dec = make_decimation(12, 2)
-        st = adaptive.make_trained_rls(dec, 3, delta=50.0)
+        st = adaptive.make_trained_rls(dec, impulse(3), delta=50.0)
         st.p = -np.eye(dec.m_red, dtype=complex)
         adaptive.rls_step(st, 10.0 * crandn(rng, 12), 1.0)
         assert st.breakdowns == 1
@@ -104,7 +129,7 @@ class TestTrainedRls:
         rs, bs = collect(cfg, 4)
         dec = make_decimation(36, 2)
         alpha, delta = 0.995, 20.0
-        st = adaptive.make_trained_rls(dec, 3, alpha=alpha, delta=delta)
+        st = adaptive.make_trained_rls(dec, impulse(3), alpha=alpha, delta=delta)
         rbars = []
         for r, b in zip(rs, bs):
             rbars.append(build_re_matrix(r, 3, dec).T @ st.v.conj())
@@ -126,7 +151,7 @@ class TestTrainedRls:
         for run in range(30):
             cfg = scenario(12 * dec.m_red, k=1, seed=100 + run)
             rs, bs = collect(cfg, 200 + run)
-            st = adaptive.make_trained_rls(dec, 3, alpha=1.0, delta=1000.0)
+            st = adaptive.make_trained_rls(dec, impulse(3), alpha=1.0, delta=1000.0)
             curves.append([abs(adaptive.rls_step(st, r, b, adapt_v=False)) ** 2
                            for r, b in zip(rs[:horizon], bs[:horizon])])
             d_v, _ = filter_maps(v, np.zeros(dec.m_red), dec)
@@ -147,7 +172,7 @@ class TestFullRankEquivalence:
     def test_lms_bit_for_bit(self):
         rs, bs = self.setup_samples()
         dec = make_decimation(36, 1)
-        st = adaptive.make_trained_sg(dec, 1, 0.4, 0.0)  # interpolator frozen at [1]
+        st = adaptive.make_trained_sg(dec, impulse(1), 0.4, 0.0)  # interpolator frozen at [1]
         ws, es = [], []
         for r, b in zip(rs, bs):
             es.append(adaptive.lms_step(st, r, b))
@@ -159,7 +184,7 @@ class TestFullRankEquivalence:
     def test_rls_bit_for_bit(self):
         rs, bs = self.setup_samples()
         dec = make_decimation(36, 1)
-        st = adaptive.make_trained_rls(dec, 1, alpha=0.998, delta=100.0)
+        st = adaptive.make_trained_rls(dec, impulse(1), alpha=0.998, delta=100.0)
         ws, es = [], []
         for r, b in zip(rs, bs):
             es.append(adaptive.rls_step(st, r, b, adapt_v=False))
@@ -224,8 +249,8 @@ class TestBlindSg:
         cfg = blind_cfg(200)
         rs, bs, g = collect(cfg, 8, want_channel=True)
         dec = make_decimation(36, 2)
-        cons = cmv.build_constraints(gen_gold_set(5, 4)[0], 6, dec, g=g)
-        st = adaptive.make_blind_sg(cons, 3, 0.05, 0.05)
+        cons = cmv.build_constraints(gen_gold_set(5, 4)[0], dec, g=g)
+        st = adaptive.make_blind_sg(cons, impulse(3), 0.05, 0.05)
         for r in rs:
             adaptive.cmv_sg_step(st, r)
             assert max(constraint_residuals(cons, g, st.v, st.w)) < 1e-8
@@ -234,8 +259,8 @@ class TestBlindSg:
         rng = np.random.default_rng(9)
         code = gen_gold_set(5, 1)[0]
         dec = make_decimation(36, 2)
-        cons = cmv.build_constraints(code, 6, dec, g=crandn(rng, 6))
-        st = adaptive.make_blind_sg(cons, 3, 0.1, 0.1)
+        cons = cmv.build_constraints(code, dec, g=crandn(rng, 6))
+        st = adaptive.make_blind_sg(cons, impulse(3), 0.1, 0.1)
         w0 = st.w.copy()
         # a vector orthogonal to rbar's image of w gives x = 0
         r = np.zeros(36, dtype=complex)
@@ -248,8 +273,8 @@ class TestBlindSg:
         cfg = blind_cfg(3000, k=3, seed=31)
         rs, bs, g = collect(cfg, 32, want_channel=True)
         dec = make_decimation(36, 2)
-        cons = cmv.build_constraints(gen_gold_set(5, 3)[0], 6, dec, g=g)
-        st = adaptive.make_blind_sg(cons, 3, 0.05, 0.01)
+        cons = cmv.build_constraints(gen_gold_set(5, 3)[0], dec, g=g)
+        st = adaptive.make_blind_sg(cons, impulse(3), 0.05, 0.01)
         for r in rs[:1500]:
             adaptive.cmv_sg_step(st, r)
         # freeze the interpolator reached by the algorithm, compare w against
@@ -289,12 +314,12 @@ class TestBlindRls:
         rs, bs, g = collect(cfg, seed + 1, want_channel=True)
         dec = make_decimation(36, 2)
         code = gen_gold_set(5, k)[0]
-        cons = cmv.build_constraints(code, 6, dec, g=None if track else g)
+        cons = cmv.build_constraints(code, dec, g=None if track else g)
         tracker = None
         if track:
             tracker = adaptive.SgChannelTracker(cmv.shifted_signatures(code, 6),
                                                 alpha=alpha)
-        st = adaptive.make_blind_rls(cons, 3, alpha=alpha, delta=80.0)
+        st = adaptive.make_blind_rls(cons, impulse(3), alpha=alpha, delta=80.0)
         rbars = []
         for r in rs:
             adaptive.cmv_rls_step(st, r, g=None if tracker is None else tracker.update(r))
@@ -319,8 +344,8 @@ class TestBlindRls:
         code = gen_gold_set(5, 1)[0]
         dec = make_decimation(36, 2)
         rng = np.random.default_rng(12)
-        cons = cmv.build_constraints(code, 6, dec, g=crandn(rng, 6))
-        st = adaptive.make_blind_rls(cons, 3)
+        cons = cmv.build_constraints(code, dec, g=crandn(rng, 6))
+        st = adaptive.make_blind_rls(cons, impulse(3))
         st.p = -np.eye(dec.m_red, dtype=complex)
         adaptive.cmv_rls_step(st, 10.0 * crandn(rng, 36))
         assert st.breakdowns == 1
@@ -353,7 +378,7 @@ class TestStabilityBoundary:
         lam_max = np.linalg.eigvalsh(rbar_cov)[-1].real
 
         def run(mu):
-            st = adaptive.make_trained_sg(dec, 3, mu, 0.0, normalized=False)
+            st = adaptive.make_trained_sg(dec, impulse(3), mu, 0.0, normalized=False)
             sq = []
             for r, b in zip(rs, bs):
                 sq.append(abs(adaptive.lms_step(st, r, b)) ** 2)

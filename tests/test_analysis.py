@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ifir_cdma import adaptive, analysis, cmv, harness, mmse
-from ifir_cdma.interpolation import build_re_matrix, make_decimation
+from ifir_cdma.interpolation import build_re_matrix, impulse, make_decimation
 from ifir_cdma.signal_model import gen_gold_set
 
 
@@ -83,9 +83,8 @@ class TestExcessMseBlind:
         rng = np.random.default_rng(4)
         dim = 4
         samples = crandn(rng, 300, dim)
-        r = np.einsum("tm,tn->mn", samples, samples.conj()) / 300
         pi = np.eye(dim)
-        xi = analysis.excess_mse_blind(0.01, r, pi, np.zeros(dim), samples)
+        xi = analysis.excess_mse_blind(0.01, pi, np.zeros(dim), samples)
         assert abs(xi) < 1e-12
 
     def test_fourth_moment_shape_and_oracle(self):
@@ -112,10 +111,9 @@ class TestExcessMseBlind:
         rng = np.random.default_rng(7)
         dim = 4
         samples = crandn(rng, 800, dim)
-        r = np.einsum("tm,tn->mn", samples, samples.conj()) / 800
         pi = np.eye(dim) - np.outer(np.ones(dim), np.ones(dim)) / dim
         w = crandn(rng, dim)
-        xi = analysis.excess_mse_blind(0.005, r, pi, w, samples)
+        xi = analysis.excess_mse_blind(0.005, pi, w, samples)
         assert xi > 0
 
 
@@ -134,7 +132,7 @@ class TestMeanTrajectory:
     def test_fixed_point_is_stationary(self):
         cfg, rs, bs = build_trained_setup(symbols=800)
         dec = make_decimation(cfg.m, cfg.l)
-        state, _, _ = mmse.alternate_mmse(rs, bs, dec, cfg.n_i, max_iter=100)
+        state, _, _ = mmse.alternate_mmse(rs, bs, dec, impulse(cfg.n_i), max_iter=100)
         model = analysis.build_trained_trajectory(rs, bs, state.v, state.w,
                                                   mu=0.02, eta=0.002, dec=dec)
         e_star = model.fixed_point()
@@ -144,7 +142,7 @@ class TestMeanTrajectory:
     def test_stable_model_converges_to_fixed_point(self):
         cfg, rs, bs = build_trained_setup(symbols=800)
         dec = make_decimation(cfg.m, cfg.l)
-        state, _, _ = mmse.alternate_mmse(rs, bs, dec, cfg.n_i, max_iter=100)
+        state, _, _ = mmse.alternate_mmse(rs, bs, dec, impulse(cfg.n_i), max_iter=100)
         model = analysis.build_trained_trajectory(rs, bs, state.v, state.w,
                                                   mu=0.02, eta=0.002, dec=dec)
         assert model.stable
@@ -175,7 +173,7 @@ class TestMeanTrajectory:
         cfg, rs, bs = build_trained_setup(symbols=300)
         dec = make_decimation(cfg.m, cfg.l)
         rng = np.random.default_rng(4)
-        cons = cmv.build_constraints(gen_gold_set(5, cfg.k)[0], cfg.l_p, dec)
+        cons = cmv.build_constraints(gen_gold_set(5, cfg.k)[0], dec)
         v, w, g_mean = crandn(rng, cfg.n_i), crandn(rng, dec.m_red), crandn(rng, cfg.l_p)
         mu, eta = 0.02, 0.002
         tr = analysis.build_trained_trajectory(rs, bs, v, w, mu=mu, eta=eta, dec=dec)
@@ -196,7 +194,7 @@ class TestMeanTrajectory:
         # linearised model holds
         cfg, rs, bs = build_trained_setup(symbols=1200)
         dec = make_decimation(cfg.m, cfg.l)
-        state, _, _ = mmse.alternate_mmse(rs, bs, dec, cfg.n_i, max_iter=200)
+        state, _, _ = mmse.alternate_mmse(rs, bs, dec, impulse(cfg.n_i), max_iter=200)
         mu, eta = 0.05, 0.005
         model = analysis.build_trained_trajectory(rs, bs, state.v, state.w,
                                                   mu=mu, eta=eta, dec=dec)
@@ -207,8 +205,7 @@ class TestMeanTrajectory:
         acc = np.zeros((steps, dec.m_red), dtype=complex)
         for run in range(runs):
             cfg_r, rs_r, bs_r = build_trained_setup(seed=50 + run, symbols=steps)
-            st = adaptive.make_trained_sg(dec, cfg.n_i, mu, eta, normalized=False,
-                                          v0=state.v)
+            st = adaptive.make_trained_sg(dec, state.v, mu, eta, normalized=False)
             st.w = state.w + d
             for i, (r, b) in enumerate(zip(rs_r, bs_r)):
                 adaptive.lms_step(st, r, b)

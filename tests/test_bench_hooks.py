@@ -45,8 +45,9 @@ def test_span_is_a_public_function_of_its_module(span):
 def test_rls_states_count_breakdowns():
     # the benchmark sums `breakdowns` over the states these factories return
     dec = interpolation.make_decimation(36, 2)
-    cons = cmv.build_constraints(interpolation.impulse(31), 6, dec)
-    for st in (adaptive.make_trained_rls(dec, 3), adaptive.make_blind_rls(cons, 3)):
+    cons = cmv.build_constraints(interpolation.impulse(31), dec)
+    v0 = interpolation.impulse(3)
+    for st in (adaptive.make_trained_rls(dec, v0), adaptive.make_blind_rls(cons, v0)):
         assert st.breakdowns == 0
 
 

@@ -341,3 +341,12 @@ def test_readme_documents_every_field_and_flag():
     flags = set(re.findall(r"--[a-z]+", cli.build_parser().format_help()))
     missing += [flag for flag in sorted(flags) if f"`{flag}" not in readme]
     assert not missing
+
+
+def test_readme_python_blocks_run():
+    # the library examples keep to the signatures they call
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

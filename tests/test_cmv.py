@@ -18,17 +18,24 @@ def random_psd(rng, n, floor=0.05):
 def default_cons(l=2, l_p=6, g=None):
     code = gen_gold_set(5, 1)[0]
     dec = make_decimation(31 + l_p - 1, l)
-    return cmv.build_constraints(code, l_p, dec, g=g)
+    return cmv.build_constraints(code, dec, g=g)
 
 
 class TestConstraints:
     def test_single_path_is_code(self):
         code = gen_gold_set(5, 1)[0]
         dec = make_decimation(31, 1)
-        cons = cmv.build_constraints(code, 1, dec)
+        cons = cmv.build_constraints(code, dec)
         assert cons.c.shape == (31, 1)
         assert np.allclose(cons.c[:, 0], code)
         assert cons.g.shape == (1,)
+
+    def test_delay_spread_from_observation_length(self):
+        # l_p = M - N + 1, and a code longer than M fits no delay spread
+        dec = make_decimation(36, 2)
+        assert cmv.build_constraints(impulse(31), dec).c.shape == (36, 6)
+        with pytest.raises(ValueError):
+            cmv.build_constraints(impulse(37), dec)
 
     def test_shift_structure(self):
         cons = default_cons()
@@ -92,7 +99,7 @@ class TestAgainstSimulatedLink:
         rs = np.array(rs)
         bs = np.array(bs)
         dec = make_decimation(36, 2)
-        cons = cmv.build_constraints(gen_gold_set(5, 4)[0], 6, dec, g=g_true)
+        cons = cmv.build_constraints(gen_gold_set(5, 4)[0], dec, g=g_true)
         d_v, _ = filter_maps(impulse(3), np.zeros(dec.m_red), dec)
         r_cov = d_v @ (rs.T @ rs.conj() / len(rs)) @ d_v.conj().T
         a_w = d_v @ (cons.c @ g_true)   # Re_p^T conj(v)

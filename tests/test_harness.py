@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -136,9 +137,9 @@ def test_non_finite_error_raises(monkeypatch):
     # symbol; the output is taken three times per symbol, decision first
     calls = []
 
-    def nan_from_symbol_5(state, r, dec, _output=harness.receiver_output):
+    def nan_from_symbol_5(state, r, _output=harness.receiver_output):
         calls.append(None)
-        return complex("nan") if len(calls) > 15 else _output(state, r, dec)
+        return complex("nan") if len(calls) > 15 else _output(state, r)
 
     monkeypatch.setattr(harness, "receiver_output", nan_from_symbol_5)
     with pytest.raises(np.linalg.LinAlgError, match="run seed 7 .* symbol 5 "):
@@ -154,10 +155,10 @@ def test_worker_count_does_not_change_results(f_dt):
         assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
 
 
-def test_campaign_pool_capped_at_run_count(monkeypatch):
-    # the pool may fork all max_workers processes at its first submit, so
-    # it must not be sized by the worker count alone; a stand-in executor
-    # records the size it is given and maps in this process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools campaigns open, recorded by a stand-in
+    executor that maps in this process."""
     sizes = []
 
     class RecordingPool:
@@ -174,14 +175,31 @@ def test_campaign_pool_capped_at_run_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def with_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_campaign_pool_capped_at_run_count(monkeypatch, pool_sizes):
+    # the pool may fork all max_workers processes at its first submit, so
+    # it must not be sized by the worker count alone
+    with_cpus(monkeypatch, 8)
     cfg = scenario("lms", runs=3, symbols=40, n_tr=10, seed=4)
     pooled = harness.run_campaign(cfg, workers=10_000)
-    assert sizes == [3]
+    assert pool_sizes == [3]
     serial = harness.run_campaign(cfg, workers=1)
     for name in ("mse", "sinr_db", "ber"):
         assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes()
     harness.run_campaign(scenario("lms", runs=1, symbols=40, n_tr=10), workers=10_000)
-    assert sizes == [3], "a one-run campaign needs no pool"
+    assert pool_sizes == [3], "a one-run campaign needs no pool"
+
+
+def test_campaign_pool_capped_at_cpu_count(monkeypatch, pool_sizes):
+    with_cpus(monkeypatch, 2)
+    harness.run_campaign(scenario("lms", runs=3, symbols=40, n_tr=10, seed=4), workers=10_000)
+    assert pool_sizes == [2]
 
 
 @pytest.mark.parametrize("alg, change, reference", (

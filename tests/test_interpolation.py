@@ -88,7 +88,7 @@ class TestSegmentMatrix:
 def projected(v, r, dec):
     """rbar = Re^T conj(v) as `receiver_output` sees it: entry s is its
     output with w the unit vector e_s."""
-    return np.array([ip.receiver_output(ip.ReceiverState(v=v, w=w), r, dec)
+    return np.array([ip.receiver_output(ip.ReceiverState(v=v, w=w, dec=dec), r)
                      for w in np.eye(dec.m_red, dtype=complex)])
 
 
@@ -119,7 +119,7 @@ class TestInterpolateThenDecimate:
 
     def test_rejects_zero_interpolator(self):
         with pytest.raises(ValueError):
-            ip.ReceiverState(v=np.zeros(2), w=np.ones(2))
+            ip.ReceiverState(v=np.zeros(2), w=np.ones(2), dec=ip.make_decimation(4, 2))
 
 
 # (M, L, N_I): the default geometry and N=63/l_p=8 have a zero tail past M
@@ -181,6 +181,13 @@ class TestReceiverOutput:
             x2 = np.vdot(w, re.T @ v.conj())         # w^H (Re^T conj(v))
             assert abs(x1 - x2) <= 1e-10 * (1.0 + abs(x1))
 
+    def test_reads_decimation_from_state(self):
+        rng = np.random.default_rng(7)
+        dec = ip.make_decimation(36, 4)
+        v, w, r = crandn(rng, 3), crandn(rng, dec.m_red), crandn(rng, 36)
+        expect = np.vdot(w, ip.build_re_matrix(r, 3, dec).T @ v.conj())
+        assert ip.receiver_output(ip.ReceiverState(v=v, w=w, dec=dec), r) == expect
+
     def test_scale_coupling(self):
         # scaling v by t and w by 1/t leaves the output unchanged
         rng = np.random.default_rng(5)
@@ -188,16 +195,16 @@ class TestReceiverOutput:
         r = crandn(rng, 10)
         v = crandn(rng, 3)
         w = crandn(rng, dec.m_red)
-        base = ip.receiver_output(ip.ReceiverState(v=v, w=w), r, dec)
+        base = ip.receiver_output(ip.ReceiverState(v=v, w=w, dec=dec), r)
         for t in (2.0, -0.5, 1.3 - 0.7j, 0.01j):
-            scaled = ip.receiver_output(ip.ReceiverState(v=t * v, w=w / t), r, dec)
+            scaled = ip.receiver_output(ip.ReceiverState(v=t * v, w=w / t, dec=dec), r)
             assert abs(scaled - base) < 1e-10 * (1 + abs(base))
 
     def test_zero_filter(self):
         dec = ip.make_decimation(6, 2)
         out = ip.receiver_output(
-            ip.ReceiverState(v=np.array([1.0 + 0j]), w=np.zeros(3, dtype=complex)),
-            np.ones(6, dtype=complex), dec)
+            ip.ReceiverState(v=np.array([1.0 + 0j]), w=np.zeros(3, dtype=complex), dec=dec),
+            np.ones(6, dtype=complex))
         assert out == 0
 
     def test_impulse_selects_sample(self):
@@ -209,7 +216,7 @@ class TestReceiverOutput:
         w = np.zeros(dec.m_red, dtype=complex)
         w[0] = 1.0
         # x = w^H rbar = conj(w0) r[0]
-        assert abs(ip.receiver_output(ip.ReceiverState(v=v, w=w), r, dec) - r[0]) < 1e-12
+        assert abs(ip.receiver_output(ip.ReceiverState(v=v, w=w, dec=dec), r) - r[0]) < 1e-12
 
 
 class TestDetect:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ifir_cdma import harness, mmse
-from ifir_cdma.interpolation import filter_maps, make_decimation
+from ifir_cdma.interpolation import filter_maps, impulse, make_decimation
 
 
 def crandn(rng, *shape):
@@ -100,7 +100,7 @@ class TestAlternateMmse:
             path_powers=[1.0])
         rs, bs = collect_batch(cfg, 7)
         dec = make_decimation(31, 1)
-        state, j, hist = mmse.alternate_mmse(rs, bs, dec, 1)
+        state, j, hist = mmse.alternate_mmse(rs, bs, dec, impulse(1))
         assert j < 1e-9
         outs = np.array([np.vdot(state.w, r * np.conj(state.v[0])) for r in rs])
         assert np.all(np.sign(outs.real) == bs)
@@ -108,7 +108,7 @@ class TestAlternateMmse:
     def test_monotone_and_fixed_point(self):
         rs, bs = self.scenario(l=2, n_i=3)
         dec = make_decimation(36, 2)
-        state, j, hist = mmse.alternate_mmse(rs, bs, dec, 3, tol=1e-10)
+        state, j, hist = mmse.alternate_mmse(rs, bs, dec, impulse(3), tol=1e-10)
         diffs = np.diff(np.array(hist))
         assert np.all(diffs <= 1e-9), "sample MSE increased during a half-sweep"
         # at convergence the two closed-form MSE values agree
@@ -121,9 +121,9 @@ class TestAlternateMmse:
         rs, bs = self.scenario(l=3, n_i=3)
         dec = make_decimation(36, 3)
         tol = 1e-8
-        _, j1, _ = mmse.alternate_mmse(rs, bs, dec, 3, tol=tol)
+        _, j1, _ = mmse.alternate_mmse(rs, bs, dec, impulse(3), tol=tol)
         v0 = np.ones(3, dtype=complex)
-        _, j2, _ = mmse.alternate_mmse(rs, bs, dec, 3, v0=v0, tol=tol)
+        _, j2, _ = mmse.alternate_mmse(rs, bs, dec, v0, tol=tol)
         assert abs(j1 - j2) <= 5 * tol * max(1.0, abs(j1))
 
     def test_scale_invariance_of_statistics(self):
@@ -144,7 +144,7 @@ class TestAlternateMmse:
         # full-rank Wiener design on the same samples
         rs, bs = self.scenario(l=1, n_i=1, symbols=1000)
         dec = make_decimation(36, 1)
-        _, j, _ = mmse.alternate_mmse(rs, bs, dec, 1, tol=1e-12)
+        _, j, _ = mmse.alternate_mmse(rs, bs, dec, impulse(1), tol=1e-12)
         r_cov = np.einsum("tm,tn->mn", rs, rs.conj()) / len(rs)
         p = np.einsum("t,tm->m", bs.conj(), rs) / len(rs)
         w = np.linalg.solve(r_cov, p)
