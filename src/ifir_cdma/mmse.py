@@ -42,8 +42,11 @@ def alternate_mmse(received: np.ndarray, bits: np.ndarray, dec: DecimationOperat
     falls below `tol` relative to the current MSE, not merely the last
     decrement itself.
 
-    Returns (ReceiverState on `dec`, final MSE, per-half-sweep MSEs `history`).
+    Returns (ReceiverState on `dec`, final MSE, per-half-sweep MSEs
+    `history`); ValueError unless max_iter >= 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     received = np.asarray(received)
     bits = np.asarray(bits)
     t = len(bits)

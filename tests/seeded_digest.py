@@ -6,7 +6,11 @@ printed lines.  It is not a pytest module: the digest has no expected
 value of its own, only the other tree's.  The first line digests the
 whole matrix; one line per algorithm follows, digesting that
 algorithm's 44 campaigns alone, so a change that moves one algorithm by
-design can show that the others kept their bytes.
+design can show that the others kept their bytes.  Last come two lines
+per algorithm, one per half of its campaigns ("plain", and
+"decision-directed" or "tracked", see below), 22 campaigns each, so a
+change that moves only tracked runs, say, can show that the plain ones
+kept theirs.
 
 The matrix is every algorithm in `harness.ALGORITHMS` under 11 variants
 of the default scenario:
@@ -58,23 +62,25 @@ SYMBOLS = (300, 256)
 
 
 def campaigns():
-    """Every (algorithm, scenario document) of the matrix, in a fixed order."""
+    """Every (algorithm, half, scenario document) of the matrix, in a fixed order."""
     for alg in harness.ALGORITHMS:
         blind = alg.startswith("cmv")
         plain = {"mode": "blind" if blind else "training"}
         other = {**plain, "known_channel": False} if blind else {"mode": "decision-directed"}
+        halves = (("plain", plain), ("tracked" if blind else "decision-directed", other))
         for variant in VARIANTS:
-            for mode in (plain, other):
+            for half, mode in halves:
                 for symbols in SYMBOLS:
-                    yield alg, {"algorithm": alg, "runs": 2, "seed": 5, "symbols": symbols,
-                                **mode, **variant}
+                    yield alg, half, {"algorithm": alg, "runs": 2, "seed": 5,
+                                      "symbols": symbols, **mode, **variant}
 
 
 def main() -> None:
     digest = hashlib.sha256()
     per_alg = {alg: hashlib.sha256() for alg in harness.ALGORITHMS}
-    count = Counter()
-    for alg, doc in campaigns():
+    per_half = {}
+    count, half_count = Counter(), Counter()
+    for alg, half, doc in campaigns():
         parts = [repr(sorted(doc.items())).encode()]
         try:
             s = harness.run_campaign(harness.ScenarioConfig.from_dict(doc))
@@ -83,13 +89,18 @@ def main() -> None:
         else:
             parts += [series.tobytes() for series in (s.mse, s.sinr_db, s.ber)]
             parts.append(int(s.metadata["breakdowns"]).to_bytes(8, "little"))
+        half_digest = per_half.setdefault((alg, half), hashlib.sha256())
         for part in parts:
             digest.update(part)
             per_alg[alg].update(part)
+            half_digest.update(part)
         count[alg] += 1
+        half_count[alg, half] += 1
     print(f"{count.total()} campaigns sha256 {digest.hexdigest()}")
     for alg, alg_digest in per_alg.items():
         print(f"{alg}: {count[alg]} campaigns sha256 {alg_digest.hexdigest()}")
+    for (alg, half), half_digest in per_half.items():
+        print(f"{alg} {half}: {half_count[alg, half]} campaigns sha256 {half_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

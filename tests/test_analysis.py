@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ifir_cdma import adaptive, analysis, cmv, harness, mmse
-from ifir_cdma.interpolation import build_re_matrix, impulse, make_decimation
+from ifir_cdma import analysis
+from ifir_cdma.interpolation import make_decimation
 from ifir_cdma.signal_model import gen_gold_set
 
 
@@ -117,110 +117,6 @@ class TestExcessMseBlind:
         assert xi > 0
 
 
-def build_trained_setup(seed=9, symbols=2500, l=2, n_i=3):
-    cfg = harness.ScenarioConfig(
-        n=31, k=4, l_p=6, l=l, n_i=n_i, algorithm="lms", mode="training",
-        ebn0_db=12.0, symbols=symbols, seed=seed, path_delays=[0, 2, 4])
-    rs, bs = [], []
-    for r, b, _, _ in harness.iter_symbols(cfg, seed * 7 + 1):
-        rs.append(r)
-        bs.append(b)
-    return cfg, np.array(rs), np.array(bs)
-
-
-class TestMeanTrajectory:
-    def test_fixed_point_is_stationary(self):
-        cfg, rs, bs = build_trained_setup(symbols=800)
-        dec = make_decimation(cfg.m, cfg.l)
-        state, _, _ = mmse.alternate_mmse(rs, bs, dec, impulse(cfg.n_i), max_iter=100)
-        model = analysis.build_trained_trajectory(rs, bs, state.v, state.w,
-                                                  mu=0.02, eta=0.002, dec=dec)
-        e_star = model.fixed_point()
-        traj = analysis.mean_trajectory(model, e_star, 20)
-        assert np.abs(traj - e_star).max() < 1e-8 * max(1.0, np.abs(e_star).max())
-
-    def test_stable_model_converges_to_fixed_point(self):
-        cfg, rs, bs = build_trained_setup(symbols=800)
-        dec = make_decimation(cfg.m, cfg.l)
-        state, _, _ = mmse.alternate_mmse(rs, bs, dec, impulse(cfg.n_i), max_iter=100)
-        model = analysis.build_trained_trajectory(rs, bs, state.v, state.w,
-                                                  mu=0.02, eta=0.002, dec=dec)
-        assert model.stable
-        # the stationary points form the line e_star + span{n}, with n the
-        # neutral scaling direction; measure the distance to that line
-        n = np.concatenate([-state.w, state.v])
-        assert np.linalg.norm(model.a @ n - n) < 1e-10 * np.linalg.norm(n)
-        n_hat = n / np.linalg.norm(n)
-        e_star = model.fixed_point()
-
-        def dist_to_line(e):
-            d = e - e_star
-            return np.linalg.norm(d - n_hat * np.vdot(n_hat, d))
-
-        # horizon: the slowest contracting mode decays to a tenth
-        rho2 = np.sort(np.abs(np.linalg.eigvals(model.a)))[-2]
-        steps = int(np.ceil(np.log(0.1) / np.log(rho2)))
-        e0 = np.concatenate([-state.w, np.zeros(cfg.n_i)])
-        traj = analysis.mean_trajectory(model, e0, steps)
-        d0 = dist_to_line(traj[0])
-        d_end = dist_to_line(traj[-1])
-        assert d_end < 0.2 * d0  # contracting toward the stationary line
-
-    def test_blind_model_shares_trained_blocks(self):
-        # built from the same samples, the blind model is the trained one
-        # with each filter's rows projected onto its constraint hyperplane,
-        # driven by that hyperplane's minimum-norm point
-        cfg, rs, bs = build_trained_setup(symbols=300)
-        dec = make_decimation(cfg.m, cfg.l)
-        rng = np.random.default_rng(4)
-        cons = cmv.build_constraints(gen_gold_set(5, cfg.k)[0], dec)
-        v, w, g_mean = crandn(rng, cfg.n_i), crandn(rng, dec.m_red), crandn(rng, cfg.l_p)
-        mu, eta = 0.02, 0.002
-        tr = analysis.build_trained_trajectory(rs, bs, v, w, mu=mu, eta=eta, dec=dec)
-        bl = analysis.build_blind_trajectory(rs, v, w, mu=mu, eta=eta, cons=cons,
-                                             g_mean=g_mean)
-        q = dec.m_red
-        re_p = build_re_matrix(cons.c @ g_mean, cfg.n_i, dec)
-        for rows, a in ((slice(None, q), re_p.T @ v.conj()), (slice(q, None), re_p @ w.conj())):
-            pi = np.eye(a.size) - np.outer(a, a.conj()) / np.vdot(a, a).real
-            np.testing.assert_allclose(bl.a[rows], pi @ tr.a[rows], rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(bl.b[rows], a / np.vdot(a, a).real,
-                                       rtol=1e-12, atol=1e-14)
-
-    def test_predicted_decay_matches_ensemble(self):
-        # ensemble-averaged tap error of the raw-step gradient algorithm
-        # decays at the modelled rate within a factor of two; both start
-        # from one small perturbation of the optimum, where the
-        # linearised model holds
-        cfg, rs, bs = build_trained_setup(symbols=1200)
-        dec = make_decimation(cfg.m, cfg.l)
-        state, _, _ = mmse.alternate_mmse(rs, bs, dec, impulse(cfg.n_i), max_iter=200)
-        mu, eta = 0.05, 0.005
-        model = analysis.build_trained_trajectory(rs, bs, state.v, state.w,
-                                                  mu=mu, eta=eta, dec=dec)
-        d = crandn(np.random.default_rng(0), dec.m_red)
-        d *= 0.2 * np.linalg.norm(state.w) / np.linalg.norm(d)
-        steps = 400
-        runs = 50
-        acc = np.zeros((steps, dec.m_red), dtype=complex)
-        for run in range(runs):
-            cfg_r, rs_r, bs_r = build_trained_setup(seed=50 + run, symbols=steps)
-            st = adaptive.make_trained_sg(dec, state.v, mu, eta, normalized=False)
-            st.w = state.w + d
-            for i, (r, b) in enumerate(zip(rs_r, bs_r)):
-                adaptive.lms_step(st, r, b)
-                acc[i] += st.w - state.w
-        emp = np.linalg.norm(acc, axis=1) / runs
-        e0 = np.concatenate([d, np.zeros(cfg.n_i)])
-        traj = analysis.mean_trajectory(model, e0, steps)
-        pred = np.linalg.norm(traj[1:, :dec.m_red], axis=1)
-        # compare decay over the mid transient
-        i0, i1 = 40, 240
-        rate_emp = np.log(emp[i1] / emp[i0]) / (i1 - i0)
-        rate_pred = np.log(pred[i1] / pred[i0]) / (i1 - i0)
-        assert 0.5 <= rate_emp / rate_pred <= 2.0
-
-
 class TestRlsLearningCurve:
     def test_point_value(self):
         assert analysis.rls_learning_curve(0.1, 18, 37) == pytest.approx(0.1)
@@ -285,13 +181,27 @@ class TestComplexityCount:
         with pytest.raises(ValueError):
             analysis.complexity_count("does-not-exist", 10)
 
+    @pytest.mark.parametrize("call,missing", [
+        (("mwf-sg", 36), "d"),
+        (("lms-pd", 36), "d"),
+        (("cmv-rls-int", 36, 2, 3), "l_p"),
+    ])
+    def test_row_without_its_parameters_raises(self, call, missing):
+        with pytest.raises(ValueError, match=f"'{call[0]}' needs {missing}"):
+            analysis.complexity_count(*call)
+
+    def test_multistage_rows_take_the_stage_length_from_m_and_d(self):
+        m, d = 36, 4
+        mb = m - d
+        assert analysis.complexity_count("mwf-sg", m, d=d) == (
+            d * (2 * (mb - 1) ** 2 + mb + 3), d * (2 * mb ** 2 + 5 * mb + 7))
+
 
 class TestEigenvalueSpread:
     def test_decimated_spread_not_worse_generically(self):
         # analytic covariances over random loads/channels: the reduced
         # structure shrinks the eigenvalue spread in nearly all draws
         from oracles import analytic_covariance, interp_map
-        from ifir_cdma.signal_model import gen_gold_set
 
         rng = np.random.default_rng(11)
         codes_all = gen_gold_set(5, 10)

@@ -105,6 +105,12 @@ class TestAlternateMmse:
         outs = np.array([np.vdot(state.w, r * np.conj(state.v[0])) for r in rs])
         assert np.all(np.sign(outs.real) == bs)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_sweep_refused(self, max_iter):
+        rs, bs = np.ones((4, 36), dtype=complex), np.ones(4)
+        with pytest.raises(ValueError, match="max_iter"):
+            mmse.alternate_mmse(rs, bs, make_decimation(36, 2), impulse(3), max_iter=max_iter)
+
     def test_monotone_and_fixed_point(self):
         rs, bs = self.scenario(l=2, n_i=3)
         dec = make_decimation(36, 2)
