@@ -163,7 +163,7 @@ class SgChannelTracker:
     is O(L_p^2).
     """
 
-    def __init__(self, c: np.ndarray, alpha: float = 0.998):
+    def __init__(self, c: np.ndarray, alpha: float):
         self.c = np.asarray(c, dtype=complex)
         l_p = self.c.shape[1]
         gram = self.c.conj().T @ self.c
@@ -188,13 +188,13 @@ class SgChannelTracker:
 # ---------------------------------------------------------------------------
 
 def make_trained_sg(dec: DecimationOperator, v0: np.ndarray, mu0: float, eta0: float,
-                    normalized: bool = True) -> SgState:
+                    normalized: bool) -> SgState:
     return SgState(v=np.array(v0, dtype=complex), w=np.zeros(dec.m_red, dtype=complex),
                    dec=dec, mu0=mu0, eta0=eta0, normalized=normalized)
 
 
 def make_blind_sg(cons: ConstraintSet, v0: np.ndarray, mu0: float, eta0: float,
-                  normalized: bool = True) -> SgState:
+                  normalized: bool) -> SgState:
     return _blind(SgState(v=np.array(v0, dtype=complex), w=None, dec=cons.dec, mu0=mu0,
                           eta0=eta0, normalized=normalized), cons)
 
@@ -249,15 +249,15 @@ def cmv_sg_step(s: SgState, r: np.ndarray, adapt_v: bool = True,
 # RLS algorithms
 # ---------------------------------------------------------------------------
 
-def make_trained_rls(dec: DecimationOperator, v0: np.ndarray, alpha: float = 0.998,
-                     delta: float = 100.0) -> RlsState:
+def make_trained_rls(dec: DecimationOperator, v0: np.ndarray, alpha: float,
+                     delta: float) -> RlsState:
     if not 0 < alpha <= 1:
         raise ValueError("forgetting factor must be in (0, 1]")
     return _rls_state(dec, v0, alpha, delta)
 
 
-def make_blind_rls(cons: ConstraintSet, v0: np.ndarray, alpha: float = 0.998,
-                   delta: float = 100.0) -> RlsState:
+def make_blind_rls(cons: ConstraintSet, v0: np.ndarray, alpha: float,
+                   delta: float) -> RlsState:
     if not 0 < alpha < 1:
         raise ValueError("blind RLS needs a forgetting factor in (0, 1)")
     return _blind(_rls_state(cons.dec, v0, alpha, delta), cons)

@@ -7,7 +7,7 @@ Haykin, Adaptive Filter Theory, predicts, each gated against seeded
 campaigns by `tests/test_theory_gates.py`:
 
 * `excess_mse_trained`: the trained gradient steady state (`lms` tail);
-* `sg_transient`: its learning curve as decaying modes (`lms` from w = 0);
+* `sg_learning_curve`: its learning curve from a given start (`lms` from w = 0);
 * `excess_mse_blind`: the blind constrained gradient steady state (`cmv-sg`);
 * `rls_learning_curve`: RLS without forgetting (`rls` with alpha = 1).
 
@@ -18,11 +18,11 @@ reads its `*-int` rows.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .cmv import cmv_receiver
 from .interpolation import make_decimation
 
 MAX_KRON_DIM = 40  # fourth-moment matrices hold dim^4 scalars
@@ -60,23 +60,23 @@ def fourth_moment(rbar_samples: np.ndarray) -> np.ndarray:
     return sum(z.T @ z.conj() for z in zs) / t
 
 
-def excess_mse_blind(mu: float, pi: np.ndarray, w_opt: np.ndarray,
-                     rbar_samples: np.ndarray) -> float:
+def excess_mse_blind(mu: float, a_w: np.ndarray, rbar_samples: np.ndarray) -> float:
     """Steady-state excess MSE of the blind constrained gradient algorithm.
 
     xi = mu vec(R)^H T^-1 a with
     T = (R Pi)^T kron I + I kron (Pi R) - mu (Pi^T kron Pi) E4 and
     a = (Pi^T kron Pi) E4 vec(w_opt w_opt^H), where R and E4 are the
     sample covariance and fourth moment of the projected vectors
-    `rbar_samples` (one per row).  Pi = Pi_w = I - a_w a_w^H / ||a_w||^2
+    `rbar_samples` (one per row).  Pi = I - a_w a_w^H / ||a_w||^2
     projects onto the steps that keep w's constraint w^H a_w = 1, with
-    a_w = Re_p^T conj(v) (see `cmv`), and w_opt is `cmv.cmv_receiver(R, a_w)`.
+    a_w = Re_p^T conj(v) (see `cmv`), and w_opt = `cmv.cmv_receiver(R, a_w)`.
     """
     rb = np.asarray(rbar_samples)
     r_bar = rb.T @ rb.conj() / len(rb)
-    dim = r_bar.shape[0]
+    eye = np.eye(r_bar.shape[0])
+    pi = eye - np.outer(a_w, a_w.conj()) / np.vdot(a_w, a_w).real
+    w_opt = cmv_receiver(r_bar, a_w)
     e4 = fourth_moment(rb)
-    eye = np.eye(dim)
     kpp = np.kron(pi.T, pi)
     t_mat = np.kron((r_bar @ pi).T, eye) + np.kron(eye, pi @ r_bar) - mu * (kpp @ e4)
     a = kpp @ (e4 @ np.outer(w_opt, w_opt.conj()).reshape(-1, order="F"))
@@ -84,52 +84,25 @@ def excess_mse_blind(mu: float, pi: np.ndarray, w_opt: np.ndarray,
     return float(mu * np.real(np.vdot(vec_r, np.linalg.solve(t_mat, a))))
 
 
-@dataclass
-class ExcessMseReport:
-    """Transient/steady-state split of the gradient excess MSE.
+def sg_learning_curve(r_bar: np.ndarray, mu: float, eps_min: float, w_err0: np.ndarray,
+                      n: int) -> np.ndarray:
+    """Excess MSE of the trained gradient algorithm at symbols 0..n-1.
 
-    xi(i) = sum_n gamma_n mode_n^i + xi_inf, where the modes are the
-    eigenvalues of the coupled weight-error power recursion.
+    With R_bar = Q diag(lam) Q^H, the weight-error powers along Q,
+    x(0) = |Q^H (w(0) - w_opt)|^2, follow
+    x(i+1) = T x(i) + mu^2 eps_min lam, where T has (1 - mu lam_n)^2 on
+    its diagonal and mu^2 lam_n lam_j off it; the excess MSE is lam^T x(i).
     """
-
-    xi_inf: float
-    modes: np.ndarray       # eigenvalues of the power recursion matrix
-    gammas: np.ndarray
-
-    def transient(self, i: int) -> float:
-        return float(np.real(np.sum(self.gammas * self.modes ** i)))
-
-    def total(self, i: int) -> float:
-        return self.xi_inf + self.transient(i)
-
-
-def sg_transient(r_bar: np.ndarray, mu: float, eps_min: float,
-                 x0: np.ndarray | None = None) -> ExcessMseReport:
-    """Decompose the gradient excess MSE into decaying modes.
-
-    Builds the power recursion matrix with entries (1 - mu lam_n)^2 on
-    the diagonal and mu^2 lam_n lam_j off it, eigendecomposes it, and
-    projects the initial rotated weight-error powers x0.  The default
-    x0 = 0 is the start w(0) = w_opt: the excess MSE then starts at 0
-    and rises to the steady-state term `xi_inf`, which equals
-    `excess_mse_trained` by construction.  The start w(0) = 0 has
-    x0 = |Q^H w_opt|^2, Q holding r_bar's eigenvectors as `eigh` orders them.
-    """
-    lam = np.linalg.eigvalsh(np.asarray(r_bar)).real
-    dim = lam.size
+    lam, q = np.linalg.eigh(np.asarray(r_bar))
     t_mat = mu * mu * np.outer(lam, lam)
     np.fill_diagonal(t_mat, (1.0 - mu * lam) ** 2)
     drive = mu * mu * eps_min * lam
-    x_inf = np.linalg.solve(np.eye(dim) - t_mat, drive)
-    xi_inf = float(lam @ x_inf)
-    modes, vecs = np.linalg.eig(t_mat)
-    if x0 is None:
-        x0 = np.zeros(dim)
-    diff = np.asarray(x0, dtype=complex) - x_inf
-    # xi_trans(i) = sum_n lam^H g_n g_n^H diff * mode_n^i via the left/right bases
-    coeffs = np.linalg.solve(vecs, diff)
-    gammas = (lam @ vecs) * coeffs
-    return ExcessMseReport(xi_inf=xi_inf, modes=modes, gammas=gammas)
+    x = np.abs(q.conj().T @ w_err0) ** 2
+    curve = np.empty(n)
+    for i in range(n):
+        curve[i] = lam @ x
+        x = t_mat @ x + drive
+    return curve
 
 
 def rls_learning_curve(sigma2: float, m_red: int, i: int) -> float:

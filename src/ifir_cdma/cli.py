@@ -2,7 +2,8 @@
 
 Reads a UTF-8 JSON scenario file, applies flag overrides, runs the campaign
 and writes the averaged metric series as CSV or JSON.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+0 success, 2 configuration error (a campaign that runs out of memory
+included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
         if args.runs is not None:
             doc["runs"] = args.runs
         cfg = ScenarioConfig.from_dict(doc)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError, TypeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         print(f"ifir-cdma: configuration error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -52,6 +53,10 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"ifir-cdma: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # a size that validates but does not fit in memory
+        print(f"ifir-cdma: configuration error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"ifir-cdma: cannot write output: {exc}", file=sys.stderr)
         return 2

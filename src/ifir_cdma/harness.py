@@ -207,6 +207,8 @@ class ScenarioConfig:
                               "positive finite sum of squares")
         n_paths = len(self.path_powers)
         if self.path_delays is not None:
+            if not isinstance(self.path_delays, (list, tuple)):
+                raise ConfigError("path_delays must be a list of integers")
             if len(self.path_delays) != n_paths:
                 raise ConfigError("path_delays needs one delay per path power")
             if any(not (_is_int(d) and 0 <= d < self.l_p) for d in self.path_delays):

@@ -39,12 +39,14 @@ def test_start_interpolator_fixes_n_i(alg):
     cons = cmv.build_constraints(gen_gold_set(5, 1)[0], dec)
     v0 = np.ones(4)
     make, step = {
-        "lms": (lambda: adaptive.make_trained_sg(dec, v0, 0.1, 0.05),
+        "lms": (lambda: adaptive.make_trained_sg(dec, v0, 0.1, 0.05, normalized=True),
                 lambda st, r: adaptive.lms_step(st, r, 1.0)),
-        "rls": (lambda: adaptive.make_trained_rls(dec, v0),
+        "rls": (lambda: adaptive.make_trained_rls(dec, v0, alpha=0.998, delta=100.0),
                 lambda st, r: adaptive.rls_step(st, r, 1.0)),
-        "cmv-sg": (lambda: adaptive.make_blind_sg(cons, v0, 0.05, 0.05), adaptive.cmv_sg_step),
-        "cmv-rls": (lambda: adaptive.make_blind_rls(cons, v0), adaptive.cmv_rls_step),
+        "cmv-sg": (lambda: adaptive.make_blind_sg(cons, v0, 0.05, 0.05, normalized=True),
+                   adaptive.cmv_sg_step),
+        "cmv-rls": (lambda: adaptive.make_blind_rls(cons, v0, alpha=0.998, delta=100.0),
+                    adaptive.cmv_rls_step),
     }[alg]
     st = make()
     assert st.n_i == 4 and not np.shares_memory(st.v, v0)
@@ -59,7 +61,7 @@ def test_start_interpolator_fixes_n_i(alg):
 class TestTrainedSg:
     def test_zero_error_freezes_state(self):
         dec = make_decimation(8, 2)
-        st = adaptive.make_trained_sg(dec, impulse(2), 0.5, 0.5)
+        st = adaptive.make_trained_sg(dec, impulse(2), 0.5, 0.5, normalized=True)
         rng = np.random.default_rng(0)
         r = crandn(rng, 8)
         rbar = build_re_matrix(r, 2, dec).T @ st.v.conj()
@@ -74,7 +76,7 @@ class TestTrainedSg:
 
     def test_frozen_filter_when_mu_zero(self):
         dec = make_decimation(8, 2)
-        st = adaptive.make_trained_sg(dec, impulse(2), 0.0, 0.2)
+        st = adaptive.make_trained_sg(dec, impulse(2), 0.0, 0.2, normalized=True)
         rng = np.random.default_rng(1)
         w0 = st.w.copy()
         for _ in range(10):
@@ -86,7 +88,7 @@ class TestTrainedSg:
                        path_delays=[0], path_powers=[1.0])
         rs, bs = collect(cfg, 11)
         dec = make_decimation(31, 1)
-        st = adaptive.make_trained_sg(dec, impulse(1), 0.1, 0.0)
+        st = adaptive.make_trained_sg(dec, impulse(1), 0.1, 0.0, normalized=True)
         errs = [abs(adaptive.lms_step(st, r, b)) ** 2 for r, b in zip(rs, bs)]
         assert np.mean(errs[-50:]) < 1e-3
 
@@ -94,7 +96,7 @@ class TestTrainedSg:
         cfg = scenario(4000, seed=21)
         rs, bs = collect(cfg, 22)
         dec = make_decimation(36, 2)
-        st = adaptive.make_trained_sg(dec, impulse(3), 1.0, 1.0)
+        st = adaptive.make_trained_sg(dec, impulse(3), 1.0, 1.0, normalized=True)
         mse = np.array([abs(adaptive.lms_step(st, r, b)) ** 2 for r, b in zip(rs, bs)])
         assert np.isfinite(mse).all()
         assert mse[-500:].mean() < 4 * mse[:50].mean()
@@ -117,7 +119,7 @@ class TestTrainedRls:
         # p = -I drives the denominator alpha - ||rbar||^2 below zero
         rng = np.random.default_rng(3)
         dec = make_decimation(12, 2)
-        st = adaptive.make_trained_rls(dec, impulse(3), delta=50.0)
+        st = adaptive.make_trained_rls(dec, impulse(3), alpha=0.998, delta=50.0)
         st.p = -np.eye(dec.m_red, dtype=complex)
         adaptive.rls_step(st, 10.0 * crandn(rng, 12), 1.0)
         assert st.breakdowns == 1
@@ -172,7 +174,8 @@ class TestFullRankEquivalence:
     def test_lms_bit_for_bit(self):
         rs, bs = self.setup_samples()
         dec = make_decimation(36, 1)
-        st = adaptive.make_trained_sg(dec, impulse(1), 0.4, 0.0)  # interpolator frozen at [1]
+        # interpolator frozen at [1]
+        st = adaptive.make_trained_sg(dec, impulse(1), 0.4, 0.0, normalized=True)
         ws, es = [], []
         for r, b in zip(rs, bs):
             es.append(adaptive.lms_step(st, r, b))
@@ -250,7 +253,7 @@ class TestBlindSg:
         rs, bs, g = collect(cfg, 8, want_channel=True)
         dec = make_decimation(36, 2)
         cons = cmv.build_constraints(gen_gold_set(5, 4)[0], dec, g=g)
-        st = adaptive.make_blind_sg(cons, impulse(3), 0.05, 0.05)
+        st = adaptive.make_blind_sg(cons, impulse(3), 0.05, 0.05, normalized=True)
         for r in rs:
             adaptive.cmv_sg_step(st, r)
             assert max(constraint_residuals(cons, g, st.v, st.w)) < 1e-8
@@ -260,7 +263,7 @@ class TestBlindSg:
         code = gen_gold_set(5, 1)[0]
         dec = make_decimation(36, 2)
         cons = cmv.build_constraints(code, dec, g=crandn(rng, 6))
-        st = adaptive.make_blind_sg(cons, impulse(3), 0.1, 0.1)
+        st = adaptive.make_blind_sg(cons, impulse(3), 0.1, 0.1, normalized=True)
         w0 = st.w.copy()
         # a vector orthogonal to rbar's image of w gives x = 0
         r = np.zeros(36, dtype=complex)
@@ -274,7 +277,7 @@ class TestBlindSg:
         rs, bs, g = collect(cfg, 32, want_channel=True)
         dec = make_decimation(36, 2)
         cons = cmv.build_constraints(gen_gold_set(5, 3)[0], dec, g=g)
-        st = adaptive.make_blind_sg(cons, impulse(3), 0.05, 0.01)
+        st = adaptive.make_blind_sg(cons, impulse(3), 0.05, 0.01, normalized=True)
         for r in rs[:1500]:
             adaptive.cmv_sg_step(st, r)
         # freeze the interpolator reached by the algorithm, compare w against
@@ -301,7 +304,7 @@ class TestBlindSg:
 
     def test_tracker_single_path(self):
         code = gen_gold_set(5, 1)[0]
-        tracker = adaptive.SgChannelTracker(cmv.shifted_signatures(code, 1))
+        tracker = adaptive.SgChannelTracker(cmv.shifted_signatures(code, 1), alpha=0.998)
         rng = np.random.default_rng(10)
         for _ in range(5):
             tracker.update(crandn(rng, 31))
@@ -345,7 +348,7 @@ class TestBlindRls:
         dec = make_decimation(36, 2)
         rng = np.random.default_rng(12)
         cons = cmv.build_constraints(code, dec, g=crandn(rng, 6))
-        st = adaptive.make_blind_rls(cons, impulse(3))
+        st = adaptive.make_blind_rls(cons, impulse(3), alpha=0.998, delta=100.0)
         st.p = -np.eye(dec.m_red, dtype=complex)
         adaptive.cmv_rls_step(st, 10.0 * crandn(rng, 36))
         assert st.breakdowns == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,61 +34,65 @@ class TestExcessMseTrained:
             analysis.excess_mse_trained(1.0, np.diag([1.5, 0.6]), 0.1)
 
     def test_matches_transient_steady_state(self):
+        # the steady state of the power recursion has equal powers
+        # mu (eps + xi) / 2 along every eigenvector: started there, the
+        # learning curve stays at the closed-form excess
         rng = np.random.default_rng(1)
         for _ in range(10):
             r = random_psd(rng, 5)
             mu = 0.5 / np.trace(r).real
             eps = 0.3
-            report = analysis.sg_transient(r, mu, eps)
             direct = analysis.excess_mse_trained(mu, r, eps)
-            assert abs(report.xi_inf - direct) < 1e-10 * max(direct, 1.0)
+            q = np.linalg.eigh(r)[1]
+            w_err0 = q @ (np.sqrt(mu * (eps + direct) / 2) * np.exp(2j * np.pi * rng.random(5)))
+            curve = analysis.sg_learning_curve(r, mu, eps, w_err0, 50)
+            assert np.abs(curve - direct).max() < 1e-10 * max(direct, 1.0)
 
 
 class TestSgTransient:
     def test_equal_eigenvalues_single_mode(self):
-        # a white covariance leaves exactly one active decay mode
-        report = analysis.sg_transient(0.5 * np.eye(4), 0.1, 1.0,
-                                       x0=np.full(4, 0.2))
-        active = np.abs(report.gammas) > 1e-12 * np.abs(report.gammas).max()
-        assert active.sum() == 1
+        # a white covariance c I leaves one decay rate, (1 - mu c)^2 + mu^2 c^2 (dim - 1)
+        curve = analysis.sg_learning_curve(0.5 * np.eye(4), 0.1, 1.0, np.full(4, 0.2 ** 0.5), 60)
+        steps = np.diff(curve)
+        assert steps[1:] / steps[:-1] == pytest.approx(np.full(58, 0.95 ** 2 + 0.05 ** 2 * 3),
+                                                       rel=1e-9)
 
     def test_transient_decays_to_zero(self):
         rng = np.random.default_rng(2)
         r = random_psd(rng, 4)
         mu = 0.4 / np.linalg.eigvalsh(r)[-1].real
-        x0 = np.abs(crandn(rng, 4)) ** 2
-        report = analysis.sg_transient(r, mu, 0.1, x0=x0)
-        vals = [abs(report.transient(i)) for i in (1, 50, 200, 1000)]
+        curve = analysis.sg_learning_curve(r, mu, 0.1, crandn(rng, 4), 1001)
+        vals = np.abs(curve[[1, 50, 200, 1000]] - analysis.excess_mse_trained(mu, r, 0.1))
         assert vals[-1] < 1e-6 * max(vals[0], 1e-12)
-        assert np.all(np.abs(report.modes) < 1.0)
 
     def test_total_tracks_power_recursion(self):
-        # direct iteration of the coupled weight-error power recursion used
-        # as an oracle for the modal expansion
+        # oracles: the first two values written with R itself, which checks
+        # the rotation onto R's eigenvectors, and the closed form
+        # x(i) = x_inf + T^i (x(0) - x_inf) of the power recursion
         rng = np.random.default_rng(3)
         r = random_psd(rng, 3)
-        lam = np.linalg.eigvalsh(r).real
+        lam, q = np.linalg.eigh(r)
         mu = 0.3 / lam[-1]
         eps = 0.25
-        x0 = np.abs(crandn(rng, 3)) ** 2
-        report = analysis.sg_transient(r, mu, eps, x0=x0)
+        e = crandn(rng, 3)
+        curve = analysis.sg_learning_curve(r, mu, eps, e, 60)
+        a = np.eye(3) - mu * r
+        tr2 = np.trace(r @ r).real
+        assert curve[0] == pytest.approx(np.vdot(e, r @ e).real, rel=1e-12)
+        assert curve[1] == pytest.approx(
+            np.vdot(e, r @ a @ a @ e).real + mu * mu * (
+                tr2 * (np.vdot(e, r @ e).real + eps) - np.vdot(e, r @ r @ r @ e).real),
+            rel=1e-12)
         t_mat = mu * mu * np.outer(lam, lam)
         np.fill_diagonal(t_mat, (1 - mu * lam) ** 2)
-        x = x0.copy()
-        for i in range(1, 60):
-            x = t_mat @ x + mu * mu * eps * lam
-            assert abs(lam @ x - report.total(i)) < 1e-9
+        x_inf = np.linalg.solve(np.eye(3) - t_mat, mu * mu * eps * lam)
+        x0 = np.abs(q.conj().T @ e) ** 2
+        for i in range(60):
+            x = x_inf + np.linalg.matrix_power(t_mat, i) @ (x0 - x_inf)
+            assert abs(lam @ x - curve[i]) < 1e-9
 
 
 class TestExcessMseBlind:
-    def test_zero_optimum_gives_zero(self):
-        rng = np.random.default_rng(4)
-        dim = 4
-        samples = crandn(rng, 300, dim)
-        pi = np.eye(dim)
-        xi = analysis.excess_mse_blind(0.01, pi, np.zeros(dim), samples)
-        assert abs(xi) < 1e-12
-
     def test_fourth_moment_shape_and_oracle(self):
         rng = np.random.default_rng(5)
         dim = 3
@@ -111,9 +117,7 @@ class TestExcessMseBlind:
         rng = np.random.default_rng(7)
         dim = 4
         samples = crandn(rng, 800, dim)
-        pi = np.eye(dim) - np.outer(np.ones(dim), np.ones(dim)) / dim
-        w = crandn(rng, dim)
-        xi = analysis.excess_mse_blind(0.005, pi, w, samples)
+        xi = analysis.excess_mse_blind(0.005, crandn(rng, dim), samples)
         assert xi > 0
 
 
@@ -195,6 +199,26 @@ class TestComplexityCount:
         mb = m - d
         assert analysis.complexity_count("mwf-sg", m, d=d) == (
             d * (2 * (mb - 1) ** 2 + mb + 3), d * (2 * mb ** 2 + 5 * mb + 7))
+
+    def test_interpolated_rows_multiply_less_than_their_rivals(self):
+        # the abstract's "at lower complexity": each *-int row against the
+        # principal-component and multistage-Wiener rows of its rule and,
+        # for all but lms-int, its full-rank row (lms-int multiplies more
+        # than lms-full-rank at L = 2, 129 against 73 at M = 36, N_I = 3)
+        rivals = {
+            "lms-int": ("lms-pc", "mwf-sg"),
+            "rls-int": ("rls-pc", "mwf-recursive", "rls-full-rank"),
+            "cmv-sg-int": ("pc-wang-poor", "cmv-sg-mwf", "cmv-sg-full-rank"),
+            "cmv-rls-int": ("pc-wang-poor", "cmv-mwf-recursive", "cmv-rls-full-rank"),
+        }
+        grid = itertools.product(((31, 6), (63, 8), (31, 3)), (2, 3, 4, 8), (1, 2, 3, 4),
+                                 (2, 4, 8))
+        for (n, l_p), l, n_i, d in grid:
+            args = dict(m=n + l_p - 1, l=l, n_i=n_i, d=d, l_p=l_p)
+            for row, others in rivals.items():
+                mults = analysis.complexity_count(row, **args)[1]
+                for other in others:
+                    assert mults < analysis.complexity_count(other, **args)[1], (row, other, args)
 
 
 class TestEigenvalueSpread:

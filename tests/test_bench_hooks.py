@@ -47,7 +47,8 @@ def test_rls_states_count_breakdowns():
     dec = interpolation.make_decimation(36, 2)
     cons = cmv.build_constraints(interpolation.impulse(31), dec)
     v0 = interpolation.impulse(3)
-    for st in (adaptive.make_trained_rls(dec, v0), adaptive.make_blind_rls(cons, v0)):
+    for st in (adaptive.make_trained_rls(dec, v0, alpha=0.998, delta=100.0),
+               adaptive.make_blind_rls(cons, v0, alpha=0.998, delta=100.0)):
         assert st.breakdowns == 0
 
 

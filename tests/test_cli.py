@@ -84,6 +84,20 @@ def test_numerical_failure_exits_three(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 64.0 TiB"), MemoryError()])
+def test_campaign_out_of_memory_exits_two(tmp_path, monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_campaign", fail)
+    code, out = run(tmp_path, write_config(tmp_path, {"algorithm": "lms", "runs": 1}))
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("ifir-cdma: configuration error: ") and len(err.splitlines()) == 1
+    assert (str(exc) or "out of memory") in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's overflow warnings come first
 @pytest.mark.parametrize("doc", [
     {"algorithm": "lms", "normalized_steps": False, "mu0": 1.5, "eta0": 0.5},

@@ -490,3 +490,17 @@ def test_numpy_reals_configure_a_run(tmp_path):
     got = [meta["ebn0_db"], meta["mu0"], meta["delta"], *meta["path_powers"], *meta["interferer_db"]]
     assert got == [10.0, 0.05, 100, 1, 0.5, 0.25, -3.0, 2]
     assert [type(x) for x in got] == [float, float, int, int, float, float, float, int]
+
+
+def test_a_field_of_any_type_fails_only_as_a_config_error():
+    # the CLI reports ConfigError, and only it, as a configuration error
+    values = (None, True, 3, 1.5, "x", [1], [[1]], {0: 1})
+    for name in harness.ScenarioConfig.__dataclass_fields__:
+        for value in values:
+            try:
+                harness.ScenarioConfig(**{name: value})
+            except harness.ConfigError:
+                pass
+    # a mapping is not a delay list, even when its keys would be
+    with pytest.raises(harness.ConfigError, match="path_delays must be a list"):
+        harness.ScenarioConfig(path_delays={0: 1, 2: 1, 4: 1})
