@@ -8,16 +8,20 @@ independent runs with spawned sub-seeds.
 
 A trial takes the link a noise chunk at a time, as arrays of received
 vectors, of their desired-only components and of the channel gains.
-Every receiver has one shape (`_receiver`): it first despreads a chunk's
-arrays, in one product for the RAKE and partial-despreading baselines
-and as the identity for the interpolated receivers.  One symbol loop
-then drives every algorithm through two calls on a row: `output(r)`
-applies the current receiver and `adapt(r, d, g)` updates it, g being
-the symbol's gains.
+A receiver first despreads a chunk's arrays, in one product for the
+RAKE and partial-despreading baselines and as the identity for the
+interpolated receivers.  Every receiver that feeds its decisions back
+has one shape (`_receiver`), and one symbol loop drives all of them
+through two calls on a row: `output(r)` applies the current receiver and
+`adapt(r, d, g)` updates it, g being the symbol's gains.
 Per symbol it takes the decision output, adapts with the reference
 symbol (training symbol, or the decision in decision-directed mode past
 `n_tr`; blind receivers ignore it), then applies the updated receiver
-to r and to its desired-only component.  MSE, BER and SINR are metered
+to r and to its desired-only component.  The RAKE runs without the
+loop: its combiner trains on the transmitted symbols and then freezes,
+so it never depends on a decision, and a chunk's combiners and outputs
+are array products (`_Projected.combiners`) whose rows equal the
+per-symbol arithmetic bit for bit.  MSE, BER and SINR are metered
 after the loop; MSE and BER are a-priori and SINR a-posteriori.
 
 Everything is deterministic for a fixed (config, seed): one Generator
@@ -313,6 +317,19 @@ def _interpolator_init(cfg: ScenarioConfig) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+# Batched forms whose rows equal the unbatched products bit for bit, as
+# `np.einsum`, `(conj(w) * y).sum(1)` and `y @ conj(w)` do not.
+
+def _matvecs(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """a @ x for every row x of xs."""
+    return (a[None] @ xs[:, :, None])[..., 0]
+
+
+def _vdots(ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """np.vdot(w, y) for every pair of rows w of ws and y of ys."""
+    return (ws.conj()[:, None, :] @ ys[:, :, None])[:, 0, 0]
+
+
 class _Link:
     """One run's synthesized downlink, handed out a noise chunk at a time.
 
@@ -383,7 +400,7 @@ class _Link:
                 # batched as a @ g[..., None], each product equals the
                 # per-symbol a @ g bit for bit; g @ a.T sums in another order
                 clean = (self._windows[i:i + size] @ gains[:, :, None])[..., 0]
-                signature = (self._code_matrix @ gains[:, :, None])[..., 0]
+                signature = _matvecs(self._code_matrix, gains)
             rs += clean
             yield rs, b, (self.amps[0] * b)[:, None] * signature, gains
 
@@ -433,13 +450,16 @@ class _Projected:
 
     RAKE's combiner is the least-squares channel estimate from the first
     n_tr symbols, scaled to unit gain; the normal matrix G = C^H C of its
-    shifted signatures C is inverted once per run.  pd-lms and pd-rls
-    adapt w with the kernels of `lms` and `rls` on the filter alone:
+    shifted signatures C is inverted once per run.  It trains on the
+    transmitted symbols in either trained mode and then freezes, so it
+    feeds no decision back and `combiners` forms a chunk's combiners as
+    array products, with no symbol loop.  pd-lms and pd-rls adapt w with
+    the kernels of `lms` and `rls` on the filter alone:
     `adaptive._gradient` (normalised by ||y||^2 under `normalized_steps`)
     and `adaptive._rls_filter` on the inverse covariance `p_inv`,
     counting breakdowns in `breakdowns`.  `despread` projects a chunk's
-    received vectors at once; `output` and `adapt` then take one row y of
-    it (`adapt` ignores the gains).
+    received vectors at once; the pd baselines' `output` and `adapt`
+    then take one row y of it (`adapt` ignores the gains).
     """
 
     def __init__(self, cfg: ScenarioConfig, link: _Link):
@@ -449,7 +469,6 @@ class _Projected:
             proj = cmv.shifted_signatures(code, cfg.l_p)
             self.gram_inv = np.linalg.inv(proj.conj().T @ proj)
             self.acc = np.zeros(cfg.l_p, dtype=complex)   # sum of conj(b) y so far
-            self.trained = 0
         else:
             proj = _pd_projection(code, cfg.m, cfg.pd_rank)
             self.p_inv = cfg.delta * np.eye(cfg.pd_rank, dtype=complex)
@@ -459,22 +478,40 @@ class _Projected:
 
     def despread(self, rs: np.ndarray) -> np.ndarray:
         """proj^H r for every row r of rs; each row equals proj_h @ r bit for bit."""
-        return (self.proj_h[None] @ rs[:, :, None])[..., 0]
+        return _matvecs(self.proj_h, rs)
+
+    def combiners(self, ys: np.ndarray, bs: np.ndarray, first: int) -> np.ndarray:
+        """The RAKE's combiner before a chunk and after each of its symbols.
+
+        `ys` and `bs` hold the chunk's despread rows and transmitted
+        symbols, `first` the index of its first symbol.  Row k + 1 of the
+        result is w after symbol first + k: past n_tr the frozen w, else
+        g / Re(g^H a), a the mean of conj(b) y so far and g = G^-1 a.
+        Each row equals, bit for bit, the update made one symbol at a
+        time: the sum runs in symbol order on from the carried one, and
+        the products are `_matvecs` and `_vdots`.
+        """
+        size = len(bs)
+        trained = min(max(self.cfg.n_tr - first, 0), size)
+        ws = np.empty((size + 1, self.w.size), dtype=complex)
+        ws[0] = self.w
+        if trained:
+            terms = np.conj(bs[:trained])[:, None] * ys[:trained]
+            acc = np.cumsum(np.concatenate([self.acc[None], terms]), axis=0)[1:]
+            a = acc / np.arange(first + 1, first + trained + 1)[:, None]
+            g_hat = _matvecs(self.gram_inv, a)
+            # G g_hat = a, so the unit-gain scale g_hat^H G g_hat is g_hat^H a
+            ws[1:trained + 1] = g_hat / np.maximum(_vdots(g_hat, a).real, 1e-12)[:, None]
+            self.acc = acc[-1]
+        ws[trained + 1:] = ws[trained]
+        self.w = ws[-1]
+        return ws
 
     def output(self, y: np.ndarray) -> complex:
         return complex(np.vdot(self.w, y))
 
     def adapt(self, y: np.ndarray, d: float, g: np.ndarray) -> None:
         cfg = self.cfg
-        if cfg.algorithm == "rake":
-            if self.trained < cfg.n_tr:
-                self.trained += 1
-                self.acc += np.conj(d) * y
-                a = self.acc / self.trained
-                g_hat = self.gram_inv @ a
-                # G g_hat = a, so the unit-gain scale g_hat^H G g_hat is g_hat^H a
-                self.w = g_hat / max(np.real(np.vdot(g_hat, a)), 1e-12)
-            return
         ce = np.conj(d - complex(np.vdot(self.w, y)))
         if cfg.algorithm == "pd-rls":
             self.p_inv, self.w, broke = adaptive._rls_filter(self.p_inv, self.w, y, ce,
@@ -485,20 +522,23 @@ class _Projected:
 
 
 def _receiver(cfg: ScenarioConfig, link: _Link):
-    """(despread, output, adapt, state) of the configured receiver.
+    """(despread, output, adapt, state) of a receiver that feeds decisions back.
 
-    `despread(rs)` maps a chunk's received vectors to the rows the
-    receiver takes: proj^H r for the baselines (`_Projected`), r itself
-    for the interpolated receivers.  `output(r)` applies the current
-    receiver to a row and `adapt(r, d, g)` runs one adaptive step with
-    reference symbol d (the blind steps ignore it) on a symbol with
-    channel gains g.  A blind step takes g each symbol when the known
-    channel fades, and a tracker's estimate, updated on r, each symbol
-    when the channel is not known (`known_channel` false).  The link is
-    read here only, for its code and initial gains.  `state` serves the
-    phase alignment and carries the RLS breakdowns.
+    Every algorithm but the RAKE: the RAKE never feeds a decision back,
+    so `run_trial` takes it through `_Projected.combiners` a chunk at a
+    time instead.  `despread(rs)` maps a chunk's received vectors to the
+    rows the receiver takes: proj^H r for the pd baselines
+    (`_Projected`), r itself for the interpolated receivers.
+    `output(r)` applies the current receiver to a row and
+    `adapt(r, d, g)` runs one adaptive step with reference symbol d (the
+    blind steps ignore it) on a symbol with channel gains g.  A blind
+    step takes g each symbol when the known channel fades, and a
+    tracker's estimate, updated on r, each symbol when the channel is
+    not known (`known_channel` false).  The link is read here only, for
+    its code and initial gains.  `state` serves the phase alignment and
+    carries the RLS breakdowns.
     """
-    if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
+    if cfg.algorithm in ("pd-lms", "pd-rls"):
         rx = _Projected(cfg, link)
         return rx.despread, rx.output, rx.adapt, rx
     dec = make_decimation(cfg.m, cfg.l)
@@ -556,10 +596,10 @@ def _power(z: complex) -> float:
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     """Simulate one seeded run of the configured scenario.
 
-    The symbol loop records the decision output and decision (a-priori)
-    and the updated receiver's outputs for r and its desired-only part
-    (a-posteriori).  MSE, BER and the windowed SINR are metered from those
-    records after the loop.  The metadata counts decided symbols and the
+    The symbol loop (for the RAKE, a chunk's array products) records the
+    decision output and decision (a-priori) and the updated receiver's
+    outputs for r and its desired-only part (a-posteriori).  MSE, BER
+    and the windowed SINR are metered from those records after the loop.  The metadata counts decided symbols and the
     RLS breakdowns (0 for receivers without RLS); `phase_reference` is
     "genie" where `_align_phase` rotated the decisions by the true
     channel (tracked blind runs), else None.  A diverged run, one whose
@@ -568,7 +608,12 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     """
     cfg.validate()
     link = _Link(cfg, np.random.default_rng(run_seed))
-    despread, output, adapt, st = _receiver(cfg, link)
+    rake = cfg.algorithm == "rake"
+    if rake:
+        st = _Projected(cfg, link)
+        despread = st.despread
+    else:
+        despread, output, adapt, st = _receiver(cfg, link)
     t = cfg.symbols
     x, bhat, out, out_des = [0j] * t, [0.0] * t, [0j] * t, [0j] * t
     tracking = cfg.mode == "blind" and not cfg.known_channel
@@ -576,6 +621,17 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     i = 0
     for rs, bs, rs_des, gs in link.chunks():
         rs, rs_des = despread(rs), despread(rs_des)
+        if rake:
+            # no decision feedback: the combiner before each symbol gives x,
+            # the one after it the a-posteriori outputs
+            end = i + len(bs)
+            ws = st.combiners(rs, bs, i)
+            x[i:end] = _vdots(ws[:-1], rs).tolist()
+            bhat[i:end] = map(detect, x[i:end])
+            out[i:end] = _vdots(ws[1:], rs).tolist()
+            out_des[i:end] = _vdots(ws[1:], rs_des).tolist()
+            i = end
+            continue
         for r, b, r_des, g in zip(rs, bs, rs_des, gs):
             xi = output(r)
             if tracking:
@@ -586,6 +642,7 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
             out[i] = output(r)
             out_des[i] = output(r_des)
             i += 1
+    # scalar metering: numpy's np.abs(z) ** 2 differs from abs(z) ** 2 in the last bit
     mse = np.array([_power(b - xi) for b, xi in zip(link.desired.tolist(), x)])
     p_des = [_power(d) for d in out_des]
     p_rest = [_power(o - d) for o, d in zip(out, out_des)]

@@ -6,7 +6,8 @@ code paths.  The exception is `per_symbol_trial`: it drives the
 package's link and receivers through the trial loop as it ran before
 noise, fading gains and received vectors were taken a chunk at a time
 and metering moved after the loop; each symbol's vectors pass through
-the receiver's despreading as one-row chunks.
+the receiver's despreading as one-row chunks, and the RAKE's combiner
+is updated symbol by symbol (`PerSymbolRake`).
 """
 
 import functools
@@ -296,12 +297,45 @@ class SinrMeter:
         return 10.0 * np.log10(max(self.num, 1e-300) / max(self.den, 1e-300))
 
 
+class PerSymbolRake:
+    """The RAKE combiner updated one symbol at a time, as the trial ran it
+    before a chunk's combiners became array products.
+
+    It takes the despreading and the Gram inverse of the harness's
+    `_Projected` and adds each training symbol's conj(b) y to a running
+    sum; `output` and `adapt` have the shape of `harness._receiver`'s.
+    """
+
+    def __init__(self, rx, n_tr):
+        self.gram_inv = rx.gram_inv
+        self.n_tr = n_tr
+        self.acc = np.zeros_like(rx.w)
+        self.w = rx.w.copy()
+        self.trained = 0
+
+    def output(self, y):
+        return complex(np.vdot(self.w, y))
+
+    def adapt(self, y, d, g):
+        if self.trained < self.n_tr:
+            self.trained += 1
+            self.acc += np.conj(d) * y
+            a = self.acc / self.trained
+            g_hat = self.gram_inv @ a
+            self.w = g_hat / max(np.real(np.vdot(g_hat, a)), 1e-12)
+
+
 def per_symbol_trial(cfg, run_seed):
     """(mse, sinr_db, ber) of one seeded run, metered symbol by symbol."""
     cfg.validate()
     rng = np.random.default_rng(run_seed)
     link = harness._Link(cfg, rng)
-    despread, output, adapt, st = harness._receiver(cfg, link)
+    if cfg.algorithm == "rake":
+        rx = harness._Projected(cfg, link)
+        st = PerSymbolRake(rx, cfg.n_tr)
+        despread, output, adapt = rx.despread, st.output, st.adapt
+    else:
+        despread, output, adapt, st = harness._receiver(cfg, link)
     meter = SinrMeter()
     t = cfg.symbols
     mse = np.zeros(t)

@@ -85,7 +85,13 @@ ORACLE_CASES = (
     # one chunk, short or exactly full
     + [pytest.param(alg, {"symbols": 100}, id=f"{alg}-short") for alg in harness.ALGORITHMS]
     + [pytest.param(alg, {"symbols": harness.NOISE_CHUNK}, id=f"{alg}-one-chunk")
-       for alg in harness.ALGORITHMS])
+       for alg in harness.ALGORITHMS]
+    # the RAKE's training ends on either side of a chunk edge, or not at all
+    + [pytest.param("rake", {"n_tr": n_tr}, id=f"rake-n_tr-{n_tr}")
+       for n_tr in (1, harness.NOISE_CHUNK - 1, harness.NOISE_CHUNK, harness.NOISE_CHUNK + 1)]
+    + [pytest.param("rake", {"n_tr": 700}, id="rake-n_tr-past-symbols"),
+       pytest.param("rake", {"mode": "decision-directed", "n_tr": 600},
+                    id="rake-directed-n_tr-symbols")])
 
 
 @pytest.mark.parametrize("alg, change", ORACLE_CASES)
@@ -95,6 +101,35 @@ def test_trial_matches_per_symbol_loop(alg, change):
     got = harness.run_trial(cfg, 31)
     for name, expect in zip(("mse", "sinr_db", "ber"), per_symbol_trial(cfg, 31)):
         assert getattr(got, name).tobytes() == expect.tobytes(), name
+
+
+@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
+def test_rake_feeds_no_decision_back(f_dt):
+    # the combiner trains on the transmitted symbols in either mode, so
+    # decision-directed runs repeat the training runs byte for byte
+    runs = [harness.run_trial(scenario("rake", runs=1, symbols=400, f_dt=f_dt, mode=mode), 8)
+            for mode in ("training", "decision-directed")]
+    for name in ("mse", "sinr_db", "ber"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
+
+
+@pytest.mark.parametrize("length", (1, 6, 8, 18, 36))
+def test_batched_products_equal_unbatched_bit_for_bit(length):
+    # the RAKE's chunk products stand for per-symbol np.vdot and a @ x
+    rng = np.random.default_rng(length)
+
+    def rows(n):
+        z = rng.standard_normal((n, length)) + 1j * rng.standard_normal((n, length))
+        z[n // 2] = 0
+        return z
+
+    ws, ys = rows(500), rows(500)
+    got = harness._vdots(ws, ys)
+    assert got.tobytes() == np.array([np.vdot(w, y) for w, y in zip(ws, ys)]).tobytes()
+    # square, as the Gram inverse, and 6 x length, as a despreading
+    for a in (rows(length), rows(6)):
+        got = harness._matvecs(a, ys)
+        assert got.tobytes() == np.array([a @ y for y in ys]).tobytes()
 
 
 @pytest.mark.parametrize("alg, breakdowns", (("rls", 1), ("cmv-rls", 1), ("pd-rls", 1),
@@ -429,20 +464,23 @@ def test_n63_campaign_is_finite(alg):
 
 @pytest.mark.parametrize("change", (
     pytest.param({}, id="default"),
-    pytest.param({"n": 63, "k": 4, "l_p": 8}, id="n63")))
+    pytest.param({"n": 63, "k": 4, "l_p": 8}, id="n63"),
+    # training crosses the first chunk boundary
+    pytest.param({"n_tr": 300}, id="n_tr-300")))
 def test_rake_combiner_matches_per_symbol_solve(change):
-    # w after every training symbol against a fresh solve of the normal
-    # equations scaled by g^H C^H C g; past n_tr, w stays frozen
-    cfg = scenario("rake", runs=1, symbols=260, **change)
+    # w after every training symbol, as the trial's chunks form it, against
+    # a fresh solve of the normal equations scaled by g^H C^H C g; past
+    # n_tr, w stays frozen
+    cfg = scenario("rake", runs=1, symbols=400, **change)
     link = harness._Link(cfg, np.random.default_rng(29))
     rx = harness._Projected(cfg, link)
     rs, bs, ws = [], [], []
-    for r, b, _, g in link_symbols(link):
-        rx.adapt(rx.proj_h @ r, b, g)
-        rs.append(r)
-        bs.append(b)
-        ws.append(rx.w.copy())
+    for chunk_rs, chunk_bs, _, _ in link.chunks():
+        ws.extend(rx.combiners(rx.despread(chunk_rs), chunk_bs, len(rs))[1:])
+        rs.extend(chunk_rs)
+        bs.extend(chunk_bs)
     expect = rake_combiners(link.codes[0], cfg.l_p, rs[:cfg.n_tr], bs[:cfg.n_tr])
+    assert len(ws) == cfg.symbols and len(expect) == cfg.n_tr
     for got, ref in zip(ws, expect):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
     assert all(np.array_equal(w, ws[cfg.n_tr - 1]) for w in ws[cfg.n_tr:])
