@@ -8,21 +8,23 @@ independent runs with spawned sub-seeds.
 
 A trial takes the link a noise chunk at a time, as arrays of received
 vectors, of their desired-only components and of the channel gains.
-A receiver first despreads a chunk's arrays, in one product for the
-RAKE and partial-despreading baselines and as the identity for the
-interpolated receivers.  Every receiver that feeds its decisions back
-has one shape (`_receiver`), and one symbol loop drives all of them
-through two calls on a row: `output(r)` applies the current receiver and
-`adapt(r, d, g)` updates it, g being the symbol's gains.
 Per symbol it takes the decision output, adapts with the reference
 symbol (training symbol, or the decision in decision-directed mode past
 `n_tr`; blind receivers ignore it), then applies the updated receiver
-to r and to its desired-only component.  The RAKE runs without the
-loop: its combiner trains on the transmitted symbols and then freezes,
-so it never depends on a decision, and a chunk's combiners and outputs
-are array products (`_Projected.combiners`) whose rows equal the
-per-symbol arithmetic bit for bit.  MSE, BER and SINR are metered
-after the loop; MSE and BER are a-priori and SINR a-posteriori.
+to r and to its desired-only component.  Two paths do this.  The four
+interpolated receivers (`_receiver`) run one symbol loop through two
+calls on a received vector: `output(r)` applies the current receiver
+and `adapt(r, d, g)` updates it, g being the symbol's gains.  The RAKE
+and partial-despreading baselines (`_Projected`) run no symbol loop:
+they despread a chunk in one product, form its combiners (w before the
+chunk and after each symbol, `_Projected.combiners`) and take the
+outputs as array products whose rows equal the per-symbol arithmetic
+bit for bit.  The RAKE's combiners are array products as well, since it
+trains on the transmitted symbols and then freezes; the pd baselines
+feed decisions back, so theirs come from a loop over the chunk's
+despread rows with one output and one update per symbol.  MSE, BER and
+SINR are metered after the chunks; MSE and BER are a-priori and SINR
+a-posteriori.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per trial drives channel, symbols and noise in a fixed order, and the
@@ -326,8 +328,13 @@ def _matvecs(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _vdots(ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """np.vdot(w, y) for every pair of rows w of ws and y of ys."""
-    return (ws.conj()[:, None, :] @ ys[:, :, None])[:, 0, 0]
+    """np.vdot(w, y) for every pair of rows w of ws and y of ys.
+
+    Like np.vdot, it warns of no overflow: a diverged run's products
+    reach the trial's LinAlgError instead of a matmul RuntimeWarning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (ws.conj()[:, None, :] @ ys[:, :, None])[:, 0, 0]
 
 
 class _Link:
@@ -452,14 +459,13 @@ class _Projected:
     n_tr symbols, scaled to unit gain; the normal matrix G = C^H C of its
     shifted signatures C is inverted once per run.  It trains on the
     transmitted symbols in either trained mode and then freezes, so it
-    feeds no decision back and `combiners` forms a chunk's combiners as
-    array products, with no symbol loop.  pd-lms and pd-rls adapt w with
-    the kernels of `lms` and `rls` on the filter alone:
-    `adaptive._gradient` (normalised by ||y||^2 under `normalized_steps`)
-    and `adaptive._rls_filter` on the inverse covariance `p_inv`,
-    counting breakdowns in `breakdowns`.  `despread` projects a chunk's
-    received vectors at once; the pd baselines' `output` and `adapt`
-    then take one row y of it (`adapt` ignores the gains).
+    feeds no decision back.  pd-lms and pd-rls adapt w with the kernels
+    of `lms` and `rls` on the filter alone: `adaptive._gradient`
+    (normalised by ||y||^2 under `normalized_steps`) and
+    `adaptive._rls_filter` on the inverse covariance `p_inv`, counting
+    breakdowns in `breakdowns`.  `despread` projects a chunk's received
+    vectors at once and `combiners` forms w along the chunk, so
+    `run_trial` drives all three without its symbol loop.
     """
 
     def __init__(self, cfg: ScenarioConfig, link: _Link):
@@ -481,66 +487,69 @@ class _Projected:
         return _matvecs(self.proj_h, rs)
 
     def combiners(self, ys: np.ndarray, bs: np.ndarray, first: int) -> np.ndarray:
-        """The RAKE's combiner before a chunk and after each of its symbols.
+        """The combiner before a chunk and after each of its symbols.
 
         `ys` and `bs` hold the chunk's despread rows and transmitted
-        symbols, `first` the index of its first symbol.  Row k + 1 of the
-        result is w after symbol first + k: past n_tr the frozen w, else
-        g / Re(g^H a), a the mean of conj(b) y so far and g = G^-1 a.
-        Each row equals, bit for bit, the update made one symbol at a
-        time: the sum runs in symbol order on from the carried one, and
-        the products are `_matvecs` and `_vdots`.
+        symbols, `first` the index of its first symbol; row k + 1 of the
+        result is w after symbol first + k.  Each row equals, bit for
+        bit, the update made one symbol at a time.
+
+        RAKE: past n_tr the frozen w, else g / Re(g^H a), a the mean of
+        conj(b) y so far and g = G^-1 a, as array products: the sum runs
+        in symbol order on from the carried one, and the products are
+        `_matvecs` and `_vdots`.  pd baselines: a decision-feedback loop
+        that takes x = w^H y and adapts w with the error ref - x, the
+        reference being b, or from n_tr on in decision-directed mode the
+        decision on x.
         """
+        cfg = self.cfg
         size = len(bs)
-        trained = min(max(self.cfg.n_tr - first, 0), size)
         ws = np.empty((size + 1, self.w.size), dtype=complex)
         ws[0] = self.w
-        if trained:
-            terms = np.conj(bs[:trained])[:, None] * ys[:trained]
-            acc = np.cumsum(np.concatenate([self.acc[None], terms]), axis=0)[1:]
-            a = acc / np.arange(first + 1, first + trained + 1)[:, None]
-            g_hat = _matvecs(self.gram_inv, a)
-            # G g_hat = a, so the unit-gain scale g_hat^H G g_hat is g_hat^H a
-            ws[1:trained + 1] = g_hat / np.maximum(_vdots(g_hat, a).real, 1e-12)[:, None]
-            self.acc = acc[-1]
-        ws[trained + 1:] = ws[trained]
+        if cfg.algorithm == "rake":
+            trained = min(max(cfg.n_tr - first, 0), size)
+            if trained:
+                terms = np.conj(bs[:trained])[:, None] * ys[:trained]
+                acc = np.cumsum(np.concatenate([self.acc[None], terms]), axis=0)[1:]
+                a = acc / np.arange(first + 1, first + trained + 1)[:, None]
+                g_hat = _matvecs(self.gram_inv, a)
+                # G g_hat = a, so the unit-gain scale g_hat^H G g_hat is g_hat^H a
+                ws[1:trained + 1] = g_hat / np.maximum(_vdots(g_hat, a).real, 1e-12)[:, None]
+                self.acc = acc[-1]
+            ws[trained + 1:] = ws[trained]
+        else:
+            directed = cfg.n_tr - first if cfg.mode == "decision-directed" else size
+            rls = cfg.algorithm == "pd-rls"
+            w = self.w
+            for k, (y, b) in enumerate(zip(ys, bs.tolist())):
+                x = complex(np.vdot(w, y))
+                ce = np.conj((detect(x) if k >= directed else b) - x)
+                if rls:
+                    self.p_inv, w, broke = adaptive._rls_filter(self.p_inv, w, y, ce,
+                                                                cfg.alpha, cfg.delta)
+                    self.breakdowns += broke
+                else:
+                    w = adaptive._gradient(w, y, ce, cfg.mu0, cfg.normalized_steps)
+                ws[k + 1] = w
         self.w = ws[-1]
         return ws
 
-    def output(self, y: np.ndarray) -> complex:
-        return complex(np.vdot(self.w, y))
-
-    def adapt(self, y: np.ndarray, d: float, g: np.ndarray) -> None:
-        cfg = self.cfg
-        ce = np.conj(d - complex(np.vdot(self.w, y)))
-        if cfg.algorithm == "pd-rls":
-            self.p_inv, self.w, broke = adaptive._rls_filter(self.p_inv, self.w, y, ce,
-                                                             cfg.alpha, cfg.delta)
-            self.breakdowns += broke
-        else:
-            self.w = adaptive._gradient(self.w, y, ce, cfg.mu0, cfg.normalized_steps)
-
 
 def _receiver(cfg: ScenarioConfig, link: _Link):
-    """(despread, output, adapt, state) of a receiver that feeds decisions back.
+    """(output, adapt, state) of an interpolated receiver.
 
-    Every algorithm but the RAKE: the RAKE never feeds a decision back,
-    so `run_trial` takes it through `_Projected.combiners` a chunk at a
-    time instead.  `despread(rs)` maps a chunk's received vectors to the
-    rows the receiver takes: proj^H r for the pd baselines
-    (`_Projected`), r itself for the interpolated receivers.
-    `output(r)` applies the current receiver to a row and
-    `adapt(r, d, g)` runs one adaptive step with reference symbol d (the
-    blind steps ignore it) on a symbol with channel gains g.  A blind
-    step takes g each symbol when the known channel fades, and a
-    tracker's estimate, updated on r, each symbol when the channel is
-    not known (`known_channel` false).  The link is read here only, for
-    its code and initial gains.  `state` serves the phase alignment and
-    carries the RLS breakdowns.
+    Only `lms`, `rls`, `cmv-sg` and `cmv-rls` run `run_trial`'s symbol
+    loop; the RAKE and the pd baselines take `_Projected.combiners` a
+    chunk at a time instead.  An interpolated receiver takes the
+    received vectors r themselves.  `output(r)` applies the current
+    receiver to a row and `adapt(r, d, g)` runs one adaptive step with
+    reference symbol d (the blind steps ignore it) on a symbol with
+    channel gains g.  A blind step takes g each symbol when the known
+    channel fades, and a tracker's estimate, updated on r, each symbol
+    when the channel is not known (`known_channel` false).  The link is
+    read here only, for its code and initial gains.  `state` serves the
+    phase alignment and carries the RLS breakdowns.
     """
-    if cfg.algorithm in ("pd-lms", "pd-rls"):
-        rx = _Projected(cfg, link)
-        return rx.despread, rx.output, rx.adapt, rx
     dec = make_decimation(cfg.m, cfg.l)
     v0 = _interpolator_init(cfg)
     adapt_v = not cfg.freeze_interpolator
@@ -568,7 +577,7 @@ def _receiver(cfg: ScenarioConfig, link: _Link):
             adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=g)
         else:
             adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v)
-    return (lambda rs: rs), (lambda r: receiver_output(st, r)), adapt, st
+    return (lambda r: receiver_output(st, r)), adapt, st
 
 
 def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:
@@ -596,11 +605,14 @@ def _power(z: complex) -> float:
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     """Simulate one seeded run of the configured scenario.
 
-    The symbol loop (for the RAKE, a chunk's array products) records the
-    decision output and decision (a-priori) and the updated receiver's
-    outputs for r and its desired-only part (a-posteriori).  MSE, BER
-    and the windowed SINR are metered from those records after the loop.  The metadata counts decided symbols and the
-    RLS breakdowns (0 for receivers without RLS); `phase_reference` is
+    Per symbol, the trial records the decision output and decision
+    (a-priori) and the updated receiver's outputs for r and its
+    desired-only part (a-posteriori).  The interpolated receivers run the
+    symbol loop; the RAKE and the pd baselines form a chunk's combiners
+    (`_Projected.combiners`) and take the outputs as array products.
+    MSE, BER and the windowed SINR are metered from those records
+    afterwards.  The metadata counts decided symbols and the RLS
+    breakdowns (0 for receivers without RLS); `phase_reference` is
     "genie" where `_align_phase` rotated the decisions by the true
     channel (tracked blind runs), else None.  A diverged run, one whose
     squared error or a-posteriori output power overflows or is not
@@ -608,28 +620,27 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     """
     cfg.validate()
     link = _Link(cfg, np.random.default_rng(run_seed))
-    rake = cfg.algorithm == "rake"
-    if rake:
+    projected = cfg.algorithm in ("rake", "pd-lms", "pd-rls")
+    if projected:
         st = _Projected(cfg, link)
-        despread = st.despread
     else:
-        despread, output, adapt, st = _receiver(cfg, link)
+        output, adapt, st = _receiver(cfg, link)
     t = cfg.symbols
     x, bhat, out, out_des = [0j] * t, [0.0] * t, [0j] * t, [0j] * t
     tracking = cfg.mode == "blind" and not cfg.known_channel
     directed_from = cfg.n_tr if cfg.mode == "decision-directed" else t
     i = 0
     for rs, bs, rs_des, gs in link.chunks():
-        rs, rs_des = despread(rs), despread(rs_des)
-        if rake:
-            # no decision feedback: the combiner before each symbol gives x,
-            # the one after it the a-posteriori outputs
+        if projected:
+            # the combiner before each symbol gives x, the one after it the
+            # a-posteriori outputs
+            ys, ys_des = st.despread(rs), st.despread(rs_des)
             end = i + len(bs)
-            ws = st.combiners(rs, bs, i)
-            x[i:end] = _vdots(ws[:-1], rs).tolist()
+            ws = st.combiners(ys, bs, i)
+            x[i:end] = _vdots(ws[:-1], ys).tolist()
             bhat[i:end] = map(detect, x[i:end])
-            out[i:end] = _vdots(ws[1:], rs).tolist()
-            out_des[i:end] = _vdots(ws[1:], rs_des).tolist()
+            out[i:end] = _vdots(ws[1:], ys).tolist()
+            out_des[i:end] = _vdots(ws[1:], ys_des).tolist()
             i = end
             continue
         for r, b, r_des, g in zip(rs, bs, rs_des, gs):

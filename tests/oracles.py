@@ -6,15 +6,16 @@ code paths.  The exception is `per_symbol_trial`: it drives the
 package's link and receivers through the trial loop as it ran before
 noise, fading gains and received vectors were taken a chunk at a time
 and metering moved after the loop; each symbol's vectors pass through
-the receiver's despreading as one-row chunks, and the RAKE's combiner
-is updated symbol by symbol (`PerSymbolRake`).
+the baselines' despreading as one-row chunks, and the RAKE's and the
+partial-despreading baselines' combiners are updated symbol by symbol
+(`PerSymbolRake`, `PerSymbolPd`).
 """
 
 import functools
 
 import numpy as np
 
-from ifir_cdma import harness
+from ifir_cdma import adaptive, harness
 from ifir_cdma.interpolation import detect
 
 
@@ -282,6 +283,14 @@ def link_step_per_symbol(link, i: int):
     return r, b, r_des
 
 
+def power(z: complex) -> float:
+    """|z|^2 in Python arithmetic, inf where it overflows."""
+    try:
+        return abs(complex(z)) ** 2
+    except OverflowError:
+        return np.inf
+
+
 class SinrMeter:
     """Exponentially windowed ground-truth SINR of a linear receiver."""
 
@@ -292,9 +301,11 @@ class SinrMeter:
 
     def update(self, out_des: complex, out_rest: complex) -> float:
         w = self.window
-        self.num = w * self.num + (1 - w) * abs(out_des) ** 2
-        self.den = w * self.den + (1 - w) * abs(out_rest) ** 2
-        return 10.0 * np.log10(max(self.num, 1e-300) / max(self.den, 1e-300))
+        self.num = w * self.num + (1 - w) * power(out_des)
+        self.den = w * self.den + (1 - w) * power(out_rest)
+        # a diverged run's ratio may be 0 or NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 10.0 * np.log10(max(self.num, 1e-300) / max(self.den, 1e-300))
 
 
 class PerSymbolRake:
@@ -325,17 +336,47 @@ class PerSymbolRake:
             self.w = g_hat / max(np.real(np.vdot(g_hat, a)), 1e-12)
 
 
+class PerSymbolPd:
+    """The pd-lms or pd-rls combiner updated one symbol at a time, as the
+    trial ran it before a chunk's combiners came from one call.
+
+    It starts from the harness `_Projected`'s w and inverse covariance
+    and updates them with the package's kernels; `output` and `adapt`
+    have the shape of `harness._receiver`'s (`adapt` ignores the gains).
+    """
+
+    def __init__(self, rx):
+        self.cfg = rx.cfg
+        self.w = rx.w.copy()
+        self.p_inv = getattr(rx, "p_inv", None)
+        self.breakdowns = 0
+
+    def output(self, y):
+        return complex(np.vdot(self.w, y))
+
+    def adapt(self, y, d, g):
+        cfg = self.cfg
+        ce = np.conj(d - complex(np.vdot(self.w, y)))
+        if cfg.algorithm == "pd-rls":
+            self.p_inv, self.w, broke = adaptive._rls_filter(self.p_inv, self.w, y, ce,
+                                                             cfg.alpha, cfg.delta)
+            self.breakdowns += broke
+        else:
+            self.w = adaptive._gradient(self.w, y, ce, cfg.mu0, cfg.normalized_steps)
+
+
 def per_symbol_trial(cfg, run_seed):
     """(mse, sinr_db, ber) of one seeded run, metered symbol by symbol."""
     cfg.validate()
     rng = np.random.default_rng(run_seed)
     link = harness._Link(cfg, rng)
-    if cfg.algorithm == "rake":
+    if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
         rx = harness._Projected(cfg, link)
-        st = PerSymbolRake(rx, cfg.n_tr)
+        st = PerSymbolRake(rx, cfg.n_tr) if cfg.algorithm == "rake" else PerSymbolPd(rx)
         despread, output, adapt = rx.despread, st.output, st.adapt
     else:
-        despread, output, adapt, st = harness._receiver(cfg, link)
+        output, adapt, st = harness._receiver(cfg, link)
+        despread = lambda rs: rs
     meter = SinrMeter()
     t = cfg.symbols
     mse = np.zeros(t)
@@ -351,7 +392,7 @@ def per_symbol_trial(cfg, run_seed):
         if tracking:
             x = harness._align_phase(x, st.g_hat, link.channel.gains)
         bhat = detect(x)
-        mse[i] = abs(b - x) ** 2
+        mse[i] = power(b - x)
         if i >= first:
             errors += bhat != b
         ber[i] = errors / max(i - first + 1, 1)

@@ -202,16 +202,16 @@ class TestFullRankEquivalence:
         training run of a partial-despreading baseline."""
         cfg = harness.ScenarioConfig(algorithm=alg, symbols=300, path_delays=[0, 2, 4])
         link = harness._Link(cfg, np.random.default_rng(77))
-        despread, output, adapt, rx = harness._receiver(cfg, link)
+        rx = harness._Projected(cfg, link)
         ys, bs, ws, es = [], [], [], []
-        for rs, chunk_bs, _, gs in link.chunks():
-            for r, y, b, g in zip(rs, despread(rs), chunk_bs, gs):
-                assert np.array_equal(y, rx.proj_h @ r)
-                es.append(b - output(y))
-                adapt(y, b, g)
-                ys.append(y)
-                bs.append(b)
-                ws.append(rx.w.copy())
+        for rs, chunk_bs, _, _ in link.chunks():
+            chunk_ys = rx.despread(rs)
+            assert all(np.array_equal(y, rx.proj_h @ r) for r, y in zip(rs, chunk_ys))
+            chunk_ws = rx.combiners(chunk_ys, chunk_bs, len(bs))
+            es.extend(b - np.vdot(w, y) for w, y, b in zip(chunk_ws, chunk_ys, chunk_bs))
+            ys.extend(chunk_ys)
+            bs.extend(chunk_bs)
+            ws.extend(chunk_ws[1:])
         return cfg, np.array(ys), np.array(bs), np.array(ws), np.array(es)
 
     def test_pd_lms_bit_for_bit(self):

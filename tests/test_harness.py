@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from ifir_cdma import adaptive, cmv, harness, signal_model
-from ifir_cdma.interpolation import build_re_matrix
-from oracles import (build_block_matrix, build_channel_matrix, link_step_per_symbol,
-                     per_symbol_trial, rake_combiners)
+from ifir_cdma.interpolation import build_re_matrix, detect
+from oracles import (PerSymbolPd, build_block_matrix, build_channel_matrix,
+                     link_step_per_symbol, per_symbol_trial, rake_combiners)
 
 # Recorded on a small seeded scenario (runs=2, symbols=400, seed=5, default
 # n_tr=200): summary() as (final_mse, final_sinr_db, final_ber), then
@@ -91,7 +91,15 @@ ORACLE_CASES = (
        for n_tr in (1, harness.NOISE_CHUNK - 1, harness.NOISE_CHUNK, harness.NOISE_CHUNK + 1)]
     + [pytest.param("rake", {"n_tr": 700}, id="rake-n_tr-past-symbols"),
        pytest.param("rake", {"mode": "decision-directed", "n_tr": 600},
-                    id="rake-directed-n_tr-symbols")])
+                    id="rake-directed-n_tr-symbols")]
+    # the pd baselines' reference turns to decisions inside a chunk or at its edge
+    + [pytest.param(alg, {"mode": "decision-directed", "n_tr": n_tr},
+                    id=f"{alg}-directed-n_tr-{n_tr}")
+       for alg in ("pd-lms", "pd-rls")
+       for n_tr in (harness.NOISE_CHUNK - 1, harness.NOISE_CHUNK, harness.NOISE_CHUNK + 1)]
+    + [pytest.param("pd-lms", {"normalized_steps": False}, id="pd-lms-unnormalized"),
+       pytest.param("pd-lms", {"normalized_steps": False, "mode": "decision-directed",
+                               "n_tr": 100}, id="pd-lms-unnormalized-directed")])
 
 
 @pytest.mark.parametrize("alg, change", ORACLE_CASES)
@@ -113,9 +121,78 @@ def test_rake_feeds_no_decision_back(f_dt):
         assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
 
 
+@pytest.mark.parametrize("alg", ("pd-lms", "pd-rls"))
+@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
+def test_pd_feeds_decisions_back(alg, f_dt):
+    # at 0 dB decisions past n_tr are often wrong, so decision-directed
+    # runs leave the training runs after n_tr and repeat them before it
+    n_tr = 20
+    runs = [harness.run_trial(scenario(alg, runs=1, symbols=400, f_dt=f_dt, ebn0_db=0.0,
+                                       n_tr=n_tr, mode=mode), 8)
+            for mode in ("training", "decision-directed")]
+    # the a-priori error is equal through symbol n_tr, the a-posteriori SINR before it
+    for name, equal in (("mse", n_tr + 1), ("sinr_db", n_tr), ("ber", n_tr + 1)):
+        train, directed = getattr(runs[0], name), getattr(runs[1], name)
+        assert train[:equal].tobytes() == directed[:equal].tobytes(), name
+        assert not np.array_equal(train[equal:], directed[equal:]), name
+
+
+def per_symbol_combiners(rx, ys, bs, first):
+    """w before the rows and after each, from `oracles.PerSymbolPd` on a
+    copy of a harness `_Projected`'s state."""
+    cfg, st = rx.cfg, PerSymbolPd(rx)
+    ws = [st.w.copy()]
+    for i, (y, b) in enumerate(zip(ys, bs), first):
+        x = st.output(y)
+        st.adapt(y, detect(x) if cfg.mode == "decision-directed" and i >= cfg.n_tr else b, None)
+        ws.append(st.w.copy())
+    return np.array(ws), st.breakdowns
+
+
+@pytest.mark.parametrize("alg", ("pd-lms", "pd-rls"))
+@pytest.mark.parametrize("mode, n_tr", [("training", 300)] + [
+    ("decision-directed", n) for n in (harness.NOISE_CHUNK - 1, harness.NOISE_CHUNK,
+                                       harness.NOISE_CHUNK + 1)])
+def test_pd_combiners_match_per_symbol_updates(alg, mode, n_tr):
+    # Chunk by chunk against oracles.PerSymbolPd, byte for byte.  Row 100
+    # of each chunk is all zero, which leaves w where it is: the
+    # normalised gradient step is skipped, and the RLS gain is zero.  The
+    # symbols from n_tr on are handed in negated, so the trained
+    # combiner's decisions differ from them where the reference switches.
+    cfg = scenario(alg, runs=1, symbols=2 * harness.NOISE_CHUNK, mode=mode, n_tr=n_tr)
+    link = harness._Link(cfg, np.random.default_rng(12))
+    rx = harness._Projected(cfg, link)
+    ws, ys = [], []
+    for first, (rs, bs, _, _) in zip(range(0, cfg.symbols, harness.NOISE_CHUNK), link.chunks()):
+        chunk_ys = rx.despread(rs)
+        chunk_ys[100] = 0
+        bs = np.where(np.arange(first, first + len(bs)) >= n_tr, -bs, bs)
+        expect, breakdowns = per_symbol_combiners(rx, chunk_ys, bs, first)
+        got = rx.combiners(chunk_ys, bs, first)
+        assert got.tobytes() == expect.tobytes()
+        assert rx.breakdowns == breakdowns == 0
+        if alg == "pd-lms":
+            assert got[101].tobytes() == got[100].tobytes()
+        ws.extend(got[:-1])
+        ys.extend(chunk_ys)
+    assert detect(np.vdot(ws[n_tr], ys[n_tr])) == link.desired[n_tr]
+
+
+def test_diverging_pd_lms_names_the_first_bad_symbol():
+    # unnormalised steps of 0.5 at -10 dB blow up: the trial names the
+    # first symbol at which the per-symbol run's metered series is not finite
+    cfg = scenario("pd-lms", runs=1, symbols=600, ebn0_db=-10.0, mu0=0.5,
+                   normalized_steps=False)
+    mse, sinr_db, _ = per_symbol_trial(cfg, 31)
+    finite = np.isfinite([mse, sinr_db]).all(axis=0)
+    assert not finite.all()
+    with pytest.raises(np.linalg.LinAlgError, match=f"symbol {np.argmin(finite)} is not finite"):
+        harness.run_trial(cfg, 31)
+
+
 @pytest.mark.parametrize("length", (1, 6, 8, 18, 36))
 def test_batched_products_equal_unbatched_bit_for_bit(length):
-    # the RAKE's chunk products stand for per-symbol np.vdot and a @ x
+    # the baselines' chunk products stand for per-symbol np.vdot and a @ x
     rng = np.random.default_rng(length)
 
     def rows(n):
@@ -410,7 +487,7 @@ def test_known_channel_constraint_follows_fading(alg):
     # p = C g at 1 for each symbol's gains g, symbol by symbol, under fading
     cfg = scenario(alg, runs=1, symbols=300, f_dt=1e-3)
     link = harness._Link(cfg, np.random.default_rng(23))
-    _, _, adapt, st = harness._receiver(cfg, link)
+    _, adapt, st = harness._receiver(cfg, link)
     c = cmv.shifted_signatures(link.codes[0], cfg.l_p)
     for r, b, _, g in link_symbols(link):
         adapt(r, b, g)
@@ -488,19 +565,20 @@ def test_rake_combiner_matches_per_symbol_solve(change):
 
 @pytest.mark.parametrize("normalized", (True, False))
 def test_pd_lms_step_follows_normalized_steps(normalized):
-    # one adapt moves w by mu0 conj(xi) y, divided by ||y||^2 when normalised
+    # one symbol moves w by mu0 conj(xi) y, divided by ||y||^2 when normalised
     cfg = scenario("pd-lms", runs=1, symbols=10, mu0=0.05, normalized_steps=normalized)
     link = harness._Link(cfg, np.random.default_rng(4))
     rx = harness._Projected(cfg, link)
     rng = np.random.default_rng(5)
     rx.w = rng.standard_normal(rx.w.size) + 1j * rng.standard_normal(rx.w.size)
     w0 = rx.w.copy()
-    r, b, _, g = next(link_symbols(link))
+    r, b, _, _ = next(link_symbols(link))
     y = rx.proj_h @ r
     xi = b - np.vdot(w0, y)
-    rx.adapt(y, b, g)
+    ws = rx.combiners(y[None], np.array([b]), 0)
+    assert ws.shape == (2, w0.size) and np.array_equal(ws[0], w0)
     step = cfg.mu0 / np.real(np.vdot(y, y)) if normalized else cfg.mu0
-    np.testing.assert_allclose(rx.w - w0, step * np.conj(xi) * y, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(ws[1] - w0, step * np.conj(xi) * y, rtol=1e-12, atol=1e-15)
 
 
 def test_numpy_integers_configure_a_run(tmp_path):
