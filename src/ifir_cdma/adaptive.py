@@ -12,9 +12,10 @@ the trained one plus the one constraint on the channel-combined
 signature (see `cmv`).  `_gradient` is the one gradient update (blind, it
 takes reference 0 and projects back onto the constraint), `_rls_filter`
 the one trained RLS filter update and `rls_update` the one
-inverse-covariance update.  Within a step the output and error are
-computed with the pre-update filters.  The trained steps update both
-filters from those same pre-update quantities (Jacobi ordering).  The
+inverse-covariance update (`rls_updates` is its form on a stack of runs,
+which the harness's baseline blocks use).  Within a step the output and
+error are computed with the pre-update filters.  The trained steps update
+both filters from those same pre-update quantities (Jacobi ordering).  The
 blind steps take their constraint values g from the caller, as the
 trained steps take their reference symbol, and update v and then w, each
 onto its own hyperplane of the constraint, so the constraint holds after
@@ -86,6 +87,29 @@ def rls_update(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     p += p.conj().T
     p *= 0.5
     return p, gain
+
+
+def rls_updates(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
+    """`rls_update` on a stack of runs: p is (runs, d, d) and x (runs, d).
+
+    Each run's p and gain equal `rls_update`'s bit for bit.  A run whose
+    denominator is not positive restarts at delta*I, and its gain row is
+    not to be used.  Returns (p, gain, broke), broke the indices of the
+    runs that broke down.
+    """
+    px = p @ x[:, :, None]
+    denom = (x.conj()[:, None, :] @ px)[:, 0, 0].real + alpha
+    broke = np.flatnonzero(denom <= 0)
+    if broke.size:
+        denom[broke] = 1.0
+    gain = px / denom[:, None, None]
+    p = p - gain * px.conj().transpose(0, 2, 1)
+    p /= alpha
+    p += p.conj().transpose(0, 2, 1)
+    p *= 0.5
+    if broke.size:
+        p[broke] = delta * np.eye(p.shape[1], dtype=complex)
+    return p, gain[:, :, 0], broke
 
 
 def _rls_filter(p: np.ndarray, f: np.ndarray, x: np.ndarray, ce: complex,

@@ -15,20 +15,28 @@ to r and to its desired-only component.  Two paths do this.  The four
 interpolated receivers (`_receiver`) run one symbol loop through two
 calls on a received vector: `output(r)` applies the current receiver
 and `adapt(r, d, g)` updates it, g being the symbol's gains.  The RAKE
-and partial-despreading baselines (`_Projected`) run no symbol loop:
-they despread a chunk in one product, form its combiners (w before the
-chunk and after each symbol, `_Projected.combiners`) and take the
-outputs as array products whose rows equal the per-symbol arithmetic
-bit for bit.  The RAKE's combiners are array products as well, since it
-trains on the transmitted symbols and then freezes; the pd baselines
-feed decisions back, so theirs come from a loop over the chunk's
-despread rows with one output and one update per symbol.  MSE, BER and
-SINR are metered after the chunks; MSE and BER are a-priori and SINR
-a-posteriori.
+and partial-despreading baselines (`_Projected`) run no symbol loop of
+their own: they despread a chunk in one product, form its combiners (w
+before the chunk and after each symbol, `_Projected.combiners`) and
+take the outputs as array products whose rows equal the per-symbol
+arithmetic bit for bit.  The RAKE's combiners are array products as
+well, since it trains on the transmitted symbols and then freezes; the
+pd baselines feed decisions back, so theirs come from a loop over the
+chunk's despread rows with one output and one update per symbol.  MSE,
+BER and SINR are metered after the chunks; MSE and BER are a-priori and
+SINR a-posteriori.
+
+A campaign runs the interpolated receivers one run at a time.  It runs
+the baselines in blocks of runs (`_run_block`), as many as BLOCK_BYTES
+of memory allows (`_block_width`): each run keeps its own link and
+Generator, the block shares one projection, and one feedback loop per
+chunk updates every run's combiner on stacked state.  Each run's series
+equals its `run_trial` byte for byte.
 
 Everything is deterministic for a fixed (config, seed): one Generator
-per trial drives channel, symbols and noise in a fixed order, and the
-campaign reduction is ordered by run index regardless of worker count.
+per run drives channel, symbols and noise in a fixed order, and the
+campaign reduction is ordered by run index regardless of worker count
+or blocking.
 """
 
 from __future__ import annotations
@@ -55,6 +63,11 @@ SUMMARY_TAIL = 200                    # last symbols the summary's MSE and SINR 
 NOISE_CHUNK = 256
 
 ALGORITHMS = ("lms", "rls", "cmv-sg", "cmv-rls", "rake", "pd-lms", "pd-rls")
+BASELINES = ("rake", "pd-lms", "pd-rls")   # the receivers `_Projected` runs
+# Bytes a block of baseline runs may hold (see `_block_width`): at the
+# defaults, 9 runs of 400 symbols, 3 of 2000, and one at a time from
+# ~10^4 symbols on.
+BLOCK_BYTES = 2_000_000
 MODES = ("training", "decision-directed", "blind")
 
 
@@ -323,31 +336,37 @@ def _interpolator_init(cfg: ScenarioConfig) -> np.ndarray:
 # `np.einsum`, `(conj(w) * y).sum(1)` and `y @ conj(w)` do not.
 
 def _matvecs(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """a @ x for every row x of xs."""
-    return (a[None] @ xs[:, :, None])[..., 0]
+    """a @ x for every row x of xs (rows along the last axis)."""
+    return (a @ xs[..., None])[..., 0]
 
 
 def _vdots(ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """np.vdot(w, y) for every pair of rows w of ws and y of ys.
+    """np.vdot(w, y) for every pair of rows w of ws and y of ys, the
+    leading axes broadcast.
 
     Like np.vdot, it warns of no overflow: a diverged run's products
     reach the trial's LinAlgError instead of a matmul RuntimeWarning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return (ws.conj()[:, None, :] @ ys[:, :, None])[:, 0, 0]
+        return (ws.conj()[..., None, :] @ ys[..., None])[..., 0, 0]
 
 
 class _Link:
     """One run's synthesized downlink, handed out a noise chunk at a time.
 
-    `chunks()` yields a chunk's received vectors R = clean + noise
-    (chunk x M), desired symbols b, desired-only components
-    R_des = (A_0 b)[:, None] * signature and path gains G (chunk x l_p).
-    Static clean rows are views of one convolved chip stream, and G a
-    read-only view repeating `channel.gains`.  A faded link draws the
-    chunk's path gains after its noise and forms its clean rows and
-    signatures in batched products; `channel.gains` keeps the gains the
-    channel was made with.
+    `chunk(i)` draws the chunk from symbol i on, and `chunks()` yields
+    them in symbol order; neither keeps a chunk.  A chunk holds the
+    received vectors R = clean + noise (chunk x M), desired symbols b,
+    desired-only components R_des = (A_0 b)[:, None] * signature and path
+    gains G (chunk x l_p).  The link keeps its symbols, not its chip
+    stream: a chunk superposes the stretch of stream its clean rows read
+    (`_chips`).  Static clean rows are views of that stretch convolved
+    with the gains, and G a read-only view repeating `channel.gains`.  A
+    faded link draws the chunk's path gains after its noise and forms its
+    clean rows and signatures in batched products; `channel.gains` keeps
+    the gains the channel was made with.  Each stretch holds the same
+    values as one stream of every symbol would, and each clean row the
+    same sums.
 
     Noise before gains keeps the generator order of per-symbol gain
     steps: gains draw only at a fading period's first sample (its
@@ -370,63 +389,89 @@ class _Link:
         self.bits = np.where(rng.random((cfg.k, cfg.symbols + span - 1)) < 0.5, -1.0, 1.0)
         self.desired = self.bits[0, self.l_s - 1:self.l_s - 1 + cfg.symbols]   # b of symbol i
         self._static = cfg.f_dt <= 0
-        # superposed user by user: a K x symbols x N temporary costs ~4 MB
-        stream = np.zeros(self.bits.shape[1] * cfg.n)
-        for amp, bits, code in zip(self.amps, self.bits, self.codes):
-            stream += np.outer(amp * bits, code).ravel()
-        view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
         if self._static:
-            # row i of _clean is the convolved stream from chip (i + l_s - 1) N on
-            conv = np.convolve(stream, self.channel.gains)
-            self._clean = view(conv, self.m)[(self.l_s - 1) * cfg.n::cfg.n]
             self.signature = signal_model.effective_signature(self.codes[0], self.channel.gains)
         else:
-            # windows[i] @ gains is the noiseless r of symbol i, and
-            # code_matrix @ gains its desired signature: windows[i][m, l]
-            # is the chip stream at (i + l_s - 1) N + m - l.
-            first = (self.l_s - 1) * cfg.n - (cfg.l_p - 1)
-            rows = view(stream[first:], self.m + cfg.l_p - 1)[::cfg.n]
-            self._windows = view(rows, cfg.l_p, axis=1)[:, :, ::-1]
             self._code_matrix = cmv.shifted_signatures(self.codes[0], cfg.l_p)
+
+    def _chips(self, i: int, size: int) -> np.ndarray:
+        """The chip stream that the clean rows of symbols i to i + size - 1
+        read: (size - 1) N + M + l_p - 1 chips from chip
+        (i + l_s - 1) N - (l_p - 1) on, superposed user by user."""
+        n, l_p = self.cfg.n, self.cfg.l_p
+        start = (i + self.l_s - 1) * n - (l_p - 1)
+        length = (size - 1) * n + self.m + l_p - 1
+        lo, hi = start // n, -(-(start + length) // n)   # the symbols it spans
+        stream = np.zeros((hi - lo, n))
+        for amp, bits, code in zip(self.amps, self.bits[:, lo:hi], self.codes):
+            stream += (amp * bits)[:, None] * code
+        return stream.ravel()[start - lo * n:start - lo * n + length]
 
     def chunks(self):
         """Yield (R, b, R_des, G) for each noise chunk, in symbol order."""
         for i in range(0, self.cfg.symbols, NOISE_CHUNK):
-            size = min(NOISE_CHUNK, self.cfg.symbols - i)
-            z = self.rng.standard_normal((size, 2, self.m))
-            # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
-            rs = 1j * z[:, 1]
-            rs += z[:, 0]
-            rs *= np.sqrt(self.sigma2 / 2.0)
-            b = self.desired[i:i + size]
-            if self._static:
-                clean, signature = self._clean[i:i + size], self.signature
-                gains = np.broadcast_to(self.channel.gains, (size, self.cfg.l_p))
-            else:
-                gains = signal_model.fading_gains(self.channel, size, self.rng)
-                # batched as a @ g[..., None], each product equals the
-                # per-symbol a @ g bit for bit; g @ a.T sums in another order
-                clean = (self._windows[i:i + size] @ gains[:, :, None])[..., 0]
-                signature = _matvecs(self._code_matrix, gains)
-            rs += clean
-            yield rs, b, (self.amps[0] * b)[:, None] * signature, gains
+            yield self.chunk(i)
+
+    def chunk(self, i: int):
+        """(R, b, R_des, G) of the noise chunk from symbol i on; chunks must
+        be drawn in symbol order."""
+        size = min(NOISE_CHUNK, self.cfg.symbols - i)
+        z = self.rng.standard_normal((size, 2, self.m))
+        # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
+        rs = 1j * z[:, 1]
+        rs += z[:, 0]
+        rs *= np.sqrt(self.sigma2 / 2.0)
+        b = self.desired[i:i + size]
+        n, l_p = self.cfg.n, self.cfg.l_p
+        chips = self._chips(i, size)
+        view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
+        if self._static:
+            # row k is the chips convolved with the gains from chip k N + l_p - 1 on;
+            # "valid" keeps only the full sums, each as a whole-stream convolution forms it
+            clean = view(np.convolve(chips, self.channel.gains, "valid"), self.m)[::n]
+            signature = self.signature
+            gains = np.broadcast_to(self.channel.gains, (size, l_p))
+        else:
+            gains = signal_model.fading_gains(self.channel, size, self.rng)
+            # windows[k] @ g is the noiseless r of symbol i + k, and
+            # code_matrix @ g its desired signature: windows[k][m, l] is
+            # the chip at k N + m - l + l_p - 1.  Batched as a @ g[..., None],
+            # each product equals the per-symbol a @ g bit for bit; g @ a.T
+            # sums in another order
+            windows = view(view(chips, self.m + l_p - 1)[::n], l_p, axis=1)[:, :, ::-1]
+            clean = (windows @ gains[:, :, None])[..., 0]
+            signature = _matvecs(self._code_matrix, gains)
+        rs += clean
+        return rs, b, (self.amps[0] * b)[:, None] * signature, gains
 
 
-def _sinr_db(p_des: list, p_rest: list) -> np.ndarray:
-    """Exponentially windowed ground-truth SINR of a linear receiver, per symbol.
+def _sinr_db(p_des: np.ndarray, p_rest: np.ndarray) -> np.ndarray:
+    """Exponentially windowed ground-truth SINR of a linear receiver, per
+    run and symbol.
 
-    `p_des` and `p_rest` hold the powers of the receiver's output for the
-    desired-only component of r and for the rest, interference and noise.
-    The window recursion runs on Python floats.
+    `p_des` and `p_rest` (runs x symbols) hold the powers of the
+    receiver's output for the desired-only component of r and for the
+    rest, interference and noise.  The window recursion runs over the
+    symbols on Python floats for one run, and on float64 arrays across
+    the runs for several, where it costs less; both round alike.
     """
     w = SINR_WINDOW
-    num = den = 0.0
-    ratio = []
-    for des, rest in zip(p_des, p_rest):
-        num = w * num + (1 - w) * des
-        den = w * den + (1 - w) * rest
-        ratio.append(max(num, 1e-300) / max(den, 1e-300))
-    return 10.0 * np.log10(ratio)
+    if len(p_des) == 1:
+        num = den = 0.0
+        ratio = []
+        for des, rest in zip(p_des[0].tolist(), p_rest[0].tolist()):
+            num = w * num + (1 - w) * des
+            den = w * den + (1 - w) * rest
+            ratio.append(max(num, 1e-300) / max(den, 1e-300))
+        return 10.0 * np.log10([ratio])
+    # (symbols, 2, runs), so that each step reads and writes contiguous rows
+    acc = np.moveaxis((1 - w) * np.stack([p_des, p_rest]), -1, 0).copy()
+    prev = np.zeros(acc.shape[1:])
+    for row in acc:
+        row += w * prev
+        prev = row
+    ratio = np.maximum(acc, 1e-300)
+    return (10.0 * np.log10(ratio[:, 0] / ratio[:, 1])).T.copy()
 
 
 def _pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
@@ -453,46 +498,50 @@ def _pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Projected:
-    """RAKE and partial-despreading baselines: a combiner w on y = proj^H r.
+    """RAKE and partial-despreading baselines of a block of runs: a
+    combiner w per run on y = proj^H r.
 
     RAKE's combiner is the least-squares channel estimate from the first
     n_tr symbols, scaled to unit gain; the normal matrix G = C^H C of its
-    shifted signatures C is inverted once per run.  It trains on the
-    transmitted symbols in either trained mode and then freezes, so it
-    feeds no decision back.  pd-lms and pd-rls adapt w with the kernels
-    of `lms` and `rls` on the filter alone: `adaptive._gradient`
-    (normalised by ||y||^2 under `normalized_steps`) and
-    `adaptive._rls_filter` on the inverse covariance `p_inv`, counting
-    breakdowns in `breakdowns`.  `despread` projects a chunk's received
-    vectors at once and `combiners` forms w along the chunk, so
-    `run_trial` drives all three without its symbol loop.
+    shifted signatures C is inverted once.  It trains on the transmitted
+    symbols in either trained mode and then freezes, so it feeds no
+    decision back.  pd-lms and pd-rls adapt w with the kernels of `lms`
+    and `rls` on the filter alone: `adaptive._gradient` (normalised by
+    ||y||^2 under `normalized_steps`) and `adaptive._rls_filter` on the
+    inverse covariance `p_inv`, counting breakdowns in `breakdowns`.
+    The runs share the desired user's code, so they share the projection
+    and G; each holds its own state along the first axis of `w`
+    (runs x d), `p_inv` (runs x d x d), RAKE's running sum `acc`
+    (runs x l_p) and `breakdowns`.  `despread` projects received vectors
+    at once and `combiners` forms every run's w along a chunk, so
+    `_run_block` drives all three without a symbol loop of its own.
     """
 
-    def __init__(self, cfg: ScenarioConfig, link: _Link):
+    def __init__(self, cfg: ScenarioConfig, code: np.ndarray, runs: int):
         self.cfg = cfg
-        code = link.codes[0]
         if cfg.algorithm == "rake":
             proj = cmv.shifted_signatures(code, cfg.l_p)
             self.gram_inv = np.linalg.inv(proj.conj().T @ proj)
-            self.acc = np.zeros(cfg.l_p, dtype=complex)   # sum of conj(b) y so far
+            self.acc = np.zeros((runs, cfg.l_p), dtype=complex)   # sum of conj(b) y so far
         else:
             proj = _pd_projection(code, cfg.m, cfg.pd_rank)
-            self.p_inv = cfg.delta * np.eye(cfg.pd_rank, dtype=complex)
+            self.p_inv = np.tile(cfg.delta * np.eye(cfg.pd_rank, dtype=complex), (runs, 1, 1))
         self.proj_h = proj.conj().T
-        self.w = np.zeros(proj.shape[1], dtype=complex)
-        self.breakdowns = 0
+        self.w = np.zeros((runs, proj.shape[1]), dtype=complex)
+        self.breakdowns = np.zeros(runs, dtype=int)
 
     def despread(self, rs: np.ndarray) -> np.ndarray:
         """proj^H r for every row r of rs; each row equals proj_h @ r bit for bit."""
         return _matvecs(self.proj_h, rs)
 
     def combiners(self, ys: np.ndarray, bs: np.ndarray, first: int) -> np.ndarray:
-        """The combiner before a chunk and after each of its symbols.
+        """Every run's combiner before a chunk and after each of its symbols.
 
-        `ys` and `bs` hold the chunk's despread rows and transmitted
-        symbols, `first` the index of its first symbol; row k + 1 of the
-        result is w after symbol first + k.  Each row equals, bit for
-        bit, the update made one symbol at a time.
+        `ys` (runs x chunk x d) and `bs` (runs x chunk) hold the chunk's
+        despread rows and transmitted symbols, `first` the index of its
+        first symbol; row k + 1 of a run's result is its w after symbol
+        first + k.  Each row equals, bit for bit, the update made one
+        symbol at a time.
 
         RAKE: past n_tr the frozen w, else g / Re(g^H a), a the mean of
         conj(b) y so far and g = G^-1 a, as array products: the sum runs
@@ -500,39 +549,89 @@ class _Projected:
         `_matvecs` and `_vdots`.  pd baselines: a decision-feedback loop
         that takes x = w^H y and adapts w with the error ref - x, the
         reference being b, or from n_tr on in decision-directed mode the
-        decision on x.
+        decision on x.  One run steps through the unstacked kernels, where
+        stacked state costs more per symbol than it saves; several step
+        together through their stacked form (`adaptive.rls_updates`).
         """
         cfg = self.cfg
-        size = len(bs)
-        ws = np.empty((size + 1, self.w.size), dtype=complex)
-        ws[0] = self.w
+        runs, size = bs.shape
+        ws = np.empty((runs, size + 1, self.w.shape[1]), dtype=complex)
+        ws[:, 0] = self.w
         if cfg.algorithm == "rake":
             trained = min(max(cfg.n_tr - first, 0), size)
             if trained:
-                terms = np.conj(bs[:trained])[:, None] * ys[:trained]
-                acc = np.cumsum(np.concatenate([self.acc[None], terms]), axis=0)[1:]
+                terms = np.conj(bs[:, :trained])[..., None] * ys[:, :trained]
+                acc = np.cumsum(np.concatenate([self.acc[:, None], terms], axis=1), axis=1)[:, 1:]
                 a = acc / np.arange(first + 1, first + trained + 1)[:, None]
                 g_hat = _matvecs(self.gram_inv, a)
                 # G g_hat = a, so the unit-gain scale g_hat^H G g_hat is g_hat^H a
-                ws[1:trained + 1] = g_hat / np.maximum(_vdots(g_hat, a).real, 1e-12)[:, None]
-                self.acc = acc[-1]
-            ws[trained + 1:] = ws[trained]
+                ws[:, 1:trained + 1] = g_hat / np.maximum(_vdots(g_hat, a).real, 1e-12)[..., None]
+                self.acc = acc[:, -1]
+            ws[:, trained + 1:] = ws[:, trained, None]
         else:
+            # the chunk offset from which decisions are the reference
             directed = cfg.n_tr - first if cfg.mode == "decision-directed" else size
-            rls = cfg.algorithm == "pd-rls"
-            w = self.w
-            for k, (y, b) in enumerate(zip(ys, bs.tolist())):
-                x = complex(np.vdot(w, y))
-                ce = np.conj((detect(x) if k >= directed else b) - x)
-                if rls:
-                    self.p_inv, w, broke = adaptive._rls_filter(self.p_inv, w, y, ce,
-                                                                cfg.alpha, cfg.delta)
-                    self.breakdowns += broke
-                else:
-                    w = adaptive._gradient(w, y, ce, cfg.mu0, cfg.normalized_steps)
-                ws[k + 1] = w
-        self.w = ws[-1]
+            # a diverged run's overflow is left to the trial's finiteness
+            # check, as in `_vdots`
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                feedback = self._feedback_one if runs == 1 else self._feedback
+                feedback(ws, ys, bs, directed)
+        self.w = ws[:, -1].copy()
         return ws
+
+    def _feedback_one(self, ws, ys, bs, directed: int) -> None:
+        """The pd feedback loop of a block of one run, into its combiners ws."""
+        cfg = self.cfg
+        rls = cfg.algorithm == "pd-rls"
+        w, ws = self.w[0], ws[0]
+        p = self.p_inv[0] if rls else None
+        breakdowns = 0
+        for k, (y, b) in enumerate(zip(ys[0], bs[0].tolist())):
+            x = complex(np.vdot(w, y))
+            ce = np.conj((detect(x) if k >= directed else b) - x)
+            if rls:
+                p, w, broke = adaptive._rls_filter(p, w, y, ce, cfg.alpha, cfg.delta)
+                breakdowns += broke
+            else:
+                w = adaptive._gradient(w, y, ce, cfg.mu0, cfg.normalized_steps)
+            ws[k + 1] = w
+        self.breakdowns[0] += breakdowns
+        if rls:
+            self.p_inv = p[None]
+
+    def _feedback(self, ws, ys, bs, directed: int) -> None:
+        """The pd feedback loop of several runs on stacked state, in the
+        arithmetic order of `adaptive._gradient` and `adaptive._rls_filter`,
+        into their combiners ws."""
+        cfg = self.cfg
+        w = self.w
+        p = self.p_inv if cfg.algorithm == "pd-rls" else None
+        if cfg.normalized_steps:
+            # the steps mu0 / ||y||^2 of the chunk; a vanishing ||y||^2 skips one
+            den = _vdots(ys, ys).real
+            skip, steps = den <= adaptive._TINY, cfg.mu0 / den
+            skipping = skip.any()
+        ycols = ys[..., None]
+        for k in range(bs.shape[1]):
+            # x = _vdots(w, y), inside the caller's errstate
+            x = (w.conj()[:, None, :] @ ycols[:, k])[:, 0, 0]
+            ref = np.where(x.real >= 0.0, 1.0, -1.0) if k >= directed else bs[:, k]
+            ce = np.conj(ref - x)
+            if p is not None:
+                p, gain, broke = adaptive.rls_updates(p, ys[:, k], cfg.alpha, cfg.delta)
+                moved = w + gain * ce[:, None]
+                if broke.size:   # a broken-down run's w stays
+                    moved[broke] = w[broke]
+                    self.breakdowns[broke] += 1
+                w = moved
+            elif cfg.normalized_steps:
+                moved = w + (steps[:, k] * ce)[:, None] * ys[:, k]
+                w = np.where(skip[:, k, None], w, moved) if skipping else moved
+            else:
+                w = w + (cfg.mu0 * ce)[:, None] * ys[:, k]
+            ws[:, k + 1] = w
+        if p is not None:
+            self.p_inv = p
 
 
 def _receiver(cfg: ScenarioConfig, link: _Link):
@@ -608,41 +707,26 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     Per symbol, the trial records the decision output and decision
     (a-priori) and the updated receiver's outputs for r and its
     desired-only part (a-posteriori).  The interpolated receivers run the
-    symbol loop; the RAKE and the pd baselines form a chunk's combiners
-    (`_Projected.combiners`) and take the outputs as array products.
-    MSE, BER and the windowed SINR are metered from those records
-    afterwards.  The metadata counts decided symbols and the RLS
-    breakdowns (0 for receivers without RLS); `phase_reference` is
-    "genie" where `_align_phase` rotated the decisions by the true
-    channel (tracked blind runs), else None.  A diverged run, one whose
-    squared error or a-posteriori output power overflows or is not
-    finite, raises LinAlgError.
+    symbol loop; the RAKE and the pd baselines run as a block of one
+    (`_run_block`).  MSE, BER and the windowed SINR are metered from those
+    records afterwards (`_metered`).  The metadata counts decided symbols
+    and the RLS breakdowns (0 for receivers without RLS);
+    `phase_reference` is "genie" where `_align_phase` rotated the
+    decisions by the true channel (tracked blind runs), else None.  A
+    diverged run, one whose squared error or a-posteriori output power
+    overflows or is not finite, raises LinAlgError.
     """
     cfg.validate()
+    if cfg.algorithm in BASELINES:
+        return _run_block(cfg, [run_seed])[0]
     link = _Link(cfg, np.random.default_rng(run_seed))
-    projected = cfg.algorithm in ("rake", "pd-lms", "pd-rls")
-    if projected:
-        st = _Projected(cfg, link)
-    else:
-        output, adapt, st = _receiver(cfg, link)
+    output, adapt, st = _receiver(cfg, link)
     t = cfg.symbols
     x, bhat, out, out_des = [0j] * t, [0.0] * t, [0j] * t, [0j] * t
     tracking = cfg.mode == "blind" and not cfg.known_channel
     directed_from = cfg.n_tr if cfg.mode == "decision-directed" else t
     i = 0
     for rs, bs, rs_des, gs in link.chunks():
-        if projected:
-            # the combiner before each symbol gives x, the one after it the
-            # a-posteriori outputs
-            ys, ys_des = st.despread(rs), st.despread(rs_des)
-            end = i + len(bs)
-            ws = st.combiners(ys, bs, i)
-            x[i:end] = _vdots(ws[:-1], ys).tolist()
-            bhat[i:end] = map(detect, x[i:end])
-            out[i:end] = _vdots(ws[1:], ys).tolist()
-            out_des[i:end] = _vdots(ws[1:], ys_des).tolist()
-            i = end
-            continue
         for r, b, r_des, g in zip(rs, bs, rs_des, gs):
             xi = output(r)
             if tracking:
@@ -653,23 +737,78 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
             out[i] = output(r)
             out_des[i] = output(r_des)
             i += 1
-    # scalar metering: numpy's np.abs(z) ** 2 differs from abs(z) ** 2 in the last bit
-    mse = np.array([_power(b - xi) for b, xi in zip(link.desired.tolist(), x)])
-    p_des = [_power(d) for d in out_des]
-    p_rest = [_power(o - d) for o, d in zip(out, out_des)]
-    finite = np.isfinite([mse, p_des, p_rest]).all(axis=0)
-    if not finite.all():
-        raise np.linalg.LinAlgError(f"run seed {run_seed} diverged: the squared error or "
-                                    f"output power of symbol {np.argmin(finite)} is not finite")
-    first = cfg.first_decided
-    wrong = np.asarray(bhat) != link.desired
-    wrong[:first] = False
-    ber = np.cumsum(wrong) / np.maximum(np.arange(t) - first + 1, 1)
-    return MetricSeries(mse=mse, sinr_db=_sinr_db(p_des, p_rest), ber=ber,
-                        metadata={**cfg.to_dict(), "run_seed": int(run_seed),
-                                  "decided": max(t - first, 0),
-                                  "breakdowns": getattr(st, "breakdowns", 0),
-                                  "phase_reference": "genie" if tracking else None})
+    return _metered(cfg, [run_seed], link.desired[None], np.array([bhat]), [(x, out, out_des)],
+                    [getattr(st, "breakdowns", 0)], "genie" if tracking else None)[0]
+
+
+def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
+    """`run_trial` of a RAKE or pd baseline for each seed, the runs taken
+    together.
+
+    Each run keeps its own `_Link` and Generator, so it draws in the
+    order its trial does.  Chunk by chunk, each run draws its chunk and
+    despreads it at once, and only the despread rows are kept; one
+    `_Projected.combiners` call forms all the runs' combiners, and one
+    `_vdots` each takes x and the two a-posteriori outputs of the block.
+    """
+    links = [_Link(cfg, np.random.default_rng(seed)) for seed in seeds]
+    rx = _Projected(cfg, links[0].codes[0], len(links))
+    desired = np.array([link.desired for link in links])
+    # records: x, out and out_des per run and symbol
+    rec = np.empty((3, len(links), cfg.symbols), dtype=complex)
+    # the despread rows of a chunk's r and r_des
+    chunk_ys = np.empty((2, len(links), min(NOISE_CHUNK, cfg.symbols), rx.w.shape[1]),
+                        dtype=complex)
+    for i in range(0, cfg.symbols, NOISE_CHUNK):
+        bs = desired[:, i:i + NOISE_CHUNK]
+        ys = chunk_ys[:, :, :bs.shape[1]]
+        for k, link in enumerate(links):
+            rs, _, rs_des, _ = link.chunk(i)
+            ys[0, k], ys[1, k] = rx.despread(rs), rx.despread(rs_des)
+        # the combiner before each symbol gives x, the one after it the
+        # a-posteriori outputs
+        ws = rx.combiners(ys[0], bs, i)
+        rec[0, :, i:i + NOISE_CHUNK] = _vdots(ws[:, :-1], ys[0])
+        rec[1:, :, i:i + NOISE_CHUNK] = _vdots(ws[:, 1:], ys)
+        del ws   # before the next chunk's draws
+    # the decisions are detect(x); each run's records go to Python numbers in turn
+    return _metered(cfg, seeds, desired, np.where(rec[0].real >= 0.0, 1.0, -1.0),
+                    (rows.tolist() for rows in rec.transpose(1, 0, 2)), rx.breakdowns, None)
+
+
+def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, bhat: np.ndarray, records,
+             breakdowns, phase_reference) -> list[MetricSeries]:
+    """Each run's MetricSeries from its records.
+
+    `desired` and `bhat` (runs x symbols) hold the transmitted symbols and
+    the decisions; `records` yields, per run, its decision outputs x and
+    its a-posteriori outputs for r and for its desired-only part, as
+    lists of complex numbers.  The first run, in order, that diverged
+    raises LinAlgError naming its seed and symbol.
+    """
+    t, first = cfg.symbols, cfg.first_decided
+    mse = np.empty(bhat.shape)
+    p_des, p_rest = np.empty((2, *bhat.shape))
+    for k, (seed, (x, out, out_des)) in enumerate(zip(seeds, records)):
+        # scalar metering: numpy's np.abs(z) ** 2 differs from abs(z) ** 2 in the last bit
+        mse[k] = [_power(b - xi) for b, xi in zip(desired[k].tolist(), x)]
+        p_des[k] = [_power(d) for d in out_des]
+        p_rest[k] = [_power(o - d) for o, d in zip(out, out_des)]
+        finite = np.isfinite([mse[k], p_des[k], p_rest[k]]).all(axis=0)
+        if not finite.all():
+            raise np.linalg.LinAlgError(f"run seed {seed} diverged: the squared error or "
+                                        f"output power of symbol {np.argmin(finite)} is not "
+                                        f"finite")
+    wrong = bhat != desired
+    wrong[:, :first] = False
+    ber = np.cumsum(wrong, axis=1) / np.maximum(np.arange(t) - first + 1, 1)
+    sinr_db = _sinr_db(p_des, p_rest)
+    return [MetricSeries(mse=mse[k], sinr_db=sinr_db[k], ber=ber[k],
+                         metadata={**cfg.to_dict(), "run_seed": int(seed),
+                                   "decided": max(t - first, 0),
+                                   "breakdowns": int(breakdowns[k]),
+                                   "phase_reference": phase_reference})
+            for k, seed in enumerate(seeds)]
 
 
 def iter_symbols(cfg: ScenarioConfig, run_seed):
@@ -685,26 +824,58 @@ def iter_symbols(cfg: ScenarioConfig, run_seed):
         yield from zip(*chunk)
 
 
+def _block_width(cfg: ScenarioConfig) -> int:
+    """Runs per block: 1 for the interpolated receivers; for the baselines,
+    BLOCK_BYTES over what a run holds in a block, at least 1.
+
+    A run holds its link's symbols and its records and metered series,
+    about 8 K + 128 bytes per symbol, and its share of a chunk's despread
+    rows and combiners, 64 bytes per chunk symbol and combiner tap.
+    """
+    if cfg.algorithm not in BASELINES:
+        return 1
+    taps = cfg.l_p if cfg.algorithm == "rake" else cfg.pd_rank
+    per_run = cfg.symbols * (8 * cfg.k + 128) + min(cfg.symbols, NOISE_CHUNK) * taps * 64
+    return max(1, BLOCK_BYTES // per_run)
+
+
+def _trials(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
+    """The series of a block of seeded runs: `run_trial` for one run,
+    `_run_block` for several."""
+    if len(seeds) == 1:
+        return [run_trial(cfg, seeds[0])]
+    cfg.validate()
+    return _run_block(cfg, seeds)
+
+
 def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
     """Average cfg.runs independent trials (spawned sub-seeds of cfg.seed).
 
-    MSE and the SINR's power ratio average linearly across runs; BER
-    averages directly and the RLS breakdowns add up.  The reduction is
-    ordered by run index, so the result is independent of `workers`.
-    The pool holds at most one process per run and per CPU this process
-    may use, since it may start all of them at once.
+    The interpolated receivers run one `run_trial` per run.  The RAKE and
+    pd baselines run in blocks (`_run_block`): the runs in index order,
+    split into as few blocks of as even a size as `_block_width` allows;
+    a block of one run is its `run_trial`.  Each run's series is the same
+    either way.  MSE and the SINR's power ratio average linearly across
+    runs; BER averages directly and the RLS breakdowns add up.  The
+    reduction is ordered by run index, so the result is independent of
+    `workers` and of the blocks.  The pool maps blocks, and holds at most
+    one process per block and per CPU this process may use, since it may
+    start all of them at once.
     """
     runs = cfg.runs
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
+    count = -(-runs // _block_width(cfg))
+    blocks = [seeds[runs * j // count:runs * (j + 1) // count] for j in range(count)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, runs, cpus or 1)
+    workers = min(workers, count, cpus or 1)
     if workers > 1:
         # imported here, so a start that needs no pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, [cfg] * runs, seeds))
+            done = list(pool.map(_trials, [cfg] * count, blocks))
     else:
-        results = [run_trial(cfg, seed) for seed in seeds]
+        done = [_trials(cfg, block) for block in blocks]
+    results = [res for block in done for res in block]
     mse = np.mean([res.mse for res in results], axis=0)
     sinr_lin = np.mean([10.0 ** (res.sinr_db / 10.0) for res in results], axis=0)
     ber = np.mean([res.ber for res in results], axis=0)

@@ -55,10 +55,12 @@ def _lfsr_sequence(taps, degree: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def gen_gold_set(degree: int, count: int) -> np.ndarray:
     """Generate `count` unit-norm Gold signatures of length N = 2**degree - 1.
 
-    Returns the K x N code array, one user per row.  The family is
+    Returns the K x N code array, one user per row.  It draws nothing, so
+    one read-only copy per (degree, count) serves every caller.  The family is
     [u, v, u + T^k v] for the fixed preferred pair of m-sequences, in
     that order, so the set is reproducible.  Chips are mapped
     0 -> +1/sqrt(N), 1 -> -1/sqrt(N).
@@ -82,7 +84,9 @@ def gen_gold_set(degree: int, count: int) -> np.ndarray:
             break
         family.append(u ^ np.roll(v, k))
     bits = np.array(family[:count])
-    return (1.0 - 2.0 * bits.astype(float)) / np.sqrt(n)
+    codes = (1.0 - 2.0 * bits.astype(float)) / np.sqrt(n)
+    codes.flags.writeable = False
+    return codes
 
 
 # Largest phasor matrix (samples x in-band bins) a fading chunk is

@@ -255,11 +255,16 @@ def fading_fft_block(white: np.ndarray, n: int, doppler: float, clip: float) -> 
 # each symbol on its own, and the SINR meter updated inside the loop.
 
 @functools.lru_cache(maxsize=1)
+def _stream(link):
+    """A link's whole chip stream, superposed in one K x T x N product."""
+    return (link.amps[:, None, None] * link.bits[:, :, None]
+            * link.codes[:, None, :]).sum(axis=0).ravel()
+
+
+@functools.lru_cache(maxsize=1)
 def _convolved_stream(link):
-    """A static link's chip stream, superposed in one K x T x N product, convolved with its gains."""
-    stream = (link.amps[:, None, None] * link.bits[:, :, None]
-              * link.codes[:, None, :]).sum(axis=0).ravel()
-    return np.convolve(stream, link.channel.gains)
+    """A static link's chip stream convolved with its gains."""
+    return np.convolve(_stream(link), link.channel.gains)
 
 
 def link_step_per_symbol(link, i: int):
@@ -274,7 +279,11 @@ def link_step_per_symbol(link, i: int):
         for p, d, proc in zip(ch.path_powers, ch.path_delays, ch.fading):
             ch.gains[d] = p * proc.next_gain(link.rng)
         gains = ch.gains
-        clean = link._windows[i] @ gains
+        # the chips at (i + off) N + m - l, for m < M and l < l_p
+        start = (i + off) * cfg.n - (cfg.l_p - 1)
+        window = np.lib.stride_tricks.sliding_window_view(
+            _stream(link)[start:start + link.m + cfg.l_p - 1], cfg.l_p)[:, ::-1]
+        clean = window @ gains
         link.signature = link._code_matrix @ gains
     noise = np.sqrt(link.sigma2 / 2.0) * (
         link.rng.standard_normal(link.m) + 1j * link.rng.standard_normal(link.m))
@@ -312,7 +321,7 @@ class PerSymbolRake:
     """The RAKE combiner updated one symbol at a time, as the trial ran it
     before a chunk's combiners became array products.
 
-    It takes the despreading and the Gram inverse of the harness's
+    It takes the despreading and the Gram inverse of a one-run harness
     `_Projected` and adds each training symbol's conj(b) y to a running
     sum; `output` and `adapt` have the shape of `harness._receiver`'s.
     """
@@ -320,8 +329,8 @@ class PerSymbolRake:
     def __init__(self, rx, n_tr):
         self.gram_inv = rx.gram_inv
         self.n_tr = n_tr
-        self.acc = np.zeros_like(rx.w)
-        self.w = rx.w.copy()
+        self.acc = np.zeros_like(rx.w[0])
+        self.w = rx.w[0].copy()
         self.trained = 0
 
     def output(self, y):
@@ -340,15 +349,15 @@ class PerSymbolPd:
     """The pd-lms or pd-rls combiner updated one symbol at a time, as the
     trial ran it before a chunk's combiners came from one call.
 
-    It starts from the harness `_Projected`'s w and inverse covariance
+    It starts from a one-run harness `_Projected`'s w and inverse covariance
     and updates them with the package's kernels; `output` and `adapt`
     have the shape of `harness._receiver`'s (`adapt` ignores the gains).
     """
 
     def __init__(self, rx):
         self.cfg = rx.cfg
-        self.w = rx.w.copy()
-        self.p_inv = getattr(rx, "p_inv", None)
+        self.w = rx.w[0].copy()
+        self.p_inv = rx.p_inv[0] if rx.cfg.algorithm == "pd-rls" else None
         self.breakdowns = 0
 
     def output(self, y):
@@ -370,8 +379,8 @@ def per_symbol_trial(cfg, run_seed):
     cfg.validate()
     rng = np.random.default_rng(run_seed)
     link = harness._Link(cfg, rng)
-    if cfg.algorithm in ("rake", "pd-lms", "pd-rls"):
-        rx = harness._Projected(cfg, link)
+    if cfg.algorithm in harness.BASELINES:
+        rx = harness._Projected(cfg, link.codes[0], 1)
         st = PerSymbolRake(rx, cfg.n_tr) if cfg.algorithm == "rake" else PerSymbolPd(rx)
         despread, output, adapt = rx.despread, st.output, st.adapt
     else:

@@ -126,6 +126,27 @@ class TestTrainedRls:
         assert np.array_equal(st.p, 50.0 * np.eye(dec.m_red))
         assert not np.any(st.w)
 
+    def test_stacked_update_matches_per_run_bit_for_bit(self):
+        # a stack of three inverse covariances, the middle one -I so that
+        # its denominator alpha - ||x||^2 is negative: it alone breaks down,
+        # and the other two take rls_update's p and gain to the bit
+        rng = np.random.default_rng(8)
+        d, alpha, delta = 6, 0.998, 50.0
+        xs = 3.0 * crandn(rng, 3, d)
+        ps = np.empty((3, d, d), dtype=complex)
+        for k in (0, 2):
+            q = crandn(rng, d, d)
+            ps[k] = np.linalg.inv(np.eye(d) + q @ q.conj().T)
+        ps[1] = -np.eye(d)
+        got_p, gain, broke = adaptive.rls_updates(ps, xs, alpha, delta)
+        assert broke.tolist() == [1]
+        for k in (0, 2):
+            expect_p, expect_gain = adaptive.rls_update(ps[k], xs[k], alpha, delta)
+            assert got_p[k].tobytes() == expect_p.tobytes()
+            assert gain[k].tobytes() == expect_gain.tobytes()
+        assert adaptive.rls_update(ps[1], xs[1], alpha, delta)[1] is None
+        assert np.array_equal(got_p[1], delta * np.eye(d))
+
     def test_inverse_tracks_accumulated_covariance(self):
         cfg = scenario(200)
         rs, bs = collect(cfg, 4)
@@ -202,12 +223,12 @@ class TestFullRankEquivalence:
         training run of a partial-despreading baseline."""
         cfg = harness.ScenarioConfig(algorithm=alg, symbols=300, path_delays=[0, 2, 4])
         link = harness._Link(cfg, np.random.default_rng(77))
-        rx = harness._Projected(cfg, link)
+        rx = harness._Projected(cfg, link.codes[0], 1)
         ys, bs, ws, es = [], [], [], []
         for rs, chunk_bs, _, _ in link.chunks():
             chunk_ys = rx.despread(rs)
             assert all(np.array_equal(y, rx.proj_h @ r) for r, y in zip(rs, chunk_ys))
-            chunk_ws = rx.combiners(chunk_ys, chunk_bs, len(bs))
+            chunk_ws = rx.combiners(chunk_ys[None], chunk_bs[None], len(bs))[0]
             es.extend(b - np.vdot(w, y) for w, y, b in zip(chunk_ws, chunk_ys, chunk_bs))
             ys.extend(chunk_ys)
             bs.extend(chunk_bs)

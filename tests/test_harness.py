@@ -161,21 +161,42 @@ def test_pd_combiners_match_per_symbol_updates(alg, mode, n_tr):
     # combiner's decisions differ from them where the reference switches.
     cfg = scenario(alg, runs=1, symbols=2 * harness.NOISE_CHUNK, mode=mode, n_tr=n_tr)
     link = harness._Link(cfg, np.random.default_rng(12))
-    rx = harness._Projected(cfg, link)
+    rx = harness._Projected(cfg, link.codes[0], 1)
     ws, ys = [], []
     for first, (rs, bs, _, _) in zip(range(0, cfg.symbols, harness.NOISE_CHUNK), link.chunks()):
         chunk_ys = rx.despread(rs)
         chunk_ys[100] = 0
         bs = np.where(np.arange(first, first + len(bs)) >= n_tr, -bs, bs)
         expect, breakdowns = per_symbol_combiners(rx, chunk_ys, bs, first)
-        got = rx.combiners(chunk_ys, bs, first)
+        got = rx.combiners(chunk_ys[None], bs[None], first)[0]
         assert got.tobytes() == expect.tobytes()
-        assert rx.breakdowns == breakdowns == 0
+        assert rx.breakdowns[0] == breakdowns == 0
         if alg == "pd-lms":
             assert got[101].tobytes() == got[100].tobytes()
         ws.extend(got[:-1])
         ys.extend(chunk_ys)
     assert detect(np.vdot(ws[n_tr], ys[n_tr])) == link.desired[n_tr]
+
+
+@pytest.mark.parametrize("mu0, seeds, finite", ((0.5, [31, 1], 0), (0.07, [1, 3, 2], 1)))
+def test_diverging_block_names_its_first_diverged_run(mu0, seeds, finite):
+    # unnormalised steps at -10 dB: at mu0=0.5 every run diverges; at 0.07
+    # run seed 1 stays finite and seed 2 diverges at an earlier symbol
+    # than seed 3.  The block raises the per-run error of its first
+    # diverged run by index, and warns of no overflow on the way (the
+    # suite turns warnings into errors)
+    cfg = scenario("pd-lms", runs=len(seeds), symbols=600, ebn0_db=-10.0, mu0=mu0,
+                   normalized_steps=False)
+    errors = []
+    for seed in seeds:
+        try:
+            harness.run_trial(cfg, seed)
+        except np.linalg.LinAlgError as exc:
+            errors.append(str(exc))
+    assert len(errors) == len(seeds) - finite
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        harness._run_block(cfg, seeds)
+    assert str(info.value) == errors[0]
 
 
 def test_diverging_pd_lms_names_the_first_bad_symbol():
@@ -201,39 +222,96 @@ def test_batched_products_equal_unbatched_bit_for_bit(length):
         return z
 
     ws, ys = rows(500), rows(500)
-    got = harness._vdots(ws, ys)
-    assert got.tobytes() == np.array([np.vdot(w, y) for w, y in zip(ws, ys)]).tobytes()
+    expect = np.array([np.vdot(w, y) for w, y in zip(ws, ys)])
+    assert harness._vdots(ws, ys).tobytes() == expect.tobytes()
+    # with leading axes, as a block's runs x symbols, and broadcast over
+    # the first, as a block's combiners against the rows of r and r_des
+    assert harness._vdots(ws.reshape(5, 100, -1), ys.reshape(5, 100, -1)).tobytes() \
+        == expect.tobytes()
+    both = harness._vdots(ws.reshape(5, 100, -1), np.stack([ys, ws]).reshape(2, 5, 100, -1))
+    assert both[0].tobytes() == expect.tobytes()
+    assert both[1].tobytes() == np.array([np.vdot(w, w) for w in ws]).tobytes()
     # square, as the Gram inverse, and 6 x length, as a despreading
     for a in (rows(length), rows(6)):
-        got = harness._matvecs(a, ys)
-        assert got.tobytes() == np.array([a @ y for y in ys]).tobytes()
+        expect = np.array([a @ y for y in ys])
+        assert harness._matvecs(a, ys).tobytes() == expect.tobytes()
+        assert harness._matvecs(a, ys.reshape(5, 100, -1)).tobytes() == expect.tobytes()
+
+
+def test_block_sinr_window_matches_one_run_at_a_time():
+    # the window recursion across runs rounds as the Python-float one of
+    # each run; zero powers meet the 1e-300 floor
+    rng = np.random.default_rng(3)
+    p_des, p_rest = rng.exponential(size=(2, 7, 400))
+    p_des[2, :50] = 0.0
+    p_rest[4, 100:] = 0.0
+    got = harness._sinr_db(p_des, p_rest)
+    for k in range(7):
+        assert got[k].tobytes() == harness._sinr_db(p_des[k:k + 1], p_rest[k:k + 1])[0].tobytes()
+
+
+def break_at(monkeypatch, call, run=0):
+    """Make the `call`-th inverse update from here on break down: a
+    per-run `adaptive.rls_update` as a whole, a stacked
+    `adaptive.rls_updates` in its run `run`."""
+    calls = []
+
+    def breaking(p, x, alpha, delta, _update=adaptive.rls_update):
+        calls.append(None)
+        if len(calls) == call:
+            return delta * np.eye(p.shape[0], dtype=complex), None
+        return _update(p, x, alpha, delta)
+
+    def breaking_stacked(p, x, alpha, delta, _update=adaptive.rls_updates):
+        calls.append(None)
+        p, gain, broke = _update(p, x, alpha, delta)
+        if len(calls) == call:
+            p[run] = delta * np.eye(p.shape[1], dtype=complex)
+            broke = np.union1d(broke, [run])
+        return p, gain, broke
+
+    monkeypatch.setattr(adaptive, "rls_update", breaking)
+    monkeypatch.setattr(adaptive, "rls_updates", breaking_stacked)
 
 
 @pytest.mark.parametrize("alg, breakdowns", (("rls", 1), ("cmv-rls", 1), ("pd-rls", 1),
                                              ("lms", 0), ("rake", 0)))
 def test_rls_breakdowns_reach_export(monkeypatch, tmp_path, alg, breakdowns):
-    # the 10th rls_update of the campaign breaks down; the second run has none
-    calls = []
-
-    def breaking(p, x, alpha, delta, _update=adaptive.rls_update):
-        calls.append(None)
-        if len(calls) == 10:
-            return delta * np.eye(p.shape[0], dtype=complex), None
-        return _update(p, x, alpha, delta)
-
-    monkeypatch.setattr(adaptive, "rls_update", breaking)
+    # the 10th inverse update of the campaign breaks down; the second run
+    # has none (pd-rls takes its two runs as one block)
+    break_at(monkeypatch, 10)
     s = harness.run_campaign(scenario(alg, runs=2, symbols=40, n_tr=20))
     path = tmp_path / "series.json"
     harness.export(s, path, "json")
     assert json.loads(path.read_text())["metadata"]["breakdowns"] == breakdowns
 
 
-def test_campaign_reduction_rule():
-    # MSE and BER are run means, SINR the dB of the mean linear ratio (in
-    # dB the mean would be off by up to 7.3 dB here), breakdowns add up
-    cfg = scenario("pd-rls", runs=3, symbols=150, seed=11)
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(11).spawn(3)]
-    trials = [harness.run_trial(cfg, seed) for seed in seeds]
+def test_one_run_of_a_block_breaks_down(monkeypatch):
+    # the second run of a block breaks down at symbol 9 and the first not;
+    # each repeats its own trial, byte for byte
+    cfg = scenario("pd-rls", runs=2, symbols=300, seed=6)
+    seeds = campaign_seeds(cfg)
+    plain = harness.run_trial(cfg, seeds[0])
+    break_at(monkeypatch, 10)
+    broken = harness.run_trial(cfg, seeds[1])
+    break_at(monkeypatch, 10, run=1)
+    block = harness._run_block(cfg, seeds)
+    assert [res.metadata["breakdowns"] for res in block] == [0, 1]
+    for got, expect in zip(block, (plain, broken)):
+        assert got.metadata == expect.metadata
+        for name in ("mse", "sinr_db", "ber"):
+            assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
+    assert not np.array_equal(block[1].sinr_db, harness.run_trial(cfg, seeds[1]).sinr_db)
+
+
+def campaign_seeds(cfg):
+    """The run seeds `harness.run_campaign` spawns, in run order."""
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.runs)]
+
+
+def assert_reduces_trials(cfg):
+    """run_campaign equals the reduction of its runs' run_trial, byte for byte."""
+    trials = [harness.run_trial(cfg, seed) for seed in campaign_seeds(cfg)]
     s = harness.run_campaign(cfg)
     for name in ("mse", "ber"):
         expect = np.mean([getattr(t, name) for t in trials], axis=0)
@@ -241,7 +319,31 @@ def test_campaign_reduction_rule():
     sinr_lin = np.mean([10.0 ** (t.sinr_db / 10.0) for t in trials], axis=0)
     assert s.sinr_db.tobytes() == (10.0 * np.log10(sinr_lin)).tobytes()
     assert s.metadata["breakdowns"] == sum(t.metadata["breakdowns"] for t in trials)
-    assert (s.metadata["runs_averaged"], s.metadata["run_seed"]) == (3, 11)
+    assert (s.metadata["runs_averaged"], s.metadata["run_seed"]) == (cfg.runs, cfg.seed)
+
+
+def test_campaign_reduction_rule():
+    # MSE and BER are run means, SINR the dB of the mean linear ratio (in
+    # dB the mean would be off by up to 7.3 dB here), breakdowns add up
+    assert_reduces_trials(scenario("pd-rls", runs=3, symbols=150, seed=11))
+
+
+@pytest.mark.parametrize("runs", ("two", "width+1"))
+@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
+@pytest.mark.parametrize("change", [{}] + [{"mode": "decision-directed", "n_tr": n_tr}
+                                           for n_tr in (harness.NOISE_CHUNK - 1,
+                                                        harness.NOISE_CHUNK + 1)],
+                         ids=("training", "directed-255", "directed-257"))
+@pytest.mark.parametrize("alg", harness.BASELINES)
+def test_campaign_blocks_match_per_run_trials(alg, change, f_dt, runs):
+    # a baseline campaign takes its runs in blocks: one block of two, or
+    # two blocks once the runs pass the block width
+    cfg = scenario(alg, runs=2, symbols=300, seed=13, f_dt=f_dt, **change)
+    width = harness._block_width(cfg)
+    assert width >= 2
+    if runs != "two":
+        cfg.runs = width + 1
+    assert_reduces_trials(cfg)
 
 
 def test_non_finite_error_raises(monkeypatch):
@@ -258,9 +360,14 @@ def test_non_finite_error_raises(monkeypatch):
         harness.run_trial(scenario("lms", runs=1, symbols=20), 7)
 
 
-@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
-def test_worker_count_does_not_change_results(f_dt):
-    cfg = scenario("rls", runs=3, symbols=150, seed=9, f_dt=f_dt)
+@pytest.mark.parametrize("alg, f_dt", [pytest.param("rls", f_dt, id=str(f_dt))
+                                       for f_dt in (0.0, 1e-3)]
+                         + [pytest.param(alg, f_dt, id=f"{alg}-{f_dt}")
+                            for alg in harness.BASELINES for f_dt in (0.0, 1e-3)])
+def test_worker_count_does_not_change_results(alg, f_dt):
+    # a baseline's runs pass the block width, so its blocks go to both workers
+    cfg = scenario(alg, runs=3, symbols=150, seed=9, f_dt=f_dt)
+    cfg.runs = harness._block_width(cfg) + 2
     one = harness.run_campaign(cfg, workers=1)
     two = harness.run_campaign(cfg, workers=2)
     for name in ("mse", "sinr_db", "ber"):
@@ -550,10 +657,10 @@ def test_rake_combiner_matches_per_symbol_solve(change):
     # n_tr, w stays frozen
     cfg = scenario("rake", runs=1, symbols=400, **change)
     link = harness._Link(cfg, np.random.default_rng(29))
-    rx = harness._Projected(cfg, link)
+    rx = harness._Projected(cfg, link.codes[0], 1)
     rs, bs, ws = [], [], []
     for chunk_rs, chunk_bs, _, _ in link.chunks():
-        ws.extend(rx.combiners(rx.despread(chunk_rs), chunk_bs, len(rs))[1:])
+        ws.extend(rx.combiners(rx.despread(chunk_rs)[None], chunk_bs[None], len(rs))[0, 1:])
         rs.extend(chunk_rs)
         bs.extend(chunk_bs)
     expect = rake_combiners(link.codes[0], cfg.l_p, rs[:cfg.n_tr], bs[:cfg.n_tr])
@@ -568,14 +675,15 @@ def test_pd_lms_step_follows_normalized_steps(normalized):
     # one symbol moves w by mu0 conj(xi) y, divided by ||y||^2 when normalised
     cfg = scenario("pd-lms", runs=1, symbols=10, mu0=0.05, normalized_steps=normalized)
     link = harness._Link(cfg, np.random.default_rng(4))
-    rx = harness._Projected(cfg, link)
+    rx = harness._Projected(cfg, link.codes[0], 1)
     rng = np.random.default_rng(5)
-    rx.w = rng.standard_normal(rx.w.size) + 1j * rng.standard_normal(rx.w.size)
-    w0 = rx.w.copy()
+    size = rx.w.shape[1]
+    w0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    rx.w = w0[None].copy()
     r, b, _, _ = next(link_symbols(link))
     y = rx.proj_h @ r
     xi = b - np.vdot(w0, y)
-    ws = rx.combiners(y[None], np.array([b]), 0)
+    ws = rx.combiners(y[None, None], np.array([[b]]), 0)[0]
     assert ws.shape == (2, w0.size) and np.array_equal(ws[0], w0)
     step = cfg.mu0 / np.real(np.vdot(y, y)) if normalized else cfg.mu0
     np.testing.assert_allclose(ws[1] - w0, step * np.conj(xi) * y, rtol=1e-12, atol=1e-15)

@@ -55,6 +55,14 @@ class TestGoldSet:
         rows = {tuple(np.sign(r).astype(int)) for r in s}
         assert len(rows) == 10
 
+    def test_one_read_only_copy(self):
+        # the codes draw nothing, so every call shares one array, which a
+        # stray write cannot change
+        s = sm.gen_gold_set(5, 8)
+        assert sm.gen_gold_set(5, 8) is s
+        with pytest.raises(ValueError):
+            s[0, 0] = 0.0
+
     def test_errors(self):
         with pytest.raises(ValueError):
             sm.gen_gold_set(4, 1)
