@@ -65,8 +65,8 @@ NOISE_CHUNK = 256
 ALGORITHMS = ("lms", "rls", "cmv-sg", "cmv-rls", "rake", "pd-lms", "pd-rls")
 BASELINES = ("rake", "pd-lms", "pd-rls")   # the receivers `_Projected` runs
 # Bytes a block of baseline runs may hold (see `_block_width`): at the
-# defaults, 9 runs of 400 symbols, 3 of 2000, and one at a time from
-# ~10^4 symbols on.
+# defaults, 9 pd runs of 400 symbols, 3 of 2000, and one at a time from
+# ~4500 symbols on.
 BLOCK_BYTES = 2_000_000
 MODES = ("training", "decision-directed", "blind")
 
@@ -606,7 +606,7 @@ class _Projected:
         cfg = self.cfg
         w = self.w
         p = self.p_inv if cfg.algorithm == "pd-rls" else None
-        if cfg.normalized_steps:
+        if p is None and cfg.normalized_steps:
             # the steps mu0 / ||y||^2 of the chunk; a vanishing ||y||^2 skips one
             den = _vdots(ys, ys).real
             skip, steps = den <= adaptive._TINY, cfg.mu0 / den
