@@ -11,27 +11,23 @@ vectors, of their desired-only components and of the channel gains.
 Per symbol it takes the decision output, adapts with the reference
 symbol (training symbol, or the decision in decision-directed mode past
 `n_tr`; blind receivers ignore it), then applies the updated receiver
-to r and to its desired-only component.  Two paths do this.  The four
-interpolated receivers (`_receiver`) run one symbol loop through two
-calls on a received vector: `output(r)` applies the current receiver
-and `adapt(r, d, g)` updates it, g being the symbol's gains.  The RAKE
-and partial-despreading baselines (`_Projected`) run no symbol loop of
-their own: they despread a chunk in one product, form its combiners (w
-before the chunk and after each symbol, `_Projected.combiners`) and
-take the outputs as array products whose rows equal the per-symbol
-arithmetic bit for bit.  The RAKE's combiners are array products as
-well, since it trains on the transmitted symbols and then freezes; the
-pd baselines feed decisions back, so theirs come from a loop over the
-chunk's despread rows with one output and one update per symbol.  MSE,
-BER and SINR are metered after the chunks; MSE and BER are a-priori and
-SINR a-posteriori.
+to r and to its desired-only component.  One driver, `_run_block`, does
+this for a block of seeded runs, and `run_trial` is a block of one.  It
+builds a receiver of one of two kinds, which answer the same calls:
+`despread` maps a chunk's received vectors to the rows the receiver
+takes, and `record` writes the chunk's outputs into the block's records.
+The interpolated receivers (`_Interpolated`) take r itself and run one
+symbol loop per run.  The RAKE and partial-despreading baselines
+(`_Projected`) despread a chunk in one product and take its outputs as
+array products of their combiners.  `record` runs with numpy's overflow
+warnings off, so a diverged run reaches the trial's LinAlgError.  MSE
+and BER (a-priori) and SINR (a-posteriori) are metered from the records.
 
-A campaign runs the interpolated receivers one run at a time.  It runs
-the baselines in blocks of runs (`_run_block`), as many as BLOCK_BYTES
-of memory allows (`_block_width`): each run keeps its own link and
-Generator, the block shares one projection, and one feedback loop per
-chunk updates every run's combiner on stacked state.  Each run's series
-equals its `run_trial` byte for byte.
+A campaign runs the interpolated receivers one run at a time and the
+baselines in blocks of runs, as many as BLOCK_BYTES of memory allows
+(`_block_width`), where one feedback loop per chunk updates every run's
+combiner on stacked state.  Each run's series equals its `run_trial`
+byte for byte.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per run drives channel, symbols and noise in a fixed order, and the
@@ -342,31 +338,25 @@ def _matvecs(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def _vdots(ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """np.vdot(w, y) for every pair of rows w of ws and y of ys, the
-    leading axes broadcast.
-
-    Like np.vdot, it warns of no overflow: a diverged run's products
-    reach the trial's LinAlgError instead of a matmul RuntimeWarning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (ws.conj()[..., None, :] @ ys[..., None])[..., 0, 0]
+    leading axes broadcast."""
+    return (ws.conj()[..., None, :] @ ys[..., None])[..., 0, 0]
 
 
 class _Link:
     """One run's synthesized downlink, handed out a noise chunk at a time.
 
-    `chunk(i)` draws the chunk from symbol i on, and `chunks()` yields
-    them in symbol order; neither keeps a chunk.  A chunk holds the
-    received vectors R = clean + noise (chunk x M), desired symbols b,
-    desired-only components R_des = (A_0 b)[:, None] * signature and path
-    gains G (chunk x l_p).  The link keeps its symbols, not its chip
-    stream: a chunk superposes the stretch of stream its clean rows read
-    (`_chips`).  Static clean rows are views of that stretch convolved
-    with the gains, and G a read-only view repeating `channel.gains`.  A
-    faded link draws the chunk's path gains after its noise and forms its
-    clean rows and signatures in batched products; `channel.gains` keeps
-    the gains the channel was made with.  Each stretch holds the same
-    values as one stream of every symbol would, and each clean row the
-    same sums.
+    `chunks()` draws the chunks one at a time, in symbol order, and keeps
+    none.  A chunk holds the received vectors R = clean + noise
+    (chunk x M), desired symbols b, desired-only components
+    R_des = (A_0 b)[:, None] * signature and path gains G (chunk x l_p).
+    The link keeps its symbols, not its chip stream: a chunk superposes
+    the stretch of stream its clean rows read (`_chips`).  Static clean
+    rows are views of that stretch convolved with the gains, and G a
+    read-only view repeating `channel.gains`.  A faded link draws the
+    chunk's path gains after its noise and forms its clean rows and
+    signatures in batched products; `channel.gains` keeps the gains the
+    channel was made with.  Each stretch holds the same values as one
+    stream of every symbol would, and each clean row the same sums.
 
     Noise before gains keeps the generator order of per-symbol gain
     steps: gains draw only at a fading period's first sample (its
@@ -409,40 +399,39 @@ class _Link:
 
     def chunks(self):
         """Yield (R, b, R_des, G) for each noise chunk, in symbol order."""
-        for i in range(0, self.cfg.symbols, NOISE_CHUNK):
-            yield self.chunk(i)
-
-    def chunk(self, i: int):
-        """(R, b, R_des, G) of the noise chunk from symbol i on; chunks must
-        be drawn in symbol order."""
-        size = min(NOISE_CHUNK, self.cfg.symbols - i)
-        z = self.rng.standard_normal((size, 2, self.m))
-        # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
-        rs = 1j * z[:, 1]
-        rs += z[:, 0]
-        rs *= np.sqrt(self.sigma2 / 2.0)
-        b = self.desired[i:i + size]
         n, l_p = self.cfg.n, self.cfg.l_p
-        chips = self._chips(i, size)
         view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
-        if self._static:
-            # row k is the chips convolved with the gains from chip k N + l_p - 1 on;
-            # "valid" keeps only the full sums, each as a whole-stream convolution forms it
-            clean = view(np.convolve(chips, self.channel.gains, "valid"), self.m)[::n]
-            signature = self.signature
-            gains = np.broadcast_to(self.channel.gains, (size, l_p))
-        else:
-            gains = signal_model.fading_gains(self.channel, size, self.rng)
-            # windows[k] @ g is the noiseless r of symbol i + k, and
-            # code_matrix @ g its desired signature: windows[k][m, l] is
-            # the chip at k N + m - l + l_p - 1.  Batched as a @ g[..., None],
-            # each product equals the per-symbol a @ g bit for bit; g @ a.T
-            # sums in another order
-            windows = view(view(chips, self.m + l_p - 1)[::n], l_p, axis=1)[:, :, ::-1]
-            clean = (windows @ gains[:, :, None])[..., 0]
-            signature = _matvecs(self._code_matrix, gains)
-        rs += clean
-        return rs, b, (self.amps[0] * b)[:, None] * signature, gains
+
+        def draw(i):   # a call, so that a paused generator holds none of its arrays
+            size = min(NOISE_CHUNK, self.cfg.symbols - i)
+            z = self.rng.standard_normal((size, 2, self.m))
+            # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
+            rs = 1j * z[:, 1]
+            rs += z[:, 0]
+            rs *= np.sqrt(self.sigma2 / 2.0)
+            b = self.desired[i:i + size]
+            chips = self._chips(i, size)
+            if self._static:
+                # row k is the chips convolved with the gains from chip k N + l_p - 1 on;
+                # "valid" keeps only the full sums, each as a whole-stream convolution forms it
+                clean = view(np.convolve(chips, self.channel.gains, "valid"), self.m)[::n]
+                signature = self.signature
+                gains = np.broadcast_to(self.channel.gains, (size, l_p))
+            else:
+                gains = signal_model.fading_gains(self.channel, size, self.rng)
+                # windows[k] @ g is the noiseless r of symbol i + k, and
+                # code_matrix @ g its desired signature: windows[k][m, l] is
+                # the chip at k N + m - l + l_p - 1.  Batched as a @ g[..., None],
+                # each product equals the per-symbol a @ g bit for bit; g @ a.T
+                # sums in another order
+                windows = view(view(chips, self.m + l_p - 1)[::n], l_p, axis=1)[:, :, ::-1]
+                clean = (windows @ gains[:, :, None])[..., 0]
+                signature = _matvecs(self._code_matrix, gains)
+            rs += clean
+            return rs, b, (self.amps[0] * b)[:, None] * signature, gains
+
+        for i in range(0, self.cfg.symbols, NOISE_CHUNK):
+            yield draw(i)
 
 
 def _sinr_db(p_des: np.ndarray, p_rest: np.ndarray) -> np.ndarray:
@@ -513,8 +502,8 @@ class _Projected:
     and G; each holds its own state along the first axis of `w`
     (runs x d), `p_inv` (runs x d x d), RAKE's running sum `acc`
     (runs x l_p) and `breakdowns`.  `despread` projects received vectors
-    at once and `combiners` forms every run's w along a chunk, so
-    `_run_block` drives all three without a symbol loop of its own.
+    at once (to rows of length `dim`), and `record` takes a chunk's
+    outputs from the combiners that `combiners` forms along it.
     """
 
     def __init__(self, cfg: ScenarioConfig, code: np.ndarray, runs: int):
@@ -527,12 +516,20 @@ class _Projected:
             proj = _pd_projection(code, cfg.m, cfg.pd_rank)
             self.p_inv = np.tile(cfg.delta * np.eye(cfg.pd_rank, dtype=complex), (runs, 1, 1))
         self.proj_h = proj.conj().T
-        self.w = np.zeros((runs, proj.shape[1]), dtype=complex)
+        self.dim = proj.shape[1]
+        self.w = np.zeros((runs, self.dim), dtype=complex)
         self.breakdowns = np.zeros(runs, dtype=int)
 
     def despread(self, rs: np.ndarray) -> np.ndarray:
         """proj^H r for every row r of rs; each row equals proj_h @ r bit for bit."""
         return _matvecs(self.proj_h, rs)
+
+    def record(self, rec: np.ndarray, ys: np.ndarray, bs: np.ndarray, gs, first: int) -> None:
+        """Every run's x, out and out_des of a chunk into rec from the despread
+        rows `ys` of r and r_des: x by the combiner before each symbol, the rest after."""
+        ws = self.combiners(ys[0], bs, first)
+        rec[0] = _vdots(ws[:, :-1], ys[0])
+        rec[1:] = _vdots(ws[:, 1:], ys)
 
     def combiners(self, ys: np.ndarray, bs: np.ndarray, first: int) -> np.ndarray:
         """Every run's combiner before a chunk and after each of its symbols.
@@ -571,11 +568,8 @@ class _Projected:
         else:
             # the chunk offset from which decisions are the reference
             directed = cfg.n_tr - first if cfg.mode == "decision-directed" else size
-            # a diverged run's overflow is left to the trial's finiteness
-            # check, as in `_vdots`
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                feedback = self._feedback_one if runs == 1 else self._feedback
-                feedback(ws, ys, bs, directed)
+            feedback = self._feedback_one if runs == 1 else self._feedback
+            feedback(ws, ys, bs, directed)
         self.w = ws[:, -1].copy()
         return ws
 
@@ -613,7 +607,7 @@ class _Projected:
             skipping = skip.any()
         ycols = ys[..., None]
         for k in range(bs.shape[1]):
-            # x = _vdots(w, y), inside the caller's errstate
+            # x = _vdots(w, y)
             x = (w.conj()[:, None, :] @ ycols[:, k])[:, 0, 0]
             ref = np.where(x.real >= 0.0, 1.0, -1.0) if k >= directed else bs[:, k]
             ce = np.conj(ref - x)
@@ -635,19 +629,16 @@ class _Projected:
 
 
 def _receiver(cfg: ScenarioConfig, link: _Link):
-    """(output, adapt, state) of an interpolated receiver.
-
-    Only `lms`, `rls`, `cmv-sg` and `cmv-rls` run `run_trial`'s symbol
-    loop; the RAKE and the pd baselines take `_Projected.combiners` a
-    chunk at a time instead.  An interpolated receiver takes the
-    received vectors r themselves.  `output(r)` applies the current
-    receiver to a row and `adapt(r, d, g)` runs one adaptive step with
-    reference symbol d (the blind steps ignore it) on a symbol with
-    channel gains g.  A blind step takes g each symbol when the known
-    channel fades, and a tracker's estimate, updated on r, each symbol
-    when the channel is not known (`known_channel` false).  The link is
-    read here only, for its code and initial gains.  `state` serves the
-    phase alignment and carries the RLS breakdowns.
+    """(output, adapt, state) of an interpolated receiver (`lms`, `rls`,
+    `cmv-sg` or `cmv-rls`) on one run's link; `_Interpolated` holds one
+    per run.  It takes the received vectors r themselves.  `output(r)`
+    applies the current receiver to a row and `adapt(r, d, g)` runs one
+    adaptive step with reference symbol d (the blind steps ignore it) on
+    a symbol with channel gains g.  A blind step takes g each symbol when
+    the known channel fades, and a tracker's estimate, updated on r, each
+    symbol when the channel is not known (`known_channel` false).  The
+    link is read here only, for its code and initial gains.  `state`
+    serves the phase alignment and carries the RLS breakdowns.
     """
     dec = make_decimation(cfg.m, cfg.l)
     v0 = _interpolator_init(cfg)
@@ -701,95 +692,103 @@ def _power(z: complex) -> float:
         return math.inf
 
 
-def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
-    """Simulate one seeded run of the configured scenario.
+class _Interpolated:
+    """The interpolated receivers of a block of runs, one `_receiver` per
+    run, with the calls of `_Projected`: `despread` passes r through, and
+    `record` runs each run's symbol loop over a chunk."""
 
-    Per symbol, the trial records the decision output and decision
-    (a-priori) and the updated receiver's outputs for r and its
-    desired-only part (a-posteriori).  The interpolated receivers run the
-    symbol loop; the RAKE and the pd baselines run as a block of one
-    (`_run_block`).  MSE, BER and the windowed SINR are metered from those
-    records afterwards (`_metered`).  The metadata counts decided symbols
-    and the RLS breakdowns (0 for receivers without RLS);
-    `phase_reference` is "genie" where `_align_phase` rotated the
-    decisions by the true channel (tracked blind runs), else None.  A
-    diverged run, one whose squared error or a-posteriori output power
-    overflows or is not finite, raises LinAlgError.
+    def __init__(self, cfg: ScenarioConfig, links):
+        self.cfg = cfg
+        self.dim = cfg.m
+        self.receivers = [_receiver(cfg, link) for link in links]
+
+    despread = staticmethod(np.asarray)   # the rows are r itself
+
+    @property
+    def breakdowns(self) -> list:
+        return [getattr(st, "breakdowns", 0) for _, _, st in self.receivers]
+
+    def record(self, rec: np.ndarray, ys: np.ndarray, bs: np.ndarray, gs, first: int) -> None:
+        """As `_Projected.record` on r and r_des themselves, `gs` holding each
+        run's gains; a run's records are gathered in lists and written once."""
+        cfg = self.cfg
+        tracking = cfg.mode == "blind" and not cfg.known_channel
+        # the chunk offset from which decisions are the reference
+        directed = cfg.n_tr - first if cfg.mode == "decision-directed" else bs.shape[1]
+        for k, (output, adapt, st) in enumerate(self.receivers):
+            xs, outs, outs_des = [], [], []
+            for j, (r, b, r_des, g) in enumerate(zip(ys[0, k], bs[k], ys[1, k], gs[k])):
+                x = output(r)
+                if tracking:
+                    x = _align_phase(x, st.g_hat, g)
+                d = detect(x)   # each symbol: the traced benchmark dates a trial's loop by it
+                adapt(r, d if j >= directed else b, g)
+                xs.append(x)
+                outs.append(output(r))
+                outs_des.append(output(r_des))
+            rec[:, k] = xs, outs, outs_des
+
+
+def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
+    """Simulate one seeded run of the configured scenario, a block of one.
+
+    Per symbol, the trial records the decision output (a-priori) and the
+    updated receiver's outputs for r and its desired-only part
+    (a-posteriori), and meters MSE, BER and the windowed SINR from them
+    (`_metered`).  The metadata counts decided symbols and the RLS
+    breakdowns (0 for receivers without RLS); `phase_reference` is
+    "genie" where `_align_phase` rotated the decisions by the true channel
+    (tracked blind runs), else None.  A diverged run, whose squared error
+    or a-posteriori output power overflows or is not finite, raises
+    LinAlgError and warns of nothing.
     """
     cfg.validate()
-    if cfg.algorithm in BASELINES:
-        return _run_block(cfg, [run_seed])[0]
-    link = _Link(cfg, np.random.default_rng(run_seed))
-    output, adapt, st = _receiver(cfg, link)
-    t = cfg.symbols
-    x, bhat, out, out_des = [0j] * t, [0.0] * t, [0j] * t, [0j] * t
-    tracking = cfg.mode == "blind" and not cfg.known_channel
-    directed_from = cfg.n_tr if cfg.mode == "decision-directed" else t
-    i = 0
-    for rs, bs, rs_des, gs in link.chunks():
-        for r, b, r_des, g in zip(rs, bs, rs_des, gs):
-            xi = output(r)
-            if tracking:
-                xi = _align_phase(xi, st.g_hat, g)
-            d = detect(xi)
-            adapt(r, d if i >= directed_from else b, g)
-            x[i], bhat[i] = xi, d
-            out[i] = output(r)
-            out_des[i] = output(r_des)
-            i += 1
-    return _metered(cfg, [run_seed], link.desired[None], np.array([bhat]), [(x, out, out_des)],
-                    [getattr(st, "breakdowns", 0)], "genie" if tracking else None)[0]
+    return _run_block(cfg, [run_seed])[0]
 
 
 def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
-    """`run_trial` of a RAKE or pd baseline for each seed, the runs taken
-    together.
+    """`run_trial` for each seed, the runs taken together.
 
-    Each run keeps its own `_Link` and Generator, so it draws in the
-    order its trial does.  Chunk by chunk, each run draws its chunk and
-    despreads it at once, and only the despread rows are kept; one
-    `_Projected.combiners` call forms all the runs' combiners, and one
-    `_vdots` each takes x and the two a-posteriori outputs of the block.
-    """
+    Each run keeps its own `_Link` and Generator, so it draws as in a
+    block of one.  Chunk by chunk, each run draws its chunk and despreads
+    it, only the despread rows being kept, and one `record` call of the
+    block's receiver writes every run's records with numpy's overflow,
+    invalid-value and division warnings off: `_metered` catches a
+    diverged run."""
     links = [_Link(cfg, np.random.default_rng(seed)) for seed in seeds]
-    rx = _Projected(cfg, links[0].codes[0], len(links))
+    rx = (_Projected(cfg, links[0].codes[0], len(links)) if cfg.algorithm in BASELINES
+          else _Interpolated(cfg, links))
     desired = np.array([link.desired for link in links])
     # records: x, out and out_des per run and symbol
     rec = np.empty((3, len(links), cfg.symbols), dtype=complex)
     # the despread rows of a chunk's r and r_des
-    chunk_ys = np.empty((2, len(links), min(NOISE_CHUNK, cfg.symbols), rx.w.shape[1]),
-                        dtype=complex)
+    chunk_ys = np.empty((2, len(links), min(NOISE_CHUNK, cfg.symbols), rx.dim), dtype=complex)
+    chunks = [link.chunks() for link in links]
     for i in range(0, cfg.symbols, NOISE_CHUNK):
         bs = desired[:, i:i + NOISE_CHUNK]
         ys = chunk_ys[:, :, :bs.shape[1]]
-        for k, link in enumerate(links):
-            rs, _, rs_des, _ = link.chunk(i)
+        gs = [None] * len(links)
+        # the runs draw in turn, so that the block holds one run's chunk at a time
+        for k, run_chunks in enumerate(chunks):
+            rs, _, rs_des, gs[k] = next(run_chunks)
             ys[0, k], ys[1, k] = rx.despread(rs), rx.despread(rs_des)
-        # the combiner before each symbol gives x, the one after it the
-        # a-posteriori outputs
-        ws = rx.combiners(ys[0], bs, i)
-        rec[0, :, i:i + NOISE_CHUNK] = _vdots(ws[:, :-1], ys[0])
-        rec[1:, :, i:i + NOISE_CHUNK] = _vdots(ws[:, 1:], ys)
-        del ws   # before the next chunk's draws
-    # the decisions are detect(x); each run's records go to Python numbers in turn
-    return _metered(cfg, seeds, desired, np.where(rec[0].real >= 0.0, 1.0, -1.0),
-                    (rows.tolist() for rows in rec.transpose(1, 0, 2)), rx.breakdowns, None)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rx.record(rec[:, :, i:i + NOISE_CHUNK], ys, bs, gs, i)
+    return _metered(cfg, seeds, desired, rec, rx.breakdowns)
 
 
-def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, bhat: np.ndarray, records,
-             breakdowns, phase_reference) -> list[MetricSeries]:
-    """Each run's MetricSeries from its records.
-
-    `desired` and `bhat` (runs x symbols) hold the transmitted symbols and
-    the decisions; `records` yields, per run, its decision outputs x and
-    its a-posteriori outputs for r and for its desired-only part, as
-    lists of complex numbers.  The first run, in order, that diverged
-    raises LinAlgError naming its seed and symbol.
-    """
+def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, rec: np.ndarray,
+             breakdowns) -> list[MetricSeries]:
+    """Each run's MetricSeries from its transmitted symbols `desired`
+    (runs x symbols) and records `rec` (3 x runs x symbols): decision
+    outputs x, decided as detect(x), and a-posteriori outputs for r and
+    r_des.  The first run, in order, that diverged raises LinAlgError
+    naming its seed and symbol."""
     t, first = cfg.symbols, cfg.first_decided
-    mse = np.empty(bhat.shape)
-    p_des, p_rest = np.empty((2, *bhat.shape))
-    for k, (seed, (x, out, out_des)) in enumerate(zip(seeds, records)):
+    mse = np.empty(desired.shape)
+    p_des, p_rest = np.empty((2, *desired.shape))
+    for k, seed in enumerate(seeds):
+        x, out, out_des = rec[:, k].tolist()
         # scalar metering: numpy's np.abs(z) ** 2 differs from abs(z) ** 2 in the last bit
         mse[k] = [_power(b - xi) for b, xi in zip(desired[k].tolist(), x)]
         p_des[k] = [_power(d) for d in out_des]
@@ -799,15 +798,16 @@ def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, bhat: np.ndarray, 
             raise np.linalg.LinAlgError(f"run seed {seed} diverged: the squared error or "
                                         f"output power of symbol {np.argmin(finite)} is not "
                                         f"finite")
-    wrong = bhat != desired
+    wrong = np.where(rec[0].real >= 0.0, 1.0, -1.0) != desired
     wrong[:, :first] = False
     ber = np.cumsum(wrong, axis=1) / np.maximum(np.arange(t) - first + 1, 1)
     sinr_db = _sinr_db(p_des, p_rest)
+    tracking = cfg.mode == "blind" and not cfg.known_channel
     return [MetricSeries(mse=mse[k], sinr_db=sinr_db[k], ber=ber[k],
                          metadata={**cfg.to_dict(), "run_seed": int(seed),
                                    "decided": max(t - first, 0),
                                    "breakdowns": int(breakdowns[k]),
-                                   "phase_reference": phase_reference})
+                                   "phase_reference": "genie" if tracking else None})
             for k, seed in enumerate(seeds)]
 
 
@@ -825,8 +825,8 @@ def iter_symbols(cfg: ScenarioConfig, run_seed):
 
 
 def _block_width(cfg: ScenarioConfig) -> int:
-    """Runs per block: 1 for the interpolated receivers; for the baselines,
-    BLOCK_BYTES over what a run holds in a block, at least 1.
+    """Runs per block: 1 for the interpolated receivers, which stack no
+    state; for the baselines, BLOCK_BYTES over what a run holds, at least 1.
 
     A run holds its link's symbols and its records and metered series,
     about 8 K + 128 bytes per symbol, and its share of a chunk's despread
@@ -840,8 +840,8 @@ def _block_width(cfg: ScenarioConfig) -> int:
 
 
 def _trials(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
-    """The series of a block of seeded runs: `run_trial` for one run,
-    `_run_block` for several."""
+    """The series of a block of seeded runs (`_run_block`), a block of one
+    through the public `run_trial`, which a tracer of public calls sees."""
     if len(seeds) == 1:
         return [run_trial(cfg, seeds[0])]
     cfg.validate()
@@ -851,16 +851,16 @@ def _trials(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
 def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
     """Average cfg.runs independent trials (spawned sub-seeds of cfg.seed).
 
-    The interpolated receivers run one `run_trial` per run.  The RAKE and
-    pd baselines run in blocks (`_run_block`): the runs in index order,
-    split into as few blocks of as even a size as `_block_width` allows;
-    a block of one run is its `run_trial`.  Each run's series is the same
-    either way.  MSE and the SINR's power ratio average linearly across
-    runs; BER averages directly and the RLS breakdowns add up.  The
-    reduction is ordered by run index, so the result is independent of
-    `workers` and of the blocks.  The pool maps blocks, and holds at most
-    one process per block and per CPU this process may use, since it may
-    start all of them at once.
+    Every run goes through `_run_block`: the runs in index order, split
+    into as few blocks of as even a size as `_block_width` allows, which
+    is one run for the interpolated receivers; a block of one run is its
+    `run_trial`.  Each run's series is the same either way.  MSE and the
+    SINR's power ratio average linearly across runs; BER averages
+    directly and the RLS breakdowns add up.  The reduction is ordered by
+    run index, so the result is independent of `workers` and of the
+    blocks.  The pool maps blocks, and holds at most one process per
+    block and per CPU this process may use, since it may start all of
+    them at once.
     """
     runs = cfg.runs
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]

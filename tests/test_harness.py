@@ -211,6 +211,17 @@ def test_diverging_pd_lms_names_the_first_bad_symbol():
         harness.run_trial(cfg, 31)
 
 
+@pytest.mark.parametrize("alg", ("lms", "cmv-sg"))
+def test_diverging_interpolated_run_raises_without_warning(alg):
+    # unnormalised steps at -10 dB blow up the interpolated receivers as
+    # well: the trial raises its LinAlgError and warns of no overflow on
+    # the way (the suite turns warnings into errors)
+    cfg = scenario(alg, runs=1, symbols=2000, ebn0_db=-10.0, mu0=1.5, eta0=0.5,
+                   normalized_steps=False)
+    with pytest.raises(np.linalg.LinAlgError, match="run seed 1 diverged"):
+        harness.run_trial(cfg, 1)
+
+
 @pytest.mark.parametrize("length", (1, 6, 8, 18, 36))
 def test_batched_products_equal_unbatched_bit_for_bit(length):
     # the baselines' chunk products stand for per-symbol np.vdot and a @ x
@@ -302,6 +313,25 @@ def test_one_run_of_a_block_breaks_down(monkeypatch):
         for name in ("mse", "sinr_db", "ber"):
             assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
     assert not np.array_equal(block[1].sinr_db, harness.run_trial(cfg, seeds[1]).sinr_db)
+
+
+@pytest.mark.parametrize("alg, change", (("lms", {"f_dt": 1e-3}),
+                                         ("rls", {"mode": "decision-directed",
+                                                  "n_tr": harness.NOISE_CHUNK + 1}),
+                                         ("cmv-sg", {}),
+                                         ("cmv-rls", {"known_channel": False})),
+                         ids=("faded-lms", "directed-rls", "cmv-sg", "tracked-cmv-rls"))
+def test_interpolated_block_keeps_its_runs_apart(alg, change):
+    # a campaign takes the interpolated receivers one run at a time, but
+    # the driver takes any block: a block of two repeats its two trials
+    cfg = scenario(alg, runs=2, symbols=300, seed=13, **change)
+    seeds = campaign_seeds(cfg)
+    block = harness._run_block(cfg, seeds)
+    for got, seed in zip(block, seeds):
+        expect = harness.run_trial(cfg, seed)
+        assert got.metadata == expect.metadata
+        for name in ("mse", "sinr_db", "ber"):
+            assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
 
 
 def campaign_seeds(cfg):
