@@ -35,6 +35,10 @@ from .cmv import ConstraintSet
 from .interpolation import DecimationOperator, ReceiverState, build_re_matrix, impulse
 
 _TINY = 1e-30
+# Below this fraction of x^H x, x^H Pi x is rounding noise, not a direction
+# off the constraint: x^H x - |a^H x|^2 / a^H a cancels when x lies along a,
+# as it always does at N_I = 1, and rounds to ~1e-16 x^H x either way.
+_OFF_CONSTRAINT = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +64,9 @@ def _gradient(f: np.ndarray, x: np.ndarray, ce: complex, step0: float, normalize
     aa = np.vdot(a, a).real
     ax = np.vdot(a, x)
     if normalized:
-        den = np.vdot(x, x).real - abs(ax) ** 2 / aa
-        step0 = step0 / den if den > _TINY else 0.0
+        xx = np.vdot(x, x).real
+        den = xx - abs(ax) ** 2 / aa
+        step0 = step0 / den if den > max(_TINY, _OFF_CONSTRAINT * xx) else 0.0
     step = step0 * ce
     return f + step * x + ((1.0 - np.vdot(a, f) - step * ax) / aa) * a
 

@@ -63,25 +63,35 @@ def fourth_moment(rbar_samples: np.ndarray) -> np.ndarray:
 def excess_mse_blind(mu: float, a_w: np.ndarray, rbar_samples: np.ndarray) -> float:
     """Steady-state excess MSE of the blind constrained gradient algorithm.
 
-    xi = mu vec(R)^H T^-1 a with
-    T = (R Pi)^T kron I + I kron (Pi R) - mu (Pi^T kron Pi) E4 and
-    a = (Pi^T kron Pi) E4 vec(w_opt w_opt^H), where R and E4 are the
-    sample covariance and fourth moment of the projected vectors
-    `rbar_samples` (one per row).  Pi = I - a_w a_w^H / ||a_w||^2
-    projects onto the steps that keep w's constraint w^H a_w = 1, with
+    The weight error eps = w - w_opt has a steady covariance K solving
+    Pi R K + K R Pi - mu Pi E4[K] Pi = mu Pi E4[w_opt w_opt^H] Pi, and
+    xi = tr(R K).  R and E4 are the sample covariance and fourth moment
+    of the projected vectors `rbar_samples` (one per row),
+    E4[X] = E[r r^H X r r^H].  Pi = I - a_w a_w^H / ||a_w||^2 projects
+    onto the steps that keep w's constraint w^H a_w = 1, with
     a_w = Re_p^T conj(v) (see `cmv`), and w_opt = `cmv.cmv_receiver(R, a_w)`.
+
+    The equation fixes no part of K along a_w a_w^H, so it is solved on
+    the range of Pi, where eps lies (w and w_opt both meet the
+    constraint): K = Q k Q^H, Q an orthonormal basis of that range,
+    and in vec form
+    ((Q^H R Q)^T kron I + I kron Q^H R Q - mu P^H E4 P) vec k = mu P^H E4 vec(w_opt w_opt^H)
+    with P = conj(Q) kron Q, so xi = vec(Q^H R Q)^H vec k.
     """
     rb = np.asarray(rbar_samples)
     r_bar = rb.T @ rb.conj() / len(rb)
-    eye = np.eye(r_bar.shape[0])
-    pi = eye - np.outer(a_w, a_w.conj()) / np.vdot(a_w, a_w).real
+    dim = r_bar.shape[0]
+    pi = np.eye(dim) - np.outer(a_w, a_w.conj()) / np.vdot(a_w, a_w).real
+    q = np.linalg.eigh(pi)[1][:, 1:]   # eigenvalue 0 first, then the 1s of the range
+    p = np.kron(q.conj(), q)
+    r_q = q.conj().T @ r_bar @ q
+    eye = np.eye(dim - 1)
     w_opt = cmv_receiver(r_bar, a_w)
     e4 = fourth_moment(rb)
-    kpp = np.kron(pi.T, pi)
-    t_mat = np.kron((r_bar @ pi).T, eye) + np.kron(eye, pi @ r_bar) - mu * (kpp @ e4)
-    a = kpp @ (e4 @ np.outer(w_opt, w_opt.conj()).reshape(-1, order="F"))
-    vec_r = r_bar.reshape(-1, order="F")
-    return float(mu * np.real(np.vdot(vec_r, np.linalg.solve(t_mat, a))))
+    t_mat = np.kron(r_q.T, eye) + np.kron(eye, r_q) - mu * (p.conj().T @ e4 @ p)
+    a = mu * (p.conj().T @ (e4 @ np.outer(w_opt, w_opt.conj()).reshape(-1, order="F")))
+    vec_k = np.linalg.solve(t_mat, a)
+    return float(np.real(np.vdot(r_q.reshape(-1, order="F"), vec_k)))
 
 
 def sg_learning_curve(r_bar: np.ndarray, mu: float, eps_min: float, w_err0: np.ndarray,

@@ -6,8 +6,11 @@ noise), the receiver (structure, algorithm, mode) and the experiment
 MSE, windowed SINR and cumulative BER; `run_campaign` averages
 independent runs with spawned sub-seeds.
 
-A trial takes the link a noise chunk at a time, as arrays of received
-vectors, of their desired-only components and of the channel gains.
+A trial takes the link (`_Link`) a noise chunk at a time, as arrays of
+received vectors, of their desired-only components and of the channel
+gains.  A static link forms a chunk's noiseless vectors as one batched
+product of a per-user response table with the symbols' windows, a faded
+one by convolving each symbol's gains with the chips.
 Per symbol it takes the decision output, adapts with the reference
 symbol (training symbol, or the decision in decision-directed mode past
 `n_tr`; blind receivers ignore it), then applies the updated receiver
@@ -21,7 +24,8 @@ symbol loop per run.  The RAKE and partial-despreading baselines
 (`_Projected`) despread a chunk in one product and take its outputs as
 array products of their combiners.  `record` runs with numpy's overflow
 warnings off, so a diverged run reaches the trial's LinAlgError.  MSE
-and BER (a-priori) and SINR (a-posteriori) are metered from the records.
+and BER (a-priori) and SINR (a-posteriori) are metered from the records
+in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
 
 A campaign runs the interpolated receivers one run at a time and the
 baselines in blocks of runs, as many as BLOCK_BYTES of memory allows
@@ -349,14 +353,19 @@ class _Link:
     none.  A chunk holds the received vectors R = clean + noise
     (chunk x M), desired symbols b, desired-only components
     R_des = (A_0 b)[:, None] * signature and path gains G (chunk x l_p).
-    The link keeps its symbols, not its chip stream: a chunk superposes
-    the stretch of stream its clean rows read (`_chips`).  Static clean
-    rows are views of that stretch convolved with the gains, and G a
-    read-only view repeating `channel.gains`.  A faded link draws the
-    chunk's path gains after its noise and forms its clean rows and
-    signatures in batched products; `channel.gains` keeps the gains the
-    channel was made with.  Each stretch holds the same values as one
-    stream of every symbol would, and each clean row the same sums.
+    The link keeps its symbols, not its chip stream.  A static link holds
+    a response table (`_response_table`): per user k and symbol q of the
+    ISI span, the M samples of r that the symbol reaches, which is the
+    user's effective signature shifted by (q - l_s + 1) N chips.  A
+    chunk's clean rows are the table's products with each symbol's
+    window of A_k b_k over the span (`_matvecs`), each equal bit for bit
+    to the per-symbol product, and G is a read-only view repeating
+    `channel.gains`.  A faded link superposes the stretch of chip stream
+    its clean rows read (`_chips`), draws the chunk's path gains after its
+    noise and forms its clean rows and signatures in batched products;
+    `channel.gains` keeps the gains the channel was made with.  Each
+    stretch holds the same values as one stream of every symbol would,
+    and each faded clean row the same sums.
 
     Noise before gains keeps the generator order of per-symbol gain
     steps: gains draw only at a fading period's first sample (its
@@ -380,9 +389,26 @@ class _Link:
         self.desired = self.bits[0, self.l_s - 1:self.l_s - 1 + cfg.symbols]   # b of symbol i
         self._static = cfg.f_dt <= 0
         if self._static:
-            self.signature = signal_model.effective_signature(self.codes[0], self.channel.gains)
+            responses = np.array([signal_model.effective_signature(code, self.channel.gains)
+                                  for code in self.codes])
+            self.signature = responses[0]
+            # a static channel's gains are its path amplitudes, so the responses are real
+            self._table = self._response_table(responses.real)
         else:
             self._code_matrix = cmv.shifted_signatures(self.codes[0], cfg.l_p)
+
+    def _response_table(self, responses: np.ndarray) -> np.ndarray:
+        """The M x K (2 l_s - 1) table whose column k (2 l_s - 1) + q holds
+        the samples of r that symbol q of user k's window reaches, at unit
+        amplitude: its effective signature `responses[k]` shifted by
+        (q - l_s + 1) N chips and cut to the M samples."""
+        n, m, span = self.cfg.n, self.m, 2 * self.l_s - 1
+        table = np.zeros((m, len(responses), span))
+        for q in range(span):
+            lead = (self.l_s - 1 - q) * n   # the response's sample at the window's first
+            lo, hi = max(0, -lead), min(m, m - lead)
+            table[lo:hi, :, q] = responses[:, lo + lead:hi + lead].T
+        return table.reshape(m, -1)
 
     def _chips(self, i: int, size: int) -> np.ndarray:
         """The chip stream that the clean rows of symbols i to i + size - 1
@@ -399,7 +425,7 @@ class _Link:
 
     def chunks(self):
         """Yield (R, b, R_des, G) for each noise chunk, in symbol order."""
-        n, l_p = self.cfg.n, self.cfg.l_p
+        n, l_p, span = self.cfg.n, self.cfg.l_p, 2 * self.l_s - 1
         view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
 
         def draw(i):   # a call, so that a paused generator holds none of its arrays
@@ -410,14 +436,16 @@ class _Link:
             rs += z[:, 0]
             rs *= np.sqrt(self.sigma2 / 2.0)
             b = self.desired[i:i + size]
-            chips = self._chips(i, size)
             if self._static:
-                # row k is the chips convolved with the gains from chip k N + l_p - 1 on;
-                # "valid" keeps only the full sums, each as a whole-stream convolution forms it
-                clean = view(np.convolve(chips, self.channel.gains, "valid"), self.m)[::n]
+                # windows[k] holds A_j b_j over symbol i + k's span, user by user,
+                # so that each clean row is the table's product with its window
+                scaled = self.amps[:, None] * self.bits[:, i:i + size + span - 1]
+                windows = view(scaled, span, axis=1).transpose(1, 0, 2)
+                clean = _matvecs(self._table, windows.reshape(size, -1))
                 signature = self.signature
                 gains = np.broadcast_to(self.channel.gains, (size, l_p))
             else:
+                chips = self._chips(i, size)
                 gains = signal_model.fading_gains(self.channel, size, self.rng)
                 # windows[k] @ g is the noiseless r of symbol i + k, and
                 # code_matrix @ g its desired signature: windows[k][m, l] is
@@ -684,12 +712,11 @@ def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:
     return x * np.conj(rot)
 
 
-def _power(z: complex) -> float:
-    """|z|^2 in Python arithmetic; inf where it overflows."""
-    try:
-        return abs(z) ** 2
-    except OverflowError:
-        return math.inf
+def _powers(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of every entry, inf where it overflows.  Each equals Python's
+    abs(z) ** 2 bit for bit: both take the hypot of the parts and libm's pow,
+    where np.abs(z) ** 2 squares, and re^2 + im^2 rounds otherwise."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
 class _Interpolated:
@@ -785,27 +812,28 @@ def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, rec: np.ndarray,
     r_des.  The first run, in order, that diverged raises LinAlgError
     naming its seed and symbol."""
     t, first = cfg.symbols, cfg.first_decided
-    mse = np.empty(desired.shape)
-    p_des, p_rest = np.empty((2, *desired.shape))
-    for k, seed in enumerate(seeds):
-        x, out, out_des = rec[:, k].tolist()
-        # scalar metering: numpy's np.abs(z) ** 2 differs from abs(z) ** 2 in the last bit
-        mse[k] = [_power(b - xi) for b, xi in zip(desired[k].tolist(), x)]
-        p_des[k] = [_power(d) for d in out_des]
-        p_rest[k] = [_power(o - d) for o, d in zip(out, out_des)]
-        finite = np.isfinite([mse[k], p_des[k], p_rest[k]]).all(axis=0)
-        if not finite.all():
-            raise np.linalg.LinAlgError(f"run seed {seed} diverged: the squared error or "
-                                        f"output power of symbol {np.argmin(finite)} is not "
-                                        f"finite")
-    wrong = np.where(rec[0].real >= 0.0, 1.0, -1.0) != desired
+    x, out, out_des = rec
+    # a diverged run's outputs may overflow or hold inf - inf: the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mse, p_des, p_rest = _powers(desired - x), _powers(out_des), _powers(out - out_des)
+    finite = np.isfinite(mse) & np.isfinite(p_des) & np.isfinite(p_rest)
+    diverged = np.flatnonzero(~finite.all(axis=1))
+    if diverged.size:
+        k = diverged[0]
+        raise np.linalg.LinAlgError(f"run seed {seeds[k]} diverged: the squared error or "
+                                    f"output power of symbol {np.argmin(finite[k])} is not "
+                                    f"finite")
+    wrong = np.where(x.real >= 0.0, 1.0, -1.0) != desired
     wrong[:, :first] = False
     ber = np.cumsum(wrong, axis=1) / np.maximum(np.arange(t) - first + 1, 1)
     sinr_db = _sinr_db(p_des, p_rest)
     tracking = cfg.mode == "blind" and not cfg.known_channel
+    # one copy of the config per block; each run's metadata gets its own lists
+    meta = cfg.to_dict()
+    lists = [name for name, value in meta.items() if isinstance(value, list)]
     return [MetricSeries(mse=mse[k], sinr_db=sinr_db[k], ber=ber[k],
-                         metadata={**cfg.to_dict(), "run_seed": int(seed),
-                                   "decided": max(t - first, 0),
+                         metadata={**meta, **{name: meta[name][:] for name in lists},
+                                   "run_seed": int(seed), "decided": max(t - first, 0),
                                    "breakdowns": int(breakdowns[k]),
                                    "phase_reference": "genie" if tracking else None})
             for k, seed in enumerate(seeds)]

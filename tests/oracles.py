@@ -165,8 +165,8 @@ def interp_map(v, m, l, m_red):
 
 
 # Spec matrices of the signal model: the matrix form r = H sum_k A_k S_k b_k
-# that `harness._Link` evaluates by convolving the superposed chip stream
-# with the path gains (static) or by strided chip windows (faded).
+# that `harness._Link` evaluates as products of per-user responses with
+# symbol windows (static) or by strided chip windows (faded).
 
 def build_block_matrix(code: np.ndarray, l_s: int) -> np.ndarray:
     """Stack `2*l_s - 1` non-overlapping shifted copies of the signature.
@@ -262,9 +262,23 @@ def _stream(link):
 
 
 @functools.lru_cache(maxsize=1)
-def _convolved_stream(link):
-    """A static link's chip stream convolved with its gains."""
-    return np.convolve(_stream(link), link.channel.gains)
+def _responses(link):
+    """A static link's responses, one column per user k and symbol q of
+    the window (k major): the M samples of r that the symbol reaches at
+    unit amplitude.  The current symbol's are the signature convolved with
+    the gains; symbol q's lie (q - l_s + 1) N chips later.  Real, as a
+    static channel's gains are."""
+    cfg = link.cfg
+    span = 2 * link.l_s - 1
+    pad = np.zeros((link.l_s - 1) * cfg.n, dtype=complex)
+    cols = []
+    for code in link.codes:
+        padded = np.concatenate([pad, np.convolve(code.astype(complex), link.channel.gains), pad])
+        for q in range(span):
+            start = (span - 1 - q) * cfg.n
+            cols.append(padded[start:start + link.m])
+    # C-ordered, as the link's table: a transposed operand sums in another order
+    return np.array(cols).real.T.copy()
 
 
 def link_step_per_symbol(link, i: int):
@@ -273,7 +287,8 @@ def link_step_per_symbol(link, i: int):
     off = link.l_s - 1
     b = link.bits[0, i + off]
     if link._static:
-        clean = _convolved_stream(link)[(i + off) * cfg.n:(i + off) * cfg.n + link.m]
+        span = 2 * link.l_s - 1
+        clean = _responses(link) @ (link.amps[:, None] * link.bits[:, i:i + span]).ravel()
     else:
         ch = link.channel
         for p, d, proc in zip(ch.path_powers, ch.path_delays, ch.fading):

@@ -10,7 +10,9 @@ design can show that the others kept their bytes.  Last come two lines
 per algorithm, one per half of its campaigns ("plain", and
 "decision-directed" or "tracked", see below), 22 campaigns each, so a
 change that moves only tracked runs, say, can show that the plain ones
-kept theirs.
+kept theirs.  Then one line per variant of the scenario (below), 28
+campaigns each, so a change that moves only static links, say, can show
+that the faded ones kept theirs.
 
 The matrix is every algorithm in `harness.ALGORITHMS` under 11 variants
 of the default scenario:
@@ -61,8 +63,14 @@ VARIANTS = (
 SYMBOLS = (300, 256)
 
 
+def label(variant: dict) -> str:
+    """A variant's fields as key=value pairs, "default" for none."""
+    return " ".join(f"{key}={value}" for key, value in variant.items()) or "default"
+
+
 def campaigns():
-    """Every (algorithm, half, scenario document) of the matrix, in a fixed order."""
+    """Every (algorithm, half, variant label, scenario document) of the
+    matrix, in a fixed order."""
     for alg in harness.ALGORITHMS:
         blind = alg.startswith("cmv")
         plain = {"mode": "blind" if blind else "training"}
@@ -71,16 +79,17 @@ def campaigns():
         for variant in VARIANTS:
             for half, mode in halves:
                 for symbols in SYMBOLS:
-                    yield alg, half, {"algorithm": alg, "runs": 2, "seed": 5,
-                                      "symbols": symbols, **mode, **variant}
+                    doc = {"algorithm": alg, "runs": 2, "seed": 5, "symbols": symbols,
+                           **mode, **variant}
+                    yield alg, half, label(variant), doc
 
 
 def main() -> None:
     digest = hashlib.sha256()
     per_alg = {alg: hashlib.sha256() for alg in harness.ALGORITHMS}
-    per_half = {}
-    count, half_count = Counter(), Counter()
-    for alg, half, doc in campaigns():
+    per_half, per_variant = {}, {}
+    count, half_count, variant_count = Counter(), Counter(), Counter()
+    for alg, half, variant, doc in campaigns():
         parts = [repr(sorted(doc.items())).encode()]
         try:
             s = harness.run_campaign(harness.ScenarioConfig.from_dict(doc))
@@ -89,18 +98,22 @@ def main() -> None:
         else:
             parts += [series.tobytes() for series in (s.mse, s.sinr_db, s.ber)]
             parts.append(int(s.metadata["breakdowns"]).to_bytes(8, "little"))
-        half_digest = per_half.setdefault((alg, half), hashlib.sha256())
+        digests = (digest, per_alg[alg], per_half.setdefault((alg, half), hashlib.sha256()),
+                   per_variant.setdefault(variant, hashlib.sha256()))
         for part in parts:
-            digest.update(part)
-            per_alg[alg].update(part)
-            half_digest.update(part)
+            for d in digests:
+                d.update(part)
         count[alg] += 1
         half_count[alg, half] += 1
+        variant_count[variant] += 1
     print(f"{count.total()} campaigns sha256 {digest.hexdigest()}")
     for alg, alg_digest in per_alg.items():
         print(f"{alg}: {count[alg]} campaigns sha256 {alg_digest.hexdigest()}")
     for (alg, half), half_digest in per_half.items():
         print(f"{alg} {half}: {half_count[alg, half]} campaigns sha256 {half_digest.hexdigest()}")
+    for variant, variant_digest in per_variant.items():
+        print(f"{variant}: {variant_count[variant]} campaigns sha256 "
+              f"{variant_digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -120,6 +120,41 @@ class TestExcessMseBlind:
         xi = analysis.excess_mse_blind(0.005, crandn(rng, dim), samples)
         assert xi > 0
 
+    def test_matches_the_weight_error_recursion(self):
+        # the steady state of K <- Pi (K - mu (R K + K R) + mu^2 E[x x^H (K + W) x x^H]) Pi,
+        # W = w_opt w_opt^H, iterated from K = 0 on the samples themselves;
+        # the excess MSE is tr(R K)
+        rng = np.random.default_rng(7)
+        dim, mu = 4, 0.05
+        x = crandn(rng, 800, dim)
+        a_w = crandn(rng, dim)
+        r = x.T @ x.conj() / len(x)
+        pi = np.eye(dim) - np.outer(a_w, a_w.conj()) / np.vdot(a_w, a_w).real
+        w_opt = np.linalg.solve(r, a_w)
+        w_opt /= np.vdot(a_w, w_opt)
+
+        def fourth(k):
+            return (x.T * np.einsum("si,ij,sj->s", x.conj(), k, x)) @ x.conj() / len(x)
+
+        drive = fourth(np.outer(w_opt, w_opt.conj()))
+        k = np.zeros((dim, dim), dtype=complex)
+        for _ in range(3000):
+            k = pi @ (k - mu * (r @ k + k @ r) + mu * mu * (fourth(k) + drive)) @ pi
+        assert analysis.excess_mse_blind(mu, a_w, x) == pytest.approx(np.trace(r @ k).real,
+                                                                     rel=1e-9)
+
+    def test_rounding_of_the_samples_leaves_the_prediction(self):
+        # the steady-state equation leaves K's part along a_w a_w^H free; a
+        # solve that ignores this returns a value rounding picks
+        rng = np.random.default_rng(7)
+        dim = 4
+        x = crandn(rng, 800, dim)
+        a_w = crandn(rng, dim)
+        xi = analysis.excess_mse_blind(0.05, a_w, x)
+        for seed in range(3):
+            nudged = x + 1e-15 * crandn(np.random.default_rng(seed), 800, dim)
+            assert analysis.excess_mse_blind(0.05, a_w, nudged) == pytest.approx(xi, rel=1e-9)
+
 
 class TestRlsLearningCurve:
     def test_point_value(self):

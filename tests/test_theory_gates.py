@@ -6,8 +6,8 @@ each receiver adapts only w (M/L = 18 taps) on rbar = Re^T conj(v), and
 every run sees the same channel, codes and powers.  The module fixture
 takes the statistics the theory reads from 40 000 symbols of that link:
 R_bar, p_bar, w_opt = R_bar^-1 p_bar and J_min = 1 - p_bar^H w_opt
-(0.1323).  Fewer symbols would do for the trained gates, but at 10 000
-the blind prediction moves by about 10 %.
+(0.1323).  Fewer symbols would do: at 10 000 the blind prediction
+moves by about 0.5 %.
 
 Each test runs campaign seed 1.  A band is set from the spread of the
 measured/predicted ratio over campaign seeds 1-10, given beside it.
@@ -77,9 +77,12 @@ def test_blind_gradient_steady_state(link):
     s = campaign(algorithm="cmv-sg", mode="blind", normalized_steps=False, mu0=mu, runs=8,
                  symbols=1500)
     floor = cmv.min_output_variance(link.r_bar, link.a_w) - 1.0
-    # seeds 1-10: 0.94-1.07
-    within(np.mean(s.mse[-1000:]) - floor, analysis.excess_mse_blind(mu, link.a_w, link.rbar),
-           0.15)
+    predicted = analysis.excess_mse_blind(mu, link.a_w, link.rbar)
+    # the prediction is a property of the samples, not of their last bits
+    nudged = link.rbar + 1e-15 * np.random.default_rng(0).standard_normal(link.rbar.shape)
+    assert analysis.excess_mse_blind(mu, link.a_w, nudged) == pytest.approx(predicted, rel=1e-9)
+    # seeds 1-10: 0.89-1.01
+    within(np.mean(s.mse[-1000:]) - floor, predicted, 0.15)
 
 
 def test_rls_learning_curve(link):
