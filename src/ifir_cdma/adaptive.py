@@ -23,16 +23,24 @@ every step.  States are single-owner and mutated in place; the trained
 steps return the a-priori error, the blind steps nothing.  Every step
 takes `adapt_v`; with it false the interpolator v stays where it is and
 only w adapts.
+
+Each step also has a form on a block of runs (`lms_steps`, `rls_steps`,
+`cmv_sg_steps`, `cmv_rls_steps`), which takes one received vector per
+run and the runs' states stacked along a leading axis (`stack`); the
+harness's interpolated blocks use them.  Each run's arrays equal what
+its own step makes of them, bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cmv import ConstraintSet
-from .interpolation import DecimationOperator, ReceiverState, build_re_matrix, impulse
+from .interpolation import (DecimationOperator, ReceiverState, _cmul, _matvecs, _powers,
+                            _segment_matrices, _vdots, build_re_matrix, impulse)
 
 _TINY = 1e-30
 # Below this fraction of x^H x, x^H Pi x is rounding noise, not a direction
@@ -108,7 +116,10 @@ def rls_updates(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     if broke.size:
         denom[broke] = 1.0
     gain = px / denom[:, None, None]
-    p = p - gain * px.conj().transpose(0, 2, 1)
+    pxh = px.conj().transpose(0, 2, 1)
+    # rls_update's outer product rounds as this one's, except at d = 1,
+    # where numpy rounds it as a product of two complex scalars
+    p = p - (_cmul(gain, pxh) if p.shape[1] == 1 else gain * pxh)
     p /= alpha
     p += p.conj().transpose(0, 2, 1)
     p *= 0.5
@@ -209,6 +220,18 @@ class SgChannelTracker:
         nrm = np.linalg.norm(cand)
         if nrm > _TINY:
             self.g_hat = cand / nrm
+        return self.g_hat
+
+    def updates(self, rs: np.ndarray) -> np.ndarray:
+        """`update` of every run of a stacked tracker (see `stack`), rs
+        holding a row per run; each run's estimate equals its own bit for bit."""
+        y = _matvecs(self.c.conj().T, rs)
+        self.v_acc = self.alpha * self.v_acc + y[:, :, None] * y.conj()[:, None, :]
+        cand = _matvecs(self.inv_gram, _matvecs(self.v_acc, self.g_hat))
+        # np.linalg.norm of a complex vector: the dots of its real and imaginary parts
+        re, im = cand.real[:, None], cand.imag[:, None]
+        nrm = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+        self.g_hat = np.where((nrm > _TINY)[:, None], cand / nrm[:, None], self.g_hat)
         return self.g_hat
 
 
@@ -348,3 +371,146 @@ def cmv_rls_step(s: RlsState, r: np.ndarray, adapt_v: bool = True,
     s.p, gain = rls_update(s.p, rbar, s.alpha, s.delta)
     s.breakdowns += gain is None
     s.w = _min_variance(s.p, s.re_p.T @ s.v.conj())
+
+
+# ---------------------------------------------------------------------------
+# stacked runs
+# ---------------------------------------------------------------------------
+# The steps of a block of runs taken together: `stack` gives the runs'
+# states (or channel trackers) one leading run axis, and the `*_steps`
+# kernels take one received vector per run.  Each builds every run's Re
+# with `build_re_matrix` and keeps the arithmetic order of its per-run
+# step, so each run's arrays equal what that step makes of its own state,
+# bit for bit: the batched products are `_matvecs` and `_vdots`, a modulus
+# squared is `_powers` and a product of two complex scalars `_cmul`.
+
+_RUN_ARRAYS = ("v", "w", "p", "p_u", "g_hat", "re_p", "v_acc")
+
+
+def stack(states: list):
+    """A copy of states[0] whose arrays (v, w, p, p_u, a blind state's
+    g_hat and re_p, a tracker's v_acc and g_hat) stack the runs' along a
+    leading axis, and whose `breakdowns`, if any, is an int array.  The
+    runs of a block share every other field."""
+    s = copy.copy(states[0])
+    for name in _RUN_ARRAYS:
+        if hasattr(s, name):
+            setattr(s, name, np.stack([getattr(t, name) for t in states]))
+    if hasattr(s, "breakdowns"):
+        s.breakdowns = np.array([t.breakdowns for t in states])
+    return s
+
+
+def unstack(s, states: list) -> None:
+    """Write the stacked s back into the runs' states."""
+    for k, t in enumerate(states):
+        for name in _RUN_ARRAYS:
+            if hasattr(t, name):
+                setattr(t, name, getattr(s, name)[k])
+        if hasattr(t, "breakdowns"):
+            t.breakdowns = int(s.breakdowns[k])
+
+
+def _gradients(f, x, ce, step0: float, normalized: bool, a=None) -> np.ndarray:
+    """`_gradient` of every run: f, x and a hold a row per run, ce one entry."""
+    if a is None:
+        if normalized:
+            den = _vdots(x, x).real
+            skip = den <= _TINY
+            moved = f + ((step0 / den) * ce)[:, None] * x
+            return np.where(skip[:, None], f, moved) if skip.any() else moved
+        return f + (step0 * ce)[:, None] * x
+    # a^H a, a^H x, x^H x and a^H f in one batched product
+    aa, ax, xx, af = _vdots(np.array([a, a, x, a]), np.array([a, x, x, f]))
+    aa = aa.real
+    if normalized:
+        xx = xx.real
+        den = xx - _powers(ax) / aa
+        step0 = np.where(den > np.maximum(_TINY, _OFF_CONSTRAINT * xx), step0 / den, 0.0)
+    step = step0 * ce
+    return f + step[:, None] * x + ((1.0 - af - _cmul(step, ax)) / aa)[:, None] * a
+
+
+def _constrains(s, g) -> None:
+    """`_constrain` of every run: g holds a row of constraint values per run."""
+    if g is not None:
+        s.g_hat = np.array(g, dtype=complex)
+        s.re_p = _matvecs(s.segs, s.g_hat).reshape(len(s.g_hat), s.n_i, -1)
+
+
+def _sg_steps(s: SgState, rs: np.ndarray, b, adapt_v: bool) -> np.ndarray:
+    """`_sg_step` of every run, b holding a reference per run (None when blind)."""
+    res = _segment_matrices(rs, s.n_i, s.dec)
+    wc = s.w.conj()
+    rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
+    x = _vdots(s.w, rbar)
+    blind = b is None
+    e = -x if blind else b - x
+    ce = np.conj(e)
+    if adapt_v:
+        s.v = _gradients(s.v, _matvecs(res, wc), ce, s.eta0, s.normalized,
+                         _matvecs(s.re_p, wc) if blind else None)
+    s.w = _gradients(s.w, rbar, ce, s.mu0, s.normalized,
+                     _matvecs(s.re_p.swapaxes(1, 2), s.v.conj()) if blind else None)
+    return e
+
+
+def lms_steps(s: SgState, rs: np.ndarray, b: np.ndarray, adapt_v: bool = True) -> np.ndarray:
+    """`lms_step` of every run of a stacked state; returns the a-priori errors."""
+    return _sg_steps(s, rs, b, adapt_v)
+
+
+def cmv_sg_steps(s: SgState, rs: np.ndarray, adapt_v: bool = True, g=None) -> None:
+    """`cmv_sg_step` of every run of a stacked state, g a row per run or None."""
+    _constrains(s, g)
+    _sg_steps(s, rs, None, adapt_v)
+
+
+def _rls_filters(s: RlsState, p, f, x, ce, live=None):
+    """`_rls_filter` of every run, counting breakdowns in s.breakdowns.
+    Runs outside the mask `live` keep p and f and count nothing.
+    Returns the new p and f."""
+    moved_p, gain, broke = rls_updates(p, x, s.alpha, s.delta)
+    moved = f + gain * ce[:, None]
+    if live is not None and not live.all():
+        moved_p[~live] = p[~live]
+        moved[~live] = f[~live]
+        broke = broke[live[broke]]
+    if broke.size:   # a broken-down run's f stays
+        moved[broke] = f[broke]
+        s.breakdowns[broke] += 1
+    return moved_p, moved
+
+
+def rls_steps(s: RlsState, rs: np.ndarray, b: np.ndarray, adapt_v: bool = True) -> np.ndarray:
+    """`rls_step` of every run of a stacked state; returns the a-priori errors."""
+    res = _segment_matrices(rs, s.n_i, s.dec)
+    u = _matvecs(res, s.w.conj())
+    rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
+    xi = b - _vdots(s.w, rbar)
+    cxi = np.conj(xi)
+    s.p, s.w = _rls_filters(s, s.p, s.w, rbar, cxi)
+    if adapt_v:
+        s.p_u, s.v = _rls_filters(s, s.p_u, s.v, u, cxi, live=_vdots(u, u).real > _TINY)
+    return xi
+
+
+def _min_variances(p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """`_min_variance` of every run."""
+    pa = _matvecs(p, a)
+    return pa / _vdots(a, pa).real[:, None]
+
+
+def cmv_rls_steps(s: RlsState, rs: np.ndarray, adapt_v: bool = True, g=None) -> None:
+    """`cmv_rls_step` of every run of a stacked state, g a row per run or None."""
+    _constrains(s, g)
+    res = _segment_matrices(rs, s.n_i, s.dec)
+    if adapt_v:
+        wc = s.w.conj()
+        s.p_u, _, broke = rls_updates(s.p_u, _matvecs(res, wc), s.alpha, s.delta)
+        s.breakdowns[broke] += 1
+        s.v = _min_variances(s.p_u, _matvecs(s.re_p, wc))
+    rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
+    s.p, _, broke = rls_updates(s.p, rbar, s.alpha, s.delta)
+    s.breakdowns[broke] += 1
+    s.w = _min_variances(s.p, _matvecs(s.re_p.swapaxes(1, 2), s.v.conj()))

@@ -19,19 +19,22 @@ this for a block of seeded runs, and `run_trial` is a block of one.  It
 builds a receiver of one of two kinds, which answer the same calls:
 `despread` maps a chunk's received vectors to the rows the receiver
 takes, and `record` writes the chunk's outputs into the block's records.
-The interpolated receivers (`_Interpolated`) take r itself and run one
-symbol loop per run.  The RAKE and partial-despreading baselines
+The interpolated receivers (`_Interpolated`) take r itself and step a
+block's runs together on stacked state (`adaptive.stack` and the
+`adaptive.*_steps` kernels), or one run at a time in a block narrower
+than STACK_MIN_RUNS.  The RAKE and partial-despreading baselines
 (`_Projected`) despread a chunk in one product and take its outputs as
 array products of their combiners.  `record` runs with numpy's overflow
 warnings off, so a diverged run reaches the trial's LinAlgError.  MSE
 and BER (a-priori) and SINR (a-posteriori) are metered from the records
 in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
 
-A campaign runs the interpolated receivers one run at a time and the
-baselines in blocks of runs, as many as BLOCK_BYTES of memory allows
-(`_block_width`), where one feedback loop per chunk updates every run's
-combiner on stacked state.  Each run's series equals its `run_trial`
-byte for byte.
+A campaign runs its runs in blocks, as many as BLOCK_BYTES of memory
+allows (`_block_width`).  A baseline block updates every run's combiner
+in one feedback loop per chunk, and an interpolated block steps every
+run's filters together per symbol, both on stacked state; an
+interpolated campaign too narrow to stack runs one run per block.  Each
+run's series equals its `run_trial` byte for byte.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per run drives channel, symbols and noise in a fixed order, and the
@@ -52,7 +55,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import adaptive, cmv, signal_model
-from .interpolation import detect, impulse, make_decimation, receiver_output
+from .interpolation import (_cmul, _matvecs, _powers, _vdots, detect, impulse, make_decimation,
+                            receiver_output, receiver_outputs)
 
 CSV_COLUMNS = ["iteration", "mse", "sinr_db", "ber", "algorithm", "L", "N_I", "seed"]
 SINR_WINDOW = 0.98
@@ -64,9 +68,10 @@ NOISE_CHUNK = 256
 
 ALGORITHMS = ("lms", "rls", "cmv-sg", "cmv-rls", "rake", "pd-lms", "pd-rls")
 BASELINES = ("rake", "pd-lms", "pd-rls")   # the receivers `_Projected` runs
-# Bytes a block of baseline runs may hold (see `_block_width`): at the
-# defaults, 9 pd runs of 400 symbols, 3 of 2000, and one at a time from
-# ~4500 symbols on.
+# Bytes a block of runs may hold (see `_block_width`): at the defaults, 9
+# pd runs of 400 symbols, 3 of 2000, and one at a time from ~4500 symbols
+# on; 5 interpolated runs of 400 symbols, and one at a time from ~1100,
+# where fewer than STACK_MIN_RUNS would fit.
 BLOCK_BYTES = 2_000_000
 MODES = ("training", "decision-directed", "blind")
 
@@ -330,20 +335,6 @@ def _interpolator_init(cfg: ScenarioConfig) -> np.ndarray:
     v = np.array([1.0 - abs(i - half) / (half + 1.0) for i in range(cfg.n_i)],
                  dtype=complex)
     return v / np.linalg.norm(v)
-
-
-# Batched forms whose rows equal the unbatched products bit for bit, as
-# `np.einsum`, `(conj(w) * y).sum(1)` and `y @ conj(w)` do not.
-
-def _matvecs(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """a @ x for every row x of xs (rows along the last axis)."""
-    return (a @ xs[..., None])[..., 0]
-
-
-def _vdots(ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """np.vdot(w, y) for every pair of rows w of ws and y of ys, the
-    leading axes broadcast."""
-    return (ws.conj()[..., None, :] @ ys[..., None])[..., 0, 0]
 
 
 class _Link:
@@ -656,45 +647,51 @@ class _Projected:
             self.p_inv = p
 
 
-def _receiver(cfg: ScenarioConfig, link: _Link):
-    """(output, adapt, state) of an interpolated receiver (`lms`, `rls`,
-    `cmv-sg` or `cmv-rls`) on one run's link; `_Interpolated` holds one
-    per run.  It takes the received vectors r themselves.  `output(r)`
-    applies the current receiver to a row and `adapt(r, d, g)` runs one
-    adaptive step with reference symbol d (the blind steps ignore it) on
-    a symbol with channel gains g.  A blind step takes g each symbol when
-    the known channel fades, and a tracker's estimate, updated on r, each
-    symbol when the channel is not known (`known_channel` false).  The
-    link is read here only, for its code and initial gains.  `state`
-    serves the phase alignment and carries the RLS breakdowns.
-    """
+def _state(cfg: ScenarioConfig, link: _Link):
+    """(state, tracker) of an interpolated receiver (`lms`, `rls`, `cmv-sg`
+    or `cmv-rls`) on one run's link: the state its `adaptive.make_*`
+    factory makes, and the channel tracker of a blind run whose channel is
+    not known (`known_channel` false), else None.  The link is read here
+    only, for its code and initial gains."""
     dec = make_decimation(cfg.m, cfg.l)
     v0 = _interpolator_init(cfg)
-    adapt_v = not cfg.freeze_interpolator
     if cfg.algorithm == "lms":
-        st = adaptive.make_trained_sg(dec, v0, cfg.mu0, cfg.eta0,
-                                      normalized=cfg.normalized_steps)
-        adapt = lambda r, d, g: adaptive.lms_step(st, r, d, adapt_v=adapt_v)
-    elif cfg.algorithm == "rls":
-        st = adaptive.make_trained_rls(dec, v0, alpha=cfg.alpha, delta=cfg.delta)
-        adapt = lambda r, d, g: adaptive.rls_step(st, r, d, adapt_v=adapt_v)
+        return adaptive.make_trained_sg(dec, v0, cfg.mu0, cfg.eta0,
+                                        normalized=cfg.normalized_steps), None
+    if cfg.algorithm == "rls":
+        return adaptive.make_trained_rls(dec, v0, alpha=cfg.alpha, delta=cfg.delta), None
+    cons = cmv.build_constraints(link.codes[0], dec,
+                                 g=link.channel.gains if cfg.known_channel else None)
+    if cfg.algorithm == "cmv-sg":
+        st = adaptive.make_blind_sg(cons, v0, cfg.mu0, cfg.eta0, normalized=cfg.normalized_steps)
     else:
-        cons = cmv.build_constraints(link.codes[0], dec,
-                                     g=link.channel.gains if cfg.known_channel else None)
-        if cfg.algorithm == "cmv-sg":
-            st = adaptive.make_blind_sg(cons, v0, cfg.mu0, cfg.eta0,
-                                        normalized=cfg.normalized_steps)
-            step = adaptive.cmv_sg_step
-        else:
-            st = adaptive.make_blind_rls(cons, v0, alpha=cfg.alpha, delta=cfg.delta)
-            step = adaptive.cmv_rls_step
-        if not cfg.known_channel:
-            tracker = adaptive.SgChannelTracker(cons.c, alpha=cfg.alpha)
-            adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=tracker.update(r))
-        elif cfg.f_dt > 0:
-            adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=g)
-        else:
-            adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v)
+        st = adaptive.make_blind_rls(cons, v0, alpha=cfg.alpha, delta=cfg.delta)
+    tracker = None if cfg.known_channel else adaptive.SgChannelTracker(cons.c, alpha=cfg.alpha)
+    return st, tracker
+
+
+def _receiver(cfg: ScenarioConfig, link: _Link):
+    """(output, adapt, state) of an interpolated receiver on one run's
+    link (see `_state`), stepping one run at a time.  It takes the
+    received vectors r themselves.  `output(r)` applies the current
+    receiver to a row and `adapt(r, d, g)` runs one adaptive step with
+    reference symbol d (the blind steps ignore it) on a symbol with
+    channel gains g.  A blind step takes g each symbol when the known
+    channel fades, and the tracker's estimate, updated on r, each symbol
+    when the channel is not known.  `state` serves the phase alignment
+    and carries the RLS breakdowns.
+    """
+    st, tracker = _state(cfg, link)
+    adapt_v = not cfg.freeze_interpolator
+    step = getattr(adaptive, cfg.algorithm.replace("-", "_") + "_step")
+    if cfg.mode != "blind":
+        adapt = lambda r, d, g: step(st, r, d, adapt_v=adapt_v)
+    elif tracker is not None:
+        adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=tracker.update(r))
+    elif cfg.f_dt > 0:
+        adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=g)
+    else:
+        adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v)
     return (lambda r: receiver_output(st, r)), adapt, st
 
 
@@ -712,37 +709,66 @@ def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:
     return x * np.conj(rot)
 
 
-def _powers(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of every entry, inf where it overflows.  Each equals Python's
-    abs(z) ** 2 bit for bit: both take the hypot of the parts and libm's pow,
-    where np.abs(z) ** 2 squares, and re^2 + im^2 rounds otherwise."""
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+def _align_phases(x: np.ndarray, g_hat: np.ndarray, g_true: np.ndarray) -> np.ndarray:
+    """`_align_phase` of every run, g_hat and g_true holding a row per run;
+    each equals its own bit for bit.  A modulus is np.hypot of the parts,
+    which rounds as abs of a complex scalar does, where np.abs of a
+    complex array need not."""
+    runs = np.arange(len(x))
+    ref = np.argmax(np.abs(g_true), axis=1)
+    true, hat = g_true[runs, ref], g_hat[runs, ref]
+    true_mod, hat_mod = np.hypot(true.real, true.imag), np.hypot(hat.real, hat.imag)
+    rot = (true / true_mod) / (hat / hat_mod)
+    return np.where((hat_mod < 1e-12) | (true_mod < 1e-12), x, _cmul(x, np.conj(rot)))
+
+
+# An interpolated block of at least this many runs steps them together on
+# stacked state (`adaptive.stack`); a narrower one steps each run alone.
+# A stacked symbol pays its numpy calls once for the block, but its four
+# `build_re_matrix` calls per run and its larger arrays cost more per call.
+# Against one run at a time, blocks of 1 / 2 / 3 / 4 runs of 400 symbols
+# ran (median of 15 interleaved pairs, CPU time, 2-vCPU host): lms
+# x0.54 / x0.89 / x1.17 / x1.35, rls x0.62 / x1.03 / x1.34 / x1.67, cmv-sg
+# x0.44 / x0.80 / x0.98 / x1.28, cmv-rls x0.62 / x1.08 / x1.43 / x1.70.
+STACK_MIN_RUNS = 4
 
 
 class _Interpolated:
-    """The interpolated receivers of a block of runs, one `_receiver` per
-    run, with the calls of `_Projected`: `despread` passes r through, and
-    `record` runs each run's symbol loop over a chunk."""
+    """The interpolated receivers of a block of runs, with the calls of
+    `_Projected`: `despread` passes r through, and `record` steps the
+    runs over a chunk, together on stacked state from STACK_MIN_RUNS
+    runs on, else one `_receiver` at a time.  Either way each run's
+    state is the one its `adaptive.make_*` factory made, and holds its
+    filters and breakdowns between chunks."""
 
     def __init__(self, cfg: ScenarioConfig, links):
         self.cfg = cfg
         self.dim = cfg.m
-        self.receivers = [_receiver(cfg, link) for link in links]
+        self.stacked = len(links) >= STACK_MIN_RUNS
+        if self.stacked:
+            self.states, self.trackers = zip(*(_state(cfg, link) for link in links))
+        else:
+            self.receivers = [_receiver(cfg, link) for link in links]
+            self.states = [st for _, _, st in self.receivers]
 
     despread = staticmethod(np.asarray)   # the rows are r itself
 
     @property
     def breakdowns(self) -> list:
-        return [getattr(st, "breakdowns", 0) for _, _, st in self.receivers]
+        return [getattr(st, "breakdowns", 0) for st in self.states]
 
     def record(self, rec: np.ndarray, ys: np.ndarray, bs: np.ndarray, gs, first: int) -> None:
         """As `_Projected.record` on r and r_des themselves, `gs` holding each
-        run's gains; a run's records are gathered in lists and written once."""
+        run's gains."""
         cfg = self.cfg
-        tracking = cfg.mode == "blind" and not cfg.known_channel
         # the chunk offset from which decisions are the reference
         directed = cfg.n_tr - first if cfg.mode == "decision-directed" else bs.shape[1]
+        if self.stacked:
+            self._record_stacked(rec, ys, bs, gs, directed)
+            return
+        tracking = cfg.mode == "blind" and not cfg.known_channel
         for k, (output, adapt, st) in enumerate(self.receivers):
+            # a run's records are gathered in lists and written once
             xs, outs, outs_des = [], [], []
             for j, (r, b, r_des, g) in enumerate(zip(ys[0, k], bs[k], ys[1, k], gs[k])):
                 x = output(r)
@@ -754,6 +780,34 @@ class _Interpolated:
                 outs.append(output(r))
                 outs_des.append(output(r_des))
             rec[:, k] = xs, outs, outs_des
+
+    def _record_stacked(self, rec, ys, bs, gs, directed: int) -> None:
+        """`record` of the runs together: per symbol, the same calls as
+        `_receiver`'s on every run at once (`adaptive.*_steps`,
+        `receiver_outputs`, `_align_phases`)."""
+        cfg = self.cfg
+        s = adaptive.stack(self.states)
+        tracker = None if self.trackers[0] is None else adaptive.stack(self.trackers)
+        gains = np.stack(gs) if tracker is not None or cfg.f_dt > 0 else None
+        adapt_v = not cfg.freeze_interpolator
+        step = getattr(adaptive, cfg.algorithm.replace("-", "_") + "_steps")
+        for j in range(bs.shape[1]):
+            rs = ys[0, :, j]
+            x = receiver_outputs(s, rs)
+            if tracker is not None:
+                x = _align_phases(x, s.g_hat, gains[:, j])
+            if cfg.mode != "blind":
+                ref = np.where(x.real >= 0.0, 1.0, -1.0) if j >= directed else bs[:, j]
+                step(s, rs, ref, adapt_v=adapt_v)
+            elif tracker is not None:
+                step(s, rs, adapt_v=adapt_v, g=tracker.updates(rs))
+            else:
+                step(s, rs, adapt_v=adapt_v, g=gains[:, j] if cfg.f_dt > 0 else None)
+            rec[0, :, j] = x
+            rec[1:, :, j] = receiver_outputs(s, ys[:, :, j])
+        adaptive.unstack(s, self.states)
+        if tracker is not None:
+            adaptive.unstack(tracker, self.trackers)
 
 
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
@@ -779,9 +833,10 @@ def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
     Each run keeps its own `_Link` and Generator, so it draws as in a
     block of one.  Chunk by chunk, each run draws its chunk and despreads
     it, only the despread rows being kept, and one `record` call of the
-    block's receiver writes every run's records with numpy's overflow,
-    invalid-value and division warnings off: `_metered` catches a
-    diverged run."""
+    block's receiver (`_Projected` or `_Interpolated`, which steps the
+    runs together from STACK_MIN_RUNS on) writes every run's records
+    with numpy's overflow, invalid-value and division warnings off:
+    `_metered` catches a diverged run."""
     links = [_Link(cfg, np.random.default_rng(seed)) for seed in seeds]
     rx = (_Projected(cfg, links[0].codes[0], len(links)) if cfg.algorithm in BASELINES
           else _Interpolated(cfg, links))
@@ -791,14 +846,18 @@ def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
     # the despread rows of a chunk's r and r_des
     chunk_ys = np.empty((2, len(links), min(NOISE_CHUNK, cfg.symbols), rx.dim), dtype=complex)
     chunks = [link.chunks() for link in links]
+
+    def take(k):   # a call, so that run k's chunk is freed before the next run draws
+        rs, _, rs_des, gs[k] = next(chunks[k])
+        ys[0, k], ys[1, k] = rx.despread(rs), rx.despread(rs_des)
+
     for i in range(0, cfg.symbols, NOISE_CHUNK):
         bs = desired[:, i:i + NOISE_CHUNK]
         ys = chunk_ys[:, :, :bs.shape[1]]
         gs = [None] * len(links)
         # the runs draw in turn, so that the block holds one run's chunk at a time
-        for k, run_chunks in enumerate(chunks):
-            rs, _, rs_des, gs[k] = next(run_chunks)
-            ys[0, k], ys[1, k] = rx.despread(rs), rx.despread(rs_des)
+        for k in range(len(links)):
+            take(k)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rx.record(rec[:, :, i:i + NOISE_CHUNK], ys, bs, gs, i)
     return _metered(cfg, seeds, desired, rec, rx.breakdowns)
@@ -853,18 +912,26 @@ def iter_symbols(cfg: ScenarioConfig, run_seed):
 
 
 def _block_width(cfg: ScenarioConfig) -> int:
-    """Runs per block: 1 for the interpolated receivers, which stack no
-    state; for the baselines, BLOCK_BYTES over what a run holds, at least 1.
+    """Runs per block: BLOCK_BYTES over what a run holds, at least 1, and
+    1 for an interpolated campaign whose blocks would hold fewer than
+    STACK_MIN_RUNS runs, which gain nothing from sharing a block and can
+    each go to a worker.
 
     A run holds its link's symbols and its records and metered series,
-    about 8 K + 128 bytes per symbol, and its share of a chunk's despread
-    rows and combiners, 64 bytes per chunk symbol and combiner tap.
+    about 8 K + 128 bytes per symbol, and its share of a chunk's rows:
+    for a baseline its despread rows and combiners, 64 bytes per chunk
+    symbol and combiner tap; for an interpolated receiver its rows of r
+    and r_des, 32 bytes per chunk symbol and sample of r.
     """
-    if cfg.algorithm not in BASELINES:
+    if cfg.algorithm in BASELINES:
+        row_bytes = 64 * (cfg.l_p if cfg.algorithm == "rake" else cfg.pd_rank)
+    else:
+        row_bytes = 32 * cfg.m
+    per_run = cfg.symbols * (8 * cfg.k + 128) + min(cfg.symbols, NOISE_CHUNK) * row_bytes
+    width = max(1, BLOCK_BYTES // per_run)
+    if cfg.algorithm not in BASELINES and min(width, cfg.runs) < STACK_MIN_RUNS:
         return 1
-    taps = cfg.l_p if cfg.algorithm == "rake" else cfg.pd_rank
-    per_run = cfg.symbols * (8 * cfg.k + 128) + min(cfg.symbols, NOISE_CHUNK) * taps * 64
-    return max(1, BLOCK_BYTES // per_run)
+    return width
 
 
 def _trials(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
@@ -881,14 +948,14 @@ def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
 
     Every run goes through `_run_block`: the runs in index order, split
     into as few blocks of as even a size as `_block_width` allows, which
-    is one run for the interpolated receivers; a block of one run is its
-    `run_trial`.  Each run's series is the same either way.  MSE and the
-    SINR's power ratio average linearly across runs; BER averages
-    directly and the RLS breakdowns add up.  The reduction is ordered by
-    run index, so the result is independent of `workers` and of the
-    blocks.  The pool maps blocks, and holds at most one process per
-    block and per CPU this process may use, since it may start all of
-    them at once.
+    is one run for an interpolated campaign too narrow to stack; a block
+    of one run is its `run_trial`.  Each run's series is the same either
+    way.  MSE and the SINR's power ratio average linearly across runs;
+    BER averages directly and the RLS breakdowns add up.  The reduction
+    is ordered by run index, so the result is independent of `workers`
+    and of the blocks.  The pool maps blocks, and holds at most one
+    process per block and per CPU this process may use, since it may
+    start all of them at once.
     """
     runs = cfg.runs
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]

@@ -132,7 +132,7 @@ class ReceiverState:
 
     @property
     def n_i(self) -> int:
-        return self.v.size
+        return self.v.shape[-1]
 
 
 def receiver_output(state: ReceiverState, r: np.ndarray) -> complex:
@@ -140,6 +140,55 @@ def receiver_output(state: ReceiverState, r: np.ndarray) -> complex:
     through the anticausal FIR conj(v) with every L-th output kept."""
     rbar = build_re_matrix(r, state.n_i, state.dec).T @ state.v.conj()
     return complex(np.vdot(state.w, rbar))
+
+
+def receiver_outputs(state: ReceiverState, rs: np.ndarray) -> np.ndarray:
+    """`receiver_output` of every run of a stacked state (v and w with a
+    leading run axis, see `adaptive.stack`) on its rows of rs, which are
+    runs x M or, for several vectors per run, (..., runs, M).  Each run's
+    Re is built by `build_re_matrix`, and each output equals the per-run
+    one bit for bit."""
+    res = _segment_matrices(rs.reshape(-1, state.dec.m), state.n_i, state.dec)
+    rbar = _matvecs(res.reshape(*rs.shape[:-1], *res.shape[1:]).swapaxes(-1, -2),
+                    state.v.conj())
+    return _vdots(state.w, rbar)
+
+
+def _segment_matrices(rs: np.ndarray, n_i: int, dec: DecimationOperator) -> np.ndarray:
+    """`build_re_matrix` of every row of rs, stacked."""
+    return np.array([build_re_matrix(r, n_i, dec) for r in rs])
+
+
+# Batched forms whose entries equal the unbatched ones bit for bit, as
+# `np.einsum`, `(conj(w) * y).sum(1)`, `y @ conj(w)`, `np.abs(z)` and a
+# product of complex arrays do not.
+
+def _matvecs(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """a @ x for every row x of xs (rows along the last axis); a may be a
+    stack of matrices, broadcast against the leading axes of xs."""
+    return (a @ xs[..., None])[..., 0]
+
+
+def _vdots(ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """np.vdot(w, y) for every pair of rows w of ws and y of ys, the
+    leading axes broadcast."""
+    return (ws.conj()[..., None, :] @ ys[..., None])[..., 0, 0]
+
+
+def _powers(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of every entry, inf where it overflows.  Each equals Python's
+    abs(z) ** 2 bit for bit: both take the hypot of the parts and libm's pow,
+    where np.abs(z) ** 2 squares, and re^2 + im^2 rounds otherwise."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entry by entry, each rounded as a product of two complex
+    scalars is; numpy's array product may fuse its multiply-adds."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def detect(x: complex) -> float:

@@ -147,6 +147,19 @@ class TestTrainedRls:
         assert adaptive.rls_update(ps[1], xs[1], alpha, delta)[1] is None
         assert np.array_equal(got_p[1], delta * np.eye(d))
 
+    def test_stacked_update_of_scalars_matches_per_run_bit_for_bit(self):
+        # at d = 1 numpy rounds rls_update's outer product as a product of
+        # complex scalars, as an interpolator of one tap meets it
+        rng = np.random.default_rng(9)
+        ps = (1.0 + rng.exponential(size=(200, 1, 1))).astype(complex)
+        xs = crandn(rng, 200, 1)
+        got_p, gain, broke = adaptive.rls_updates(ps, xs, 0.998, 50.0)
+        assert broke.size == 0
+        for k in range(200):
+            expect_p, expect_gain = adaptive.rls_update(ps[k], xs[k], 0.998, 50.0)
+            assert got_p[k].tobytes() == expect_p.tobytes()
+            assert gain[k].tobytes() == expect_gain.tobytes()
+
     def test_inverse_tracks_accumulated_covariance(self):
         cfg = scenario(200)
         rs, bs = collect(cfg, 4)

@@ -349,23 +349,86 @@ def test_one_run_of_a_block_breaks_down(monkeypatch):
     assert not np.array_equal(block[1].sinr_db, harness.run_trial(cfg, seeds[1]).sinr_db)
 
 
-@pytest.mark.parametrize("alg, change", (("lms", {"f_dt": 1e-3}),
-                                         ("rls", {"mode": "decision-directed",
-                                                  "n_tr": harness.NOISE_CHUNK + 1}),
-                                         ("cmv-sg", {}),
-                                         ("cmv-rls", {"known_channel": False})),
-                         ids=("faded-lms", "directed-rls", "cmv-sg", "tracked-cmv-rls"))
-def test_interpolated_block_keeps_its_runs_apart(alg, change):
-    # a campaign takes the interpolated receivers one run at a time, but
-    # the driver takes any block: a block of two repeats its two trials
-    cfg = scenario(alg, runs=2, symbols=300, seed=13, **change)
+# Modes of the stacked interpolated blocks: "plain" trains the trained
+# receivers and runs the blind ones on a known static channel
+STACKED_MODES = {
+    "plain": ({}, INTERPOLATED),
+    "directed": ({"mode": "decision-directed", "n_tr": harness.NOISE_CHUNK + 1}, ("lms", "rls")),
+    "faded": ({"f_dt": 1e-3}, INTERPOLATED),
+    "tracked": ({"known_channel": False}, ("cmv-sg", "cmv-rls")),
+    "frozen": ({"freeze_interpolator": True}, INTERPOLATED),
+    "unnormalized": ({"normalized_steps": False, "mu0": 0.01, "eta0": 0.005},
+                     ("lms", "cmv-sg")),
+    "l1": ({"l": 1, "n_i": 1}, INTERPOLATED),
+}
+
+
+@pytest.mark.parametrize("alg, change, runs", [
+    pytest.param("lms", {"f_dt": 1e-3}, 2, id="faded-lms"),
+    pytest.param("rls", {"mode": "decision-directed", "n_tr": harness.NOISE_CHUNK + 1}, 2,
+                 id="directed-rls"),
+    pytest.param("cmv-sg", {}, 2, id="cmv-sg"),
+    pytest.param("cmv-rls", {"known_channel": False}, 2, id="tracked-cmv-rls")]
+    + [pytest.param(alg, change, "stacked", id=f"stacked-{mode}-{alg}")
+       for mode, (change, algs) in STACKED_MODES.items() for alg in algs])
+def test_interpolated_block_keeps_its_runs_apart(alg, change, runs):
+    # a block of two steps each run alone, and blocks at and above
+    # STACK_MIN_RUNS step their runs together; each run repeats its trial
+    width = harness.STACK_MIN_RUNS
+    cfg = scenario(alg, runs=2 if runs == 2 else width + 1, symbols=300, seed=13, **change)
     seeds = campaign_seeds(cfg)
+    trials = [harness.run_trial(cfg, seed) for seed in seeds]
+    blocks = [seeds] if runs == 2 else [seeds[:width], seeds]
+    for block in blocks:
+        for got, expect in zip(harness._run_block(cfg, block), trials):
+            assert got.metadata == expect.metadata
+            for name in ("mse", "sinr_db", "ber"):
+                assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
+
+
+@pytest.mark.parametrize("alg", ("lms", "cmv-sg"))
+def test_diverging_stacked_block_names_its_first_seed(alg):
+    # the diverging scenario of test_diverging_interpolated_run_raises_without_warning,
+    # five runs stepped together: the block raises the LinAlgError of its
+    # first run and warns of no overflow on the way
+    cfg = scenario(alg, runs=5, symbols=2000, ebn0_db=-10.0, mu0=1.5, eta0=0.5,
+                   normalized_steps=False)
+    seeds = campaign_seeds(cfg)
+    assert len(seeds) >= harness.STACK_MIN_RUNS
+    with pytest.raises(np.linalg.LinAlgError, match=f"run seed {seeds[0]} diverged") as trial:
+        harness.run_trial(cfg, seeds[0])
+    with pytest.raises(np.linalg.LinAlgError) as block:
+        harness._run_block(cfg, seeds)
+    assert str(block.value) == str(trial.value)
+
+
+@pytest.mark.parametrize("alg", ("rls", "cmv-rls"))
+def test_stacked_block_counts_breakdowns_on_its_states(monkeypatch, alg):
+    # run 1 of a block stepped together breaks down at the 10th stacked
+    # inverse update; its count reaches its metadata and the state its
+    # factory made, which the benchmark sums, and the other runs repeat
+    # their trials
+    cfg = scenario(alg, runs=harness.STACK_MIN_RUNS, symbols=300, seed=6)
+    seeds = campaign_seeds(cfg)
+    trials = [harness.run_trial(cfg, seed) for seed in seeds]
+    factory = "make_trained_rls" if alg == "rls" else "make_blind_rls"
+    made = []
+
+    def capture(*args, _make=getattr(adaptive, factory), **kwargs):
+        made.append(_make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(adaptive, factory, capture)
+    break_at(monkeypatch, 10, run=1)
     block = harness._run_block(cfg, seeds)
-    for got, seed in zip(block, seeds):
-        expect = harness.run_trial(cfg, seed)
-        assert got.metadata == expect.metadata
-        for name in ("mse", "sinr_db", "ber"):
-            assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
+    expect = [int(k == 1) for k in range(len(seeds))]
+    assert [res.metadata["breakdowns"] for res in block] == expect
+    assert [st.breakdowns for st in made] == expect
+    for k, (got, trial) in enumerate(zip(block, trials)):
+        if k != 1:
+            for name in ("mse", "sinr_db", "ber"):
+                assert getattr(got, name).tobytes() == getattr(trial, name).tobytes(), name
+    assert not np.array_equal(block[1].sinr_db, trials[1].sinr_db)
 
 
 def campaign_seeds(cfg):

@@ -123,6 +123,17 @@ class TestAlternateMmse:
         j_u = min_mse(sigma_b2, r_u, p_u)
         assert abs(j_r - j_u) < 1e-6
 
+    def test_stop_ignores_sample_order(self):
+        # the same samples in another order move J by rounding alone, which
+        # must not move the stop: the rule once stopped this batch after
+        # 552, 554 or 556 half-sweeps depending on the order
+        rs, bs = self.scenario(l=2, n_i=3)
+        dec = make_decimation(36, 2)
+        orders = (slice(None), slice(None, None, -1), np.random.default_rng(5).permutation(len(bs)))
+        counts = {len(mmse.alternate_mmse(rs[o], bs[o], dec, impulse(3), tol=1e-10)[2])
+                  for o in orders}
+        assert len(counts) == 1, counts
+
     def test_initialization_independent(self):
         rs, bs = self.scenario(l=3, n_i=3)
         dec = make_decimation(36, 3)
