@@ -12,17 +12,17 @@ the trained one plus the one constraint on the channel-combined
 signature (see `cmv`).  `_gradient` is the one gradient update (blind, it
 takes reference 0 and projects back onto the constraint), `_rls_filter`
 the one trained RLS filter update and `rls_update` the one
-inverse-covariance update (`rls_updates` is its form on a stack of runs,
-which the harness's baseline blocks use).  Within a step the output and
-error are computed with the pre-update filters.  The trained steps update
-both filters from those same pre-update quantities (Jacobi ordering).  The
-blind steps take their constraint values g from the caller, as the
-trained steps take their reference symbol, and update v and then w, each
-onto its own hyperplane of the constraint, so the constraint holds after
-every step.  States are single-owner and mutated in place; the trained
-steps return the a-priori error, the blind steps nothing.  Every step
-takes `adapt_v`; with it false the interpolator v stays where it is and
-only w adapts.
+inverse-covariance update (`_rls_filters` and `rls_updates` are their
+forms on a stack of runs, which the harness's baseline blocks use too).
+Within a step the output and error are computed with the pre-update
+filters.  The trained steps update both filters from those same
+pre-update quantities (Jacobi ordering).  The blind steps take their
+constraint values g from the caller, as the trained steps take their
+reference symbol, and update v and then w, each onto its own hyperplane
+of the constraint, so the constraint holds after every step.  States are
+single-owner and mutated in place; the trained steps return the a-priori
+error, the blind steps nothing.  Every step takes `adapt_v`; with it
+false the interpolator v stays where it is and only w adapts.
 
 Each step also has a form on a block of runs (`lms_steps`, `rls_steps`,
 `cmv_sg_steps`, `cmv_rls_steps`), which takes one received vector per
@@ -231,7 +231,9 @@ class SgChannelTracker:
         # np.linalg.norm of a complex vector: the dots of its real and imaginary parts
         re, im = cand.real[:, None], cand.imag[:, None]
         nrm = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
-        self.g_hat = np.where((nrm > _TINY)[:, None], cand / nrm[:, None], self.g_hat)
+        # a run whose candidate vanishes keeps its estimate, and divides by nothing
+        self.g_hat = np.divide(cand, nrm[:, None], out=self.g_hat.copy(),
+                               where=(nrm > _TINY)[:, None])
         return self.g_hat
 
 
@@ -417,8 +419,10 @@ def _gradients(f, x, ce, step0: float, normalized: bool, a=None) -> np.ndarray:
         if normalized:
             den = _vdots(x, x).real
             skip = den <= _TINY
-            moved = f + ((step0 / den) * ce)[:, None] * x
-            return np.where(skip[:, None], f, moved) if skip.any() else moved
+            if not skip.any():
+                return f + ((step0 / den) * ce)[:, None] * x
+            den[skip] = 1.0   # a skipped row keeps f, and divides by nothing on the way
+            return np.where(skip[:, None], f, f + ((step0 / den) * ce)[:, None] * x)
         return f + (step0 * ce)[:, None] * x
     # a^H a, a^H x, x^H x and a^H f in one batched product
     aa, ax, xx, af = _vdots(np.array([a, a, x, a]), np.array([a, x, x, f]))
@@ -426,7 +430,10 @@ def _gradients(f, x, ce, step0: float, normalized: bool, a=None) -> np.ndarray:
     if normalized:
         xx = xx.real
         den = xx - _powers(ax) / aa
-        step0 = np.where(den > np.maximum(_TINY, _OFF_CONSTRAINT * xx), step0 / den, 0.0)
+        live = den > np.maximum(_TINY, _OFF_CONSTRAINT * xx)
+        # a skipped row takes step 0, and divides by nothing
+        step0 = (step0 / den if live.all()
+                 else np.divide(step0, den, out=np.zeros(len(den)), where=live))
     step = step0 * ce
     return f + step[:, None] * x + ((1.0 - af - _cmul(step, ax)) / aa)[:, None] * a
 
@@ -466,11 +473,11 @@ def cmv_sg_steps(s: SgState, rs: np.ndarray, adapt_v: bool = True, g=None) -> No
     _sg_steps(s, rs, None, adapt_v)
 
 
-def _rls_filters(s: RlsState, p, f, x, ce, live=None):
-    """`_rls_filter` of every run, counting breakdowns in s.breakdowns.
-    Runs outside the mask `live` keep p and f and count nothing.
-    Returns the new p and f."""
-    moved_p, gain, broke = rls_updates(p, x, s.alpha, s.delta)
+def _rls_filters(p, f, x, ce, alpha: float, delta: float, breakdowns: np.ndarray, live=None):
+    """`_rls_filter` of every run, adding each run's breakdown to its entry
+    of the int array `breakdowns`.  Runs outside the mask `live` keep p and
+    f and count nothing.  Returns the new p and f."""
+    moved_p, gain, broke = rls_updates(p, x, alpha, delta)
     moved = f + gain * ce[:, None]
     if live is not None and not live.all():
         moved_p[~live] = p[~live]
@@ -478,7 +485,7 @@ def _rls_filters(s: RlsState, p, f, x, ce, live=None):
         broke = broke[live[broke]]
     if broke.size:   # a broken-down run's f stays
         moved[broke] = f[broke]
-        s.breakdowns[broke] += 1
+        breakdowns[broke] += 1
     return moved_p, moved
 
 
@@ -489,9 +496,10 @@ def rls_steps(s: RlsState, rs: np.ndarray, b: np.ndarray, adapt_v: bool = True) 
     rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
     xi = b - _vdots(s.w, rbar)
     cxi = np.conj(xi)
-    s.p, s.w = _rls_filters(s, s.p, s.w, rbar, cxi)
+    s.p, s.w = _rls_filters(s.p, s.w, rbar, cxi, s.alpha, s.delta, s.breakdowns)
     if adapt_v:
-        s.p_u, s.v = _rls_filters(s, s.p_u, s.v, u, cxi, live=_vdots(u, u).real > _TINY)
+        s.p_u, s.v = _rls_filters(s.p_u, s.v, u, cxi, s.alpha, s.delta, s.breakdowns,
+                                  live=_vdots(u, u).real > _TINY)
     return xi
 
 

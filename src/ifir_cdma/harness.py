@@ -19,10 +19,11 @@ this for a block of seeded runs, and `run_trial` is a block of one.  It
 builds a receiver of one of two kinds, which answer the same calls:
 `despread` maps a chunk's received vectors to the rows the receiver
 takes, and `record` writes the chunk's outputs into the block's records.
-The interpolated receivers (`_Interpolated`) take r itself and step a
-block's runs together on stacked state (`adaptive.stack` and the
-`adaptive.*_steps` kernels), or one run at a time in a block narrower
-than STACK_MIN_RUNS.  The RAKE and partial-despreading baselines
+The interpolated receivers (`_Interpolated`) take r itself and run one
+symbol loop over groups of runs: a block's runs step together on stacked
+state (`adaptive.stack` and the `adaptive.*_steps` kernels), or, in a
+block narrower than STACK_MIN_RUNS, each run alone on its own state (the
+per-run steps).  The RAKE and partial-despreading baselines
 (`_Projected`) despread a chunk in one product and take its outputs as
 array products of their combiners.  `record` runs with numpy's overflow
 warnings off, so a diverged run reaches the trial's LinAlgError.  MSE
@@ -31,10 +32,9 @@ in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
 
 A campaign runs its runs in blocks, as many as BLOCK_BYTES of memory
 allows (`_block_width`).  A baseline block updates every run's combiner
-in one feedback loop per chunk, and an interpolated block steps every
-run's filters together per symbol, both on stacked state; an
-interpolated campaign too narrow to stack runs one run per block.  Each
-run's series equals its `run_trial` byte for byte.
+in one feedback loop per chunk, on stacked state; an interpolated
+campaign too narrow to stack runs one run per block.  Each run's series
+equals its `run_trial` byte for byte.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per run drives channel, symbols and noise in a fixed order, and the
@@ -505,6 +505,11 @@ def _pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
 # receivers and the trial loop
 # ---------------------------------------------------------------------------
 
+def _detects(x: np.ndarray) -> np.ndarray:
+    """`detect` of every entry of x."""
+    return np.where(x.real >= 0.0, 1.0, -1.0)
+
+
 class _Projected:
     """RAKE and partial-despreading baselines of a block of runs: a
     combiner w per run on y = proj^H r.
@@ -567,7 +572,7 @@ class _Projected:
         reference being b, or from n_tr on in decision-directed mode the
         decision on x.  One run steps through the unstacked kernels, where
         stacked state costs more per symbol than it saves; several step
-        together through their stacked form (`adaptive.rls_updates`).
+        together through their stacked form (`adaptive._rls_filters`).
         """
         cfg = self.cfg
         runs, size = bs.shape
@@ -613,30 +618,28 @@ class _Projected:
             self.p_inv = p[None]
 
     def _feedback(self, ws, ys, bs, directed: int) -> None:
-        """The pd feedback loop of several runs on stacked state, in the
-        arithmetic order of `adaptive._gradient` and `adaptive._rls_filter`,
-        into their combiners ws."""
+        """The pd feedback loop of several runs on stacked state, into their
+        combiners ws: pd-lms in the arithmetic order of `adaptive._gradient`,
+        pd-rls through `adaptive._rls_filters`."""
         cfg = self.cfg
         w = self.w
         p = self.p_inv if cfg.algorithm == "pd-rls" else None
         if p is None and cfg.normalized_steps:
-            # the steps mu0 / ||y||^2 of the chunk; a vanishing ||y||^2 skips one
+            # the steps mu0 / ||y||^2 of the chunk; a vanishing ||y||^2 skips
+            # one, and divides by nothing
             den = _vdots(ys, ys).real
-            skip, steps = den <= adaptive._TINY, cfg.mu0 / den
+            skip = den <= adaptive._TINY
+            steps = np.divide(cfg.mu0, den, out=np.zeros_like(den), where=~skip)
             skipping = skip.any()
         ycols = ys[..., None]
         for k in range(bs.shape[1]):
             # x = _vdots(w, y)
             x = (w.conj()[:, None, :] @ ycols[:, k])[:, 0, 0]
-            ref = np.where(x.real >= 0.0, 1.0, -1.0) if k >= directed else bs[:, k]
+            ref = _detects(x) if k >= directed else bs[:, k]
             ce = np.conj(ref - x)
             if p is not None:
-                p, gain, broke = adaptive.rls_updates(p, ys[:, k], cfg.alpha, cfg.delta)
-                moved = w + gain * ce[:, None]
-                if broke.size:   # a broken-down run's w stays
-                    moved[broke] = w[broke]
-                    self.breakdowns[broke] += 1
-                w = moved
+                p, w = adaptive._rls_filters(p, w, ys[:, k], ce, cfg.alpha, cfg.delta,
+                                             self.breakdowns)
             elif cfg.normalized_steps:
                 moved = w + (steps[:, k] * ce)[:, None] * ys[:, k]
                 w = np.where(skip[:, k, None], w, moved) if skipping else moved
@@ -649,10 +652,11 @@ class _Projected:
 
 def _state(cfg: ScenarioConfig, link: _Link):
     """(state, tracker) of an interpolated receiver (`lms`, `rls`, `cmv-sg`
-    or `cmv-rls`) on one run's link: the state its `adaptive.make_*`
-    factory makes, and the channel tracker of a blind run whose channel is
-    not known (`known_channel` false), else None.  The link is read here
-    only, for its code and initial gains."""
+    or `cmv-rls`) on one run's link, which `_Interpolated` steps alone or
+    stacked with its block's: the state its `adaptive.make_*` factory
+    makes, and the channel tracker of a blind run whose channel is not
+    known (`known_channel` false), else None.  The link is read here only,
+    for its code and initial gains."""
     dec = make_decimation(cfg.m, cfg.l)
     v0 = _interpolator_init(cfg)
     if cfg.algorithm == "lms":
@@ -668,31 +672,6 @@ def _state(cfg: ScenarioConfig, link: _Link):
         st = adaptive.make_blind_rls(cons, v0, alpha=cfg.alpha, delta=cfg.delta)
     tracker = None if cfg.known_channel else adaptive.SgChannelTracker(cons.c, alpha=cfg.alpha)
     return st, tracker
-
-
-def _receiver(cfg: ScenarioConfig, link: _Link):
-    """(output, adapt, state) of an interpolated receiver on one run's
-    link (see `_state`), stepping one run at a time.  It takes the
-    received vectors r themselves.  `output(r)` applies the current
-    receiver to a row and `adapt(r, d, g)` runs one adaptive step with
-    reference symbol d (the blind steps ignore it) on a symbol with
-    channel gains g.  A blind step takes g each symbol when the known
-    channel fades, and the tracker's estimate, updated on r, each symbol
-    when the channel is not known.  `state` serves the phase alignment
-    and carries the RLS breakdowns.
-    """
-    st, tracker = _state(cfg, link)
-    adapt_v = not cfg.freeze_interpolator
-    step = getattr(adaptive, cfg.algorithm.replace("-", "_") + "_step")
-    if cfg.mode != "blind":
-        adapt = lambda r, d, g: step(st, r, d, adapt_v=adapt_v)
-    elif tracker is not None:
-        adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=tracker.update(r))
-    elif cfg.f_dt > 0:
-        adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v, g=g)
-    else:
-        adapt = lambda r, d, g: step(st, r, adapt_v=adapt_v)
-    return (lambda r: receiver_output(st, r)), adapt, st
 
 
 def _align_phase(x: complex, g_hat: np.ndarray, g_true: np.ndarray) -> complex:
@@ -722,34 +701,40 @@ def _align_phases(x: np.ndarray, g_hat: np.ndarray, g_true: np.ndarray) -> np.nd
     return np.where((hat_mod < 1e-12) | (true_mod < 1e-12), x, _cmul(x, np.conj(rot)))
 
 
-# An interpolated block of at least this many runs steps them together on
-# stacked state (`adaptive.stack`); a narrower one steps each run alone.
-# A stacked symbol pays its numpy calls once for the block, but its four
-# `build_re_matrix` calls per run and its larger arrays cost more per call.
-# Against one run at a time, blocks of 1 / 2 / 3 / 4 runs of 400 symbols
-# ran (median of 15 interleaved pairs, CPU time, 2-vCPU host): lms
-# x0.54 / x0.89 / x1.17 / x1.35, rls x0.62 / x1.03 / x1.34 / x1.67, cmv-sg
-# x0.44 / x0.80 / x0.98 / x1.28, cmv-rls x0.62 / x1.08 / x1.43 / x1.70.
+def _each_output(state, rows) -> tuple:
+    """`receiver_output` of one run's state on its rows r and r_des, a call each."""
+    return receiver_output(state, rows[0]), receiver_output(state, rows[1])
+
+
+# An interpolated block of at least this many runs steps them as one group
+# on stacked state (`adaptive.stack`); a narrower one steps each run as a
+# group of its own, on its own state.  A stacked symbol pays its numpy calls
+# once for the group, but its four `build_re_matrix` calls per run and its
+# larger arrays cost more per call.  Against one run at a time, blocks of
+# 1 / 2 / 3 / 4 runs of 400 symbols ran (median of 15 interleaved pairs,
+# CPU time, 2-vCPU host): lms x0.54 / x0.89 / x1.17 / x1.35, rls x0.62 /
+# x1.03 / x1.34 / x1.67, cmv-sg x0.44 / x0.80 / x0.98 / x1.28, cmv-rls
+# x0.62 / x1.08 / x1.43 / x1.70.
 STACK_MIN_RUNS = 4
 
 
 class _Interpolated:
     """The interpolated receivers of a block of runs, with the calls of
-    `_Projected`: `despread` passes r through, and `record` steps the
-    runs over a chunk, together on stacked state from STACK_MIN_RUNS
-    runs on, else one `_receiver` at a time.  Either way each run's
-    state is the one its `adaptive.make_*` factory made, and holds its
-    filters and breakdowns between chunks."""
+    `_Projected`: `despread` passes r through, and `record` steps the runs
+    over a chunk in one symbol loop, a group of runs at a time.  A block of
+    STACK_MIN_RUNS runs or more is one group, stepped on a stack of its
+    runs' states with the forms that take a row per run (`*_steps`,
+    `receiver_outputs`, ...); a narrower one is a group per run, stepped on
+    the run's own state with the per-run forms (`*_step`, `receiver_output`,
+    ...).  Each run's state is the one `_state` made, and holds its filters
+    and breakdowns between chunks."""
 
     def __init__(self, cfg: ScenarioConfig, links):
         self.cfg = cfg
         self.dim = cfg.m
-        self.stacked = len(links) >= STACK_MIN_RUNS
-        if self.stacked:
-            self.states, self.trackers = zip(*(_state(cfg, link) for link in links))
-        else:
-            self.receivers = [_receiver(cfg, link) for link in links]
-            self.states = [st for _, _, st in self.receivers]
+        self.states, self.trackers = zip(*(_state(cfg, link) for link in links))
+        # a group is one run's index, or a slice of every run of the block
+        self.groups = [slice(None)] if len(links) >= STACK_MIN_RUNS else range(len(links))
 
     despread = staticmethod(np.asarray)   # the rows are r itself
 
@@ -759,55 +744,57 @@ class _Interpolated:
 
     def record(self, rec: np.ndarray, ys: np.ndarray, bs: np.ndarray, gs, first: int) -> None:
         """As `_Projected.record` on r and r_des themselves, `gs` holding each
-        run's gains."""
+        run's gains.  Each pair of forms takes the same arguments, so a
+        group binds its pair once per chunk and the symbol loop is one."""
         cfg = self.cfg
+        size = bs.shape[1]
         # the chunk offset from which decisions are the reference
-        directed = cfg.n_tr - first if cfg.mode == "decision-directed" else bs.shape[1]
-        if self.stacked:
-            self._record_stacked(rec, ys, bs, gs, directed)
-            return
-        tracking = cfg.mode == "blind" and not cfg.known_channel
-        for k, (output, adapt, st) in enumerate(self.receivers):
-            # a run's records are gathered in lists and written once
-            xs, outs, outs_des = [], [], []
-            for j, (r, b, r_des, g) in enumerate(zip(ys[0, k], bs[k], ys[1, k], gs[k])):
-                x = output(r)
-                if tracking:
-                    x = _align_phase(x, st.g_hat, g)
-                d = detect(x)   # each symbol: the traced benchmark dates a trial's loop by it
-                adapt(r, d if j >= directed else b, g)
-                xs.append(x)
-                outs.append(output(r))
-                outs_des.append(output(r_des))
-            rec[:, k] = xs, outs, outs_des
-
-    def _record_stacked(self, rec, ys, bs, gs, directed: int) -> None:
-        """`record` of the runs together: per symbol, the same calls as
-        `_receiver`'s on every run at once (`adaptive.*_steps`,
-        `receiver_outputs`, `_align_phases`)."""
-        cfg = self.cfg
-        s = adaptive.stack(self.states)
-        tracker = None if self.trackers[0] is None else adaptive.stack(self.trackers)
-        gains = np.stack(gs) if tracker is not None or cfg.f_dt > 0 else None
+        directed = cfg.n_tr - first if cfg.mode == "decision-directed" else size
+        blind, faded = cfg.mode == "blind", cfg.f_dt > 0
         adapt_v = not cfg.freeze_interpolator
-        step = getattr(adaptive, cfg.algorithm.replace("-", "_") + "_steps")
-        for j in range(bs.shape[1]):
-            rs = ys[0, :, j]
-            x = receiver_outputs(s, rs)
-            if tracker is not None:
-                x = _align_phases(x, s.g_hat, gains[:, j])
-            if cfg.mode != "blind":
-                ref = np.where(x.real >= 0.0, 1.0, -1.0) if j >= directed else bs[:, j]
-                step(s, rs, ref, adapt_v=adapt_v)
-            elif tracker is not None:
-                step(s, rs, adapt_v=adapt_v, g=tracker.updates(rs))
+        name = cfg.algorithm.replace("-", "_")
+        for group in self.groups:
+            # the forms are bound here, so that a tracer of public calls sees them
+            one = not isinstance(group, slice)
+            if one:
+                s, tracker = self.states[group], self.trackers[group]
+                output, align, decide, after = receiver_output, _align_phase, detect, _each_output
+                gains = gs[group]
+                rows_of = zip(ys[0, group], ys[1, group])   # per symbol: the pair r, r_des
             else:
-                step(s, rs, adapt_v=adapt_v, g=gains[:, j] if cfg.f_dt > 0 else None)
-            rec[0, :, j] = x
-            rec[1:, :, j] = receiver_outputs(s, ys[:, :, j])
-        adaptive.unstack(s, self.states)
-        if tracker is not None:
-            adaptive.unstack(tracker, self.trackers)
+                s = adaptive.stack(self.states)
+                tracker = self.trackers[0] and adaptive.stack(self.trackers)
+                output, align, decide, after = (receiver_outputs, _align_phases, _detects,
+                                                receiver_outputs)
+                gains = np.stack(gs, axis=1) if tracker or faded else None
+                rows_of = np.moveaxis(ys, -2, 0)   # per symbol: r and r_des of every run
+            plural = "" if one else "s"   # lms_step or lms_steps, update or updates
+            step = getattr(adaptive, f"{name}_step{plural}")
+            track = tracker and getattr(tracker, "update" + plural)
+            # a group's records are gathered in lists and written once
+            xs, outs = [], []
+            for j, (rows, b) in enumerate(zip(rows_of, bs[group].T)):
+                r = rows[0]
+                x = output(s, r)
+                if track:
+                    x = align(x, s.g_hat, gains[j])
+                # a one-run group decides each symbol: the traced benchmark
+                # dates a trial's loop by it
+                d = decide(x) if one or j >= directed else None
+                if not blind:
+                    step(s, r, d if j >= directed else b, adapt_v=adapt_v)
+                else:
+                    step(s, r, adapt_v=adapt_v,
+                         g=track(r) if track else gains[j] if faded else None)
+                xs.append(x)
+                outs.append(after(s, rows))
+            # symbols last, as in rec
+            rec[0, group] = np.moveaxis(np.array(xs), 0, -1)
+            rec[1:, group] = np.moveaxis(np.array(outs), 0, -1)
+            if not one:
+                adaptive.unstack(s, self.states)
+                if tracker:
+                    adaptive.unstack(tracker, self.trackers)
 
 
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
@@ -882,7 +869,7 @@ def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, rec: np.ndarray,
         raise np.linalg.LinAlgError(f"run seed {seeds[k]} diverged: the squared error or "
                                     f"output power of symbol {np.argmin(finite[k])} is not "
                                     f"finite")
-    wrong = np.where(x.real >= 0.0, 1.0, -1.0) != desired
+    wrong = _detects(x) != desired
     wrong[:, :first] = False
     ber = np.cumsum(wrong, axis=1) / np.maximum(np.arange(t) - first + 1, 1)
     sinr_db = _sinr_db(p_des, p_rest)

@@ -6,9 +6,10 @@ code paths.  The exception is `per_symbol_trial`: it drives the
 package's link and receivers through the trial loop as it ran before
 noise, fading gains and received vectors were taken a chunk at a time
 and metering moved after the loop; each symbol's vectors pass through
-the baselines' despreading as one-row chunks, and the RAKE's and the
+the baselines' despreading as one-row chunks, the RAKE's and the
 partial-despreading baselines' combiners are updated symbol by symbol
-(`PerSymbolRake`, `PerSymbolPd`).
+(`PerSymbolRake`, `PerSymbolPd`), and the interpolated receivers step
+through their per-run steps (`PerSymbolInterpolated`).
 """
 
 import functools
@@ -16,7 +17,7 @@ import functools
 import numpy as np
 
 from ifir_cdma import adaptive, harness
-from ifir_cdma.interpolation import detect
+from ifir_cdma.interpolation import detect, receiver_output
 
 
 def lfsr_bits(poly_mask: int, degree: int) -> np.ndarray:
@@ -338,7 +339,8 @@ class PerSymbolRake:
 
     It takes the despreading and the Gram inverse of a one-run harness
     `_Projected` and adds each training symbol's conj(b) y to a running
-    sum; `output` and `adapt` have the shape of `harness._receiver`'s.
+    sum; `output(y)` takes the combiner's output and `adapt(y, d, g)` adapts
+    it with reference symbol d on a symbol with channel gains g.
     """
 
     def __init__(self, rx, n_tr):
@@ -366,7 +368,7 @@ class PerSymbolPd:
 
     It starts from a one-run harness `_Projected`'s w and inverse covariance
     and updates them with the package's kernels; `output` and `adapt`
-    have the shape of `harness._receiver`'s (`adapt` ignores the gains).
+    have the shape of `PerSymbolRake`'s (`adapt` ignores the gains).
     """
 
     def __init__(self, rx):
@@ -389,6 +391,32 @@ class PerSymbolPd:
             self.w = adaptive._gradient(self.w, y, ce, cfg.mu0, cfg.normalized_steps)
 
 
+class PerSymbolInterpolated:
+    """An interpolated receiver stepped one symbol at a time: the state and
+    channel tracker `harness._state` makes, adapted by the algorithm's
+    per-run step; `output` and `adapt` have the shape of `PerSymbolRake`'s.
+    A blind step takes the tracker's estimate, updated on r, when the
+    channel is not known, and g when the known channel fades."""
+
+    def __init__(self, cfg, link):
+        self.cfg = cfg
+        self.state, self.tracker = harness._state(cfg, link)
+        self.step = getattr(adaptive, cfg.algorithm.replace("-", "_") + "_step")
+
+    def output(self, r):
+        return receiver_output(self.state, r)
+
+    def adapt(self, r, d, g):
+        cfg = self.cfg
+        adapt_v = not cfg.freeze_interpolator
+        if cfg.mode != "blind":
+            self.step(self.state, r, d, adapt_v=adapt_v)
+        elif self.tracker is not None:
+            self.step(self.state, r, adapt_v=adapt_v, g=self.tracker.update(r))
+        else:
+            self.step(self.state, r, adapt_v=adapt_v, g=g if cfg.f_dt > 0 else None)
+
+
 def per_symbol_trial(cfg, run_seed):
     """(mse, sinr_db, ber) of one seeded run, metered symbol by symbol."""
     cfg.validate()
@@ -399,8 +427,8 @@ def per_symbol_trial(cfg, run_seed):
         st = PerSymbolRake(rx, cfg.n_tr) if cfg.algorithm == "rake" else PerSymbolPd(rx)
         despread, output, adapt = rx.despread, st.output, st.adapt
     else:
-        output, adapt, st = harness._receiver(cfg, link)
-        despread = lambda rs: rs
+        st = PerSymbolInterpolated(cfg, link)
+        despread, output, adapt = np.asarray, st.output, st.adapt
     meter = SinrMeter()
     t = cfg.symbols
     mse = np.zeros(t)
@@ -414,7 +442,7 @@ def per_symbol_trial(cfg, run_seed):
         r, r_des = despread(r[None])[0], despread(r_des[None])[0]
         x = output(r)
         if tracking:
-            x = harness._align_phase(x, st.g_hat, link.channel.gains)
+            x = harness._align_phase(x, st.state.g_hat, link.channel.gains)
         bhat = detect(x)
         mse[i] = power(b - x)
         if i >= first:

@@ -58,6 +58,43 @@ def test_start_interpolator_fixes_n_i(alg):
     assert st.v.shape == (4,) and np.all(np.isfinite(st.v)) and np.all(np.isfinite(st.w))
 
 
+@pytest.mark.parametrize("alg", ("lms", "cmv-sg"))
+def test_fresh_stacked_steps_skip_rows_without_dividing(alg):
+    # three fresh runs stepped stacked, outside the harness's errstate: a
+    # fresh lms run has w = 0, so its u = 0 at the first step; run 1's
+    # first received vector is zero, so its regressors and its tracker's
+    # candidate vanish.  Those rows skip as the per-run steps do, with no
+    # division warning (the suite makes warnings errors), and every run
+    # equals its own step bit for bit
+    dec = make_decimation(36, 2)
+    cons = cmv.build_constraints(gen_gold_set(5, 1)[0], dec)
+    if alg == "lms":
+        make = lambda: adaptive.make_trained_sg(dec, impulse(3), 0.1, 0.05, normalized=True)
+    else:
+        make = lambda: adaptive.make_blind_sg(cons, impulse(3), 0.1, 0.05, normalized=True)
+    rng = np.random.default_rng(12)
+    rs = crandn(rng, 4, 3, 36)
+    rs[0, 1] = 0.0
+    bs = np.where(rng.random((4, 3)) < 0.5, -1.0, 1.0)
+    alone = [make() for _ in range(3)]
+    trackers = [adaptive.SgChannelTracker(cons.c, alpha=0.998) for _ in range(3)]
+    s, tracker = adaptive.stack([make() for _ in range(3)]), adaptive.stack(trackers)
+    for r, b in zip(rs, bs):
+        if alg == "lms":
+            adaptive.lms_steps(s, r, b)
+            for st, row, ref in zip(alone, r, b):
+                adaptive.lms_step(st, row, ref)
+        else:
+            adaptive.cmv_sg_steps(s, r, g=tracker.updates(r))
+            for st, t, row in zip(alone, trackers, r):
+                adaptive.cmv_sg_step(st, row, g=t.update(row))
+            for k, t in enumerate(trackers):
+                assert tracker.g_hat[k].tobytes() == t.g_hat.tobytes()
+        for k, st in enumerate(alone):
+            assert s.v[k].tobytes() == st.v.tobytes()
+            assert s.w[k].tobytes() == st.w.tobytes()
+
+
 class TestTrainedSg:
     def test_zero_error_freezes_state(self):
         dec = make_decimation(8, 2)

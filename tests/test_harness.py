@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import csv
 import importlib.util
@@ -8,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifir_cdma import adaptive, cmv, harness, signal_model
+from ifir_cdma import adaptive, cmv, harness, interpolation, signal_model
 from ifir_cdma.interpolation import build_re_matrix, detect
-from oracles import (PerSymbolPd, build_block_matrix, build_channel_matrix,
-                     link_step_per_symbol, per_symbol_trial, power, rake_combiners)
+from oracles import (PerSymbolInterpolated, PerSymbolPd, build_block_matrix,
+                     build_channel_matrix, link_step_per_symbol, per_symbol_trial, power,
+                     rake_combiners)
 
 # Recorded on a small seeded scenario (runs=2, symbols=400, seed=5, default
 # n_tr=200): summary() as (final_mse, final_sinr_db, final_ber), then
@@ -176,6 +178,26 @@ def test_pd_combiners_match_per_symbol_updates(alg, mode, n_tr):
         ws.extend(got[:-1])
         ys.extend(chunk_ys)
     assert detect(np.vdot(ws[n_tr], ys[n_tr])) == link.desired[n_tr]
+
+
+@pytest.mark.parametrize("alg", ("pd-lms", "pd-rls"))
+def test_pd_block_skips_a_zero_row_without_dividing(alg):
+    # row 100 of run 1 of a block of three is all zero: its normalised
+    # step is skipped with no division warning (the suite makes warnings
+    # errors), and every run's combiners equal its block of one's, byte
+    # for byte
+    cfg = scenario(alg, runs=3, symbols=200)
+    code = signal_model.gen_gold_set(cfg.gold_degree, 1)[0]
+    rng = np.random.default_rng(14)
+    shape = (3, 200, cfg.pd_rank)
+    ys = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ys[1, 100] = 0
+    bs = np.where(rng.random((3, 200)) < 0.5, -1.0, 1.0)
+    got = harness._Projected(cfg, code, 3).combiners(ys, bs, 0)
+    assert got[1, 101].tobytes() == got[1, 100].tobytes()
+    for k in range(3):
+        one = harness._Projected(cfg, code, 1).combiners(ys[k:k + 1], bs[k:k + 1], 0)
+        assert got[k].tobytes() == one[0].tobytes()
 
 
 @pytest.mark.parametrize("mu0, seeds, finite", ((0.5, [31, 1], 0), (0.07, [1, 3, 2], 1)))
@@ -384,6 +406,34 @@ def test_interpolated_block_keeps_its_runs_apart(alg, change, runs):
             assert got.metadata == expect.metadata
             for name in ("mse", "sinr_db", "ber"):
                 assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
+
+
+@pytest.mark.parametrize("runs", (1, 5))
+@pytest.mark.parametrize("alg", ("lms", "cmv-rls"))
+def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg, runs):
+    # the traced benchmark reads 4 Re builds per run and symbol, and dates
+    # a one-run trial's loop by its decisions: a block of one run and one
+    # of five, which steps its runs together, build Re 4 times per run and
+    # symbol, and the block of one calls detect once per symbol
+    counts = collections.Counter()
+    originals = {name: getattr(interpolation, name) for name in ("build_re_matrix", "detect")}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (interpolation, adaptive, harness):
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    cfg = scenario(alg, runs=runs, symbols=300, seed=4)
+    assert (runs >= harness.STACK_MIN_RUNS) == (runs == 5)
+    harness._run_block(cfg, campaign_seeds(cfg))
+    assert counts["build_re_matrix"] == 4 * runs * cfg.symbols
+    if runs == 1:
+        assert counts["detect"] == cfg.symbols
 
 
 @pytest.mark.parametrize("alg", ("lms", "cmv-sg"))
@@ -733,10 +783,11 @@ def test_known_channel_constraint_follows_fading(alg):
     # p = C g at 1 for each symbol's gains g, symbol by symbol, under fading
     cfg = scenario(alg, runs=1, symbols=300, f_dt=1e-3)
     link = harness._Link(cfg, np.random.default_rng(23))
-    _, adapt, st = harness._receiver(cfg, link)
+    rx = PerSymbolInterpolated(cfg, link)
+    st = rx.state
     c = cmv.shifted_signatures(link.codes[0], cfg.l_p)
     for r, b, _, g in link_symbols(link):
-        adapt(r, b, g)
+        rx.adapt(r, b, g)
         re_p = build_re_matrix(c @ g, cfg.n_i, st.dec)
         v, w = st.v, st.w
         assert abs(np.vdot(w, re_p.T @ v.conj()) - 1) <= 1e-9
