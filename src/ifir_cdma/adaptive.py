@@ -12,8 +12,8 @@ the trained one plus the one constraint on the channel-combined
 signature (see `cmv`).  `_gradient` is the one gradient update (blind, it
 takes reference 0 and projects back onto the constraint), `_rls_filter`
 the one trained RLS filter update and `rls_update` the one
-inverse-covariance update (`_rls_filters` and `rls_updates` are their
-forms on a stack of runs, which the harness's baseline blocks use too).
+inverse-covariance update; `_gradients`, `_rls_filters` (which returns a
+mask of breakdowns) and `rls_updates` are their forms on a stack of runs.
 Within a step the output and error are computed with the pre-update
 filters.  The trained steps update both filters from those same
 pre-update quantities (Jacobi ordering).  The blind steps take their
@@ -112,7 +112,7 @@ def rls_updates(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     """
     px = p @ x[:, :, None]
     denom = (x.conj()[:, None, :] @ px)[:, 0, 0].real + alpha
-    broke = np.flatnonzero(denom <= 0)
+    broke = (denom <= 0).nonzero()[0]   # np.flatnonzero, less its ~1 us of wrapping
     if broke.size:
         denom[broke] = 1.0
     gain = px / denom[:, None, None]
@@ -414,7 +414,8 @@ def unstack(s, states: list) -> None:
 
 
 def _gradients(f, x, ce, step0: float, normalized: bool, a=None) -> np.ndarray:
-    """`_gradient` of every run: f, x and a hold a row per run, ce one entry."""
+    """`_gradient` of every run: f, x and a hold a row per run, ce an entry;
+    an unnormalised step0 may hold one too."""
     if a is None:
         if normalized:
             den = _vdots(x, x).real
@@ -473,20 +474,21 @@ def cmv_sg_steps(s: SgState, rs: np.ndarray, adapt_v: bool = True, g=None) -> No
     _sg_steps(s, rs, None, adapt_v)
 
 
-def _rls_filters(p, f, x, ce, alpha: float, delta: float, breakdowns: np.ndarray, live=None):
-    """`_rls_filter` of every run, adding each run's breakdown to its entry
-    of the int array `breakdowns`.  Runs outside the mask `live` keep p and
-    f and count nothing.  Returns the new p and f."""
+def _rls_filters(p, f, x, ce, alpha: float, delta: float, live=None):
+    """`_rls_filter` of every run.  Runs outside the mask `live` keep p and
+    f.  Returns the new p, the new f and a mask of the runs whose p broke
+    down (f then stays)."""
     moved_p, gain, broke = rls_updates(p, x, alpha, delta)
     moved = f + gain * ce[:, None]
+    mask = np.zeros(len(f), dtype=bool)
+    if broke.size:   # a broken-down run's f stays
+        mask[broke] = True
+        moved[broke] = f[broke]
     if live is not None and not live.all():
         moved_p[~live] = p[~live]
         moved[~live] = f[~live]
-        broke = broke[live[broke]]
-    if broke.size:   # a broken-down run's f stays
-        moved[broke] = f[broke]
-        breakdowns[broke] += 1
-    return moved_p, moved
+        mask &= live
+    return moved_p, moved, mask
 
 
 def rls_steps(s: RlsState, rs: np.ndarray, b: np.ndarray, adapt_v: bool = True) -> np.ndarray:
@@ -496,10 +498,12 @@ def rls_steps(s: RlsState, rs: np.ndarray, b: np.ndarray, adapt_v: bool = True) 
     rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
     xi = b - _vdots(s.w, rbar)
     cxi = np.conj(xi)
-    s.p, s.w = _rls_filters(s.p, s.w, rbar, cxi, s.alpha, s.delta, s.breakdowns)
+    s.p, s.w, broke = _rls_filters(s.p, s.w, rbar, cxi, s.alpha, s.delta)
+    s.breakdowns += broke
     if adapt_v:
-        s.p_u, s.v = _rls_filters(s.p_u, s.v, u, cxi, s.alpha, s.delta, s.breakdowns,
-                                  live=_vdots(u, u).real > _TINY)
+        s.p_u, s.v, broke = _rls_filters(s.p_u, s.v, u, cxi, s.alpha, s.delta,
+                                         live=_vdots(u, u).real > _TINY)
+        s.breakdowns += broke
     return xi
 
 

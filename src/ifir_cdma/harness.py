@@ -31,10 +31,10 @@ and BER (a-priori) and SINR (a-posteriori) are metered from the records
 in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
 
 A campaign runs its runs in blocks, as many as BLOCK_BYTES of memory
-allows (`_block_width`).  A baseline block updates every run's combiner
-in one feedback loop per chunk, on stacked state; an interpolated
-campaign too narrow to stack runs one run per block.  Each run's series
-equals its `run_trial` byte for byte.
+allows (`_block_width`).  A pd block runs one decision-feedback loop per
+chunk, on a lone run's combiner or on every run's, stacked; an
+interpolated campaign too narrow to stack runs one run per block.  Each
+run's series equals its `run_trial` byte for byte.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per run drives channel, symbols and noise in a fixed order, and the
@@ -506,7 +506,8 @@ def _pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _detects(x: np.ndarray) -> np.ndarray:
-    """`detect` of every entry of x."""
+    """`detect` of every entry of x.  On a symbol loop's few entries np.where
+    costs less than the equal (x.real >= 0.0) * 2.0 - 1.0."""
     return np.where(x.real >= 0.0, 1.0, -1.0)
 
 
@@ -519,9 +520,9 @@ class _Projected:
     shifted signatures C is inverted once.  It trains on the transmitted
     symbols in either trained mode and then freezes, so it feeds no
     decision back.  pd-lms and pd-rls adapt w with the kernels of `lms`
-    and `rls` on the filter alone: `adaptive._gradient` (normalised by
-    ||y||^2 under `normalized_steps`) and `adaptive._rls_filter` on the
-    inverse covariance `p_inv`, counting breakdowns in `breakdowns`.
+    and `rls` on the filter alone: `adaptive._gradient` with the step mu0,
+    or mu0 / ||y||^2 under `normalized_steps`, and `adaptive._rls_filter`
+    on the inverse covariance `p_inv`, counting breakdowns in `breakdowns`.
     The runs share the desired user's code, so they share the projection
     and G; each holds its own state along the first axis of `w`
     (runs x d), `p_inv` (runs x d x d), RAKE's running sum `acc`
@@ -570,9 +571,9 @@ class _Projected:
         `_matvecs` and `_vdots`.  pd baselines: a decision-feedback loop
         that takes x = w^H y and adapts w with the error ref - x, the
         reference being b, or from n_tr on in decision-directed mode the
-        decision on x.  One run steps through the unstacked kernels, where
-        stacked state costs more per symbol than it saves; several step
-        together through their stacked form (`adaptive._rls_filters`).
+        decision on x (`_feedback`).  One run steps on the per-run kernels,
+        where stacked state costs more per symbol than it saves; several step
+        together on their stacked forms.
         """
         cfg = self.cfg
         runs, size = bs.shape
@@ -592,62 +593,51 @@ class _Projected:
         else:
             # the chunk offset from which decisions are the reference
             directed = cfg.n_tr - first if cfg.mode == "decision-directed" else size
-            feedback = self._feedback_one if runs == 1 else self._feedback
-            feedback(ws, ys, bs, directed)
+            self._feedback(ws, ys, bs, directed)
         self.w = ws[:, -1].copy()
         return ws
 
-    def _feedback_one(self, ws, ys, bs, directed: int) -> None:
-        """The pd feedback loop of a block of one run, into its combiners ws."""
+    def _feedback(self, ws, ys, bs, directed: int) -> None:
+        """The pd decision-feedback loop of a chunk, into the runs' combiners
+        ws.  Its forms are bound once by width: a lone run's `np.vdot`,
+        `detect`, `adaptive._gradient` and `_rls_filter`, or their forms on a
+        row per run.  pd-lms takes the chunk's steps at once: mu0, or under
+        `normalized_steps` mu0 / ||y||^2, 0 where ||y||^2 vanishes (w holds no
+        -0.0, so w + 0 is w bit for bit)."""
         cfg = self.cfg
         rls = cfg.algorithm == "pd-rls"
-        w, ws = self.w[0], ws[0]
-        p = self.p_inv[0] if rls else None
+        one = len(bs) == 1
+        if one:
+            w, p = self.w[0], self.p_inv[0]
+            output, decide = np.vdot, detect
+            gradient, rls_filter = adaptive._gradient, adaptive._rls_filter
+            rows, refs, out = ys[0], bs[0].tolist(), ws[0, 1:]
+        else:
+            w, p = self.w, self.p_inv
+            output, decide = _vdots, _detects
+            gradient, rls_filter = adaptive._gradients, adaptive._rls_filters
+            # per symbol: every run's row, reference and combiner
+            rows, refs, out = np.moveaxis(ys, 1, 0), bs.T, np.moveaxis(ws[:, 1:], 1, 0)
+        if not rls:
+            if cfg.normalized_steps:
+                den = _vdots(ys, ys).real
+                steps = np.divide(cfg.mu0, den, out=np.zeros_like(den), where=den > adaptive._TINY)
+            else:
+                steps = np.full(bs.shape, cfg.mu0)
+            steps = steps[0].tolist() if one else steps.T
         breakdowns = 0
-        for k, (y, b) in enumerate(zip(ys[0], bs[0].tolist())):
-            x = complex(np.vdot(w, y))
-            ce = np.conj((detect(x) if k >= directed else b) - x)
+        for k, (y, b) in enumerate(zip(rows, refs)):
+            x = output(w, y)
+            ce = np.conj((decide(x) if k >= directed else b) - x)
             if rls:
-                p, w, broke = adaptive._rls_filter(p, w, y, ce, cfg.alpha, cfg.delta)
+                p, w, broke = rls_filter(p, w, y, ce, cfg.alpha, cfg.delta)
                 breakdowns += broke
             else:
-                w = adaptive._gradient(w, y, ce, cfg.mu0, cfg.normalized_steps)
-            ws[k + 1] = w
-        self.breakdowns[0] += breakdowns
+                w = gradient(w, y, ce, steps[k], False)
+            out[k] = w
+        self.breakdowns += breakdowns
         if rls:
-            self.p_inv = p[None]
-
-    def _feedback(self, ws, ys, bs, directed: int) -> None:
-        """The pd feedback loop of several runs on stacked state, into their
-        combiners ws: pd-lms in the arithmetic order of `adaptive._gradient`,
-        pd-rls through `adaptive._rls_filters`."""
-        cfg = self.cfg
-        w = self.w
-        p = self.p_inv if cfg.algorithm == "pd-rls" else None
-        if p is None and cfg.normalized_steps:
-            # the steps mu0 / ||y||^2 of the chunk; a vanishing ||y||^2 skips
-            # one, and divides by nothing
-            den = _vdots(ys, ys).real
-            skip = den <= adaptive._TINY
-            steps = np.divide(cfg.mu0, den, out=np.zeros_like(den), where=~skip)
-            skipping = skip.any()
-        ycols = ys[..., None]
-        for k in range(bs.shape[1]):
-            # x = _vdots(w, y)
-            x = (w.conj()[:, None, :] @ ycols[:, k])[:, 0, 0]
-            ref = _detects(x) if k >= directed else bs[:, k]
-            ce = np.conj(ref - x)
-            if p is not None:
-                p, w = adaptive._rls_filters(p, w, ys[:, k], ce, cfg.alpha, cfg.delta,
-                                             self.breakdowns)
-            elif cfg.normalized_steps:
-                moved = w + (steps[:, k] * ce)[:, None] * ys[:, k]
-                w = np.where(skip[:, k, None], w, moved) if skipping else moved
-            else:
-                w = w + (cfg.mu0 * ce)[:, None] * ys[:, k]
-            ws[:, k + 1] = w
-        if p is not None:
-            self.p_inv = p
+            self.p_inv[:] = p
 
 
 def _state(cfg: ScenarioConfig, link: _Link):

@@ -197,6 +197,40 @@ class TestTrainedRls:
             assert got_p[k].tobytes() == expect_p.tobytes()
             assert gain[k].tobytes() == expect_gain.tobytes()
 
+    def test_stacked_filter_update_matches_per_run_bit_for_bit(self):
+        # four runs: run 1's p is -I, so it breaks down; runs 2 and 3 are
+        # outside `live`, run 3 with a p that would break down.  The live
+        # runs take _rls_filter's p, f and breakdown to the bit; the others
+        # keep p and f and report no breakdown
+        rng = np.random.default_rng(10)
+        d, alpha, delta = 5, 0.998, 50.0
+        xs, fs = 3.0 * crandn(rng, 4, d), crandn(rng, 4, d)
+        ce = crandn(rng, 4)
+        ps = np.empty((4, d, d), dtype=complex)
+        for k in (0, 2):
+            q = crandn(rng, d, d)
+            ps[k] = np.linalg.inv(np.eye(d) + q @ q.conj().T)
+        ps[1] = ps[3] = -np.eye(d)
+        live = np.array([True, True, False, False])
+        got_p, got_f, broke = adaptive._rls_filters(ps, fs, xs, ce, alpha, delta, live=live)
+        assert broke.dtype == bool and broke.tolist() == [False, True, False, False]
+        for k in (0, 1):
+            expect_p, expect_f, expect_broke = adaptive._rls_filter(ps[k], fs[k], xs[k], ce[k],
+                                                                    alpha, delta)
+            assert got_p[k].tobytes() == expect_p.tobytes()
+            assert got_f[k].tobytes() == expect_f.tobytes()
+            assert broke[k] == expect_broke
+        for k in (2, 3):
+            assert got_p[k].tobytes() == ps[k].tobytes()
+            assert got_f[k].tobytes() == fs[k].tobytes()
+        # without `live` every run updates, run 3 breaking down too
+        got_p, got_f, broke = adaptive._rls_filters(ps, fs, xs, ce, alpha, delta)
+        assert broke.tolist() == [False, True, False, True]
+        for k in range(4):
+            expect_p, expect_f, _ = adaptive._rls_filter(ps[k], fs[k], xs[k], ce[k], alpha, delta)
+            assert got_p[k].tobytes() == expect_p.tobytes()
+            assert got_f[k].tobytes() == expect_f.tobytes()
+
     def test_inverse_tracks_accumulated_covariance(self):
         cfg = scenario(200)
         rs, bs = collect(cfg, 4)

@@ -151,17 +151,20 @@ def per_symbol_combiners(rx, ys, bs, first):
     return np.array(ws), st.breakdowns
 
 
-@pytest.mark.parametrize("alg", ("pd-lms", "pd-rls"))
+@pytest.mark.parametrize("alg, change", (("pd-lms", {}), ("pd-rls", {}),
+                                         ("pd-lms", {"normalized_steps": False, "mu0": 0.01})),
+                         ids=("pd-lms", "pd-rls", "pd-lms-unnormalized"))
 @pytest.mark.parametrize("mode, n_tr", [("training", 300)] + [
     ("decision-directed", n) for n in (harness.NOISE_CHUNK - 1, harness.NOISE_CHUNK,
                                        harness.NOISE_CHUNK + 1)])
-def test_pd_combiners_match_per_symbol_updates(alg, mode, n_tr):
+def test_pd_combiners_match_per_symbol_updates(alg, change, mode, n_tr):
     # Chunk by chunk against oracles.PerSymbolPd, byte for byte.  Row 100
     # of each chunk is all zero, which leaves w where it is: the
-    # normalised gradient step is skipped, and the RLS gain is zero.  The
-    # symbols from n_tr on are handed in negated, so the trained
-    # combiner's decisions differ from them where the reference switches.
-    cfg = scenario(alg, runs=1, symbols=2 * harness.NOISE_CHUNK, mode=mode, n_tr=n_tr)
+    # normalised gradient step is skipped, the unnormalised one adds
+    # zero, and the RLS gain is zero.  The symbols from n_tr on are
+    # handed in negated, so the trained combiner's decisions differ from
+    # them where the reference switches.
+    cfg = scenario(alg, runs=1, symbols=2 * harness.NOISE_CHUNK, mode=mode, n_tr=n_tr, **change)
     link = harness._Link(cfg, np.random.default_rng(12))
     rx = harness._Projected(cfg, link.codes[0], 1)
     ws, ys = [], []
