@@ -25,10 +25,11 @@ error, the blind steps nothing.  Every step takes `adapt_v`; with it
 false the interpolator v stays where it is and only w adapts.
 
 Each step also has a form on a block of runs (`lms_steps`, `rls_steps`,
-`cmv_sg_steps`, `cmv_rls_steps`), which takes one received vector per
-run and the runs' states stacked along a leading axis (`stack`); the
-harness's interpolated blocks use them.  Each run's arrays equal what
-its own step makes of them, bit for bit.
+`cmv_sg_steps`, `cmv_rls_steps`), which takes the runs' states stacked
+along a leading axis (`stack`) and the segment matrix Re of one received
+vector per run; the harness's interpolated blocks gather every run's Re
+once per symbol for them.  Each run's arrays equal what its own step
+makes of them, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .cmv import ConstraintSet
 from .interpolation import (DecimationOperator, ReceiverState, _cmul, _matvecs, _powers,
-                            _segment_matrices, _vdots, build_re_matrix, impulse)
+                            _vdots, build_re_matrix, impulse)
 
 _TINY = 1e-30
 # Below this fraction of x^H x, x^H Pi x is rounding noise, not a direction
@@ -380,11 +381,12 @@ def cmv_rls_step(s: RlsState, r: np.ndarray, adapt_v: bool = True,
 # ---------------------------------------------------------------------------
 # The steps of a block of runs taken together: `stack` gives the runs'
 # states (or channel trackers) one leading run axis, and the `*_steps`
-# kernels take one received vector per run.  Each builds every run's Re
-# with `build_re_matrix` and keeps the arithmetic order of its per-run
-# step, so each run's arrays equal what that step makes of its own state,
-# bit for bit: the batched products are `_matvecs` and `_vdots`, a modulus
-# squared is `_powers` and a product of two complex scalars `_cmul`.
+# kernels take one segment matrix Re per run, which they build none of: the
+# caller gathers every run's at once (`_segment_matrices`).  Each keeps the
+# arithmetic order of its per-run step, so each run's arrays equal what that
+# step makes of its own state, bit for bit: the batched products are
+# `_matvecs` and `_vdots`, a modulus squared is `_powers` and a product of
+# two complex scalars `_cmul`.
 
 _RUN_ARRAYS = ("v", "w", "p", "p_u", "g_hat", "re_p", "v_acc")
 
@@ -446,9 +448,8 @@ def _constrains(s, g) -> None:
         s.re_p = _matvecs(s.segs, s.g_hat).reshape(len(s.g_hat), s.n_i, -1)
 
 
-def _sg_steps(s: SgState, rs: np.ndarray, b, adapt_v: bool) -> np.ndarray:
+def _sg_steps(s: SgState, res: np.ndarray, b, adapt_v: bool) -> np.ndarray:
     """`_sg_step` of every run, b holding a reference per run (None when blind)."""
-    res = _segment_matrices(rs, s.n_i, s.dec)
     wc = s.w.conj()
     rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
     x = _vdots(s.w, rbar)
@@ -463,15 +464,15 @@ def _sg_steps(s: SgState, rs: np.ndarray, b, adapt_v: bool) -> np.ndarray:
     return e
 
 
-def lms_steps(s: SgState, rs: np.ndarray, b: np.ndarray, adapt_v: bool = True) -> np.ndarray:
+def lms_steps(s: SgState, res: np.ndarray, b: np.ndarray, adapt_v: bool = True) -> np.ndarray:
     """`lms_step` of every run of a stacked state; returns the a-priori errors."""
-    return _sg_steps(s, rs, b, adapt_v)
+    return _sg_steps(s, res, b, adapt_v)
 
 
-def cmv_sg_steps(s: SgState, rs: np.ndarray, adapt_v: bool = True, g=None) -> None:
+def cmv_sg_steps(s: SgState, res: np.ndarray, adapt_v: bool = True, g=None) -> None:
     """`cmv_sg_step` of every run of a stacked state, g a row per run or None."""
     _constrains(s, g)
-    _sg_steps(s, rs, None, adapt_v)
+    _sg_steps(s, res, None, adapt_v)
 
 
 def _rls_filters(p, f, x, ce, alpha: float, delta: float, live=None):
@@ -491,9 +492,8 @@ def _rls_filters(p, f, x, ce, alpha: float, delta: float, live=None):
     return moved_p, moved, mask
 
 
-def rls_steps(s: RlsState, rs: np.ndarray, b: np.ndarray, adapt_v: bool = True) -> np.ndarray:
+def rls_steps(s: RlsState, res: np.ndarray, b: np.ndarray, adapt_v: bool = True) -> np.ndarray:
     """`rls_step` of every run of a stacked state; returns the a-priori errors."""
-    res = _segment_matrices(rs, s.n_i, s.dec)
     u = _matvecs(res, s.w.conj())
     rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
     xi = b - _vdots(s.w, rbar)
@@ -513,10 +513,9 @@ def _min_variances(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return pa / _vdots(a, pa).real[:, None]
 
 
-def cmv_rls_steps(s: RlsState, rs: np.ndarray, adapt_v: bool = True, g=None) -> None:
+def cmv_rls_steps(s: RlsState, res: np.ndarray, adapt_v: bool = True, g=None) -> None:
     """`cmv_rls_step` of every run of a stacked state, g a row per run or None."""
     _constrains(s, g)
-    res = _segment_matrices(rs, s.n_i, s.dec)
     if adapt_v:
         wc = s.w.conj()
         s.p_u, _, broke = rls_updates(s.p_u, _matvecs(res, wc), s.alpha, s.delta)

@@ -55,8 +55,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import adaptive, cmv, signal_model
-from .interpolation import (_cmul, _matvecs, _powers, _vdots, detect, impulse, make_decimation,
-                            receiver_output, receiver_outputs)
+from .interpolation import (_cmul, _matvecs, _powers, _segment_matrices, _vdots, detect, impulse,
+                            make_decimation, receiver_output, receiver_outputs)
 
 CSV_COLUMNS = ["iteration", "mse", "sinr_db", "ber", "algorithm", "L", "N_I", "seed"]
 SINR_WINDOW = 0.98
@@ -697,14 +697,15 @@ def _each_output(state, rows) -> tuple:
 
 
 # An interpolated block of at least this many runs steps them as one group
-# on stacked state (`adaptive.stack`); a narrower one steps each run as a
-# group of its own, on its own state.  A stacked symbol pays its numpy calls
-# once for the group, but its four `build_re_matrix` calls per run and its
+# on stacked state (`adaptive.stack`), gathering every run's Re once per
+# symbol; a narrower one steps each run as a group of its own, on its own
+# state.  A stacked symbol pays its numpy calls once for the group, but its
 # larger arrays cost more per call.  Against one run at a time, blocks of
 # 1 / 2 / 3 / 4 runs of 400 symbols ran (median of 15 interleaved pairs,
-# CPU time, 2-vCPU host): lms x0.54 / x0.89 / x1.17 / x1.35, rls x0.62 /
-# x1.03 / x1.34 / x1.67, cmv-sg x0.44 / x0.80 / x0.98 / x1.28, cmv-rls
-# x0.62 / x1.08 / x1.43 / x1.70.
+# CPU time, 2-vCPU host): lms x0.63 / x1.15 / x1.55 / x1.93, rls x0.70 /
+# x1.28 / x1.75 / x2.08, cmv-sg x0.48 / x0.90 / x1.27 / x1.64, cmv-rls
+# x0.70 / x1.33 / x1.77 / x2.27.  It stays at 4, above that crossover, so
+# that the 3-run smoke benchmark keeps the per-run path its self-test pins.
 STACK_MIN_RUNS = 4
 
 
@@ -714,7 +715,8 @@ class _Interpolated:
     over a chunk in one symbol loop, a group of runs at a time.  A block of
     STACK_MIN_RUNS runs or more is one group, stepped on a stack of its
     runs' states with the forms that take a row per run (`*_steps`,
-    `receiver_outputs`, ...); a narrower one is a group per run, stepped on
+    `receiver_outputs`, ...), on the Re of every run's r and r_des gathered
+    once per symbol; a narrower one is a group per run, stepped on
     the run's own state with the per-run forms (`*_step`, `receiver_output`,
     ...).  Each run's state is the one `_state` made, and holds its filters
     and breakdowns between chunks."""
@@ -734,8 +736,9 @@ class _Interpolated:
 
     def record(self, rec: np.ndarray, ys: np.ndarray, bs: np.ndarray, gs, first: int) -> None:
         """As `_Projected.record` on r and r_des themselves, `gs` holding each
-        run's gains.  Each pair of forms takes the same arguments, so a
-        group binds its pair once per chunk and the symbol loop is one."""
+        run's gains.  Each pair of forms takes the same arguments, rows of r
+        or, stacked, their Re, so a group binds its pair and its row source
+        once per chunk and the symbol loop is one."""
         cfg = self.cfg
         size = bs.shape[1]
         # the chunk offset from which decisions are the reference
@@ -750,34 +753,36 @@ class _Interpolated:
                 s, tracker = self.states[group], self.trackers[group]
                 output, align, decide, after = receiver_output, _align_phase, detect, _each_output
                 gains = gs[group]
-                rows_of = zip(ys[0, group], ys[1, group])   # per symbol: the pair r, r_des
+                # per symbol: r, and the forms' input, the pair r, r_des
+                rows_of = ((pair[0], pair) for pair in zip(ys[0, group], ys[1, group]))
             else:
                 s = adaptive.stack(self.states)
                 tracker = self.trackers[0] and adaptive.stack(self.trackers)
                 output, align, decide, after = (receiver_outputs, _align_phases, _detects,
                                                 receiver_outputs)
                 gains = np.stack(gs, axis=1) if tracker or faded else None
-                rows_of = np.moveaxis(ys, -2, 0)   # per symbol: r and r_des of every run
+                # per symbol: every run's r, and the forms' input, one gather of their Re
+                rows_of = ((rows[0], _segment_matrices(rows, s.n_i, s.dec))
+                           for rows in np.moveaxis(ys, -2, 0))
             plural = "" if one else "s"   # lms_step or lms_steps, update or updates
             step = getattr(adaptive, f"{name}_step{plural}")
             track = tracker and getattr(tracker, "update" + plural)
             # a group's records are gathered in lists and written once
             xs, outs = [], []
-            for j, (rows, b) in enumerate(zip(rows_of, bs[group].T)):
-                r = rows[0]
-                x = output(s, r)
+            for j, ((r, ins), b) in enumerate(zip(rows_of, bs[group].T)):
+                x = output(s, ins[0])
                 if track:
                     x = align(x, s.g_hat, gains[j])
                 # a one-run group decides each symbol: the traced benchmark
                 # dates a trial's loop by it
                 d = decide(x) if one or j >= directed else None
                 if not blind:
-                    step(s, r, d if j >= directed else b, adapt_v=adapt_v)
+                    step(s, ins[0], d if j >= directed else b, adapt_v=adapt_v)
                 else:
-                    step(s, r, adapt_v=adapt_v,
+                    step(s, ins[0], adapt_v=adapt_v,
                          g=track(r) if track else gains[j] if faded else None)
                 xs.append(x)
-                outs.append(after(s, rows))
+                outs.append(after(s, ins))
             # symbols last, as in rec
             rec[0, group] = np.moveaxis(np.array(xs), 0, -1)
             rec[1:, group] = np.moveaxis(np.array(outs), 0, -1)

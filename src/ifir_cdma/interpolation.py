@@ -142,21 +142,25 @@ def receiver_output(state: ReceiverState, r: np.ndarray) -> complex:
     return complex(np.vdot(state.w, rbar))
 
 
-def receiver_outputs(state: ReceiverState, rs: np.ndarray) -> np.ndarray:
+def receiver_outputs(state: ReceiverState, res: np.ndarray) -> np.ndarray:
     """`receiver_output` of every run of a stacked state (v and w with a
-    leading run axis, see `adaptive.stack`) on its rows of rs, which are
-    runs x M or, for several vectors per run, (..., runs, M).  Each run's
-    Re is built by `build_re_matrix`, and each output equals the per-run
-    one bit for bit."""
-    res = _segment_matrices(rs.reshape(-1, state.dec.m), state.n_i, state.dec)
-    rbar = _matvecs(res.reshape(*rs.shape[:-1], *res.shape[1:]).swapaxes(-1, -2),
-                    state.v.conj())
-    return _vdots(state.w, rbar)
+    leading run axis, see `adaptive.stack`) on the segment matrices res of
+    its rows of r (`_segment_matrices`), which are runs x N_I x M_red or,
+    for several vectors per run, (..., runs, N_I, M_red).  Each output
+    equals the per-run one bit for bit."""
+    return _vdots(state.w, _matvecs(res.swapaxes(-1, -2), state.v.conj()))
 
 
 def _segment_matrices(rs: np.ndarray, n_i: int, dec: DecimationOperator) -> np.ndarray:
-    """`build_re_matrix` of every row of rs, stacked."""
-    return np.array([build_re_matrix(r, n_i, dec) for r in rs])
+    """`build_re_matrix` of every row of rs (rows of r along the last axis,
+    any leading axes), stacked, bit for bit: one gather of the zero-padded
+    rows, as a stacked block makes once per symbol.  The result is
+    C-contiguous, as each `build_re_matrix` is."""
+    idx, buf = dec.segment_index(n_i)
+    pad = np.zeros((*rs.shape[:-1], buf.size), dtype=complex)
+    pad[..., :dec.m] = rs
+    # not pad[..., idx]: it lays the row axes innermost, and products on it round otherwise
+    return np.take(pad, idx, axis=-1)
 
 
 # Batched forms whose entries equal the unbatched ones bit for bit, as

@@ -12,7 +12,10 @@ per algorithm, one per half of its campaigns ("plain", and
 change that moves only tracked runs, say, can show that the plain ones
 kept theirs.  Then one line per variant of the scenario (below), 28
 campaigns each, so a change that moves only static links, say, can show
-that the faded ones kept theirs.
+that the faded ones kept theirs.  The last line, "stacked", digests 22
+campaigns of runs=5, each one block whose runs step together, which no
+runs=2 campaign does: every interpolated receiver in each mode of
+`test_harness.STACKED_MODES`, at 300 symbols and seed=5.
 
 The matrix is every algorithm in `harness.ALGORITHMS` under 11 variants
 of the default scenario:
@@ -46,6 +49,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from ifir_cdma import harness  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_harness import STACKED_MODES  # noqa: E402
 
 VARIANTS = (
     {},
@@ -84,25 +90,39 @@ def campaigns():
                     yield alg, half, label(variant), doc
 
 
+def stacked_campaigns():
+    """The scenario document of every campaign of the "stacked" line."""
+    for change, algs in STACKED_MODES.values():
+        for alg in algs:
+            yield {"algorithm": alg, "mode": "blind" if alg.startswith("cmv") else "training",
+                   "runs": 5, "seed": 5, "symbols": 300, **change}
+
+
+def add_campaign(doc: dict, digests) -> None:
+    """Add a campaign's document and its series, breakdown count or error
+    name to each of digests."""
+    parts = [repr(sorted(doc.items())).encode()]
+    try:
+        s = harness.run_campaign(harness.ScenarioConfig.from_dict(doc))
+    except np.linalg.LinAlgError as exc:
+        parts.append(type(exc).__name__.encode())
+    else:
+        parts += [series.tobytes() for series in (s.mse, s.sinr_db, s.ber)]
+        parts.append(int(s.metadata["breakdowns"]).to_bytes(8, "little"))
+    for part in parts:
+        for d in digests:
+            d.update(part)
+
+
 def main() -> None:
     digest = hashlib.sha256()
     per_alg = {alg: hashlib.sha256() for alg in harness.ALGORITHMS}
     per_half, per_variant = {}, {}
     count, half_count, variant_count = Counter(), Counter(), Counter()
     for alg, half, variant, doc in campaigns():
-        parts = [repr(sorted(doc.items())).encode()]
-        try:
-            s = harness.run_campaign(harness.ScenarioConfig.from_dict(doc))
-        except np.linalg.LinAlgError as exc:
-            parts.append(type(exc).__name__.encode())
-        else:
-            parts += [series.tobytes() for series in (s.mse, s.sinr_db, s.ber)]
-            parts.append(int(s.metadata["breakdowns"]).to_bytes(8, "little"))
-        digests = (digest, per_alg[alg], per_half.setdefault((alg, half), hashlib.sha256()),
-                   per_variant.setdefault(variant, hashlib.sha256()))
-        for part in parts:
-            for d in digests:
-                d.update(part)
+        add_campaign(doc, (digest, per_alg[alg],
+                           per_half.setdefault((alg, half), hashlib.sha256()),
+                           per_variant.setdefault(variant, hashlib.sha256())))
         count[alg] += 1
         half_count[alg, half] += 1
         variant_count[variant] += 1
@@ -114,6 +134,14 @@ def main() -> None:
     for variant, variant_digest in per_variant.items():
         print(f"{variant}: {variant_count[variant]} campaigns sha256 "
               f"{variant_digest.hexdigest()}")
+    stacked, stacked_count = hashlib.sha256(), 0
+    for doc in stacked_campaigns():
+        cfg = harness.ScenarioConfig.from_dict(doc)
+        # one block of every run, which steps them together
+        assert cfg.runs >= harness.STACK_MIN_RUNS and harness._block_width(cfg) >= cfg.runs
+        add_campaign(doc, (stacked,))
+        stacked_count += 1
+    print(f"stacked: {stacked_count} campaigns sha256 {stacked.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ifir_cdma import adaptive, cmv, harness
-from ifir_cdma.interpolation import build_re_matrix, filter_maps, impulse, make_decimation
+from ifir_cdma.interpolation import (_segment_matrices, build_re_matrix, filter_maps, impulse,
+                                    make_decimation)
 from ifir_cdma.signal_model import gen_gold_set
 
 from oracles import accumulate_and_invert, fullrank_nlms, fullrank_rls
@@ -80,12 +81,13 @@ def test_fresh_stacked_steps_skip_rows_without_dividing(alg):
     trackers = [adaptive.SgChannelTracker(cons.c, alpha=0.998) for _ in range(3)]
     s, tracker = adaptive.stack([make() for _ in range(3)]), adaptive.stack(trackers)
     for r, b in zip(rs, bs):
+        res = _segment_matrices(r, 3, dec)
         if alg == "lms":
-            adaptive.lms_steps(s, r, b)
+            adaptive.lms_steps(s, res, b)
             for st, row, ref in zip(alone, r, b):
                 adaptive.lms_step(st, row, ref)
         else:
-            adaptive.cmv_sg_steps(s, r, g=tracker.updates(r))
+            adaptive.cmv_sg_steps(s, res, g=tracker.updates(r))
             for st, t, row in zip(alone, trackers, r):
                 adaptive.cmv_sg_step(st, row, g=t.update(row))
             for k, t in enumerate(trackers):

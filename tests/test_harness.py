@@ -414,12 +414,15 @@ def test_interpolated_block_keeps_its_runs_apart(alg, change, runs):
 @pytest.mark.parametrize("runs", (1, 5))
 @pytest.mark.parametrize("alg", ("lms", "cmv-rls"))
 def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg, runs):
-    # the traced benchmark reads 4 Re builds per run and symbol, and dates
-    # a one-run trial's loop by its decisions: a block of one run and one
-    # of five, which steps its runs together, build Re 4 times per run and
-    # symbol, and the block of one calls detect once per symbol
+    # the traced benchmark reads 4 Re builds per symbol on its smoke
+    # workloads, whose runs all step alone, and dates a one-run trial's loop
+    # by its decisions: a block of one run builds Re 4 times per symbol and
+    # calls detect once per symbol.  A block of five, which steps its runs
+    # together, builds no Re one run at a time: it gathers every run's once
+    # per symbol
     counts = collections.Counter()
-    originals = {name: getattr(interpolation, name) for name in ("build_re_matrix", "detect")}
+    originals = {name: getattr(interpolation, name)
+                 for name in ("build_re_matrix", "detect", "_segment_matrices")}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -434,9 +437,13 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
     cfg = scenario(alg, runs=runs, symbols=300, seed=4)
     assert (runs >= harness.STACK_MIN_RUNS) == (runs == 5)
     harness._run_block(cfg, campaign_seeds(cfg))
-    assert counts["build_re_matrix"] == 4 * runs * cfg.symbols
     if runs == 1:
+        assert counts["build_re_matrix"] == 4 * cfg.symbols
         assert counts["detect"] == cfg.symbols
+        assert counts["_segment_matrices"] == 0
+    else:
+        assert counts["build_re_matrix"] == 0
+        assert counts["_segment_matrices"] == cfg.symbols
 
 
 @pytest.mark.parametrize("alg", ("lms", "cmv-sg"))

@@ -84,6 +84,23 @@ class TestSegmentMatrix:
         first[:] = 99.0
         assert np.array_equal(ip.build_re_matrix(r, 4, dec), expect)
 
+    @pytest.mark.parametrize("lead", [(5,), (2, 5)], ids=["runs", "pair-runs"])
+    @pytest.mark.parametrize("l, n_i", [(2, 3), (1, 1), (1, 3), (4, 4)])
+    def test_stacked_gather_is_each_build(self, lead, l, n_i):
+        # a stacked block's Re in one gather over any leading axes: each
+        # matrix equals its row's build bit for bit, and the stack is
+        # C-contiguous, as each build is (a fancy index pad[..., idx] is not,
+        # and the stacked kernels' batched products round by the layout).
+        # At M = 34 every case but (1, 1) reads past the end of r
+        rng = np.random.default_rng(9)
+        dec = ip.make_decimation(34, l)
+        rs = crandn(rng, (*lead, 34))
+        res = ip._segment_matrices(rs, n_i, dec)
+        assert res.flags.c_contiguous
+        assert res.shape == (*lead, n_i, dec.m_red)
+        for k in np.ndindex(lead):
+            assert res[k].tobytes() == ip.build_re_matrix(rs[k], n_i, dec).tobytes()
+
 
 def projected(v, r, dec):
     """rbar = Re^T conj(v) as `receiver_output` sees it: entry s is its
