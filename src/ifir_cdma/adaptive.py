@@ -28,8 +28,11 @@ Each step also has a form on a block of runs (`lms_steps`, `rls_steps`,
 `cmv_sg_steps`, `cmv_rls_steps`), which takes the runs' states stacked
 along a leading axis (`stack`) and the segment matrix Re of one received
 vector per run; the harness's interpolated blocks gather every run's Re
-once per symbol for them.  Each run's arrays equal what its own step
-makes of them, bit for bit.
+once per sub-chunk of symbols for them.  Each returns the runs' a-priori
+outputs x = w^H rbar, formed with the pre-update filters, so the caller
+forms none; the trained forms take, with `directed`, the decisions on x
+as their references (decision-directed mode), decided before the update.
+Each run's arrays equal what its own step makes of them, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmv import ConstraintSet
-from .interpolation import (DecimationOperator, ReceiverState, _cmul, _matvecs, _powers,
-                            _vdots, build_re_matrix, impulse)
+from .interpolation import (DecimationOperator, ReceiverState, _cmul, _detects, _matvecs,
+                            _powers, _vdots, build_re_matrix, impulse)
 
 _TINY = 1e-30
 # Below this fraction of x^H x, x^H Pi x is rounding noise, not a direction
@@ -382,11 +385,11 @@ def cmv_rls_step(s: RlsState, r: np.ndarray, adapt_v: bool = True,
 # The steps of a block of runs taken together: `stack` gives the runs'
 # states (or channel trackers) one leading run axis, and the `*_steps`
 # kernels take one segment matrix Re per run, which they build none of: the
-# caller gathers every run's at once (`_segment_matrices`).  Each keeps the
-# arithmetic order of its per-run step, so each run's arrays equal what that
-# step makes of its own state, bit for bit: the batched products are
-# `_matvecs` and `_vdots`, a modulus squared is `_powers` and a product of
-# two complex scalars `_cmul`.
+# caller gathers every run's at once (`_segment_matrices`).  Each returns
+# the runs' a-priori outputs x and keeps the arithmetic order of its per-run
+# step, so each run's arrays equal what that step makes of its own state,
+# bit for bit: the batched products are `_matvecs` and `_vdots`, a modulus
+# squared is `_powers` and a product of two complex scalars `_cmul`.
 
 _RUN_ARRAYS = ("v", "w", "p", "p_u", "g_hat", "re_p", "v_acc")
 
@@ -422,7 +425,8 @@ def _gradients(f, x, ce, step0: float, normalized: bool, a=None) -> np.ndarray:
         if normalized:
             den = _vdots(x, x).real
             skip = den <= _TINY
-            if not skip.any():
+            # np.count_nonzero costs a fifth of a mask's .any() or .all() on a row per run
+            if not np.count_nonzero(skip):
                 return f + ((step0 / den) * ce)[:, None] * x
             den[skip] = 1.0   # a skipped row keeps f, and divides by nothing on the way
             return np.where(skip[:, None], f, f + ((step0 / den) * ce)[:, None] * x)
@@ -435,7 +439,7 @@ def _gradients(f, x, ce, step0: float, normalized: bool, a=None) -> np.ndarray:
         den = xx - _powers(ax) / aa
         live = den > np.maximum(_TINY, _OFF_CONSTRAINT * xx)
         # a skipped row takes step 0, and divides by nothing
-        step0 = (step0 / den if live.all()
+        step0 = (step0 / den if np.count_nonzero(live) == len(live)
                  else np.divide(step0, den, out=np.zeros(len(den)), where=live))
     step = step0 * ce
     return f + step[:, None] * x + ((1.0 - af - _cmul(step, ax)) / aa)[:, None] * a
@@ -448,31 +452,36 @@ def _constrains(s, g) -> None:
         s.re_p = _matvecs(s.segs, s.g_hat).reshape(len(s.g_hat), s.n_i, -1)
 
 
-def _sg_steps(s: SgState, res: np.ndarray, b, adapt_v: bool) -> np.ndarray:
-    """`_sg_step` of every run, b holding a reference per run (None when blind)."""
+def _sg_steps(s: SgState, res: np.ndarray, b, adapt_v: bool, directed: bool = False) -> np.ndarray:
+    """`_sg_step` of every run, b holding a reference per run (None when
+    blind), or with `directed` the decisions on x.  Returns x."""
     wc = s.w.conj()
     rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
     x = _vdots(s.w, rbar)
     blind = b is None
-    e = -x if blind else b - x
+    e = -x if blind else (_detects(x) if directed else b) - x
     ce = np.conj(e)
     if adapt_v:
         s.v = _gradients(s.v, _matvecs(res, wc), ce, s.eta0, s.normalized,
                          _matvecs(s.re_p, wc) if blind else None)
     s.w = _gradients(s.w, rbar, ce, s.mu0, s.normalized,
                      _matvecs(s.re_p.swapaxes(1, 2), s.v.conj()) if blind else None)
-    return e
+    return x
 
 
-def lms_steps(s: SgState, res: np.ndarray, b: np.ndarray, adapt_v: bool = True) -> np.ndarray:
-    """`lms_step` of every run of a stacked state; returns the a-priori errors."""
-    return _sg_steps(s, res, b, adapt_v)
+def lms_steps(s: SgState, res: np.ndarray, b, adapt_v: bool = True,
+              directed: bool = False) -> np.ndarray:
+    """`lms_step` of every run of a stacked state, on the references b or,
+    `directed`, on the decisions `_detects(x)`; returns the runs' a-priori
+    outputs x."""
+    return _sg_steps(s, res, b, adapt_v, directed)
 
 
-def cmv_sg_steps(s: SgState, res: np.ndarray, adapt_v: bool = True, g=None) -> None:
-    """`cmv_sg_step` of every run of a stacked state, g a row per run or None."""
+def cmv_sg_steps(s: SgState, res: np.ndarray, adapt_v: bool = True, g=None) -> np.ndarray:
+    """`cmv_sg_step` of every run of a stacked state, g a row per run or
+    None; returns the runs' a-priori outputs x, which g does not move."""
     _constrains(s, g)
-    _sg_steps(s, res, None, adapt_v)
+    return _sg_steps(s, res, None, adapt_v)
 
 
 def _rls_filters(p, f, x, ce, alpha: float, delta: float, live=None):
@@ -485,18 +494,22 @@ def _rls_filters(p, f, x, ce, alpha: float, delta: float, live=None):
     if broke.size:   # a broken-down run's f stays
         mask[broke] = True
         moved[broke] = f[broke]
-    if live is not None and not live.all():
+    if live is not None and np.count_nonzero(live) < len(live):
         moved_p[~live] = p[~live]
         moved[~live] = f[~live]
         mask &= live
     return moved_p, moved, mask
 
 
-def rls_steps(s: RlsState, res: np.ndarray, b: np.ndarray, adapt_v: bool = True) -> np.ndarray:
-    """`rls_step` of every run of a stacked state; returns the a-priori errors."""
+def rls_steps(s: RlsState, res: np.ndarray, b, adapt_v: bool = True,
+              directed: bool = False) -> np.ndarray:
+    """`rls_step` of every run of a stacked state, on the references b or,
+    `directed`, on the decisions `_detects(x)`; returns the runs' a-priori
+    outputs x."""
     u = _matvecs(res, s.w.conj())
     rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
-    xi = b - _vdots(s.w, rbar)
+    x = _vdots(s.w, rbar)
+    xi = (_detects(x) if directed else b) - x
     cxi = np.conj(xi)
     s.p, s.w, broke = _rls_filters(s.p, s.w, rbar, cxi, s.alpha, s.delta)
     s.breakdowns += broke
@@ -504,7 +517,7 @@ def rls_steps(s: RlsState, res: np.ndarray, b: np.ndarray, adapt_v: bool = True)
         s.p_u, s.v, broke = _rls_filters(s.p_u, s.v, u, cxi, s.alpha, s.delta,
                                          live=_vdots(u, u).real > _TINY)
         s.breakdowns += broke
-    return xi
+    return x
 
 
 def _min_variances(p: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -513,15 +526,20 @@ def _min_variances(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return pa / _vdots(a, pa).real[:, None]
 
 
-def cmv_rls_steps(s: RlsState, res: np.ndarray, adapt_v: bool = True, g=None) -> None:
-    """`cmv_rls_step` of every run of a stacked state, g a row per run or None."""
+def cmv_rls_steps(s: RlsState, res: np.ndarray, adapt_v: bool = True, g=None) -> np.ndarray:
+    """`cmv_rls_step` of every run of a stacked state, g a row per run or
+    None; returns the runs' a-priori outputs x, formed before any update
+    as `receiver_outputs` forms them."""
     _constrains(s, g)
+    rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
+    x = _vdots(s.w, rbar)
     if adapt_v:
         wc = s.w.conj()
         s.p_u, _, broke = rls_updates(s.p_u, _matvecs(res, wc), s.alpha, s.delta)
         s.breakdowns[broke] += 1
         s.v = _min_variances(s.p_u, _matvecs(s.re_p, wc))
-    rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())
+        rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())   # of the new v
     s.p, _, broke = rls_updates(s.p, rbar, s.alpha, s.delta)
     s.breakdowns[broke] += 1
     s.w = _min_variances(s.p, _matvecs(s.re_p.swapaxes(1, 2), s.v.conj()))
+    return x

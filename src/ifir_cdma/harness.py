@@ -11,22 +11,26 @@ received vectors, of their desired-only components and of the channel
 gains.  A static link forms a chunk's noiseless vectors as one batched
 product of a per-user response table with the symbols' windows, a faded
 one by convolving each symbol's gains with the chips.
-Per symbol it takes the decision output, adapts with the reference
-symbol (training symbol, or the decision in decision-directed mode past
-`n_tr`; blind receivers ignore it), then applies the updated receiver
-to r and to its desired-only component.  One driver, `_run_block`, does
+Per symbol it takes the decision output (a-priori: the receiver before
+the symbol), adapts with the reference symbol (training symbol, or the
+decision in decision-directed mode past `n_tr`; blind receivers ignore
+it), and records the updated receiver's outputs for r and for its
+desired-only component (a-posteriori).  One driver, `_run_block`, does
 this for a block of seeded runs, and `run_trial` is a block of one.  It
 builds a receiver of one of two kinds, which answer the same calls:
 `despread` maps a chunk's received vectors to the rows the receiver
 takes, and `record` writes the chunk's outputs into the block's records.
 The interpolated receivers (`_Interpolated`) take r itself and run one
-symbol loop over groups of runs: a block's runs step together on stacked
-state (`adaptive.stack` and the `adaptive.*_steps` kernels), or, in a
-block narrower than STACK_MIN_RUNS, each run alone on its own state (the
-per-run steps).  The RAKE and partial-despreading baselines
-(`_Projected`) despread a chunk in one product and take its outputs as
-array products of their combiners.  `record` runs with numpy's overflow
-warnings off, so a diverged run reaches the trial's LinAlgError.  MSE
+symbol loop over groups of runs, one step call per symbol returning the
+a-priori outputs.  A block's runs step together on stacked state
+(`adaptive.stack` and the `adaptive.*_steps` kernels) and take their
+a-posteriori outputs once per sub-chunk of SUB_CHUNK symbols, from the
+filters kept after each symbol; in a block narrower than STACK_MIN_RUNS
+each run steps alone on its own state (the per-run steps) and takes them
+per symbol.  The RAKE and partial-despreading baselines (`_Projected`)
+despread a chunk in one product and take its outputs as array products
+of their combiners.  `record` runs with numpy's overflow warnings off,
+so a diverged run reaches the trial's LinAlgError.  MSE
 and BER (a-priori) and SINR (a-posteriori) are metered from the records
 in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
 
@@ -45,6 +49,7 @@ or blocking.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -55,8 +60,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import adaptive, cmv, signal_model
-from .interpolation import (_cmul, _matvecs, _powers, _segment_matrices, _vdots, detect, impulse,
-                            make_decimation, receiver_output, receiver_outputs)
+from .interpolation import (_cmul, _detects, _matvecs, _powers, _segment_matrices, _vdots, detect,
+                            impulse, make_decimation, receiver_output, receiver_outputs)
 
 CSV_COLUMNS = ["iteration", "mse", "sinr_db", "ber", "algorithm", "L", "N_I", "seed"]
 SINR_WINDOW = 0.98
@@ -505,12 +510,6 @@ def _pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
 # receivers and the trial loop
 # ---------------------------------------------------------------------------
 
-def _detects(x: np.ndarray) -> np.ndarray:
-    """`detect` of every entry of x.  On a symbol loop's few entries np.where
-    costs less than the equal (x.real >= 0.0) * 2.0 - 1.0."""
-    return np.where(x.real >= 0.0, 1.0, -1.0)
-
-
 class _Projected:
     """RAKE and partial-despreading baselines of a block of runs: a
     combiner w per run on y = proj^H r.
@@ -696,17 +695,42 @@ def _each_output(state, rows) -> tuple:
     return receiver_output(state, rows[0]), receiver_output(state, rows[1])
 
 
+def _each_step(step, s, r, b=None, adapt_v: bool = True, directed: bool = False, g=None):
+    """A per-run `step` (`lms_step`, ...) in the form of the stacked ones:
+    the run's a-priori output x = receiver_output(s, r), decided every
+    symbol (the traced benchmark dates a trial's loop by the decisions),
+    then `step` with the reference b, or with the decision when `directed`,
+    or, blind (b None), with the constraint values g.  Returns x."""
+    x = receiver_output(s, r)
+    d = detect(x)
+    if b is None:
+        step(s, r, adapt_v=adapt_v, g=g)
+    else:
+        step(s, r, d if directed else b, adapt_v=adapt_v)
+    return x
+
+
 # An interpolated block of at least this many runs steps them as one group
-# on stacked state (`adaptive.stack`), gathering every run's Re once per
-# symbol; a narrower one steps each run as a group of its own, on its own
-# state.  A stacked symbol pays its numpy calls once for the group, but its
-# larger arrays cost more per call.  Against one run at a time, blocks of
-# 1 / 2 / 3 / 4 runs of 400 symbols ran (median of 15 interleaved pairs,
-# CPU time, 2-vCPU host): lms x0.63 / x1.15 / x1.55 / x1.93, rls x0.70 /
-# x1.28 / x1.75 / x2.08, cmv-sg x0.48 / x0.90 / x1.27 / x1.64, cmv-rls
-# x0.70 / x1.33 / x1.77 / x2.27.  It stays at 4, above that crossover, so
-# that the 3-run smoke benchmark keeps the per-run path its self-test pins.
+# on stacked state (`adaptive.stack`); a narrower one steps each run as a
+# group of its own, on its own state.  A stacked symbol pays its numpy calls
+# once for the group, but its larger arrays cost more per call.  Against one
+# run at a time, blocks of 1 / 2 / 3 / 4 runs of 400 symbols ran (median of
+# 15 interleaved pairs, CPU time, 2-vCPU host): lms x0.94 / x1.54 / x2.18 /
+# x2.67, rls x0.84 / x1.54 / x2.25 / x2.48, cmv-sg x0.61 / x1.13 / x1.60 /
+# x1.95, cmv-rls x0.83 / x1.50 / x1.88 / x2.38.  It stays at 4, above that
+# crossover (2 runs), so that the 3-run smoke benchmark keeps the per-run
+# path its self-test pins.
 STACK_MIN_RUNS = 4
+# Symbols per sub-chunk of a stacked group, which gathers the Re of their r
+# and r_des in one `_segment_matrices` call and takes their a-posteriori
+# outputs in one `receiver_outputs` call.  Its size moves memory more than
+# speed.  On 50-run, 400-symbol campaigns (blocks of 5 runs; medians of
+# 15 interleaved CPU-time pairs, 2-vCPU host), sub-chunks of 16 and 32
+# symbols ran x0.98 to x1.11 as fast as 64 and of 128 x0.96, while the
+# process's peak RSS was 39.1 MB at 32, 39.8 at 64, 42.1 at 128 and 42.4
+# at 256 (the whole chunk).  At 5 runs and the default M = 36, 32 symbols'
+# Re is 0.28 MB, and their padded rows 0.19 MB while it is gathered.
+SUB_CHUNK = 32
 
 
 class _Interpolated:
@@ -715,11 +739,12 @@ class _Interpolated:
     over a chunk in one symbol loop, a group of runs at a time.  A block of
     STACK_MIN_RUNS runs or more is one group, stepped on a stack of its
     runs' states with the forms that take a row per run (`*_steps`,
-    `receiver_outputs`, ...), on the Re of every run's r and r_des gathered
-    once per symbol; a narrower one is a group per run, stepped on
-    the run's own state with the per-run forms (`*_step`, `receiver_output`,
-    ...).  Each run's state is the one `_state` made, and holds its filters
-    and breakdowns between chunks."""
+    `_align_phases`, ...) on the Re of every run's r, gathered with that of
+    r_des once per sub-chunk of SUB_CHUNK symbols; a narrower one is a
+    group per run, stepped on the run's own state with the per-run forms
+    (`_each_step` around `*_step`, `_align_phase`, ...).  Each run's state
+    is the one `_state` made, and holds its filters and breakdowns between
+    chunks."""
 
     def __init__(self, cfg: ScenarioConfig, links):
         self.cfg = cfg
@@ -736,9 +761,13 @@ class _Interpolated:
 
     def record(self, rec: np.ndarray, ys: np.ndarray, bs: np.ndarray, gs, first: int) -> None:
         """As `_Projected.record` on r and r_des themselves, `gs` holding each
-        run's gains.  Each pair of forms takes the same arguments, rows of r
-        or, stacked, their Re, so a group binds its pair and its row source
-        once per chunk and the symbol loop is one."""
+        run's gains.  A group binds its forms once per chunk, and the symbol
+        loop is one.  Per symbol, one step call adapts the group's runs and
+        returns their a-priori outputs x.  A one-run group steps on its rows
+        of r and takes its a-posteriori outputs after each symbol; a stacked
+        one steps on the Re of every run's r, which it gathers with that of
+        r_des once per sub-chunk, keeps its filters after each symbol, and
+        takes the sub-chunk's a-posteriori outputs in one call."""
         cfg = self.cfg
         size = bs.shape[1]
         # the chunk offset from which decisions are the reference
@@ -749,43 +778,51 @@ class _Interpolated:
         for group in self.groups:
             # the forms are bound here, so that a tracer of public calls sees them
             one = not isinstance(group, slice)
+            plural = "" if one else "s"   # lms_step or lms_steps, update or updates
+            step = getattr(adaptive, f"{name}_step{plural}")
             if one:
                 s, tracker = self.states[group], self.trackers[group]
-                output, align, decide, after = receiver_output, _align_phase, detect, _each_output
-                gains = gs[group]
-                # per symbol: r, and the forms' input, the pair r, r_des
-                rows_of = ((pair[0], pair) for pair in zip(ys[0, group], ys[1, group]))
+                step = functools.partial(_each_step, step)
+                align, gains = _align_phase, gs[group]
+                span = size   # it gathers nothing, so it takes the chunk whole
             else:
                 s = adaptive.stack(self.states)
                 tracker = self.trackers[0] and adaptive.stack(self.trackers)
-                output, align, decide, after = (receiver_outputs, _align_phases, _detects,
-                                                receiver_outputs)
+                align = _align_phases
                 gains = np.stack(gs, axis=1) if tracker or faded else None
-                # per symbol: every run's r, and the forms' input, one gather of their Re
-                rows_of = ((rows[0], _segment_matrices(rows, s.n_i, s.dec))
-                           for rows in np.moveaxis(ys, -2, 0))
-            plural = "" if one else "s"   # lms_step or lms_steps, update or updates
-            step = getattr(adaptive, f"{name}_step{plural}")
+                # every run's filters after each symbol of a sub-chunk
+                vs = np.empty((SUB_CHUNK, *s.v.shape), dtype=complex)
+                ws = np.empty((SUB_CHUNK, *s.w.shape), dtype=complex)
+                span = SUB_CHUNK
             track = tracker and getattr(tracker, "update" + plural)
-            # a group's records are gathered in lists and written once
-            xs, outs = [], []
-            for j, ((r, ins), b) in enumerate(zip(rows_of, bs[group].T)):
-                x = output(s, ins[0])
-                if track:
-                    x = align(x, s.g_hat, gains[j])
-                # a one-run group decides each symbol: the traced benchmark
-                # dates a trial's loop by it
-                d = decide(x) if one or j >= directed else None
-                if not blind:
-                    step(s, ins[0], d if j >= directed else b, adapt_v=adapt_v)
-                else:
-                    step(s, ins[0], adapt_v=adapt_v,
-                         g=track(r) if track else gains[j] if faded else None)
-                xs.append(x)
-                outs.append(after(s, ins))
-            # symbols last, as in rec
-            rec[0, group] = np.moveaxis(np.array(xs), 0, -1)
-            rec[1:, group] = np.moveaxis(np.array(outs), 0, -1)
+            for j0 in range(0, size, span):
+                rows = ys[:, group, j0:j0 + span]
+                # per symbol, the input of the step and of the a-posteriori
+                # outputs: the pair r, r_des or, stacked, the Re of every
+                # run's r and r_des, gathered at once
+                ins = (zip(*rows) if one
+                       else _segment_matrices(np.moveaxis(rows, -2, 0), s.n_i, s.dec))
+                xs, outs = [], []
+                for j, (pair, b) in enumerate(zip(ins, bs[group, j0:j0 + span].T), j0):
+                    if blind:
+                        # a tracked step rebinds g_hat; x is aligned with the one before it
+                        g_hat = s.g_hat
+                        # a tracker reads the rows of r themselves
+                        g = track(ys[0, group, j]) if track else gains[j] if faded else None
+                        x = step(s, pair[0], adapt_v=adapt_v, g=g)
+                    else:
+                        x = step(s, pair[0], b, adapt_v=adapt_v, directed=j >= directed)
+                    xs.append(align(x, g_hat, gains[j]) if track else x)
+                    if one:
+                        outs.append(_each_output(s, pair))
+                    else:   # the steps rebind v and w, so these are the symbol's
+                        vs[j - j0], ws[j - j0] = s.v, s.w
+                n = len(xs)
+                if not one:
+                    outs = receiver_outputs(vs[:n, None], ws[:n, None], ins)
+                # symbols last, as in rec
+                rec[0, group, j0:j0 + n] = np.moveaxis(np.array(xs), 0, -1)
+                rec[1:, group, j0:j0 + n] = np.moveaxis(np.array(outs), 0, -1)
             if not one:
                 adaptive.unstack(s, self.states)
                 if tracker:

@@ -142,20 +142,21 @@ def receiver_output(state: ReceiverState, r: np.ndarray) -> complex:
     return complex(np.vdot(state.w, rbar))
 
 
-def receiver_outputs(state: ReceiverState, res: np.ndarray) -> np.ndarray:
-    """`receiver_output` of every run of a stacked state (v and w with a
-    leading run axis, see `adaptive.stack`) on the segment matrices res of
-    its rows of r (`_segment_matrices`), which are runs x N_I x M_red or,
-    for several vectors per run, (..., runs, N_I, M_red).  Each output
-    equals the per-run one bit for bit."""
-    return _vdots(state.w, _matvecs(res.swapaxes(-1, -2), state.v.conj()))
+def receiver_outputs(v: np.ndarray, w: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """`receiver_output` of interpolators v (..., N_I) and filters w
+    (..., M_red) on segment matrices res (..., N_I, M_red) of rows of r
+    (`_segment_matrices`), the leading axes broadcast: a stacked block's
+    filters after each symbol of a sub-chunk, say, on the Re of its r and
+    r_des.  Each output equals the per-run one bit for bit."""
+    return _vdots(w, _matvecs(res.swapaxes(-1, -2), v.conj()))
 
 
 def _segment_matrices(rs: np.ndarray, n_i: int, dec: DecimationOperator) -> np.ndarray:
     """`build_re_matrix` of every row of rs (rows of r along the last axis,
     any leading axes), stacked, bit for bit: one gather of the zero-padded
-    rows, as a stacked block makes once per symbol.  The result is
-    C-contiguous, as each `build_re_matrix` is."""
+    rows, as a stacked block makes once per sub-chunk of its r and r_des.
+    The result is C-contiguous, as each `build_re_matrix` is, so that every
+    trailing (..., N_I, M_red) slice is too."""
     idx, buf = dec.segment_index(n_i)
     pad = np.zeros((*rs.shape[:-1], buf.size), dtype=complex)
     pad[..., :dec.m] = rs
@@ -198,3 +199,9 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def detect(x: complex) -> float:
     """Symbol decision sgn(Re(x)); zero breaks the tie as +1."""
     return 1.0 if x.real >= 0.0 else -1.0
+
+
+def _detects(x: np.ndarray) -> np.ndarray:
+    """`detect` of every entry of x.  On a symbol loop's few entries np.where
+    costs less than the equal (x.real >= 0.0) * 2.0 - 1.0."""
+    return np.where(x.real >= 0.0, 1.0, -1.0)

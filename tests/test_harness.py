@@ -411,6 +411,27 @@ def test_interpolated_block_keeps_its_runs_apart(alg, change, runs):
                 assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
 
 
+@pytest.mark.parametrize("alg, change", (
+    ("lms", {"mode": "decision-directed", "n_tr": 100}),
+    ("rls", {"mode": "decision-directed", "n_tr": 100}),
+    ("cmv-sg", {"known_channel": False})))
+def test_stacked_block_steps_across_unaligned_boundaries(alg, change):
+    # a stacked block's boundaries that no sub-chunk lines up with: the
+    # switch to decisions falls inside a sub-chunk, the last chunk (24
+    # symbols) is shorter than one, and a tracked run aligns each output
+    # with the estimate its step then replaces.  Each run repeats its trial,
+    # byte for byte.  Not in STACKED_MODES, whose campaigns the digest's
+    # "stacked" line enumerates
+    cfg = scenario(alg, runs=harness.STACK_MIN_RUNS + 1, symbols=280, seed=13, **change)
+    assert cfg.n_tr % harness.SUB_CHUNK and cfg.symbols % harness.NOISE_CHUNK < harness.SUB_CHUNK
+    seeds = campaign_seeds(cfg)
+    for got, seed in zip(harness._run_block(cfg, seeds), seeds):
+        expect = harness.run_trial(cfg, seed)
+        assert got.metadata == expect.metadata
+        for name in ("mse", "sinr_db", "ber"):
+            assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
+
+
 @pytest.mark.parametrize("runs", (1, 5))
 @pytest.mark.parametrize("alg", ("lms", "cmv-rls"))
 def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg, runs):
@@ -418,8 +439,9 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
     # workloads, whose runs all step alone, and dates a one-run trial's loop
     # by its decisions: a block of one run builds Re 4 times per symbol and
     # calls detect once per symbol.  A block of five, which steps its runs
-    # together, builds no Re one run at a time: it gathers every run's once
-    # per symbol
+    # together, builds no Re one run at a time: it gathers every run's, of r
+    # and r_des, once per sub-chunk, 8 + 2 times for the chunks of 256 and
+    # 44 symbols
     counts = collections.Counter()
     originals = {name: getattr(interpolation, name)
                  for name in ("build_re_matrix", "detect", "_segment_matrices")}
@@ -442,8 +464,11 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
         assert counts["detect"] == cfg.symbols
         assert counts["_segment_matrices"] == 0
     else:
+        sub_chunks = [-(-min(harness.NOISE_CHUNK, cfg.symbols - i) // harness.SUB_CHUNK)
+                      for i in range(0, cfg.symbols, harness.NOISE_CHUNK)]
+        assert sub_chunks == [8, 2]
         assert counts["build_re_matrix"] == 0
-        assert counts["_segment_matrices"] == cfg.symbols
+        assert counts["_segment_matrices"] == sum(sub_chunks)
 
 
 @pytest.mark.parametrize("alg", ("lms", "cmv-sg"))
