@@ -35,10 +35,12 @@ and BER (a-priori) and SINR (a-posteriori) are metered from the records
 in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
 
 A campaign runs its runs in blocks, as many as BLOCK_BYTES of memory
-allows (`_block_width`).  A pd block runs one decision-feedback loop per
-chunk, on a lone run's combiner or on every run's, stacked; an
-interpolated campaign too narrow to stack runs one run per block.  Each
-run's series equals its `run_trial` byte for byte.
+allows (`_block_width`).  A pd-lms block runs one decision-feedback loop
+per chunk, on a lone run's combiner or on every run's, stacked; a pd-rls
+block solves for every run's combiners a sub-chunk at a time, looping
+only over the decided symbols of decision-directed mode; an interpolated
+campaign too narrow to stack runs one run per block.  Each run's series
+equals its `run_trial` byte for byte.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per run drives channel, symbols and noise in a fixed order, and the
@@ -506,9 +508,47 @@ def _pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
     return t
 
 
+def _solves(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """np.linalg.solve(a, b) on a stack of matrices a and right-hand sides
+    b, or np.linalg.inv(a) without b; each matrix's result equals its own
+    call's bit for bit.  A singular matrix's result is NaN, so that its
+    run's outputs are not finite and the metering names the run and symbol
+    as it names a diverged one."""
+    args, fn = ((a,), np.linalg.inv) if b is None else ((a, b), np.linalg.solve)
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError:
+        out = np.full(args[-1].shape, np.nan, dtype=complex)
+        for k in np.ndindex(a.shape[:-2]):
+            try:
+                out[k] = fn(*(arg[k] for arg in args))
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 # ---------------------------------------------------------------------------
 # receivers and the trial loop
 # ---------------------------------------------------------------------------
+
+# Symbols per sub-chunk, for both kinds of receiver.  A stacked
+# interpolated group gathers the Re of their r and r_des in one
+# `_segment_matrices` call and takes their a-posteriori outputs in one
+# `receiver_outputs` call.  Its size moves memory more than speed.  On
+# 50-run, 400-symbol campaigns (blocks of 5 runs; medians of 15
+# interleaved CPU-time pairs, 2-vCPU host), sub-chunks of 16 and 32
+# symbols ran x0.98 to x1.11 as fast as 64 and of 128 x0.96, while the
+# process's peak RSS was 39.1 MB at 32, 39.8 at 64, 42.1 at 128 and 42.4
+# at 256 (the whole chunk).  At 5 runs and the default M = 36, 32 symbols'
+# Re is 0.28 MB, and their padded rows 0.19 MB while it is gathered.
+# pd-rls takes a sub-chunk's combiners (`_Projected._solved`) from one
+# weighted prefix sum and one batched solve, on at most NOISE_CHUNK // d
+# symbols, which is 32 at the default d = 8.  There, with the despreading
+# (CPU time, one BLAS thread, 2-vCPU host), sub-chunks of 32 symbols took
+# 2.4 / 2.1 / 2.0 / 1.9 us per run and symbol in blocks of 1 / 2 / 3 / 9
+# runs, and of 64 symbols 2.0 / 1.9 / 2.2 / 1.9; 8 and 16 took longer.
+SUB_CHUNK = 32
+
 
 class _Projected:
     """RAKE and partial-despreading baselines of a block of runs: a
@@ -518,13 +558,16 @@ class _Projected:
     n_tr symbols, scaled to unit gain; the normal matrix G = C^H C of its
     shifted signatures C is inverted once.  It trains on the transmitted
     symbols in either trained mode and then freezes, so it feeds no
-    decision back.  pd-lms and pd-rls adapt w with the kernels of `lms`
-    and `rls` on the filter alone: `adaptive._gradient` with the step mu0,
-    or mu0 / ||y||^2 under `normalized_steps`, and `adaptive._rls_filter`
-    on the inverse covariance `p_inv`, counting breakdowns in `breakdowns`.
-    The runs share the desired user's code, so they share the projection
-    and G; each holds its own state along the first axis of `w`
-    (runs x d), `p_inv` (runs x d x d), RAKE's running sum `acc`
+    decision back.  pd-lms adapts w with the kernel of `lms` on the filter
+    alone, `adaptive._gradient` with the step mu0, or mu0 / ||y||^2 under
+    `normalized_steps`.  pd-rls takes w as the exponentially weighted
+    least-squares solution R^-1 p of `rls` on the filter alone, R the
+    weighted covariance of the rows from I / delta on and p their weighted
+    cross-correlation with the references (`_solved`); it has no rank-one
+    update to break down, so its `breakdowns` stay 0.  The runs share the
+    desired user's code, so they share the projection and G; each holds
+    its own state along the first axis of `w` (runs x d), pd-rls's `cov`
+    (runs x d x d) and `cross` (runs x d), RAKE's running sum `acc`
     (runs x l_p) and `breakdowns`.  `despread` projects received vectors
     at once (to rows of length `dim`), and `record` takes a chunk's
     outputs from the combiners that `combiners` forms along it.
@@ -538,7 +581,18 @@ class _Projected:
             self.acc = np.zeros((runs, cfg.l_p), dtype=complex)   # sum of conj(b) y so far
         else:
             proj = _pd_projection(code, cfg.m, cfg.pd_rank)
-            self.p_inv = np.tile(cfg.delta * np.eye(cfg.pd_rank, dtype=complex), (runs, 1, 1))
+        if cfg.algorithm == "pd-rls":
+            d = cfg.pd_rank
+            self.cov = np.tile(np.eye(d, dtype=complex) / cfg.delta, (runs, 1, 1))
+            self.cross = np.zeros((runs, d), dtype=complex)
+            # Sub-chunks of SUB_CHUNK symbols; fewer where d is large, so that a
+            # run's d x d statistics for one hold at most NOISE_CHUNK d entries,
+            # as many as its chunk of rows, and where alpha is small, so that
+            # the weights alpha^-t stay at most 1e100
+            span = min(SUB_CHUNK, max(1, NOISE_CHUNK // d))
+            if cfg.alpha < 1:
+                span = min(span, 1 + int(100 / -math.log10(cfg.alpha)))
+            self.weights = cfg.alpha ** -np.arange(span, dtype=float)   # alpha^-t
         self.proj_h = proj.conj().T
         self.dim = proj.shape[1]
         self.w = np.zeros((runs, self.dim), dtype=complex)
@@ -561,18 +615,18 @@ class _Projected:
         `ys` (runs x chunk x d) and `bs` (runs x chunk) hold the chunk's
         despread rows and transmitted symbols, `first` the index of its
         first symbol; row k + 1 of a run's result is its w after symbol
-        first + k.  Each row equals, bit for bit, the update made one
-        symbol at a time.
+        first + k.  Each row of RAKE and pd-lms equals, bit for bit, the
+        update made one symbol at a time; pd-rls's solves the least-squares
+        problem that update tracks, so it equals it to rounding.
 
         RAKE: past n_tr the frozen w, else g / Re(g^H a), a the mean of
         conj(b) y so far and g = G^-1 a, as array products: the sum runs
         in symbol order on from the carried one, and the products are
-        `_matvecs` and `_vdots`.  pd baselines: a decision-feedback loop
-        that takes x = w^H y and adapts w with the error ref - x, the
-        reference being b, or from n_tr on in decision-directed mode the
-        decision on x (`_feedback`).  One run steps on the per-run kernels,
-        where stacked state costs more per symbol than it saves; several step
-        together on their stacked forms.
+        `_matvecs` and `_vdots`.  pd-lms: a decision-feedback loop that
+        takes x = w^H y and adapts w with the error ref - x, the reference
+        being b, or from n_tr on in decision-directed mode the decision on x
+        (`_feedback`).  pd-rls: the solved least-squares combiners of the
+        references, which are b or, from n_tr on, the decisions (`_solved`).
         """
         cfg = self.cfg
         runs, size = bs.shape
@@ -592,51 +646,80 @@ class _Projected:
         else:
             # the chunk offset from which decisions are the reference
             directed = cfg.n_tr - first if cfg.mode == "decision-directed" else size
-            self._feedback(ws, ys, bs, directed)
+            (self._solved if cfg.algorithm == "pd-rls" else self._feedback)(ws, ys, bs, directed)
         self.w = ws[:, -1].copy()
         return ws
 
     def _feedback(self, ws, ys, bs, directed: int) -> None:
-        """The pd decision-feedback loop of a chunk, into the runs' combiners
+        """pd-lms's decision-feedback loop of a chunk, into the runs' combiners
         ws.  Its forms are bound once by width: a lone run's `np.vdot`,
-        `detect`, `adaptive._gradient` and `_rls_filter`, or their forms on a
-        row per run.  pd-lms takes the chunk's steps at once: mu0, or under
-        `normalized_steps` mu0 / ||y||^2, 0 where ||y||^2 vanishes (w holds no
-        -0.0, so w + 0 is w bit for bit)."""
+        `detect` and `adaptive._gradient`, where stacked state costs more per
+        symbol than it saves, or their forms on a row per run.  It takes the
+        chunk's steps at once: mu0, or under `normalized_steps` mu0 / ||y||^2,
+        0 where ||y||^2 vanishes (w holds no -0.0, so w + 0 is w bit for bit)."""
         cfg = self.cfg
-        rls = cfg.algorithm == "pd-rls"
         one = len(bs) == 1
         if one:
-            w, p = self.w[0], self.p_inv[0]
-            output, decide = np.vdot, detect
-            gradient, rls_filter = adaptive._gradient, adaptive._rls_filter
+            w = self.w[0]
+            output, decide, gradient = np.vdot, detect, adaptive._gradient
             rows, refs, out = ys[0], bs[0].tolist(), ws[0, 1:]
         else:
-            w, p = self.w, self.p_inv
-            output, decide = _vdots, _detects
-            gradient, rls_filter = adaptive._gradients, adaptive._rls_filters
+            w = self.w
+            output, decide, gradient = _vdots, _detects, adaptive._gradients
             # per symbol: every run's row, reference and combiner
             rows, refs, out = np.moveaxis(ys, 1, 0), bs.T, np.moveaxis(ws[:, 1:], 1, 0)
-        if not rls:
-            if cfg.normalized_steps:
-                den = _vdots(ys, ys).real
-                steps = np.divide(cfg.mu0, den, out=np.zeros_like(den), where=den > adaptive._TINY)
-            else:
-                steps = np.full(bs.shape, cfg.mu0)
-            steps = steps[0].tolist() if one else steps.T
-        breakdowns = 0
+        if cfg.normalized_steps:
+            den = _vdots(ys, ys).real
+            steps = np.divide(cfg.mu0, den, out=np.zeros_like(den), where=den > adaptive._TINY)
+        else:
+            steps = np.full(bs.shape, cfg.mu0)
+        steps = steps[0].tolist() if one else steps.T
         for k, (y, b) in enumerate(zip(rows, refs)):
             x = output(w, y)
-            ce = np.conj((decide(x) if k >= directed else b) - x)
-            if rls:
-                p, w, broke = rls_filter(p, w, y, ce, cfg.alpha, cfg.delta)
-                breakdowns += broke
-            else:
-                w = gradient(w, y, ce, steps[k], False)
+            w = gradient(w, y, np.conj((decide(x) if k >= directed else b) - x), steps[k], False)
             out[k] = w
-        self.breakdowns += breakdowns
-        if rls:
-            self.p_inv[:] = p
+
+    def _solved(self, ws, ys, bs, directed: int) -> None:
+        """pd-rls's combiners of a chunk into ws, a sub-chunk of
+        len(`weights`) symbols at a time, on one code for every width.
+
+        With t counted from the sub-chunk's first symbol and the weights
+        alpha^-t, the statistics after symbol t are R_t = alpha R +
+        sum_{j<=t} alpha^-j y_j y_j^H and p_t = alpha p + sum_{j<=t}
+        alpha^-j conj(ref_j) y_j, R and p being the carried `cov` and
+        `cross`, and w_t = R_t^-1 p_t: the scale alpha^t that the weights
+        leave out cancels.  Each sum runs in symbol order.  The trained
+        symbols' w come from one batched solve (`_solves`).  From
+        `directed` on, the reference is the decision on x = w^H y, so a
+        loop adds each decided term to p, on R's inverses from one batched
+        call.  The sub-chunk hands on alpha^(n-1) R_{n-1} and
+        alpha^(n-1) p_{n-1}, n its length.  Its boundaries and weights do
+        not depend on `directed`, so a decision-directed run repeats the
+        training run before n_tr byte for byte."""
+        alpha, weights = self.cfg.alpha, self.weights
+        for j0 in range(0, bs.shape[1], len(weights)):
+            y = ys[:, j0:j0 + len(weights)]
+            n = y.shape[1]
+            trained = min(max(directed - j0, 0), n)
+            wy = y * weights[:n, None]
+            cov = wy[..., :, None] * y.conj()[..., None, :]
+            cov[:, 0] += alpha * self.cov
+            np.cumsum(cov, axis=1, out=cov)
+            # p before the sub-chunk, then after each trained symbol
+            cross = np.concatenate([alpha * self.cross[:, None],
+                                    wy[:, :trained] * bs[:, j0:j0 + trained, None]], axis=1)
+            np.cumsum(cross, axis=1, out=cross)
+            ws[:, j0 + 1:j0 + trained + 1] = _solves(cov[:, :trained], cross[:, 1:, :, None])[..., 0]
+            p = cross[:, trained]
+            if trained < n:
+                inv = _solves(cov[:, trained:])
+                w = ws[:, j0 + trained]
+                for t in range(trained, n):
+                    p = p + _detects(_vdots(w, y[:, t]))[:, None] * wy[:, t]
+                    w = ws[:, j0 + t + 1] = _matvecs(inv[:, t - trained], p)
+            scale = alpha ** (n - 1)
+            self.cov = scale * cov[:, -1]
+            self.cross = scale * p
 
 
 def _state(cfg: ScenarioConfig, link: _Link):
@@ -721,16 +804,6 @@ def _each_step(step, s, r, b=None, adapt_v: bool = True, directed: bool = False,
 # crossover (2 runs), so that the 3-run smoke benchmark keeps the per-run
 # path its self-test pins.
 STACK_MIN_RUNS = 4
-# Symbols per sub-chunk of a stacked group, which gathers the Re of their r
-# and r_des in one `_segment_matrices` call and takes their a-posteriori
-# outputs in one `receiver_outputs` call.  Its size moves memory more than
-# speed.  On 50-run, 400-symbol campaigns (blocks of 5 runs; medians of
-# 15 interleaved CPU-time pairs, 2-vCPU host), sub-chunks of 16 and 32
-# symbols ran x0.98 to x1.11 as fast as 64 and of 128 x0.96, while the
-# process's peak RSS was 39.1 MB at 32, 39.8 at 64, 42.1 at 128 and 42.4
-# at 256 (the whole chunk).  At 5 runs and the default M = 36, 32 symbols'
-# Re is 0.28 MB, and their padded rows 0.19 MB while it is gathered.
-SUB_CHUNK = 32
 
 
 class _Interpolated:
@@ -940,7 +1013,11 @@ def _block_width(cfg: ScenarioConfig) -> int:
     about 8 K + 128 bytes per symbol, and its share of a chunk's rows:
     for a baseline its despread rows and combiners, 64 bytes per chunk
     symbol and combiner tap; for an interpolated receiver its rows of r
-    and r_des, 32 bytes per chunk symbol and sample of r.
+    and r_des, 32 bytes per chunk symbol and sample of r.  pd-rls also
+    holds, uncounted, a sub-chunk's d x d statistics and, in
+    decision-directed mode, their inverses: `_Projected` caps a sub-chunk
+    at NOISE_CHUNK // d symbols, so each takes at most 16 bytes per chunk
+    symbol and tap, a quarter of what its rows are counted at.
     """
     if cfg.algorithm in BASELINES:
         row_bytes = 64 * (cfg.l_p if cfg.algorithm == "rake" else cfg.pd_rank)

@@ -6,7 +6,7 @@ from ifir_cdma.interpolation import (_segment_matrices, build_re_matrix, filter_
                                     make_decimation)
 from ifir_cdma.signal_model import gen_gold_set
 
-from oracles import accumulate_and_invert, fullrank_nlms, fullrank_rls
+from oracles import PD_RLS_RTOL, accumulate_and_invert, fullrank_nlms, fullrank_rls
 
 
 def crandn(rng, *shape):
@@ -328,11 +328,14 @@ class TestFullRankEquivalence:
         assert np.array_equal(ws, ws_ref)
         assert np.array_equal(es, es_ref)
 
-    def test_pd_rls_bit_for_bit(self):
+    def test_pd_rls_matches_recursion(self):
+        # the baseline solves the least-squares problem that the textbook
+        # recursion tracks, so the two agree to rounding
         cfg, ys, bs, ws, es = self.run_baseline("pd-rls")
         ws_ref, es_ref = fullrank_rls(ys, bs, cfg.alpha, cfg.delta)
-        assert np.array_equal(ws, ws_ref)
-        assert np.array_equal(es, es_ref)
+        assert np.all(np.linalg.norm(ws - ws_ref, axis=1)
+                      <= PD_RLS_RTOL * np.linalg.norm(ws_ref, axis=1))
+        np.testing.assert_allclose(es, es_ref, rtol=PD_RLS_RTOL, atol=0)
 
 
 def blind_cfg(symbols, seed=5, **kw):

@@ -337,6 +337,16 @@ def test_cli_import_loads_no_theory_module():
     assert "concurrent.futures.process" not in loaded
 
 
+def test_singular_pd_rls_run_exits_three(tmp_path, capsys):
+    # a singular weighted covariance fails its run as a divergence does,
+    # and warns of nothing on the way (the suite makes warnings errors)
+    code, out = run(tmp_path, write_config(tmp_path, {"algorithm": "pd-rls", "alpha": 1e-3,
+                                                      "runs": 2, "symbols": 300, "seed": 3}))
+    assert code == 3
+    assert not out.exists()
+    assert "run seed 819382448 diverged" in capsys.readouterr().err
+
+
 def test_module_diverging_run_exits_three(tmp_path):
     proc, out = run_module(tmp_path, {"algorithm": "lms", "normalized_steps": False,
                                       "mu0": 1.5, "eta0": 0.5, "runs": 1, "symbols": 2000,
