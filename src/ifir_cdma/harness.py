@@ -709,7 +709,8 @@ class _Projected:
             cross = np.concatenate([alpha * self.cross[:, None],
                                     wy[:, :trained] * bs[:, j0:j0 + trained, None]], axis=1)
             np.cumsum(cross, axis=1, out=cross)
-            ws[:, j0 + 1:j0 + trained + 1] = _solves(cov[:, :trained], cross[:, 1:, :, None])[..., 0]
+            solved = _solves(cov[:, :trained], cross[:, 1:, :, None])
+            ws[:, j0 + 1:j0 + trained + 1] = solved[..., 0]
             p = cross[:, trained]
             if trained < n:
                 inv = _solves(cov[:, trained:])

@@ -250,7 +250,8 @@ def test_pd_rls_extremes_match_per_symbol_loop(alpha, delta, rank):
 
 
 @pytest.mark.parametrize("rank", (1, "M"))
-@pytest.mark.parametrize("change", ({}, {"f_dt": 1e-3}, {"mode": "decision-directed", "n_tr": 100}),
+@pytest.mark.parametrize("change", ({}, {"f_dt": 1e-3},
+                                    {"mode": "decision-directed", "n_tr": 100}),
                          ids=("static", "faded", "directed"))
 def test_pd_rls_block_runs_equal_their_trials(change, rank):
     # blocks of 2 and 9 runs; each run repeats its block of one byte for
