@@ -7,40 +7,46 @@ MSE, windowed SINR and cumulative BER; `run_campaign` averages
 independent runs with spawned sub-seeds.
 
 A trial takes the link (`_Link`) a noise chunk at a time, as arrays of
-received vectors, of their desired-only components and of the channel
-gains.  A static link forms a chunk's noiseless vectors as one batched
-product of a per-user response table with the symbols' windows, a faded
-one by convolving each symbol's gains with the chips.
-Per symbol it takes the decision output (a-priori: the receiver before
-the symbol), adapts with the reference symbol (training symbol, or the
-decision in decision-directed mode past `n_tr`; blind receivers ignore
-it), and records the updated receiver's outputs for r and for its
-desired-only component (a-posteriori).  One driver, `_run_block`, does
-this for a block of seeded runs, and `run_trial` is a block of one.  It
-builds a receiver of one of two kinds, which answer the same calls:
-`despread` maps a chunk's received vectors to the rows the receiver
-takes, and `record` writes the chunk's outputs into the block's records.
-The interpolated receivers (`_Interpolated`) take r itself and run one
-symbol loop over groups of runs, one step call per symbol returning the
-a-priori outputs.  A block's runs step together on stacked state
-(`adaptive.stack` and the `adaptive.*_steps` kernels) and take their
-a-posteriori outputs once per sub-chunk of SUB_CHUNK symbols, from the
-filters kept after each symbol; in a block narrower than STACK_MIN_RUNS
-each run steps alone on its own state (the per-run steps) and takes them
-per symbol.  The RAKE and partial-despreading baselines (`_Projected`)
-despread a chunk in one product and take its outputs as array products
-of their combiners.  `record` runs with numpy's overflow warnings off,
-so a diverged run reaches the trial's LinAlgError.  MSE
-and BER (a-priori) and SINR (a-posteriori) are metered from the records
-in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
+received vectors, of their desired-only components (unless the receiver
+forms them itself) and of the channel gains.  A static link forms a
+chunk's noiseless vectors as one batched product of a per-user response
+table with the symbols' windows, a faded one by convolving each symbol's
+gains with the chips.  Per symbol it takes the decision output
+(a-priori: the receiver before the symbol), adapts with the reference
+symbol (training symbol, or the decision in decision-directed mode past
+`n_tr`; blind receivers ignore it), and records the updated receiver's
+outputs for r and for its desired-only component (a-posteriori).  One
+driver, `_run_block`, does this for a block of seeded runs, and
+`run_trial` is a block of one.  It builds a receiver of one of two
+kinds, which answer the same calls: `despread` maps a chunk's received
+vectors to the rows the receiver takes, and `record` writes the chunk's
+outputs into the block's records.  The interpolated receivers
+(`_Interpolated`) take r itself and run one symbol loop over groups of
+runs, one step call per symbol returning the a-priori outputs.  A
+block's runs step together on stacked state (`adaptive.stack` and the
+`adaptive.*_steps` kernels) and take their a-posteriori outputs once per
+sub-chunk of SUB_CHUNK symbols, from the filters kept after each symbol;
+in a block narrower than STACK_MIN_RUNS each run steps alone on its own
+state (the per-run steps) and takes them per symbol.  An interpolated
+block holds only what its loop reads: a chunk's rows of r (and a faded
+run's rows of r_des), and one sub-chunk's padded rows and Re in buffers
+it reuses; a static run's rows of r_des, (A_0 b) times its signature,
+are formed a sub-chunk at a time.  The RAKE and partial-despreading
+baselines (`_Projected`) despread a chunk in one product and take its
+outputs as array products of their combiners.  `record` runs with
+numpy's overflow warnings off, so a diverged run reaches the trial's
+LinAlgError.  MSE and BER (a-priori) and SINR (a-posteriori) are metered
+from the records in arrays, each power equal to Python's abs(z) ** 2 bit
+for bit.
 
 A campaign runs its runs in blocks, as many as BLOCK_BYTES of memory
-allows (`_block_width`).  A pd-lms block runs one decision-feedback loop
-per chunk, on a lone run's combiner or on every run's, stacked; a pd-rls
-block solves for every run's combiners a sub-chunk at a time, looping
-only over the decided symbols of decision-directed mode; an interpolated
-campaign too narrow to stack runs one run per block.  Each run's series
-equals its `run_trial` byte for byte.
+allows by a count of what each kind of run holds (`_block_width`).  A
+pd-lms block runs one decision-feedback loop per chunk, on a lone run's
+combiner or on every run's, stacked; a pd-rls block solves for every
+run's combiners a sub-chunk at a time, looping only over the decided
+symbols of decision-directed mode; an interpolated campaign too narrow
+to stack runs one run per block.  Each run's series equals its
+`run_trial` byte for byte.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per run drives channel, symbols and noise in a fixed order, and the
@@ -75,11 +81,18 @@ NOISE_CHUNK = 256
 
 ALGORITHMS = ("lms", "rls", "cmv-sg", "cmv-rls", "rake", "pd-lms", "pd-rls")
 BASELINES = ("rake", "pd-lms", "pd-rls")   # the receivers `_Projected` runs
-# Bytes a block of runs may hold (see `_block_width`): at the defaults, 9
-# pd runs of 400 symbols, 3 of 2000, and one at a time from ~4500 symbols
-# on; 5 interpolated runs of 400 symbols, and one at a time from ~1100,
-# where fewer than STACK_MIN_RUNS would fit.
-BLOCK_BYTES = 2_000_000
+# Bytes a block may hold by `_block_width`'s count of what each kind of run
+# holds, which runs high by up to ~15 %.  At the defaults that is, in runs
+# of 400 symbols, 11 rake runs and 9 of every other kind (8 tracked
+# cmv-rls, 5 faded interpolated), and from ~3500 symbols on one run at a
+# time for an interpolated campaign (STACK_MIN_RUNS would not fit) and
+# from ~7000 for a baseline.  The 400-symbol blocks peak at 1.9 to 2.75 MB
+# traced (tracemalloc, numpy 2.4), each run holding, near those widths,
+# rake 231 kB, pd-lms 174, pd-rls 241, lms 279, rls 295, cmv-sg 286,
+# cmv-rls 304 and faded cmv-sg 416.  Before a stacked block formed its
+# static runs' r_des where it reads them and kept one sub-chunk's Re, an
+# interpolated run held ~525 kB and such blocks took 5 runs.
+BLOCK_BYTES = 3_000_000
 MODES = ("training", "decision-directed", "blind")
 
 
@@ -350,7 +363,8 @@ class _Link:
     `chunks()` draws the chunks one at a time, in symbol order, and keeps
     none.  A chunk holds the received vectors R = clean + noise
     (chunk x M), desired symbols b, desired-only components
-    R_des = (A_0 b)[:, None] * signature and path gains G (chunk x l_p).
+    R_des = (A_0 b)[:, None] * signature (None when not asked for, for a
+    receiver that forms them itself) and path gains G (chunk x l_p).
     The link keeps its symbols, not its chip stream.  A static link holds
     a response table (`_response_table`): per user k and symbol q of the
     ISI span, the M samples of r that the symbol reaches, which is the
@@ -389,7 +403,7 @@ class _Link:
         if self._static:
             responses = np.array([signal_model.effective_signature(code, self.channel.gains)
                                   for code in self.codes])
-            self.signature = responses[0]
+            self.signature = responses[0].copy()   # a view would keep every user's
             # a static channel's gains are its path amplitudes, so the responses are real
             self._table = self._response_table(responses.real)
         else:
@@ -421,8 +435,9 @@ class _Link:
             stream += (amp * bits)[:, None] * code
         return stream.ravel()[start - lo * n:start - lo * n + length]
 
-    def chunks(self):
-        """Yield (R, b, R_des, G) for each noise chunk, in symbol order."""
+    def chunks(self, desired: bool = True):
+        """Yield (R, b, R_des, G) for each noise chunk, in symbol order;
+        R_des is None without `desired`."""
         n, l_p, span = self.cfg.n, self.cfg.l_p, 2 * self.l_s - 1
         view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
 
@@ -433,6 +448,7 @@ class _Link:
             rs = 1j * z[:, 1]
             rs += z[:, 0]
             rs *= np.sqrt(self.sigma2 / 2.0)
+            del z   # the arrays below are made without the noise draw alongside
             b = self.desired[i:i + size]
             if self._static:
                 # windows[k] holds A_j b_j over symbol i + k's span, user by user,
@@ -449,12 +465,19 @@ class _Link:
                 # code_matrix @ g its desired signature: windows[k][m, l] is
                 # the chip at k N + m - l + l_p - 1.  Batched as a @ g[..., None],
                 # each product equals the per-symbol a @ g bit for bit; g @ a.T
-                # sums in another order
+                # sums in another order.  numpy makes a complex copy of the
+                # windows it multiplies, so they go SUB_CHUNK at a time
                 windows = view(view(chips, self.m + l_p - 1)[::n], l_p, axis=1)[:, :, ::-1]
-                clean = (windows @ gains[:, :, None])[..., 0]
+                clean = np.empty((size, self.m, 1), dtype=complex)
+                for k in range(0, size, SUB_CHUNK):
+                    np.matmul(windows[k:k + SUB_CHUNK], gains[k:k + SUB_CHUNK, :, None],
+                              out=clean[k:k + SUB_CHUNK])
+                clean = clean[..., 0]
                 signature = _matvecs(self._code_matrix, gains)
             rs += clean
-            return rs, b, (self.amps[0] * b)[:, None] * signature, gains
+            del clean
+            rs_des = (self.amps[0] * b)[:, None] * signature if desired else None
+            return rs, b, rs_des, gains
 
         for i in range(0, self.cfg.symbols, NOISE_CHUNK):
             yield draw(i)
@@ -532,15 +555,16 @@ def _solves(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Symbols per sub-chunk, for both kinds of receiver.  A stacked
-# interpolated group gathers the Re of their r and r_des in one
-# `_segment_matrices` call and takes their a-posteriori outputs in one
-# `receiver_outputs` call.  Its size moves memory more than speed.  On
+# interpolated group gathers the Re of their r in one `_segment_matrices`
+# call and takes their a-posteriori outputs in one `receiver_outputs`
+# call, then does the same for r_des.  Its size moves memory more than
+# speed.  On
 # 50-run, 400-symbol campaigns (blocks of 5 runs; medians of 15
 # interleaved CPU-time pairs, 2-vCPU host), sub-chunks of 16 and 32
 # symbols ran x0.98 to x1.11 as fast as 64 and of 128 x0.96, while the
 # process's peak RSS was 39.1 MB at 32, 39.8 at 64, 42.1 at 128 and 42.4
-# at 256 (the whole chunk).  At 5 runs and the default M = 36, 32 symbols'
-# Re is 0.28 MB, and their padded rows 0.19 MB while it is gathered.
+# at 256 (the whole chunk).  At the default M = 36, 32 symbols' Re of r
+# takes 28 kB per run and their padded rows 19 kB.
 # pd-rls takes a sub-chunk's combiners (`_Projected._solved`) from one
 # weighted prefix sum and one batched solve, on at most NOISE_CHUNK // d
 # symbols, which is 32 at the default d = 8.  There, with the despreading
@@ -595,6 +619,7 @@ class _Projected:
             self.weights = cfg.alpha ** -np.arange(span, dtype=float)   # alpha^-t
         self.proj_h = proj.conj().T
         self.dim = proj.shape[1]
+        self.row_sets = 2   # a chunk keeps the despread rows of r and of r_des
         self.w = np.zeros((runs, self.dim), dtype=complex)
         self.breakdowns = np.zeros(runs, dtype=int)
 
@@ -813,12 +838,14 @@ class _Interpolated:
     over a chunk in one symbol loop, a group of runs at a time.  A block of
     STACK_MIN_RUNS runs or more is one group, stepped on a stack of its
     runs' states with the forms that take a row per run (`*_steps`,
-    `_align_phases`, ...) on the Re of every run's r, gathered with that of
-    r_des once per sub-chunk of SUB_CHUNK symbols; a narrower one is a
-    group per run, stepped on the run's own state with the per-run forms
-    (`_each_step` around `*_step`, `_align_phase`, ...).  Each run's state
-    is the one `_state` made, and holds its filters and breakdowns between
-    chunks."""
+    `_align_phases`, ...) on the Re of every run's r, gathered once per
+    sub-chunk of SUB_CHUNK symbols; a narrower one is a group per run,
+    stepped on the run's own state with the per-run forms (`_each_step`
+    around `*_step`, `_align_phase`, ...).  Each run's state is the one
+    `_state` made, and holds its filters and breakdowns between chunks.
+    A chunk keeps `row_sets` sets of rows per run: those of r and, when
+    faded, of r_des; a static run's r_des is formed from its link's
+    `signature` where it is read (`_desired`)."""
 
     def __init__(self, cfg: ScenarioConfig, links):
         self.cfg = cfg
@@ -826,6 +853,12 @@ class _Interpolated:
         self.states, self.trackers = zip(*(_state(cfg, link) for link in links))
         # a group is one run's index, or a slice of every run of the block
         self.groups = [slice(None)] if len(links) >= STACK_MIN_RUNS else range(len(links))
+        # a static run's r_des is (A_0 b)[:, None] * signature, formed where
+        # it is read as the link forms it; a faded run's signature changes
+        # per symbol, so its chunk keeps its rows of r_des
+        self.row_sets = 2 if cfg.f_dt > 0 else 1
+        self.amps = np.array([link.amps[0] for link in links])
+        self.signatures = None if cfg.f_dt > 0 else np.array([link.signature for link in links])
 
     despread = staticmethod(np.asarray)   # the rows are r itself
 
@@ -835,13 +868,17 @@ class _Interpolated:
 
     def record(self, rec: np.ndarray, ys: np.ndarray, bs: np.ndarray, gs, first: int) -> None:
         """As `_Projected.record` on r and r_des themselves, `gs` holding each
-        run's gains.  A group binds its forms once per chunk, and the symbol
-        loop is one.  Per symbol, one step call adapts the group's runs and
-        returns their a-priori outputs x.  A one-run group steps on its rows
-        of r and takes its a-posteriori outputs after each symbol; a stacked
-        one steps on the Re of every run's r, which it gathers with that of
-        r_des once per sub-chunk, keeps its filters after each symbol, and
-        takes the sub-chunk's a-posteriori outputs in one call."""
+        run's gains and `ys` the rows of r and, for a faded block, of r_des
+        (`row_sets`).  A group binds its forms once per chunk, and the
+        symbol loop is one.  Per symbol, one step call adapts the group's
+        runs and returns their a-priori outputs x.  A one-run group steps
+        on its rows of r and takes its a-posteriori outputs after each
+        symbol.  A stacked one takes a sub-chunk of SUB_CHUNK symbols at a
+        time: it gathers the Re of every run's r, steps on it, keeps its
+        filters after each symbol and takes the sub-chunk's a-posteriori
+        outputs for r in one call, then gathers the Re of r_des in its
+        place and takes theirs in another.  The rows go into one
+        zero-padded buffer and their Re into another, both reused."""
         cfg = self.cfg
         size = bs.shape[1]
         # the chunk offset from which decisions are the reference
@@ -859,48 +896,79 @@ class _Interpolated:
                 step = functools.partial(_each_step, step)
                 align, gains = _align_phase, gs[group]
                 span = size   # it gathers nothing, so it takes the chunk whole
+                des = (ys[1, group] if faded
+                       else (self.amps[group] * bs[group])[:, None] * self.signatures[group])
             else:
                 s = adaptive.stack(self.states)
                 tracker = self.trackers[0] and adaptive.stack(self.trackers)
                 align = _align_phases
-                gains = np.stack(gs, axis=1) if tracker or faded else None
+                # every run's gains per symbol; a static run's are its channel's
+                if faded:
+                    gains = np.stack(gs, axis=1)
+                elif tracker:
+                    gains = np.broadcast_to([g[0] for g in gs], (size, len(gs), cfg.l_p))
+                span = min(SUB_CHUNK, size)
                 # every run's filters after each symbol of a sub-chunk
-                vs = np.empty((SUB_CHUNK, *s.v.shape), dtype=complex)
-                ws = np.empty((SUB_CHUNK, *s.w.shape), dtype=complex)
-                span = SUB_CHUNK
+                vs = np.empty((span, *s.v.shape), dtype=complex)
+                ws = np.empty((span, *s.w.shape), dtype=complex)
+                # a sub-chunk's rows, zero-padded to the gather's width, and their
+                # Re: symbol-major, so that each symbol's Re is C-contiguous
+                idx, buf = s.dec.segment_index(s.n_i)
+                pad = np.zeros((span, len(gs), buf.size), dtype=complex)
+                res = np.empty((span, len(gs), *idx.shape), dtype=complex)
             track = tracker and getattr(tracker, "update" + plural)
             for j0 in range(0, size, span):
-                rows = ys[:, group, j0:j0 + span]
-                # per symbol, the input of the step and of the a-posteriori
-                # outputs: the pair r, r_des or, stacked, the Re of every
-                # run's r and r_des, gathered at once
-                ins = (zip(*rows) if one
-                       else _segment_matrices(np.moveaxis(rows, -2, 0), s.n_i, s.dec))
+                n = min(span, size - j0)
+                # per symbol, the input of the step: a row of r or, stacked,
+                # the Re of every run's r, gathered at once
+                if one:
+                    ins = ys[0, group]
+                else:
+                    rows = pad[:n, :, :cfg.m]
+                    rows[...] = ys[0, :, j0:j0 + n].swapaxes(0, 1)
+                    ins = _segment_matrices(pad[:n], s.n_i, s.dec, out=res[:n])
                 xs, outs = [], []
-                for j, (pair, b) in enumerate(zip(ins, bs[group, j0:j0 + span].T), j0):
+                for j, (y, b) in enumerate(zip(ins, bs[group, j0:j0 + n].T), j0):
                     if blind:
                         # a tracked step rebinds g_hat; x is aligned with the one before it
                         g_hat = s.g_hat
                         # a tracker reads the rows of r themselves
                         g = track(ys[0, group, j]) if track else gains[j] if faded else None
-                        x = step(s, pair[0], adapt_v=adapt_v, g=g)
+                        x = step(s, y, adapt_v=adapt_v, g=g)
                     else:
-                        x = step(s, pair[0], b, adapt_v=adapt_v, directed=j >= directed)
+                        x = step(s, y, b, adapt_v=adapt_v, directed=j >= directed)
                     xs.append(align(x, g_hat, gains[j]) if track else x)
                     if one:
-                        outs.append(_each_output(s, pair))
+                        outs.append(_each_output(s, (y, des[j])))
                     else:   # the steps rebind v and w, so these are the symbol's
                         vs[j - j0], ws[j - j0] = s.v, s.w
-                n = len(xs)
-                if not one:
-                    outs = receiver_outputs(vs[:n, None], ws[:n, None], ins)
                 # symbols last, as in rec
                 rec[0, group, j0:j0 + n] = np.moveaxis(np.array(xs), 0, -1)
-                rec[1:, group, j0:j0 + n] = np.moveaxis(np.array(outs), 0, -1)
+                if one:
+                    rec[1:, group, j0:j0 + n] = np.array(outs).T
+                else:
+                    # the filters conjugated in place, as the output calls take them
+                    vc, wc = np.conjugate(vs[:n], out=vs[:n]), np.conjugate(ws[:n], out=ws[:n])
+                    rec[1, :, j0:j0 + n] = receiver_outputs(vc, wc, ins).T
+                    self._desired(rows, ys, bs, j0)
+                    ins = _segment_matrices(pad[:n], s.n_i, s.dec, out=res[:n])
+                    rec[2, :, j0:j0 + n] = receiver_outputs(vc, wc, ins).T
             if not one:
                 adaptive.unstack(s, self.states)
                 if tracker:
                     adaptive.unstack(tracker, self.trackers)
+
+    def _desired(self, rows: np.ndarray, ys: np.ndarray, bs: np.ndarray, j0: int) -> None:
+        """Into rows (symbols x runs x M), every run's rows of r_des for the
+        symbols from j0 on: a faded run's kept rows, or a static run's
+        formed as its link forms them, a run at a time, so that numpy's
+        buffers for the broadcast product stay one run's size."""
+        n = len(rows)
+        if self.signatures is None:
+            rows[...] = ys[1, :, j0:j0 + n].swapaxes(0, 1)
+            return
+        for k, (amp, signature) in enumerate(zip(self.amps, self.signatures)):
+            np.multiply((amp * bs[k, j0:j0 + n])[:, None], signature, out=rows[:, k])
 
 
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
@@ -920,29 +988,38 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     return _run_block(cfg, [run_seed])[0]
 
 
-def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
+def _run_block(cfg: ScenarioConfig, seeds, widest: int = 1) -> list[MetricSeries]:
     """`run_trial` for each seed, the runs taken together.
 
     Each run keeps its own `_Link` and Generator, so it draws as in a
     block of one.  Chunk by chunk, each run draws its chunk and despreads
-    it, only the despread rows being kept, and one `record` call of the
+    it, only the despread rows that the receiver reads being kept (its
+    `row_sets`: of r, and of r_des unless it forms them), and one
+    `record` call of the
     block's receiver (`_Projected` or `_Interpolated`, which steps the
     runs together from STACK_MIN_RUNS on) writes every run's records
     with numpy's overflow, invalid-value and division warnings off:
-    `_metered` catches a diverged run."""
+    `_metered` catches a diverged run.  The chunk's rows go into a buffer
+    sized for `widest` runs, or for the block's if it is wider: a campaign
+    passes its widest block's size, so that its blocks, which differ by a
+    run at most, take one buffer size.  glibc's allocator maps a buffer of
+    the size it last unmapped afresh, and returns it with its block, but
+    serves a smaller one from its heap, whose pages stay resident."""
     links = [_Link(cfg, np.random.default_rng(seed)) for seed in seeds]
     rx = (_Projected(cfg, links[0].codes[0], len(links)) if cfg.algorithm in BASELINES
           else _Interpolated(cfg, links))
     desired = np.array([link.desired for link in links])
     # records: x, out and out_des per run and symbol
     rec = np.empty((3, len(links), cfg.symbols), dtype=complex)
-    # the despread rows of a chunk's r and r_des
-    chunk_ys = np.empty((2, len(links), min(NOISE_CHUNK, cfg.symbols), rx.dim), dtype=complex)
-    chunks = [link.chunks() for link in links]
+    # the despread rows of a chunk's r and, unless the receiver forms them, r_des
+    chunk_ys = np.empty((rx.row_sets, max(widest, len(links)), min(NOISE_CHUNK, cfg.symbols),
+                         rx.dim), dtype=complex)[:, :len(links)]
+    chunks = [link.chunks(desired=rx.row_sets > 1) for link in links]
 
     def take(k):   # a call, so that run k's chunk is freed before the next run draws
         rs, _, rs_des, gs[k] = next(chunks[k])
-        ys[0, k], ys[1, k] = rx.despread(rs), rx.despread(rs_des)
+        for kept, rows in zip(ys[:, k], (rs, rs_des)):
+            kept[...] = rx.despread(rows)
 
     for i in range(0, cfg.symbols, NOISE_CHUNK):
         bs = desired[:, i:i + NOISE_CHUNK]
@@ -953,6 +1030,7 @@ def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
             take(k)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rx.record(rec[:, :, i:i + NOISE_CHUNK], ys, bs, gs, i)
+    del chunk_ys, ys, gs   # the metering needs none of the last chunk
     return _metered(cfg, seeds, desired, rec, rx.breakdowns)
 
 
@@ -1005,39 +1083,77 @@ def iter_symbols(cfg: ScenarioConfig, run_seed):
 
 
 def _block_width(cfg: ScenarioConfig) -> int:
-    """Runs per block: BLOCK_BYTES over what a run holds, at least 1, and
-    1 for an interpolated campaign whose blocks would hold fewer than
-    STACK_MIN_RUNS runs, which gain nothing from sharing a block and can
-    each go to a worker.
+    """Runs per block: what BLOCK_BYTES leaves after a block's fixed bytes,
+    over what a run holds, at least 1; and 1 for an interpolated campaign
+    whose blocks would hold fewer than STACK_MIN_RUNS runs, which gain
+    nothing from sharing a block and can each go to a worker.
 
-    A run holds its link's symbols and its records and metered series,
-    about 8 K + 128 bytes per symbol, and its share of a chunk's rows:
-    for a baseline its despread rows and combiners, 64 bytes per chunk
-    symbol and combiner tap; for an interpolated receiver its rows of r
-    and r_des, 32 bytes per chunk symbol and sample of r.  pd-rls also
-    holds, uncounted, a sub-chunk's d x d statistics and, in
-    decision-directed mode, their inverses: `_Projected` caps a sub-chunk
-    at NOISE_CHUNK // d symbols, so each takes at most 16 bytes per chunk
-    symbol and tap, a quarter of what its rows are counted at.
+    In bytes, with c = min(symbols, NOISE_CHUNK) symbols to a chunk and
+    s = min(symbols, SUB_CHUNK) to a sub-chunk, a run holds its link's
+    symbols, their copy and its records, 8 K + 56 per symbol, and its
+    link's response table, 8 M K (2 l_s - 1), or a faded link's code
+    matrix and its fading processes' current samples; on top, the larger
+    of what the metering adds, 64 per symbol, and its share of a chunk:
+    - a baseline's despread rows of r and r_des and its combiners,
+      3 x 16 c per tap, and rake's running sums and their solutions,
+      5 x 16 per tap and trained symbol of the chunk, or pd-rls's
+      weighted covariances, their inverses and the solves' copies,
+      4 x 16 n d^2, n the symbols of its sub-chunk.  pd-lms holds none of
+      these but is counted as pd-rls, so that the two keep one width;
+    - an interpolated run's rows of r, 16 c M, and a faded run's rows of
+      r_des too; in a stacked block, its share of a sub-chunk, 16 s (P +
+      N_I M_red + N_I + 2 M_red): its rows padded to P samples, their Re,
+      its filters after each symbol and their outputs' products; an RLS
+      run's inverses, stacked and its own, 32 (M_red^2 + N_I^2); a blind
+      run's constraints, 16 l_p (N_I M_red + M), and its channel
+      tracker's, 16 l_p (M + 3 l_p);
+    - a faded run's gains, 16 c l_p, held twice by a stacked block.
+    The fixed bytes are numpy's buffers for a broadcast product, three
+    operands of `np.getbufsize()` entries.  One run's chunk draw in flight
+    (up to ~0.7 MB) is not counted apart: a block draws while it holds
+    none of its sub-chunk arrays or combiners, and the draw's own products
+    take numpy's buffers.
     """
-    if cfg.algorithm in BASELINES:
-        row_bytes = 64 * (cfg.l_p if cfg.algorithm == "rake" else cfg.pd_rank)
+    chunk, sub = min(cfg.symbols, NOISE_CHUNK), min(cfg.symbols, SUB_CHUNK)
+    faded, interpolated = cfg.f_dt > 0, cfg.algorithm not in BASELINES
+    if faded:
+        samples = signal_model._inband(signal_model._period(cfg.f_dt), cfg.f_dt)[2].shape[0]
+        link = 16 * (cfg.m * cfg.l_p + len(cfg.path_powers) * samples)
+        held = 16 * chunk * cfg.l_p * (2 if interpolated else 1)
     else:
-        row_bytes = 32 * cfg.m
-    per_run = cfg.symbols * (8 * cfg.k + 128) + min(cfg.symbols, NOISE_CHUNK) * row_bytes
-    width = max(1, BLOCK_BYTES // per_run)
-    if cfg.algorithm not in BASELINES and min(width, cfg.runs) < STACK_MIN_RUNS:
+        link = 8 * cfg.m * cfg.k * (2 * signal_model.isi_span(cfg.l_p, cfg.n) - 1)
+        held = 0
+    if cfg.algorithm == "rake":
+        held += 16 * cfg.l_p * (3 * chunk + 5 * min(cfg.n_tr, chunk))
+    elif not interpolated:
+        d = cfg.pd_rank
+        held += 3 * 16 * chunk * d + 4 * 16 * min(sub, max(1, NOISE_CHUNK // d)) * d * d
+    else:
+        dec = make_decimation(cfg.m, cfg.l)
+        m_red, n_i, padded = dec.m_red, cfg.n_i, dec.segment_index(cfg.n_i)[1].size
+        held += 16 * chunk * cfg.m * (2 if faded else 1)
+        held += 16 * sub * (padded + n_i * m_red + n_i + 2 * m_red)
+        if cfg.algorithm in ("rls", "cmv-rls"):
+            held += 32 * (m_red ** 2 + n_i ** 2)
+        if cfg.mode == "blind":
+            held += 16 * cfg.l_p * (n_i * m_red + cfg.m)
+        if cfg.mode == "blind" and not cfg.known_channel:
+            held += 16 * cfg.l_p * (cfg.m + 3 * cfg.l_p)
+    per_run = cfg.symbols * (8 * cfg.k + 56) + link + max(64 * cfg.symbols, held)
+    width = max(1, (BLOCK_BYTES - 3 * 16 * np.getbufsize()) // per_run)
+    if interpolated and min(width, cfg.runs) < STACK_MIN_RUNS:
         return 1
     return width
 
 
-def _trials(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
-    """The series of a block of seeded runs (`_run_block`), a block of one
-    through the public `run_trial`, which a tracer of public calls sees."""
+def _trials(cfg: ScenarioConfig, seeds, widest: int) -> list[MetricSeries]:
+    """The series of a block of seeded runs (`_run_block`, `widest` being
+    the runs of the campaign's widest block), a block of one through the
+    public `run_trial`, which a tracer of public calls sees."""
     if len(seeds) == 1:
         return [run_trial(cfg, seeds[0])]
     cfg.validate()
-    return _run_block(cfg, seeds)
+    return _run_block(cfg, seeds, widest)
 
 
 def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
@@ -1058,15 +1174,16 @@ def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
     count = -(-runs // _block_width(cfg))
     blocks = [seeds[runs * j // count:runs * (j + 1) // count] for j in range(count)]
+    widest = -(-runs // count)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, count, cpus or 1)
     if workers > 1:
         # imported here, so a start that needs no pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_trials, [cfg] * count, blocks))
+            done = list(pool.map(_trials, [cfg] * count, blocks, [widest] * count))
     else:
-        done = [_trials(cfg, block) for block in blocks]
+        done = [_trials(cfg, block, widest) for block in blocks]
     results = [res for block in done for res in block]
     mse = np.mean([res.mse for res in results], axis=0)
     sinr_lin = np.mean([10.0 ** (res.sinr_db / 10.0) for res in results], axis=0)

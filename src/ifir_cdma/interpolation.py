@@ -142,26 +142,36 @@ def receiver_output(state: ReceiverState, r: np.ndarray) -> complex:
     return complex(np.vdot(state.w, rbar))
 
 
-def receiver_outputs(v: np.ndarray, w: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """`receiver_output` of interpolators v (..., N_I) and filters w
-    (..., M_red) on segment matrices res (..., N_I, M_red) of rows of r
-    (`_segment_matrices`), the leading axes broadcast: a stacked block's
-    filters after each symbol of a sub-chunk, say, on the Re of its r and
-    r_des.  Each output equals the per-run one bit for bit."""
-    return _vdots(w, _matvecs(res.swapaxes(-1, -2), v.conj()))
+def receiver_outputs(vc: np.ndarray, wc: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """`receiver_output` of interpolators and filters given by their
+    conjugates vc (..., N_I) and wc (..., M_red), on segment matrices res
+    (..., N_I, M_red) of rows of r (`_segment_matrices`), the leading axes
+    broadcast: a stacked block's filters after each symbol of a sub-chunk,
+    say, conjugated in place, on the Re of its r.  Each output equals the
+    per-run one bit for bit: it is `_vdots(w, rbar)` with the conjugate at
+    hand."""
+    return (wc[..., None, :] @ _matvecs(res.swapaxes(-1, -2), vc)[..., None])[..., 0, 0]
 
 
-def _segment_matrices(rs: np.ndarray, n_i: int, dec: DecimationOperator) -> np.ndarray:
+def _segment_matrices(rs: np.ndarray, n_i: int, dec: DecimationOperator,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """`build_re_matrix` of every row of rs (rows of r along the last axis,
     any leading axes), stacked, bit for bit: one gather of the zero-padded
     rows, as a stacked block makes once per sub-chunk of its r and r_des.
-    The result is C-contiguous, as each `build_re_matrix` is, so that every
-    trailing (..., N_I, M_red) slice is too."""
+    Rows already as wide as the gather buffer (`dec.segment_index`), zero
+    past M, are gathered as they are, and into `out` if given, so that a
+    caller that reuses both arrays allocates nothing.  The result is
+    C-contiguous, as each `build_re_matrix` is, so that every trailing
+    (..., N_I, M_red) slice is too; so must `out` be."""
     idx, buf = dec.segment_index(n_i)
-    pad = np.zeros((*rs.shape[:-1], buf.size), dtype=complex)
-    pad[..., :dec.m] = rs
-    # not pad[..., idx]: it lays the row axes innermost, and products on it round otherwise
-    return np.take(pad, idx, axis=-1)
+    if rs.shape[-1] < buf.size:
+        pad = np.zeros((*rs.shape[:-1], buf.size), dtype=complex)
+        pad[..., :dec.m] = rs
+        rs = pad
+    # not rs[..., idx]: it lays the row axes innermost, and products on it
+    # round otherwise.  The indices are in range, so "clip" takes the same
+    # entries, and unlike "raise" it writes into out without a buffer
+    return np.take(rs, idx, axis=-1, out=out, mode="clip")
 
 
 # Batched forms whose entries equal the unbatched ones bit for bit, as

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -497,13 +498,15 @@ STACKED_MODES = {
     + [pytest.param(alg, change, "stacked", id=f"stacked-{mode}-{alg}")
        for mode, (change, algs) in STACKED_MODES.items() for alg in algs])
 def test_interpolated_block_keeps_its_runs_apart(alg, change, runs):
-    # a block of two steps each run alone, and blocks at and above
-    # STACK_MIN_RUNS step their runs together; each run repeats its trial
-    width = harness.STACK_MIN_RUNS
-    cfg = scenario(alg, runs=2 if runs == 2 else width + 1, symbols=300, seed=13, **change)
-    seeds = campaign_seeds(cfg)
+    # a block of two steps each run alone, and blocks of STACK_MIN_RUNS runs
+    # and as wide as a 50-run campaign's step their runs together; each run
+    # repeats its trial
+    cfg = scenario(alg, runs=50, symbols=300, seed=13, **change)
+    width = harness._block_width(cfg)
+    assert width > harness.STACK_MIN_RUNS
+    seeds = campaign_seeds(cfg)[:2 if runs == 2 else width]
     trials = [harness.run_trial(cfg, seed) for seed in seeds]
-    blocks = [seeds] if runs == 2 else [seeds[:width], seeds]
+    blocks = [seeds] if runs == 2 else [seeds[:harness.STACK_MIN_RUNS], seeds]
     for block in blocks:
         for got, expect in zip(harness._run_block(cfg, block), trials):
             assert got.metadata == expect.metadata
@@ -539,9 +542,10 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
     # workloads, whose runs all step alone, and dates a one-run trial's loop
     # by its decisions: a block of one run builds Re 4 times per symbol and
     # calls detect once per symbol.  A block of five, which steps its runs
-    # together, builds no Re one run at a time: it gathers every run's, of r
-    # and r_des, once per sub-chunk, 8 + 2 times for the chunks of 256 and
-    # 44 symbols
+    # together as a block of any width from STACK_MIN_RUNS on does, builds
+    # no Re one run at a time: per sub-chunk it gathers every run's Re of r,
+    # then of r_des in its place, 2 x (8 + 2) times for the chunks of 256
+    # and 44 symbols
     counts = collections.Counter()
     originals = {name: getattr(interpolation, name)
                  for name in ("build_re_matrix", "detect", "_segment_matrices")}
@@ -568,7 +572,32 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
                       for i in range(0, cfg.symbols, harness.NOISE_CHUNK)]
         assert sub_chunks == [8, 2]
         assert counts["build_re_matrix"] == 0
-        assert counts["_segment_matrices"] == sum(sub_chunks)
+        assert counts["_segment_matrices"] == 2 * sum(sub_chunks)
+
+
+@pytest.mark.parametrize("alg, change",
+                         [pytest.param(alg, {}, id=alg) for alg in harness.ALGORITHMS]
+                         + [pytest.param("cmv-sg", {"f_dt": 1e-3}, id="faded-cmv-sg"),
+                            pytest.param("cmv-rls", {"known_channel": False},
+                                         id="tracked-cmv-rls")])
+def test_block_width_keeps_a_block_within_its_budget(alg, change):
+    # a block of as many runs as _block_width gives a 50-run, 400-symbol
+    # campaign (the benchmark's many-short-runs) peaks within BLOCK_BYTES,
+    # traced after a block of one has filled the caches a process keeps;
+    # the interpolated shapes stack their runs
+    cfg = scenario(alg, runs=50, symbols=400, **change)
+    width = harness._block_width(cfg)
+    assert width >= harness.STACK_MIN_RUNS
+    seeds = campaign_seeds(cfg)
+    harness._run_block(cfg, seeds[:1])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        harness._run_block(cfg, seeds[:width])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= harness.BLOCK_BYTES, (width, peak)
 
 
 @pytest.mark.parametrize("alg", ("lms", "cmv-sg"))
