@@ -98,12 +98,27 @@ def rls_update(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     gain = px / denom
     # 0.5 * (q + q^H) with q = (p - outer(gain, px^*)) / alpha, bit for
     # bit, in place on one fresh array.  It stays C-ordered: an F-ordered
-    # p would change BLAS's summation order in the next p @ x.
+    # p would change BLAS's summation order in the next p @ x.  Both scales
+    # act on p's float64 view (`_scale`).
     p = p - gain[:, None] * px.conj()
-    p /= alpha
+    _scale(p, 1.0 / alpha)
     p += p.conj().T
-    p *= 0.5
+    _scale(p, 0.5)
     return p, gain
+
+
+def _scale(p: np.ndarray, factor: float) -> None:
+    """p *= factor on the float64 view of the C-ordered complex array p,
+    one real product per part in place of a complex one.  It equals
+    p /= alpha for factor = 1.0 / alpha, and p *= 0.5 for 0.5, but for
+    the sign of an exact zero: numpy takes a complex array over a real
+    alpha as over alpha + 0j, and its complex division by a zero
+    imaginary part multiplies each part by the reciprocal 1 / alpha, as
+    its complex product by 0.5 + 0j multiplies each by 0.5; adding the
+    product of the other part with 0 can turn only an exact -0.0 into
+    +0.0."""
+    real = p.view(float)
+    real *= factor
 
 
 def rls_updates(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
@@ -124,9 +139,9 @@ def rls_updates(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     # rls_update's outer product rounds as this one's, except at d = 1,
     # where numpy rounds it as a product of two complex scalars
     p = p - (_cmul(gain, pxh) if p.shape[1] == 1 else gain * pxh)
-    p /= alpha
+    _scale(p, 1.0 / alpha)
     p += p.conj().transpose(0, 2, 1)
-    p *= 0.5
+    _scale(p, 0.5)
     if broke.size:
         p[broke] = delta * np.eye(p.shape[1], dtype=complex)
     return p, gain[:, :, 0], broke

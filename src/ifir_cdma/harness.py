@@ -8,36 +8,39 @@ independent runs with spawned sub-seeds.
 
 A trial takes the link (`_Link`) a noise chunk at a time, as arrays of
 received vectors, of their desired-only components (unless the receiver
-forms them itself) and of the channel gains.  A static link forms a
-chunk's noiseless vectors as one batched product of a per-user response
-table with the symbols' windows, a faded one by convolving each symbol's
-gains with the chips.  Per symbol it takes the decision output
-(a-priori: the receiver before the symbol), adapts with the reference
-symbol (training symbol, or the decision in decision-directed mode past
-`n_tr`; blind receivers ignore it), and records the updated receiver's
-outputs for r and for its desired-only component (a-posteriori).  One
-driver, `_run_block`, does this for a block of seeded runs, and
-`run_trial` is a block of one.  It builds a receiver of one of two
-kinds, which answer the same calls: `despread` maps a chunk's received
-vectors to the rows the receiver takes, and `record` writes the chunk's
-outputs into the block's records.  The interpolated receivers
-(`_Interpolated`) take r itself and run one symbol loop over groups of
-runs, one step call per symbol returning the a-priori outputs.  A
-block's runs step together on stacked state (`adaptive.stack` and the
-`adaptive.*_steps` kernels) and take their a-posteriori outputs once per
-sub-chunk of SUB_CHUNK symbols, from the filters kept after each symbol;
-in a block narrower than STACK_MIN_RUNS each run steps alone on its own
-state (the per-run steps) and takes them per symbol.  An interpolated
-block holds only what its loop reads: a chunk's rows of r (and a faded
-run's rows of r_des), and one sub-chunk's padded rows and Re in buffers
-it reuses; a static run's rows of r_des, (A_0 b) times its signature,
-are formed a sub-chunk at a time.  The RAKE and partial-despreading
-baselines (`_Projected`) despread a chunk in one product and take its
-outputs as array products of their combiners.  `record` runs with
-numpy's overflow warnings off, so a diverged run reaches the trial's
-LinAlgError.  MSE and BER (a-priori) and SINR (a-posteriori) are metered
-from the records in arrays, each power equal to Python's abs(z) ** 2 bit
-for bit.
+forms them itself) and of the channel gains; a block of STACK_MIN_RUNS
+runs or more draws its runs' links together a sub-chunk of SUB_CHUNK
+symbols at a time (`_Links`, the one synthesis path), so that it never
+holds a chunk of rows per run.  A static link forms its noiseless
+vectors as one batched product of a per-user response table with the
+symbols' windows, a faded one by convolving each symbol's gains with the
+chips.  Per symbol it takes the decision output (a-priori: the receiver
+before the symbol), adapts with the reference symbol (training symbol,
+or the decision in decision-directed mode past `n_tr`; blind receivers
+ignore it), and records the updated receiver's outputs for r and for its
+desired-only component (a-posteriori).  One driver, `_run_block`, does
+this for a block of seeded runs, and `run_trial` is a block of one.  It
+builds a receiver of one of two kinds, which answer the same calls:
+`despread` maps received vectors to the rows the receiver takes, and
+`record` writes a chunk's or sub-chunk's outputs into the block's
+records.  The interpolated receivers (`_Interpolated`) take r itself and
+run one symbol loop over groups of runs, one step call per symbol
+returning the a-priori outputs.  A block's runs step together on stacked
+state (`adaptive.stack` and the `adaptive.*_steps` kernels), stacked once
+per block, and are recorded a sub-chunk per call, their a-posteriori
+outputs taken once per sub-chunk from the filters kept after each
+symbol; in a block narrower than STACK_MIN_RUNS each run steps alone on
+its own state (the per-run steps) over a chunk and takes them per
+symbol.  A stacked block holds only what its loop reads: one
+sub-chunk's rows of r, drawn into its gather buffer, their Re and (for a
+faded run) rows of r_des, in buffers it reuses; a static run's rows of
+r_des, (A_0 b) times its signature, are formed where they are read.  The
+RAKE and partial-despreading baselines (`_Projected`) despread a chunk,
+a sub-chunk at a time in a wide block, and take its outputs as array
+products of their combiners.  `record` runs with numpy's overflow
+warnings off, so a diverged run reaches the trial's LinAlgError.  MSE
+and BER (a-priori) and SINR (a-posteriori) are metered from the records
+in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
 
 A campaign runs its runs in blocks, as many as BLOCK_BYTES of memory
 allows by a count of what each kind of run holds (`_block_width`).  A
@@ -76,22 +79,23 @@ SINR_WINDOW = 0.98
 SUMMARY_TAIL = 200                    # last symbols the summary's MSE and SINR average
 # Symbols per link chunk; its noise draw is 256 x 2 x M doubles, ~150 kB at M=36.
 # It divides every fading period (powers of two from 2^16), which `_Link`
-# relies on to draw a faded chunk's noise before its gains.
+# relies on to draw a faded chunk's noise before its gains, as does
+# SUB_CHUNK for a wide block's sub-chunks.
 NOISE_CHUNK = 256
 
 ALGORITHMS = ("lms", "rls", "cmv-sg", "cmv-rls", "rake", "pd-lms", "pd-rls")
 BASELINES = ("rake", "pd-lms", "pd-rls")   # the receivers `_Projected` runs
 # Bytes a block may hold by `_block_width`'s count of what each kind of run
-# holds, which runs high by up to ~15 %.  At the defaults that is, in runs
-# of 400 symbols, 11 rake runs and 9 of every other kind (8 tracked
-# cmv-rls, 5 faded interpolated), and from ~3500 symbols on one run at a
-# time for an interpolated campaign (STACK_MIN_RUNS would not fit) and
-# from ~7000 for a baseline.  The 400-symbol blocks peak at 1.9 to 2.75 MB
-# traced (tracemalloc, numpy 2.4), each run holding, near those widths,
-# rake 231 kB, pd-lms 174, pd-rls 241, lms 279, rls 295, cmv-sg 286,
-# cmv-rls 304 and faded cmv-sg 416.  Before a stacked block formed its
-# static runs' r_des where it reads them and kept one sub-chunk's Re, an
-# interpolated run held ~525 kB and such blocks took 5 runs.
+# holds.  At the defaults that is, in runs of 400 symbols, 21 lms, 19 rls,
+# 19 cmv-sg and 18 cmv-rls runs (17 tracked cmv-rls, 11 and 12 faded
+# interpolated), 11 rake runs and 9 pd-lms and pd-rls, and from ~4100
+# symbols on one run at a time for an interpolated campaign
+# (STACK_MIN_RUNS would not fit) and from ~8150 for a baseline.  The
+# 400-symbol blocks peak at 1.6 to 2.8 MB traced (tracemalloc, numpy
+# 2.4), each run holding, near those widths, lms 112 kB, rls 123, cmv-sg
+# 121, cmv-rls 132, tracked cmv-rls 138, faded cmv-sg 205, rake 210, pd-lms
+# 167 and pd-rls 217.  While a stacked block kept a chunk's rows of r
+# (147 kB a run), its interpolated runs held ~280 kB and took 9 runs.
 BLOCK_BYTES = 3_000_000
 MODES = ("training", "decision-directed", "blind")
 
@@ -364,27 +368,23 @@ class _Link:
     none.  A chunk holds the received vectors R = clean + noise
     (chunk x M), desired symbols b, desired-only components
     R_des = (A_0 b)[:, None] * signature (None when not asked for, for a
-    receiver that forms them itself) and path gains G (chunk x l_p).
-    The link keeps its symbols, not its chip stream.  A static link holds
-    a response table (`_response_table`): per user k and symbol q of the
-    ISI span, the M samples of r that the symbol reaches, which is the
-    user's effective signature shifted by (q - l_s + 1) N chips.  A
-    chunk's clean rows are the table's products with each symbol's
-    window of A_k b_k over the span (`_matvecs`), each equal bit for bit
-    to the per-symbol product, and G is a read-only view repeating
-    `channel.gains`.  A faded link superposes the stretch of chip stream
-    its clean rows read (`_chips`), draws the chunk's path gains after its
-    noise and forms its clean rows and signatures in batched products;
-    `channel.gains` keeps the gains the channel was made with.  Each
-    stretch holds the same values as one stream of every symbol would,
-    and each faded clean row the same sums.
+    receiver that forms them itself) and path gains G (chunk x l_p).  The
+    link keeps its symbols, as int8 (each is +-1), not its chip stream.  A
+    static link holds a response table (`_response_table`): per user k
+    and symbol q of the ISI span, the M samples of r that the symbol
+    reaches, which is the user's effective signature shifted by
+    (q - l_s + 1) N chips.  A faded link holds its desired user's shifted
+    signatures.  The link draws its chunks as a block of one run
+    (`_Links`), the one synthesis path, which a block of runs takes a
+    sub-chunk at a time; `channel.gains` keeps the gains the channel was
+    made with.
 
     Noise before gains keeps the generator order of per-symbol gain
     steps: gains draw only at a fading period's first sample (its
-    spectrum), symbol period - 1, the last of a chunk, as NOISE_CHUNK
-    divides the period.  Per-symbol draws would take that symbol's noise
-    after the spectrum, so from there on a faded link's noise parts from
-    them; a static link's never does.
+    spectrum), symbol period - 1, the last of a chunk and of a sub-chunk,
+    as NOISE_CHUNK and SUB_CHUNK divide the period.  Per-symbol draws
+    would take that symbol's noise after the spectrum, so from there on a
+    faded link's noise parts from them; a static link's never does.
     """
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
@@ -397,8 +397,9 @@ class _Link:
         self.l_s = signal_model.isi_span(cfg.l_p, cfg.n)
         self.m = cfg.m
         span = 2 * self.l_s - 1
-        self.bits = np.where(rng.random((cfg.k, cfg.symbols + span - 1)) < 0.5, -1.0, 1.0)
-        self.desired = self.bits[0, self.l_s - 1:self.l_s - 1 + cfg.symbols]   # b of symbol i
+        self.bits = np.where(rng.random((cfg.k, cfg.symbols + span - 1)) < 0.5,
+                             np.int8(-1), np.int8(1))
+        self.desired = self.bits[0, self.l_s - 1:self.l_s - 1 + cfg.symbols].astype(float)
         self._static = cfg.f_dt <= 0
         if self._static:
             responses = np.array([signal_model.effective_signature(code, self.channel.gains)
@@ -422,65 +423,115 @@ class _Link:
             table[lo:hi, :, q] = responses[:, lo + lead:hi + lead].T
         return table.reshape(m, -1)
 
+    def chunks(self, desired: bool = True):
+        """Yield (R, b, R_des, G) for each noise chunk, in symbol order;
+        R_des is None without `desired`."""
+        links = _Links([self])
+        for i in range(0, self.cfg.symbols, NOISE_CHUNK):
+            # the generator keeps no name for the chunk it hands out
+            yield tuple(a if a is None else a[0]
+                        for a in links.draw(i, min(NOISE_CHUNK, self.cfg.symbols - i),
+                                            desired=desired))
+
+
+class _Links:
+    """The links of a block of runs, drawn together: `draw` forms every
+    run's rows of a stretch of symbols at once, each run taking its own
+    noise and gains from its own Generator in its own order.
+
+    It stacks what the draw reads along a leading run axis: symbols,
+    amplitudes and a static link's response table and signature.  A
+    static stretch's clean rows are one batched product of each run's
+    table with its symbols' windows of A_k b_k over the span (`_matvecs`),
+    each equal bit for bit to the per-symbol product, and G is a read-only
+    view repeating each run's `channel.gains`.  A faded stretch superposes
+    the chips its clean rows read (`_chips`), draws each run's path gains
+    after its noise and forms its clean rows and signatures in batched
+    products.  Each stretch holds the same values as one stream of every
+    symbol would, and each faded clean row the same sums, so any split of
+    the symbols into stretches draws the same rows.
+    """
+
+    def __init__(self, links):
+        first = links[0]
+        self.cfg, self.links, self.m, self.l_s = first.cfg, links, first.m, first.l_s
+        self.static, self.sigma2, self.codes = first._static, first.sigma2, first.codes
+        self.amps = np.array([link.amps for link in links])
+        self.bits = np.array([link.bits for link in links])
+        self.desired = np.array([link.desired for link in links])
+        # the links keep views of the stacks, so that a block holds each array once
+        for link, bits, desired in zip(links, self.bits, self.desired):
+            link.bits, link.desired = bits, desired
+        if self.static:
+            self.tables = np.array([link._table for link in links])
+            self.signatures = np.array([link.signature for link in links])
+            for link, table, signature in zip(links, self.tables, self.signatures):
+                link._table, link.signature = table, signature
+            self.gains = np.array([link.channel.gains for link in links])
+        else:
+            self.code_matrix = first._code_matrix   # the runs share the desired user's code
+
+    def draw(self, i: int, size: int, out=(None, None), desired: bool = True):
+        """(R, b, R_des, G) of every run for symbols i to i + size - 1, each
+        with a leading run axis; R_des is None without `desired`.  R, and
+        R_des, go into `out` where given (runs x size x M, any strides)."""
+        cfg, m, runs = self.cfg, self.m, len(self.links)
+        n, l_p, span = cfg.n, cfg.l_p, 2 * self.l_s - 1
+        view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
+        z = np.empty((runs, size, 2, m))
+        for k, link in enumerate(self.links):
+            link.rng.standard_normal(out=z[k])
+        # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
+        rs = np.multiply(1j, z[:, :, 1], out=out[0])
+        rs += z[:, :, 0]
+        rs *= np.sqrt(self.sigma2 / 2.0)
+        del z   # the arrays below are made without the noise draw alongside
+        b = self.desired[:, i:i + size]
+        if self.static:
+            # windows[r, k] holds A_j b_j over symbol i + k's span, user by user,
+            # so that each clean row is its run's table's product with its window
+            scaled = self.amps[:, :, None] * self.bits[:, :, i:i + size + span - 1]
+            windows = view(scaled, span, axis=2).transpose(0, 2, 1, 3)
+            clean = _matvecs(self.tables[:, None], windows.reshape(runs, size, -1))
+            signature = self.signatures[:, None]
+            gains = np.broadcast_to(self.gains[:, None], (runs, size, l_p))
+        else:
+            chips = self._chips(i, size)
+            gains = np.array([signal_model.fading_gains(link.channel, size, link.rng)
+                              for link in self.links])
+            # windows[r, k] @ g is run r's noiseless r of symbol i + k, and
+            # code_matrix @ g its desired signature: windows[r, k][m, l] is
+            # the chip at k N + m - l + l_p - 1.  Batched as a @ g[..., None],
+            # each product equals the per-symbol a @ g bit for bit; g @ a.T
+            # sums in another order.  numpy makes a complex copy of the
+            # windows it multiplies, so they go a run and SUB_CHUNK at a time
+            windows = view(view(chips, m + l_p - 1, axis=1)[:, ::n], l_p, axis=2)[..., ::-1]
+            clean = np.empty((runs, size, m, 1), dtype=complex)
+            for a, g, c in zip(windows, gains, clean):
+                for k in range(0, size, SUB_CHUNK):
+                    np.matmul(a[k:k + SUB_CHUNK], g[k:k + SUB_CHUNK, :, None],
+                              out=c[k:k + SUB_CHUNK])
+            clean = clean[..., 0]
+            signature = _matvecs(self.code_matrix, gains)
+        rs += clean
+        del clean
+        rs_des = (np.multiply((self.amps[:, :1] * b)[..., None], signature, out=out[1])
+                  if desired else None)
+        return rs, b, rs_des, gains
+
     def _chips(self, i: int, size: int) -> np.ndarray:
-        """The chip stream that the clean rows of symbols i to i + size - 1
-        read: (size - 1) N + M + l_p - 1 chips from chip
+        """Every run's chip stream that the clean rows of symbols i to
+        i + size - 1 read: (size - 1) N + M + l_p - 1 chips from chip
         (i + l_s - 1) N - (l_p - 1) on, superposed user by user."""
         n, l_p = self.cfg.n, self.cfg.l_p
         start = (i + self.l_s - 1) * n - (l_p - 1)
         length = (size - 1) * n + self.m + l_p - 1
         lo, hi = start // n, -(-(start + length) // n)   # the symbols it spans
-        stream = np.zeros((hi - lo, n))
-        for amp, bits, code in zip(self.amps, self.bits[:, lo:hi], self.codes):
-            stream += (amp * bits)[:, None] * code
-        return stream.ravel()[start - lo * n:start - lo * n + length]
-
-    def chunks(self, desired: bool = True):
-        """Yield (R, b, R_des, G) for each noise chunk, in symbol order;
-        R_des is None without `desired`."""
-        n, l_p, span = self.cfg.n, self.cfg.l_p, 2 * self.l_s - 1
-        view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
-
-        def draw(i):   # a call, so that a paused generator holds none of its arrays
-            size = min(NOISE_CHUNK, self.cfg.symbols - i)
-            z = self.rng.standard_normal((size, 2, self.m))
-            # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
-            rs = 1j * z[:, 1]
-            rs += z[:, 0]
-            rs *= np.sqrt(self.sigma2 / 2.0)
-            del z   # the arrays below are made without the noise draw alongside
-            b = self.desired[i:i + size]
-            if self._static:
-                # windows[k] holds A_j b_j over symbol i + k's span, user by user,
-                # so that each clean row is the table's product with its window
-                scaled = self.amps[:, None] * self.bits[:, i:i + size + span - 1]
-                windows = view(scaled, span, axis=1).transpose(1, 0, 2)
-                clean = _matvecs(self._table, windows.reshape(size, -1))
-                signature = self.signature
-                gains = np.broadcast_to(self.channel.gains, (size, l_p))
-            else:
-                chips = self._chips(i, size)
-                gains = signal_model.fading_gains(self.channel, size, self.rng)
-                # windows[k] @ g is the noiseless r of symbol i + k, and
-                # code_matrix @ g its desired signature: windows[k][m, l] is
-                # the chip at k N + m - l + l_p - 1.  Batched as a @ g[..., None],
-                # each product equals the per-symbol a @ g bit for bit; g @ a.T
-                # sums in another order.  numpy makes a complex copy of the
-                # windows it multiplies, so they go SUB_CHUNK at a time
-                windows = view(view(chips, self.m + l_p - 1)[::n], l_p, axis=1)[:, :, ::-1]
-                clean = np.empty((size, self.m, 1), dtype=complex)
-                for k in range(0, size, SUB_CHUNK):
-                    np.matmul(windows[k:k + SUB_CHUNK], gains[k:k + SUB_CHUNK, :, None],
-                              out=clean[k:k + SUB_CHUNK])
-                clean = clean[..., 0]
-                signature = _matvecs(self._code_matrix, gains)
-            rs += clean
-            del clean
-            rs_des = (self.amps[0] * b)[:, None] * signature if desired else None
-            return rs, b, rs_des, gains
-
-        for i in range(0, self.cfg.symbols, NOISE_CHUNK):
-            yield draw(i)
+        stream = np.zeros((len(self.links), hi - lo, n))
+        for amps, bits, code in zip(self.amps.T, self.bits[:, :, lo:hi].swapaxes(0, 1),
+                                    self.codes):
+            stream += (amps[:, None] * bits)[..., None] * code
+        return stream.reshape(len(self.links), -1)[:, start - lo * n:start - lo * n + length]
 
 
 def _sinr_db(p_des: np.ndarray, p_rest: np.ndarray) -> np.ndarray:
@@ -554,11 +605,11 @@ def _solves(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 # receivers and the trial loop
 # ---------------------------------------------------------------------------
 
-# Symbols per sub-chunk, for both kinds of receiver.  A stacked
-# interpolated group gathers the Re of their r in one `_segment_matrices`
-# call and takes their a-posteriori outputs in one `receiver_outputs`
-# call, then does the same for r_des.  Its size moves memory more than
-# speed.  On
+# Symbols per sub-chunk, for both kinds of receiver and for a wide
+# block's draw (`_Links`).  A stacked interpolated group draws every run's
+# rows of r, gathers their Re in one `_segment_matrices` call and takes
+# their a-posteriori outputs in one `receiver_outputs` call, then does the
+# same for r_des.  Its size moves memory more than speed.  On
 # 50-run, 400-symbol campaigns (blocks of 5 runs; medians of 15
 # interleaved CPU-time pairs, 2-vCPU host), sub-chunks of 16 and 32
 # symbols ran x0.98 to x1.11 as fast as 64 and of 128 x0.96, while the
@@ -838,14 +889,17 @@ class _Interpolated:
     over a chunk in one symbol loop, a group of runs at a time.  A block of
     STACK_MIN_RUNS runs or more is one group, stepped on a stack of its
     runs' states with the forms that take a row per run (`*_steps`,
-    `_align_phases`, ...) on the Re of every run's r, gathered once per
-    sub-chunk of SUB_CHUNK symbols; a narrower one is a group per run,
-    stepped on the run's own state with the per-run forms (`_each_step`
-    around `*_step`, `_align_phase`, ...).  Each run's state is the one
-    `_state` made, and holds its filters and breakdowns between chunks.
-    A chunk keeps `row_sets` sets of rows per run: those of r and, when
+    `_align_phases`, ...) on the Re of every run's r; it records a
+    sub-chunk of SUB_CHUNK symbols per call.  A narrower one is a group
+    per run, stepped on the run's own state with the per-run forms
+    (`_each_step` around `*_step`, `_align_phase`, ...), and records a
+    chunk per call.  Each run's state is the one `_state` made, and holds
+    its filters and breakdowns between chunks; a stacked block steps a
+    stack of them, made once, and writes it back after its last symbol.
+    A call keeps `row_sets` sets of rows per run: those of r and, when
     faded, of r_des; a static run's r_des is formed from its link's
-    `signature` where it is read (`_desired`)."""
+    `signature` where it is read (`_desired`).  A stacked block's rows of
+    r are drawn into its gather buffer (`rows`)."""
 
     def __init__(self, cfg: ScenarioConfig, links):
         self.cfg = cfg
@@ -855,33 +909,51 @@ class _Interpolated:
         self.groups = [slice(None)] if len(links) >= STACK_MIN_RUNS else range(len(links))
         # a static run's r_des is (A_0 b)[:, None] * signature, formed where
         # it is read as the link forms it; a faded run's signature changes
-        # per symbol, so its chunk keeps its rows of r_des
+        # per symbol, so its rows of r_des are kept
         self.row_sets = 2 if cfg.f_dt > 0 else 1
         self.amps = np.array([link.amps[0] for link in links])
         self.signatures = None if cfg.f_dt > 0 else np.array([link.signature for link in links])
+        if len(links) >= STACK_MIN_RUNS:
+            s = self.stacked = adaptive.stack(self.states)
+            self.tracker = self.trackers[0] and adaptive.stack(self.trackers)
+            span, runs = min(SUB_CHUNK, cfg.symbols), len(links)
+            # every run's filters after each symbol of a sub-chunk
+            self.vs = np.empty((span, *s.v.shape), dtype=complex)
+            self.ws = np.empty((span, *s.w.shape), dtype=complex)
+            # a sub-chunk's rows, zero-padded to the gather's width, and their
+            # Re: symbol-major, so that each symbol's Re is C-contiguous
+            idx, buf = s.dec.segment_index(s.n_i)
+            self.pad = np.zeros((span, runs, buf.size), dtype=complex)
+            self.res = np.empty((span, runs, *idx.shape), dtype=complex)
+            self.des = np.empty((runs, span, cfg.m), dtype=complex) if cfg.f_dt > 0 else None
 
     despread = staticmethod(np.asarray)   # the rows are r itself
+
+    def rows(self, n: int) -> tuple:
+        """A stacked block's buffers for the rows of r (its gather buffer)
+        and of a faded r_des of a sub-chunk of n symbols, runs x n x M each."""
+        return (self.pad[:n, :, :self.dim].swapaxes(0, 1),
+                None if self.des is None else self.des[:, :n])
 
     @property
     def breakdowns(self) -> list:
         return [getattr(st, "breakdowns", 0) for st in self.states]
 
-    def record(self, rec: np.ndarray, ys: np.ndarray, bs: np.ndarray, gs, first: int) -> None:
+    def record(self, rec: np.ndarray, ys, bs: np.ndarray, gs, first: int) -> None:
         """As `_Projected.record` on r and r_des themselves, `gs` holding each
         run's gains and `ys` the rows of r and, for a faded block, of r_des
-        (`row_sets`).  A group binds its forms once per chunk, and the
-        symbol loop is one.  Per symbol, one step call adapts the group's
-        runs and returns their a-priori outputs x.  A one-run group steps
-        on its rows of r and takes its a-posteriori outputs after each
-        symbol.  A stacked one takes a sub-chunk of SUB_CHUNK symbols at a
-        time: it gathers the Re of every run's r, steps on it, keeps its
-        filters after each symbol and takes the sub-chunk's a-posteriori
-        outputs for r in one call, then gathers the Re of r_des in its
-        place and takes theirs in another.  The rows go into one
-        zero-padded buffer and their Re into another, both reused."""
+        (`row_sets`), a stacked block's in its `rows`.  A group binds its
+        forms once per call, and the symbol loop is one.  Per symbol, one
+        step call adapts the group's runs and returns their a-priori
+        outputs x.  A one-run group steps on its rows of r and takes its
+        a-posteriori outputs after each symbol.  A stacked one gathers the
+        Re of every run's r, steps on it, keeps its filters after each
+        symbol and takes the sub-chunk's a-posteriori outputs for r in one
+        call, then writes the rows of r_des in their place, gathers their
+        Re and takes theirs in another, both into buffers it reuses."""
         cfg = self.cfg
         size = bs.shape[1]
-        # the chunk offset from which decisions are the reference
+        # the offset from which decisions are the reference
         directed = cfg.n_tr - first if cfg.mode == "decision-directed" else size
         blind, faded = cfg.mode == "blind", cfg.f_dt > 0
         adapt_v = not cfg.freeze_interpolator
@@ -895,80 +967,58 @@ class _Interpolated:
                 s, tracker = self.states[group], self.trackers[group]
                 step = functools.partial(_each_step, step)
                 align, gains = _align_phase, gs[group]
-                span = size   # it gathers nothing, so it takes the chunk whole
-                des = (ys[1, group] if faded
+                # per symbol, the input of the step: a row of r
+                ins = ys[0][group]
+                des = (ys[1][group] if faded
                        else (self.amps[group] * bs[group])[:, None] * self.signatures[group])
             else:
-                s = adaptive.stack(self.states)
-                tracker = self.trackers[0] and adaptive.stack(self.trackers)
+                s, tracker = self.stacked, self.tracker
                 align = _align_phases
-                # every run's gains per symbol; a static run's are its channel's
-                if faded:
-                    gains = np.stack(gs, axis=1)
-                elif tracker:
-                    gains = np.broadcast_to([g[0] for g in gs], (size, len(gs), cfg.l_p))
-                span = min(SUB_CHUNK, size)
-                # every run's filters after each symbol of a sub-chunk
-                vs = np.empty((span, *s.v.shape), dtype=complex)
-                ws = np.empty((span, *s.w.shape), dtype=complex)
-                # a sub-chunk's rows, zero-padded to the gather's width, and their
-                # Re: symbol-major, so that each symbol's Re is C-contiguous
-                idx, buf = s.dec.segment_index(s.n_i)
-                pad = np.zeros((span, len(gs), buf.size), dtype=complex)
-                res = np.empty((span, len(gs), *idx.shape), dtype=complex)
+                # every run's gains per symbol
+                gains = np.ascontiguousarray(gs.swapaxes(0, 1)) if blind else None
+                # per symbol, the Re of every run's r, gathered at once
+                ins = _segment_matrices(self.pad[:size], s.n_i, s.dec, out=self.res[:size])
             track = tracker and getattr(tracker, "update" + plural)
-            for j0 in range(0, size, span):
-                n = min(span, size - j0)
-                # per symbol, the input of the step: a row of r or, stacked,
-                # the Re of every run's r, gathered at once
-                if one:
-                    ins = ys[0, group]
+            xs, outs = [], []
+            for j, (y, b) in enumerate(zip(ins, bs[group].T)):
+                if blind:
+                    # a tracked step rebinds g_hat; x is aligned with the one before it
+                    g_hat = s.g_hat
+                    # a tracker reads the rows of r themselves
+                    g = track(ys[0][group, j]) if track else gains[j] if faded else None
+                    x = step(s, y, adapt_v=adapt_v, g=g)
                 else:
-                    rows = pad[:n, :, :cfg.m]
-                    rows[...] = ys[0, :, j0:j0 + n].swapaxes(0, 1)
-                    ins = _segment_matrices(pad[:n], s.n_i, s.dec, out=res[:n])
-                xs, outs = [], []
-                for j, (y, b) in enumerate(zip(ins, bs[group, j0:j0 + n].T), j0):
-                    if blind:
-                        # a tracked step rebinds g_hat; x is aligned with the one before it
-                        g_hat = s.g_hat
-                        # a tracker reads the rows of r themselves
-                        g = track(ys[0, group, j]) if track else gains[j] if faded else None
-                        x = step(s, y, adapt_v=adapt_v, g=g)
-                    else:
-                        x = step(s, y, b, adapt_v=adapt_v, directed=j >= directed)
-                    xs.append(align(x, g_hat, gains[j]) if track else x)
-                    if one:
-                        outs.append(_each_output(s, (y, des[j])))
-                    else:   # the steps rebind v and w, so these are the symbol's
-                        vs[j - j0], ws[j - j0] = s.v, s.w
-                # symbols last, as in rec
-                rec[0, group, j0:j0 + n] = np.moveaxis(np.array(xs), 0, -1)
+                    x = step(s, y, b, adapt_v=adapt_v, directed=j >= directed)
+                xs.append(align(x, g_hat, gains[j]) if track else x)
                 if one:
-                    rec[1:, group, j0:j0 + n] = np.array(outs).T
-                else:
-                    # the filters conjugated in place, as the output calls take them
-                    vc, wc = np.conjugate(vs[:n], out=vs[:n]), np.conjugate(ws[:n], out=ws[:n])
-                    rec[1, :, j0:j0 + n] = receiver_outputs(vc, wc, ins).T
-                    self._desired(rows, ys, bs, j0)
-                    ins = _segment_matrices(pad[:n], s.n_i, s.dec, out=res[:n])
-                    rec[2, :, j0:j0 + n] = receiver_outputs(vc, wc, ins).T
-            if not one:
+                    outs.append(_each_output(s, (y, des[j])))
+                else:   # the steps rebind v and w, so these are the symbol's
+                    self.vs[j], self.ws[j] = s.v, s.w
+            # symbols last, as in rec
+            rec[0, group] = np.moveaxis(np.array(xs), 0, -1)
+            if one:
+                rec[1:, group] = np.array(outs).T
+                continue
+            # the filters conjugated in place, as the output calls take them
+            vc = np.conjugate(self.vs[:size], out=self.vs[:size])
+            wc = np.conjugate(self.ws[:size], out=self.ws[:size])
+            rec[1] = receiver_outputs(vc, wc, ins).T
+            self._desired(self.pad[:size, :, :self.dim], ys, bs)
+            ins = _segment_matrices(self.pad[:size], s.n_i, s.dec, out=self.res[:size])
+            rec[2] = receiver_outputs(vc, wc, ins).T
+            if first + size == cfg.symbols:
                 adaptive.unstack(s, self.states)
                 if tracker:
                     adaptive.unstack(tracker, self.trackers)
 
-    def _desired(self, rows: np.ndarray, ys: np.ndarray, bs: np.ndarray, j0: int) -> None:
-        """Into rows (symbols x runs x M), every run's rows of r_des for the
-        symbols from j0 on: a faded run's kept rows, or a static run's
-        formed as its link forms them, a run at a time, so that numpy's
-        buffers for the broadcast product stay one run's size."""
-        n = len(rows)
+    def _desired(self, rows: np.ndarray, ys, bs: np.ndarray) -> None:
+        """Into rows (symbols x runs x M), every run's rows of r_des: a
+        faded run's kept rows, or a static run's formed as its link forms
+        them."""
         if self.signatures is None:
-            rows[...] = ys[1, :, j0:j0 + n].swapaxes(0, 1)
-            return
-        for k, (amp, signature) in enumerate(zip(self.amps, self.signatures)):
-            np.multiply((amp * bs[k, j0:j0 + n])[:, None], signature, out=rows[:, k])
+            rows[...] = ys[1].swapaxes(0, 1)
+        else:
+            np.multiply((self.amps[:, None] * bs).T[..., None], self.signatures, out=rows)
 
 
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
@@ -992,46 +1042,74 @@ def _run_block(cfg: ScenarioConfig, seeds, widest: int = 1) -> list[MetricSeries
     """`run_trial` for each seed, the runs taken together.
 
     Each run keeps its own `_Link` and Generator, so it draws as in a
-    block of one.  Chunk by chunk, each run draws its chunk and despreads
+    block of one.  A block narrower than STACK_MIN_RUNS takes a chunk at a
+    time: each run in turn draws its chunk (`_Link.chunks`) and despreads
     it, only the despread rows that the receiver reads being kept (its
-    `row_sets`: of r, and of r_des unless it forms them), and one
-    `record` call of the
-    block's receiver (`_Projected` or `_Interpolated`, which steps the
-    runs together from STACK_MIN_RUNS on) writes every run's records
+    `row_sets`: of r, and of r_des unless it forms them).  A wider block
+    draws its runs together a sub-chunk at a time (`_Links`), so that it
+    never holds a chunk of rows of r per run: a baseline despreads each
+    sub-chunk into its chunk's rows, and a stacked interpolated block
+    takes the rows of r in its gather buffer and records each sub-chunk.
+    One `record` call of the block's receiver (`_Projected` or
+    `_Interpolated`) writes every run's records of a chunk or sub-chunk
     with numpy's overflow, invalid-value and division warnings off:
-    `_metered` catches a diverged run.  The chunk's rows go into a buffer
-    sized for `widest` runs, or for the block's if it is wider: a campaign
-    passes its widest block's size, so that its blocks, which differ by a
-    run at most, take one buffer size.  glibc's allocator maps a buffer of
-    the size it last unmapped afresh, and returns it with its block, but
-    serves a smaller one from its heap, whose pages stay resident."""
+    `_metered` catches a diverged run.  A chunk's despread rows go into a
+    buffer sized for `widest` runs, or for the block's if it is wider: a
+    campaign passes its widest block's size, so that its blocks, which
+    differ by a run at most, take one buffer size.  glibc's allocator
+    maps a buffer of the size it last unmapped afresh, and returns it with
+    its block, but serves a smaller one from its heap, whose pages stay
+    resident."""
+    desired, rec, breakdowns = _recorded(cfg, seeds, widest)
+    return _metered(cfg, seeds, desired, rec, breakdowns)
+
+
+def _recorded(cfg: ScenarioConfig, seeds, widest: int) -> tuple:
+    """(desired, rec, breakdowns) of `_run_block`'s runs: their symbols
+    (runs x symbols), records (3 x runs x symbols) and RLS breakdowns.  The
+    links, receiver and rows it makes are freed on return, before the
+    metering."""
     links = [_Link(cfg, np.random.default_rng(seed)) for seed in seeds]
-    rx = (_Projected(cfg, links[0].codes[0], len(links)) if cfg.algorithm in BASELINES
-          else _Interpolated(cfg, links))
-    desired = np.array([link.desired for link in links])
+    runs, interpolated = len(links), cfg.algorithm not in BASELINES
+    rx = _Interpolated(cfg, links) if interpolated else _Projected(cfg, links[0].codes[0], runs)
+    desired_rows = rx.row_sets > 1
     # records: x, out and out_des per run and symbol
-    rec = np.empty((3, len(links), cfg.symbols), dtype=complex)
-    # the despread rows of a chunk's r and, unless the receiver forms them, r_des
-    chunk_ys = np.empty((rx.row_sets, max(widest, len(links)), min(NOISE_CHUNK, cfg.symbols),
-                         rx.dim), dtype=complex)[:, :len(links)]
-    chunks = [link.chunks(desired=rx.row_sets > 1) for link in links]
+    rec = np.empty((3, runs, cfg.symbols), dtype=complex)
+    stacked = interpolated and runs >= STACK_MIN_RUNS
+    if not stacked:
+        # the despread rows of a chunk's r and, unless the receiver forms them, r_des
+        chunk_ys = np.empty((rx.row_sets, max(widest, runs), min(NOISE_CHUNK, cfg.symbols),
+                             rx.dim), dtype=complex)[:, :runs]
+    if runs < STACK_MIN_RUNS:
+        chunks = [link.chunks(desired=desired_rows) for link in links]
+        desired = np.array([link.desired for link in links])
+    else:
+        block = _Links(links)
+        desired = block.desired
 
-    def take(k):   # a call, so that run k's chunk is freed before the next run draws
-        rs, _, rs_des, gs[k] = next(chunks[k])
-        for kept, rows in zip(ys[:, k], (rs, rs_des)):
-            kept[...] = rx.despread(rows)
+    def take(kept, rs, _, rs_des, gains):   # a call, so that the drawn rows are freed on return
+        for into, rows in zip(kept, (rs, rs_des)):
+            into[...] = rx.despread(rows)
+        return gains
 
-    for i in range(0, cfg.symbols, NOISE_CHUNK):
-        bs = desired[:, i:i + NOISE_CHUNK]
-        ys = chunk_ys[:, :, :bs.shape[1]]
-        gs = [None] * len(links)
-        # the runs draw in turn, so that the block holds one run's chunk at a time
-        for k in range(len(links)):
-            take(k)
+    span = SUB_CHUNK if stacked else NOISE_CHUNK
+    for i in range(0, cfg.symbols, span):
+        bs = desired[:, i:i + span]
+        n = bs.shape[1]
+        if runs < STACK_MIN_RUNS:   # the runs draw in turn, so that the block holds one run's chunk
+            ys = chunk_ys[:, :, :n]
+            gs = [take(ys[:, k], *next(chunk)) for k, chunk in enumerate(chunks)]
+        elif stacked:   # the rows of r go into the receiver's gather buffer
+            ys = rx.rows(n)
+            gs = block.draw(i, n, out=ys, desired=desired_rows)[3]
+        else:   # a sub-chunk at a time; a baseline reads no gains
+            ys, gs = chunk_ys[:, :, :n], None
+            for j in range(0, n, SUB_CHUNK):
+                kept = ys[:, :, j:j + SUB_CHUNK]
+                take(kept, *block.draw(i + j, kept.shape[2]))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rx.record(rec[:, :, i:i + NOISE_CHUNK], ys, bs, gs, i)
-    del chunk_ys, ys, gs   # the metering needs none of the last chunk
-    return _metered(cfg, seeds, desired, rec, rx.breakdowns)
+            rx.record(rec[:, :, i:i + span], ys, bs, gs, i)
+    return desired, rec, rx.breakdowns
 
 
 def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, rec: np.ndarray,
@@ -1088,59 +1166,81 @@ def _block_width(cfg: ScenarioConfig) -> int:
     whose blocks would hold fewer than STACK_MIN_RUNS runs, which gain
     nothing from sharing a block and can each go to a worker.
 
-    In bytes, with c = min(symbols, NOISE_CHUNK) symbols to a chunk and
-    s = min(symbols, SUB_CHUNK) to a sub-chunk, a run holds its link's
-    symbols, their copy and its records, 8 K + 56 per symbol, and its
-    link's response table, 8 M K (2 l_s - 1), or a faded link's code
-    matrix and its fading processes' current samples; on top, the larger
-    of what the metering adds, 64 per symbol, and its share of a chunk:
+    In bytes, with c = min(symbols, NOISE_CHUNK) symbols to a chunk,
+    s = min(symbols, SUB_CHUNK) to a sub-chunk and S = 2 l_s - 1 to a
+    symbol's window, a run holds the larger of what its metering holds
+    (its records, symbols and the metering's arrays, 152 per symbol) and
+    what its loop holds:
+    - its link's symbols (int8) and their float copy, and its records,
+      K + 56 per symbol; its objects (Generator, link, states and their
+      small arrays), 8192; and its link's response table, 8 M K S, or a
+      faded link's code matrix and its fading processes' current samples;
+    - its share of a sub-chunk's draw (`_Links.draw`): the larger of its
+      noise, 16 s M, and what comes after it, the clean rows and what
+      forms them: 8 s (K S + M) + 8 K (s + S) for a static run, and for
+      a faded one its chips, gains, clean rows and signatures,
+      8 N (s + S) + 16 s (l_p + 2 M).  A baseline's draw also holds the
+      drawn rows of r and r_des, 32 s M;
     - a baseline's despread rows of r and r_des and its combiners,
-      3 x 16 c per tap, and rake's running sums and their solutions,
-      5 x 16 per tap and trained symbol of the chunk, or pd-rls's
-      weighted covariances, their inverses and the solves' copies,
-      4 x 16 n d^2, n the symbols of its sub-chunk.  pd-lms holds none of
-      these but is counted as pd-rls, so that the two keep one width;
-    - an interpolated run's rows of r, 16 c M, and a faded run's rows of
-      r_des too; in a stacked block, its share of a sub-chunk, 16 s (P +
-      N_I M_red + N_I + 2 M_red): its rows padded to P samples, their Re,
-      its filters after each symbol and their outputs' products; an RLS
-      run's inverses, stacked and its own, 32 (M_red^2 + N_I^2); a blind
-      run's constraints, 16 l_p (N_I M_red + M), and its channel
-      tracker's, 16 l_p (M + 3 l_p);
-    - a faded run's gains, 16 c l_p, held twice by a stacked block.
-    The fixed bytes are numpy's buffers for a broadcast product, three
-    operands of `np.getbufsize()` entries.  One run's chunk draw in flight
-    (up to ~0.7 MB) is not counted apart: a block draws while it holds
-    none of its sub-chunk arrays or combiners, and the draw's own products
-    take numpy's buffers.
+      3 x 16 c per tap, and the larger of the draw and rake's running
+      sums and their solutions, 5 x 16 per tap and trained symbol of the
+      chunk, or pd-rls's weighted covariances, their inverses and the
+      solves' copies, 4 x 16 n d^2, n the symbols of its sub-chunk.
+      pd-lms holds none of these but is counted as pd-rls, so that the
+      two keep one width;
+    - an interpolated run's draw and its share of a stacked block's
+      buffers, 16 s (P + N_I M_red + N_I + M_red): its rows of r, drawn
+      into the gather buffer and padded to P samples, their Re and its
+      filters after each symbol, and a faded run's rows of r_des and
+      gains, 16 s (M + l_p).  The outputs' products, 16 s M_red, are made
+      while no draw is, and are smaller.  An RLS run's inverses, stacked
+      and its own, 32 (M_red^2 + N_I^2); a blind run's constraints,
+      16 l_p (N_I M_red + M), and its channel tracker's,
+      16 l_p (M + 3 l_p).
+    The fixed bytes are numpy's buffers for a broadcast or cast product,
+    three operands of `np.getbufsize()` entries; 128 kB for what a block
+    holds once (its lists, objects and shared arrays, 10-45 kB traced
+    with numpy 2.4) and as a margin for other numpy versions; and a faded
+    block's complex copy of one run's sub-chunk of windows, 16 s M l_p.  A block
+    narrower than STACK_MIN_RUNS, a baseline's or one run's, draws a chunk
+    of one run at a time (up to ~0.7 MB), which is not counted apart.
     """
     chunk, sub = min(cfg.symbols, NOISE_CHUNK), min(cfg.symbols, SUB_CHUNK)
     faded, interpolated = cfg.f_dt > 0, cfg.algorithm not in BASELINES
+    m, l_p, window = cfg.m, cfg.l_p, 2 * signal_model.isi_span(cfg.l_p, cfg.n) - 1
+    fixed = 3 * 16 * np.getbufsize() + 131072
     if faded:
         samples = signal_model._inband(signal_model._period(cfg.f_dt), cfg.f_dt)[2].shape[0]
-        link = 16 * (cfg.m * cfg.l_p + len(cfg.path_powers) * samples)
-        held = 16 * chunk * cfg.l_p * (2 if interpolated else 1)
+        link = 16 * (m * l_p + len(cfg.path_powers) * samples)
+        late = 8 * cfg.n * (sub + window) + 16 * sub * (l_p + 2 * m)
+        fixed += 16 * sub * m * l_p
     else:
-        link = 8 * cfg.m * cfg.k * (2 * signal_model.isi_span(cfg.l_p, cfg.n) - 1)
-        held = 0
-    if cfg.algorithm == "rake":
-        held += 16 * cfg.l_p * (3 * chunk + 5 * min(cfg.n_tr, chunk))
-    elif not interpolated:
-        d = cfg.pd_rank
-        held += 3 * 16 * chunk * d + 4 * 16 * min(sub, max(1, NOISE_CHUNK // d)) * d * d
+        link = 8 * m * cfg.k * window
+        late = 8 * sub * (cfg.k * window + m) + 8 * cfg.k * (sub + window)
+    draw = max(16 * sub * m, late)
+    if not interpolated:
+        d = l_p if cfg.algorithm == "rake" else cfg.pd_rank
+        draw += 32 * sub * m
+        held = 3 * 16 * chunk * d
+        if cfg.algorithm == "rake":
+            held += max(draw, 5 * 16 * d * min(cfg.n_tr, chunk))
+        else:
+            held += max(draw, 4 * 16 * min(sub, max(1, NOISE_CHUNK // d)) * d * d)
     else:
-        dec = make_decimation(cfg.m, cfg.l)
+        dec = make_decimation(m, cfg.l)
         m_red, n_i, padded = dec.m_red, cfg.n_i, dec.segment_index(cfg.n_i)[1].size
-        held += 16 * chunk * cfg.m * (2 if faded else 1)
-        held += 16 * sub * (padded + n_i * m_red + n_i + 2 * m_red)
+        held = 16 * sub * (padded + n_i * m_red + n_i + m_red) + draw
+        if faded:
+            held += 16 * sub * (m + l_p)
         if cfg.algorithm in ("rls", "cmv-rls"):
             held += 32 * (m_red ** 2 + n_i ** 2)
         if cfg.mode == "blind":
-            held += 16 * cfg.l_p * (n_i * m_red + cfg.m)
+            held += 16 * l_p * (n_i * m_red + m)
         if cfg.mode == "blind" and not cfg.known_channel:
-            held += 16 * cfg.l_p * (cfg.m + 3 * cfg.l_p)
-    per_run = cfg.symbols * (8 * cfg.k + 56) + link + max(64 * cfg.symbols, held)
-    width = max(1, (BLOCK_BYTES - 3 * 16 * np.getbufsize()) // per_run)
+            held += 16 * l_p * (m + 3 * l_p)
+    loop = cfg.symbols * (cfg.k + 56) + 8192 + link + held
+    per_run = max(152 * cfg.symbols, loop)
+    width = max(1, (BLOCK_BYTES - fixed) // per_run)
     if interpolated and min(width, cfg.runs) < STACK_MIN_RUNS:
         return 1
     return width

@@ -293,7 +293,7 @@ def link_step_per_symbol(link, i: int):
     """Received vector, desired symbol, and desired-only component for symbol i."""
     cfg = link.cfg
     off = link.l_s - 1
-    b = link.bits[0, i + off]
+    b = link.bits[0, i + off].astype(float)
     if link._static:
         span = 2 * link.l_s - 1
         clean = _responses(link) @ (link.amps[:, None] * link.bits[:, i:i + span]).ravel()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ifir_cdma import adaptive, cmv, harness
-from ifir_cdma.interpolation import (_segment_matrices, build_re_matrix, filter_maps, impulse,
-                                    make_decimation)
+from ifir_cdma.interpolation import (_cmul, _segment_matrices, build_re_matrix, filter_maps,
+                                    impulse, make_decimation)
 from ifir_cdma.signal_model import gen_gold_set
 
 from oracles import PD_RLS_RTOL, accumulate_and_invert, fullrank_nlms, fullrank_rls
@@ -198,6 +198,59 @@ class TestTrainedRls:
             expect_p, expect_gain = adaptive.rls_update(ps[k], xs[k], 0.998, 50.0)
             assert got_p[k].tobytes() == expect_p.tobytes()
             assert gain[k].tobytes() == expect_gain.tobytes()
+
+    @pytest.mark.parametrize("d", (1, 6))
+    def test_updates_scale_as_complex_division_bit_for_bit(self, d):
+        # rls_update and rls_updates scale p on its float64 view; over 300
+        # updates of three runs, run 1 breaking down every 50th, they equal
+        # the form that divides the complex p by alpha and multiplies it by
+        # 0.5, to the bit
+        def update(p, x, alpha, delta):
+            px = p @ x
+            denom = alpha + np.real(np.vdot(x, px))
+            if denom <= 0:
+                return delta * np.eye(p.shape[0], dtype=complex), None
+            gain = px / denom
+            p = p - gain[:, None] * px.conj()
+            p /= alpha
+            p += p.conj().T
+            p *= 0.5
+            return p, gain
+
+        def updates(p, x, alpha, delta):
+            px = p @ x[:, :, None]
+            denom = (x.conj()[:, None, :] @ px)[:, 0, 0].real + alpha
+            broke = np.flatnonzero(denom <= 0)
+            denom[broke] = 1.0
+            gain = px / denom[:, None, None]
+            pxh = px.conj().transpose(0, 2, 1)
+            p = p - (_cmul(gain, pxh) if p.shape[1] == 1 else gain * pxh)
+            p /= alpha
+            p += p.conj().transpose(0, 2, 1)
+            p *= 0.5
+            p[broke] = delta * np.eye(p.shape[1], dtype=complex)
+            return p, gain[:, :, 0], broke
+
+        rng = np.random.default_rng(11)
+        alpha, delta = 0.998, 50.0
+        ps = np.tile(delta * np.eye(d, dtype=complex), (3, 1, 1))
+        for t in range(300):
+            xs = crandn(rng, 3, d)
+            if t % 50 == 49:   # its denominator alpha - ||x||^2 is negative
+                ps[1], xs[1] = -np.eye(d), 1.0
+            expect_p, expect_gain, expect_broke = updates(ps, xs, alpha, delta)
+            got_p, gain, broke = adaptive.rls_updates(ps, xs, alpha, delta)
+            assert broke.tolist() == expect_broke.tolist() == ([1] if t % 50 == 49 else [])
+            assert got_p.tobytes() == expect_p.tobytes()
+            assert gain[:, None].tobytes() == expect_gain[:, None].tobytes()
+            for k in range(3):
+                one_p, one_gain = adaptive.rls_update(ps[k], xs[k], alpha, delta)
+                ref_p, ref_gain = update(ps[k], xs[k], alpha, delta)
+                assert one_p.tobytes() == ref_p.tobytes()
+                assert (one_gain is None) == (ref_gain is None) == (k in broke)
+                if one_gain is not None:
+                    assert one_gain.tobytes() == ref_gain.tobytes()
+            ps = expect_p
 
     def test_stacked_filter_update_matches_per_run_bit_for_bit(self):
         # four runs: run 1's p is -I, so it breaks down; runs 2 and 3 are

@@ -543,9 +543,9 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
     # by its decisions: a block of one run builds Re 4 times per symbol and
     # calls detect once per symbol.  A block of five, which steps its runs
     # together as a block of any width from STACK_MIN_RUNS on does, builds
-    # no Re one run at a time: per sub-chunk it gathers every run's Re of r,
-    # then of r_des in its place, 2 x (8 + 2) times for the chunks of 256
-    # and 44 symbols
+    # no Re one run at a time: per sub-chunk, drawn and recorded in one
+    # call, it gathers every run's Re of r, then of r_des in its place,
+    # 2 x 10 times for the sub-chunks of 300 symbols
     counts = collections.Counter()
     originals = {name: getattr(interpolation, name)
                  for name in ("build_re_matrix", "detect", "_segment_matrices")}
@@ -568,11 +568,10 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
         assert counts["detect"] == cfg.symbols
         assert counts["_segment_matrices"] == 0
     else:
-        sub_chunks = [-(-min(harness.NOISE_CHUNK, cfg.symbols - i) // harness.SUB_CHUNK)
-                      for i in range(0, cfg.symbols, harness.NOISE_CHUNK)]
-        assert sub_chunks == [8, 2]
+        sub_chunks = -(-cfg.symbols // harness.SUB_CHUNK)
+        assert sub_chunks == 10
         assert counts["build_re_matrix"] == 0
-        assert counts["_segment_matrices"] == 2 * sum(sub_chunks)
+        assert counts["_segment_matrices"] == 2 * sub_chunks
 
 
 @pytest.mark.parametrize("alg, change",
@@ -874,6 +873,32 @@ def test_link_matches_synthesis_across_a_fading_period_wrap():
                                                           link.bits[:, i:i + span]))
         expect = build_channel_matrix(g, cfg.n, link.l_s) @ chips
         assert np.abs(r - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
+def test_block_drawn_a_sub_chunk_at_a_time_matches_its_links_chunks(f_dt):
+    # three links drawn together SUB_CHUNK symbols at a time, as a wide
+    # block draws them, every other sub-chunk into a strided buffer as a
+    # stacked interpolated block does; 300 symbols end on a short one.
+    # Each run's rows, symbols, r_des and gains equal its own link's
+    # chunks, byte for byte
+    cfg = scenario("lms", runs=3, symbols=300, seed=21, f_dt=f_dt)
+    assert cfg.symbols % harness.SUB_CHUNK
+    seeds = campaign_seeds(cfg)
+    block = harness._Links([harness._Link(cfg, np.random.default_rng(seed)) for seed in seeds])
+    drawn = []
+    for j, i in enumerate(range(0, cfg.symbols, harness.SUB_CHUNK)):
+        n = min(harness.SUB_CHUNK, cfg.symbols - i)
+        out = (None, None)
+        if j % 2:   # symbol-major, with a gap past each row
+            out = np.empty((2, n, cfg.runs, cfg.m + 1), dtype=complex)[..., :cfg.m].swapaxes(1, 2)
+        drawn.append([np.array(part) for part in block.draw(i, n, out=out)])
+    for k, seed in enumerate(seeds):
+        chunks = list(harness._Link(cfg, np.random.default_rng(seed)).chunks())
+        for part in range(4):
+            got = np.concatenate([sub[part][k] for sub in drawn])
+            expect = np.concatenate([chunk[part] for chunk in chunks])
+            assert got.tobytes() == expect.tobytes(), (k, part)
 
 
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
