@@ -109,14 +109,16 @@ def rls_update(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
 
 def _scale(p: np.ndarray, factor: float) -> None:
     """p *= factor on the float64 view of the C-ordered complex array p,
-    one real product per part in place of a complex one.  It equals
-    p /= alpha for factor = 1.0 / alpha, and p *= 0.5 for 0.5, but for
-    the sign of an exact zero: numpy takes a complex array over a real
-    alpha as over alpha + 0j, and its complex division by a zero
+    one real product per part in place of a complex one.  For finite p
+    it equals p /= alpha for factor = 1.0 / alpha, and p *= 0.5 for 0.5,
+    but for the sign of an exact zero: numpy takes a complex array over
+    a real alpha as over alpha + 0j, and its complex division by a zero
     imaginary part multiplies each part by the reciprocal 1 / alpha, as
     its complex product by 0.5 + 0j multiplies each by 0.5; adding the
     product of the other part with 0 can turn only an exact -0.0 into
-    +0.0."""
+    +0.0.  Where a part is inf, that product is nan, so a diverged p's
+    non-finite entries, and the breakdowns counted from it, may differ
+    from the complex form's; `harness._metered` rejects such a run."""
     real = p.view(float)
     real *= factor
 

@@ -8,39 +8,39 @@ independent runs with spawned sub-seeds.
 
 A trial takes the link (`_Link`) a noise chunk at a time, as arrays of
 received vectors, of their desired-only components (unless the receiver
-forms them itself) and of the channel gains; a block of STACK_MIN_RUNS
-runs or more draws its runs' links together a sub-chunk of SUB_CHUNK
-symbols at a time (`_Links`, the one synthesis path), so that it never
-holds a chunk of rows per run.  A static link forms its noiseless
-vectors as one batched product of a per-user response table with the
-symbols' windows, a faded one by convolving each symbol's gains with the
-chips.  Per symbol it takes the decision output (a-priori: the receiver
-before the symbol), adapts with the reference symbol (training symbol,
-or the decision in decision-directed mode past `n_tr`; blind receivers
-ignore it), and records the updated receiver's outputs for r and for its
-desired-only component (a-posteriori).  One driver, `_run_block`, does
-this for a block of seeded runs, and `run_trial` is a block of one.  It
-builds a receiver of one of two kinds, which answer the same calls:
-`despread` maps received vectors to the rows the receiver takes, and
-`record` writes a chunk's or sub-chunk's outputs into the block's
-records.  The interpolated receivers (`_Interpolated`) take r itself and
-run one symbol loop over groups of runs, one step call per symbol
-returning the a-priori outputs.  A block's runs step together on stacked
-state (`adaptive.stack` and the `adaptive.*_steps` kernels), stacked once
-per block, and are recorded a sub-chunk per call, their a-posteriori
-outputs taken once per sub-chunk from the filters kept after each
-symbol; in a block narrower than STACK_MIN_RUNS each run steps alone on
-its own state (the per-run steps) over a chunk and takes them per
-symbol.  A stacked block holds only what its loop reads: one
-sub-chunk's rows of r, drawn into its gather buffer, their Re and (for a
-faded run) rows of r_des, in buffers it reuses; a static run's rows of
-r_des, (A_0 b) times its signature, are formed where they are read.  The
-RAKE and partial-despreading baselines (`_Projected`) despread a chunk,
-a sub-chunk at a time in a wide block, and take its outputs as array
-products of their combiners.  `record` runs with numpy's overflow
-warnings off, so a diverged run reaches the trial's LinAlgError.  MSE
-and BER (a-priori) and SINR (a-posteriori) are metered from the records
-in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
+forms them itself) and of the channel gains; a stacked interpolated
+block (STACK_MIN_RUNS runs or more) draws its runs' links together a
+sub-chunk of SUB_CHUNK symbols at a time (`_Links`, the one synthesis
+path), so that it never holds a chunk of rows per run.  A static link
+forms its noiseless vectors as one batched product of a per-user
+response table with the symbols' windows, a faded one by convolving each
+symbol's gains with the chips.  Per symbol it takes the decision output
+(a-priori: the receiver before the symbol), adapts with the reference
+symbol (training symbol, or the decision in decision-directed mode past
+`n_tr`; blind receivers ignore it), and records the updated receiver's
+outputs for r and for its desired-only component (a-posteriori).  One
+driver, `_run_block`, does this for a block of seeded runs, and
+`run_trial` is a block of one.  It builds a receiver of one of two kinds,
+which answer the same calls: `despread` maps received vectors to the
+rows the receiver takes, and `record` writes a chunk's or sub-chunk's
+outputs into the block's records.  The interpolated receivers
+(`_Interpolated`) take r itself and run one symbol loop over groups of
+runs, one step call per symbol returning the a-priori outputs.  A block's
+runs step together on stacked state (`adaptive.stack` and the
+`adaptive.*_steps` kernels), stacked once per block, and are recorded a
+sub-chunk per call, their a-posteriori outputs taken once per sub-chunk
+from the filters kept after each symbol; in a block narrower than
+STACK_MIN_RUNS each run steps alone on its own state (the per-run steps)
+over a chunk and takes them per symbol.  A stacked block holds only what
+its loop reads: one sub-chunk's rows of r, drawn into its gather buffer,
+their Re and (for a faded run) rows of r_des, in buffers it reuses; a
+static run's rows of r_des, (A_0 b) times its signature, are formed
+where they are read.  The RAKE and partial-despreading baselines
+(`_Projected`) despread a chunk and take its outputs as array products
+of their combiners.  `record` runs with numpy's overflow warnings off, so
+a diverged run reaches the trial's LinAlgError.  MSE and BER (a-priori)
+and SINR (a-posteriori) are metered from the records in arrays, each
+power equal to Python's abs(z) ** 2 bit for bit.
 
 A campaign runs its runs in blocks, as many as BLOCK_BYTES of memory
 allows by a count of what each kind of run holds (`_block_width`).  A
@@ -80,7 +80,7 @@ SUMMARY_TAIL = 200                    # last symbols the summary's MSE and SINR 
 # Symbols per link chunk; its noise draw is 256 x 2 x M doubles, ~150 kB at M=36.
 # It divides every fading period (powers of two from 2^16), which `_Link`
 # relies on to draw a faded chunk's noise before its gains, as does
-# SUB_CHUNK for a wide block's sub-chunks.
+# SUB_CHUNK for a stacked block's sub-chunks.
 NOISE_CHUNK = 256
 
 ALGORITHMS = ("lms", "rls", "cmv-sg", "cmv-rls", "rake", "pd-lms", "pd-rls")
@@ -93,9 +93,10 @@ BASELINES = ("rake", "pd-lms", "pd-rls")   # the receivers `_Projected` runs
 # (STACK_MIN_RUNS would not fit) and from ~8150 for a baseline.  The
 # 400-symbol blocks peak at 1.6 to 2.8 MB traced (tracemalloc, numpy
 # 2.4), each run holding, near those widths, lms 112 kB, rls 123, cmv-sg
-# 121, cmv-rls 132, tracked cmv-rls 138, faded cmv-sg 205, rake 210, pd-lms
-# 167 and pd-rls 217.  While a stacked block kept a chunk's rows of r
-# (147 kB a run), its interpolated runs held ~280 kB and took 9 runs.
+# 121, cmv-rls 132, tracked cmv-rls 138, faded cmv-sg 205, rake 163, pd-lms
+# 77 and pd-rls 157, a baseline block holding one run's chunk draw on top.
+# While a stacked block kept a chunk's rows of r (147 kB a run), its
+# interpolated runs held ~280 kB and took 9 runs.
 BLOCK_BYTES = 3_000_000
 MODES = ("training", "decision-directed", "blind")
 
@@ -375,9 +376,9 @@ class _Link:
     reaches, which is the user's effective signature shifted by
     (q - l_s + 1) N chips.  A faded link holds its desired user's shifted
     signatures.  The link draws its chunks as a block of one run
-    (`_Links`), the one synthesis path, which a block of runs takes a
-    sub-chunk at a time; `channel.gains` keeps the gains the channel was
-    made with.
+    (`_Links`), the one synthesis path, which a stacked interpolated
+    block takes a sub-chunk at a time; `channel.gains` keeps the gains
+    the channel was made with.
 
     Noise before gains keeps the generator order of per-symbol gain
     steps: gains draw only at a fading period's first sample (its
@@ -605,11 +606,11 @@ def _solves(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 # receivers and the trial loop
 # ---------------------------------------------------------------------------
 
-# Symbols per sub-chunk, for both kinds of receiver and for a wide
-# block's draw (`_Links`).  A stacked interpolated group draws every run's
-# rows of r, gathers their Re in one `_segment_matrices` call and takes
-# their a-posteriori outputs in one `receiver_outputs` call, then does the
-# same for r_des.  Its size moves memory more than speed.  On
+# Symbols per sub-chunk, for both kinds of receiver and for a stacked
+# interpolated block's draw (`_Links`).  A stacked interpolated group draws
+# every run's rows of r, gathers their Re in one `_segment_matrices` call
+# and takes their a-posteriori outputs in one `receiver_outputs` call,
+# then does the same for r_des.  Its size moves memory more than speed.  On
 # 50-run, 400-symbol campaigns (blocks of 5 runs; medians of 15
 # interleaved CPU-time pairs, 2-vCPU host), sub-chunks of 16 and 32
 # symbols ran x0.98 to x1.11 as fast as 64 and of 128 x0.96, while the
@@ -1045,10 +1046,10 @@ def _run_block(cfg: ScenarioConfig, seeds, widest: int = 1) -> list[MetricSeries
     block of one.  A block narrower than STACK_MIN_RUNS takes a chunk at a
     time: each run in turn draws its chunk (`_Link.chunks`) and despreads
     it, only the despread rows that the receiver reads being kept (its
-    `row_sets`: of r, and of r_des unless it forms them).  A wider block
-    draws its runs together a sub-chunk at a time (`_Links`), so that it
-    never holds a chunk of rows of r per run: a baseline despreads each
-    sub-chunk into its chunk's rows, and a stacked interpolated block
+    `row_sets`: of r, and of r_des unless it forms them); so does a
+    baseline block of any width.  A wider interpolated block, which steps
+    its runs together, draws them together a sub-chunk at a time
+    (`_Links`), so that it never holds a chunk of rows of r per run: it
     takes the rows of r in its gather buffer and records each sub-chunk.
     One `record` call of the block's receiver (`_Projected` or
     `_Interpolated`) writes every run's records of a chunk or sub-chunk
@@ -1076,16 +1077,15 @@ def _recorded(cfg: ScenarioConfig, seeds, widest: int) -> tuple:
     # records: x, out and out_des per run and symbol
     rec = np.empty((3, runs, cfg.symbols), dtype=complex)
     stacked = interpolated and runs >= STACK_MIN_RUNS
-    if not stacked:
+    if stacked:
+        block = _Links(links)
+        desired = block.desired
+    else:
         # the despread rows of a chunk's r and, unless the receiver forms them, r_des
         chunk_ys = np.empty((rx.row_sets, max(widest, runs), min(NOISE_CHUNK, cfg.symbols),
                              rx.dim), dtype=complex)[:, :runs]
-    if runs < STACK_MIN_RUNS:
         chunks = [link.chunks(desired=desired_rows) for link in links]
         desired = np.array([link.desired for link in links])
-    else:
-        block = _Links(links)
-        desired = block.desired
 
     def take(kept, rs, _, rs_des, gains):   # a call, so that the drawn rows are freed on return
         for into, rows in zip(kept, (rs, rs_des)):
@@ -1096,17 +1096,12 @@ def _recorded(cfg: ScenarioConfig, seeds, widest: int) -> tuple:
     for i in range(0, cfg.symbols, span):
         bs = desired[:, i:i + span]
         n = bs.shape[1]
-        if runs < STACK_MIN_RUNS:   # the runs draw in turn, so that the block holds one run's chunk
-            ys = chunk_ys[:, :, :n]
-            gs = [take(ys[:, k], *next(chunk)) for k, chunk in enumerate(chunks)]
-        elif stacked:   # the rows of r go into the receiver's gather buffer
+        if stacked:   # the rows of r go into the receiver's gather buffer
             ys = rx.rows(n)
             gs = block.draw(i, n, out=ys, desired=desired_rows)[3]
-        else:   # a sub-chunk at a time; a baseline reads no gains
-            ys, gs = chunk_ys[:, :, :n], None
-            for j in range(0, n, SUB_CHUNK):
-                kept = ys[:, :, j:j + SUB_CHUNK]
-                take(kept, *block.draw(i + j, kept.shape[2]))
+        else:   # the runs draw in turn, so that the block holds one run's chunk
+            ys = chunk_ys[:, :, :n]
+            gs = [take(ys[:, k], *next(chunk)) for k, chunk in enumerate(chunks)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rx.record(rec[:, :, i:i + span], ys, bs, gs, i)
     return desired, rec, rx.breakdowns
@@ -1175,35 +1170,35 @@ def _block_width(cfg: ScenarioConfig) -> int:
       K + 56 per symbol; its objects (Generator, link, states and their
       small arrays), 8192; and its link's response table, 8 M K S, or a
       faded link's code matrix and its fading processes' current samples;
-    - its share of a sub-chunk's draw (`_Links.draw`): the larger of its
-      noise, 16 s M, and what comes after it, the clean rows and what
-      forms them: 8 s (K S + M) + 8 K (s + S) for a static run, and for
-      a faded one its chips, gains, clean rows and signatures,
-      8 N (s + S) + 16 s (l_p + 2 M).  A baseline's draw also holds the
-      drawn rows of r and r_des, 32 s M;
     - a baseline's despread rows of r and r_des and its combiners,
-      3 x 16 c per tap, and the larger of the draw and rake's running
-      sums and their solutions, 5 x 16 per tap and trained symbol of the
-      chunk, or pd-rls's weighted covariances, their inverses and the
-      solves' copies, 4 x 16 n d^2, n the symbols of its sub-chunk.
+      3 x 16 c per tap, a faded run's gains, 16 c l_p, and rake's
+      running sums and their solutions, 5 x 16 per tap and trained symbol
+      of the chunk, or pd-rls's weighted covariances, their inverses and
+      the solves' copies, 4 x 16 n d^2, n the symbols of its sub-chunk.
       pd-lms holds none of these but is counted as pd-rls, so that the
       two keep one width;
-    - an interpolated run's draw and its share of a stacked block's
-      buffers, 16 s (P + N_I M_red + N_I + M_red): its rows of r, drawn
-      into the gather buffer and padded to P samples, their Re and its
-      filters after each symbol, and a faded run's rows of r_des and
-      gains, 16 s (M + l_p).  The outputs' products, 16 s M_red, are made
-      while no draw is, and are smaller.  An RLS run's inverses, stacked
-      and its own, 32 (M_red^2 + N_I^2); a blind run's constraints,
-      16 l_p (N_I M_red + M), and its channel tracker's,
-      16 l_p (M + 3 l_p).
+    - an interpolated run's share of a sub-chunk's draw (`_Links.draw`):
+      the larger of its noise, 16 s M, and what comes after it, the clean
+      rows and what forms them: 8 s (K S + M) + 8 K (s + S) for a static
+      run, and for a faded one its chips, gains, clean rows and
+      signatures, 8 N (s + S) + 16 s (l_p + 2 M).  On top, its share of
+      a stacked block's buffers, 16 s (P + N_I M_red + N_I + M_red): its
+      rows of r, drawn into the gather buffer and padded to P samples,
+      their Re and its filters after each symbol, and a faded run's rows
+      of r_des and gains, 16 s (M + l_p).  The outputs' products,
+      16 s M_red, are made while no draw is, and are smaller.  An RLS
+      run's inverses, stacked and its own, 32 (M_red^2 + N_I^2); a blind
+      run's constraints, 16 l_p (N_I M_red + M), and its channel
+      tracker's, 16 l_p (M + 3 l_p).
     The fixed bytes are numpy's buffers for a broadcast or cast product,
     three operands of `np.getbufsize()` entries; 128 kB for what a block
     holds once (its lists, objects and shared arrays, 10-45 kB traced
     with numpy 2.4) and as a margin for other numpy versions; and a faded
-    block's complex copy of one run's sub-chunk of windows, 16 s M l_p.  A block
-    narrower than STACK_MIN_RUNS, a baseline's or one run's, draws a chunk
-    of one run at a time (up to ~0.7 MB), which is not counted apart.
+    block's complex copy of one run's sub-chunk of windows, 16 s M l_p.
+    A block that is not a stacked interpolated one, a baseline's or one
+    run's, draws a chunk of one run at a time (up to ~0.7 MB), which is
+    not counted apart: it draws while it holds none of its sub-chunk
+    arrays or combiners.
     """
     chunk, sub = min(cfg.symbols, NOISE_CHUNK), min(cfg.symbols, SUB_CHUNK)
     faded, interpolated = cfg.f_dt > 0, cfg.algorithm not in BASELINES
@@ -1217,19 +1212,17 @@ def _block_width(cfg: ScenarioConfig) -> int:
     else:
         link = 8 * m * cfg.k * window
         late = 8 * sub * (cfg.k * window + m) + 8 * cfg.k * (sub + window)
-    draw = max(16 * sub * m, late)
     if not interpolated:
         d = l_p if cfg.algorithm == "rake" else cfg.pd_rank
-        draw += 32 * sub * m
-        held = 3 * 16 * chunk * d
+        held = 3 * 16 * chunk * d + (16 * chunk * l_p if faded else 0)
         if cfg.algorithm == "rake":
-            held += max(draw, 5 * 16 * d * min(cfg.n_tr, chunk))
+            held += 5 * 16 * d * min(cfg.n_tr, chunk)
         else:
-            held += max(draw, 4 * 16 * min(sub, max(1, NOISE_CHUNK // d)) * d * d)
+            held += 4 * 16 * min(sub, max(1, NOISE_CHUNK // d)) * d * d
     else:
         dec = make_decimation(m, cfg.l)
         m_red, n_i, padded = dec.m_red, cfg.n_i, dec.segment_index(cfg.n_i)[1].size
-        held = 16 * sub * (padded + n_i * m_red + n_i + m_red) + draw
+        held = 16 * sub * (padded + n_i * m_red + n_i + m_red) + max(16 * sub * m, late)
         if faded:
             held += 16 * sub * (m + l_p)
         if cfg.algorithm in ("rls", "cmv-rls"):
