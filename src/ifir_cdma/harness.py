@@ -6,19 +6,19 @@ noise), the receiver (structure, algorithm, mode) and the experiment
 MSE, windowed SINR and cumulative BER; `run_campaign` averages
 independent runs with spawned sub-seeds.
 
-A trial takes the link (`_Link`) a noise chunk at a time, as arrays of
-received vectors, of their desired-only components (unless the receiver
-forms them itself) and of the channel gains; a stacked interpolated
-block (STACK_MIN_RUNS runs or more) draws its runs' links together a
-sub-chunk of SUB_CHUNK symbols at a time (`_Links`, the one synthesis
-path), so that it never holds a chunk of rows per run.  A static link
-forms its noiseless vectors as one batched product of a per-user
-response table with the symbols' windows, a faded one by convolving each
-symbol's gains with the chips.  Per symbol it takes the decision output
-(a-priori: the receiver before the symbol), adapts with the reference
-symbol (training symbol, or the decision in decision-directed mode past
-`n_tr`; blind receivers ignore it), and records the updated receiver's
-outputs for r and for its desired-only component (a-posteriori).  One
+A block's links (`_Links`, the one synthesis path) hand out arrays of
+received vectors, of their desired-only components where asked, and of
+the channel gains: each run in turn a noise chunk at a time, or, in a
+stacked interpolated block (STACK_MIN_RUNS runs or more), every run
+together a sub-chunk of SUB_CHUNK symbols at a time, so that it never
+holds a chunk of rows per run.  A static link forms its noiseless
+vectors as one batched product of a per-user response table with the
+symbols' windows, a faded one by convolving each symbol's gains with the
+chips.  Per symbol a trial takes the decision output (a-priori: the
+receiver before the symbol), adapts with the reference symbol (training
+symbol, or the decision in decision-directed mode past `n_tr`; blind
+receivers ignore it), and records the updated receiver's outputs for r
+and for its desired-only component (a-posteriori).  One
 driver, `_run_block`, does this for a block of seeded runs, and
 `run_trial` is a block of one.  It builds a receiver of one of two kinds,
 which answer the same calls: `despread` maps received vectors to the
@@ -33,9 +33,9 @@ from the filters kept after each symbol; in a block narrower than
 STACK_MIN_RUNS each run steps alone on its own state (the per-run steps)
 over a chunk and takes them per symbol.  A stacked block holds only what
 its loop reads: one sub-chunk's rows of r, drawn into its gather buffer,
-their Re and (for a faded run) rows of r_des, in buffers it reuses; a
-static run's rows of r_des, (A_0 b) times its signature, are formed
-where they are read.  The RAKE and partial-despreading baselines
+and their Re, in buffers it reuses.  An interpolated receiver forms its
+rows of r_des, (A_0 b) times the signature, where it reads them
+(`_Links.desired_rows`).  The RAKE and partial-despreading baselines
 (`_Projected`) despread a chunk and take its outputs as array products
 of their combiners.  `record` runs with numpy's overflow warnings off, so
 a diverged run reaches the trial's LinAlgError.  MSE and BER (a-priori)
@@ -78,7 +78,7 @@ CSV_COLUMNS = ["iteration", "mse", "sinr_db", "ber", "algorithm", "L", "N_I", "s
 SINR_WINDOW = 0.98
 SUMMARY_TAIL = 200                    # last symbols the summary's MSE and SINR average
 # Symbols per link chunk; its noise draw is 256 x 2 x M doubles, ~150 kB at M=36.
-# It divides every fading period (powers of two from 2^16), which `_Link`
+# It divides every fading period (powers of two from 2^16), which `_Links`
 # relies on to draw a faded chunk's noise before its gains, as does
 # SUB_CHUNK for a stacked block's sub-chunks.
 NOISE_CHUNK = 256
@@ -93,7 +93,7 @@ BASELINES = ("rake", "pd-lms", "pd-rls")   # the receivers `_Projected` runs
 # (STACK_MIN_RUNS would not fit) and from ~8150 for a baseline.  The
 # 400-symbol blocks peak at 1.6 to 2.8 MB traced (tracemalloc, numpy
 # 2.4), each run holding, near those widths, lms 112 kB, rls 123, cmv-sg
-# 121, cmv-rls 132, tracked cmv-rls 138, faded cmv-sg 205, rake 163, pd-lms
+# 121, cmv-rls 132, tracked cmv-rls 138, faded cmv-sg 147, rake 163, pd-lms
 # 77 and pd-rls 157, a baseline block holding one run's chunk draw on top.
 # While a stacked block kept a chunk's rows of r (147 kB a run), its
 # interpolated runs held ~280 kB and took 9 runs.
@@ -362,177 +362,161 @@ def _interpolator_init(cfg: ScenarioConfig) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-class _Link:
-    """One run's synthesized downlink, handed out a noise chunk at a time.
+class _Links:
+    """The synthesized downlinks of a block of seeded runs, drawn a stretch
+    of symbols at a time.
 
-    `chunks()` draws the chunks one at a time, in symbol order, and keeps
-    none.  A chunk holds the received vectors R = clean + noise
-    (chunk x M), desired symbols b, desired-only components
-    R_des = (A_0 b)[:, None] * signature (None when not asked for, for a
-    receiver that forms them itself) and path gains G (chunk x l_p).  The
-    link keeps its symbols, as int8 (each is +-1), not its chip stream.  A
-    static link holds a response table (`_response_table`): per user k
-    and symbol q of the ISI span, the M samples of r that the symbol
+    Each run's Generator draws its channel, then its amplitudes, then its
+    symbols, and later each stretch's noise and (faded) path gains, in
+    that order.  The block stacks what the draw reads along a leading run
+    axis: symbols (`bits`, int8, as each is +-1; `desired`, the desired
+    user's as floats), amplitudes, and a static run's response table and
+    signature.  A static run's table (`_response_tables`) holds, per user
+    k and symbol q of the ISI span, the M samples of r that the symbol
     reaches, which is the user's effective signature shifted by
-    (q - l_s + 1) N chips.  A faded link holds its desired user's shifted
-    signatures.  The link draws its chunks as a block of one run
-    (`_Links`), the one synthesis path, which a stacked interpolated
-    block takes a sub-chunk at a time; `channel.gains` keeps the gains
-    the channel was made with.
+    (q - l_s + 1) N chips.  `channels[r].gains` keeps the gains run r's
+    channel was made with.
+
+    `draw` forms every asked run's rows of a stretch at once.  A static
+    stretch's clean rows are one batched product of each run's table with
+    its symbols' windows of A_k b_k over the span (`_matvecs`), each equal
+    bit for bit to the per-symbol product, and G is a read-only view
+    repeating each run's gains.  A faded stretch superposes the chips its
+    clean rows read (`_chips`), draws each run's path gains after its
+    noise and forms its clean rows in batched products.  Each stretch
+    holds the same values as one stream of every symbol would, and each
+    faded clean row the same sums, so any split of the symbols into
+    stretches, or of the runs, draws the same rows.  `desired_rows` is the
+    one formula for the desired-only components r_des.
 
     Noise before gains keeps the generator order of per-symbol gain
     steps: gains draw only at a fading period's first sample (its
     spectrum), symbol period - 1, the last of a chunk and of a sub-chunk,
     as NOISE_CHUNK and SUB_CHUNK divide the period.  Per-symbol draws
     would take that symbol's noise after the spectrum, so from there on a
-    faded link's noise parts from them; a static link's never does.
+    faded run's noise parts from them; a static run's never does.
     """
 
-    def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.rng = rng
+    def __init__(self, cfg: ScenarioConfig, seeds):
+        self.cfg, self.m = cfg, cfg.m
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.codes = signal_model.gen_gold_set(cfg.gold_degree, cfg.k)
-        self.channel = _draw_channel(cfg, rng)
-        self.amps = _draw_amplitudes(cfg, rng)
         self.sigma2 = 10.0 ** (-cfg.ebn0_db / 10.0)
         self.l_s = signal_model.isi_span(cfg.l_p, cfg.n)
-        self.m = cfg.m
-        span = 2 * self.l_s - 1
-        self.bits = np.where(rng.random((cfg.k, cfg.symbols + span - 1)) < 0.5,
-                             np.int8(-1), np.int8(1))
-        self.desired = self.bits[0, self.l_s - 1:self.l_s - 1 + cfg.symbols].astype(float)
-        self._static = cfg.f_dt <= 0
-        if self._static:
-            responses = np.array([signal_model.effective_signature(code, self.channel.gains)
-                                  for code in self.codes])
-            self.signature = responses[0].copy()   # a view would keep every user's
+        self.static = cfg.f_dt <= 0
+        self.channels = []
+        self.amps = np.empty((len(seeds), cfg.k))
+        self.bits = np.empty((len(seeds), cfg.k, cfg.symbols + 2 * self.l_s - 2), dtype=np.int8)
+        for rng, amps, bits in zip(self.rngs, self.amps, self.bits):
+            self.channels.append(_draw_channel(cfg, rng))
+            amps[...] = _draw_amplitudes(cfg, rng)
+            bits[...] = np.where(rng.random(bits.shape) < 0.5, np.int8(-1), np.int8(1))
+        self.desired = self.bits[:, 0, self.l_s - 1:self.l_s - 1 + cfg.symbols].astype(float)
+        if self.static:
+            responses = np.array([[signal_model.effective_signature(code, channel.gains)
+                                   for code in self.codes] for channel in self.channels])
+            self.signatures = responses[:, 0].copy()   # a view would keep every user's
             # a static channel's gains are its path amplitudes, so the responses are real
-            self._table = self._response_table(responses.real)
+            self.tables = self._response_tables(responses.real)
+            self.gains = np.array([channel.gains for channel in self.channels])
         else:
-            self._code_matrix = cmv.shifted_signatures(self.codes[0], cfg.l_p)
+            self.code_matrix = cmv.shifted_signatures(self.codes[0], cfg.l_p)
 
-    def _response_table(self, responses: np.ndarray) -> np.ndarray:
-        """The M x K (2 l_s - 1) table whose column k (2 l_s - 1) + q holds
-        the samples of r that symbol q of user k's window reaches, at unit
-        amplitude: its effective signature `responses[k]` shifted by
+    def _response_tables(self, responses: np.ndarray) -> np.ndarray:
+        """Per run, the M x K (2 l_s - 1) table whose column k (2 l_s - 1) + q
+        holds the samples of r that symbol q of user k's window reaches, at
+        unit amplitude: its effective signature `responses[r, k]` shifted by
         (q - l_s + 1) N chips and cut to the M samples."""
         n, m, span = self.cfg.n, self.m, 2 * self.l_s - 1
-        table = np.zeros((m, len(responses), span))
+        table = np.zeros((len(responses), m, responses.shape[1], span))
         for q in range(span):
             lead = (self.l_s - 1 - q) * n   # the response's sample at the window's first
             lo, hi = max(0, -lead), min(m, m - lead)
-            table[lo:hi, :, q] = responses[:, lo + lead:hi + lead].T
-        return table.reshape(m, -1)
+            table[:, lo:hi, :, q] = responses[:, :, lo + lead:hi + lead].swapaxes(1, 2)
+        return table.reshape(len(responses), m, -1)
 
-    def chunks(self, desired: bool = True):
-        """Yield (R, b, R_des, G) for each noise chunk, in symbol order;
-        R_des is None without `desired`."""
-        links = _Links([self])
+    def chunks(self, desired: bool = True, runs: int = 0):
+        """Yield run `runs`'s (R, b, R_des, G) for each noise chunk, in
+        symbol order, as `draw` gives them; R_des is None without `desired`."""
         for i in range(0, self.cfg.symbols, NOISE_CHUNK):
             # the generator keeps no name for the chunk it hands out
-            yield tuple(a if a is None else a[0]
-                        for a in links.draw(i, min(NOISE_CHUNK, self.cfg.symbols - i),
-                                            desired=desired))
+            yield self.draw(i, min(NOISE_CHUNK, self.cfg.symbols - i), desired=desired, runs=runs)
 
-
-class _Links:
-    """The links of a block of runs, drawn together: `draw` forms every
-    run's rows of a stretch of symbols at once, each run taking its own
-    noise and gains from its own Generator in its own order.
-
-    It stacks what the draw reads along a leading run axis: symbols,
-    amplitudes and a static link's response table and signature.  A
-    static stretch's clean rows are one batched product of each run's
-    table with its symbols' windows of A_k b_k over the span (`_matvecs`),
-    each equal bit for bit to the per-symbol product, and G is a read-only
-    view repeating each run's `channel.gains`.  A faded stretch superposes
-    the chips its clean rows read (`_chips`), draws each run's path gains
-    after its noise and forms its clean rows and signatures in batched
-    products.  Each stretch holds the same values as one stream of every
-    symbol would, and each faded clean row the same sums, so any split of
-    the symbols into stretches draws the same rows.
-    """
-
-    def __init__(self, links):
-        first = links[0]
-        self.cfg, self.links, self.m, self.l_s = first.cfg, links, first.m, first.l_s
-        self.static, self.sigma2, self.codes = first._static, first.sigma2, first.codes
-        self.amps = np.array([link.amps for link in links])
-        self.bits = np.array([link.bits for link in links])
-        self.desired = np.array([link.desired for link in links])
-        # the links keep views of the stacks, so that a block holds each array once
-        for link, bits, desired in zip(links, self.bits, self.desired):
-            link.bits, link.desired = bits, desired
-        if self.static:
-            self.tables = np.array([link._table for link in links])
-            self.signatures = np.array([link.signature for link in links])
-            for link, table, signature in zip(links, self.tables, self.signatures):
-                link._table, link.signature = table, signature
-            self.gains = np.array([link.channel.gains for link in links])
-        else:
-            self.code_matrix = first._code_matrix   # the runs share the desired user's code
-
-    def draw(self, i: int, size: int, out=(None, None), desired: bool = True):
-        """(R, b, R_des, G) of every run for symbols i to i + size - 1, each
-        with a leading run axis; R_des is None without `desired`.  R, and
-        R_des, go into `out` where given (runs x size x M, any strides)."""
-        cfg, m, runs = self.cfg, self.m, len(self.links)
+    def draw(self, i: int, size: int, out=(None, None), desired: bool = True, runs=slice(None)):
+        """(R, b, R_des, G) of symbols i to i + size - 1 of the runs `runs`
+        picks: each with a leading run axis for a slice, without one for a
+        run's index.  R holds the received vectors R = clean + noise
+        (size x M a run), b the desired symbols, R_des the desired-only
+        components (`desired_rows`; None without `desired`) and G the path
+        gains (size x l_p).  For a slice, R and R_des go into `out` where
+        given (runs x size x M, any strides)."""
+        if not isinstance(runs, slice):
+            return tuple(a if a is None else a[0]
+                         for a in self.draw(i, size, desired=desired, runs=slice(runs, runs + 1)))
+        cfg, m, rngs = self.cfg, self.m, self.rngs[runs]
         n, l_p, span = cfg.n, cfg.l_p, 2 * self.l_s - 1
         view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
-        z = np.empty((runs, size, 2, m))
-        for k, link in enumerate(self.links):
-            link.rng.standard_normal(out=z[k])
+        z = np.empty((len(rngs), size, 2, m))
+        for k, rng in enumerate(rngs):   # no name keeps a view of z past its del
+            rng.standard_normal(out=z[k])
         # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
         rs = np.multiply(1j, z[:, :, 1], out=out[0])
         rs += z[:, :, 0]
         rs *= np.sqrt(self.sigma2 / 2.0)
         del z   # the arrays below are made without the noise draw alongside
-        b = self.desired[:, i:i + size]
+        b = self.desired[runs, i:i + size]
         if self.static:
             # windows[r, k] holds A_j b_j over symbol i + k's span, user by user,
             # so that each clean row is its run's table's product with its window
-            scaled = self.amps[:, :, None] * self.bits[:, :, i:i + size + span - 1]
+            scaled = self.amps[runs, :, None] * self.bits[runs, :, i:i + size + span - 1]
             windows = view(scaled, span, axis=2).transpose(0, 2, 1, 3)
-            clean = _matvecs(self.tables[:, None], windows.reshape(runs, size, -1))
-            signature = self.signatures[:, None]
-            gains = np.broadcast_to(self.gains[:, None], (runs, size, l_p))
+            clean = _matvecs(self.tables[runs, None], windows.reshape(len(rngs), size, -1))
+            gains = np.broadcast_to(self.gains[runs, None], (len(rngs), size, l_p))
         else:
-            chips = self._chips(i, size)
-            gains = np.array([signal_model.fading_gains(link.channel, size, link.rng)
-                              for link in self.links])
-            # windows[r, k] @ g is run r's noiseless r of symbol i + k, and
-            # code_matrix @ g its desired signature: windows[r, k][m, l] is
-            # the chip at k N + m - l + l_p - 1.  Batched as a @ g[..., None],
-            # each product equals the per-symbol a @ g bit for bit; g @ a.T
-            # sums in another order.  numpy makes a complex copy of the
-            # windows it multiplies, so they go a run and SUB_CHUNK at a time
+            chips = self._chips(i, size, runs)
+            gains = np.array([signal_model.fading_gains(channel, size, rng)
+                              for channel, rng in zip(self.channels[runs], rngs)])
+            # windows[r, k] @ g is run r's noiseless r of symbol i + k:
+            # windows[r, k][m, l] is the chip at k N + m - l + l_p - 1.
+            # Batched as a @ g[..., None], each product equals the per-symbol
+            # a @ g bit for bit; g @ a.T sums in another order.  numpy makes
+            # a complex copy of the windows it multiplies, so they go a run
+            # and SUB_CHUNK at a time
             windows = view(view(chips, m + l_p - 1, axis=1)[:, ::n], l_p, axis=2)[..., ::-1]
-            clean = np.empty((runs, size, m, 1), dtype=complex)
+            clean = np.empty((len(rngs), size, m, 1), dtype=complex)
             for a, g, c in zip(windows, gains, clean):
                 for k in range(0, size, SUB_CHUNK):
                     np.matmul(a[k:k + SUB_CHUNK], g[k:k + SUB_CHUNK, :, None],
                               out=c[k:k + SUB_CHUNK])
             clean = clean[..., 0]
-            signature = _matvecs(self.code_matrix, gains)
         rs += clean
         del clean
-        rs_des = (np.multiply((self.amps[:, :1] * b)[..., None], signature, out=out[1])
-                  if desired else None)
+        rs_des = self.desired_rows(b, gains, runs, out=out[1]) if desired else None
         return rs, b, rs_des, gains
 
-    def _chips(self, i: int, size: int) -> np.ndarray:
-        """Every run's chip stream that the clean rows of symbols i to
-        i + size - 1 read: (size - 1) N + M + l_p - 1 chips from chip
-        (i + l_s - 1) N - (l_p - 1) on, superposed user by user."""
+    def desired_rows(self, b: np.ndarray, gains: np.ndarray, runs, out=None) -> np.ndarray:
+        """R_des = (A_0 b)[..., None] * signature of the runs `runs` picks (a
+        slice, or a run's index), from their symbols b and, when faded, path
+        gains (as `draw` gives them), into `out` where given: a static run's
+        fixed signature, a faded run's C g of each symbol's gains g, C the
+        desired user's shifted signatures (`_matvecs`)."""
+        signature = (self.signatures[runs][..., None, :] if self.static
+                     else _matvecs(self.code_matrix, gains))
+        return np.multiply((self.amps[runs, :1] * b)[..., None], signature, out=out)
+
+    def _chips(self, i: int, size: int, runs: slice) -> np.ndarray:
+        """The chip streams of the runs `runs` picks that the clean rows of
+        symbols i to i + size - 1 read: (size - 1) N + M + l_p - 1 chips from
+        chip (i + l_s - 1) N - (l_p - 1) on, superposed user by user."""
         n, l_p = self.cfg.n, self.cfg.l_p
         start = (i + self.l_s - 1) * n - (l_p - 1)
         length = (size - 1) * n + self.m + l_p - 1
         lo, hi = start // n, -(-(start + length) // n)   # the symbols it spans
-        stream = np.zeros((len(self.links), hi - lo, n))
-        for amps, bits, code in zip(self.amps.T, self.bits[:, :, lo:hi].swapaxes(0, 1),
-                                    self.codes):
-            stream += (amps[:, None] * bits)[..., None] * code
-        return stream.reshape(len(self.links), -1)[:, start - lo * n:start - lo * n + length]
+        amps, bits = self.amps[runs], self.bits[runs, :, lo:hi]
+        stream = np.zeros((len(amps), hi - lo, n))
+        for a, b, code in zip(amps.T, bits.swapaxes(0, 1), self.codes):
+            stream += (a[:, None] * b)[..., None] * code
+        return stream.reshape(len(amps), -1)[:, start - lo * n:start - lo * n + length]
 
 
 def _sinr_db(p_des: np.ndarray, p_rest: np.ndarray) -> np.ndarray:
@@ -671,7 +655,6 @@ class _Projected:
             self.weights = cfg.alpha ** -np.arange(span, dtype=float)   # alpha^-t
         self.proj_h = proj.conj().T
         self.dim = proj.shape[1]
-        self.row_sets = 2   # a chunk keeps the despread rows of r and of r_des
         self.w = np.zeros((runs, self.dim), dtype=complex)
         self.breakdowns = np.zeros(runs, dtype=int)
 
@@ -800,13 +783,14 @@ class _Projected:
             self.cross = scale * p
 
 
-def _state(cfg: ScenarioConfig, link: _Link):
+def _state(cfg: ScenarioConfig, code: np.ndarray, gains: np.ndarray):
     """(state, tracker) of an interpolated receiver (`lms`, `rls`, `cmv-sg`
-    or `cmv-rls`) on one run's link, which `_Interpolated` steps alone or
-    stacked with its block's: the state its `adaptive.make_*` factory
-    makes, and the channel tracker of a blind run whose channel is not
-    known (`known_channel` false), else None.  The link is read here only,
-    for its code and initial gains."""
+    or `cmv-rls`) on one run, which `_Interpolated` steps alone or stacked
+    with its block's: the state its `adaptive.make_*` factory makes, and
+    the channel tracker of a blind run whose channel is not known
+    (`known_channel` false), else None.  A blind run's constraints read
+    the desired user's `code` and, when the channel is known, the
+    channel's initial `gains`."""
     dec = make_decimation(cfg.m, cfg.l)
     v0 = _interpolator_init(cfg)
     if cfg.algorithm == "lms":
@@ -814,8 +798,7 @@ def _state(cfg: ScenarioConfig, link: _Link):
                                         normalized=cfg.normalized_steps), None
     if cfg.algorithm == "rls":
         return adaptive.make_trained_rls(dec, v0, alpha=cfg.alpha, delta=cfg.delta), None
-    cons = cmv.build_constraints(link.codes[0], dec,
-                                 g=link.channel.gains if cfg.known_channel else None)
+    cons = cmv.build_constraints(code, dec, g=gains if cfg.known_channel else None)
     if cfg.algorithm == "cmv-sg":
         st = adaptive.make_blind_sg(cons, v0, cfg.mu0, cfg.eta0, normalized=cfg.normalized_steps)
     else:
@@ -849,11 +832,6 @@ def _align_phases(x: np.ndarray, g_hat: np.ndarray, g_true: np.ndarray) -> np.nd
     true_mod, hat_mod = np.hypot(true.real, true.imag), np.hypot(hat.real, hat.imag)
     rot = (true / true_mod) / (hat / hat_mod)
     return np.where((hat_mod < 1e-12) | (true_mod < 1e-12), x, _cmul(x, np.conj(rot)))
-
-
-def _each_output(state, rows) -> tuple:
-    """`receiver_output` of one run's state on its rows r and r_des, a call each."""
-    return receiver_output(state, rows[0]), receiver_output(state, rows[1])
 
 
 def _each_step(step, s, r, b=None, adapt_v: bool = True, directed: bool = False, g=None):
@@ -897,27 +875,22 @@ class _Interpolated:
     chunk per call.  Each run's state is the one `_state` made, and holds
     its filters and breakdowns between chunks; a stacked block steps a
     stack of them, made once, and writes it back after its last symbol.
-    A call keeps `row_sets` sets of rows per run: those of r and, when
-    faded, of r_des; a static run's r_des is formed from its link's
-    `signature` where it is read (`_desired`).  A stacked block's rows of
-    r are drawn into its gather buffer (`rows`)."""
+    A call takes the rows of r only: a group forms its rows of r_des where
+    it reads them, from its symbols and gains (`_Links.desired_rows`).  A
+    stacked block's rows of r are drawn into its gather buffer (`rows`)."""
 
-    def __init__(self, cfg: ScenarioConfig, links):
-        self.cfg = cfg
+    def __init__(self, cfg: ScenarioConfig, links: _Links):
+        self.cfg, self.links = cfg, links
         self.dim = cfg.m
-        self.states, self.trackers = zip(*(_state(cfg, link) for link in links))
+        runs = len(links.rngs)
+        self.states, self.trackers = zip(*(_state(cfg, links.codes[0], channel.gains)
+                                           for channel in links.channels))
         # a group is one run's index, or a slice of every run of the block
-        self.groups = [slice(None)] if len(links) >= STACK_MIN_RUNS else range(len(links))
-        # a static run's r_des is (A_0 b)[:, None] * signature, formed where
-        # it is read as the link forms it; a faded run's signature changes
-        # per symbol, so its rows of r_des are kept
-        self.row_sets = 2 if cfg.f_dt > 0 else 1
-        self.amps = np.array([link.amps[0] for link in links])
-        self.signatures = None if cfg.f_dt > 0 else np.array([link.signature for link in links])
-        if len(links) >= STACK_MIN_RUNS:
+        self.groups = [slice(None)] if runs >= STACK_MIN_RUNS else range(runs)
+        if runs >= STACK_MIN_RUNS:
             s = self.stacked = adaptive.stack(self.states)
             self.tracker = self.trackers[0] and adaptive.stack(self.trackers)
-            span, runs = min(SUB_CHUNK, cfg.symbols), len(links)
+            span = min(SUB_CHUNK, cfg.symbols)
             # every run's filters after each symbol of a sub-chunk
             self.vs = np.empty((span, *s.v.shape), dtype=complex)
             self.ws = np.empty((span, *s.w.shape), dtype=complex)
@@ -926,15 +899,13 @@ class _Interpolated:
             idx, buf = s.dec.segment_index(s.n_i)
             self.pad = np.zeros((span, runs, buf.size), dtype=complex)
             self.res = np.empty((span, runs, *idx.shape), dtype=complex)
-            self.des = np.empty((runs, span, cfg.m), dtype=complex) if cfg.f_dt > 0 else None
 
     despread = staticmethod(np.asarray)   # the rows are r itself
 
-    def rows(self, n: int) -> tuple:
-        """A stacked block's buffers for the rows of r (its gather buffer)
-        and of a faded r_des of a sub-chunk of n symbols, runs x n x M each."""
-        return (self.pad[:n, :, :self.dim].swapaxes(0, 1),
-                None if self.des is None else self.des[:, :n])
+    def rows(self, n: int) -> np.ndarray:
+        """A stacked block's buffer for the rows of a sub-chunk of n symbols,
+        runs x n x M: its gather buffer."""
+        return self.pad[:n, :, :self.dim].swapaxes(0, 1)
 
     @property
     def breakdowns(self) -> list:
@@ -942,16 +913,16 @@ class _Interpolated:
 
     def record(self, rec: np.ndarray, ys, bs: np.ndarray, gs, first: int) -> None:
         """As `_Projected.record` on r and r_des themselves, `gs` holding each
-        run's gains and `ys` the rows of r and, for a faded block, of r_des
-        (`row_sets`), a stacked block's in its `rows`.  A group binds its
-        forms once per call, and the symbol loop is one.  Per symbol, one
-        step call adapts the group's runs and returns their a-priori
-        outputs x.  A one-run group steps on its rows of r and takes its
-        a-posteriori outputs after each symbol.  A stacked one gathers the
-        Re of every run's r, steps on it, keeps its filters after each
-        symbol and takes the sub-chunk's a-posteriori outputs for r in one
-        call, then writes the rows of r_des in their place, gathers their
-        Re and takes theirs in another, both into buffers it reuses."""
+        run's gains and `ys[0]` its rows of r, a stacked block's in its
+        `rows`.  A group binds its forms once per call, and the symbol loop
+        is one.  Per symbol, one step call adapts the group's runs and
+        returns their a-priori outputs x.  A one-run group forms its
+        rows of r_des (`_Links.desired_rows`), steps on its rows of r and
+        takes its a-posteriori outputs after each symbol.  A stacked one
+        gathers the Re of every run's r, steps on it, keeps its filters
+        after each symbol and takes the sub-chunk's a-posteriori outputs for
+        r in one call, then forms the rows of r_des in their place, gathers
+        their Re and takes theirs in another, all into buffers it reuses."""
         cfg = self.cfg
         size = bs.shape[1]
         # the offset from which decisions are the reference
@@ -970,8 +941,7 @@ class _Interpolated:
                 align, gains = _align_phase, gs[group]
                 # per symbol, the input of the step: a row of r
                 ins = ys[0][group]
-                des = (ys[1][group] if faded
-                       else (self.amps[group] * bs[group])[:, None] * self.signatures[group])
+                des = self.links.desired_rows(bs[group], gains, group)
             else:
                 s, tracker = self.stacked, self.tracker
                 align = _align_phases
@@ -992,7 +962,7 @@ class _Interpolated:
                     x = step(s, y, b, adapt_v=adapt_v, directed=j >= directed)
                 xs.append(align(x, g_hat, gains[j]) if track else x)
                 if one:
-                    outs.append(_each_output(s, (y, des[j])))
+                    outs.append((receiver_output(s, y), receiver_output(s, des[j])))
                 else:   # the steps rebind v and w, so these are the symbol's
                     self.vs[j], self.ws[j] = s.v, s.w
             # symbols last, as in rec
@@ -1004,22 +974,13 @@ class _Interpolated:
             vc = np.conjugate(self.vs[:size], out=self.vs[:size])
             wc = np.conjugate(self.ws[:size], out=self.ws[:size])
             rec[1] = receiver_outputs(vc, wc, ins).T
-            self._desired(self.pad[:size, :, :self.dim], ys, bs)
+            self.links.desired_rows(bs, gs, group, out=self.rows(size))
             ins = _segment_matrices(self.pad[:size], s.n_i, s.dec, out=self.res[:size])
             rec[2] = receiver_outputs(vc, wc, ins).T
             if first + size == cfg.symbols:
                 adaptive.unstack(s, self.states)
                 if tracker:
                     adaptive.unstack(tracker, self.trackers)
-
-    def _desired(self, rows: np.ndarray, ys, bs: np.ndarray) -> None:
-        """Into rows (symbols x runs x M), every run's rows of r_des: a
-        faded run's kept rows, or a static run's formed as its link forms
-        them."""
-        if self.signatures is None:
-            rows[...] = ys[1].swapaxes(0, 1)
-        else:
-            np.multiply((self.amps[:, None] * bs).T[..., None], self.signatures, out=rows)
 
 
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
@@ -1042,15 +1003,16 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
 def _run_block(cfg: ScenarioConfig, seeds, widest: int = 1) -> list[MetricSeries]:
     """`run_trial` for each seed, the runs taken together.
 
-    Each run keeps its own `_Link` and Generator, so it draws as in a
-    block of one.  A block narrower than STACK_MIN_RUNS takes a chunk at a
-    time: each run in turn draws its chunk (`_Link.chunks`) and despreads
-    it, only the despread rows that the receiver reads being kept (its
-    `row_sets`: of r, and of r_des unless it forms them); so does a
-    baseline block of any width.  A wider interpolated block, which steps
-    its runs together, draws them together a sub-chunk at a time
-    (`_Links`), so that it never holds a chunk of rows of r per run: it
-    takes the rows of r in its gather buffer and records each sub-chunk.
+    The block's links (`_Links`) hold each run's Generator, so each run
+    draws as in a block of one.  A block narrower than STACK_MIN_RUNS
+    takes a chunk at a time: each run in turn draws its chunk
+    (`_Links.chunks`) and despreads it, only the despread rows that the
+    receiver reads being kept: of r, and for a baseline of r_des, which an
+    interpolated receiver forms itself; so does a baseline block of any
+    width.  A wider interpolated block, which steps its runs together,
+    draws them together a sub-chunk at a time, so that it never holds a
+    chunk of rows of r per run: it takes the rows of r in its gather
+    buffer and records each sub-chunk.
     One `record` call of the block's receiver (`_Projected` or
     `_Interpolated`) writes every run's records of a chunk or sub-chunk
     with numpy's overflow, invalid-value and division warnings off:
@@ -1068,24 +1030,20 @@ def _run_block(cfg: ScenarioConfig, seeds, widest: int = 1) -> list[MetricSeries
 def _recorded(cfg: ScenarioConfig, seeds, widest: int) -> tuple:
     """(desired, rec, breakdowns) of `_run_block`'s runs: their symbols
     (runs x symbols), records (3 x runs x symbols) and RLS breakdowns.  The
-    links, receiver and rows it makes are freed on return, before the
-    metering."""
-    links = [_Link(cfg, np.random.default_rng(seed)) for seed in seeds]
-    runs, interpolated = len(links), cfg.algorithm not in BASELINES
-    rx = _Interpolated(cfg, links) if interpolated else _Projected(cfg, links[0].codes[0], runs)
-    desired_rows = rx.row_sets > 1
+    links, receiver and rows it makes, all but the links' `desired`, are
+    freed on return, before the metering."""
+    links = _Links(cfg, seeds)
+    runs, interpolated = len(seeds), cfg.algorithm not in BASELINES
+    rx = _Interpolated(cfg, links) if interpolated else _Projected(cfg, links.codes[0], runs)
     # records: x, out and out_des per run and symbol
     rec = np.empty((3, runs, cfg.symbols), dtype=complex)
     stacked = interpolated and runs >= STACK_MIN_RUNS
-    if stacked:
-        block = _Links(links)
-        desired = block.desired
-    else:
-        # the despread rows of a chunk's r and, unless the receiver forms them, r_des
-        chunk_ys = np.empty((rx.row_sets, max(widest, runs), min(NOISE_CHUNK, cfg.symbols),
-                             rx.dim), dtype=complex)[:, :runs]
-        chunks = [link.chunks(desired=desired_rows) for link in links]
-        desired = np.array([link.desired for link in links])
+    if not stacked:
+        # the despread rows of a chunk's r and, for a baseline, of r_des, which
+        # an interpolated receiver forms itself
+        chunk_ys = np.empty((1 if interpolated else 2, max(widest, runs),
+                             min(NOISE_CHUNK, cfg.symbols), rx.dim), dtype=complex)[:, :runs]
+        chunks = [links.chunks(desired=not interpolated, runs=k) for k in range(runs)]
 
     def take(kept, rs, _, rs_des, gains):   # a call, so that the drawn rows are freed on return
         for into, rows in zip(kept, (rs, rs_des)):
@@ -1094,17 +1052,17 @@ def _recorded(cfg: ScenarioConfig, seeds, widest: int) -> tuple:
 
     span = SUB_CHUNK if stacked else NOISE_CHUNK
     for i in range(0, cfg.symbols, span):
-        bs = desired[:, i:i + span]
+        bs = links.desired[:, i:i + span]
         n = bs.shape[1]
         if stacked:   # the rows of r go into the receiver's gather buffer
-            ys = rx.rows(n)
-            gs = block.draw(i, n, out=ys, desired=desired_rows)[3]
+            ys = (rx.rows(n), None)
+            gs = links.draw(i, n, out=ys, desired=False)[3]
         else:   # the runs draw in turn, so that the block holds one run's chunk
             ys = chunk_ys[:, :, :n]
             gs = [take(ys[:, k], *next(chunk)) for k, chunk in enumerate(chunks)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rx.record(rec[:, :, i:i + span], ys, bs, gs, i)
-    return desired, rec, rx.breakdowns
+    return links.desired, rec, rx.breakdowns
 
 
 def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, rec: np.ndarray,
@@ -1146,12 +1104,13 @@ def iter_symbols(cfg: ScenarioConfig, run_seed):
     """Yield (r, b, r_desired, g) per symbol of one seeded scenario run,
     g being the symbol's channel gains (length l_p).
 
-    Drives the same synthesized downlink as `run_trial` without any
-    receiver attached; useful for custom adaptation protocols and for
+    Drives the same synthesized downlink as `run_trial`, a block of one
+    run's links drawn a noise chunk at a time (`_Links.chunks`), without
+    any receiver attached; useful for custom adaptation protocols and for
     validating analysis predictions against simulation.
     """
     cfg.validate()
-    for chunk in _Link(cfg, np.random.default_rng(run_seed)).chunks():
+    for chunk in _Links(cfg, [run_seed]).chunks():
         yield from zip(*chunk)
 
 
@@ -1166,10 +1125,11 @@ def _block_width(cfg: ScenarioConfig) -> int:
     symbol's window, a run holds the larger of what its metering holds
     (its records, symbols and the metering's arrays, 152 per symbol) and
     what its loop holds:
-    - its link's symbols (int8) and their float copy, and its records,
-      K + 56 per symbol; its objects (Generator, link, states and their
-      small arrays), 8192; and its link's response table, 8 M K S, or a
-      faded link's code matrix and its fading processes' current samples;
+    - its symbols (int8) and their float copy, and its records, K + 56
+      per symbol; its objects (Generator, channel, states and their small
+      arrays), 8192; and its response table, 8 M K S, or, faded, its
+      fading processes' current samples and a code matrix, 16 M l_p,
+      which the block's runs share;
     - a baseline's despread rows of r and r_des and its combiners,
       3 x 16 c per tap, a faded run's gains, 16 c l_p, and rake's
       running sums and their solutions, 5 x 16 per tap and trained symbol
@@ -1180,13 +1140,16 @@ def _block_width(cfg: ScenarioConfig) -> int:
     - an interpolated run's share of a sub-chunk's draw (`_Links.draw`):
       the larger of its noise, 16 s M, and what comes after it, the clean
       rows and what forms them: 8 s (K S + M) + 8 K (s + S) for a static
-      run, and for a faded one its chips, gains, clean rows and
-      signatures, 8 N (s + S) + 16 s (l_p + 2 M).  On top, its share of
-      a stacked block's buffers, 16 s (P + N_I M_red + N_I + M_red): its
-      rows of r, drawn into the gather buffer and padded to P samples,
-      their Re and its filters after each symbol, and a faded run's rows
-      of r_des and gains, 16 s (M + l_p).  The outputs' products,
-      16 s M_red, are made while no draw is, and are smaller.  An RLS
+      run, and for a faded one its chips, gains and clean rows,
+      8 N (s + S) + 16 s (l_p + M).  On top, its share of a stacked
+      block's buffers, 16 s (P + N_I M_red + N_I + M_red): its rows of r,
+      drawn into the gather buffer and padded to P samples, their Re and
+      its filters after each symbol; and for a faded run, what
+      `desired_rows` holds to form its rows of r_des: its gains, kept from
+      the draw, the signatures C g and the product's copy of the rows,
+      16 s (l_p + 2 M), counted on top of the draw though they follow it.
+      The outputs' products, 16 s M_red, and a static run's product copy,
+      16 s M, are made while no draw is, and are no larger.  An RLS
       run's inverses, stacked and its own, 32 (M_red^2 + N_I^2); a blind
       run's constraints, 16 l_p (N_I M_red + M), and its channel
       tracker's, 16 l_p (M + 3 l_p).
@@ -1207,7 +1170,7 @@ def _block_width(cfg: ScenarioConfig) -> int:
     if faded:
         samples = signal_model._inband(signal_model._period(cfg.f_dt), cfg.f_dt)[2].shape[0]
         link = 16 * (m * l_p + len(cfg.path_powers) * samples)
-        late = 8 * cfg.n * (sub + window) + 16 * sub * (l_p + 2 * m)
+        late = 8 * cfg.n * (sub + window) + 16 * sub * (l_p + m)
         fixed += 16 * sub * m * l_p
     else:
         link = 8 * m * cfg.k * window
@@ -1224,7 +1187,7 @@ def _block_width(cfg: ScenarioConfig) -> int:
         m_red, n_i, padded = dec.m_red, cfg.n_i, dec.segment_index(cfg.n_i)[1].size
         held = 16 * sub * (padded + n_i * m_red + n_i + m_red) + max(16 * sub * m, late)
         if faded:
-            held += 16 * sub * (m + l_p)
+            held += 16 * sub * (l_p + 2 * m)
         if cfg.algorithm in ("rls", "cmv-rls"):
             held += 32 * (m_red ** 2 + n_i ** 2)
         if cfg.mode == "blind":

@@ -11,7 +11,7 @@ window of symbols whose energy reaches the current observation window
 with covariance sigma2 * I; r(i) has length M = N + L_p - 1 (N chips
 per symbol, L_p channel paths).  This module provides the Gold
 signatures, the multipath channel and its Doppler fading, the ISI span
-and the effective signature; `harness._Link` synthesises r(i) from them.
+and the effective signature; `harness._Links` synthesises r(i) from them.
 """
 
 from __future__ import annotations

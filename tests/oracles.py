@@ -173,7 +173,7 @@ def interp_map(v, m, l, m_red):
 
 
 # Spec matrices of the signal model: the matrix form r = H sum_k A_k S_k b_k
-# that `harness._Link` evaluates as products of per-user responses with
+# that `harness._Links` evaluates as products of per-user responses with
 # symbol windows (static) or by strided chip windows (faded).
 
 def build_block_matrix(code: np.ndarray, l_s: int) -> np.ndarray:
@@ -264,24 +264,25 @@ def fading_fft_block(white: np.ndarray, n: int, doppler: float, clip: float) -> 
 
 @functools.lru_cache(maxsize=1)
 def _stream(link):
-    """A link's whole chip stream, superposed in one K x T x N product."""
-    return (link.amps[:, None, None] * link.bits[:, :, None]
+    """A one-run link's whole chip stream, superposed in one K x T x N product."""
+    return (link.amps[0, :, None, None] * link.bits[0, :, :, None]
             * link.codes[:, None, :]).sum(axis=0).ravel()
 
 
 @functools.lru_cache(maxsize=1)
 def _responses(link):
-    """A static link's responses, one column per user k and symbol q of
-    the window (k major): the M samples of r that the symbol reaches at
-    unit amplitude.  The current symbol's are the signature convolved with
-    the gains; symbol q's lie (q - l_s + 1) N chips later.  Real, as a
+    """A static one-run link's responses, one column per user k and symbol
+    q of the window (k major): the M samples of r that the symbol reaches
+    at unit amplitude.  The current symbol's are the signature convolved
+    with the gains; symbol q's lie (q - l_s + 1) N chips later.  Real, as a
     static channel's gains are."""
     cfg = link.cfg
     span = 2 * link.l_s - 1
     pad = np.zeros((link.l_s - 1) * cfg.n, dtype=complex)
     cols = []
     for code in link.codes:
-        padded = np.concatenate([pad, np.convolve(code.astype(complex), link.channel.gains), pad])
+        padded = np.concatenate([pad, np.convolve(code.astype(complex), link.channels[0].gains),
+                                 pad])
         for q in range(span):
             start = (span - 1 - q) * cfg.n
             cols.append(padded[start:start + link.m])
@@ -290,28 +291,31 @@ def _responses(link):
 
 
 def link_step_per_symbol(link, i: int):
-    """Received vector, desired symbol, and desired-only component for symbol i."""
-    cfg = link.cfg
+    """Received vector, desired symbol, and desired-only component for
+    symbol i of a one-run link (`harness._Links`), whose Generator, and
+    faded channel, it steps a symbol at a time."""
+    cfg, rng, amps, bits = link.cfg, link.rngs[0], link.amps[0], link.bits[0]
     off = link.l_s - 1
-    b = link.bits[0, i + off].astype(float)
-    if link._static:
+    b = bits[0, i + off].astype(float)
+    if link.static:
         span = 2 * link.l_s - 1
-        clean = _responses(link) @ (link.amps[:, None] * link.bits[:, i:i + span]).ravel()
+        clean = _responses(link) @ (amps[:, None] * bits[:, i:i + span]).ravel()
+        signature = link.signatures[0]
     else:
-        ch = link.channel
+        ch = link.channels[0]
         for p, d, proc in zip(ch.path_powers, ch.path_delays, ch.fading):
-            ch.gains[d] = p * proc.next_gain(link.rng)
+            ch.gains[d] = p * proc.next_gain(rng)
         gains = ch.gains
         # the chips at (i + off) N + m - l, for m < M and l < l_p
         start = (i + off) * cfg.n - (cfg.l_p - 1)
         window = np.lib.stride_tricks.sliding_window_view(
             _stream(link)[start:start + link.m + cfg.l_p - 1], cfg.l_p)[:, ::-1]
         clean = window @ gains
-        link.signature = link._code_matrix @ gains
+        signature = link.code_matrix @ gains
     noise = np.sqrt(link.sigma2 / 2.0) * (
-        link.rng.standard_normal(link.m) + 1j * link.rng.standard_normal(link.m))
+        rng.standard_normal(link.m) + 1j * rng.standard_normal(link.m))
     r = clean + noise
-    r_des = (link.amps[0] * b) * link.signature
+    r_des = (amps[0] * b) * signature
     return r, b, r_des
 
 
@@ -401,14 +405,14 @@ class PerSymbolPd:
 
 class PerSymbolInterpolated:
     """An interpolated receiver stepped one symbol at a time: the state and
-    channel tracker `harness._state` makes, adapted by the algorithm's
-    per-run step; `output` and `adapt` have the shape of `PerSymbolRake`'s.
-    A blind step takes the tracker's estimate, updated on r, when the
-    channel is not known, and g when the known channel fades."""
+    channel tracker `harness._state` makes for a one-run link, adapted by
+    the algorithm's per-run step; `output` and `adapt` have the shape of
+    `PerSymbolRake`'s.  A blind step takes the tracker's estimate, updated
+    on r, when the channel is not known, and g when the known channel fades."""
 
     def __init__(self, cfg, link):
         self.cfg = cfg
-        self.state, self.tracker = harness._state(cfg, link)
+        self.state, self.tracker = harness._state(cfg, link.codes[0], link.channels[0].gains)
         self.step = getattr(adaptive, cfg.algorithm.replace("-", "_") + "_step")
 
     def output(self, r):
@@ -428,8 +432,7 @@ class PerSymbolInterpolated:
 def per_symbol_trial(cfg, run_seed):
     """(mse, sinr_db, ber) of one seeded run, metered symbol by symbol."""
     cfg.validate()
-    rng = np.random.default_rng(run_seed)
-    link = harness._Link(cfg, rng)
+    link = harness._Links(cfg, [run_seed])
     if cfg.algorithm in harness.BASELINES:
         rx = harness._Projected(cfg, link.codes[0], 1)
         st = PerSymbolRake(rx, cfg.n_tr) if cfg.algorithm == "rake" else PerSymbolPd(rx)
@@ -450,14 +453,14 @@ def per_symbol_trial(cfg, run_seed):
         r, r_des = despread(r[None])[0], despread(r_des[None])[0]
         x = output(r)
         if tracking:
-            x = harness._align_phase(x, st.state.g_hat, link.channel.gains)
+            x = harness._align_phase(x, st.state.g_hat, link.channels[0].gains)
         bhat = detect(x)
         mse[i] = power(b - x)
         if i >= first:
             errors += bhat != b
         ber[i] = errors / max(i - first + 1, 1)
         adapt(r, bhat if cfg.mode == "decision-directed" and i >= cfg.n_tr else b,
-              link.channel.gains)
+              link.channels[0].gains)
         out = output(r)
         out_des = output(r_des)
         sinr[i] = meter.update(out_des, out - out_des)

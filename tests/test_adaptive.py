@@ -361,7 +361,7 @@ class TestFullRankEquivalence:
         """(despread rows, symbols, w history, errors) of a 300-symbol
         training run of a partial-despreading baseline."""
         cfg = harness.ScenarioConfig(algorithm=alg, symbols=300, path_delays=[0, 2, 4])
-        link = harness._Link(cfg, np.random.default_rng(77))
+        link = harness._Links(cfg, [77])
         rx = harness._Projected(cfg, link.codes[0], 1)
         ys, bs, ws, es = [], [], [], []
         for rs, chunk_bs, _, _ in link.chunks():

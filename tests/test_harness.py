@@ -51,7 +51,7 @@ def scenario(alg, **kw):
 
 
 def link_symbols(link):
-    """(r, b, r_des, g) per symbol of a link's chunks, as the trial takes them."""
+    """(r, b, r_des, g) per symbol of a one-run link's chunks, as the trial takes them."""
     for chunk in link.chunks():
         yield from zip(*chunk)
 
@@ -178,7 +178,7 @@ def test_pd_combiners_match_per_symbol_updates(alg, change, mode, n_tr):
     # so the trained combiner's decisions differ from them where the
     # reference switches.
     cfg = scenario(alg, runs=1, symbols=2 * harness.NOISE_CHUNK, mode=mode, n_tr=n_tr, **change)
-    link = harness._Link(cfg, np.random.default_rng(12))
+    link = harness._Links(cfg, [12])
     rx = harness._Projected(cfg, link.codes[0], 1)
     st = PerSymbolPd(rx)
     ws, ys = [], []
@@ -198,7 +198,7 @@ def test_pd_combiners_match_per_symbol_updates(alg, change, mode, n_tr):
             assert got[101].tobytes() == got[100].tobytes()
         ws.extend(got[:-1])
         ys.extend(chunk_ys)
-    assert detect(np.vdot(ws[n_tr], ys[n_tr])) == link.desired[n_tr]
+    assert detect(np.vdot(ws[n_tr], ys[n_tr])) == link.desired[0, n_tr]
 
 
 @pytest.mark.parametrize("alg", ("pd-lms", "pd-rls"))
@@ -286,16 +286,15 @@ def test_singular_pd_rls_run_keeps_its_block_apart():
     # run meets singular ones, at symbols of its own, and its combiners in
     # a block of three equal its block of one's, byte for byte, NaN included
     cfg = scenario("pd-rls", runs=3, symbols=harness.NOISE_CHUNK, seed=3, alpha=1e-3)
-    links = [harness._Link(cfg, np.random.default_rng(seed)) for seed in campaign_seeds(cfg)]
-    rx = harness._Projected(cfg, links[0].codes[0], 3)
-    chunks = [next(link.chunks()) for link in links]
-    ys = np.array([rx.despread(rs) for rs, *_ in chunks])
-    bs = np.array([b for _, b, *_ in chunks])
+    links = harness._Links(cfg, campaign_seeds(cfg))
+    rx = harness._Projected(cfg, links.codes[0], 3)
+    rs, bs, _, _ = links.draw(0, cfg.symbols)
+    ys = rx.despread(rs)
     got = rx.combiners(ys, bs, 0)
     nan = np.isnan(got).any(axis=2)
     assert nan.any(axis=1).all() and nan.sum(axis=0).max() == 1
     for k in range(3):
-        one = harness._Projected(cfg, links[0].codes[0], 1).combiners(ys[k:k + 1], bs[k:k + 1], 0)
+        one = harness._Projected(cfg, links.codes[0], 1).combiners(ys[k:k + 1], bs[k:k + 1], 0)
         assert got[k].tobytes() == one[0].tobytes()
 
 
@@ -844,17 +843,17 @@ def test_link_matches_synthesis(change):
     # H sum_k A_k S_k b_k on the symbol's gains, and its desired-only
     # component against A_0 b times the signal model's signature, symbol by symbol
     cfg = scenario("rls", runs=1, symbols=60, **change)
-    link = harness._Link(cfg, np.random.default_rng(3))
+    link = harness._Links(cfg, [3])
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
     blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
     for i, (r, b, r_des, g) in enumerate(link_symbols(link)):
-        chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps, blocks,
-                                                          link.bits[:, i:i + span]))
+        chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps[0], blocks,
+                                                          link.bits[0, :, i:i + span]))
         expect = build_channel_matrix(g, cfg.n, link.l_s) @ chips
         assert np.abs(r - expect).max() <= 1e-12
         signature = signal_model.effective_signature(link.codes[0], g)
-        assert np.abs(r_des - link.amps[0] * b * signature).max() <= 1e-12
+        assert np.abs(r_des - link.amps[0, 0] * b * signature).max() <= 1e-12
 
 
 def test_link_matches_synthesis_across_a_fading_period_wrap():
@@ -862,30 +861,31 @@ def test_link_matches_synthesis_across_a_fading_period_wrap():
     # 65535, the last of a noise chunk; the link against the spec matrices
     # on the symbol's gains, around that symbol
     cfg = scenario("rls", runs=1, symbols=65_601, f_dt=1e-3)
-    link = harness._Link(cfg, np.random.default_rng(3))
+    link = harness._Links(cfg, [3])
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
     blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
     for i, (r, _, _, g) in enumerate(link_symbols(link)):
         if i < 65_500:
             continue
-        chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps, blocks,
-                                                          link.bits[:, i:i + span]))
+        chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps[0], blocks,
+                                                          link.bits[0, :, i:i + span]))
         expect = build_channel_matrix(g, cfg.n, link.l_s) @ chips
         assert np.abs(r - expect).max() <= 1e-12
 
 
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
 def test_block_drawn_a_sub_chunk_at_a_time_matches_its_links_chunks(f_dt):
-    # three links drawn together SUB_CHUNK symbols at a time, as a wide
+    # three runs drawn together SUB_CHUNK symbols at a time, as a stacked
     # block draws them, every other sub-chunk into a strided buffer as a
     # stacked interpolated block does; 300 symbols end on a short one.
-    # Each run's rows, symbols, r_des and gains equal its own link's
-    # chunks, byte for byte
+    # Each run's rows, symbols, r_des and gains equal, byte for byte, its
+    # chunks drawn alone (`runs=`) from a twin block, as a block too narrow
+    # to stack draws them
     cfg = scenario("lms", runs=3, symbols=300, seed=21, f_dt=f_dt)
     assert cfg.symbols % harness.SUB_CHUNK
     seeds = campaign_seeds(cfg)
-    block = harness._Links([harness._Link(cfg, np.random.default_rng(seed)) for seed in seeds])
+    block, twin = harness._Links(cfg, seeds), harness._Links(cfg, seeds)
     drawn = []
     for j, i in enumerate(range(0, cfg.symbols, harness.SUB_CHUNK)):
         n = min(harness.SUB_CHUNK, cfg.symbols - i)
@@ -893,8 +893,8 @@ def test_block_drawn_a_sub_chunk_at_a_time_matches_its_links_chunks(f_dt):
         if j % 2:   # symbol-major, with a gap past each row
             out = np.empty((2, n, cfg.runs, cfg.m + 1), dtype=complex)[..., :cfg.m].swapaxes(1, 2)
         drawn.append([np.array(part) for part in block.draw(i, n, out=out)])
-    for k, seed in enumerate(seeds):
-        chunks = list(harness._Link(cfg, np.random.default_rng(seed)).chunks())
+    for k in range(cfg.runs):
+        chunks = list(twin.chunks(runs=k))
         for part in range(4):
             got = np.concatenate([sub[part][k] for sub in drawn])
             expect = np.concatenate([chunk[part] for chunk in chunks])
@@ -902,16 +902,30 @@ def test_block_drawn_a_sub_chunk_at_a_time_matches_its_links_chunks(f_dt):
 
 
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
+def test_desired_rows_match_the_draws(f_dt):
+    # the one formula for r_des against the rows of r_des a draw hands out,
+    # byte for byte: for a run's index, and for a slice of the runs into a
+    # symbol-major buffer, as a stacked interpolated block forms them
+    cfg = scenario("lms", runs=3, symbols=40, seed=5, f_dt=f_dt)
+    links = harness._Links(cfg, campaign_seeds(cfg))
+    _, bs, rs_des, gs = links.draw(0, cfg.symbols)
+    assert links.desired_rows(bs[1], gs[1], 1).tobytes() == rs_des[1].tobytes()
+    out = np.empty((cfg.symbols, 2, cfg.m), dtype=complex).swapaxes(0, 1)
+    got = links.desired_rows(bs[1:], gs[1:], slice(1, None), out=out)
+    assert got is out and np.ascontiguousarray(got).tobytes() == rs_des[1:].tobytes()
+
+
+@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
 def test_iter_symbols_matches_per_symbol_link(f_dt):
     # the chunked link seen a symbol at a time, across a noise-chunk
     # boundary, against a twin link stepped symbol by symbol
     cfg = scenario("lms", runs=1, symbols=harness.NOISE_CHUNK + 40, f_dt=f_dt)
-    twin = harness._Link(cfg, np.random.default_rng(13))
+    twin = harness._Links(cfg, [13])
     for i, (r, b, r_des, g) in enumerate(harness.iter_symbols(cfg, 13)):
         expect = link_step_per_symbol(twin, i)
         for got, ref in zip((r, b, r_des), expect):
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), i
-        assert g.tobytes() == twin.channel.gains.tobytes(), i
+        assert g.tobytes() == twin.channels[0].gains.tobytes(), i
     assert i == cfg.symbols - 1
 
 
@@ -919,10 +933,9 @@ def test_iter_symbols_matches_per_symbol_link(f_dt):
 def test_path_delays_fix_the_channel(delays):
     # a path_delays list fixes the delays of every run
     cfg = scenario("lms", runs=1, symbols=40, n_tr=10, path_delays=delays)
-    for seed in range(5):
-        link = harness._Link(cfg, np.random.default_rng(seed))
-        assert list(link.channel.path_delays) == delays
-        assert np.flatnonzero(link.channel.gains).tolist() == sorted(delays)
+    for channel in harness._Links(cfg, range(5)).channels:
+        assert list(channel.path_delays) == delays
+        assert np.flatnonzero(channel.gains).tolist() == sorted(delays)
 
 
 @pytest.mark.parametrize("alg, change", [(alg, {"f_dt": 1e-3}) for alg in harness.ALGORITHMS]
@@ -971,7 +984,7 @@ def test_known_channel_constraint_follows_fading(alg):
     # with a known channel both blind receivers hold their response to
     # p = C g at 1 for each symbol's gains g, symbol by symbol, under fading
     cfg = scenario(alg, runs=1, symbols=300, f_dt=1e-3)
-    link = harness._Link(cfg, np.random.default_rng(23))
+    link = harness._Links(cfg, [23])
     rx = PerSymbolInterpolated(cfg, link)
     st = rx.state
     c = cmv.shifted_signatures(link.codes[0], cfg.l_p)
@@ -999,9 +1012,9 @@ def test_benchmark_scenarios_validate():
 def test_fixed_interferer_offsets_set_amplitudes():
     offs = [3.0, -2.0, 6.0, 0.0, 1.5, -4.0, 2.0]
     cfg = scenario("lms", runs=1, symbols=10, interferer_db=offs)
-    link = harness._Link(cfg, np.random.default_rng(0))
-    assert link.amps[0] == 1.0
-    np.testing.assert_allclose(link.amps[1:], 10.0 ** (np.array(offs) / 20.0), rtol=1e-15)
+    amps = harness._Links(cfg, [0]).amps[0]
+    assert amps[0] == 1.0
+    np.testing.assert_allclose(amps[1:], 10.0 ** (np.array(offs) / 20.0), rtol=1e-15)
 
 
 def test_lognormal_interferers_match_configured_spread():
@@ -1010,8 +1023,7 @@ def test_lognormal_interferers_match_configured_spread():
     # with std 0.021; the bands are ~4x those.
     sigma = 4.0
     cfg = scenario("lms", runs=1, symbols=1, k=33, interferer_sigma_db=sigma)
-    offs = np.concatenate([20.0 * np.log10(harness._Link(cfg, np.random.default_rng(s)).amps[1:])
-                           for s in range(40)])
+    offs = 20.0 * np.log10(harness._Links(cfg, range(40)).amps[:, 1:]).ravel()
     assert abs(offs.mean()) <= 0.5
     assert abs(offs.std(ddof=1) / sigma - 1.0) <= 0.08
 
@@ -1035,7 +1047,7 @@ def test_rake_combiner_matches_per_symbol_solve(change):
     # a fresh solve of the normal equations scaled by g^H C^H C g; past
     # n_tr, w stays frozen
     cfg = scenario("rake", runs=1, symbols=400, **change)
-    link = harness._Link(cfg, np.random.default_rng(29))
+    link = harness._Links(cfg, [29])
     rx = harness._Projected(cfg, link.codes[0], 1)
     rs, bs, ws = [], [], []
     for chunk_rs, chunk_bs, _, _ in link.chunks():
@@ -1053,7 +1065,7 @@ def test_rake_combiner_matches_per_symbol_solve(change):
 def test_pd_lms_step_follows_normalized_steps(normalized):
     # one symbol moves w by mu0 conj(xi) y, divided by ||y||^2 when normalised
     cfg = scenario("pd-lms", runs=1, symbols=10, mu0=0.05, normalized_steps=normalized)
-    link = harness._Link(cfg, np.random.default_rng(4))
+    link = harness._Links(cfg, [4])
     rx = harness._Projected(cfg, link.codes[0], 1)
     rng = np.random.default_rng(5)
     size = rx.w.shape[1]

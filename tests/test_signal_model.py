@@ -13,10 +13,10 @@ def trapezoid(y, x):
 
 
 def single_path_link(seed, **kw):
-    """The harness's link for one user over a one-path channel (l_p = 1 unless given)."""
+    """The harness's one-run link for one user over a one-path channel (l_p = 1 unless given)."""
     kw.setdefault("l_p", 1)
     cfg = harness.ScenarioConfig(k=1, path_powers=[1.0], runs=1, **kw)
-    return harness._Link(cfg, np.random.default_rng(seed))
+    return harness._Links(cfg, [seed])
 
 
 class TestGoldSet:
@@ -171,13 +171,14 @@ class TestFading:
         # a static link keeps its channel's gains through every noise chunk
         cfg = harness.ScenarioConfig(k=1, l_p=2, path_powers=[1.0, 0.5], path_delays=[0, 1],
                                      runs=1, symbols=2 * harness.NOISE_CHUNK + 10)
-        link = harness._Link(cfg, np.random.default_rng(6))
-        before = link.channel.gains.copy()
+        link = harness._Links(cfg, [6])
+        channel = link.channels[0]
+        before = channel.gains.copy()
         gains = np.concatenate([gs for _, _, _, gs in link.chunks()])
         assert gains.shape == (cfg.symbols, cfg.l_p)
         assert np.array_equal(gains, np.broadcast_to(before, gains.shape))
-        assert link.channel.fading is None
-        assert np.array_equal(link.channel.gains, before)
+        assert channel.fading is None
+        assert np.array_equal(channel.gains, before)
 
     def test_unit_average_power(self):
         rng = np.random.default_rng(7)
