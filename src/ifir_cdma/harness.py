@@ -457,7 +457,7 @@ class _Links:
         n, l_p, span = cfg.n, cfg.l_p, 2 * self.l_s - 1
         view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
         z = np.empty((len(rngs), size, 2, m))
-        for k, rng in enumerate(rngs):   # no name keeps a view of z past its del
+        for k, rng in enumerate(rngs):   # no loop name keeps a view of z past its del
             rng.standard_normal(out=z[k])
         # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
         rs = np.multiply(1j, z[:, :, 1], out=out[0])
@@ -481,13 +481,14 @@ class _Links:
             # Batched as a @ g[..., None], each product equals the per-symbol
             # a @ g bit for bit; g @ a.T sums in another order.  numpy makes
             # a complex copy of the windows it multiplies, so they go a run
-            # and SUB_CHUNK at a time
+            # and SUB_CHUNK at a time, into clean[r] (no loop name keeps a
+            # view of clean past its del)
             windows = view(view(chips, m + l_p - 1, axis=1)[:, ::n], l_p, axis=2)[..., ::-1]
             clean = np.empty((len(rngs), size, m, 1), dtype=complex)
-            for a, g, c in zip(windows, gains, clean):
+            for r, (a, g) in enumerate(zip(windows, gains)):
                 for k in range(0, size, SUB_CHUNK):
                     np.matmul(a[k:k + SUB_CHUNK], g[k:k + SUB_CHUNK, :, None],
-                              out=c[k:k + SUB_CHUNK])
+                              out=clean[r, k:k + SUB_CHUNK])
             clean = clean[..., 0]
         rs += clean
         del clean
