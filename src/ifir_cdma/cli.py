@@ -25,7 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output path for the metric series")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument("--runs", type=int, default=None, help="override the run count")
     parser.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     return parser
 
@@ -41,8 +40,6 @@ def main(argv=None) -> int:
             raise ConfigError("scenario file must hold a JSON object")
         if args.seed is not None:
             doc["seed"] = args.seed
-        if args.runs is not None:
-            doc["runs"] = args.runs
         cfg = ScenarioConfig.from_dict(doc)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         print(f"ifir-cdma: configuration error: {exc}", file=sys.stderr)

@@ -7,40 +7,40 @@ MSE, windowed SINR and cumulative BER; `run_campaign` averages
 independent runs with spawned sub-seeds.
 
 A block's links (`_Links`, the one synthesis path) hand out arrays of
-received vectors, of their desired-only components where asked, and of
-the channel gains: each run in turn a noise chunk at a time, or, in a
-stacked interpolated block (STACK_MIN_RUNS runs or more), every run
-together a sub-chunk of SUB_CHUNK symbols at a time, so that it never
-holds a chunk of rows per run.  A static link forms its noiseless
-vectors as one batched product of a per-user response table with the
-symbols' windows, a faded one by convolving each symbol's gains with the
-chips.  Per symbol a trial takes the decision output (a-priori: the
-receiver before the symbol), adapts with the reference symbol (training
-symbol, or the decision in decision-directed mode past `n_tr`; blind
-receivers ignore it), and records the updated receiver's outputs for r
-and for its desired-only component (a-posteriori).  One
-driver, `_run_block`, does this for a block of seeded runs, and
-`run_trial` is a block of one.  It builds a receiver of one of two kinds,
-which answer the same calls: `despread` maps received vectors to the
-rows the receiver takes, and `record` writes a chunk's or sub-chunk's
-outputs into the block's records.  The interpolated receivers
-(`_Interpolated`) take r itself and run one symbol loop over groups of
-runs, one step call per symbol returning the a-priori outputs.  A block's
-runs step together on stacked state (`adaptive.stack` and the
-`adaptive.*_steps` kernels), stacked once per block, and are recorded a
-sub-chunk per call, their a-posteriori outputs taken once per sub-chunk
-from the filters kept after each symbol; in a block narrower than
-STACK_MIN_RUNS each run steps alone on its own state (the per-run steps)
-over a chunk and takes them per symbol.  A stacked block holds only what
-its loop reads: one sub-chunk's rows of r, drawn into its gather buffer,
-and their Re, in buffers it reuses.  An interpolated receiver forms its
-rows of r_des, (A_0 b) times the signature, where it reads them
-(`_Links.desired_rows`).  The RAKE and partial-despreading baselines
-(`_Projected`) despread a chunk and take its outputs as array products
-of their combiners.  `record` runs with numpy's overflow warnings off, so
-a diverged run reaches the trial's LinAlgError.  MSE and BER (a-priori)
-and SINR (a-posteriori) are metered from the records in arrays, each
-power equal to Python's abs(z) ** 2 bit for bit.
+received vectors and of the channel gains: each run in turn a noise
+chunk at a time, or, in a stacked interpolated block (STACK_MIN_RUNS
+runs or more), every run together a sub-chunk of SUB_CHUNK symbols at a
+time, so that it never holds a chunk of rows per run.  A static link
+forms its noiseless vectors as one batched product of a per-user
+response table with the symbols' windows, a faded one by convolving each
+symbol's gains with the chips.  Per symbol a trial takes the decision
+output (a-priori: the receiver before the symbol), adapts with the
+reference symbol (training symbol, or the decision in decision-directed
+mode past `n_tr`; blind receivers ignore it), and records the updated
+receiver's outputs for r and for the desired user's effective signature
+(a-posteriori), whose product with the symbol is its output for r's
+desired-only component.  One driver, `_run_block`, does this for a block
+of seeded runs, and `run_trial` is a block of one.  It builds a receiver
+of one of two kinds, which answer the same calls: `despread` maps
+received vectors to the rows the receiver takes, and `record` writes a
+chunk's or sub-chunk's outputs into the block's records.  The
+interpolated receivers (`_Interpolated`) take r itself and run one
+symbol loop over groups of runs, one step call per symbol returning the
+a-priori outputs.  A block's runs step together on stacked state
+(`adaptive.stack` and the `adaptive.*_steps` kernels), stacked once per
+block, and are recorded a sub-chunk per call, their a-posteriori outputs
+taken once per sub-chunk from the filters kept after each symbol; in a
+block narrower than STACK_MIN_RUNS each run steps alone on its own state
+(the per-run steps) over a chunk and takes them per symbol.  A stacked
+block holds only what its loop reads: one sub-chunk's rows of r, drawn
+into its gather buffer, and their Re, in buffers it reuses.  Each
+receiver forms its runs' effective signatures where it reads them
+(`_Links.effective_signatures`).  The RAKE and partial-despreading
+baselines (`_Projected`) despread a chunk and take its outputs as array
+products of their combiners.  `record` runs with numpy's overflow
+warnings off, so a diverged run reaches the trial's LinAlgError.  MSE
+and BER (a-priori) and SINR (a-posteriori) are metered from the records
+in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
 
 A campaign runs its runs in blocks, as many as BLOCK_BYTES of memory
 allows by a count of what each kind of run holds (`_block_width`).  A
@@ -87,16 +87,15 @@ ALGORITHMS = ("lms", "rls", "cmv-sg", "cmv-rls", "rake", "pd-lms", "pd-rls")
 BASELINES = ("rake", "pd-lms", "pd-rls")   # the receivers `_Projected` runs
 # Bytes a block may hold by `_block_width`'s count of what each kind of run
 # holds.  At the defaults that is, in runs of 400 symbols, 21 lms, 19 rls,
-# 19 cmv-sg and 18 cmv-rls runs (17 tracked cmv-rls, 11 and 12 faded
-# interpolated), 11 rake runs and 9 pd-lms and pd-rls, and from ~4100
-# symbols on one run at a time for an interpolated campaign
+# 19 cmv-sg and 18 cmv-rls runs (17 tracked cmv-rls, 14 to 16 faded
+# interpolated), 13 rake runs and 10 pd-lms and pd-rls (faded 9, 7 and 7),
+# and from ~4100 symbols on one run at a time for an interpolated campaign
 # (STACK_MIN_RUNS would not fit) and from ~8150 for a baseline.  The
-# 400-symbol blocks peak at 1.6 to 2.8 MB traced (tracemalloc, numpy
-# 2.4), each run holding, near those widths, lms 112 kB, rls 123, cmv-sg
-# 121, cmv-rls 132, tracked cmv-rls 138, faded cmv-sg 147, rake 163, pd-lms
-# 77 and pd-rls 157, a baseline block holding one run's chunk draw on top.
-# While a stacked block kept a chunk's rows of r (147 kB a run), its
-# interpolated runs held ~280 kB and took 9 runs.
+# 400-symbol blocks peak at 1.4 to 2.8 MB traced (tracemalloc, numpy 2.4),
+# each run holding, between blocks of width - 4 and width runs, lms 110 kB,
+# rls 122, cmv-sg 121, cmv-rls 132, tracked cmv-rls 138, faded cmv-sg 160,
+# rake 182, pd-lms 134 and pd-rls 184, a baseline block holding one run's
+# chunk draw on top.
 BLOCK_BYTES = 3_000_000
 MODES = ("training", "decision-directed", "blind")
 
@@ -386,8 +385,8 @@ class _Links:
     noise and forms its clean rows in batched products.  Each stretch
     holds the same values as one stream of every symbol would, and each
     faded clean row the same sums, so any split of the symbols into
-    stretches, or of the runs, draws the same rows.  `desired_rows` is the
-    one formula for the desired-only components r_des.
+    stretches, or of the runs, draws the same rows.  The desired-only
+    rows r_des scale the signatures that `effective_signatures` gives.
 
     Noise before gains keeps the generator order of per-symbol gain
     steps: gains draw only at a fading period's first sample (its
@@ -435,24 +434,25 @@ class _Links:
             table[:, lo:hi, :, q] = responses[:, :, lo + lead:hi + lead].swapaxes(1, 2)
         return table.reshape(len(responses), m, -1)
 
-    def chunks(self, desired: bool = True, runs: int = 0):
+    def chunks(self, runs: int = 0):
         """Yield run `runs`'s (R, b, R_des, G) for each noise chunk, in
-        symbol order, as `draw` gives them; R_des is None without `desired`."""
+        symbol order: `draw`'s R, b and G, and R_des = (A_0 b)[:, None]
+        times the effective signatures (`effective_signatures`)."""
         for i in range(0, self.cfg.symbols, NOISE_CHUNK):
             # the generator keeps no name for the chunk it hands out
-            yield self.draw(i, min(NOISE_CHUNK, self.cfg.symbols - i), desired=desired, runs=runs)
+            rs, b, gains = self.draw(i, min(NOISE_CHUNK, self.cfg.symbols - i), runs=runs)
+            yield (rs, b, (self.amps[runs, 0] * b)[:, None]
+                   * self.effective_signatures(gains, runs), gains)
 
-    def draw(self, i: int, size: int, out=(None, None), desired: bool = True, runs=slice(None)):
-        """(R, b, R_des, G) of symbols i to i + size - 1 of the runs `runs`
-        picks: each with a leading run axis for a slice, without one for a
-        run's index.  R holds the received vectors R = clean + noise
-        (size x M a run), b the desired symbols, R_des the desired-only
-        components (`desired_rows`; None without `desired`) and G the path
-        gains (size x l_p).  For a slice, R and R_des go into `out` where
-        given (runs x size x M, any strides)."""
+    def draw(self, i: int, size: int, out=None, runs=slice(None)):
+        """(R, b, G) of symbols i to i + size - 1 of the runs `runs` picks:
+        each with a leading run axis for a slice, without one for a run's
+        index.  R holds the received vectors R = clean + noise (size x M a
+        run), b the desired symbols and G the path gains (size x l_p).  For
+        a slice, R goes into `out` where given (runs x size x M, any
+        strides)."""
         if not isinstance(runs, slice):
-            return tuple(a if a is None else a[0]
-                         for a in self.draw(i, size, desired=desired, runs=slice(runs, runs + 1)))
+            return tuple(a[0] for a in self.draw(i, size, runs=slice(runs, runs + 1)))
         cfg, m, rngs = self.cfg, self.m, self.rngs[runs]
         n, l_p, span = cfg.n, cfg.l_p, 2 * self.l_s - 1
         view = np.lib.stride_tricks.sliding_window_view   # read-only, within bounds
@@ -460,7 +460,7 @@ class _Links:
         for k, rng in enumerate(rngs):   # no loop name keeps a view of z past its del
             rng.standard_normal(out=z[k])
         # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
-        rs = np.multiply(1j, z[:, :, 1], out=out[0])
+        rs = np.multiply(1j, z[:, :, 1], out=out)
         rs += z[:, :, 0]
         rs *= np.sqrt(self.sigma2 / 2.0)
         del z   # the arrays below are made without the noise draw alongside
@@ -492,18 +492,19 @@ class _Links:
             clean = clean[..., 0]
         rs += clean
         del clean
-        rs_des = self.desired_rows(b, gains, runs, out=out[1]) if desired else None
-        return rs, b, rs_des, gains
+        return rs, b, gains
 
-    def desired_rows(self, b: np.ndarray, gains: np.ndarray, runs, out=None) -> np.ndarray:
-        """R_des = (A_0 b)[..., None] * signature of the runs `runs` picks (a
-        slice, or a run's index), from their symbols b and, when faded, path
-        gains (as `draw` gives them), into `out` where given: a static run's
-        fixed signature, a faded run's C g of each symbol's gains g, C the
-        desired user's shifted signatures (`_matvecs`)."""
-        signature = (self.signatures[runs][..., None, :] if self.static
-                     else _matvecs(self.code_matrix, gains))
-        return np.multiply((self.amps[runs, :1] * b)[..., None], signature, out=out)
+    def effective_signatures(self, gains: np.ndarray, runs, out=None) -> np.ndarray:
+        """The desired user's effective signatures of the runs `runs` picks (a
+        slice, or a run's index), into `out` where given: a static run's
+        fixed signature as one row (1 x M), a faded run's C g for each
+        symbol's path gains g (size x M, from `draw`'s G), C the desired
+        user's shifted signatures (`_matvecs`)."""
+        sigs = (self.signatures[runs][..., None, :] if self.static
+                else _matvecs(self.code_matrix, gains))
+        if out is not None:
+            out[...] = sigs
+        return sigs if out is None else out
 
     def _chips(self, i: int, size: int, runs: slice) -> np.ndarray:
         """The chip streams of the runs `runs` picks that the clean rows of
@@ -594,14 +595,14 @@ def _solves(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 # Symbols per sub-chunk, for both kinds of receiver and for a stacked
 # interpolated block's draw (`_Links`).  A stacked interpolated group draws
 # every run's rows of r, gathers their Re in one `_segment_matrices` call
-# and takes their a-posteriori outputs in one `receiver_outputs` call,
-# then does the same for r_des.  Its size moves memory more than speed.  On
-# 50-run, 400-symbol campaigns (blocks of 5 runs; medians of 15
-# interleaved CPU-time pairs, 2-vCPU host), sub-chunks of 16 and 32
+# and takes their a-posteriori outputs in one `receiver_outputs` call, then
+# does the same for its effective signatures.  Its size moves memory more
+# than speed.  On 50-run, 400-symbol campaigns (blocks of 5 runs; medians of
+# 15 interleaved CPU-time pairs, 2-vCPU host), sub-chunks of 16 and 32
 # symbols ran x0.98 to x1.11 as fast as 64 and of 128 x0.96, while the
-# process's peak RSS was 39.1 MB at 32, 39.8 at 64, 42.1 at 128 and 42.4
-# at 256 (the whole chunk).  At the default M = 36, 32 symbols' Re of r
-# takes 28 kB per run and their padded rows 19 kB.
+# process's peak RSS was 39.1 MB at 32, 39.8 at 64, 42.1 at 128 and 42.4 at
+# 256 (the whole chunk).  At the default M = 36, 32 symbols' Re of r takes
+# 28 kB per run and their padded rows 19 kB.
 # pd-rls takes a sub-chunk's combiners (`_Projected._solved`) from one
 # weighted prefix sum and one batched solve, on at most NOISE_CHUNK // d
 # symbols, which is 32 at the default d = 8.  There, with the despreading
@@ -625,17 +626,18 @@ class _Projected:
     least-squares solution R^-1 p of `rls` on the filter alone, R the
     weighted covariance of the rows from I / delta on and p their weighted
     cross-correlation with the references (`_solved`); it has no rank-one
-    update to break down, so its `breakdowns` stay 0.  The runs share the
-    desired user's code, so they share the projection and G; each holds
-    its own state along the first axis of `w` (runs x d), pd-rls's `cov`
-    (runs x d x d) and `cross` (runs x d), RAKE's running sum `acc`
-    (runs x l_p) and `breakdowns`.  `despread` projects received vectors
-    at once (to rows of length `dim`), and `record` takes a chunk's
-    outputs from the combiners that `combiners` forms along it.
+    update to break down, so its `breakdowns` stay 0.  The block's runs
+    (`links`) share the desired user's code, so they share the projection
+    and G; each holds its own state along the first axis of `w` (runs x
+    d), pd-rls's `cov` (runs x d x d) and `cross` (runs x d), RAKE's
+    running sum `acc` (runs x l_p) and `breakdowns`.  `despread` projects
+    received vectors at once (to rows of length `dim`), and `record` takes
+    a chunk's outputs from the combiners that `combiners` forms along it.
     """
 
-    def __init__(self, cfg: ScenarioConfig, code: np.ndarray, runs: int):
-        self.cfg = cfg
+    def __init__(self, cfg: ScenarioConfig, links: _Links):
+        self.cfg, self.links = cfg, links
+        code, runs = links.codes[0], len(links.rngs)
         if cfg.algorithm == "rake":
             proj = cmv.shifted_signatures(code, cfg.l_p)
             self.gram_inv = np.linalg.inv(proj.conj().T @ proj)
@@ -664,11 +666,13 @@ class _Projected:
         return _matvecs(self.proj_h, rs)
 
     def record(self, rec: np.ndarray, ys: np.ndarray, bs: np.ndarray, gs, first: int) -> None:
-        """Every run's x, out and out_des of a chunk into rec from the despread
-        rows `ys` of r and r_des: x by the combiner before each symbol, the rest after."""
-        ws = self.combiners(ys[0], bs, first)
-        rec[0] = _vdots(ws[:, :-1], ys[0])
-        rec[1:] = _vdots(ws[:, 1:], ys)
+        """Every run's x, out and h of a chunk into rec from the despread rows
+        `ys` of r and the gains `gs`: x by the combiner before each symbol, the rest after."""
+        ws = self.combiners(ys, bs, first)
+        rec[0] = _vdots(ws[:, :-1], ys)
+        rec[1] = _vdots(ws[:, 1:], ys)
+        for k, gains in enumerate(gs):
+            rec[2, k] = _vdots(ws[k, 1:], self.despread(self.links.effective_signatures(gains, k)))
 
     def combiners(self, ys: np.ndarray, bs: np.ndarray, first: int) -> np.ndarray:
         """Every run's combiner before a chunk and after each of its symbols.
@@ -876,9 +880,9 @@ class _Interpolated:
     chunk per call.  Each run's state is the one `_state` made, and holds
     its filters and breakdowns between chunks; a stacked block steps a
     stack of them, made once, and writes it back after its last symbol.
-    A call takes the rows of r only: a group forms its rows of r_des where
-    it reads them, from its symbols and gains (`_Links.desired_rows`).  A
-    stacked block's rows of r are drawn into its gather buffer (`rows`)."""
+    A call takes the rows of r and the gains: a group forms its runs'
+    effective signatures where it reads them (`_Links.effective_signatures`).
+    A stacked block's rows of r are drawn into its gather buffer (`rows`)."""
 
     def __init__(self, cfg: ScenarioConfig, links: _Links):
         self.cfg, self.links = cfg, links
@@ -913,17 +917,17 @@ class _Interpolated:
         return [getattr(st, "breakdowns", 0) for st in self.states]
 
     def record(self, rec: np.ndarray, ys, bs: np.ndarray, gs, first: int) -> None:
-        """As `_Projected.record` on r and r_des themselves, `gs` holding each
-        run's gains and `ys[0]` its rows of r, a stacked block's in its
-        `rows`.  A group binds its forms once per call, and the symbol loop
-        is one.  Per symbol, one step call adapts the group's runs and
-        returns their a-priori outputs x.  A one-run group forms its
-        rows of r_des (`_Links.desired_rows`), steps on its rows of r and
-        takes its a-posteriori outputs after each symbol.  A stacked one
-        gathers the Re of every run's r, steps on it, keeps its filters
-        after each symbol and takes the sub-chunk's a-posteriori outputs for
-        r in one call, then forms the rows of r_des in their place, gathers
-        their Re and takes theirs in another, all into buffers it reuses."""
+        """As `_Projected.record` on r and the effective signatures
+        themselves, `ys` holding each run's rows of r, a stacked block's in
+        its `rows`.  A group binds its forms once per call, and the symbol
+        loop is one.  Per symbol, one step call adapts the group's runs and
+        returns their a-priori outputs x.  A one-run group steps on its rows
+        of r and takes its a-posteriori outputs after each symbol.  A
+        stacked one gathers the Re of every run's r, steps on it, keeps its
+        filters after each symbol and takes the sub-chunk's a-posteriori
+        outputs for r in one call, then forms its signatures in its `rows`,
+        a static run's one row, gathers their Re and takes theirs in
+        another."""
         cfg = self.cfg
         size = bs.shape[1]
         # the offset from which decisions are the reference
@@ -940,9 +944,9 @@ class _Interpolated:
                 s, tracker = self.states[group], self.trackers[group]
                 step = functools.partial(_each_step, step)
                 align, gains = _align_phase, gs[group]
-                # per symbol, the input of the step: a row of r
-                ins = ys[0][group]
-                des = self.links.desired_rows(bs[group], gains, group)
+                # per symbol, the input of the step, a row of r, and the signature
+                ins = ys[group]
+                sigs = np.broadcast_to(self.links.effective_signatures(gains, group), ins.shape)
             else:
                 s, tracker = self.stacked, self.tracker
                 align = _align_phases
@@ -957,13 +961,13 @@ class _Interpolated:
                     # a tracked step rebinds g_hat; x is aligned with the one before it
                     g_hat = s.g_hat
                     # a tracker reads the rows of r themselves
-                    g = track(ys[0][group, j]) if track else gains[j] if faded else None
+                    g = track(ys[group, j]) if track else gains[j] if faded else None
                     x = step(s, y, adapt_v=adapt_v, g=g)
                 else:
                     x = step(s, y, b, adapt_v=adapt_v, directed=j >= directed)
                 xs.append(align(x, g_hat, gains[j]) if track else x)
                 if one:
-                    outs.append((receiver_output(s, y), receiver_output(s, des[j])))
+                    outs.append((receiver_output(s, y), receiver_output(s, sigs[j])))
                 else:   # the steps rebind v and w, so these are the symbol's
                     self.vs[j], self.ws[j] = s.v, s.w
             # symbols last, as in rec
@@ -975,8 +979,9 @@ class _Interpolated:
             vc = np.conjugate(self.vs[:size], out=self.vs[:size])
             wc = np.conjugate(self.ws[:size], out=self.ws[:size])
             rec[1] = receiver_outputs(vc, wc, ins).T
-            self.links.desired_rows(bs, gs, group, out=self.rows(size))
-            ins = _segment_matrices(self.pad[:size], s.n_i, s.dec, out=self.res[:size])
+            n = size if faded else 1   # a static run's one signature serves every symbol
+            self.links.effective_signatures(gs, group, out=self.rows(n))
+            ins = _segment_matrices(self.pad[:n], s.n_i, s.dec, out=self.res[:n])
             rec[2] = receiver_outputs(vc, wc, ins).T
             if first + size == cfg.symbols:
                 adaptive.unstack(s, self.states)
@@ -988,14 +993,14 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     """Simulate one seeded run of the configured scenario, a block of one.
 
     Per symbol, the trial records the decision output (a-priori) and the
-    updated receiver's outputs for r and its desired-only part
-    (a-posteriori), and meters MSE, BER and the windowed SINR from them
-    (`_metered`).  The metadata counts decided symbols and the RLS
-    breakdowns (0 for receivers without RLS); `phase_reference` is
-    "genie" where `_align_phase` rotated the decisions by the true channel
-    (tracked blind runs), else None.  A diverged run, whose squared error
-    or a-posteriori output power overflows or is not finite, raises
-    LinAlgError and warns of nothing.
+    updated receiver's outputs for r and for the desired user's effective
+    signature (a-posteriori), and meters MSE, BER and the windowed SINR
+    from them (`_metered`).  The metadata counts decided symbols and the
+    RLS breakdowns (0 for receivers without RLS); `phase_reference` is
+    "genie" where `_align_phase` rotated the decisions by the true
+    channel (tracked blind runs), else None.  A diverged run, whose
+    squared error or a-posteriori output power overflows or is not
+    finite, raises LinAlgError and warns of nothing.
     """
     cfg.validate()
     return _run_block(cfg, [run_seed])[0]
@@ -1007,13 +1012,13 @@ def _run_block(cfg: ScenarioConfig, seeds, widest: int = 1) -> list[MetricSeries
     The block's links (`_Links`) hold each run's Generator, so each run
     draws as in a block of one.  A block narrower than STACK_MIN_RUNS
     takes a chunk at a time: each run in turn draws its chunk
-    (`_Links.chunks`) and despreads it, only the despread rows that the
-    receiver reads being kept: of r, and for a baseline of r_des, which an
-    interpolated receiver forms itself; so does a baseline block of any
-    width.  A wider interpolated block, which steps its runs together,
-    draws them together a sub-chunk at a time, so that it never holds a
-    chunk of rows of r per run: it takes the rows of r in its gather
-    buffer and records each sub-chunk.
+    (`_Links.draw`) and despreads it, only the despread rows of r being
+    kept; so does a baseline block of any width.  A wider interpolated
+    block, which steps its runs together, draws them together a
+    sub-chunk at a time, so that it never holds a chunk of rows of r per
+    run: it takes the rows of r in its gather buffer and records each
+    sub-chunk.  Each receiver forms its runs' effective signatures from
+    the drawn gains where it reads them.
     One `record` call of the block's receiver (`_Projected` or
     `_Interpolated`) writes every run's records of a chunk or sub-chunk
     with numpy's overflow, invalid-value and division warnings off:
@@ -1035,20 +1040,17 @@ def _recorded(cfg: ScenarioConfig, seeds, widest: int) -> tuple:
     freed on return, before the metering."""
     links = _Links(cfg, seeds)
     runs, interpolated = len(seeds), cfg.algorithm not in BASELINES
-    rx = _Interpolated(cfg, links) if interpolated else _Projected(cfg, links.codes[0], runs)
-    # records: x, out and out_des per run and symbol
+    rx = (_Interpolated if interpolated else _Projected)(cfg, links)
+    # records: x, out and h per run and symbol
     rec = np.empty((3, runs, cfg.symbols), dtype=complex)
     stacked = interpolated and runs >= STACK_MIN_RUNS
-    if not stacked:
-        # the despread rows of a chunk's r and, for a baseline, of r_des, which
-        # an interpolated receiver forms itself
-        chunk_ys = np.empty((1 if interpolated else 2, max(widest, runs),
-                             min(NOISE_CHUNK, cfg.symbols), rx.dim), dtype=complex)[:, :runs]
-        chunks = [links.chunks(desired=not interpolated, runs=k) for k in range(runs)]
+    if not stacked:   # the despread rows of a chunk's r
+        chunk_ys = np.empty((max(widest, runs), min(NOISE_CHUNK, cfg.symbols), rx.dim),
+                            dtype=complex)[:runs]
 
-    def take(kept, rs, _, rs_des, gains):   # a call, so that the drawn rows are freed on return
-        for into, rows in zip(kept, (rs, rs_des)):
-            into[...] = rx.despread(rows)
+    def take(into, i, n, k):   # a call, so that the drawn rows are freed on return
+        rs, _, gains = links.draw(i, n, runs=k)
+        into[...] = rx.despread(rs)
         return gains
 
     span = SUB_CHUNK if stacked else NOISE_CHUNK
@@ -1056,11 +1058,11 @@ def _recorded(cfg: ScenarioConfig, seeds, widest: int) -> tuple:
         bs = links.desired[:, i:i + span]
         n = bs.shape[1]
         if stacked:   # the rows of r go into the receiver's gather buffer
-            ys = (rx.rows(n), None)
-            gs = links.draw(i, n, out=ys, desired=False)[3]
+            ys = rx.rows(n)
+            gs = links.draw(i, n, out=ys)[2]
         else:   # the runs draw in turn, so that the block holds one run's chunk
-            ys = chunk_ys[:, :, :n]
-            gs = [take(ys[:, k], *next(chunk)) for k, chunk in enumerate(chunks)]
+            ys = chunk_ys[:, :n]
+            gs = [take(ys[k], i, n, k) for k in range(runs)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rx.record(rec[:, :, i:i + span], ys, bs, gs, i)
     return links.desired, rec, rx.breakdowns
@@ -1070,13 +1072,16 @@ def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, rec: np.ndarray,
              breakdowns) -> list[MetricSeries]:
     """Each run's MetricSeries from its transmitted symbols `desired`
     (runs x symbols) and records `rec` (3 x runs x symbols): decision
-    outputs x, decided as detect(x), and a-posteriori outputs for r and
-    r_des.  The first run, in order, that diverged raises LinAlgError
-    naming its seed and symbol."""
+    outputs x, decided as detect(x), and a-posteriori outputs for r and,
+    h, for the effective signature.  b h, formed in h's place, is the
+    output for r_des = A_0 b times the signature, A_0 being 1, b +-1 and
+    every rounding symmetric under negation.  The first run, in order,
+    that diverged raises LinAlgError naming its seed and symbol."""
     t, first = cfg.symbols, cfg.first_decided
-    x, out, out_des = rec
+    x, out, h = rec
     # a diverged run's outputs may overflow or hold inf - inf: the check below names it
     with np.errstate(over="ignore", invalid="ignore"):
+        out_des = np.multiply(desired, h, out=h)
         mse, p_des, p_rest = _powers(desired - x), _powers(out_des), _powers(out - out_des)
     finite = np.isfinite(mse) & np.isfinite(p_des) & np.isfinite(p_rest)
     diverged = np.flatnonzero(~finite.all(axis=1))
@@ -1129,15 +1134,14 @@ def _block_width(cfg: ScenarioConfig) -> int:
     - its symbols (int8) and their float copy, and its records, K + 56
       per symbol; its objects (Generator, channel, states and their small
       arrays), 8192; and its response table, 8 M K S, or, faded, its
-      fading processes' current samples and a code matrix, 16 M l_p,
-      which the block's runs share;
-    - a baseline's despread rows of r and r_des and its combiners,
-      3 x 16 c per tap, a faded run's gains, 16 c l_p, and rake's
-      running sums and their solutions, 5 x 16 per tap and trained symbol
-      of the chunk, or pd-rls's weighted covariances, their inverses and
-      the solves' copies, 4 x 16 n d^2, n the symbols of its sub-chunk.
-      pd-lms holds none of these but is counted as pd-rls, so that the
-      two keep one width;
+      fading processes' current samples;
+    - a baseline's despread rows of r and its combiners, 2 x 16 c per
+      tap, a faded run's gains, 16 c l_p, and rake's running sums and
+      their solutions, 5 x 16 per tap and trained symbol of the chunk, or
+      pd-rls's weighted covariances, their inverses and the solves'
+      copies, 4 x 16 n d^2, n the symbols of its sub-chunk.  pd-lms holds
+      none of these but is counted as pd-rls, so that the two keep one
+      width;
     - an interpolated run's share of a sub-chunk's draw (`_Links.draw`):
       the larger of its noise, 16 s M, and what comes after it, the clean
       rows and what forms them: 8 s (K S + M) + 8 K (s + S) for a static
@@ -1145,24 +1149,23 @@ def _block_width(cfg: ScenarioConfig) -> int:
       8 N (s + S) + 16 s (l_p + M).  On top, its share of a stacked
       block's buffers, 16 s (P + N_I M_red + N_I + M_red): its rows of r,
       drawn into the gather buffer and padded to P samples, their Re and
-      its filters after each symbol; and for a faded run, what
-      `desired_rows` holds to form its rows of r_des: its gains, kept from
-      the draw, the signatures C g and the product's copy of the rows,
-      16 s (l_p + 2 M), counted on top of the draw though they follow it.
-      The outputs' products, 16 s M_red, and a static run's product copy,
-      16 s M, are made while no draw is, and are no larger.  An RLS
-      run's inverses, stacked and its own, 32 (M_red^2 + N_I^2); a blind
-      run's constraints, 16 l_p (N_I M_red + M), and its channel
-      tracker's, 16 l_p (M + 3 l_p).
+      its filters after each symbol.  A faded run's effective signatures,
+      16 s M beside its gains, and the outputs' products, 16 s M_red,
+      come after its draw and are no larger.  An RLS run's inverses,
+      stacked and its own, 32 (M_red^2 + N_I^2); a blind run's
+      constraints, 16 l_p (N_I M_red + M), and its channel tracker's,
+      16 l_p (M + 3 l_p).
     The fixed bytes are numpy's buffers for a broadcast or cast product,
     three operands of `np.getbufsize()` entries; 128 kB for what a block
-    holds once (its lists, objects and shared arrays, 10-45 kB traced
-    with numpy 2.4) and as a margin for other numpy versions; and a faded
-    block's complex copy of one run's sub-chunk of windows, 16 s M l_p.
-    A block that is not a stacked interpolated one, a baseline's or one
-    run's, draws a chunk of one run at a time (up to ~0.7 MB), which is
-    not counted apart: it draws while it holds none of its sub-chunk
-    arrays or combiners.
+    holds once (its lists, objects and shared arrays, 10-45 kB traced with
+    numpy 2.4) and as a margin for other numpy versions; and, faded, the
+    shared code matrix and a complex copy of one run's sub-chunk of
+    windows, 16 (s + 1) M l_p, and a baseline's one run's chunk of
+    effective signatures and their despread rows, 16 c (M + d), formed
+    beside its combiners.  A block that is not a stacked interpolated one,
+    a baseline's or one run's, draws a chunk of one run at a time (up to
+    ~0.7 MB), which is not counted apart: it draws while it holds none of
+    its sub-chunk arrays or combiners.
     """
     chunk, sub = min(cfg.symbols, NOISE_CHUNK), min(cfg.symbols, SUB_CHUNK)
     faded, interpolated = cfg.f_dt > 0, cfg.algorithm not in BASELINES
@@ -1170,15 +1173,16 @@ def _block_width(cfg: ScenarioConfig) -> int:
     fixed = 3 * 16 * np.getbufsize() + 131072
     if faded:
         samples = signal_model._inband(signal_model._period(cfg.f_dt), cfg.f_dt)[2].shape[0]
-        link = 16 * (m * l_p + len(cfg.path_powers) * samples)
+        link = 16 * len(cfg.path_powers) * samples
         late = 8 * cfg.n * (sub + window) + 16 * sub * (l_p + m)
-        fixed += 16 * sub * m * l_p
+        fixed += 16 * (sub + 1) * m * l_p
     else:
         link = 8 * m * cfg.k * window
         late = 8 * sub * (cfg.k * window + m) + 8 * cfg.k * (sub + window)
     if not interpolated:
         d = l_p if cfg.algorithm == "rake" else cfg.pd_rank
-        held = 3 * 16 * chunk * d + (16 * chunk * l_p if faded else 0)
+        held = 2 * 16 * chunk * d + (16 * chunk * l_p if faded else 0)
+        fixed += 16 * chunk * (m + d) if faded else 0
         if cfg.algorithm == "rake":
             held += 5 * 16 * d * min(cfg.n_tr, chunk)
         else:
@@ -1187,8 +1191,6 @@ def _block_width(cfg: ScenarioConfig) -> int:
         dec = make_decimation(m, cfg.l)
         m_red, n_i, padded = dec.m_red, cfg.n_i, dec.segment_index(cfg.n_i)[1].size
         held = 16 * sub * (padded + n_i * m_red + n_i + m_red) + max(16 * sub * m, late)
-        if faded:
-            held += 16 * sub * (l_p + 2 * m)
         if cfg.algorithm in ("rls", "cmv-rls"):
             held += 32 * (m_red ** 2 + n_i ** 2)
         if cfg.mode == "blind":

@@ -157,7 +157,8 @@ def _segment_matrices(rs: np.ndarray, n_i: int, dec: DecimationOperator,
                       out: np.ndarray | None = None) -> np.ndarray:
     """`build_re_matrix` of every row of rs (rows of r along the last axis,
     any leading axes), stacked, bit for bit: one gather of the zero-padded
-    rows, as a stacked block makes once per sub-chunk of its r and r_des.
+    rows, as a stacked block makes once per sub-chunk of its r and of its
+    effective signatures.
     Rows already as wide as the gather buffer (`dec.segment_index`), zero
     past M, are gathered as they are, and into `out` if given, so that a
     caller that reuses both arrays allocates nothing.  The result is

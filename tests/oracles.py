@@ -434,7 +434,7 @@ def per_symbol_trial(cfg, run_seed):
     cfg.validate()
     link = harness._Links(cfg, [run_seed])
     if cfg.algorithm in harness.BASELINES:
-        rx = harness._Projected(cfg, link.codes[0], 1)
+        rx = harness._Projected(cfg, link)
         st = PerSymbolRake(rx, cfg.n_tr) if cfg.algorithm == "rake" else PerSymbolPd(rx)
         despread, output, adapt = rx.despread, st.output, st.adapt
     else:

@@ -362,7 +362,7 @@ class TestFullRankEquivalence:
         training run of a partial-despreading baseline."""
         cfg = harness.ScenarioConfig(algorithm=alg, symbols=300, path_delays=[0, 2, 4])
         link = harness._Links(cfg, [77])
-        rx = harness._Projected(cfg, link.codes[0], 1)
+        rx = harness._Projected(cfg, link)
         ys, bs, ws, es = [], [], [], []
         for rs, chunk_bs, _, _ in link.chunks():
             chunk_ys = rx.despread(rs)

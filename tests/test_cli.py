@@ -114,12 +114,13 @@ def test_diverging_run_exits_three(tmp_path, capsys, doc):
     assert "diverged" in capsys.readouterr().err
 
 
-def test_seed_and_runs_overrides_reach_export(tmp_path):
-    cfg = write_config(tmp_path, {"algorithm": "rls", "runs": 1, "symbols": 40,
+def test_seed_override_reaches_export(tmp_path):
+    # the run count comes from the scenario alone
+    cfg = write_config(tmp_path, {"algorithm": "rls", "runs": 2, "symbols": 40,
                                   "n_tr": 10, "seed": 1})
     out = tmp_path / "out.json"
     code = cli.main(["--config", str(cfg), "--out", str(out), "--format", "json",
-                     "--seed", "11", "--runs", "2"])
+                     "--seed", "11"])
     assert code == 0
     meta = json.loads(out.read_text())["metadata"]
     assert (meta["seed"], meta["run_seed"]) == (11, 11)

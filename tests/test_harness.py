@@ -179,7 +179,7 @@ def test_pd_combiners_match_per_symbol_updates(alg, change, mode, n_tr):
     # reference switches.
     cfg = scenario(alg, runs=1, symbols=2 * harness.NOISE_CHUNK, mode=mode, n_tr=n_tr, **change)
     link = harness._Links(cfg, [12])
-    rx = harness._Projected(cfg, link.codes[0], 1)
+    rx = harness._Projected(cfg, link)
     st = PerSymbolPd(rx)
     ws, ys = [], []
     for first, (rs, bs, _, _) in zip(range(0, cfg.symbols, harness.NOISE_CHUNK), link.chunks()):
@@ -208,16 +208,16 @@ def test_pd_block_skips_a_zero_row_without_dividing(alg):
     # errors), and every run's combiners equal its block of one's, byte
     # for byte
     cfg = scenario(alg, runs=3, symbols=200)
-    code = signal_model.gen_gold_set(cfg.gold_degree, 1)[0]
     rng = np.random.default_rng(14)
     shape = (3, 200, cfg.pd_rank)
     ys = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ys[1, 100] = 0
     bs = np.where(rng.random((3, 200)) < 0.5, -1.0, 1.0)
-    got = harness._Projected(cfg, code, 3).combiners(ys, bs, 0)
+    got = harness._Projected(cfg, harness._Links(cfg, range(3))).combiners(ys, bs, 0)
     assert got[1, 101].tobytes() == got[1, 100].tobytes()
     for k in range(3):
-        one = harness._Projected(cfg, code, 1).combiners(ys[k:k + 1], bs[k:k + 1], 0)
+        one = harness._Projected(cfg, harness._Links(cfg, [k])).combiners(ys[k:k + 1],
+                                                                          bs[k:k + 1], 0)
         assert got[k].tobytes() == one[0].tobytes()
 
 
@@ -286,15 +286,17 @@ def test_singular_pd_rls_run_keeps_its_block_apart():
     # run meets singular ones, at symbols of its own, and its combiners in
     # a block of three equal its block of one's, byte for byte, NaN included
     cfg = scenario("pd-rls", runs=3, symbols=harness.NOISE_CHUNK, seed=3, alpha=1e-3)
-    links = harness._Links(cfg, campaign_seeds(cfg))
-    rx = harness._Projected(cfg, links.codes[0], 3)
-    rs, bs, _, _ = links.draw(0, cfg.symbols)
+    seeds = campaign_seeds(cfg)
+    links = harness._Links(cfg, seeds)
+    rx = harness._Projected(cfg, links)
+    rs, bs, _ = links.draw(0, cfg.symbols)
     ys = rx.despread(rs)
     got = rx.combiners(ys, bs, 0)
     nan = np.isnan(got).any(axis=2)
     assert nan.any(axis=1).all() and nan.sum(axis=0).max() == 1
     for k in range(3):
-        one = harness._Projected(cfg, links.codes[0], 1).combiners(ys[k:k + 1], bs[k:k + 1], 0)
+        one = harness._Projected(cfg, harness._Links(cfg, seeds[k:k + 1])).combiners(
+            ys[k:k + 1], bs[k:k + 1], 0)
         assert got[k].tobytes() == one[0].tobytes()
 
 
@@ -355,13 +357,18 @@ def test_batched_products_equal_unbatched_bit_for_bit(length):
     ws, ys = rows(500), rows(500)
     expect = np.array([np.vdot(w, y) for w, y in zip(ws, ys)])
     assert harness._vdots(ws, ys).tobytes() == expect.tobytes()
-    # with leading axes, as a block's runs x symbols, and broadcast over
-    # the first, as a block's combiners against the rows of r and r_des
+    # with leading axes, as a block's runs x symbols, broadcast over the
+    # first, and over the symbols, as a static run's combiners against its
+    # one signature row
     assert harness._vdots(ws.reshape(5, 100, -1), ys.reshape(5, 100, -1)).tobytes() \
         == expect.tobytes()
     both = harness._vdots(ws.reshape(5, 100, -1), np.stack([ys, ws]).reshape(2, 5, 100, -1))
     assert both[0].tobytes() == expect.tobytes()
     assert both[1].tobytes() == np.array([np.vdot(w, w) for w in ws]).tobytes()
+    runs_ws = ws.reshape(5, 100, -1)
+    one_row = harness._vdots(runs_ws, ys[:5, None])
+    assert one_row.tobytes() == np.array([[np.vdot(w, y) for w in run_ws]
+                                          for run_ws, y in zip(runs_ws, ys)]).tobytes()
     # square, as the Gram inverse, and 6 x length, as a despreading
     for a in (rows(length), rows(6)):
         expect = np.array([a @ y for y in ys])
@@ -543,8 +550,8 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
     # calls detect once per symbol.  A block of five, which steps its runs
     # together as a block of any width from STACK_MIN_RUNS on does, builds
     # no Re one run at a time: per sub-chunk, drawn and recorded in one
-    # call, it gathers every run's Re of r, then of r_des in its place,
-    # 2 x 10 times for the sub-chunks of 300 symbols
+    # call, it gathers every run's Re of r, then of its effective
+    # signatures, 2 x 10 times for the sub-chunks of 300 symbols
     counts = collections.Counter()
     originals = {name: getattr(interpolation, name)
                  for name in ("build_re_matrix", "detect", "_segment_matrices")}
@@ -879,9 +886,9 @@ def test_block_drawn_a_sub_chunk_at_a_time_matches_its_links_chunks(f_dt):
     # three runs drawn together SUB_CHUNK symbols at a time, as a stacked
     # block draws them, every other sub-chunk into a strided buffer as a
     # stacked interpolated block does; 300 symbols end on a short one.
-    # Each run's rows, symbols, r_des and gains equal, byte for byte, its
-    # chunks drawn alone (`runs=`) from a twin block, as a block too narrow
-    # to stack draws them
+    # Each run's rows, symbols and gains equal, byte for byte, its chunks
+    # drawn alone (`runs=`) from a twin block, as a block too narrow to
+    # stack draws them
     cfg = scenario("lms", runs=3, symbols=300, seed=21, f_dt=f_dt)
     assert cfg.symbols % harness.SUB_CHUNK
     seeds = campaign_seeds(cfg)
@@ -889,30 +896,57 @@ def test_block_drawn_a_sub_chunk_at_a_time_matches_its_links_chunks(f_dt):
     drawn = []
     for j, i in enumerate(range(0, cfg.symbols, harness.SUB_CHUNK)):
         n = min(harness.SUB_CHUNK, cfg.symbols - i)
-        out = (None, None)
+        out = None
         if j % 2:   # symbol-major, with a gap past each row
-            out = np.empty((2, n, cfg.runs, cfg.m + 1), dtype=complex)[..., :cfg.m].swapaxes(1, 2)
+            out = np.empty((n, cfg.runs, cfg.m + 1), dtype=complex)[..., :cfg.m].swapaxes(0, 1)
         drawn.append([np.array(part) for part in block.draw(i, n, out=out)])
     for k in range(cfg.runs):
         chunks = list(twin.chunks(runs=k))
-        for part in range(4):
+        # the chunks' R, b and G, past their R_des
+        for part, chunk_part in enumerate((0, 1, 3)):
             got = np.concatenate([sub[part][k] for sub in drawn])
-            expect = np.concatenate([chunk[part] for chunk in chunks])
+            expect = np.concatenate([chunk[chunk_part] for chunk in chunks])
             assert got.tobytes() == expect.tobytes(), (k, part)
 
 
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
-def test_desired_rows_match_the_draws(f_dt):
-    # the one formula for r_des against the rows of r_des a draw hands out,
-    # byte for byte: for a run's index, and for a slice of the runs into a
-    # symbol-major buffer, as a stacked interpolated block forms them
+def test_effective_signatures_times_a0_b_are_the_chunks_desired_rows(f_dt):
+    # A_0 b times the effective signatures of a block's draw against the
+    # rows of r_des each run's chunks hand out, from a twin block, byte for
+    # byte: for a run's index, and for a slice of the runs into a
+    # symbol-major buffer, as a stacked faded block forms them
     cfg = scenario("lms", runs=3, symbols=40, seed=5, f_dt=f_dt)
-    links = harness._Links(cfg, campaign_seeds(cfg))
-    _, bs, rs_des, gs = links.draw(0, cfg.symbols)
-    assert links.desired_rows(bs[1], gs[1], 1).tobytes() == rs_des[1].tobytes()
+    seeds = campaign_seeds(cfg)
+    links, twin = harness._Links(cfg, seeds), harness._Links(cfg, seeds)
+    _, bs, gs = links.draw(0, cfg.symbols)
+    expect = np.array([next(twin.chunks(runs=k))[2] for k in range(cfg.runs)])
+    scale = links.amps[:, :1] * bs
+    one = scale[1, :, None] * links.effective_signatures(gs[1], 1)
+    assert one.tobytes() == expect[1].tobytes()
     out = np.empty((cfg.symbols, 2, cfg.m), dtype=complex).swapaxes(0, 1)
-    got = links.desired_rows(bs[1:], gs[1:], slice(1, None), out=out)
-    assert got is out and np.ascontiguousarray(got).tobytes() == rs_des[1:].tobytes()
+    got = links.effective_signatures(gs[1:], slice(1, None), out=out)
+    assert got is out
+    assert (scale[1:, :, None] * got).tobytes() == expect[1:].tobytes()
+
+
+@pytest.mark.parametrize("f_dt", (0.0, 1e-3))
+def test_outputs_on_the_signatures_times_b_equal_the_outputs_on_r_des(f_dt):
+    # the records hold each receiver's output h on the effective
+    # signature, and the metering takes b h for its output on r_des: equal
+    # as numbers (signed zeros aside), for random combiners on despread
+    # rows, per run and batched, and for random filters on Re
+    cfg = scenario("lms", runs=1, symbols=60, seed=8, f_dt=f_dt)
+    link = harness._Links(cfg, [8])
+    (_, bs, rs_des, gs), = link.chunks()
+    sigs = np.broadcast_to(link.effective_signatures(gs, 0), rs_des.shape)
+    rng = np.random.default_rng(9)
+    ws = rng.standard_normal((60, cfg.m)) + 1j * rng.standard_normal((60, cfg.m))
+    assert np.array_equal(bs * harness._vdots(ws, sigs), harness._vdots(ws, rs_des))
+    dec = interpolation.make_decimation(cfg.m, cfg.l)
+    v = rng.standard_normal(cfg.n_i) + 1j * rng.standard_normal(cfg.n_i)
+    for j, (b, sig, r_des) in enumerate(zip(bs, sigs, rs_des)):
+        st = interpolation.ReceiverState(v=v, w=ws[j, :dec.m_red], dec=dec)
+        assert b * harness.receiver_output(st, sig) == harness.receiver_output(st, r_des), j
 
 
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
@@ -1023,7 +1057,10 @@ def test_lognormal_interferers_match_configured_spread():
     # with std 0.021; the bands are ~4x those.
     sigma = 4.0
     cfg = scenario("lms", runs=1, symbols=1, k=33, interferer_sigma_db=sigma)
-    offs = 20.0 * np.log10(harness._Links(cfg, range(40)).amps[:, 1:]).ravel()
+    amps = harness._Links(cfg, range(40)).amps
+    # the desired user's amplitude is exactly 1, which the metering's b h rests on
+    assert np.all(amps[:, 0] == 1.0)
+    offs = 20.0 * np.log10(amps[:, 1:]).ravel()
     assert abs(offs.mean()) <= 0.5
     assert abs(offs.std(ddof=1) / sigma - 1.0) <= 0.08
 
@@ -1048,7 +1085,7 @@ def test_rake_combiner_matches_per_symbol_solve(change):
     # n_tr, w stays frozen
     cfg = scenario("rake", runs=1, symbols=400, **change)
     link = harness._Links(cfg, [29])
-    rx = harness._Projected(cfg, link.codes[0], 1)
+    rx = harness._Projected(cfg, link)
     rs, bs, ws = [], [], []
     for chunk_rs, chunk_bs, _, _ in link.chunks():
         ws.extend(rx.combiners(rx.despread(chunk_rs)[None], chunk_bs[None], len(rs))[0, 1:])
@@ -1066,7 +1103,7 @@ def test_pd_lms_step_follows_normalized_steps(normalized):
     # one symbol moves w by mu0 conj(xi) y, divided by ||y||^2 when normalised
     cfg = scenario("pd-lms", runs=1, symbols=10, mu0=0.05, normalized_steps=normalized)
     link = harness._Links(cfg, [4])
-    rx = harness._Projected(cfg, link.codes[0], 1)
+    rx = harness._Projected(cfg, link)
     rng = np.random.default_rng(5)
     size = rx.w.shape[1]
     w0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
