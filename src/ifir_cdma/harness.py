@@ -8,16 +8,16 @@ independent runs with spawned sub-seeds.
 
 A block's links (`_Links`, the one synthesis path) hand out arrays of
 received vectors and of the channel gains: each run in turn a noise
-chunk at a time, or, in a stacked interpolated block (STACK_MIN_RUNS
-runs or more), every run together a sub-chunk of SUB_CHUNK symbols at a
-time, so that it never holds a chunk of rows per run.  A static link
-forms its noiseless vectors as one batched product of a per-user
-response table with the symbols' windows, a faded one by convolving each
-symbol's gains with the chips.  Per symbol a trial takes the decision
-output (a-priori: the receiver before the symbol), adapts with the
-reference symbol (training symbol, or the decision in decision-directed
-mode past `n_tr`; blind receivers ignore it), and records the updated
-receiver's outputs for r and for the desired user's effective signature
+chunk at a time, or, in a stacked interpolated block (two runs or more),
+every run together a sub-chunk of SUB_CHUNK symbols at a time, so that
+it never holds a chunk of rows per run.  A static link forms its
+noiseless vectors as one batched product of a per-user response table
+with the symbols' windows, a faded one by convolving each symbol's gains
+with the chips.  Per symbol a trial takes the decision output
+(a-priori: the receiver before the symbol), adapts with the reference
+symbol (training symbol, or the decision in decision-directed mode past
+`n_tr`; blind receivers ignore it), and records the updated receiver's
+outputs for r and for the desired user's effective signature
 (a-posteriori), whose product with the symbol is its output for r's
 desired-only component.  One driver, `_run_block`, does this for a block
 of seeded runs, and `run_trial` is a block of one.  It builds a receiver
@@ -25,15 +25,15 @@ of one of two kinds, which answer the same calls: `despread` maps
 received vectors to the rows the receiver takes, and `record` writes a
 chunk's or sub-chunk's outputs into the block's records.  The
 interpolated receivers (`_Interpolated`) take r itself and run one
-symbol loop over groups of runs, one step call per symbol returning the
-a-priori outputs.  A block's runs step together on stacked state
+symbol loop, one step call per symbol returning the a-priori outputs,
+in one of two shapes.  A lone run steps on its own state (the per-run
+steps) over a chunk and takes its a-posteriori outputs per symbol.  A
+block of two runs or more steps its runs together on stacked state
 (`adaptive.stack` and the `adaptive.*_steps` kernels), stacked once per
-block, and are recorded a sub-chunk per call, their a-posteriori outputs
-taken once per sub-chunk from the filters kept after each symbol; in a
-block narrower than STACK_MIN_RUNS each run steps alone on its own state
-(the per-run steps) over a chunk and takes them per symbol.  A stacked
-block holds only what its loop reads: one sub-chunk's rows of r, drawn
-into its gather buffer, and their Re, in buffers it reuses.  Each
+block, and is recorded a sub-chunk per call, its a-posteriori outputs
+taken once per sub-chunk from the filters kept after each symbol.  A
+stacked block holds only what its loop reads: one sub-chunk's rows of r,
+drawn into its gather buffer, and their Re, in buffers it reuses.  Each
 receiver forms its runs' effective signatures where it reads them
 (`_Links.effective_signatures`).  The RAKE and partial-despreading
 baselines (`_Projected`) despread a chunk and take its outputs as array
@@ -47,9 +47,9 @@ allows by a count of what each kind of run holds (`_block_width`).  A
 pd-lms block runs one decision-feedback loop per chunk, on a lone run's
 combiner or on every run's, stacked; a pd-rls block solves for every
 run's combiners a sub-chunk at a time, looping only over the decided
-symbols of decision-directed mode; an interpolated campaign too narrow
-to stack runs one run per block.  Each run's series equals its
-`run_trial` byte for byte.
+symbols of decision-directed mode; an interpolated campaign of fewer
+than STACK_MIN_RUNS runs takes one run per block.  Each run's series
+equals its `run_trial` byte for byte.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per run drives channel, symbols and noise in a fixed order, and the
@@ -88,14 +88,15 @@ BASELINES = ("rake", "pd-lms", "pd-rls")   # the receivers `_Projected` runs
 # Bytes a block may hold by `_block_width`'s count of what each kind of run
 # holds.  At the defaults that is, in runs of 400 symbols, 21 lms, 19 rls,
 # 19 cmv-sg and 18 cmv-rls runs (17 tracked cmv-rls, 14 to 16 faded
-# interpolated), 13 rake runs and 10 pd-lms and pd-rls (faded 9, 7 and 7),
-# and from ~4100 symbols on one run at a time for an interpolated campaign
-# (STACK_MIN_RUNS would not fit) and from ~8150 for a baseline.  The
-# 400-symbol blocks peak at 1.4 to 2.8 MB traced (tracemalloc, numpy 2.4),
-# each run holding, between blocks of width - 4 and width runs, lms 110 kB,
-# rls 122, cmv-sg 121, cmv-rls 132, tracked cmv-rls 138, faded cmv-sg 160,
-# rake 182, pd-lms 134 and pd-rls 184, a baseline block holding one run's
-# chunk draw on top.
+# interpolated), 13 rake runs and 10 pd-lms and pd-rls (faded 9, 7 and 7).
+# Every kind of static run falls to 3 runs from ~4100 symbols, 2 from ~5450
+# and 1 from ~8150 (faded ones at f_dt = 1e-3 from ~3600 to 3900, ~4800 to
+# 5200 and ~7200 to 7800).  The 400-symbol blocks peak at 1.4 to 2.8 MB
+# traced (tracemalloc, numpy 2.4), each run holding, between blocks of
+# width - 4 and width runs, lms 110 kB, rls 122, cmv-sg 121, cmv-rls 132,
+# tracked cmv-rls 138, faded cmv-sg 160, rake 182, pd-lms 134 and pd-rls
+# 184, a baseline block holding one run's chunk draw on top; 5000-symbol
+# blocks of 3 interpolated runs peak at ~2.1 MB, mostly their metering.
 BLOCK_BYTES = 3_000_000
 MODES = ("training", "decision-directed", "blind")
 
@@ -385,8 +386,7 @@ class _Links:
     noise and forms its clean rows in batched products.  Each stretch
     holds the same values as one stream of every symbol would, and each
     faded clean row the same sums, so any split of the symbols into
-    stretches, or of the runs, draws the same rows.  The desired-only
-    rows r_des scale the signatures that `effective_signatures` gives.
+    stretches, or of the runs, draws the same rows.
 
     Noise before gains keeps the generator order of per-symbol gain
     steps: gains draw only at a fading period's first sample (its
@@ -434,16 +434,6 @@ class _Links:
             table[:, lo:hi, :, q] = responses[:, :, lo + lead:hi + lead].swapaxes(1, 2)
         return table.reshape(len(responses), m, -1)
 
-    def chunks(self, runs: int = 0):
-        """Yield run `runs`'s (R, b, R_des, G) for each noise chunk, in
-        symbol order: `draw`'s R, b and G, and R_des = (A_0 b)[:, None]
-        times the effective signatures (`effective_signatures`)."""
-        for i in range(0, self.cfg.symbols, NOISE_CHUNK):
-            # the generator keeps no name for the chunk it hands out
-            rs, b, gains = self.draw(i, min(NOISE_CHUNK, self.cfg.symbols - i), runs=runs)
-            yield (rs, b, (self.amps[runs, 0] * b)[:, None]
-                   * self.effective_signatures(gains, runs), gains)
-
     def draw(self, i: int, size: int, out=None, runs=slice(None)):
         """(R, b, G) of symbols i to i + size - 1 of the runs `runs` picks:
         each with a leading run axis for a slice, without one for a run's
@@ -459,10 +449,12 @@ class _Links:
         z = np.empty((len(rngs), size, 2, m))
         for k, rng in enumerate(rngs):   # no loop name keeps a view of z past its del
             rng.standard_normal(out=z[k])
-        # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save peak memory
-        rs = np.multiply(1j, z[:, :, 1], out=out)
-        rs += z[:, :, 0]
-        rs *= np.sqrt(self.sigma2 / 2.0)
+        # R = sqrt(sigma2 / 2) (z_re + j z_im) + clean, formed in place to save
+        # peak memory: each part of z scaled straight into its part of R
+        rs = np.empty((len(rngs), size, m), dtype=complex) if out is None else out
+        scale = np.sqrt(self.sigma2 / 2.0)
+        np.multiply(z[:, :, 0], scale, out=rs.real)
+        np.multiply(z[:, :, 1], scale, out=rs.imag)
         del z   # the arrays below are made without the noise draw alongside
         b = self.desired[runs, i:i + size]
         if self.static:
@@ -634,6 +626,8 @@ class _Projected:
     received vectors at once (to rows of length `dim`), and `record` takes
     a chunk's outputs from the combiners that `combiners` forms along it.
     """
+
+    stacked = None   # no stacked interpolated state: its runs draw in turn (`_recorded`)
 
     def __init__(self, cfg: ScenarioConfig, links: _Links):
         self.cfg, self.links = cfg, links
@@ -854,35 +848,33 @@ def _each_step(step, s, r, b=None, adapt_v: bool = True, directed: bool = False,
     return x
 
 
-# An interpolated block of at least this many runs steps them as one group
-# on stacked state (`adaptive.stack`); a narrower one steps each run as a
-# group of its own, on its own state.  A stacked symbol pays its numpy calls
-# once for the group, but its larger arrays cost more per call.  Against one
-# run at a time, blocks of 1 / 2 / 3 / 4 runs of 400 symbols ran (median of
-# 15 interleaved pairs, CPU time, 2-vCPU host): lms x0.94 / x1.54 / x2.18 /
-# x2.67, rls x0.84 / x1.54 / x2.25 / x2.48, cmv-sg x0.61 / x1.13 / x1.60 /
-# x1.95, cmv-rls x0.83 / x1.50 / x1.88 / x2.38.  It stays at 4, above that
-# crossover (2 runs), so that the 3-run smoke benchmark keeps the per-run
-# path its self-test pins.
+# An interpolated campaign of fewer runs than this runs each run in a block
+# of its own (`_block_width`).  Every interpolated block of two runs or more
+# steps them on stacked state (`adaptive.stack`), a lone run on its own.  A
+# stacked symbol pays its numpy calls once for the block, but its larger
+# arrays cost more per call.  Against one run at a time, blocks of 1 / 2 /
+# 3 / 4 runs of 400 symbols ran (median of 15 interleaved pairs, CPU time,
+# 2-vCPU host): lms x0.94 / x1.54 / x2.18 / x2.67, rls x0.84 / x1.54 /
+# x2.25 / x2.48, cmv-sg x0.61 / x1.13 / x1.60 / x1.95, cmv-rls x0.83 /
+# x1.50 / x1.88 / x2.38.  It stays at 4, above that crossover (2 runs), so
+# that the 3-run smoke benchmark keeps the per-run path its self-test pins.
 STACK_MIN_RUNS = 4
 
 
 class _Interpolated:
     """The interpolated receivers of a block of runs, with the calls of
     `_Projected`: `despread` passes r through, and `record` steps the runs
-    over a chunk in one symbol loop, a group of runs at a time.  A block of
-    STACK_MIN_RUNS runs or more is one group, stepped on a stack of its
-    runs' states with the forms that take a row per run (`*_steps`,
-    `_align_phases`, ...) on the Re of every run's r; it records a
-    sub-chunk of SUB_CHUNK symbols per call.  A narrower one is a group
-    per run, stepped on the run's own state with the per-run forms
-    (`_each_step` around `*_step`, `_align_phase`, ...), and records a
-    chunk per call.  Each run's state is the one `_state` made, and holds
-    its filters and breakdowns between chunks; a stacked block steps a
-    stack of them, made once, and writes it back after its last symbol.
-    A call takes the rows of r and the gains: a group forms its runs'
-    effective signatures where it reads them (`_Links.effective_signatures`).
-    A stacked block's rows of r are drawn into its gather buffer (`rows`)."""
+    in one symbol loop.  A lone run steps on its own state with the per-run
+    forms (`_each_step` around `*_step`, `_align_phase`, ...) and records a
+    chunk per call.  A block of two runs or more steps a stack of its runs'
+    states (`stacked`, else None), made once, with the forms that take a
+    row per run (`*_steps`, `_align_phases`, ...) on the Re of every run's
+    r; it records a sub-chunk of SUB_CHUNK symbols per call, its rows of r
+    drawn into its gather buffer (`rows`), and writes the stack back after
+    its last symbol.  Each run's state is the one `_state` made, and holds
+    its filters and breakdowns between chunks.  A call takes the rows of r
+    and the gains: the receiver forms its runs' effective signatures where
+    it reads them (`_Links.effective_signatures`)."""
 
     def __init__(self, cfg: ScenarioConfig, links: _Links):
         self.cfg, self.links = cfg, links
@@ -890,9 +882,8 @@ class _Interpolated:
         runs = len(links.rngs)
         self.states, self.trackers = zip(*(_state(cfg, links.codes[0], channel.gains)
                                            for channel in links.channels))
-        # a group is one run's index, or a slice of every run of the block
-        self.groups = [slice(None)] if runs >= STACK_MIN_RUNS else range(runs)
-        if runs >= STACK_MIN_RUNS:
+        self.stacked = None
+        if runs > 1:
             s = self.stacked = adaptive.stack(self.states)
             self.tracker = self.trackers[0] and adaptive.stack(self.trackers)
             span = min(SUB_CHUNK, cfg.symbols)
@@ -919,15 +910,14 @@ class _Interpolated:
     def record(self, rec: np.ndarray, ys, bs: np.ndarray, gs, first: int) -> None:
         """As `_Projected.record` on r and the effective signatures
         themselves, `ys` holding each run's rows of r, a stacked block's in
-        its `rows`.  A group binds its forms once per call, and the symbol
-        loop is one.  Per symbol, one step call adapts the group's runs and
-        returns their a-priori outputs x.  A one-run group steps on its rows
-        of r and takes its a-posteriori outputs after each symbol.  A
-        stacked one gathers the Re of every run's r, steps on it, keeps its
-        filters after each symbol and takes the sub-chunk's a-posteriori
-        outputs for r in one call, then forms its signatures in its `rows`,
-        a static run's one row, gathers their Re and takes theirs in
-        another."""
+        its `rows`.  The forms are bound once per call, and the symbol loop
+        is one.  Per symbol, one step call adapts the runs and returns their
+        a-priori outputs x.  A lone run steps on its rows of r and takes its
+        a-posteriori outputs after each symbol.  A stacked block gathers the
+        Re of every run's r, steps on it, keeps its filters after each
+        symbol and takes the sub-chunk's a-posteriori outputs for r in one
+        call, then forms its signatures in its `rows`, a static run's one
+        row, gathers their Re and takes theirs in another."""
         cfg = self.cfg
         size = bs.shape[1]
         # the offset from which decisions are the reference
@@ -935,58 +925,59 @@ class _Interpolated:
         blind, faded = cfg.mode == "blind", cfg.f_dt > 0
         adapt_v = not cfg.freeze_interpolator
         name = cfg.algorithm.replace("-", "_")
-        for group in self.groups:
-            # the forms are bound here, so that a tracer of public calls sees them
-            one = not isinstance(group, slice)
-            plural = "" if one else "s"   # lms_step or lms_steps, update or updates
-            step = getattr(adaptive, f"{name}_step{plural}")
-            if one:
-                s, tracker = self.states[group], self.trackers[group]
-                step = functools.partial(_each_step, step)
-                align, gains = _align_phase, gs[group]
-                # per symbol, the input of the step, a row of r, and the signature
-                ins = ys[group]
-                sigs = np.broadcast_to(self.links.effective_signatures(gains, group), ins.shape)
+        # the forms are bound here, so that a tracer of public calls sees them
+        one = self.stacked is None
+        plural = "" if one else "s"   # lms_step or lms_steps, update or updates
+        step = getattr(adaptive, f"{name}_step{plural}")
+        if one:
+            runs = 0   # the lone run's index
+            s, tracker = self.states[0], self.trackers[0]
+            step = functools.partial(_each_step, step)
+            align, gains = _align_phase, gs[0]
+            # per symbol, the input of the step, a row of r, and the signature
+            ins = ys[0]
+            sigs = np.broadcast_to(self.links.effective_signatures(gains, 0), ins.shape)
+        else:
+            runs = slice(None)
+            s, tracker = self.stacked, self.tracker
+            align = _align_phases
+            # every run's gains per symbol
+            gains = np.ascontiguousarray(gs.swapaxes(0, 1)) if blind else None
+            # per symbol, the Re of every run's r, gathered at once
+            ins = _segment_matrices(self.pad[:size], s.n_i, s.dec, out=self.res[:size])
+        track = tracker and getattr(tracker, "update" + plural)
+        xs, outs = [], []
+        for j, (y, b) in enumerate(zip(ins, bs[runs].T)):
+            if blind:
+                # a tracked step rebinds g_hat; x is aligned with the one before it
+                g_hat = s.g_hat
+                # a tracker reads the rows of r themselves
+                g = track(ys[runs, j]) if track else gains[j] if faded else None
+                x = step(s, y, adapt_v=adapt_v, g=g)
             else:
-                s, tracker = self.stacked, self.tracker
-                align = _align_phases
-                # every run's gains per symbol
-                gains = np.ascontiguousarray(gs.swapaxes(0, 1)) if blind else None
-                # per symbol, the Re of every run's r, gathered at once
-                ins = _segment_matrices(self.pad[:size], s.n_i, s.dec, out=self.res[:size])
-            track = tracker and getattr(tracker, "update" + plural)
-            xs, outs = [], []
-            for j, (y, b) in enumerate(zip(ins, bs[group].T)):
-                if blind:
-                    # a tracked step rebinds g_hat; x is aligned with the one before it
-                    g_hat = s.g_hat
-                    # a tracker reads the rows of r themselves
-                    g = track(ys[group, j]) if track else gains[j] if faded else None
-                    x = step(s, y, adapt_v=adapt_v, g=g)
-                else:
-                    x = step(s, y, b, adapt_v=adapt_v, directed=j >= directed)
-                xs.append(align(x, g_hat, gains[j]) if track else x)
-                if one:
-                    outs.append((receiver_output(s, y), receiver_output(s, sigs[j])))
-                else:   # the steps rebind v and w, so these are the symbol's
-                    self.vs[j], self.ws[j] = s.v, s.w
-            # symbols last, as in rec
-            rec[0, group] = np.moveaxis(np.array(xs), 0, -1)
+                x = step(s, y, b, adapt_v=adapt_v, directed=j >= directed)
+            xs.append(align(x, g_hat, gains[j]) if track else x)
             if one:
-                rec[1:, group] = np.array(outs).T
-                continue
-            # the filters conjugated in place, as the output calls take them
-            vc = np.conjugate(self.vs[:size], out=self.vs[:size])
-            wc = np.conjugate(self.ws[:size], out=self.ws[:size])
-            rec[1] = receiver_outputs(vc, wc, ins).T
-            n = size if faded else 1   # a static run's one signature serves every symbol
-            self.links.effective_signatures(gs, group, out=self.rows(n))
-            ins = _segment_matrices(self.pad[:n], s.n_i, s.dec, out=self.res[:n])
-            rec[2] = receiver_outputs(vc, wc, ins).T
-            if first + size == cfg.symbols:
-                adaptive.unstack(s, self.states)
-                if tracker:
-                    adaptive.unstack(tracker, self.trackers)
+                outs.append((receiver_output(s, y), receiver_output(s, sigs[j])))
+            else:   # the steps rebind v and w, so these are the symbol's
+                self.vs[j], self.ws[j] = s.v, s.w
+        # symbols last, as in rec
+        rec[0, runs] = np.moveaxis(np.array(xs), 0, -1)
+        if one:
+            rec[1:, 0] = np.array(outs).T
+            return
+        # the filters conjugated in place, as the output calls take them
+        vc = np.conjugate(self.vs[:size], out=self.vs[:size])
+        wc = np.conjugate(self.ws[:size], out=self.ws[:size])
+        rec[1] = receiver_outputs(vc, wc, ins).T
+        n = size if faded else 1   # a static run's one signature serves every symbol
+        self.links.effective_signatures(gs, runs, out=self.rows(n))
+        ins = _segment_matrices(self.pad[:n], s.n_i, s.dec, out=self.res[:n])
+        rec[2] = receiver_outputs(vc, wc, ins).T
+        if first + size == cfg.symbols:
+            adaptive.unstack(s, self.states)
+            if tracker:
+                adaptive.unstack(tracker, self.trackers)
 
 
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
@@ -1006,47 +997,39 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     return _run_block(cfg, [run_seed])[0]
 
 
-def _run_block(cfg: ScenarioConfig, seeds, widest: int = 1) -> list[MetricSeries]:
+def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
     """`run_trial` for each seed, the runs taken together.
 
     The block's links (`_Links`) hold each run's Generator, so each run
-    draws as in a block of one.  A block narrower than STACK_MIN_RUNS
-    takes a chunk at a time: each run in turn draws its chunk
-    (`_Links.draw`) and despreads it, only the despread rows of r being
-    kept; so does a baseline block of any width.  A wider interpolated
-    block, which steps its runs together, draws them together a
-    sub-chunk at a time, so that it never holds a chunk of rows of r per
-    run: it takes the rows of r in its gather buffer and records each
-    sub-chunk.  Each receiver forms its runs' effective signatures from
-    the drawn gains where it reads them.
-    One `record` call of the block's receiver (`_Projected` or
-    `_Interpolated`) writes every run's records of a chunk or sub-chunk
+    draws as in a block of one.  A baseline block of any width, and a lone
+    interpolated run, takes a chunk at a time: each run in turn draws its
+    chunk (`_Links.draw`) and despreads it into one buffer of the block's
+    despread rows of r.  An interpolated block of two runs or more, which
+    steps its runs together, draws them together a sub-chunk at a time, so
+    that it never holds a chunk of rows of r per run: it takes the rows of
+    r in its gather buffer and records each sub-chunk.  Each receiver
+    forms its runs' effective signatures from the drawn gains where it
+    reads them.  One `record` call of the block's receiver (`_Projected`
+    or `_Interpolated`) writes every run's records of a chunk or sub-chunk
     with numpy's overflow, invalid-value and division warnings off:
-    `_metered` catches a diverged run.  A chunk's despread rows go into a
-    buffer sized for `widest` runs, or for the block's if it is wider: a
-    campaign passes its widest block's size, so that its blocks, which
-    differ by a run at most, take one buffer size.  glibc's allocator
-    maps a buffer of the size it last unmapped afresh, and returns it with
-    its block, but serves a smaller one from its heap, whose pages stay
-    resident."""
-    desired, rec, breakdowns = _recorded(cfg, seeds, widest)
+    `_metered` catches a diverged run."""
+    desired, rec, breakdowns = _recorded(cfg, seeds)
     return _metered(cfg, seeds, desired, rec, breakdowns)
 
 
-def _recorded(cfg: ScenarioConfig, seeds, widest: int) -> tuple:
+def _recorded(cfg: ScenarioConfig, seeds) -> tuple:
     """(desired, rec, breakdowns) of `_run_block`'s runs: their symbols
     (runs x symbols), records (3 x runs x symbols) and RLS breakdowns.  The
     links, receiver and rows it makes, all but the links' `desired`, are
     freed on return, before the metering."""
     links = _Links(cfg, seeds)
-    runs, interpolated = len(seeds), cfg.algorithm not in BASELINES
-    rx = (_Interpolated if interpolated else _Projected)(cfg, links)
+    runs = len(seeds)
+    rx = (_Projected if cfg.algorithm in BASELINES else _Interpolated)(cfg, links)
     # records: x, out and h per run and symbol
     rec = np.empty((3, runs, cfg.symbols), dtype=complex)
-    stacked = interpolated and runs >= STACK_MIN_RUNS
+    stacked = rx.stacked is not None
     if not stacked:   # the despread rows of a chunk's r
-        chunk_ys = np.empty((max(widest, runs), min(NOISE_CHUNK, cfg.symbols), rx.dim),
-                            dtype=complex)[:runs]
+        chunk_ys = np.empty((runs, min(NOISE_CHUNK, cfg.symbols), rx.dim), dtype=complex)
 
     def take(into, i, n, k):   # a call, so that the drawn rows are freed on return
         rs, _, gains = links.draw(i, n, runs=k)
@@ -1107,24 +1090,28 @@ def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, rec: np.ndarray,
 
 
 def iter_symbols(cfg: ScenarioConfig, run_seed):
-    """Yield (r, b, r_desired, g) per symbol of one seeded scenario run,
-    g being the symbol's channel gains (length l_p).
+    """Yield (r, b, g) per symbol of one seeded scenario run, g being the
+    symbol's channel gains (length l_p).
 
     Drives the same synthesized downlink as `run_trial`, a block of one
-    run's links drawn a noise chunk at a time (`_Links.chunks`), without
-    any receiver attached; useful for custom adaptation protocols and for
+    run's links drawn a noise chunk at a time (`_Links.draw`), without any
+    receiver attached; useful for custom adaptation protocols and for
     validating analysis predictions against simulation.
     """
     cfg.validate()
-    for chunk in _Links(cfg, [run_seed]).chunks():
-        yield from zip(*chunk)
+    links = _Links(cfg, [run_seed])
+    for i in range(0, cfg.symbols, NOISE_CHUNK):
+        # the generator keeps no name for the chunk it hands out
+        yield from zip(*links.draw(i, min(NOISE_CHUNK, cfg.symbols - i), runs=0))
 
 
 def _block_width(cfg: ScenarioConfig) -> int:
     """Runs per block: what BLOCK_BYTES leaves after a block's fixed bytes,
     over what a run holds, at least 1; and 1 for an interpolated campaign
-    whose blocks would hold fewer than STACK_MIN_RUNS runs, which gain
-    nothing from sharing a block and can each go to a worker.
+    of fewer than STACK_MIN_RUNS runs, whose runs then each step alone and
+    can each go to a worker.  Any other interpolated block of two runs or
+    more steps its runs together, down to the blocks of 3 and 2 runs that
+    50-run campaigns take from ~4100 and ~5450 symbols on (BLOCK_BYTES).
 
     In bytes, with c = min(symbols, NOISE_CHUNK) symbols to a chunk,
     s = min(symbols, SUB_CHUNK) to a sub-chunk and S = 2 l_s - 1 to a
@@ -1200,19 +1187,16 @@ def _block_width(cfg: ScenarioConfig) -> int:
     loop = cfg.symbols * (cfg.k + 56) + 8192 + link + held
     per_run = max(152 * cfg.symbols, loop)
     width = max(1, (BLOCK_BYTES - fixed) // per_run)
-    if interpolated and min(width, cfg.runs) < STACK_MIN_RUNS:
-        return 1
-    return width
+    return 1 if interpolated and cfg.runs < STACK_MIN_RUNS else width
 
 
-def _trials(cfg: ScenarioConfig, seeds, widest: int) -> list[MetricSeries]:
-    """The series of a block of seeded runs (`_run_block`, `widest` being
-    the runs of the campaign's widest block), a block of one through the
-    public `run_trial`, which a tracer of public calls sees."""
+def _trials(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
+    """The series of a block of seeded runs (`_run_block`), a block of one
+    through the public `run_trial`, which a tracer of public calls sees."""
     if len(seeds) == 1:
         return [run_trial(cfg, seeds[0])]
     cfg.validate()
-    return _run_block(cfg, seeds, widest)
+    return _run_block(cfg, seeds)
 
 
 def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
@@ -1220,8 +1204,8 @@ def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
 
     Every run goes through `_run_block`: the runs in index order, split
     into as few blocks of as even a size as `_block_width` allows, which
-    is one run for an interpolated campaign too narrow to stack; a block
-    of one run is its `run_trial`.  Each run's series is the same either
+    is one run for an interpolated campaign of fewer than STACK_MIN_RUNS
+    runs; a block of one run is its `run_trial`.  Each run's series is the same either
     way.  MSE and the SINR's power ratio average linearly across runs;
     BER averages directly and the RLS breakdowns add up.  The reduction
     is ordered by run index, so the result is independent of `workers`
@@ -1233,16 +1217,15 @@ def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
     count = -(-runs // _block_width(cfg))
     blocks = [seeds[runs * j // count:runs * (j + 1) // count] for j in range(count)]
-    widest = -(-runs // count)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, count, cpus or 1)
     if workers > 1:
         # imported here, so a start that needs no pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_trials, [cfg] * count, blocks, [widest] * count))
+            done = list(pool.map(_trials, [cfg] * count, blocks))
     else:
-        done = [_trials(cfg, block, widest) for block in blocks]
+        done = [_trials(cfg, block) for block in blocks]
     results = [res for block in done for res in block]
     mse = np.mean([res.mse for res in results], axis=0)
     sinr_lin = np.mean([10.0 ** (res.sinr_db / 10.0) for res in results], axis=0)

@@ -2,14 +2,16 @@
 
 Everything here is written from first principles against the math, not
 by calling into the package, so each check runs through two separate
-code paths.  The exception is `per_symbol_trial`: it drives the
-package's link and receivers through the trial loop as it ran before
-noise, fading gains and received vectors were taken a chunk at a time
-and metering moved after the loop; each symbol's vectors pass through
-the baselines' despreading as one-row chunks, the RAKE's and the
-partial-despreading baselines' combiners are updated symbol by symbol
-(`PerSymbolRake`, `PerSymbolPd`), and the interpolated receivers step
-through their per-run steps (`PerSymbolInterpolated`).
+code paths.  Two helpers are the exceptions.  `link_chunks` draws a
+link a noise chunk at a time, as `harness.iter_symbols` and a baseline
+block draw it.  `per_symbol_trial` drives the package's link and
+receivers through the trial loop as it ran before noise, fading gains
+and received vectors were taken a chunk at a time and metering moved
+after the loop; each symbol's vectors pass through the baselines'
+despreading as one-row chunks, the RAKE's and the partial-despreading
+baselines' combiners are updated symbol by symbol (`PerSymbolRake`,
+`PerSymbolPd`), and the interpolated receivers step through their
+per-run steps (`PerSymbolInterpolated`).
 """
 
 import functools
@@ -288,6 +290,14 @@ def _responses(link):
             cols.append(padded[start:start + link.m])
     # C-ordered, as the link's table: a transposed operand sums in another order
     return np.array(cols).real.T.copy()
+
+
+def link_chunks(link, run: int = 0):
+    """Yield run `run`'s (R, b, G) for each noise chunk of a block's links
+    (`harness._Links`), in symbol order, each drawn alone
+    (`harness._Links.draw`)."""
+    for i in range(0, link.cfg.symbols, harness.NOISE_CHUNK):
+        yield link.draw(i, min(harness.NOISE_CHUNK, link.cfg.symbols - i), runs=run)
 
 
 def link_step_per_symbol(link, i: int):

@@ -6,7 +6,7 @@ from ifir_cdma.interpolation import (_cmul, _segment_matrices, build_re_matrix, 
                                     impulse, make_decimation)
 from ifir_cdma.signal_model import gen_gold_set
 
-from oracles import PD_RLS_RTOL, accumulate_and_invert, fullrank_nlms, fullrank_rls
+from oracles import PD_RLS_RTOL, accumulate_and_invert, fullrank_nlms, fullrank_rls, link_chunks
 
 
 def crandn(rng, *shape):
@@ -16,7 +16,7 @@ def crandn(rng, *shape):
 def collect(cfg, seed, want_channel=False):
     rs, bs = [], []
     g = None
-    for r, b, _, g in harness.iter_symbols(cfg, seed):
+    for r, b, g in harness.iter_symbols(cfg, seed):
         rs.append(r)
         bs.append(b)
     rs, bs = np.array(rs), np.array(bs)
@@ -364,7 +364,7 @@ class TestFullRankEquivalence:
         link = harness._Links(cfg, [77])
         rx = harness._Projected(cfg, link)
         ys, bs, ws, es = [], [], [], []
-        for rs, chunk_bs, _, _ in link.chunks():
+        for rs, chunk_bs, _ in link_chunks(link):
             chunk_ys = rx.despread(rs)
             assert all(np.array_equal(y, rx.proj_h @ r) for r, y in zip(rs, chunk_ys))
             chunk_ws = rx.combiners(chunk_ys[None], chunk_bs[None], len(bs))[0]

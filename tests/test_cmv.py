@@ -93,7 +93,7 @@ class TestAgainstSimulatedLink:
             ebn0_db=15.0, symbols=1200, seed=5, path_delays=[0, 2, 4])
         rs, bs = [], []
         g_true = None
-        for r, b, _, g_true in harness.iter_symbols(cfg, 42):
+        for r, b, g_true in harness.iter_symbols(cfg, 42):
             rs.append(r)
             bs.append(b)
         rs = np.array(rs)

@@ -13,8 +13,8 @@ import pytest
 from ifir_cdma import adaptive, cmv, harness, interpolation, signal_model
 from ifir_cdma.interpolation import build_re_matrix, detect
 from oracles import (PD_RLS_RTOL, PerSymbolInterpolated, PerSymbolPd, build_block_matrix,
-                     build_channel_matrix, link_step_per_symbol, per_symbol_trial, power,
-                     rake_combiners)
+                     build_channel_matrix, link_chunks, link_step_per_symbol, per_symbol_trial,
+                     power, rake_combiners)
 
 # Recorded on a small seeded scenario (runs=2, symbols=400, seed=5, default
 # n_tr=200): summary() as (final_mse, final_sinr_db, final_ber), then
@@ -51,8 +51,8 @@ def scenario(alg, **kw):
 
 
 def link_symbols(link):
-    """(r, b, r_des, g) per symbol of a one-run link's chunks, as the trial takes them."""
-    for chunk in link.chunks():
+    """(r, b, g) per symbol of a one-run link's chunks, as the trial takes them."""
+    for chunk in link_chunks(link):
         yield from zip(*chunk)
 
 
@@ -182,7 +182,7 @@ def test_pd_combiners_match_per_symbol_updates(alg, change, mode, n_tr):
     rx = harness._Projected(cfg, link)
     st = PerSymbolPd(rx)
     ws, ys = [], []
-    for first, (rs, bs, _, _) in zip(range(0, cfg.symbols, harness.NOISE_CHUNK), link.chunks()):
+    for first, (rs, bs, _) in zip(range(0, cfg.symbols, harness.NOISE_CHUNK), link_chunks(link)):
         chunk_ys = rx.despread(rs)
         chunk_ys[100] = 0
         bs = np.where(np.arange(first, first + len(bs)) >= n_tr, -bs, bs)
@@ -504,9 +504,9 @@ STACKED_MODES = {
     + [pytest.param(alg, change, "stacked", id=f"stacked-{mode}-{alg}")
        for mode, (change, algs) in STACKED_MODES.items() for alg in algs])
 def test_interpolated_block_keeps_its_runs_apart(alg, change, runs):
-    # a block of two steps each run alone, and blocks of STACK_MIN_RUNS runs
-    # and as wide as a 50-run campaign's step their runs together; each run
-    # repeats its trial
+    # a block of two, the narrowest that steps its runs together, and
+    # blocks of STACK_MIN_RUNS runs and as wide as a 50-run campaign's,
+    # which do as well; each run repeats its trial
     cfg = scenario(alg, runs=50, symbols=300, seed=13, **change)
     width = harness._block_width(cfg)
     assert width > harness.STACK_MIN_RUNS
@@ -541,14 +541,14 @@ def test_stacked_block_steps_across_unaligned_boundaries(alg, change):
             assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
 
 
-@pytest.mark.parametrize("runs", (1, 5))
+@pytest.mark.parametrize("runs", (1, 2, 5))
 @pytest.mark.parametrize("alg", ("lms", "cmv-rls"))
 def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg, runs):
     # the traced benchmark reads 4 Re builds per symbol on its smoke
     # workloads, whose runs all step alone, and dates a one-run trial's loop
     # by its decisions: a block of one run builds Re 4 times per symbol and
-    # calls detect once per symbol.  A block of five, which steps its runs
-    # together as a block of any width from STACK_MIN_RUNS on does, builds
+    # calls detect once per symbol.  A block of two or five, which steps
+    # its runs together as a block of any width from two on does, builds
     # no Re one run at a time: per sub-chunk, drawn and recorded in one
     # call, it gathers every run's Re of r, then of its effective
     # signatures, 2 x 10 times for the sub-chunks of 300 symbols
@@ -567,7 +567,6 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     cfg = scenario(alg, runs=runs, symbols=300, seed=4)
-    assert (runs >= harness.STACK_MIN_RUNS) == (runs == 5)
     harness._run_block(cfg, campaign_seeds(cfg))
     if runs == 1:
         assert counts["build_re_matrix"] == 4 * cfg.symbols
@@ -587,12 +586,28 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
                                          id="tracked-cmv-rls")])
 def test_block_width_keeps_a_block_within_its_budget(alg, change):
     # a block of as many runs as _block_width gives a 50-run, 400-symbol
-    # campaign (the benchmark's many-short-runs) peaks within BLOCK_BYTES,
-    # traced after a block of one has filled the caches a process keeps;
+    # campaign (the benchmark's many-short-runs) peaks within BLOCK_BYTES;
     # the interpolated shapes stack their runs
     cfg = scenario(alg, runs=50, symbols=400, **change)
     width = harness._block_width(cfg)
     assert width >= harness.STACK_MIN_RUNS
+    assert_block_within_budget(cfg, width)
+
+
+@pytest.mark.parametrize("alg, change", (("lms", {}), ("cmv-rls", {"known_channel": False})),
+                         ids=("lms", "tracked-cmv-rls"))
+def test_long_campaign_stacks_narrow_blocks_within_the_budget(alg, change):
+    # a 50-run, 5000-symbol campaign takes blocks of three runs, held
+    # mostly by their metering, which step their runs together and peak
+    # within BLOCK_BYTES
+    cfg = scenario(alg, runs=50, symbols=5000, **change)
+    assert harness._block_width(cfg) == 3
+    assert_block_within_budget(cfg, 3)
+
+
+def assert_block_within_budget(cfg, width):
+    """A block of `width` runs of the campaign peaks within BLOCK_BYTES,
+    traced after a block of one has filled the caches a process keeps."""
     seeds = campaign_seeds(cfg)
     harness._run_block(cfg, seeds[:1])
     tracemalloc.start()
@@ -603,6 +618,22 @@ def test_block_width_keeps_a_block_within_its_budget(alg, change):
     finally:
         tracemalloc.stop()
     assert peak <= harness.BLOCK_BYTES, (width, peak)
+
+
+@pytest.mark.parametrize("alg", INTERPOLATED)
+def test_narrow_interpolated_campaign_runs_a_run_per_block(alg):
+    # the benchmark's self-test pins the per-run path (4 Re builds per
+    # symbol) on its smoke campaigns of 1 and 3 runs: an interpolated
+    # campaign of 2 or 3 runs takes one run per block, though its budget
+    # holds more, while one of STACK_MIN_RUNS runs takes as many as its
+    # budget allows, all four at 400 symbols and three at 5000 (two blocks
+    # of two)
+    for runs in (2, 3):
+        assert harness._block_width(scenario(alg, runs=runs, symbols=400)) == 1
+    cfg = scenario(alg, runs=harness.STACK_MIN_RUNS, symbols=400)
+    assert harness._block_width(cfg) >= harness.STACK_MIN_RUNS
+    cfg.symbols = 5000
+    assert harness._block_width(cfg) == 3
 
 
 @pytest.mark.parametrize("alg", ("lms", "cmv-sg"))
@@ -847,20 +878,21 @@ def test_blind_sg_without_interpolator_freedom_ignores_rounding():
                   "interferer_db": [-6.0, -3.0, 0.0, 2.0, 4.0, 6.0, 9.0]}, id="fixed")))
 def test_link_matches_synthesis(change):
     # the link's received vector against the spec matrices,
-    # H sum_k A_k S_k b_k on the symbol's gains, and its desired-only
-    # component against A_0 b times the signal model's signature, symbol by symbol
+    # H sum_k A_k S_k b_k on the symbol's gains, and the desired user's
+    # effective signature that the receivers read against the signal
+    # model's, symbol by symbol
     cfg = scenario("rls", runs=1, symbols=60, **change)
     link = harness._Links(cfg, [3])
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
     blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
-    for i, (r, b, r_des, g) in enumerate(link_symbols(link)):
+    for i, (r, _, g) in enumerate(link_symbols(link)):
         chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps[0], blocks,
                                                           link.bits[0, :, i:i + span]))
         expect = build_channel_matrix(g, cfg.n, link.l_s) @ chips
         assert np.abs(r - expect).max() <= 1e-12
         signature = signal_model.effective_signature(link.codes[0], g)
-        assert np.abs(r_des - link.amps[0, 0] * b * signature).max() <= 1e-12
+        assert np.abs(link.effective_signatures(g[None], 0)[0] - signature).max() <= 1e-12
 
 
 def test_link_matches_synthesis_across_a_fading_period_wrap():
@@ -872,7 +904,7 @@ def test_link_matches_synthesis_across_a_fading_period_wrap():
     link.sigma2 = 0.0
     span = 2 * link.l_s - 1
     blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
-    for i, (r, _, _, g) in enumerate(link_symbols(link)):
+    for i, (r, _, g) in enumerate(link_symbols(link)):
         if i < 65_500:
             continue
         chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps[0], blocks,
@@ -887,8 +919,8 @@ def test_block_drawn_a_sub_chunk_at_a_time_matches_its_links_chunks(f_dt):
     # block draws them, every other sub-chunk into a strided buffer as a
     # stacked interpolated block does; 300 symbols end on a short one.
     # Each run's rows, symbols and gains equal, byte for byte, its chunks
-    # drawn alone (`runs=`) from a twin block, as a block too narrow to
-    # stack draws them
+    # drawn alone (`runs=`) from a twin block, as a baseline block draws
+    # them
     cfg = scenario("lms", runs=3, symbols=300, seed=21, f_dt=f_dt)
     assert cfg.symbols % harness.SUB_CHUNK
     seeds = campaign_seeds(cfg)
@@ -901,25 +933,27 @@ def test_block_drawn_a_sub_chunk_at_a_time_matches_its_links_chunks(f_dt):
             out = np.empty((n, cfg.runs, cfg.m + 1), dtype=complex)[..., :cfg.m].swapaxes(0, 1)
         drawn.append([np.array(part) for part in block.draw(i, n, out=out)])
     for k in range(cfg.runs):
-        chunks = list(twin.chunks(runs=k))
-        # the chunks' R, b and G, past their R_des
-        for part, chunk_part in enumerate((0, 1, 3)):
+        chunks = list(link_chunks(twin, k))
+        # the R, b and G of the sub-chunks and of the chunks
+        for part in range(3):
             got = np.concatenate([sub[part][k] for sub in drawn])
-            expect = np.concatenate([chunk[chunk_part] for chunk in chunks])
+            expect = np.concatenate([chunk[part] for chunk in chunks])
             assert got.tobytes() == expect.tobytes(), (k, part)
 
 
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
-def test_effective_signatures_times_a0_b_are_the_chunks_desired_rows(f_dt):
+def test_effective_signatures_times_a0_b_are_the_desired_rows(f_dt):
     # A_0 b times the effective signatures of a block's draw against the
-    # rows of r_des each run's chunks hand out, from a twin block, byte for
-    # byte: for a run's index, and for a slice of the runs into a
-    # symbol-major buffer, as a stacked faded block forms them
+    # rows of r_des that `link_step_per_symbol` forms on a one-run twin of
+    # each run, byte for byte: for a run's index, and for a slice of the
+    # runs into a symbol-major buffer, as a stacked faded block forms them
     cfg = scenario("lms", runs=3, symbols=40, seed=5, f_dt=f_dt)
     seeds = campaign_seeds(cfg)
-    links, twin = harness._Links(cfg, seeds), harness._Links(cfg, seeds)
+    links = harness._Links(cfg, seeds)
     _, bs, gs = links.draw(0, cfg.symbols)
-    expect = np.array([next(twin.chunks(runs=k))[2] for k in range(cfg.runs)])
+    twins = [harness._Links(cfg, [seed]) for seed in seeds]
+    expect = np.array([[link_step_per_symbol(twin, i)[2] for i in range(cfg.symbols)]
+                       for twin in twins])
     scale = links.amps[:, :1] * bs
     one = scale[1, :, None] * links.effective_signatures(gs[1], 1)
     assert one.tobytes() == expect[1].tobytes()
@@ -932,13 +966,15 @@ def test_effective_signatures_times_a0_b_are_the_chunks_desired_rows(f_dt):
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
 def test_outputs_on_the_signatures_times_b_equal_the_outputs_on_r_des(f_dt):
     # the records hold each receiver's output h on the effective
-    # signature, and the metering takes b h for its output on r_des: equal
-    # as numbers (signed zeros aside), for random combiners on despread
-    # rows, per run and batched, and for random filters on Re
+    # signature, and the metering takes b h for its output on
+    # r_des = A_0 b times the signature: equal as numbers (signed zeros
+    # aside), for random combiners on despread rows, per run and batched,
+    # and for random filters on Re
     cfg = scenario("lms", runs=1, symbols=60, seed=8, f_dt=f_dt)
     link = harness._Links(cfg, [8])
-    (_, bs, rs_des, gs), = link.chunks()
-    sigs = np.broadcast_to(link.effective_signatures(gs, 0), rs_des.shape)
+    (rs, bs, gs), = link_chunks(link)
+    sigs = np.broadcast_to(link.effective_signatures(gs, 0), rs.shape)
+    rs_des = (link.amps[0, 0] * bs)[:, None] * sigs
     rng = np.random.default_rng(9)
     ws = rng.standard_normal((60, cfg.m)) + 1j * rng.standard_normal((60, cfg.m))
     assert np.array_equal(bs * harness._vdots(ws, sigs), harness._vdots(ws, rs_des))
@@ -955,9 +991,9 @@ def test_iter_symbols_matches_per_symbol_link(f_dt):
     # boundary, against a twin link stepped symbol by symbol
     cfg = scenario("lms", runs=1, symbols=harness.NOISE_CHUNK + 40, f_dt=f_dt)
     twin = harness._Links(cfg, [13])
-    for i, (r, b, r_des, g) in enumerate(harness.iter_symbols(cfg, 13)):
+    for i, (r, b, g) in enumerate(harness.iter_symbols(cfg, 13)):
         expect = link_step_per_symbol(twin, i)
-        for got, ref in zip((r, b, r_des), expect):
+        for got, ref in zip((r, b), expect):
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), i
         assert g.tobytes() == twin.channels[0].gains.tobytes(), i
     assert i == cfg.symbols - 1
@@ -1022,7 +1058,7 @@ def test_known_channel_constraint_follows_fading(alg):
     rx = PerSymbolInterpolated(cfg, link)
     st = rx.state
     c = cmv.shifted_signatures(link.codes[0], cfg.l_p)
-    for r, b, _, g in link_symbols(link):
+    for r, b, g in link_symbols(link):
         rx.adapt(r, b, g)
         re_p = build_re_matrix(c @ g, cfg.n_i, st.dec)
         v, w = st.v, st.w
@@ -1087,7 +1123,7 @@ def test_rake_combiner_matches_per_symbol_solve(change):
     link = harness._Links(cfg, [29])
     rx = harness._Projected(cfg, link)
     rs, bs, ws = [], [], []
-    for chunk_rs, chunk_bs, _, _ in link.chunks():
+    for chunk_rs, chunk_bs, _ in link_chunks(link):
         ws.extend(rx.combiners(rx.despread(chunk_rs)[None], chunk_bs[None], len(rs))[0, 1:])
         rs.extend(chunk_rs)
         bs.extend(chunk_bs)
@@ -1108,7 +1144,7 @@ def test_pd_lms_step_follows_normalized_steps(normalized):
     size = rx.w.shape[1]
     w0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     rx.w = w0[None].copy()
-    r, b, _, _ = next(link_symbols(link))
+    r, b, _ = next(link_symbols(link))
     y = rx.proj_h @ r
     xi = b - np.vdot(w0, y)
     ws = rx.combiners(y[None, None], np.array([[b]]), 0)[0]

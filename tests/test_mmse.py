@@ -79,7 +79,7 @@ def filter_statistics(rs, bs, v, w, dec):
 
 def collect_batch(cfg, seed):
     rs, bs = [], []
-    for r, b, _, _ in harness.iter_symbols(cfg, seed):
+    for r, b, _ in harness.iter_symbols(cfg, seed):
         rs.append(r)
         bs.append(b)
     return np.array(rs), np.array(bs)

@@ -4,7 +4,7 @@ import pytest
 from ifir_cdma import harness, signal_model as sm
 
 from oracles import (build_block_matrix, build_channel_matrix, fading_fft_block, lfsr_bits,
-                     periodic_crosscorr)
+                     link_chunks, periodic_crosscorr)
 
 
 def trapezoid(y, x):
@@ -133,14 +133,14 @@ class TestSynthesize:
     def test_clean_single_user_is_code(self):
         link = single_path_link(0, symbols=20)
         link.sigma2 = 0.0
-        (rs, bs, _, _), = link.chunks()
+        (rs, bs, _), = link_chunks(link)
         for r, b in zip(rs, bs):
             assert np.allclose(r, b * link.codes[0])
 
     def test_matched_filter_flat_channel(self):
         link = single_path_link(4, symbols=20)
         link.sigma2 = 0.0
-        (rs, bs, _, _), = link.chunks()
+        (rs, bs, _), = link_chunks(link)
         for r, b in zip(rs, bs):
             assert abs(np.vdot(link.codes[0], r) - b) < 1e-12
 
@@ -152,8 +152,8 @@ class TestSynthesize:
         clean = single_path_link(5, symbols=draws, ebn0_db=3.0)
         clean.sigma2 = 0.0
         sigma2 = noisy.sigma2
-        noise = np.concatenate([r - c for (r, _, _, _), (c, _, _, _)
-                                in zip(noisy.chunks(), clean.chunks())])
+        noise = np.concatenate([r - c for (r, _, _), (c, _, _)
+                                in zip(link_chunks(noisy), link_chunks(clean))])
         cov = noise.T @ noise.conj() / draws
         off = cov - np.diag(np.diag(cov))
         assert np.allclose(np.diag(cov).real, sigma2, rtol=0.05)
@@ -174,7 +174,7 @@ class TestFading:
         link = harness._Links(cfg, [6])
         channel = link.channels[0]
         before = channel.gains.copy()
-        gains = np.concatenate([gs for _, _, _, gs in link.chunks()])
+        gains = np.concatenate([gs for _, _, gs in link_chunks(link)])
         assert gains.shape == (cfg.symbols, cfg.l_p)
         assert np.array_equal(gains, np.broadcast_to(before, gains.shape))
         assert channel.fading is None
@@ -285,5 +285,7 @@ def test_isi_span_rule():
 def test_dimension_contract():
     for l_p in (1, 3, 6):
         link = single_path_link(10, symbols=3, l_p=l_p)
-        (rs, _, rs_des, _), = link.chunks()
-        assert rs.shape == rs_des.shape == (3, 31 + l_p - 1)
+        (rs, _, gs), = link_chunks(link)
+        assert rs.shape == (3, 31 + l_p - 1)
+        # a static run's one effective signature of the desired user
+        assert link.effective_signatures(gs, 0).shape == (1, 31 + l_p - 1)

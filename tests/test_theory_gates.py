@@ -39,7 +39,7 @@ def link():
     cfg = harness.ScenarioConfig(**SCENARIO, symbols=40_000)
     dec = make_decimation(cfg.m, cfg.l)
     d_v, _ = filter_maps(impulse(cfg.n_i), np.zeros(dec.m_red), dec)
-    rs, bs = zip(*((r, b) for r, b, _, _ in harness.iter_symbols(cfg, 999)))
+    rs, bs = zip(*((r, b) for r, b, _ in harness.iter_symbols(cfg, 999)))
     rbar = np.array(rs) @ d_v.T
     r_bar = rbar.T @ rbar.conj() / len(bs)
     p_bar = rbar.T @ np.array(bs) / len(bs)
