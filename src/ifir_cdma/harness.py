@@ -6,50 +6,30 @@ noise), the receiver (structure, algorithm, mode) and the experiment
 MSE, windowed SINR and cumulative BER; `run_campaign` averages
 independent runs with spawned sub-seeds.
 
-A block's links (`_Links`, the one synthesis path) hand out arrays of
-received vectors and of the channel gains: each run in turn a noise
-chunk at a time, or, in a stacked interpolated block (two runs or more),
-every run together a sub-chunk of SUB_CHUNK symbols at a time, so that
-it never holds a chunk of rows per run.  A static link forms its
-noiseless vectors as one batched product of a per-user response table
-with the symbols' windows, a faded one by convolving each symbol's gains
-with the chips.  Per symbol a trial takes the decision output
-(a-priori: the receiver before the symbol), adapts with the reference
-symbol (training symbol, or the decision in decision-directed mode past
-`n_tr`; blind receivers ignore it), and records the updated receiver's
-outputs for r and for the desired user's effective signature
-(a-posteriori), whose product with the symbol is its output for r's
-desired-only component.  One driver, `_run_block`, does this for a block
-of seeded runs, and `run_trial` is a block of one.  It builds a receiver
-of one of two kinds, which answer the same calls: `despread` maps
-received vectors to the rows the receiver takes, and `record` writes a
-chunk's or sub-chunk's outputs into the block's records.  The
-interpolated receivers (`_Interpolated`) take r itself and run one
-symbol loop, one step call per symbol returning the a-priori outputs,
-in one of two shapes.  A lone run steps on its own state (the per-run
-steps) over a chunk and takes its a-posteriori outputs per symbol.  A
-block of two runs or more steps its runs together on stacked state
-(`adaptive.stack` and the `adaptive.*_steps` kernels), stacked once per
-block, and is recorded a sub-chunk per call, its a-posteriori outputs
-taken once per sub-chunk from the filters kept after each symbol.  A
-stacked block holds only what its loop reads: one sub-chunk's rows of r,
-drawn into its gather buffer, and their Re, in buffers it reuses.  Each
-receiver forms its runs' effective signatures where it reads them
-(`_Links.effective_signatures`).  The RAKE and partial-despreading
-baselines (`_Projected`) despread a chunk and take its outputs as array
-products of their combiners.  `record` runs with numpy's overflow
-warnings off, so a diverged run reaches the trial's LinAlgError.  MSE
-and BER (a-priori) and SINR (a-posteriori) are metered from the records
-in arrays, each power equal to Python's abs(z) ** 2 bit for bit.
+The pieces:
 
-A campaign runs its runs in blocks, as many as BLOCK_BYTES of memory
-allows by a count of what each kind of run holds (`_block_width`).  A
-pd-lms block runs one decision-feedback loop per chunk, on a lone run's
-combiner or on every run's, stacked; a pd-rls block solves for every
-run's combiners a sub-chunk at a time, looping only over the decided
-symbols of decision-directed mode; an interpolated campaign of fewer
-than STACK_MIN_RUNS runs takes one run per block.  Each run's series
-equals its `run_trial` byte for byte.
+- `_Links`, the one synthesis path, holds the links of a block of seeded
+  runs and draws any of its runs' received vectors r, desired symbols
+  and channel gains over a stretch of symbols.
+- A receiver draws what it reads from the links, steps over it and
+  records it (`record`): the RAKE and partial-despreading baselines
+  (`_Projected`) a chunk at a time, the interpolated receivers
+  (`_Interpolated`) a lone run's chunk or a stacked block's sub-chunk.
+  Per symbol it records the decision output (a-priori: the receiver
+  before the symbol), adapts with the reference symbol (training symbol,
+  or the decision in decision-directed mode past `n_tr`; blind receivers
+  ignore it), and records the updated receiver's outputs for r and for
+  the desired user's effective signature (a-posteriori), whose product
+  with the symbol is its output for r's desired-only component.
+- `_run_block` drives a block of runs through one loop of `record`
+  calls and meters the records (`_metered`): MSE and BER (a-priori) and
+  SINR (a-posteriori), in arrays, each power equal to Python's
+  abs(z) ** 2 bit for bit.  `run_trial` is a block of one.
+- `run_campaign` runs its runs in blocks, as many as BLOCK_BYTES of
+  memory allows by a count of what each kind of run holds
+  (`_block_width`); an interpolated campaign of fewer than
+  STACK_MIN_RUNS runs takes one run per block.  Each run's series equals
+  its `run_trial` byte for byte.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per run drives channel, symbols and noise in a fixed order, and the
@@ -623,11 +603,14 @@ class _Projected:
     and G; each holds its own state along the first axis of `w` (runs x
     d), pd-rls's `cov` (runs x d x d) and `cross` (runs x d), RAKE's
     running sum `acc` (runs x l_p) and `breakdowns`.  `despread` projects
-    received vectors at once (to rows of length `dim`), and `record` takes
-    a chunk's outputs from the combiners that `combiners` forms along it.
+    received vectors at once, and `record` takes a chunk's outputs from
+    the combiners that `combiners` forms along it.  Its runs draw their
+    chunks in turn (`_take`), each despread into the block's one chunk
+    buffer of rows (`chunk`) and freed before the next run draws, so that
+    the block holds one run's drawn chunk at a time.
     """
 
-    stacked = None   # no stacked interpolated state: its runs draw in turn (`_recorded`)
+    span = NOISE_CHUNK   # symbols per `record` call
 
     def __init__(self, cfg: ScenarioConfig, links: _Links):
         self.cfg, self.links = cfg, links
@@ -646,27 +629,42 @@ class _Projected:
             # run's d x d statistics for one hold at most NOISE_CHUNK d entries,
             # as many as its chunk of rows, and where alpha is small, so that
             # the weights alpha^-t stay at most 1e100
-            span = min(SUB_CHUNK, max(1, NOISE_CHUNK // d))
+            sub = min(SUB_CHUNK, max(1, NOISE_CHUNK // d))
             if cfg.alpha < 1:
-                span = min(span, 1 + int(100 / -math.log10(cfg.alpha)))
-            self.weights = cfg.alpha ** -np.arange(span, dtype=float)   # alpha^-t
+                sub = min(sub, 1 + int(100 / -math.log10(cfg.alpha)))
+            self.weights = cfg.alpha ** -np.arange(sub, dtype=float)   # alpha^-t
         self.proj_h = proj.conj().T
-        self.dim = proj.shape[1]
-        self.w = np.zeros((runs, self.dim), dtype=complex)
+        self.w = np.zeros((runs, proj.shape[1]), dtype=complex)
+        self.chunk = np.empty((runs, min(NOISE_CHUNK, cfg.symbols), proj.shape[1]), dtype=complex)
         self.breakdowns = np.zeros(runs, dtype=int)
 
     def despread(self, rs: np.ndarray) -> np.ndarray:
         """proj^H r for every row r of rs; each row equals proj_h @ r bit for bit."""
         return _matvecs(self.proj_h, rs)
 
-    def record(self, rec: np.ndarray, ys: np.ndarray, bs: np.ndarray, gs, first: int) -> None:
-        """Every run's x, out and h of a chunk into rec from the despread rows
-        `ys` of r and the gains `gs`: x by the combiner before each symbol, the rest after."""
-        ws = self.combiners(ys, bs, first)
-        rec[0] = _vdots(ws[:, :-1], ys)
-        rec[1] = _vdots(ws[:, 1:], ys)
-        for k, gains in enumerate(gs):
-            rec[2, k] = _vdots(ws[k, 1:], self.despread(self.links.effective_signatures(gains, k)))
+    def _take(self, into: np.ndarray, first: int, run: int) -> np.ndarray:
+        """Run `run`'s chunk from symbol `first` on, len(into) symbols, drawn
+        and despread into `into`; returns its gains.  The drawn rows are
+        freed on return, before the next run draws."""
+        rs, _, gains = self.links.draw(first, len(into), runs=run)
+        into[...] = self.despread(rs)
+        return gains
+
+    def record(self, rec: np.ndarray, first: int) -> None:
+        """Every run's x, out and h of the chunk from symbol `first` on into
+        rec (3 x runs x chunk): x by the combiner before each symbol, the
+        rest after, h on the despread effective signatures.  The runs draw
+        first, then the arithmetic runs with numpy's warnings off
+        (`_run_block`)."""
+        ys = self.chunk[:, :rec.shape[-1]]
+        gs = [self._take(y, first, k) for k, y in enumerate(ys)]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ws = self.combiners(ys, self.links.desired[:, first:first + ys.shape[1]], first)
+            rec[0] = _vdots(ws[:, :-1], ys)
+            rec[1] = _vdots(ws[:, 1:], ys)
+            for k, gains in enumerate(gs):
+                sigs = self.links.effective_signatures(gains, k)
+                rec[2, k] = _vdots(ws[k, 1:], self.despread(sigs))
 
     def combiners(self, ys: np.ndarray, bs: np.ndarray, first: int) -> np.ndarray:
         """Every run's combiner before a chunk and after each of its symbols.
@@ -862,64 +860,59 @@ STACK_MIN_RUNS = 4
 
 
 class _Interpolated:
-    """The interpolated receivers of a block of runs, with the calls of
-    `_Projected`: `despread` passes r through, and `record` steps the runs
-    in one symbol loop.  A lone run steps on its own state with the per-run
-    forms (`_each_step` around `*_step`, `_align_phase`, ...) and records a
-    chunk per call.  A block of two runs or more steps a stack of its runs'
-    states (`stacked`, else None), made once, with the forms that take a
-    row per run (`*_steps`, `_align_phases`, ...) on the Re of every run's
-    r; it records a sub-chunk of SUB_CHUNK symbols per call, its rows of r
-    drawn into its gather buffer (`rows`), and writes the stack back after
-    its last symbol.  Each run's state is the one `_state` made, and holds
-    its filters and breakdowns between chunks.  A call takes the rows of r
-    and the gains: the receiver forms its runs' effective signatures where
-    it reads them (`_Links.effective_signatures`)."""
+    """The interpolated receivers of a block of runs, with `_Projected`'s
+    `record`, which draws its runs' rows of r and steps the runs over them
+    in one symbol loop.  A lone run steps on its own state with the
+    per-run forms (`_each_step` around `*_step`, `_align_phase`, ...), a
+    chunk per call: it draws its chunk of rows of r (`_Links.draw`) and
+    steps on the drawn array as it is.  A block of two runs or more steps
+    a stack of its runs' states (`stacked`, else None), made once, with
+    the forms that take a row per run (`*_steps`, `_align_phases`, ...) on
+    the Re of every run's r, a sub-chunk of SUB_CHUNK symbols per call:
+    it draws every run's rows of the sub-chunk together, straight into
+    its gather buffer (`pad`), so that it never holds a chunk of rows per
+    run, and writes the stack back after its last symbol.  Each run's
+    state is the one `_state` made, and holds its filters and breakdowns
+    between calls.  The receiver forms its runs' effective signatures
+    from the drawn gains where it reads them (`_Links.effective_signatures`)."""
 
     def __init__(self, cfg: ScenarioConfig, links: _Links):
         self.cfg, self.links = cfg, links
-        self.dim = cfg.m
         runs = len(links.rngs)
         self.states, self.trackers = zip(*(_state(cfg, links.codes[0], channel.gains)
                                            for channel in links.channels))
         self.stacked = None
+        self.span = SUB_CHUNK if runs > 1 else NOISE_CHUNK   # symbols per `record` call
         if runs > 1:
             s = self.stacked = adaptive.stack(self.states)
             self.tracker = self.trackers[0] and adaptive.stack(self.trackers)
-            span = min(SUB_CHUNK, cfg.symbols)
+            sub = min(SUB_CHUNK, cfg.symbols)
             # every run's filters after each symbol of a sub-chunk
-            self.vs = np.empty((span, *s.v.shape), dtype=complex)
-            self.ws = np.empty((span, *s.w.shape), dtype=complex)
+            self.vs = np.empty((sub, *s.v.shape), dtype=complex)
+            self.ws = np.empty((sub, *s.w.shape), dtype=complex)
             # a sub-chunk's rows, zero-padded to the gather's width, and their
             # Re: symbol-major, so that each symbol's Re is C-contiguous
             idx, buf = s.dec.segment_index(s.n_i)
-            self.pad = np.zeros((span, runs, buf.size), dtype=complex)
-            self.res = np.empty((span, runs, *idx.shape), dtype=complex)
-
-    despread = staticmethod(np.asarray)   # the rows are r itself
-
-    def rows(self, n: int) -> np.ndarray:
-        """A stacked block's buffer for the rows of a sub-chunk of n symbols,
-        runs x n x M: its gather buffer."""
-        return self.pad[:n, :, :self.dim].swapaxes(0, 1)
+            self.pad = np.zeros((sub, runs, buf.size), dtype=complex)
+            self.res = np.empty((sub, runs, *idx.shape), dtype=complex)
 
     @property
     def breakdowns(self) -> list:
         return [getattr(st, "breakdowns", 0) for st in self.states]
 
-    def record(self, rec: np.ndarray, ys, bs: np.ndarray, gs, first: int) -> None:
-        """As `_Projected.record` on r and the effective signatures
-        themselves, `ys` holding each run's rows of r, a stacked block's in
-        its `rows`.  The forms are bound once per call, and the symbol loop
+    def record(self, rec: np.ndarray, first: int) -> None:
+        """As `_Projected.record`, on r and the effective signatures
+        themselves.  The forms are bound once per call, and the symbol loop
         is one.  Per symbol, one step call adapts the runs and returns their
-        a-priori outputs x.  A lone run steps on its rows of r and takes its
-        a-posteriori outputs after each symbol.  A stacked block gathers the
-        Re of every run's r, steps on it, keeps its filters after each
-        symbol and takes the sub-chunk's a-posteriori outputs for r in one
-        call, then forms its signatures in its `rows`, a static run's one
-        row, gathers their Re and takes theirs in another."""
-        cfg = self.cfg
-        size = bs.shape[1]
+        a-priori outputs x.  A lone run steps on its drawn rows of r and
+        takes its a-posteriori outputs after each symbol.  A stacked block
+        gathers the Re of every run's r, steps on it, keeps its filters
+        after each symbol and takes the sub-chunk's a-posteriori outputs
+        for r in one call, then forms its signatures in its gather buffer,
+        a static run's one row, gathers their Re and takes theirs in
+        another."""
+        cfg, links = self.cfg, self.links
+        size = rec.shape[-1]
         # the offset from which decisions are the reference
         directed = cfg.n_tr - first if cfg.mode == "decision-directed" else size
         blind, faded = cfg.mode == "blind", cfg.f_dt > 0
@@ -933,47 +926,54 @@ class _Interpolated:
             runs = 0   # the lone run's index
             s, tracker = self.states[0], self.trackers[0]
             step = functools.partial(_each_step, step)
-            align, gains = _align_phase, gs[0]
-            # per symbol, the input of the step, a row of r, and the signature
-            ins = ys[0]
-            sigs = np.broadcast_to(self.links.effective_signatures(gains, 0), ins.shape)
+            align = _align_phase
+            # per symbol, a row of the drawn chunk of r (the input of the
+            # step), its symbol, gains and signature
+            rows, bs, gains = links.draw(first, size, runs=0)
+            ins = rows
+            sigs = np.broadcast_to(links.effective_signatures(gains, 0), ins.shape)
         else:
             runs = slice(None)
             s, tracker = self.stacked, self.tracker
             align = _align_phases
-            # every run's gains per symbol
+            # per symbol, every run's row of r, drawn into the gather buffer,
+            # symbol, and, blind, gains
+            rows = self.pad[:size, :, :cfg.m]
+            _, bs, gs = links.draw(first, size, out=rows.swapaxes(0, 1))
+            bs = bs.T
             gains = np.ascontiguousarray(gs.swapaxes(0, 1)) if blind else None
             # per symbol, the Re of every run's r, gathered at once
             ins = _segment_matrices(self.pad[:size], s.n_i, s.dec, out=self.res[:size])
         track = tracker and getattr(tracker, "update" + plural)
         xs, outs = [], []
-        for j, (y, b) in enumerate(zip(ins, bs[runs].T)):
-            if blind:
-                # a tracked step rebinds g_hat; x is aligned with the one before it
-                g_hat = s.g_hat
-                # a tracker reads the rows of r themselves
-                g = track(ys[runs, j]) if track else gains[j] if faded else None
-                x = step(s, y, adapt_v=adapt_v, g=g)
-            else:
-                x = step(s, y, b, adapt_v=adapt_v, directed=j >= directed)
-            xs.append(align(x, g_hat, gains[j]) if track else x)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for j, (y, b) in enumerate(zip(ins, bs)):
+                if blind:
+                    # a tracked step rebinds g_hat; x is aligned with the one before it
+                    g_hat = s.g_hat
+                    # a tracker reads the rows of r themselves
+                    g = track(rows[j]) if track else gains[j] if faded else None
+                    x = step(s, y, adapt_v=adapt_v, g=g)
+                else:
+                    x = step(s, y, b, adapt_v=adapt_v, directed=j >= directed)
+                xs.append(align(x, g_hat, gains[j]) if track else x)
+                if one:
+                    outs.append((receiver_output(s, y), receiver_output(s, sigs[j])))
+                else:   # the steps rebind v and w, so these are the symbol's
+                    self.vs[j], self.ws[j] = s.v, s.w
+            # symbols last, as in rec
+            rec[0, runs] = np.moveaxis(np.array(xs), 0, -1)
             if one:
-                outs.append((receiver_output(s, y), receiver_output(s, sigs[j])))
-            else:   # the steps rebind v and w, so these are the symbol's
-                self.vs[j], self.ws[j] = s.v, s.w
-        # symbols last, as in rec
-        rec[0, runs] = np.moveaxis(np.array(xs), 0, -1)
-        if one:
-            rec[1:, 0] = np.array(outs).T
-            return
-        # the filters conjugated in place, as the output calls take them
-        vc = np.conjugate(self.vs[:size], out=self.vs[:size])
-        wc = np.conjugate(self.ws[:size], out=self.ws[:size])
-        rec[1] = receiver_outputs(vc, wc, ins).T
-        n = size if faded else 1   # a static run's one signature serves every symbol
-        self.links.effective_signatures(gs, runs, out=self.rows(n))
-        ins = _segment_matrices(self.pad[:n], s.n_i, s.dec, out=self.res[:n])
-        rec[2] = receiver_outputs(vc, wc, ins).T
+                rec[1:, 0] = np.array(outs).T
+                return
+            # the filters conjugated in place, as the output calls take them
+            vc = np.conjugate(self.vs[:size], out=self.vs[:size])
+            wc = np.conjugate(self.ws[:size], out=self.ws[:size])
+            rec[1] = receiver_outputs(vc, wc, ins).T
+            n = size if faded else 1   # a static run's one signature serves every symbol
+            links.effective_signatures(gs, runs, out=rows[:n].swapaxes(0, 1))
+            ins = _segment_matrices(self.pad[:n], s.n_i, s.dec, out=self.res[:n])
+            rec[2] = receiver_outputs(vc, wc, ins).T
         if first + size == cfg.symbols:
             adaptive.unstack(s, self.states)
             if tracker:
@@ -1001,18 +1001,13 @@ def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
     """`run_trial` for each seed, the runs taken together.
 
     The block's links (`_Links`) hold each run's Generator, so each run
-    draws as in a block of one.  A baseline block of any width, and a lone
-    interpolated run, takes a chunk at a time: each run in turn draws its
-    chunk (`_Links.draw`) and despreads it into one buffer of the block's
-    despread rows of r.  An interpolated block of two runs or more, which
-    steps its runs together, draws them together a sub-chunk at a time, so
-    that it never holds a chunk of rows of r per run: it takes the rows of
-    r in its gather buffer and records each sub-chunk.  Each receiver
-    forms its runs' effective signatures from the drawn gains where it
-    reads them.  One `record` call of the block's receiver (`_Projected`
-    or `_Interpolated`) writes every run's records of a chunk or sub-chunk
-    with numpy's overflow, invalid-value and division warnings off:
-    `_metered` catches a diverged run."""
+    draws as in a block of one.  One loop (`_recorded`) hands the block's
+    receiver (`_Projected` or `_Interpolated`) every run's records of a
+    stretch of its `span` symbols at a time; its `record` draws the
+    stretch, steps over it and writes the records.  The draw runs with
+    numpy's warnings on, the receiver's arithmetic with its overflow,
+    invalid-value and division warnings off: `_metered` catches a
+    diverged run."""
     desired, rec, breakdowns = _recorded(cfg, seeds)
     return _metered(cfg, seeds, desired, rec, breakdowns)
 
@@ -1023,31 +1018,11 @@ def _recorded(cfg: ScenarioConfig, seeds) -> tuple:
     links, receiver and rows it makes, all but the links' `desired`, are
     freed on return, before the metering."""
     links = _Links(cfg, seeds)
-    runs = len(seeds)
     rx = (_Projected if cfg.algorithm in BASELINES else _Interpolated)(cfg, links)
     # records: x, out and h per run and symbol
-    rec = np.empty((3, runs, cfg.symbols), dtype=complex)
-    stacked = rx.stacked is not None
-    if not stacked:   # the despread rows of a chunk's r
-        chunk_ys = np.empty((runs, min(NOISE_CHUNK, cfg.symbols), rx.dim), dtype=complex)
-
-    def take(into, i, n, k):   # a call, so that the drawn rows are freed on return
-        rs, _, gains = links.draw(i, n, runs=k)
-        into[...] = rx.despread(rs)
-        return gains
-
-    span = SUB_CHUNK if stacked else NOISE_CHUNK
-    for i in range(0, cfg.symbols, span):
-        bs = links.desired[:, i:i + span]
-        n = bs.shape[1]
-        if stacked:   # the rows of r go into the receiver's gather buffer
-            ys = rx.rows(n)
-            gs = links.draw(i, n, out=ys)[2]
-        else:   # the runs draw in turn, so that the block holds one run's chunk
-            ys = chunk_ys[:, :n]
-            gs = [take(ys[k], i, n, k) for k in range(runs)]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rx.record(rec[:, :, i:i + span], ys, bs, gs, i)
+    rec = np.empty((3, len(seeds), cfg.symbols), dtype=complex)
+    for i in range(0, cfg.symbols, rx.span):
+        rx.record(rec[:, :, i:i + rx.span], i)
     return links.desired, rec, rx.breakdowns
 
 

@@ -155,20 +155,15 @@ def receiver_outputs(vc: np.ndarray, wc: np.ndarray, res: np.ndarray) -> np.ndar
 
 def _segment_matrices(rs: np.ndarray, n_i: int, dec: DecimationOperator,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """`build_re_matrix` of every row of rs (rows of r along the last axis,
-    any leading axes), stacked, bit for bit: one gather of the zero-padded
-    rows, as a stacked block makes once per sub-chunk of its r and of its
-    effective signatures.
-    Rows already as wide as the gather buffer (`dec.segment_index`), zero
-    past M, are gathered as they are, and into `out` if given, so that a
-    caller that reuses both arrays allocates nothing.  The result is
-    C-contiguous, as each `build_re_matrix` is, so that every trailing
-    (..., N_I, M_red) slice is too; so must `out` be."""
-    idx, buf = dec.segment_index(n_i)
-    if rs.shape[-1] < buf.size:
-        pad = np.zeros((*rs.shape[:-1], buf.size), dtype=complex)
-        pad[..., :dec.m] = rs
-        rs = pad
+    """`build_re_matrix` of every row of rs, stacked, bit for bit: one
+    gather, as a stacked block makes once per sub-chunk of its r and of its
+    effective signatures.  The rows lie along the last axis, any leading
+    axes, each as wide as the gather buffer (`dec.segment_index`) and zero
+    past M.  The gather goes into `out` if
+    given, so that a caller that reuses both arrays allocates nothing.
+    The result is C-contiguous, as each `build_re_matrix` is, so that
+    every trailing (..., N_I, M_red) slice is too; so must `out` be."""
+    idx = dec.segment_index(n_i)[0]
     # not rs[..., idx]: it lays the row axes innermost, and products on it
     # round otherwise.  The indices are in range, so "clip" takes the same
     # entries, and unlike "raise" it writes into out without a buffer

@@ -80,8 +80,11 @@ def test_fresh_stacked_steps_skip_rows_without_dividing(alg):
     alone = [make() for _ in range(3)]
     trackers = [adaptive.SgChannelTracker(cons.c, alpha=0.998) for _ in range(3)]
     s, tracker = adaptive.stack([make() for _ in range(3)]), adaptive.stack(trackers)
-    for r, b in zip(rs, bs):
-        res = _segment_matrices(r, 3, dec)
+    # each symbol's rows zero-padded to the width of the Re gather, as a block pads them
+    padded = np.zeros((4, 3, dec.segment_index(3)[1].size), dtype=complex)
+    padded[..., :36] = rs
+    for r, b, pad in zip(rs, bs, padded):
+        res = _segment_matrices(pad, 3, dec)
         if alg == "lms":
             adaptive.lms_steps(s, res, b)
             for st, row, ref in zip(alone, r, b):

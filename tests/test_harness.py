@@ -473,7 +473,7 @@ def test_one_run_of_a_block_breaks_down(monkeypatch):
     trials[1] = harness.run_trial(cfg, seeds[1])
     break_at(monkeypatch, 11, run=1)
     block = harness._run_block(cfg, seeds)
-    assert [res.metadata["breakdowns"] for res in block] == [0, 1, 0, 0]
+    assert [res.metadata["breakdowns"] for res in block] == [0, 1] + [0] * (len(seeds) - 2)
     for got, expect in zip(block, trials):
         assert got.metadata == expect.metadata
         for name in ("mse", "sinr_db", "ber"):
@@ -579,6 +579,53 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
         assert counts["_segment_matrices"] == 2 * sub_chunks
 
 
+@pytest.mark.parametrize("alg, runs", (("lms", 1), ("lms", 5), ("rake", 3), ("pd-lms", 1)),
+                         ids=("lone", "stacked", "baseline", "lone-baseline"))
+def test_each_block_shape_draws_what_its_receiver_reads(monkeypatch, alg, runs):
+    # a lone interpolated run draws a chunk of NOISE_CHUNK symbols per call
+    # by its run index and steps on the drawn rows themselves; a stacked
+    # block draws every run's sub-chunk of SUB_CHUNK symbols in one call,
+    # into its gather buffer; a baseline block draws each run's chunk in
+    # turn.  A run's index draws through its one-run slice, not counted
+    draws, stepped, kept = [], [], []
+    draw, step = harness._Links.draw, adaptive.lms_step
+
+    def drawing(links, i, size, out=None, runs=slice(None)):
+        got = draw(links, i, size, out=out, runs=runs)
+        if runs == slice(None) or not isinstance(runs, slice):
+            draws.append((i, size, runs, out, got[0]))
+        return got
+
+    class Kept(harness._Interpolated):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
+
+    def stepping(s, r, *args, **kwargs):
+        stepped.append(r)
+        return step(s, r, *args, **kwargs)
+
+    monkeypatch.setattr(harness._Links, "draw", drawing)
+    monkeypatch.setattr(harness, "_Interpolated", Kept)
+    monkeypatch.setattr(adaptive, "lms_step", stepping)
+    cfg = scenario(alg, runs=runs, symbols=600, seed=4)
+    harness._run_block(cfg, campaign_seeds(cfg))
+    stacked = alg == "lms" and runs > 1
+    span = harness.SUB_CHUNK if stacked else harness.NOISE_CHUNK
+    picks = range(runs) if alg in harness.BASELINES else [slice(None) if stacked else 0]
+    expect = [(i, min(span, cfg.symbols - i), k) for i in range(0, cfg.symbols, span)
+              for k in picks]
+    assert [call[:3] for call in draws] == expect
+    if stacked:
+        assert all(np.shares_memory(out, kept[0].pad) for *_, out, _ in draws)
+    else:
+        assert all(out is None for *_, out, _ in draws)
+    if alg == "lms" and runs == 1:
+        assert len(stepped) == cfg.symbols
+        assert all(np.shares_memory(stepped[i + k], rs) for i, size, *_, rs in draws
+                   for k in range(size))
+
+
 @pytest.mark.parametrize("alg, change",
                          [pytest.param(alg, {}, id=alg) for alg in harness.ALGORITHMS]
                          + [pytest.param("cmv-sg", {"f_dt": 1e-3}, id="faded-cmv-sg"),
@@ -624,11 +671,11 @@ def assert_block_within_budget(cfg, width):
 def test_narrow_interpolated_campaign_runs_a_run_per_block(alg):
     # the benchmark's self-test pins the per-run path (4 Re builds per
     # symbol) on its smoke campaigns of 1 and 3 runs: an interpolated
-    # campaign of 2 or 3 runs takes one run per block, though its budget
-    # holds more, while one of STACK_MIN_RUNS runs takes as many as its
-    # budget allows, all four at 400 symbols and three at 5000 (two blocks
-    # of two)
-    for runs in (2, 3):
+    # campaign of 2 runs up to STACK_MIN_RUNS - 1 takes one run per block,
+    # though its budget holds more, while one of STACK_MIN_RUNS runs takes
+    # as many as its budget allows, all of them at 400 symbols and three at
+    # 5000
+    for runs in range(2, harness.STACK_MIN_RUNS):
         assert harness._block_width(scenario(alg, runs=runs, symbols=400)) == 1
     cfg = scenario(alg, runs=harness.STACK_MIN_RUNS, symbols=400)
     assert harness._block_width(cfg) >= harness.STACK_MIN_RUNS
@@ -780,9 +827,12 @@ def with_cpus(monkeypatch, count):
 
 def test_campaign_pool_capped_at_run_count(monkeypatch, pool_sizes):
     # the pool may fork all max_workers processes at its first submit, so
-    # it must not be sized by the worker count alone
+    # it must not be sized by the worker count alone.  A baseline run of
+    # 9000 symbols fills a block alone, whatever STACK_MIN_RUNS is, so the
+    # campaign's three runs make three blocks
     with_cpus(monkeypatch, 8)
-    cfg = scenario("lms", runs=3, symbols=40, n_tr=10, seed=4)
+    cfg = long_baseline_campaign()
+    assert harness._block_width(cfg) == 1
     pooled = harness.run_campaign(cfg, workers=10_000)
     assert pool_sizes == [3]
     serial = harness.run_campaign(cfg, workers=1)
@@ -794,8 +844,13 @@ def test_campaign_pool_capped_at_run_count(monkeypatch, pool_sizes):
 
 def test_campaign_pool_capped_at_cpu_count(monkeypatch, pool_sizes):
     with_cpus(monkeypatch, 2)
-    harness.run_campaign(scenario("lms", runs=3, symbols=40, n_tr=10, seed=4), workers=10_000)
+    harness.run_campaign(long_baseline_campaign(), workers=10_000)
     assert pool_sizes == [2]
+
+
+def long_baseline_campaign():
+    """A rake campaign of three runs of 9000 symbols, one run per block."""
+    return scenario("rake", runs=3, symbols=9000, n_tr=10, seed=4)
 
 
 @pytest.mark.parametrize("alg, change, reference", (

@@ -91,11 +91,14 @@ class TestSegmentMatrix:
         # matrix equals its row's build bit for bit, and the stack is
         # C-contiguous, as each build is (a fancy index pad[..., idx] is not,
         # and the stacked kernels' batched products round by the layout).
-        # At M = 34 every case but (1, 1) reads past the end of r
+        # At M = 34 every case but (1, 1) reads past the end of r, into the
+        # zeros each row is padded with to the gather's width
         rng = np.random.default_rng(9)
         dec = ip.make_decimation(34, l)
         rs = crandn(rng, (*lead, 34))
-        res = ip._segment_matrices(rs, n_i, dec)
+        padded = np.zeros((*lead, dec.segment_index(n_i)[1].size), dtype=complex)
+        padded[..., :34] = rs
+        res = ip._segment_matrices(padded, n_i, dec)
         assert res.flags.c_contiguous
         assert res.shape == (*lead, n_i, dec.m_red)
         for k in np.ndindex(lead):
