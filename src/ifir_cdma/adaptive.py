@@ -118,18 +118,20 @@ def _scale(p: np.ndarray, factor: float) -> None:
     product of the other part with 0 can turn only an exact -0.0 into
     +0.0.  Where a part is inf, that product is nan, so a diverged p's
     non-finite entries, and the breakdowns counted from it, may differ
-    from the complex form's; `harness._metered` rejects such a run."""
+    from the complex form's; `harness._Meter` rejects such a run."""
     real = p.view(float)
     real *= factor
 
 
-def rls_updates(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
+def rls_updates(p: np.ndarray, x: np.ndarray, alpha: float, delta: float, out=None):
     """`rls_update` on a stack of runs: p is (runs, d, d) and x (runs, d).
 
     Each run's p and gain equal `rls_update`'s bit for bit.  A run whose
     denominator is not positive restarts at delta*I, and its gain row is
-    not to be used.  Returns (p, gain, broke), broke the indices of the
-    runs that broke down.
+    not to be used.  The new p goes into `out` where given, which may be
+    p itself: a stacked state's p updated in place, so that the update
+    holds one more array of p's size, not two.  Returns (p, gain, broke),
+    broke the indices of the runs that broke down.
     """
     px = p @ x[:, :, None]
     denom = (x.conj()[:, None, :] @ px)[:, 0, 0].real + alpha
@@ -139,10 +141,20 @@ def rls_updates(p: np.ndarray, x: np.ndarray, alpha: float, delta: float):
     gain = px / denom[:, None, None]
     pxh = px.conj().transpose(0, 2, 1)
     # rls_update's outer product rounds as this one's, except at d = 1,
-    # where numpy rounds it as a product of two complex scalars
-    p = p - (_cmul(gain, pxh) if p.shape[1] == 1 else gain * pxh)
+    # where numpy rounds it as a product of two complex scalars.  It goes
+    # into an array of the gains, spread along its rows, which numpy
+    # multiplies with one operand's iteration buffer, not two
+    if p.shape[1] == 1:
+        outer = _cmul(gain, pxh)
+    else:
+        outer = np.empty_like(p)
+        outer[...] = gain
+        np.multiply(outer, pxh, out=outer)
+    p = np.subtract(p, outer, out=out)
     _scale(p, 1.0 / alpha)
-    p += p.conj().transpose(0, 2, 1)
+    # p += p^H, its conjugate transpose formed in the outer product's place
+    outer[...] = p.transpose(0, 2, 1)
+    p += np.conjugate(outer, out=outer)
     _scale(p, 0.5)
     if broke.size:
         p[broke] = delta * np.eye(p.shape[1], dtype=complex)
@@ -409,17 +421,28 @@ def cmv_rls_step(s: RlsState, r: np.ndarray, adapt_v: bool = True,
 # squared is `_powers` and a product of two complex scalars `_cmul`.
 
 _RUN_ARRAYS = ("v", "w", "p", "p_u", "g_hat", "re_p", "v_acc")
+_SHARED_ARRAYS = ("segs", "c", "inv_gram")
 
 
 def stack(states: list):
     """A copy of states[0] whose arrays (v, w, p, p_u, a blind state's
     g_hat and re_p, a tracker's v_acc and g_hat) stack the runs' along a
     leading axis, and whose `breakdowns`, if any, is an int array.  The
-    runs of a block share every other field."""
+    runs of a block share every other field, so the block holds one copy
+    of each: every run takes states[0]'s arrays made from the desired
+    user's code (a blind state's `segs`, a tracker's `c` and `inv_gram`),
+    and its own stacked arrays are None until `unstack`."""
     s = copy.copy(states[0])
     for name in _RUN_ARRAYS:
         if hasattr(s, name):
             setattr(s, name, np.stack([getattr(t, name) for t in states]))
+    for t in states:
+        for name in _RUN_ARRAYS:
+            if hasattr(t, name):
+                setattr(t, name, None)
+        for name in _SHARED_ARRAYS:
+            if hasattr(t, name):
+                setattr(t, name, getattr(s, name))
     if hasattr(s, "breakdowns"):
         s.breakdowns = np.array([t.breakdowns for t in states])
     return s
@@ -501,11 +524,12 @@ def cmv_sg_steps(s: SgState, res: np.ndarray, adapt_v: bool = True, g=None) -> n
     return _sg_steps(s, res, None, adapt_v)
 
 
-def _rls_filters(p, f, x, ce, alpha: float, delta: float, live=None):
+def _rls_filters(p, f, x, ce, alpha: float, delta: float, live=None, out=None):
     """`_rls_filter` of every run.  Runs outside the mask `live` keep p and
-    f.  Returns the new p, the new f and a mask of the runs whose p broke
-    down (f then stays)."""
-    moved_p, gain, broke = rls_updates(p, x, alpha, delta)
+    f; without it, the new p may go into `out` (`rls_updates`).  Returns
+    the new p, the new f and a mask of the runs whose p broke down (f then
+    stays)."""
+    moved_p, gain, broke = rls_updates(p, x, alpha, delta, out=out)
     moved = f + gain * ce[:, None]
     mask = np.zeros(len(f), dtype=bool)
     if broke.size:   # a broken-down run's f stays
@@ -528,7 +552,7 @@ def rls_steps(s: RlsState, res: np.ndarray, b, adapt_v: bool = True,
     x = _vdots(s.w, rbar)
     xi = (_detects(x) if directed else b) - x
     cxi = np.conj(xi)
-    s.p, s.w, broke = _rls_filters(s.p, s.w, rbar, cxi, s.alpha, s.delta)
+    s.p, s.w, broke = _rls_filters(s.p, s.w, rbar, cxi, s.alpha, s.delta, out=s.p)
     s.breakdowns += broke
     if adapt_v:
         s.p_u, s.v, broke = _rls_filters(s.p_u, s.v, u, cxi, s.alpha, s.delta,
@@ -552,11 +576,11 @@ def cmv_rls_steps(s: RlsState, res: np.ndarray, adapt_v: bool = True, g=None) ->
     x = _vdots(s.w, rbar)
     if adapt_v:
         wc = s.w.conj()
-        s.p_u, _, broke = rls_updates(s.p_u, _matvecs(res, wc), s.alpha, s.delta)
+        s.p_u, _, broke = rls_updates(s.p_u, _matvecs(res, wc), s.alpha, s.delta, out=s.p_u)
         s.breakdowns[broke] += 1
         s.v = _min_variances(s.p_u, _matvecs(s.re_p, wc))
         rbar = _matvecs(res.swapaxes(1, 2), s.v.conj())   # of the new v
-    s.p, _, broke = rls_updates(s.p, rbar, s.alpha, s.delta)
+    s.p, _, broke = rls_updates(s.p, rbar, s.alpha, s.delta, out=s.p)
     s.breakdowns[broke] += 1
     s.w = _min_variances(s.p, _matvecs(s.re_p.swapaxes(1, 2), s.v.conj()))
     return x

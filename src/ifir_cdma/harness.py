@@ -14,7 +14,8 @@ The pieces:
 - A receiver draws what it reads from the links, steps over it and
   records it (`record`): the RAKE and partial-despreading baselines
   (`_Projected`) a chunk at a time, the interpolated receivers
-  (`_Interpolated`) a lone run's chunk or a stacked block's sub-chunk.
+  (`_Interpolated`) a lone run's chunk or a stacked block's stretch, a
+  sub-chunk at a time.
   Per symbol it records the decision output (a-priori: the receiver
   before the symbol), adapts with the reference symbol (training symbol,
   or the decision in decision-directed mode past `n_tr`; blind receivers
@@ -22,14 +23,15 @@ The pieces:
   the desired user's effective signature (a-posteriori), whose product
   with the symbol is its output for r's desired-only component.
 - `_run_block` drives a block of runs through one loop of `record`
-  calls and meters the records (`_metered`): MSE and BER (a-priori) and
-  SINR (a-posteriori), in arrays, each power equal to Python's
-  abs(z) ** 2 bit for bit.  `run_trial` is a block of one.
+  calls and meters each stretch of records as it is recorded (`_Meter`):
+  MSE and BER (a-priori) and SINR (a-posteriori), in arrays, each power
+  equal to Python's abs(z) ** 2 bit for bit.  `run_trial` is a block of
+  one.
 - `run_campaign` runs its runs in blocks, as many as BLOCK_BYTES of
   memory allows by a count of what each kind of run holds
-  (`_block_width`); an interpolated campaign of fewer than
-  STACK_MIN_RUNS runs takes one run per block.  Each run's series equals
-  its `run_trial` byte for byte.
+  (`_block_width`), and at least one per worker; an interpolated campaign
+  of fewer than STACK_MIN_RUNS runs takes one run per block.  Each run's
+  series equals its `run_trial` byte for byte.
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per run drives channel, symbols and noise in a fixed order, and the
@@ -60,23 +62,28 @@ SUMMARY_TAIL = 200                    # last symbols the summary's MSE and SINR 
 # Symbols per link chunk; its noise draw is 256 x 2 x M doubles, ~150 kB at M=36.
 # It divides every fading period (powers of two from 2^16), which `_Links`
 # relies on to draw a faded chunk's noise before its gains, as does
-# SUB_CHUNK for a stacked block's sub-chunks.
+# STACK_CHUNK for a stacked block's sub-chunks.
 NOISE_CHUNK = 256
 
 ALGORITHMS = ("lms", "rls", "cmv-sg", "cmv-rls", "rake", "pd-lms", "pd-rls")
 BASELINES = ("rake", "pd-lms", "pd-rls")   # the receivers `_Projected` runs
 # Bytes a block may hold by `_block_width`'s count of what each kind of run
-# holds.  At the defaults that is, in runs of 400 symbols, 21 lms, 19 rls,
-# 19 cmv-sg and 18 cmv-rls runs (17 tracked cmv-rls, 14 to 16 faded
-# interpolated), 13 rake runs and 10 pd-lms and pd-rls (faded 9, 7 and 7).
-# Every kind of static run falls to 3 runs from ~4100 symbols, 2 from ~5450
-# and 1 from ~8150 (faded ones at f_dt = 1e-3 from ~3600 to 3900, ~4800 to
-# 5200 and ~7200 to 7800).  The 400-symbol blocks peak at 1.4 to 2.8 MB
-# traced (tracemalloc, numpy 2.4), each run holding, between blocks of
-# width - 4 and width runs, lms 110 kB, rls 122, cmv-sg 121, cmv-rls 132,
-# tracked cmv-rls 138, faded cmv-sg 160, rake 182, pd-lms 134 and pd-rls
-# 184, a baseline block holding one run's chunk draw on top; 5000-symbol
-# blocks of 3 interpolated runs peak at ~2.1 MB, mostly their metering.
+# holds.  At the defaults that is, in runs of 400 symbols, 65 lms, 56 rls,
+# 63 cmv-sg and 51 cmv-rls runs (51 tracked cmv-rls, 36 to 40 faded
+# interpolated), 13 rake runs and 10 pd-lms and pd-rls (faded 9, 8 and 8),
+# so that a 50-run interpolated campaign of 400 symbols is one block.  A
+# block holds its records a stretch at a time, so its width falls with
+# length only through its runs' series: 16 or 17 interpolated runs at 5000
+# symbols, and every kind of static interpolated run falls to 3 runs from
+# ~26300 to ~26700 symbols, 2 from ~35600 to ~36100 and 1 from ~54300 to
+# ~54800 (rake from ~16500, ~24800 and ~41300, pd-lms and pd-rls from
+# ~14500, ~22700 and ~39200).  The 400-symbol blocks of as many runs as
+# that peak at 1.4 to 2.9 MB traced (tracemalloc, numpy 2.4), 50-run ones
+# of lms at 2.21 MB, rls 2.57, cmv-sg 2.34 and cmv-rls 2.75, each run
+# holding, between blocks of width - 4 and width runs, lms 41 kB, rls 49,
+# cmv-sg 42, cmv-rls 52, tracked cmv-rls 52, faded cmv-sg 68, rake 188,
+# pd-lms 137 and pd-rls 190, a baseline block holding one run's chunk draw
+# on top.
 BLOCK_BYTES = 3_000_000
 MODES = ("training", "decision-directed", "blind")
 
@@ -349,13 +356,13 @@ class _Links:
     Each run's Generator draws its channel, then its amplitudes, then its
     symbols, and later each stretch's noise and (faded) path gains, in
     that order.  The block stacks what the draw reads along a leading run
-    axis: symbols (`bits`, int8, as each is +-1; `desired`, the desired
-    user's as floats), amplitudes, and a static run's response table and
-    signature.  A static run's table (`_response_tables`) holds, per user
-    k and symbol q of the ISI span, the M samples of r that the symbol
-    reaches, which is the user's effective signature shifted by
-    (q - l_s + 1) N chips.  `channels[r].gains` keeps the gains run r's
-    channel was made with.
+    axis: symbols (`packed`, a bit each: `symbols` gives a stretch as
+    int8 +-1, and `desired` the desired user's as floats), amplitudes, and
+    a static run's response table and signature.  A static run's table
+    (`_response_tables`) holds, per user k and symbol q of the ISI span,
+    the M samples of r that the symbol reaches, which is the user's
+    effective signature shifted by (q - l_s + 1) N chips.
+    `channels[r].gains` keeps the gains run r's channel was made with.
 
     `draw` forms every asked run's rows of a stretch at once.  A static
     stretch's clean rows are one batched product of each run's table with
@@ -371,7 +378,7 @@ class _Links:
     Noise before gains keeps the generator order of per-symbol gain
     steps: gains draw only at a fading period's first sample (its
     spectrum), symbol period - 1, the last of a chunk and of a sub-chunk,
-    as NOISE_CHUNK and SUB_CHUNK divide the period.  Per-symbol draws
+    as NOISE_CHUNK and STACK_CHUNK divide the period.  Per-symbol draws
     would take that symbol's noise after the spectrum, so from there on a
     faded run's noise parts from them; a static run's never does.
     """
@@ -385,12 +392,12 @@ class _Links:
         self.static = cfg.f_dt <= 0
         self.channels = []
         self.amps = np.empty((len(seeds), cfg.k))
-        self.bits = np.empty((len(seeds), cfg.k, cfg.symbols + 2 * self.l_s - 2), dtype=np.int8)
-        for rng, amps, bits in zip(self.rngs, self.amps, self.bits):
+        length = cfg.symbols + 2 * self.l_s - 2   # each user's symbols and their ISI spans
+        self.packed = np.empty((len(seeds), cfg.k, -(-length // 8)), dtype=np.uint8)
+        for rng, amps, packed in zip(self.rngs, self.amps, self.packed):
             self.channels.append(_draw_channel(cfg, rng))
             amps[...] = _draw_amplitudes(cfg, rng)
-            bits[...] = np.where(rng.random(bits.shape) < 0.5, np.int8(-1), np.int8(1))
-        self.desired = self.bits[:, 0, self.l_s - 1:self.l_s - 1 + cfg.symbols].astype(float)
+            packed[...] = np.packbits(rng.random((cfg.k, length)) < 0.5, axis=-1)
         if self.static:
             responses = np.array([[signal_model.effective_signature(code, channel.gains)
                                    for code in self.codes] for channel in self.channels])
@@ -436,15 +443,25 @@ class _Links:
         np.multiply(z[:, :, 0], scale, out=rs.real)
         np.multiply(z[:, :, 1], scale, out=rs.imag)
         del z   # the arrays below are made without the noise draw alongside
-        b = self.desired[runs, i:i + size]
         if self.static:
-            # windows[r, k] holds A_j b_j over symbol i + k's span, user by user,
-            # so that each clean row is its run's table's product with its window
-            scaled = self.amps[runs, :, None] * self.bits[runs, :, i:i + size + span - 1]
+            # every user's symbols over the stretch's spans, the desired user's
+            # symbol i + k at entry l_s - 1 + k.  windows[r, k] holds A_j b_j
+            # over symbol i + k's span, user by user, so that each clean row
+            # is its run's table's product with its window
+            bits = self.symbols(i, i + size + span - 1, runs)
+            b = bits[:, 0, self.l_s - 1:self.l_s - 1 + size].astype(float)
+            scaled = self.amps[runs, :, None] * bits
             windows = view(scaled, span, axis=2).transpose(0, 2, 1, 3)
             clean = _matvecs(self.tables[runs, None], windows.reshape(len(rngs), size, -1))
+            # R += clean on the parts: numpy adds a real array to a complex one
+            # as clean + 0j, and on a gather buffer's strided rows the complex
+            # sum would hold three complex iteration buffers
+            np.add(rs.real, clean, out=rs.real)
+            np.add(rs.imag, 0.0, out=rs.imag)
+            del clean
             gains = np.broadcast_to(self.gains[runs, None], (len(rngs), size, l_p))
         else:
+            b = self.desired(i, size, runs)
             chips = self._chips(i, size, runs)
             gains = np.array([signal_model.fading_gains(channel, size, rng)
                               for channel, rng in zip(self.channels[runs], rngs)])
@@ -453,18 +470,31 @@ class _Links:
             # Batched as a @ g[..., None], each product equals the per-symbol
             # a @ g bit for bit; g @ a.T sums in another order.  numpy makes
             # a complex copy of the windows it multiplies, so they go a run
-            # and SUB_CHUNK at a time, into clean[r] (no loop name keeps a
-            # view of clean past its del)
+            # and SUB_CHUNK at a time, each added to its rows of R at once
             windows = view(view(chips, m + l_p - 1, axis=1)[:, ::n], l_p, axis=2)[..., ::-1]
-            clean = np.empty((len(rngs), size, m, 1), dtype=complex)
-            for r, (a, g) in enumerate(zip(windows, gains)):
+            clean = np.empty((min(size, SUB_CHUNK), m, 1), dtype=complex)
+            for r, a, g in zip(rs, windows, gains):
                 for k in range(0, size, SUB_CHUNK):
-                    np.matmul(a[k:k + SUB_CHUNK], g[k:k + SUB_CHUNK, :, None],
-                              out=clean[r, k:k + SUB_CHUNK])
-            clean = clean[..., 0]
-        rs += clean
-        del clean
+                    part = np.matmul(a[k:k + SUB_CHUNK], g[k:k + SUB_CHUNK, :, None],
+                                     out=clean[:min(SUB_CHUNK, size - k)])
+                    r[k:k + SUB_CHUNK] += part[..., 0]
         return rs, b, gains
+
+    def symbols(self, lo: int, hi: int, runs=slice(None), users=slice(None)) -> np.ndarray:
+        """Entries lo to hi - 1 of the symbol streams of the users `users`
+        picks (a slice) in the runs `runs` picks, as int8 +-1 (runs x users x
+        (hi - lo)).  Entry l_s - 1 + i is symbol i; the l_s - 1 before the
+        first and after the last are the ISI span's.  The streams are held
+        packed, a bit to a symbol, set for -1."""
+        first = lo // 8
+        bits = np.unpackbits(self.packed[runs, users, first:-(-hi // 8)], axis=-1)
+        return np.array([1, -1], dtype=np.int8).take(bits[..., lo - 8 * first:hi - 8 * first])
+
+    def desired(self, i: int, size: int, runs=slice(None)) -> np.ndarray:
+        """The desired user's symbols i to i + size - 1 of the runs `runs`
+        picks (a slice), as floats (runs x size)."""
+        lo = self.l_s - 1 + i
+        return self.symbols(lo, lo + size, runs, slice(1))[:, 0].astype(float)
 
     def effective_signatures(self, gains: np.ndarray, runs, out=None) -> np.ndarray:
         """The desired user's effective signatures of the runs `runs` picks (a
@@ -486,14 +516,14 @@ class _Links:
         start = (i + self.l_s - 1) * n - (l_p - 1)
         length = (size - 1) * n + self.m + l_p - 1
         lo, hi = start // n, -(-(start + length) // n)   # the symbols it spans
-        amps, bits = self.amps[runs], self.bits[runs, :, lo:hi]
+        amps, bits = self.amps[runs], self.symbols(lo, hi, runs)
         stream = np.zeros((len(amps), hi - lo, n))
         for a, b, code in zip(amps.T, bits.swapaxes(0, 1), self.codes):
             stream += (a[:, None] * b)[..., None] * code
         return stream.reshape(len(amps), -1)[:, start - lo * n:start - lo * n + length]
 
 
-def _sinr_db(p_des: np.ndarray, p_rest: np.ndarray) -> np.ndarray:
+def _sinr_db(p_des: np.ndarray, p_rest: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Exponentially windowed ground-truth SINR of a linear receiver, per
     run and symbol.
 
@@ -501,25 +531,31 @@ def _sinr_db(p_des: np.ndarray, p_rest: np.ndarray) -> np.ndarray:
     receiver's output for the desired-only component of r and for the
     rest, interference and noise.  The window recursion runs over the
     symbols on Python floats for one run, and on float64 arrays across
-    the runs for several, where it costs less; both round alike.
+    the runs for several, where it costs less; both round alike.  It
+    starts from `window` (2 x runs: the windowed powers before the first
+    symbol, zeros before a run's first) and leaves there the ones after
+    the last, so that any split of the symbols into stretches gives the
+    same SINR.
     """
     w = SINR_WINDOW
     if len(p_des) == 1:
-        num = den = 0.0
+        num, den = window[:, 0].tolist()
         ratio = []
         for des, rest in zip(p_des[0].tolist(), p_rest[0].tolist()):
             num = w * num + (1 - w) * des
             den = w * den + (1 - w) * rest
             ratio.append(max(num, 1e-300) / max(den, 1e-300))
+        window[:, 0] = num, den
         return 10.0 * np.log10([ratio])
     # (symbols, 2, runs), so that each step reads and writes contiguous rows
     acc = np.moveaxis((1 - w) * np.stack([p_des, p_rest]), -1, 0).copy()
-    prev = np.zeros(acc.shape[1:])
+    prev = window
     for row in acc:
         row += w * prev
         prev = row
+    window[...] = prev
     ratio = np.maximum(acc, 1e-300)
-    return (10.0 * np.log10(ratio[:, 0] / ratio[:, 1])).T.copy()
+    return (10.0 * np.log10(ratio[:, 0] / ratio[:, 1])).T
 
 
 def _pd_projection(code: np.ndarray, m: int, rank: int) -> np.ndarray:
@@ -564,24 +600,28 @@ def _solves(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 # receivers and the trial loop
 # ---------------------------------------------------------------------------
 
-# Symbols per sub-chunk, for both kinds of receiver and for a stacked
-# interpolated block's draw (`_Links`).  A stacked interpolated group draws
-# every run's rows of r, gathers their Re in one `_segment_matrices` call
-# and takes their a-posteriori outputs in one `receiver_outputs` call, then
-# does the same for its effective signatures.  Its size moves memory more
-# than speed.  On 50-run, 400-symbol campaigns (blocks of 5 runs; medians of
-# 15 interleaved CPU-time pairs, 2-vCPU host), sub-chunks of 16 and 32
-# symbols ran x0.98 to x1.11 as fast as 64 and of 128 x0.96, while the
-# process's peak RSS was 39.1 MB at 32, 39.8 at 64, 42.1 at 128 and 42.4 at
-# 256 (the whole chunk).  At the default M = 36, 32 symbols' Re of r takes
-# 28 kB per run and their padded rows 19 kB.
-# pd-rls takes a sub-chunk's combiners (`_Projected._solved`) from one
-# weighted prefix sum and one batched solve, on at most NOISE_CHUNK // d
-# symbols, which is 32 at the default d = 8.  There, with the despreading
-# (CPU time, one BLAS thread, 2-vCPU host), sub-chunks of 32 symbols took
-# 2.4 / 2.1 / 2.0 / 1.9 us per run and symbol in blocks of 1 / 2 / 3 / 9
-# runs, and of 64 symbols 2.0 / 1.9 / 2.2 / 1.9; 8 and 16 took longer.
+# Symbols a stacked interpolated block records and meters at once, and the
+# sub-chunk of pd-rls's solve.  pd-rls takes a sub-chunk's combiners
+# (`_Projected._solved`) from one weighted prefix sum and one batched
+# solve, on at most NOISE_CHUNK // d symbols, which is 32 at the default
+# d = 8.  There, with the despreading (CPU time, one BLAS thread, 2-vCPU
+# host), sub-chunks of 32 symbols took 2.4 / 2.1 / 2.0 / 1.9 us per run and
+# symbol in blocks of 1 / 2 / 3 / 9 runs, and of 64 symbols 2.0 / 1.9 /
+# 2.2 / 1.9; 8 and 16 took longer.
 SUB_CHUNK = 32
+# Symbols per sub-chunk of a stacked interpolated block, which draws every
+# run's rows of r of a sub-chunk at once, gathers their Re in one
+# `_segment_matrices` call and takes their a-posteriori outputs in one
+# `receiver_outputs` call, then does the same for its effective
+# signatures.  Its buffers hold ~1.8 kB per run and symbol of a sub-chunk
+# at the defaults, its draw ~0.6 kB more, so its size moves memory more
+# than speed.  In one 50-run, 400-symbol block (median of 15 interleaved
+# CPU-time runs, 2-vCPU host), sub-chunks of 4 / 8 / 16 / 32 symbols ran
+# lms in 93 / 80 / 73 / 70 ms, rls 154 / 143 / 134 / 124, cmv-sg 122 /
+# 116 / 109 / 101 and cmv-rls 173 / 159 / 150 / 151, while the block
+# peaked at 1.7-2.4 / 2.2-2.8 / 3.1-3.5 / 5.0-5.4 MB traced: 8 is the
+# largest that keeps such a block within BLOCK_BYTES.
+STACK_CHUNK = 8
 
 
 class _Projected:
@@ -610,7 +650,13 @@ class _Projected:
     the block holds one run's drawn chunk at a time.
     """
 
-    span = NOISE_CHUNK   # symbols per `record` call
+    # Symbols per `record` call, metered at once: four chunks, so that a
+    # long block of few runs pays the metering's per-call cost (~40 us)
+    # less often.  Against one chunk, 2-run, 2000-symbol rake and pd-rls
+    # campaigns took 10.8 and 19.2 ms against 11.4 and 20.1 (CPU-time
+    # medians of 60 and 40 alternations, 2-vCPU host); 50 x 400 rake
+    # campaigns took the same.
+    span = 4 * NOISE_CHUNK
 
     def __init__(self, cfg: ScenarioConfig, links: _Links):
         self.cfg, self.links = cfg, links
@@ -651,15 +697,20 @@ class _Projected:
         return gains
 
     def record(self, rec: np.ndarray, first: int) -> None:
-        """Every run's x, out and h of the chunk from symbol `first` on into
-        rec (3 x runs x chunk): x by the combiner before each symbol, the
-        rest after, h on the despread effective signatures.  The runs draw
-        first, then the arithmetic runs with numpy's warnings off
-        (`_run_block`)."""
+        """Every run's x, out and h of the stretch from symbol `first` on
+        into rec (3 x runs x stretch), a chunk at a time (`_chunk`): x by
+        the combiner before each symbol, the rest after, h on the despread
+        effective signatures."""
+        for j in range(0, rec.shape[-1], NOISE_CHUNK):
+            self._chunk(rec[..., j:j + NOISE_CHUNK], first + j)
+
+    def _chunk(self, rec: np.ndarray, first: int) -> None:
+        """`record` of a chunk.  The runs draw first, then the arithmetic
+        runs with numpy's warnings off (`_run_block`)."""
         ys = self.chunk[:, :rec.shape[-1]]
         gs = [self._take(y, first, k) for k, y in enumerate(ys)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ws = self.combiners(ys, self.links.desired[:, first:first + ys.shape[1]], first)
+            ws = self.combiners(ys, self.links.desired(first, ys.shape[1]), first)
             rec[0] = _vdots(ws[:, :-1], ys)
             rec[1] = _vdots(ws[:, 1:], ys)
             for k, gains in enumerate(gs):
@@ -868,13 +919,14 @@ class _Interpolated:
     steps on the drawn array as it is.  A block of two runs or more steps
     a stack of its runs' states (`stacked`, else None), made once, with
     the forms that take a row per run (`*_steps`, `_align_phases`, ...) on
-    the Re of every run's r, a sub-chunk of SUB_CHUNK symbols per call:
-    it draws every run's rows of the sub-chunk together, straight into
-    its gather buffer (`pad`), so that it never holds a chunk of rows per
-    run, and writes the stack back after its last symbol.  Each run's
-    state is the one `_state` made, and holds its filters and breakdowns
-    between calls.  The receiver forms its runs' effective signatures
-    from the drawn gains where it reads them (`_Links.effective_signatures`)."""
+    the Re of every run's r, a stretch of SUB_CHUNK symbols per call and a
+    sub-chunk of STACK_CHUNK at a time: it draws every run's rows of the
+    sub-chunk together, straight into its gather buffer (`pad`), so that
+    it never holds a chunk of rows per run.  Each run's state is the one
+    `_state` made; a stacked block's runs hand their arrays to the stack
+    (`adaptive.stack`), which writes them back after the last symbol.  The
+    receiver forms its runs' effective signatures from the drawn gains
+    where it reads them (`_Links.effective_signatures`)."""
 
     def __init__(self, cfg: ScenarioConfig, links: _Links):
         self.cfg, self.links = cfg, links
@@ -886,7 +938,7 @@ class _Interpolated:
         if runs > 1:
             s = self.stacked = adaptive.stack(self.states)
             self.tracker = self.trackers[0] and adaptive.stack(self.trackers)
-            sub = min(SUB_CHUNK, cfg.symbols)
+            sub = min(STACK_CHUNK, cfg.symbols)
             # every run's filters after each symbol of a sub-chunk
             self.vs = np.empty((sub, *s.v.shape), dtype=complex)
             self.ws = np.empty((sub, *s.w.shape), dtype=complex)
@@ -902,15 +954,23 @@ class _Interpolated:
 
     def record(self, rec: np.ndarray, first: int) -> None:
         """As `_Projected.record`, on r and the effective signatures
-        themselves.  The forms are bound once per call, and the symbol loop
-        is one.  Per symbol, one step call adapts the runs and returns their
-        a-priori outputs x.  A lone run steps on its drawn rows of r and
-        takes its a-posteriori outputs after each symbol.  A stacked block
-        gathers the Re of every run's r, steps on it, keeps its filters
-        after each symbol and takes the sub-chunk's a-posteriori outputs
-        for r in one call, then forms its signatures in its gather buffer,
-        a static run's one row, gathers their Re and takes theirs in
-        another."""
+        themselves: a lone run's chunk in one piece, a stacked block's
+        stretch a sub-chunk of STACK_CHUNK symbols at a time (`_piece`)."""
+        size = rec.shape[-1]
+        piece = size if self.stacked is None else STACK_CHUNK
+        for j in range(0, size, piece):
+            self._piece(rec[..., j:j + piece], first + j)
+
+    def _piece(self, rec: np.ndarray, first: int) -> None:
+        """`record` of a piece of symbols.  The forms are bound once per
+        piece, and the symbol loop is one.  Per symbol, one step call adapts
+        the runs and returns their a-priori outputs x.  A lone run steps on
+        its drawn rows of r and takes its a-posteriori outputs after each
+        symbol.  A stacked block gathers the Re of every run's r, steps on
+        it, keeps its filters after each symbol and takes the sub-chunk's
+        a-posteriori outputs for r in one call, then forms its signatures
+        in its gather buffer, a static run's one row, gathers their Re and
+        takes theirs in another."""
         cfg, links = self.cfg, self.links
         size = rec.shape[-1]
         # the offset from which decisions are the reference
@@ -986,7 +1046,7 @@ def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
     Per symbol, the trial records the decision output (a-priori) and the
     updated receiver's outputs for r and for the desired user's effective
     signature (a-posteriori), and meters MSE, BER and the windowed SINR
-    from them (`_metered`).  The metadata counts decided symbols and the
+    from them (`_Meter`).  The metadata counts decided symbols and the
     RLS breakdowns (0 for receivers without RLS); `phase_reference` is
     "genie" where `_align_phase` rotated the decisions by the true
     channel (tracked blind runs), else None.  A diverged run, whose
@@ -1001,67 +1061,94 @@ def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
     """`run_trial` for each seed, the runs taken together.
 
     The block's links (`_Links`) hold each run's Generator, so each run
-    draws as in a block of one.  One loop (`_recorded`) hands the block's
-    receiver (`_Projected` or `_Interpolated`) every run's records of a
-    stretch of its `span` symbols at a time; its `record` draws the
-    stretch, steps over it and writes the records.  The draw runs with
-    numpy's warnings on, the receiver's arithmetic with its overflow,
-    invalid-value and division warnings off: `_metered` catches a
-    diverged run."""
-    desired, rec, breakdowns = _recorded(cfg, seeds)
-    return _metered(cfg, seeds, desired, rec, breakdowns)
-
-
-def _recorded(cfg: ScenarioConfig, seeds) -> tuple:
-    """(desired, rec, breakdowns) of `_run_block`'s runs: their symbols
-    (runs x symbols), records (3 x runs x symbols) and RLS breakdowns.  The
-    links, receiver and rows it makes, all but the links' `desired`, are
-    freed on return, before the metering."""
+    draws as in a block of one.  One loop hands the block's receiver
+    (`_Projected` or `_Interpolated`) every run's records of a stretch of
+    its `span` symbols at a time, its `record` draws the stretch, steps
+    over it and writes the records, and the meter (`_Meter`) meters them
+    at once, so that the block holds one stretch of records.  The draw
+    runs with numpy's warnings on, the receiver's arithmetic and the
+    metering with its overflow, invalid-value and division warnings off:
+    the meter catches a diverged run."""
     links = _Links(cfg, seeds)
     rx = (_Projected if cfg.algorithm in BASELINES else _Interpolated)(cfg, links)
-    # records: x, out and h per run and symbol
-    rec = np.empty((3, len(seeds), cfg.symbols), dtype=complex)
+    meter = _Meter(cfg, seeds)
+    # records: x, out and h per run and symbol of a stretch
+    rec = np.empty((3, len(seeds), min(rx.span, cfg.symbols)), dtype=complex)
     for i in range(0, cfg.symbols, rx.span):
-        rx.record(rec[:, :, i:i + rx.span], i)
-    return links.desired, rec, rx.breakdowns
+        stretch = rec[..., :min(rx.span, cfg.symbols - i)]
+        rx.record(stretch, i)
+        meter(stretch, links.desired(i, stretch.shape[-1]), i)
+    return meter.series(rx.breakdowns)
 
 
-def _metered(cfg: ScenarioConfig, seeds, desired: np.ndarray, rec: np.ndarray,
-             breakdowns) -> list[MetricSeries]:
-    """Each run's MetricSeries from its transmitted symbols `desired`
-    (runs x symbols) and records `rec` (3 x runs x symbols): decision
-    outputs x, decided as detect(x), and a-posteriori outputs for r and,
-    h, for the effective signature.  b h, formed in h's place, is the
-    output for r_des = A_0 b times the signature, A_0 being 1, b +-1 and
-    every rounding symmetric under negation.  The first run, in order,
-    that diverged raises LinAlgError naming its seed and symbol."""
-    t, first = cfg.symbols, cfg.first_decided
-    x, out, h = rec
-    # a diverged run's outputs may overflow or hold inf - inf: the check below names it
-    with np.errstate(over="ignore", invalid="ignore"):
-        out_des = np.multiply(desired, h, out=h)
-        mse, p_des, p_rest = _powers(desired - x), _powers(out_des), _powers(out - out_des)
-    finite = np.isfinite(mse) & np.isfinite(p_des) & np.isfinite(p_rest)
-    diverged = np.flatnonzero(~finite.all(axis=1))
-    if diverged.size:
-        k = diverged[0]
-        raise np.linalg.LinAlgError(f"run seed {seeds[k]} diverged: the squared error or "
-                                    f"output power of symbol {np.argmin(finite[k])} is not "
-                                    f"finite")
-    wrong = _detects(x) != desired
-    wrong[:, :first] = False
-    ber = np.cumsum(wrong, axis=1) / np.maximum(np.arange(t) - first + 1, 1)
-    sinr_db = _sinr_db(p_des, p_rest)
-    tracking = cfg.mode == "blind" and not cfg.known_channel
-    # one copy of the config per block; each run's metadata gets its own lists
-    meta = cfg.to_dict()
-    lists = [name for name, value in meta.items() if isinstance(value, list)]
-    return [MetricSeries(mse=mse[k], sinr_db=sinr_db[k], ber=ber[k],
-                         metadata={**meta, **{name: meta[name][:] for name in lists},
-                                   "run_seed": int(seed), "decided": max(t - first, 0),
-                                   "breakdowns": int(breakdowns[k]),
-                                   "phase_reference": "genie" if tracking else None})
-            for k, seed in enumerate(seeds)]
+class _Meter:
+    """The metered series of a block's runs, a stretch of records at a time.
+
+    Each call meters the runs' records of a stretch of symbols (3 x runs
+    x stretch): decision outputs x, decided as detect(x), and
+    a-posteriori outputs for r and, h, for the effective signature.  b h,
+    formed in h's place, is the output for r_des = A_0 b times the
+    signature, A_0 being 1, b +-1 and every rounding symmetric under
+    negation.  It writes each run's MSE, SINR and BER of the stretch
+    (`mse`, `sinr_db` and `ber`, runs x symbols), and carries per run what
+    the next stretch reads: the SINR window's powers (`window`), the
+    count of wrong decisions (`wrong`) and the first symbol whose squared
+    error or output power is not finite (`bad`, `symbols` while there is
+    none).  So each series equals, bit for bit, that of the run's records
+    metered at once.  `series` raises LinAlgError for the first run, in
+    order, that diverged, naming its seed and that symbol."""
+
+    def __init__(self, cfg: ScenarioConfig, seeds):
+        self.cfg, self.seeds, runs = cfg, seeds, len(seeds)
+        self.mse, self.sinr_db, self.ber = np.empty((3, runs, cfg.symbols))
+        self.window = np.zeros((2, runs))
+        self.wrong = np.zeros(runs, dtype=np.intp)
+        self.bad = np.full(runs, cfg.symbols)
+
+    def __call__(self, rec: np.ndarray, b: np.ndarray, i: int) -> None:
+        """Meter the records `rec` of symbols i on, b holding the runs'
+        symbols there (runs x stretch)."""
+        x, out, h = rec
+        n, first = x.shape[-1], self.cfg.first_decided
+        stretch = slice(i, i + n)
+        # a diverged run's outputs may overflow or hold inf - inf, and its
+        # window whatever follows: `series` names it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out_des = np.multiply(b, h, out=h)
+            mse = _powers(b - x, out=self.mse[:, stretch])
+            p_des, p_rest = _powers(out_des), _powers(out - out_des)
+            finite = np.isfinite(mse) & np.isfinite(p_des) & np.isfinite(p_rest)
+            if not finite.all():
+                hit = ~finite.all(axis=1)
+                self.bad[hit] = np.minimum(self.bad[hit], i + np.argmin(finite[hit], axis=1))
+            self.sinr_db[:, stretch] = _sinr_db(p_des, p_rest, self.window)
+        wrong = _detects(x) != b
+        wrong[:, :max(first - i, 0)] = False
+        counts = np.cumsum(wrong, axis=1)
+        counts += self.wrong[:, None]
+        self.wrong = counts[:, -1]
+        np.divide(counts, np.maximum(np.arange(i, i + n) - first + 1, 1), out=self.ber[:, stretch])
+
+    def series(self, breakdowns) -> list[MetricSeries]:
+        """Each run's MetricSeries, once every stretch is metered, with its
+        RLS breakdowns."""
+        cfg, seeds = self.cfg, self.seeds
+        t, first = cfg.symbols, cfg.first_decided
+        diverged = np.flatnonzero(self.bad < t)
+        if diverged.size:
+            k = diverged[0]
+            raise np.linalg.LinAlgError(f"run seed {seeds[k]} diverged: the squared error or "
+                                        f"output power of symbol {self.bad[k]} is not finite")
+        tracking = cfg.mode == "blind" and not cfg.known_channel
+        # one copy of the config per block; each run's metadata gets its own lists
+        meta = cfg.to_dict()
+        lists = [name for name, value in meta.items() if isinstance(value, list)]
+        return [MetricSeries(mse=self.mse[k], sinr_db=self.sinr_db[k], ber=self.ber[k],
+                             metadata={**meta, **{name: meta[name][:] for name in lists},
+                                       "run_seed": int(seed), "decided": max(t - first, 0),
+                                       "breakdowns": int(breakdowns[k]),
+                                       "phase_reference": "genie" if tracking else None})
+                for k, seed in enumerate(seeds)]
 
 
 def iter_symbols(cfg: ScenarioConfig, run_seed):
@@ -1085,83 +1172,98 @@ def _block_width(cfg: ScenarioConfig) -> int:
     over what a run holds, at least 1; and 1 for an interpolated campaign
     of fewer than STACK_MIN_RUNS runs, whose runs then each step alone and
     can each go to a worker.  Any other interpolated block of two runs or
-    more steps its runs together, down to the blocks of 3 and 2 runs that
-    50-run campaigns take from ~4100 and ~5450 symbols on (BLOCK_BYTES).
+    more steps its runs together: at the defaults, a 50-run campaign of
+    400 symbols as one block, and blocks of 17 runs at 5000 symbols, 9 at
+    10000 and 2 at 40000 (BLOCK_BYTES).
 
-    In bytes, with c = min(symbols, NOISE_CHUNK) symbols to a chunk,
-    s = min(symbols, SUB_CHUNK) to a sub-chunk and S = 2 l_s - 1 to a
-    symbol's window, a run holds the larger of what its metering holds
-    (its records, symbols and the metering's arrays, 152 per symbol) and
-    what its loop holds:
-    - its symbols (int8) and their float copy, and its records, K + 56
-      per symbol; its objects (Generator, channel, states and their small
-      arrays), 8192; and its response table, 8 M K S, or, faded, its
-      fading processes' current samples;
-    - a baseline's despread rows of r and its combiners, 2 x 16 c per
-      tap, a faded run's gains, 16 c l_p, and rake's running sums and
-      their solutions, 5 x 16 per tap and trained symbol of the chunk, or
-      pd-rls's weighted covariances, their inverses and the solves'
-      copies, 4 x 16 n d^2, n the symbols of its sub-chunk.  pd-lms holds
-      none of these but is counted as pd-rls, so that the two keep one
-      width;
-    - an interpolated run's share of a sub-chunk's draw (`_Links.draw`):
-      the larger of its noise, 16 s M, and what comes after it, the clean
-      rows and what forms them: 8 s (K S + M) + 8 K (s + S) for a static
-      run, and for a faded one its chips, gains and clean rows,
-      8 N (s + S) + 16 s (l_p + M).  On top, its share of a stacked
-      block's buffers, 16 s (P + N_I M_red + N_I + M_red): its rows of r,
-      drawn into the gather buffer and padded to P samples, their Re and
-      its filters after each symbol.  A faded run's effective signatures,
-      16 s M beside its gains, and the outputs' products, 16 s M_red,
-      come after its draw and are no larger.  An RLS run's inverses,
-      stacked and its own, 32 (M_red^2 + N_I^2); a blind run's
-      constraints, 16 l_p (N_I M_red + M), and its channel tracker's,
-      16 l_p (M + 3 l_p).
-    The fixed bytes are numpy's buffers for a broadcast or cast product,
-    three operands of `np.getbufsize()` entries; 128 kB for what a block
-    holds once (its lists, objects and shared arrays, 10-45 kB traced with
-    numpy 2.4) and as a margin for other numpy versions; and, faded, the
-    shared code matrix and a complex copy of one run's sub-chunk of
-    windows, 16 (s + 1) M l_p, and a baseline's one run's chunk of
-    effective signatures and their despread rows, 16 c (M + d), formed
-    beside its combiners.  A block that is not a stacked interpolated one,
-    a baseline's or one run's, draws a chunk of one run at a time (up to
-    ~0.7 MB), which is not counted apart: it draws while it holds none of
-    its sub-chunk arrays or combiners.
+    In bytes, with T symbols, e of them metered at once (min(T, SUB_CHUNK)
+    for an interpolated run, min(T, 4 NOISE_CHUNK) for a baseline's),
+    c = min(T, NOISE_CHUNK) to a chunk, s = min(T, STACK_CHUNK) to a
+    stacked sub-chunk and S = 2 l_s - 1 to a symbol's window, a run holds
+    what it keeps throughout and the largest of what it holds for a while.
+    It keeps:
+    - its symbols, a bit each, K (T + S - 1) / 8; its series, 24 T; a
+      stretch's records, 48 e; its objects (Generator, channel, states),
+      4096; and its response table, signature, gains and amplitudes,
+      8 M K S + 16 (M + l_p) + 8 K, or, faded, each path's chunk of samples
+      and spectrum;
+    - a baseline's despread rows of r, 16 c d;
+    - an interpolated run's share of the stacked sub-chunk buffers,
+      16 s (P + N_I M_red + N_I + M_red) (its rows of r, padded to P
+      samples, their Re and its filters after each symbol), and its
+      stacked state: its filters, an RLS run's inverses, a blind run's
+      constraint and a sub-chunk's gains, and a tracked run's tracker.
+    For a while it holds the largest of the metering's arrays, 96 e;
+    a baseline's combiners, 16 c d, with a faded run's gains, 16 c l_p,
+    and rake's running sums and their solutions, 5 x 16 per tap and
+    trained symbol of the chunk, or pd-rls's weighted covariances, their
+    inverses and the solves' copies, 4 x 16 n d^2, n the symbols of its
+    sub-chunk (pd-lms holds none of these but is counted as pd-rls, so
+    that the two keep one width); an interpolated run's share of a
+    sub-chunk's draw (`_Links.draw`), its noise, 16 s M, or what comes
+    after it, the clean rows and what forms them, 8 s (K S + M) +
+    8 K (s + S) for a static run, and for a faded one its chips, gains and
+    clean rows, 8 N (s + S) + 16 s (l_p + M); a faded run's effective
+    signatures, 16 s M, or the outputs' products, 16 s M_red; and its
+    step's arrays, 4 (12 blind) x 16 (N_I + M_red), with an RLS run's
+    updated inverse, 16 M_red^2, which the stacked step forms in place.
+    The fixed bytes are numpy's iteration buffers, np.getbufsize() entries
+    of one complex operand for a stacked interpolated block (a broadcast
+    or strided product: the noise scaled into the gather buffer, the
+    clean rows added to it, an RLS inverse's outer product) and of three
+    for a baseline's; what a block holds once (its lists, objects and
+    shared arrays, 10-45 kB traced with numpy 2.4) with a margin, 64 kB
+    for a stacked block and 128 kB for a baseline's, whose block draws a
+    chunk of one run at a time (up to ~0.7 MB), not counted apart as it
+    holds none of its combiners then; and, faded, a complex copy of one
+    run's windows, 16 (s + 1) M l_p, or a baseline's one run's chunk of
+    effective signatures and their despread rows, 16 c (M + d).
     """
-    chunk, sub = min(cfg.symbols, NOISE_CHUNK), min(cfg.symbols, SUB_CHUNK)
+    t, k, m, l_p = cfg.symbols, cfg.k, cfg.m, cfg.l_p
+    window = 2 * signal_model.isi_span(l_p, cfg.n) - 1
     faded, interpolated = cfg.f_dt > 0, cfg.algorithm not in BASELINES
-    m, l_p, window = cfg.m, cfg.l_p, 2 * signal_model.isi_span(cfg.l_p, cfg.n) - 1
-    fixed = 3 * 16 * np.getbufsize() + 131072
+    chunk = min(t, NOISE_CHUNK)
+    stretch = min(t, SUB_CHUNK if interpolated else _Projected.span)   # symbols metered at once
+    # packed symbols, series and a stretch's records, and the run's objects
+    held = k * -(-(t + window - 1) // 8) + 24 * t + 48 * stretch + 4096
+    late = 96 * stretch   # the metering's arrays
     if faded:
-        samples = signal_model._inband(signal_model._period(cfg.f_dt), cfg.f_dt)[2].shape[0]
-        link = 16 * len(cfg.path_powers) * samples
-        late = 8 * cfg.n * (sub + window) + 16 * sub * (l_p + m)
-        fixed += 16 * (sub + 1) * m * l_p
+        bins, _, phasors = signal_model._inband(signal_model._period(cfg.f_dt), cfg.f_dt)
+        held += 16 * len(cfg.path_powers) * (phasors.shape[0] + bins.size)
     else:
-        link = 8 * m * cfg.k * window
-        late = 8 * sub * (cfg.k * window + m) + 8 * cfg.k * (sub + window)
+        held += 8 * m * k * window + 16 * (m + l_p) + 8 * k
     if not interpolated:
         d = l_p if cfg.algorithm == "rake" else cfg.pd_rank
-        held = 2 * 16 * chunk * d + (16 * chunk * l_p if faded else 0)
-        fixed += 16 * chunk * (m + d) if faded else 0
+        fixed = 3 * 16 * np.getbufsize() + 131072 + (16 * chunk * (m + d) if faded else 0)
+        held += 16 * chunk * d
+        work = 16 * chunk * d + (16 * chunk * l_p if faded else 0)
         if cfg.algorithm == "rake":
-            held += 5 * 16 * d * min(cfg.n_tr, chunk)
+            work += 5 * 16 * d * min(cfg.n_tr, chunk)
         else:
-            held += 4 * 16 * min(sub, max(1, NOISE_CHUNK // d)) * d * d
+            work += 4 * 16 * min(SUB_CHUNK, max(1, NOISE_CHUNK // d)) * d * d
+        late = max(late, work)
     else:
+        sub = min(t, STACK_CHUNK)
         dec = make_decimation(m, cfg.l)
         m_red, n_i, padded = dec.m_red, cfg.n_i, dec.segment_index(cfg.n_i)[1].size
-        held = 16 * sub * (padded + n_i * m_red + n_i + m_red) + max(16 * sub * m, late)
+        fixed = 16 * np.getbufsize() + 65536
+        held += 16 * sub * (padded + n_i * m_red + n_i + m_red) + 16 * (n_i + m_red)
+        if faded:
+            late = max(late, 8 * cfg.n * (sub + window) + 16 * sub * (l_p + m))
+            fixed += 16 * (sub + 1) * m * l_p
+        else:
+            late = max(late, 8 * sub * (k * window + m) + 8 * k * (sub + window))
+        blind = cfg.mode == "blind"
+        step = 16 * (n_i + m_red) * (12 if blind else 4)
         if cfg.algorithm in ("rls", "cmv-rls"):
-            held += 32 * (m_red ** 2 + n_i ** 2)
-        if cfg.mode == "blind":
-            held += 16 * l_p * (n_i * m_red + m)
-        if cfg.mode == "blind" and not cfg.known_channel:
-            held += 16 * l_p * (m + 3 * l_p)
-    loop = cfg.symbols * (cfg.k + 56) + 8192 + link + held
-    per_run = max(152 * cfg.symbols, loop)
-    width = max(1, (BLOCK_BYTES - fixed) // per_run)
+            held += 16 * (m_red ** 2 + n_i ** 2)
+            step += 16 * m_red ** 2
+        if blind:
+            held += 16 * (n_i * m_red + l_p) + 16 * sub * l_p
+            if not cfg.known_channel:
+                held += 16 * l_p * (l_p + 1)
+        late = max(late, 16 * sub * m, 16 * sub * m_red, step)
+    width = max(1, (BLOCK_BYTES - fixed) // (held + late))
     return 1 if interpolated and cfg.runs < STACK_MIN_RUNS else width
 
 
@@ -1180,20 +1282,23 @@ def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
     Every run goes through `_run_block`: the runs in index order, split
     into as few blocks of as even a size as `_block_width` allows, which
     is one run for an interpolated campaign of fewer than STACK_MIN_RUNS
-    runs; a block of one run is its `run_trial`.  Each run's series is the same either
-    way.  MSE and the SINR's power ratio average linearly across runs;
-    BER averages directly and the RLS breakdowns add up.  The reduction
-    is ordered by run index, so the result is independent of `workers`
-    and of the blocks.  The pool maps blocks, and holds at most one
-    process per block and per CPU this process may use, since it may
+    runs, and with more than one worker into at least as many blocks as
+    there are workers, CPUs this process may use and runs, the fewest of
+    the three, so that a campaign that one block would hold still goes to
+    the pool.  A block of one run is its `run_trial`.  Each run's series
+    is the same either way.  MSE and the SINR's power ratio average
+    linearly across runs; BER averages directly and the RLS breakdowns
+    add up.  The reduction is ordered by run index, so the result is
+    independent of `workers` and of the blocks.  The pool maps blocks, and
+    holds at most one process per block and per usable CPU, since it may
     start all of them at once.
     """
     runs = cfg.runs
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
-    count = -(-runs // _block_width(cfg))
-    blocks = [seeds[runs * j // count:runs * (j + 1) // count] for j in range(count)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, count, cpus or 1)
+    workers = min(workers, runs, cpus or 1)
+    count = max(-(-runs // _block_width(cfg)), workers)
+    blocks = [seeds[runs * j // count:runs * (j + 1) // count] for j in range(count)]
     if workers > 1:
         # imported here, so a start that needs no pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor

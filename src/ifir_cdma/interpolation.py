@@ -186,11 +186,12 @@ def _vdots(ws: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return (ws.conj()[..., None, :] @ ys[..., None])[..., 0, 0]
 
 
-def _powers(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of every entry, inf where it overflows.  Each equals Python's
-    abs(z) ** 2 bit for bit: both take the hypot of the parts and libm's pow,
-    where np.abs(z) ** 2 squares, and re^2 + im^2 rounds otherwise."""
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+def _powers(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|z|^2 of every entry, inf where it overflows, into `out` if given.
+    Each equals Python's abs(z) ** 2 bit for bit: both take the hypot of
+    the parts and libm's pow, where np.abs(z) ** 2 squares, and
+    re^2 + im^2 rounds otherwise."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0, out=out)
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

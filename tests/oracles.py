@@ -267,7 +267,8 @@ def fading_fft_block(white: np.ndarray, n: int, doppler: float, clip: float) -> 
 @functools.lru_cache(maxsize=1)
 def _stream(link):
     """A one-run link's whole chip stream, superposed in one K x T x N product."""
-    return (link.amps[0, :, None, None] * link.bits[0, :, :, None]
+    symbols = link.symbols(0, link.cfg.symbols + 2 * link.l_s - 2, slice(1))[0]
+    return (link.amps[0, :, None, None] * symbols[:, :, None]
             * link.codes[:, None, :]).sum(axis=0).ravel()
 
 
@@ -304,12 +305,12 @@ def link_step_per_symbol(link, i: int):
     """Received vector, desired symbol, and desired-only component for
     symbol i of a one-run link (`harness._Links`), whose Generator, and
     faded channel, it steps a symbol at a time."""
-    cfg, rng, amps, bits = link.cfg, link.rngs[0], link.amps[0], link.bits[0]
-    off = link.l_s - 1
-    b = bits[0, i + off].astype(float)
+    cfg, rng, amps = link.cfg, link.rngs[0], link.amps[0]
+    off, span = link.l_s - 1, 2 * link.l_s - 1
+    bits = link.symbols(i, i + span, slice(1))[0]   # the symbol's window
+    b = bits[0, off].astype(float)
     if link.static:
-        span = 2 * link.l_s - 1
-        clean = _responses(link) @ (amps[:, None] * bits[:, i:i + span]).ravel()
+        clean = _responses(link) @ (amps[:, None] * bits).ravel()
         signature = link.signatures[0]
     else:
         ch = link.channels[0]

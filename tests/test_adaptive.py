@@ -78,8 +78,10 @@ def test_fresh_stacked_steps_skip_rows_without_dividing(alg):
     rs[0, 1] = 0.0
     bs = np.where(rng.random((4, 3)) < 0.5, -1.0, 1.0)
     alone = [make() for _ in range(3)]
-    trackers = [adaptive.SgChannelTracker(cons.c, alpha=0.998) for _ in range(3)]
-    s, tracker = adaptive.stack([make() for _ in range(3)]), adaptive.stack(trackers)
+    trackers, stacked = ([adaptive.SgChannelTracker(cons.c, alpha=0.998) for _ in range(3)]
+                         for _ in range(2))
+    # stacking releases its runs' own arrays, so the runs stepped alone are others
+    s, tracker = adaptive.stack([make() for _ in range(3)]), adaptive.stack(stacked)
     # each symbol's rows zero-padded to the width of the Re gather, as a block pads them
     padded = np.zeros((4, 3, dec.segment_index(3)[1].size), dtype=complex)
     padded[..., :36] = rs

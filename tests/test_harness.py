@@ -198,7 +198,7 @@ def test_pd_combiners_match_per_symbol_updates(alg, change, mode, n_tr):
             assert got[101].tobytes() == got[100].tobytes()
         ws.extend(got[:-1])
         ys.extend(chunk_ys)
-    assert detect(np.vdot(ws[n_tr], ys[n_tr])) == link.desired[0, n_tr]
+    assert detect(np.vdot(ws[n_tr], ys[n_tr])) == link.desired(n_tr, 1)[0, 0]
 
 
 @pytest.mark.parametrize("alg", ("pd-lms", "pd-rls"))
@@ -396,8 +396,10 @@ def test_metering_names_a_run_with_infinite_outputs():
     cfg = scenario("lms", runs=2, symbols=10, n_tr=5)
     rec = np.zeros((3, 2, 10), dtype=complex)
     rec[1:, 1, 4] = complex(np.inf, np.inf)
+    meter = harness._Meter(cfg, [7, 8])
+    meter(rec, np.ones((2, 10)), 0)
     with pytest.raises(np.linalg.LinAlgError, match="run seed 8 diverged: .* symbol 4 is"):
-        harness._metered(cfg, [7, 8], np.ones((2, 10)), rec, [0, 0])
+        meter.series([0, 0])
 
 
 def test_runs_of_a_block_own_their_metadata():
@@ -417,9 +419,10 @@ def test_block_sinr_window_matches_one_run_at_a_time():
     p_des, p_rest = rng.exponential(size=(2, 7, 400))
     p_des[2, :50] = 0.0
     p_rest[4, 100:] = 0.0
-    got = harness._sinr_db(p_des, p_rest)
+    got = harness._sinr_db(p_des, p_rest, np.zeros((2, 7)))
     for k in range(7):
-        assert got[k].tobytes() == harness._sinr_db(p_des[k:k + 1], p_rest[k:k + 1])[0].tobytes()
+        one = harness._sinr_db(p_des[k:k + 1], p_rest[k:k + 1], np.zeros((2, 1)))
+        assert got[k].tobytes() == one[0].tobytes()
 
 
 def break_at(monkeypatch, call, run=0):
@@ -434,9 +437,9 @@ def break_at(monkeypatch, call, run=0):
             return delta * np.eye(p.shape[0], dtype=complex), None
         return _update(p, x, alpha, delta)
 
-    def breaking_stacked(p, x, alpha, delta, _update=adaptive.rls_updates):
+    def breaking_stacked(p, x, alpha, delta, out=None, _update=adaptive.rls_updates):
         calls.append(None)
-        p, gain, broke = _update(p, x, alpha, delta)
+        p, gain, broke = _update(p, x, alpha, delta, out=out)
         if len(calls) == call:
             p[run] = delta * np.eye(p.shape[1], dtype=complex)
             broke = np.union1d(broke, [run])
@@ -526,13 +529,15 @@ def test_interpolated_block_keeps_its_runs_apart(alg, change, runs):
     ("cmv-sg", {"known_channel": False})))
 def test_stacked_block_steps_across_unaligned_boundaries(alg, change):
     # a stacked block's boundaries that no sub-chunk lines up with: the
-    # switch to decisions falls inside a sub-chunk, the last chunk (24
-    # symbols) is shorter than one, and a tracked run aligns each output
-    # with the estimate its step then replaces.  Each run repeats its trial,
-    # byte for byte.  Not in STACKED_MODES, whose campaigns the digest's
+    # switch to decisions falls inside a sub-chunk, the last stretch (28
+    # symbols) is shorter than SUB_CHUNK and ends on a sub-chunk shorter
+    # than STACK_CHUNK, and a tracked run aligns each output with the
+    # estimate its step then replaces.  Each run repeats its trial, byte
+    # for byte.  Not in STACKED_MODES, whose campaigns the digest's
     # "stacked" line enumerates
-    cfg = scenario(alg, runs=harness.STACK_MIN_RUNS + 1, symbols=280, seed=13, **change)
-    assert cfg.n_tr % harness.SUB_CHUNK and cfg.symbols % harness.NOISE_CHUNK < harness.SUB_CHUNK
+    cfg = scenario(alg, runs=harness.STACK_MIN_RUNS + 1, symbols=284, seed=13, **change)
+    assert cfg.mode != "decision-directed" or cfg.n_tr % harness.STACK_CHUNK
+    assert cfg.symbols % harness.SUB_CHUNK > harness.STACK_CHUNK and cfg.symbols % harness.STACK_CHUNK
     seeds = campaign_seeds(cfg)
     for got, seed in zip(harness._run_block(cfg, seeds), seeds):
         expect = harness.run_trial(cfg, seed)
@@ -549,9 +554,9 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
     # by its decisions: a block of one run builds Re 4 times per symbol and
     # calls detect once per symbol.  A block of two or five, which steps
     # its runs together as a block of any width from two on does, builds
-    # no Re one run at a time: per sub-chunk, drawn and recorded in one
-    # call, it gathers every run's Re of r, then of its effective
-    # signatures, 2 x 10 times for the sub-chunks of 300 symbols
+    # no Re one run at a time: per sub-chunk of STACK_CHUNK symbols, drawn
+    # and stepped at once, it gathers every run's Re of r, then of its
+    # effective signatures, twice per sub-chunk of the 300 symbols
     counts = collections.Counter()
     originals = {name: getattr(interpolation, name)
                  for name in ("build_re_matrix", "detect", "_segment_matrices")}
@@ -573,8 +578,7 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
         assert counts["detect"] == cfg.symbols
         assert counts["_segment_matrices"] == 0
     else:
-        sub_chunks = -(-cfg.symbols // harness.SUB_CHUNK)
-        assert sub_chunks == 10
+        sub_chunks = -(-cfg.symbols // harness.STACK_CHUNK)
         assert counts["build_re_matrix"] == 0
         assert counts["_segment_matrices"] == 2 * sub_chunks
 
@@ -584,7 +588,7 @@ def test_interpolated_loop_makes_the_calls_the_benchmark_counts(monkeypatch, alg
 def test_each_block_shape_draws_what_its_receiver_reads(monkeypatch, alg, runs):
     # a lone interpolated run draws a chunk of NOISE_CHUNK symbols per call
     # by its run index and steps on the drawn rows themselves; a stacked
-    # block draws every run's sub-chunk of SUB_CHUNK symbols in one call,
+    # block draws every run's sub-chunk of STACK_CHUNK symbols in one call,
     # into its gather buffer; a baseline block draws each run's chunk in
     # turn.  A run's index draws through its one-run slice, not counted
     draws, stepped, kept = [], [], []
@@ -611,7 +615,7 @@ def test_each_block_shape_draws_what_its_receiver_reads(monkeypatch, alg, runs):
     cfg = scenario(alg, runs=runs, symbols=600, seed=4)
     harness._run_block(cfg, campaign_seeds(cfg))
     stacked = alg == "lms" and runs > 1
-    span = harness.SUB_CHUNK if stacked else harness.NOISE_CHUNK
+    span = harness.STACK_CHUNK if stacked else harness.NOISE_CHUNK
     picks = range(runs) if alg in harness.BASELINES else [slice(None) if stacked else 0]
     expect = [(i, min(span, cfg.symbols - i), k) for i in range(0, cfg.symbols, span)
               for k in picks]
@@ -644,12 +648,13 @@ def test_block_width_keeps_a_block_within_its_budget(alg, change):
 @pytest.mark.parametrize("alg, change", (("lms", {}), ("cmv-rls", {"known_channel": False})),
                          ids=("lms", "tracked-cmv-rls"))
 def test_long_campaign_stacks_narrow_blocks_within_the_budget(alg, change):
-    # a 50-run, 5000-symbol campaign takes blocks of three runs, held
-    # mostly by their metering, which step their runs together and peak
-    # within BLOCK_BYTES
+    # a 50-run, 5000-symbol campaign takes blocks narrower than itself,
+    # held mostly by their runs' series, which step their runs together and
+    # peak within BLOCK_BYTES
     cfg = scenario(alg, runs=50, symbols=5000, **change)
-    assert harness._block_width(cfg) == 3
-    assert_block_within_budget(cfg, 3)
+    width = harness._block_width(cfg)
+    assert harness.STACK_MIN_RUNS <= width < cfg.runs
+    assert_block_within_budget(cfg, width)
 
 
 def assert_block_within_budget(cfg, width):
@@ -673,14 +678,14 @@ def test_narrow_interpolated_campaign_runs_a_run_per_block(alg):
     # symbol) on its smoke campaigns of 1 and 3 runs: an interpolated
     # campaign of 2 runs up to STACK_MIN_RUNS - 1 takes one run per block,
     # though its budget holds more, while one of STACK_MIN_RUNS runs takes
-    # as many as its budget allows, all of them at 400 symbols and three at
-    # 5000
+    # as many as its budget allows, all of them at 400 symbols and fewer,
+    # but more than one, at 40000
     for runs in range(2, harness.STACK_MIN_RUNS):
         assert harness._block_width(scenario(alg, runs=runs, symbols=400)) == 1
     cfg = scenario(alg, runs=harness.STACK_MIN_RUNS, symbols=400)
     assert harness._block_width(cfg) >= harness.STACK_MIN_RUNS
-    cfg.symbols = 5000
-    assert harness._block_width(cfg) == 3
+    cfg.symbols = 40_000
+    assert 1 < harness._block_width(cfg) < harness.STACK_MIN_RUNS
 
 
 @pytest.mark.parametrize("alg", ("lms", "cmv-sg"))
@@ -697,6 +702,66 @@ def test_diverging_stacked_block_names_its_first_seed(alg):
     with pytest.raises(np.linalg.LinAlgError) as block:
         harness._run_block(cfg, seeds)
     assert str(block.value) == str(trial.value)
+
+
+@pytest.mark.parametrize("alg, mode", (("lms", "training"), ("rls", "decision-directed")))
+def test_block_metered_a_stretch_at_a_time_equals_its_trials(alg, mode):
+    # a 50-run block meters its records a stretch of SUB_CHUNK symbols at
+    # a time, a lone run a chunk of NOISE_CHUNK: the first decided symbol
+    # (n_tr) falls inside a stretch and a chunk, and the SINR window and
+    # the BER count run across every boundary of both.  Each run's series
+    # equals its trial's, byte for byte
+    cfg = scenario(alg, mode=mode, runs=50, symbols=300, n_tr=203, seed=8)
+    assert cfg.n_tr % harness.SUB_CHUNK and cfg.n_tr % harness.STACK_CHUNK
+    assert cfg.symbols > harness.NOISE_CHUNK and harness._block_width(cfg) >= cfg.runs
+    seeds = campaign_seeds(cfg)
+    for got, seed in zip(harness._run_block(cfg, seeds), seeds):
+        expect = harness.run_trial(cfg, seed)
+        assert got.metadata == expect.metadata
+        for name in ("mse", "sinr_db", "ber"):
+            assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
+
+
+def test_stacked_block_names_its_first_diverged_run_not_its_first_divergence(monkeypatch):
+    # run 1's filter turns NaN after symbol 150 and run 3's after symbol
+    # 40, in a block stepped together and in each run's trial.  The block
+    # meters run 3's first, but raises the LinAlgError of run 1, the first
+    # diverged run in order, at its own symbol: its trial's, word for word
+    cfg = scenario("lms", runs=harness.STACK_MIN_RUNS, symbols=300, seed=6)
+    seeds = campaign_seeds(cfg)
+    poisoned = {seeds[1]: 150, seeds[3]: 40}
+    step, steps = adaptive.lms_step, adaptive.lms_steps
+    done = []
+
+    def poisoning(s, r, *args, **kwargs):
+        e = step(s, r, *args, **kwargs)
+        done.append(None)
+        if len(done) - 1 == poisoned[trial]:
+            s.w = np.full_like(s.w, np.nan)
+        return e
+
+    def poisoning_stacked(s, res, *args, **kwargs):
+        x = steps(s, res, *args, **kwargs)
+        done.append(None)
+        for k, seed in enumerate(seeds):
+            if len(done) - 1 == poisoned.get(seed):
+                s.w[k] = np.nan
+        return x
+
+    monkeypatch.setattr(adaptive, "lms_step", poisoning)
+    monkeypatch.setattr(adaptive, "lms_steps", poisoning_stacked)
+    errors = {}
+    for trial in poisoned:
+        done.clear()
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            harness.run_trial(cfg, trial)
+        errors[trial] = str(info.value)
+    assert errors[seeds[3]].endswith("symbol 40 is not finite")
+    assert errors[seeds[1]].endswith("symbol 150 is not finite")
+    done.clear()
+    with pytest.raises(np.linalg.LinAlgError) as block:
+        harness._run_block(cfg, seeds)
+    assert str(block.value) == errors[seeds[1]]
 
 
 @pytest.mark.parametrize("alg", ("rls", "cmv-rls"))
@@ -827,12 +892,12 @@ def with_cpus(monkeypatch, count):
 
 def test_campaign_pool_capped_at_run_count(monkeypatch, pool_sizes):
     # the pool may fork all max_workers processes at its first submit, so
-    # it must not be sized by the worker count alone.  A baseline run of
-    # 9000 symbols fills a block alone, whatever STACK_MIN_RUNS is, so the
-    # campaign's three runs make three blocks
+    # it must not be sized by the worker count alone.  One block would
+    # hold the campaign's three runs, but with more workers than runs it
+    # takes a block per run, and a process per block
     with_cpus(monkeypatch, 8)
-    cfg = long_baseline_campaign()
-    assert harness._block_width(cfg) == 1
+    cfg = short_baseline_campaign()
+    assert harness._block_width(cfg) >= cfg.runs
     pooled = harness.run_campaign(cfg, workers=10_000)
     assert pool_sizes == [3]
     serial = harness.run_campaign(cfg, workers=1)
@@ -844,13 +909,28 @@ def test_campaign_pool_capped_at_run_count(monkeypatch, pool_sizes):
 
 def test_campaign_pool_capped_at_cpu_count(monkeypatch, pool_sizes):
     with_cpus(monkeypatch, 2)
-    harness.run_campaign(long_baseline_campaign(), workers=10_000)
+    harness.run_campaign(short_baseline_campaign(), workers=10_000)
     assert pool_sizes == [2]
 
 
-def long_baseline_campaign():
-    """A rake campaign of three runs of 9000 symbols, one run per block."""
-    return scenario("rake", runs=3, symbols=9000, n_tr=10, seed=4)
+def short_baseline_campaign():
+    """A rake campaign of three runs of 300 symbols."""
+    return scenario("rake", runs=3, symbols=300, n_tr=10, seed=4)
+
+
+def test_campaign_that_one_block_holds_still_goes_to_its_workers(monkeypatch, pool_sizes,
+                                                                 tmp_path):
+    # the benchmark's many-short-runs lms campaign fits one block, so one
+    # worker steps all its runs together; two workers on two CPUs split it
+    # into two blocks, one each, and export the same bytes
+    with_cpus(monkeypatch, 2)
+    cfg = scenario("lms", runs=50, symbols=400)
+    assert harness._block_width(cfg) >= cfg.runs
+    for workers in (1, 2):
+        harness.export(harness.run_campaign(cfg, workers=workers),
+                       tmp_path / f"workers_{workers}.json", "json")
+    assert pool_sizes == [2]
+    assert (tmp_path / "workers_1.json").read_bytes() == (tmp_path / "workers_2.json").read_bytes()
 
 
 @pytest.mark.parametrize("alg, change, reference", (
@@ -943,7 +1023,7 @@ def test_link_matches_synthesis(change):
     blocks = [build_block_matrix(code, link.l_s) for code in link.codes]
     for i, (r, _, g) in enumerate(link_symbols(link)):
         chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps[0], blocks,
-                                                          link.bits[0, :, i:i + span]))
+                                                          link.symbols(i, i + span)[0]))
         expect = build_channel_matrix(g, cfg.n, link.l_s) @ chips
         assert np.abs(r - expect).max() <= 1e-12
         signature = signal_model.effective_signature(link.codes[0], g)
@@ -963,26 +1043,26 @@ def test_link_matches_synthesis_across_a_fading_period_wrap():
         if i < 65_500:
             continue
         chips = sum(a * (s @ bits) for a, s, bits in zip(link.amps[0], blocks,
-                                                          link.bits[0, :, i:i + span]))
+                                                          link.symbols(i, i + span)[0]))
         expect = build_channel_matrix(g, cfg.n, link.l_s) @ chips
         assert np.abs(r - expect).max() <= 1e-12
 
 
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
 def test_block_drawn_a_sub_chunk_at_a_time_matches_its_links_chunks(f_dt):
-    # three runs drawn together SUB_CHUNK symbols at a time, as a stacked
+    # three runs drawn together STACK_CHUNK symbols at a time, as a stacked
     # block draws them, every other sub-chunk into a strided buffer as a
     # stacked interpolated block does; 300 symbols end on a short one.
     # Each run's rows, symbols and gains equal, byte for byte, its chunks
     # drawn alone (`runs=`) from a twin block, as a baseline block draws
     # them
     cfg = scenario("lms", runs=3, symbols=300, seed=21, f_dt=f_dt)
-    assert cfg.symbols % harness.SUB_CHUNK
+    assert cfg.symbols % harness.STACK_CHUNK
     seeds = campaign_seeds(cfg)
     block, twin = harness._Links(cfg, seeds), harness._Links(cfg, seeds)
     drawn = []
-    for j, i in enumerate(range(0, cfg.symbols, harness.SUB_CHUNK)):
-        n = min(harness.SUB_CHUNK, cfg.symbols - i)
+    for j, i in enumerate(range(0, cfg.symbols, harness.STACK_CHUNK)):
+        n = min(harness.STACK_CHUNK, cfg.symbols - i)
         out = None
         if j % 2:   # symbol-major, with a gap past each row
             out = np.empty((n, cfg.runs, cfg.m + 1), dtype=complex)[..., :cfg.m].swapaxes(0, 1)
