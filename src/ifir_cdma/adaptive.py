@@ -32,7 +32,9 @@ once per sub-chunk of symbols for them.  Each returns the runs' a-priori
 outputs x = w^H rbar, formed with the pre-update filters, so the caller
 forms none; the trained forms take, with `directed`, the decisions on x
 as their references (decision-directed mode), decided before the update.
-Each run's arrays equal what its own step makes of them, bit for bit.
+Each run's arrays equal what its own step makes of them, bit for bit.  A
+stack keeps its runs' arrays for good: nothing writes them back, and a
+caller reads each run's results, its `breakdowns` included, off the stack.
 """
 
 from __future__ import annotations
@@ -431,7 +433,8 @@ def stack(states: list):
     runs of a block share every other field, so the block holds one copy
     of each: every run takes states[0]'s arrays made from the desired
     user's code (a blind state's `segs`, a tracker's `c` and `inv_gram`),
-    and its own stacked arrays are None until `unstack`."""
+    and its own stacked arrays are None from then on: the stack holds the
+    only copy."""
     s = copy.copy(states[0])
     for name in _RUN_ARRAYS:
         if hasattr(s, name):
@@ -446,16 +449,6 @@ def stack(states: list):
     if hasattr(s, "breakdowns"):
         s.breakdowns = np.array([t.breakdowns for t in states])
     return s
-
-
-def unstack(s, states: list) -> None:
-    """Write the stacked s back into the runs' states."""
-    for k, t in enumerate(states):
-        for name in _RUN_ARRAYS:
-            if hasattr(t, name):
-                setattr(t, name, getattr(s, name)[k])
-        if hasattr(t, "breakdowns"):
-            t.breakdowns = int(s.breakdowns[k])
 
 
 def _gradients(f, x, ce, step0: float, normalized: bool, a=None) -> np.ndarray:

@@ -12,26 +12,27 @@ The pieces:
   runs and draws any of its runs' received vectors r, desired symbols
   and channel gains over a stretch of symbols.
 - A receiver draws what it reads from the links, steps over it and
-  records it (`record`): the RAKE and partial-despreading baselines
-  (`_Projected`) a chunk at a time, the interpolated receivers
-  (`_Interpolated`) a lone run's chunk or a stacked block's stretch, a
-  sub-chunk at a time.
+  records it (`record`), a piece of symbols per call: the RAKE and
+  partial-despreading baselines (`_Projected`) a chunk, the interpolated
+  receivers (`_Interpolated`) a lone run's chunk or a stacked block's
+  sub-chunk.
   Per symbol it records the decision output (a-priori: the receiver
   before the symbol), adapts with the reference symbol (training symbol,
   or the decision in decision-directed mode past `n_tr`; blind receivers
   ignore it), and records the updated receiver's outputs for r and for
   the desired user's effective signature (a-posteriori), whose product
   with the symbol is its output for r's desired-only component.
-- `_run_block` drives a block of runs through one loop of `record`
-  calls and meters each stretch of records as it is recorded (`_Meter`):
-  MSE and BER (a-priori) and SINR (a-posteriori), in arrays, each power
-  equal to Python's abs(z) ** 2 bit for bit.  `run_trial` is a block of
-  one.
+- `_run_block` is a block's one loop over its symbols: it hands the
+  receiver its pieces and meters each stretch of records once recorded
+  (`_Meter`): MSE and BER (a-priori) and SINR (a-posteriori), in arrays,
+  each power equal to Python's abs(z) ** 2 bit for bit.  `run_trial` is
+  a block of one.
 - `run_campaign` runs its runs in blocks, as many as BLOCK_BYTES of
   memory allows by a count of what each kind of run holds
   (`_block_width`), and at least one per worker; an interpolated campaign
   of fewer than STACK_MIN_RUNS runs takes one run per block.  Each run's
-  series equals its `run_trial` byte for byte.
+  series equals its `run_trial` byte for byte, and goes into the
+  campaign's running sums as its block finishes (`_reduce`).
 
 Everything is deterministic for a fixed (config, seed): one Generator
 per run drives channel, symbols and noise in a fixed order, and the
@@ -496,17 +497,15 @@ class _Links:
         lo = self.l_s - 1 + i
         return self.symbols(lo, lo + size, runs, slice(1))[:, 0].astype(float)
 
-    def effective_signatures(self, gains: np.ndarray, runs, out=None) -> np.ndarray:
+    def effective_signatures(self, gains: np.ndarray, runs) -> np.ndarray:
         """The desired user's effective signatures of the runs `runs` picks (a
-        slice, or a run's index), into `out` where given: a static run's
-        fixed signature as one row (1 x M), a faded run's C g for each
-        symbol's path gains g (size x M, from `draw`'s G), C the desired
-        user's shifted signatures (`_matvecs`)."""
-        sigs = (self.signatures[runs][..., None, :] if self.static
-                else _matvecs(self.code_matrix, gains))
-        if out is not None:
-            out[...] = sigs
-        return sigs if out is None else out
+        slice, or a run's index): a static run's fixed signature as one row
+        (1 x M), a faded run's C g for each symbol's path gains g (size x M,
+        from `draw`'s G), C the desired user's shifted signatures
+        (`_matvecs`)."""
+        if self.static:
+            return self.signatures[runs][..., None, :]
+        return _matvecs(self.code_matrix, gains)
 
     def _chips(self, i: int, size: int, runs: slice) -> np.ndarray:
         """The chip streams of the runs `runs` picks that the clean rows of
@@ -538,22 +537,21 @@ def _sinr_db(p_des: np.ndarray, p_rest: np.ndarray, window: np.ndarray) -> np.nd
     same SINR.
     """
     w = SINR_WINDOW
-    if len(p_des) == 1:
-        num, den = window[:, 0].tolist()
-        ratio = []
-        for des, rest in zip(p_des[0].tolist(), p_rest[0].tolist()):
-            num = w * num + (1 - w) * des
-            den = w * den + (1 - w) * rest
-            ratio.append(max(num, 1e-300) / max(den, 1e-300))
-        window[:, 0] = num, den
-        return 10.0 * np.log10([ratio])
     # (symbols, 2, runs), so that each step reads and writes contiguous rows
     acc = np.moveaxis((1 - w) * np.stack([p_des, p_rest]), -1, 0).copy()
-    prev = window
-    for row in acc:
-        row += w * prev
-        prev = row
-    window[...] = prev
+    if len(p_des) == 1:
+        num, den = window[:, 0].tolist()
+        sums = []
+        for des, rest in acc[..., 0].tolist():
+            num, den = w * num + des, w * den + rest
+            sums.append((num, den))
+        acc[..., 0] = sums
+    else:
+        prev = window
+        for row in acc:
+            row += w * prev
+            prev = row
+    window[...] = acc[-1]
     ratio = np.maximum(acc, 1e-300)
     return (10.0 * np.log10(ratio[:, 0] / ratio[:, 1])).T
 
@@ -650,13 +648,13 @@ class _Projected:
     the block holds one run's drawn chunk at a time.
     """
 
-    # Symbols per `record` call, metered at once: four chunks, so that a
-    # long block of few runs pays the metering's per-call cost (~40 us)
-    # less often.  Against one chunk, 2-run, 2000-symbol rake and pd-rls
-    # campaigns took 10.8 and 19.2 ms against 11.4 and 20.1 (CPU-time
-    # medians of 60 and 40 alternations, 2-vCPU host); 50 x 400 rake
-    # campaigns took the same.
-    span = 4 * NOISE_CHUNK
+    # Symbols metered at once, and recorded a chunk per `record` call: four
+    # chunks, so that a long block of few runs pays the metering's per-call
+    # cost (~40 us) less often.  Against one chunk, 2-run, 2000-symbol rake
+    # and pd-rls campaigns took 10.8 and 19.2 ms against 11.4 and 20.1
+    # (CPU-time medians of 60 and 40 alternations, 2-vCPU host); 50 x 400
+    # rake campaigns took the same.
+    span, piece = 4 * NOISE_CHUNK, NOISE_CHUNK
 
     def __init__(self, cfg: ScenarioConfig, links: _Links):
         self.cfg, self.links = cfg, links
@@ -697,16 +695,11 @@ class _Projected:
         return gains
 
     def record(self, rec: np.ndarray, first: int) -> None:
-        """Every run's x, out and h of the stretch from symbol `first` on
-        into rec (3 x runs x stretch), a chunk at a time (`_chunk`): x by
-        the combiner before each symbol, the rest after, h on the despread
-        effective signatures."""
-        for j in range(0, rec.shape[-1], NOISE_CHUNK):
-            self._chunk(rec[..., j:j + NOISE_CHUNK], first + j)
-
-    def _chunk(self, rec: np.ndarray, first: int) -> None:
-        """`record` of a chunk.  The runs draw first, then the arithmetic
-        runs with numpy's warnings off (`_run_block`)."""
+        """Every run's x, out and h of the chunk from symbol `first` on into
+        rec (3 x runs x chunk): x by the combiner before each symbol, the
+        rest after, h on the despread effective signatures.  The runs draw
+        first, then the arithmetic runs with numpy's warnings off
+        (`_run_block`)."""
         ys = self.chunk[:, :rec.shape[-1]]
         gs = [self._take(y, first, k) for k, y in enumerate(ys)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -913,31 +906,32 @@ STACK_MIN_RUNS = 4
 class _Interpolated:
     """The interpolated receivers of a block of runs, with `_Projected`'s
     `record`, which draws its runs' rows of r and steps the runs over them
-    in one symbol loop.  A lone run steps on its own state with the
-    per-run forms (`_each_step` around `*_step`, `_align_phase`, ...), a
-    chunk per call: it draws its chunk of rows of r (`_Links.draw`) and
-    steps on the drawn array as it is.  A block of two runs or more steps
-    a stack of its runs' states (`stacked`, else None), made once, with
-    the forms that take a row per run (`*_steps`, `_align_phases`, ...) on
-    the Re of every run's r, a stretch of SUB_CHUNK symbols per call and a
-    sub-chunk of STACK_CHUNK at a time: it draws every run's rows of the
+    in one symbol loop.  A lone run steps on its own state (`state`, the
+    one `_state` made) with the per-run forms (`_each_step` around
+    `*_step`, `_align_phase`, ...), a chunk per call: it draws its chunk of
+    rows of r (`_Links.draw`) and steps on the drawn array as it is.  A
+    block of two runs or more steps one stack of its runs' states
+    (`state`, `adaptive.stack`), made once, with the forms that take a row
+    per run (`*_steps`, `_align_phases`, ...) on the Re of every run's r,
+    metered a stretch of SUB_CHUNK symbols at a time and recorded a
+    sub-chunk of STACK_CHUNK per call: it draws every run's rows of the
     sub-chunk together, straight into its gather buffer (`pad`), so that
-    it never holds a chunk of rows per run.  Each run's state is the one
-    `_state` made; a stacked block's runs hand their arrays to the stack
-    (`adaptive.stack`), which writes them back after the last symbol.  The
-    receiver forms its runs' effective signatures from the drawn gains
-    where it reads them (`_Links.effective_signatures`)."""
+    it never holds a chunk of rows per run.  `tracker` is the lone run's
+    channel tracker or the stack of the block's, None where the channel
+    is known.  The receiver forms its runs' effective signatures from the
+    drawn gains where it reads them (`_Links.effective_signatures`)."""
 
     def __init__(self, cfg: ScenarioConfig, links: _Links):
         self.cfg, self.links = cfg, links
         runs = len(links.rngs)
-        self.states, self.trackers = zip(*(_state(cfg, links.codes[0], channel.gains)
-                                           for channel in links.channels))
-        self.stacked = None
-        self.span = SUB_CHUNK if runs > 1 else NOISE_CHUNK   # symbols per `record` call
+        self.states, trackers = zip(*(_state(cfg, links.codes[0], channel.gains)
+                                      for channel in links.channels))
+        self.state, self.tracker = self.states[0], trackers[0]
+        self.span = self.piece = NOISE_CHUNK   # symbols metered at once, and per `record` call
         if runs > 1:
-            s = self.stacked = adaptive.stack(self.states)
-            self.tracker = self.trackers[0] and adaptive.stack(self.trackers)
+            self.span, self.piece = SUB_CHUNK, STACK_CHUNK
+            s = self.state = adaptive.stack(self.states)
+            self.tracker = self.tracker and adaptive.stack(trackers)
             sub = min(STACK_CHUNK, cfg.symbols)
             # every run's filters after each symbol of a sub-chunk
             self.vs = np.empty((sub, *s.v.shape), dtype=complex)
@@ -950,28 +944,24 @@ class _Interpolated:
 
     @property
     def breakdowns(self) -> list:
+        # a stack's counts go into its runs' own states, the ones their factories made
+        if hasattr(self.state, "breakdowns"):
+            for st, count in zip(self.states, np.atleast_1d(self.state.breakdowns).tolist()):
+                st.breakdowns = count
         return [getattr(st, "breakdowns", 0) for st in self.states]
 
     def record(self, rec: np.ndarray, first: int) -> None:
         """As `_Projected.record`, on r and the effective signatures
-        themselves: a lone run's chunk in one piece, a stacked block's
-        stretch a sub-chunk of STACK_CHUNK symbols at a time (`_piece`)."""
-        size = rec.shape[-1]
-        piece = size if self.stacked is None else STACK_CHUNK
-        for j in range(0, size, piece):
-            self._piece(rec[..., j:j + piece], first + j)
-
-    def _piece(self, rec: np.ndarray, first: int) -> None:
-        """`record` of a piece of symbols.  The forms are bound once per
-        piece, and the symbol loop is one.  Per symbol, one step call adapts
-        the runs and returns their a-priori outputs x.  A lone run steps on
-        its drawn rows of r and takes its a-posteriori outputs after each
-        symbol.  A stacked block gathers the Re of every run's r, steps on
-        it, keeps its filters after each symbol and takes the sub-chunk's
-        a-posteriori outputs for r in one call, then forms its signatures
-        in its gather buffer, a static run's one row, gathers their Re and
-        takes theirs in another."""
-        cfg, links = self.cfg, self.links
+        themselves, of a lone run's chunk or a stacked block's sub-chunk.
+        The forms are bound once per call, and the symbol loop is one.  Per
+        symbol, one step call adapts the runs and returns their a-priori
+        outputs x.  A lone run steps on its drawn rows of r and takes its
+        a-posteriori outputs after each symbol.  A stacked block gathers the
+        Re of every run's r, steps on it, keeps its filters after each
+        symbol and takes the sub-chunk's a-posteriori outputs for r in one
+        call, then forms its signatures in its gather buffer, a static run's
+        one row, gathers their Re and takes theirs in another."""
+        cfg, links, s, tracker = self.cfg, self.links, self.state, self.tracker
         size = rec.shape[-1]
         # the offset from which decisions are the reference
         directed = cfg.n_tr - first if cfg.mode == "decision-directed" else size
@@ -979,12 +969,11 @@ class _Interpolated:
         adapt_v = not cfg.freeze_interpolator
         name = cfg.algorithm.replace("-", "_")
         # the forms are bound here, so that a tracer of public calls sees them
-        one = self.stacked is None
+        one = len(self.states) == 1
         plural = "" if one else "s"   # lms_step or lms_steps, update or updates
         step = getattr(adaptive, f"{name}_step{plural}")
         if one:
             runs = 0   # the lone run's index
-            s, tracker = self.states[0], self.trackers[0]
             step = functools.partial(_each_step, step)
             align = _align_phase
             # per symbol, a row of the drawn chunk of r (the input of the
@@ -994,7 +983,6 @@ class _Interpolated:
             sigs = np.broadcast_to(links.effective_signatures(gains, 0), ins.shape)
         else:
             runs = slice(None)
-            s, tracker = self.stacked, self.tracker
             align = _align_phases
             # per symbol, every run's row of r, drawn into the gather buffer,
             # symbol, and, blind, gains
@@ -1031,13 +1019,9 @@ class _Interpolated:
             wc = np.conjugate(self.ws[:size], out=self.ws[:size])
             rec[1] = receiver_outputs(vc, wc, ins).T
             n = size if faded else 1   # a static run's one signature serves every symbol
-            links.effective_signatures(gs, runs, out=rows[:n].swapaxes(0, 1))
+            rows[:n] = links.effective_signatures(gs, runs).swapaxes(0, 1)
             ins = _segment_matrices(self.pad[:n], s.n_i, s.dec, out=self.res[:n])
             rec[2] = receiver_outputs(vc, wc, ins).T
-        if first + size == cfg.symbols:
-            adaptive.unstack(s, self.states)
-            if tracker:
-                adaptive.unstack(tracker, self.trackers)
 
 
 def run_trial(cfg: ScenarioConfig, run_seed) -> MetricSeries:
@@ -1061,14 +1045,15 @@ def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
     """`run_trial` for each seed, the runs taken together.
 
     The block's links (`_Links`) hold each run's Generator, so each run
-    draws as in a block of one.  One loop hands the block's receiver
-    (`_Projected` or `_Interpolated`) every run's records of a stretch of
-    its `span` symbols at a time, its `record` draws the stretch, steps
-    over it and writes the records, and the meter (`_Meter`) meters them
-    at once, so that the block holds one stretch of records.  The draw
-    runs with numpy's warnings on, the receiver's arithmetic and the
-    metering with its overflow, invalid-value and division warnings off:
-    the meter catches a diverged run."""
+    draws as in a block of one.  This is the block's one loop over its
+    symbols: per stretch of the receiver's `span` symbols, it hands the
+    receiver (`_Projected` or `_Interpolated`) every run's records of each
+    piece of its `piece` symbols, which its `record` draws, steps over and
+    writes, then meters the stretch at once (`_Meter`), so that the block
+    holds one stretch of records.  The draw runs with numpy's warnings on,
+    the receiver's arithmetic and the metering with its overflow,
+    invalid-value and division warnings off: the meter catches a diverged
+    run."""
     links = _Links(cfg, seeds)
     rx = (_Projected if cfg.algorithm in BASELINES else _Interpolated)(cfg, links)
     meter = _Meter(cfg, seeds)
@@ -1076,7 +1061,8 @@ def _run_block(cfg: ScenarioConfig, seeds) -> list[MetricSeries]:
     rec = np.empty((3, len(seeds), min(rx.span, cfg.symbols)), dtype=complex)
     for i in range(0, cfg.symbols, rx.span):
         stretch = rec[..., :min(rx.span, cfg.symbols - i)]
-        rx.record(stretch, i)
+        for j in range(0, stretch.shape[-1], rx.piece):
+            rx.record(stretch[..., j:j + rx.piece], i + j)
         meter(stretch, links.desired(i, stretch.shape[-1]), i)
     return meter.series(rx.breakdowns)
 
@@ -1286,12 +1272,10 @@ def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
     there are workers, CPUs this process may use and runs, the fewest of
     the three, so that a campaign that one block would hold still goes to
     the pool.  A block of one run is its `run_trial`.  Each run's series
-    is the same either way.  MSE and the SINR's power ratio average
-    linearly across runs; BER averages directly and the RLS breakdowns
-    add up.  The reduction is ordered by run index, so the result is
-    independent of `workers` and of the blocks.  The pool maps blocks, and
-    holds at most one process per block and per usable CPU, since it may
-    start all of them at once.
+    is the same either way.  The pool maps blocks, and holds at most one
+    process per block and per usable CPU, since it may start all of them
+    at once.  One worker maps them in turn; either map hands them in
+    order to one reduction (`_reduce`).
     """
     runs = cfg.runs
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(runs)]
@@ -1299,19 +1283,34 @@ def run_campaign(cfg: ScenarioConfig, workers: int = 1) -> MetricSeries:
     workers = min(workers, runs, cpus or 1)
     count = max(-(-runs // _block_width(cfg)), workers)
     blocks = [seeds[runs * j // count:runs * (j + 1) // count] for j in range(count)]
-    if workers > 1:
-        # imported here, so a start that needs no pool loads no multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_trials, [cfg] * count, blocks))
-    else:
-        done = [_trials(cfg, block) for block in blocks]
-    results = [res for block in done for res in block]
-    mse = np.mean([res.mse for res in results], axis=0)
-    sinr_lin = np.mean([10.0 ** (res.sinr_db / 10.0) for res in results], axis=0)
-    ber = np.mean([res.ber for res in results], axis=0)
-    meta = {**results[0].metadata, "runs_averaged": runs, "run_seed": cfg.seed,
-            "breakdowns": sum(res.metadata["breakdowns"] for res in results)}
+    if workers == 1:
+        return _reduce(cfg, map(_trials, [cfg] * count, blocks))
+    # imported here, so a start that needs no pool loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _reduce(cfg, pool.map(_trials, [cfg] * count, blocks))
+
+
+def _reduce(cfg: ScenarioConfig, blocks) -> MetricSeries:
+    """The mean of the runs' series that `blocks` yields, a block's list at
+    a time in run order: MSE and the SINR's power ratio linearly, BER
+    directly, and the RLS breakdowns add up.  Each run goes into three
+    running sums as its block arrives, which equal np.mean over every run
+    byte for byte (its axis-0 sum adds the rows in run order, and 0 + x is
+    x for these non-negative series), whatever the workers and blocks.  A
+    finished block is freed before the next is asked for."""
+    mse, sinr_lin, ber = sums = np.zeros((3, cfg.symbols))
+    breakdowns = 0
+    for block in blocks:
+        for res in block:
+            mse += res.mse
+            sinr_lin += 10.0 ** (res.sinr_db / 10.0)
+            ber += res.ber
+            breakdowns += res.metadata["breakdowns"]
+        meta = res.metadata
+        del block, res
+    sums /= cfg.runs
+    meta = {**meta, "runs_averaged": cfg.runs, "run_seed": cfg.seed, "breakdowns": breakdowns}
     return MetricSeries(mse=mse, sinr_db=10.0 * np.log10(np.maximum(sinr_lin, 1e-300)),
                         ber=ber, metadata=meta)
 

@@ -672,6 +672,53 @@ def assert_block_within_budget(cfg, width):
     assert peak <= harness.BLOCK_BYTES, (width, peak)
 
 
+def test_campaign_folds_each_block_before_the_next_runs():
+    # a 6-run, 20000-symbol rake campaign runs as two blocks of 3, and
+    # folds each block's runs into its running sums (24 bytes a symbol) as
+    # the block finishes, so it never holds both blocks' series: it peaks
+    # within a block's budget and the sums.  A short campaign first loads
+    # what a process loads once (numpy.random's first import, ~0.5 MB)
+    cfg = scenario("rake", runs=6, symbols=20_000, seed=3)
+    assert harness._block_width(cfg) == 3
+    harness.run_campaign(scenario("rake", runs=1, symbols=50, seed=3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        harness.run_campaign(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= harness.BLOCK_BYTES + 24 * cfg.symbols, peak
+
+
+@pytest.mark.parametrize("alg, runs", (("lms", 1), ("lms", 5), ("rake", 3)),
+                         ids=("lone-lms", "stacked-lms", "rake"))
+def test_run_block_hands_the_receiver_its_pieces(monkeypatch, alg, runs):
+    # _run_block is the one loop over a block's symbols: the pieces it
+    # hands `record` run on from symbol 0, cover every symbol once, hold at
+    # most the receiver's `piece` symbols and never cross a stretch of its
+    # `span` symbols, which the meter meters at once
+    kind = harness._Projected if alg in harness.BASELINES else harness._Interpolated
+    record, pieces, receivers = kind.record, [], set()
+
+    def logging(self, rec, first):
+        receivers.add(self)
+        pieces.append((first, rec.shape[-1]))
+        return record(self, rec, first)
+
+    monkeypatch.setattr(kind, "record", logging)
+    cfg = scenario(alg, runs=runs, symbols=600, seed=4)
+    harness._run_block(cfg, campaign_seeds(cfg))
+    (rx,) = receivers
+    ends = [first + size for first, size in pieces]
+    assert [first for first, _ in pieces] == [0] + ends[:-1]
+    assert ends[-1] == cfg.symbols
+    assert all(0 < size <= rx.piece for _, size in pieces)
+    assert all(first // rx.span == (end - 1) // rx.span for (first, _), end in zip(pieces, ends))
+    # the stacked block and rake's stretches take several pieces each
+    assert (rx.piece < rx.span) == (runs > 1)
+
+
 @pytest.mark.parametrize("alg", INTERPOLATED)
 def test_narrow_interpolated_campaign_runs_a_run_per_block(alg):
     # the benchmark's self-test pins the per-run path (4 Re builds per
@@ -1081,7 +1128,8 @@ def test_effective_signatures_times_a0_b_are_the_desired_rows(f_dt):
     # A_0 b times the effective signatures of a block's draw against the
     # rows of r_des that `link_step_per_symbol` forms on a one-run twin of
     # each run, byte for byte: for a run's index, and for a slice of the
-    # runs into a symbol-major buffer, as a stacked faded block forms them
+    # runs assigned into a symbol-major buffer, as a stacked faded block
+    # forms them
     cfg = scenario("lms", runs=3, symbols=40, seed=5, f_dt=f_dt)
     seeds = campaign_seeds(cfg)
     links = harness._Links(cfg, seeds)
@@ -1092,10 +1140,9 @@ def test_effective_signatures_times_a0_b_are_the_desired_rows(f_dt):
     scale = links.amps[:, :1] * bs
     one = scale[1, :, None] * links.effective_signatures(gs[1], 1)
     assert one.tobytes() == expect[1].tobytes()
-    out = np.empty((cfg.symbols, 2, cfg.m), dtype=complex).swapaxes(0, 1)
-    got = links.effective_signatures(gs[1:], slice(1, None), out=out)
-    assert got is out
-    assert (scale[1:, :, None] * got).tobytes() == expect[1:].tobytes()
+    out = np.empty((cfg.symbols, 2, cfg.m), dtype=complex)
+    out[...] = links.effective_signatures(gs[1:], slice(1, None)).swapaxes(0, 1)
+    assert (scale[1:, :, None] * out.swapaxes(0, 1)).tobytes() == expect[1:].tobytes()
 
 
 @pytest.mark.parametrize("f_dt", (0.0, 1e-3))
